@@ -6,41 +6,39 @@ regenerates each paper figure is computed at full paper sizes (it costs
 nothing — it's analytic).
 """
 
-import numpy as np
 import pytest
 
-from repro.bench import (binomial_workload, brownian_randoms, bs_workload,
-                         cn_workload, mc_workload)
+from repro import registry
 from repro.config import SMALL_SIZES
 
 
-@pytest.fixture(scope="session")
-def sizes():
-    return SMALL_SIZES
+def _payload(kernel):
+    return registry.workload(kernel).build(SMALL_SIZES, seed=2012)
 
 
 @pytest.fixture(scope="session")
 def bs_batch_factory():
     def make(layout="soa"):
-        return bs_workload(SMALL_SIZES, layout=layout)
+        return _payload("black_scholes")[layout]
     return make
 
 
 @pytest.fixture(scope="session")
 def binomial_options():
-    return binomial_workload(SMALL_SIZES)
+    return _payload("binomial")["options"]
 
 
 @pytest.fixture(scope="session")
 def bridge_randoms():
-    return brownian_randoms(SMALL_SIZES)
+    return _payload("brownian")["randoms"]
 
 
 @pytest.fixture(scope="session")
 def mc_inputs():
-    return mc_workload(SMALL_SIZES)
+    p = _payload("monte_carlo")
+    return p["S"], p["X"], p["T"], p["randoms"]
 
 
 @pytest.fixture(scope="session")
 def cn_options():
-    return cn_workload(SMALL_SIZES)
+    return _payload("crank_nicolson")["options"]

@@ -6,16 +6,24 @@ experiment <id>         regenerate a paper table/figure (or ``all``)
 figure <kernel>         the modeled stacked-bar chart for one kernel
 profile <kernel>        VTune-style cycle profile on one platform
 ninja                   the modeled Ninja-gap table
+platforms               the simulated machines (+ optional host calibration)
+price ...               price one contract with every applicable engine
+daemon start|stop|status  manage the standing slab-worker daemon
+gateway                 serve the micro-batching pricing gateway over TCP
+lint                    AST conformance analysis of the tree (R001-R010)
+
+The measured studies — one subcommand per entry of
+:data:`repro.bench.suite.MEASURED`, all run by its ``run_measured``
+(``--smoke`` for the CI size, ``--out`` for the ``BENCH_*.json``
+artifact, exit 1 when the bench's gate fails):
+
+parallel                serial-vs-slab speedup of the parallel-tier kernels
 sweep                   measure the Ninja gap: time every registered tier
 scaling                 measured core-scaling curves (workers x backends)
-dse                     design-space sweep + measured autotune gate
 greeks                  risk workloads: Greeks tiers, cold vs plan-compiled
-price ...               price one contract with every applicable engine
-platforms               the simulated machines (+ optional host calibration)
-parallel                serial-vs-slab speedup of the parallel-tier kernels
 serve-bench             steady-state serving: warm plan vs cold compile
-daemon start|stop|status  manage the standing slab-worker daemon
-lint                    AST conformance analysis of the tree (R001-R010)
+loadtest                open-loop gateway loadtest: capacity + latency grid
+dse                     design-space sweep + measured autotune gate
 
 Kernel choices everywhere are derived from :mod:`repro.registry`, so a
 newly registered kernel shows up in ``figure``/``profile``/``sweep``
@@ -28,9 +36,10 @@ import argparse
 import sys
 
 from . import registry
-from .bench import (format_profile, format_table, ladder_bars, ninja_table,
-                    run_all, run_experiment)
+from .bench import (format_profile, format_table, ladder_bars, run_all,
+                    run_experiment)
 from .bench.experiments import EXPERIMENTS
+from .bench.suite import add_measured_parsers
 from .errors import ReproError
 from .kernels import build_model
 
@@ -71,182 +80,6 @@ def _cmd_platforms(args) -> int:
     if args.host:
         from .arch import calibrate_host
         print(calibrate_host().describe())
-    return 0
-
-
-def _cmd_parallel(args) -> int:
-    import json
-
-    from .bench import (measure_parallel_speedup, measure_pool_crossover,
-                        parallel_speedup_result, render)
-    from .config import PAPER_SIZES, SMALL_SIZES
-
-    sizes = PAPER_SIZES if args.full else SMALL_SIZES
-    data = measure_parallel_speedup(
-        sizes=sizes, backend=args.backend, n_workers=args.workers,
-        slab_bytes=args.slab_bytes, repeats=args.repeats, seed=args.seed)
-    if args.crossover:
-        data["crossover"] = measure_pool_crossover(
-            backend=args.backend if args.backend != "serial" else "thread",
-            repeats=args.repeats, seed=args.seed)
-    print(render(parallel_speedup_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    import json
-
-    from .bench import render
-    from .bench.serve import measure_steady_state, steady_state_result
-    from .config import SMALL_SIZES, SMOKE_SIZES
-
-    sizes = SMOKE_SIZES if args.smoke else SMALL_SIZES
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    data = measure_steady_state(
-        sizes=sizes, backends=backends, samples=args.samples,
-        cold_samples=args.cold_samples, seed=args.seed)
-    print(render(steady_state_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    mismatches = [f"{k['kernel']}/{k['backend']}"
-                  for k in data["kernels"] if not k["digest_match"]]
-    if mismatches:
-        print(f"DIGEST MISMATCH: planned results diverge from unplanned "
-              f"for {', '.join(mismatches)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    import json
-
-    from .bench import (measure_ninja_sweep, render, sweep_detail_result,
-                        sweep_gap_result)
-    from .config import PAPER_SIZES, SMALL_SIZES, SMOKE_SIZES
-
-    sizes = (SMOKE_SIZES if args.smoke
-             else PAPER_SIZES if args.full else SMALL_SIZES)
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    kernels = (tuple(k.strip() for k in args.kernels.split(","))
-               if args.kernels else None)
-    data = measure_ninja_sweep(
-        sizes=sizes, backends=backends, n_workers=args.workers,
-        slab_bytes=args.slab_bytes, repeats=args.repeats, seed=args.seed,
-        kernels=kernels, policy=args.policy)
-    print(render(sweep_detail_result(data), args.format))
-    print()
-    print(render(sweep_gap_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_greeks(args) -> int:
-    import json
-
-    from .bench import greeks_result, measure_greeks, render
-    from .config import PAPER_SIZES, SMALL_SIZES, SMOKE_SIZES
-
-    sizes = (SMOKE_SIZES if args.smoke
-             else PAPER_SIZES if args.full else SMALL_SIZES)
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    kernels = (tuple(k.strip() for k in args.kernels.split(","))
-               if args.kernels else None)
-    data = measure_greeks(
-        sizes=sizes, backends=backends, repeats=args.repeats,
-        seed=args.seed, kernels=kernels, n_workers=args.workers,
-        slab_bytes=args.slab_bytes)
-    print(render(greeks_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    bad = [f"{k['kernel']}[{p['backend']}]"
-           for k in data["kernels"] for p in k["points"]
-           if not (k["backends_bit_identical"]
-                   and p["planned_digest_match"]
-                   and p.get("audit_clean", True))]
-    if bad:
-        print(f"GREEKS CHECK FAILED for {', '.join(bad)}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_scaling(args) -> int:
-    import json
-
-    from .bench import measure_scaling, render, scaling_result
-    from .config import PAPER_SIZES, SMALL_SIZES, SMOKE_SIZES
-
-    sizes = (SMOKE_SIZES if args.smoke
-             else PAPER_SIZES if args.full else SMALL_SIZES)
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    kernels = (tuple(k.strip() for k in args.kernels.split(","))
-               if args.kernels else None)
-    workers = (tuple(int(w) for w in args.workers.split(","))
-               if args.workers else None)
-    data = measure_scaling(
-        sizes=sizes, backends=backends, worker_counts=workers,
-        slab_bytes=args.slab_bytes, repeats=args.repeats, seed=args.seed,
-        kernels=kernels, policy=args.policy)
-    print(render(scaling_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_dse(args) -> int:
-    import json
-    import os
-
-    from .bench import dse_result, measure_dse, render
-    from .config import SMALL_SIZES, SMOKE_SIZES
-    from .tune import DEFAULT_AXES, SMOKE_AXES
-
-    kernels = (tuple(k.strip() for k in args.kernels.split(","))
-               if args.kernels else None)
-    policy_out = args.policy_out
-    if policy_out is None and args.out:
-        policy_out = os.path.join(
-            os.path.dirname(os.path.abspath(args.out)),
-            "BENCH_policy.json")
-    data = measure_dse(
-        axes=SMOKE_AXES if args.smoke else DEFAULT_AXES,
-        sizes=SMOKE_SIZES if args.smoke else SMALL_SIZES,
-        kernels=kernels, repeats=args.repeats,
-        samples_per_stage=args.samples_per_stage,
-        n_workers=args.workers, seed=args.seed,
-        policy_out=policy_out)
-    data["smoke"] = args.smoke
-    print(render(dse_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    if policy_out:
-        print(f"wrote {policy_out}")
-    acc = data["acceptance"]
-    if not acc["pass"]:
-        for m in acc["digest_mismatches"][:5]:
-            print(f"FAIL: digest mismatch: {m}", file=sys.stderr)
-        print(f"FAIL: tuned >= fixed on "
-              f"{acc['frac_tuned_ge_fixed']:.0%} of "
-              f"{acc['grid_points']} points "
-              f"(gate >= {acc['gate_frac']:.0%}), min ratio "
-              f"{acc['min_ratio']} (gate >= {acc['gate_min_ratio']})",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -352,41 +185,6 @@ def _cmd_gateway(args) -> int:
         min_bucket=args.min_bucket)
 
 
-def _cmd_loadtest(args) -> int:
-    import json
-
-    from .bench import measure_serving, render, serving_result
-
-    kernel, _, tier = args.tier.partition(":")
-    data = measure_serving(
-        backend=args.backend,
-        n_workers=args.workers,
-        kernel=kernel,
-        tier=tier or "parallel",
-        n_clients=args.clients,
-        capacity_requests=args.requests or (192 if args.smoke else 768),
-        latency_requests=96 if args.smoke else 400,
-        rates=tuple(float(r) for r in args.rates.split(","))
-        if args.rates else ((200.0,) if args.smoke
-                            else (100.0, 200.0, 400.0)),
-        budgets_ms=tuple(float(b) for b in args.budgets_ms.split(","))
-        if args.budgets_ms else ((2.0,) if args.smoke
-                                 else (1.0, 2.0, 5.0)),
-        seed=args.seed,
-        policy=args.policy)
-    data["smoke"] = args.smoke
-    print(render(serving_result(data), args.format))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"wrote {args.out}")
-    if not data["digests_ok"]:
-        for m in data["digest_mismatches"][:5]:
-            print(f"FAIL: digest mismatch: {m}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_price(args) -> int:
     import numpy as np
 
@@ -453,147 +251,7 @@ def main(argv=None) -> int:
                    help="also calibrate and show this host")
     p.set_defaults(fn=_cmd_platforms)
 
-    p = sub.add_parser("parallel",
-                       help="serial vs slab-parallel functional speedup")
-    p.add_argument("--backend", default="thread",
-                   choices=list(registry.BACKENDS))
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--slab-bytes", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--full", action="store_true",
-                   help="use PAPER_SIZES workloads")
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default=None,
-                   help="also dump the raw measurement dict as JSON")
-    p.add_argument("--crossover", action="store_true",
-                   help="also measure the pool-crossover overhead table "
-                        "(recorded under 'crossover' in --out JSON)")
-    p.set_defaults(fn=_cmd_parallel)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="steady-state serving: warm plan.run() vs cold "
-             "compile-per-call, with digest and allocation checks")
-    p.add_argument("--backends", default="serial,thread",
-                   help="comma-separated backend list")
-    p.add_argument("--samples", type=int, default=30,
-                   help="warm-latency samples per kernel x backend")
-    p.add_argument("--cold-samples", type=int, default=5,
-                   help="cold compile+run samples per kernel x backend")
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--smoke", action="store_true",
-                   help="use SMOKE_SIZES workloads (CI)")
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default=None,
-                   help="dump the raw measurement dict as JSON "
-                        "(BENCH_steady_state.json)")
-    p.set_defaults(fn=_cmd_serve_bench)
-
-    p = sub.add_parser(
-        "sweep",
-        help="measured Ninja gap: time every registered tier x backend")
-    p.add_argument("--smoke", action="store_true",
-                   help="SMOKE_SIZES workloads (seconds; the CI mode)")
-    p.add_argument("--full", action="store_true",
-                   help="use PAPER_SIZES workloads")
-    p.add_argument("--backends", default="serial,thread,process,daemon",
-                   help="comma-separated subset of "
-                        "serial,thread,process,daemon")
-    p.add_argument("--kernels", default=None,
-                   help="comma-separated kernel subset (default: all)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--slab-bytes", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default="BENCH_ninja_measured.json",
-                   help="raw measurement JSON path ('' to skip)")
-    p.add_argument("--policy", default="fixed",
-                   help="dispatch policy: fixed (historical constants), "
-                        "auto (this machine's tuned policy file), or a "
-                        "policy-file path")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser(
-        "greeks",
-        help="risk workloads: time every Greeks tier, cold vs "
-             "plan-compiled, with digest and allocation checks")
-    p.add_argument("--smoke", action="store_true",
-                   help="SMOKE_SIZES workloads (seconds; the CI mode)")
-    p.add_argument("--full", action="store_true",
-                   help="use PAPER_SIZES workloads")
-    p.add_argument("--backends", default="serial,thread",
-                   help="comma-separated subset of "
-                        "serial,thread,process,daemon")
-    p.add_argument("--kernels", default=None,
-                   help="comma-separated kernel subset (default: every "
-                        "kernel with a greeks tier)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--slab-bytes", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default="BENCH_greeks.json",
-                   help="raw measurement JSON path ('' to skip)")
-    p.set_defaults(fn=_cmd_greeks)
-
-    p = sub.add_parser(
-        "scaling",
-        help="measured core scaling: parallel tiers x workers x backends")
-    p.add_argument("--smoke", action="store_true",
-                   help="SMOKE_SIZES workloads (seconds; the CI mode)")
-    p.add_argument("--full", action="store_true",
-                   help="use PAPER_SIZES workloads")
-    p.add_argument("--backends", default="serial,thread,process,daemon",
-                   help="comma-separated subset of "
-                        "serial,thread,process,daemon")
-    p.add_argument("--kernels", default=None,
-                   help="comma-separated kernel subset (default: all "
-                        "parallel-tier kernels)")
-    p.add_argument("--workers", default=None,
-                   help="comma-separated worker counts "
-                        "(default: 1,2,4,...,cpu_count)")
-    p.add_argument("--slab-bytes", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default="BENCH_scaling.json",
-                   help="raw measurement JSON path ('' to skip)")
-    p.add_argument("--policy", default="fixed",
-                   help="dispatch policy: fixed, auto, or a "
-                        "policy-file path")
-    p.set_defaults(fn=_cmd_scaling)
-
-    p = sub.add_parser(
-        "dse",
-        help="design-space exploration (modeled surfaces) + measured "
-             "autotune acceptance gate -> BENCH_dse.json")
-    p.add_argument("--smoke", action="store_true",
-                   help="smoke axes + SMOKE_SIZES workloads (CI mode)")
-    p.add_argument("--kernels", default=None,
-                   help="comma-separated measured-grid kernel subset "
-                        "(default: all parallel-tier kernels)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="best-of repeats for the head-to-head phase")
-    p.add_argument("--samples-per-stage", type=int, default=3,
-                   help="bandit samples per arm per halving stage")
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default="BENCH_dse.json",
-                   help="raw measurement JSON path ('' to skip)")
-    p.add_argument("--policy-out", default=None,
-                   help="tuned policy table path (default: "
-                        "BENCH_policy.json beside --out; never the "
-                        "live policy file)")
-    p.set_defaults(fn=_cmd_dse)
+    add_measured_parsers(sub)
 
     p = sub.add_parser(
         "daemon",
@@ -630,35 +288,6 @@ def main(argv=None) -> int:
     p.add_argument("--min-bucket", type=int, default=64,
                    help="smallest canonical batch width")
     p.set_defaults(fn=_cmd_gateway)
-
-    p = sub.add_parser(
-        "loadtest",
-        help="open-loop Poisson loadtest of the pricing gateway "
-             "(capacity + latency grid -> BENCH_serving.json)")
-    p.add_argument("--smoke", action="store_true",
-                   help="small request counts + tiny grid (CI mode)")
-    p.add_argument("--backend", default="serial",
-                   help="serial,thread,process,daemon,auto")
-    p.add_argument("--tier", default="black_scholes:parallel",
-                   help="kernel:tier to drive (batchable tiers only)")
-    p.add_argument("--clients", type=int, default=64,
-                   help="concurrent open-loop clients")
-    p.add_argument("--requests", type=int, default=None,
-                   help="capacity-phase request count")
-    p.add_argument("--rates", default=None,
-                   help="comma-separated arrival rates (req/s)")
-    p.add_argument("--budgets-ms", default=None,
-                   help="comma-separated max_wait budgets (ms)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--out", default="BENCH_serving.json",
-                   help="raw measurement JSON path ('' to skip)")
-    p.add_argument("--policy", default="fixed",
-                   help="gateway dispatch policy: fixed, auto (tune "
-                        "online + persist), or a policy-file path")
-    p.set_defaults(fn=_cmd_loadtest)
 
     from .analysis.cli import add_lint_parser
     add_lint_parser(sub)

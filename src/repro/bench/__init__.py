@@ -1,5 +1,6 @@
 """Benchmark harness: experiment registry (one per paper table/figure),
-Ninja-gap computation, text reporting and functional workload builders."""
+Ninja-gap computation, text reporting and the measured studies (their
+runner table lives in :mod:`.suite`, loaded only by the CLI)."""
 
 from .export import FORMATS, from_json, render, to_csv, to_json
 from .experiments import (EXPERIMENTS, ExperimentResult, fig4, fig5, fig6,
@@ -7,10 +8,9 @@ from .experiments import (EXPERIMENTS, ExperimentResult, fig4, fig5, fig6,
                           table2)
 from .dse import dse_result, measure_dse
 from .greeks import greeks_result, measure_greeks
-from .harness import (TimedRun, binomial_workload, brownian_randoms,
-                      bs_workload, cn_workload, mc_workload,
-                      measure_parallel_speedup, measure_pool_crossover,
-                      parallel_speedup_result, time_run)
+from .harness import (TimedRun, measure_parallel_speedup,
+                      measure_pool_crossover, parallel_speedup_result,
+                      time_run)
 from .ninja import GAP_KERNELS, ninja_gaps, ninja_table
 from .record import kernel_record, ratio_of, timing_fields
 from .scaling_measured import measure_scaling, scaling_result
@@ -30,8 +30,7 @@ __all__ = [
     "table1", "fig4", "fig5", "fig6", "table2", "fig8", "ninja_gap",
     "ninja_gaps", "ninja_table", "GAP_KERNELS",
     "format_table", "stacked_bars", "ladder_bars",
-    "TimedRun", "time_run", "bs_workload", "binomial_workload",
-    "brownian_randoms", "mc_workload", "cn_workload",
+    "TimedRun", "time_run",
     "measure_parallel_speedup", "measure_pool_crossover",
     "parallel_speedup_result",
     "kernel_record", "ratio_of", "timing_fields",

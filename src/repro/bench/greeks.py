@@ -13,8 +13,6 @@ Greeks runs allocate nothing in the numpy domain.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import SMALL_SIZES, WorkloadSizes
 from ..errors import ExperimentError
 from ..results import as_result_slab
@@ -148,8 +146,3 @@ def greeks_result(data: dict):
             "(arena-backed workspaces, zero-allocation steady state)",
         ],
     )
-
-
-def _means(slab) -> dict:
-    """Per-output means of a result slab (compact value summary)."""
-    return {name: float(np.mean(slab[name])) for name in slab.outputs}

@@ -4,9 +4,7 @@ Times the *functional* NumPy kernels on the host (wall clock, real
 speedups between optimization tiers where Python can express them) and
 pairs those with the machine-model throughput for SNB-EP and KNC.  The
 workloads themselves are owned by the per-kernel
-:class:`~repro.registry.WorkloadSpec` registrations; the builders here
-are thin views onto those shared payloads, kept so the pytest-benchmark
-files under ``benchmarks/`` and older callers keep their signatures.
+:class:`~repro.registry.WorkloadSpec` registrations.
 """
 
 from __future__ import annotations
@@ -64,42 +62,6 @@ def time_run(label: str, fn, items: int, repeats: int = 3,
     best, median, spread = summarize_times(times)
     return TimedRun(label=label, seconds=best, items=items,
                     median=median, spread=spread)
-
-
-# ----------------------------------------------------------------------
-# Workload builders — views onto the registry-owned payloads
-# ----------------------------------------------------------------------
-
-def bs_workload(sizes: WorkloadSizes = SMALL_SIZES, layout: str = "soa",
-                seed: int = 2012):
-    """The Fig. 4 option batch (one layout of the registry payload)."""
-    from ..kernels.black_scholes.tiers import build_workload
-    return build_workload(sizes, seed=seed)[layout]
-
-
-def binomial_workload(sizes: WorkloadSizes = SMALL_SIZES, seed: int = 2012):
-    """The Fig. 5 option group (shared step count)."""
-    from ..kernels.binomial.tiers import build_workload
-    return build_workload(sizes, seed=seed)["options"]
-
-
-def brownian_randoms(sizes: WorkloadSizes = SMALL_SIZES, seed: int = 2012):
-    """Pre-generated normals for the Fig. 6 bridge workload."""
-    from ..kernels.brownian.tiers import build_workload
-    return build_workload(sizes, seed=seed)["randoms"]
-
-
-def mc_workload(sizes: WorkloadSizes = SMALL_SIZES, seed: int = 2012):
-    """(S, X, T, randoms) for the Table II pricing workload."""
-    from ..kernels.monte_carlo.tiers import build_workload
-    p = build_workload(sizes, seed=seed)
-    return p["S"], p["X"], p["T"], p["randoms"]
-
-
-def cn_workload(sizes: WorkloadSizes = SMALL_SIZES, seed: int = 2012):
-    """American puts for the Fig. 8 lattice workload."""
-    from ..kernels.crank_nicolson.tiers import build_workload
-    return build_workload(sizes, seed=seed)["options"]
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +127,8 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
                              n_workers: int | None = None,
                              slab_bytes: int | None = None,
                              repeats: int = 3, seed: int = 2012,
-                             min_parallel_bytes: int | None = None) -> dict:
+                             min_parallel_bytes: int | None = None,
+                             crossover: bool = False) -> dict:
     """Wall-clock serial-vs-slab comparison for every kernel whose
     parallel tier is registered with a pooled backend (``thread`` or
     ``process``); the data behind ``BENCH_parallel.json``.
@@ -184,6 +147,10 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
     workloads run their slab plan in-caller, and each kernel record's
     ``inline`` flag reports whether its timed dispatch actually did
     (detected by whether the runs ever started the pool).
+
+    ``crossover`` also runs :func:`measure_pool_crossover` on the same
+    backend (``thread`` when the backend is ``serial``) and records its
+    table under the ``crossover`` key.
     """
     from .. import registry
     from ..parallel import MEASURED_CROSSOVER_BYTES, SlabExecutor
@@ -244,7 +211,7 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
                 else pool_workers,
             }
             kernels.append(record)
-        return {
+        data = {
             "backend": backend,
             "n_workers": pool_workers or 1,
             "slab_bytes": serial_ex.slab_bytes,
@@ -253,6 +220,11 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
             "seed": seed,
             "kernels": kernels,
         }
+    if crossover:
+        data["crossover"] = measure_pool_crossover(
+            backend=backend if backend != "serial" else "thread",
+            repeats=repeats, seed=seed)
+    return data
 
 
 def parallel_speedup_result(data: dict):

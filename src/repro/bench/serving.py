@@ -90,12 +90,6 @@ def _verify(records, executor, mismatches: list) -> int:
     return checked
 
 
-def _strip(records) -> list:
-    """Drop the kept request/result objects before JSON export."""
-    return [{k: v for k, v in r.items()
-             if k not in ("request", "result")} for r in records]
-
-
 def measure_serving(*, backend: str = "serial",
                     n_workers: int | None = None,
                     kernel: str = "black_scholes",

@@ -1,10 +1,9 @@
 """Thread-level-parallelism substrate: domain decomposition, the
-chunked executor (the OpenMP stand-in), the zero-copy slab engine
-behind the parallel kernel tier, and the standing worker daemon with
-its shared-memory ring-buffer dispatch fabric."""
+zero-copy slab engine behind the parallel kernel tier (the OpenMP
+stand-in), and the standing worker daemon with its shared-memory
+ring-buffer dispatch fabric."""
 
 from .daemon import DaemonClient, SlabDaemon, default_state_path, serve
-from .executor import ChunkExecutor
 from .partition import (block_ranges, chunk_ranges, doubling_counts,
                         round_robin, simd_groups, slab_ranges)
 from .ring import (ABI_VERSION, Ring, guard_unlink, install_signal_guards,
@@ -18,7 +17,7 @@ from .slab import (BACKENDS, DEFAULT_LLC_BYTES, MEASURED_CROSSOVER_BYTES,
                    host_llc_bytes)
 
 __all__ = [
-    "ChunkExecutor", "CompiledDispatch", "SlabExecutor",
+    "CompiledDispatch", "SlabExecutor",
     "default_crossover_bytes", "default_executor", "host_llc_bytes",
     "BACKENDS", "DEFAULT_LLC_BYTES", "MEASURED_CROSSOVER_BYTES",
     "OUT_OF_PROCESS_BACKENDS",

@@ -1,15 +1,14 @@
 """Zero-copy slab-parallel execution engine.
 
 The functional realisation of the paper's threading layer: instead of
-dispatching per-item Python calls (the :class:`ChunkExecutor` shape),
-a :class:`SlabExecutor` partitions a NumPy workload into contiguous
-**slabs** — zero-copy array views sized so each slab's working set fits
+dispatching per-item Python calls, a :class:`SlabExecutor` partitions
+a NumPy workload into contiguous **slabs** — zero-copy array views sized so each slab's working set fits
 the last-level cache (Sec. IV's "chunk the problem to the LLC" rule,
 the same sizing :func:`repro.kernels.brownian.default_block_paths`
 applies to bridges) — and dispatches whole slabs to a **persistent**
 worker pool.
 
-Three backends share one slab plan:
+Four backends share one slab plan:
 
 * ``serial`` — in-caller execution, the timing baseline.
 * ``thread`` — a reusable :class:`ThreadPoolExecutor`.  NumPy ufuncs
@@ -68,8 +67,6 @@ OUT_OF_PROCESS_BACKENDS = ("process", "daemon")
 #: pinned at once; least-recently-used pins are retired (and their
 #: segments released) beyond it.
 DAEMON_MAP_PINS = 32
-
-_BACKENDS = BACKENDS  # historical alias
 
 #: Fallback LLC size when sysfs is unreadable — matches the generic
 #: 8 MiB L3 that :func:`repro.arch.host.calibrate_host` assumes.

@@ -1,12 +1,12 @@
-"""Functional-harness tests: workload builders and timing."""
+"""Functional-harness tests: timing, the registry-owned workloads the
+benches share, and the serial-vs-slab speedup measurement."""
 
 import numpy as np
 import pytest
 
-from repro.bench import (TimedRun, binomial_workload, brownian_randoms,
-                         bs_workload, cn_workload, mc_workload,
-                         measure_parallel_speedup, parallel_speedup_result,
-                         time_run)
+from repro import registry
+from repro.bench import (TimedRun, measure_parallel_speedup,
+                         parallel_speedup_result, time_run)
 from repro.config import BENCH_WARMUP, SMALL_SIZES, WorkloadSizes
 from repro.errors import ExperimentError
 from repro.pricing import ExerciseStyle
@@ -60,35 +60,39 @@ class TestTimeRun:
         assert r.rate == 5.0
 
 
+def _payload(kernel, seed=2012):
+    return registry.workload(kernel).build(SMALL_SIZES, seed=seed)
+
+
 class TestWorkloadBuilders:
     def test_bs_workload_size_and_layout(self):
-        b = bs_workload(SMALL_SIZES, layout="aos")
+        b = _payload("black_scholes")["aos"]
         assert len(b) == SMALL_SIZES.black_scholes_nopt
         assert b.layout == "aos"
 
     def test_bs_workload_deterministic(self):
-        a = bs_workload(SMALL_SIZES)
-        b = bs_workload(SMALL_SIZES)
+        a = _payload("black_scholes")["soa"]
+        b = _payload("black_scholes")["soa"]
         assert np.array_equal(a.S, b.S)
 
     def test_binomial_workload(self):
-        opts = binomial_workload(SMALL_SIZES)
+        opts = _payload("binomial")["options"]
         assert len(opts) == SMALL_SIZES.binomial_nopt
         assert all(80 <= o.strike <= 120 for o in opts)
 
     def test_brownian_randoms_sized_for_paths(self):
-        z = brownian_randoms(SMALL_SIZES)
+        z = _payload("brownian")["randoms"]
         assert z.size == (SMALL_SIZES.brownian_paths
                           * SMALL_SIZES.brownian_steps)
         assert abs(z.mean()) < 0.05
 
     def test_mc_workload(self):
-        S, X, T, z = mc_workload(SMALL_SIZES)
-        assert S.shape == (SMALL_SIZES.mc_nopt,)
-        assert z.size == SMALL_SIZES.mc_path_length
+        p = _payload("monte_carlo")
+        assert p["S"].shape == (SMALL_SIZES.mc_nopt,)
+        assert p["randoms"].size == SMALL_SIZES.mc_path_length
 
     def test_cn_workload_all_american_puts(self):
-        opts = cn_workload(SMALL_SIZES)
+        opts = _payload("crank_nicolson")["options"]
         assert len(opts) == SMALL_SIZES.cn_nopt
         assert all(o.style is ExerciseStyle.AMERICAN for o in opts)
 
@@ -103,7 +107,6 @@ _TINY = WorkloadSizes(
 
 class TestMeasureParallelSpeedup:
     def test_structure_and_rendering(self):
-        from repro import registry
         data = measure_parallel_speedup(sizes=_TINY, repeats=1)
         assert data["backend"] == "thread"
         assert data["n_workers"] >= 1 and data["slab_bytes"] > 0

@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.kernels.brownian import build_vectorized, make_schedule
 from repro.kernels.monte_carlo import price_stream
-from repro.parallel import ChunkExecutor
+from repro.parallel import SlabExecutor
 from repro.pricing import bs_call, random_batch
 from repro.rng import NormalGenerator, make_streams
 from repro.validation import mc_error_within_clt
@@ -75,13 +75,14 @@ class TestParallelPricing:
         batch = random_batch(10_000, seed=9)
         exact = bs_call(batch.S, batch.X, batch.T, batch.rate, batch.vol)
 
-        def price_chunk(a, b):
+        def price_slab(a, b, slab):
             sub = random_batch(10_000, seed=9)
             repro.price_black_scholes(sub)
             return sub.call[a:b]
 
-        ex = ChunkExecutor("thread", n_workers=4)
-        parts = ex.map_range(price_chunk, 10_000)
+        with SlabExecutor("thread", n_workers=4) as ex:
+            parts = ex.map_slabs(price_slab, 10_000)
+        assert len(parts) == 4
         assert np.allclose(np.concatenate(parts), exact, atol=1e-9)
 
     def test_per_worker_streams_give_valid_mc(self):

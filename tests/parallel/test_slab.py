@@ -12,6 +12,8 @@ class TestConstruction:
     def test_backend_validated(self):
         with pytest.raises(ConfigurationError):
             SlabExecutor("cuda")
+        with pytest.raises(ConfigurationError):
+            SlabExecutor("serial", n_workers=0)
 
     def test_process_backend_accepted(self):
         with SlabExecutor("process", n_workers=2) as ex:
@@ -60,6 +62,7 @@ class TestMapSlabs:
 
         with SlabExecutor("serial", slab_bytes=8 * 1024) as s:
             s.map_slabs(fill(out_s), n, bytes_per_item=8)
+            assert s._pool is None           # serial never builds a pool
         with SlabExecutor("thread", n_workers=4, slab_bytes=8 * 1024) as t:
             t.map_slabs(fill(out_t), n, bytes_per_item=8)
         # Same plan -> same slab indices -> bit-identical output.

@@ -1,8 +1,47 @@
 """CLI tests (in-process: main() takes argv)."""
 
+import copy
+import json
+
 import pytest
 
+import repro.__main__ as cli
+import repro.bench
 from repro.__main__ import main
+from repro.bench.suite import FLAGS, MEASURED
+
+#: The cheapest run of each measured bench: ``--smoke`` plus the fewest
+#: repeats/samples and in-process backends only.
+_SMOKE_ARGS = {
+    "parallel": ["--repeats", "1", "--workers", "2"],
+    "sweep": ["--repeats", "1", "--workers", "2",
+              "--backends", "serial,thread"],
+    "scaling": ["--repeats", "1", "--workers", "1,2",
+                "--backends", "serial,thread"],
+    "greeks": ["--repeats", "1"],
+    "serve-bench": ["--samples", "3", "--cold-samples", "2",
+                    "--backends", "serial"],
+    "loadtest": ["--clients", "4", "--requests", "24", "--rates", "400",
+                 "--budgets-ms", "2"],
+    "dse": ["--repeats", "1", "--samples-per-stage", "1",
+            "--kernels", "black_scholes"],
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """``run(name) -> (exit code, artifact record)``, one real
+    ``--smoke`` run per bench per module."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            out = tmp_path_factory.mktemp("bench") / MEASURED[name].artifact
+            rc = main([name, "--smoke", *_SMOKE_ARGS[name],
+                       "--out", str(out)])
+            cache[name] = (rc, json.loads(out.read_text()))
+        return cache[name]
+    return run
 
 
 class TestCLI:
@@ -132,6 +171,58 @@ class TestCLI:
         assert data["digests_ok"]
         assert data["policy_mode"] == "auto"
         assert data["capacity"]["batched"]["policy"]["mode"] == "auto"
+
+    @pytest.mark.parametrize("name", sorted(MEASURED))
+    def test_every_measured_bench_smokes(self, name, smoke_run):
+        rc, record = smoke_run(name)
+        assert rc == 0
+        assert record["bench"] == name and record["smoke"] is True
+        assert record["cpu_count"] >= 1
+
+    def test_measured_table_is_consistent(self, capsys):
+        artifacts = [spec.artifact for spec in MEASURED.values()]
+        assert len(set(artifacts)) == len(artifacts)
+        assert set(MEASURED) == set(_SMOKE_ARGS)
+        for name, spec in MEASURED.items():
+            assert spec.name == name and f"\n{name} " in cli.__doc__
+            assert set(spec.flags) <= set(FLAGS)
+            assert callable(getattr(repro.bench, spec.measure))
+            assert all(callable(getattr(repro.bench, view))
+                       for view in spec.views)
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            usage = capsys.readouterr().out
+            assert "--out" in usage and "--n-workers" not in usage
+
+    @pytest.mark.parametrize("name,doctor,reason", [
+        ("sweep",
+         lambda d: d["kernels"][0]["tiers"][-1].update(agrees=False),
+         "tiers disagree with reference"),
+        ("loadtest", lambda d: d["capacity"].update(gate_5x=False),
+         "< 5x gate"),
+        ("loadtest", lambda d: d["latency"][0].update(budget_ok=False),
+         "> budget +"),
+        ("greeks",
+         lambda d: d["kernels"][0]["points"][0].update(
+             planned_digest_match=False),
+         "planned digest diverges from cold"),
+        ("dse", lambda d: d["acceptance"].update({"pass": False}),
+         "tuned >= fixed on"),
+    ])
+    def test_doctored_record_fails_the_gate(self, name, doctor, reason,
+                                            smoke_run, monkeypatch,
+                                            capsys):
+        spec = MEASURED[name]
+        record = copy.deepcopy(smoke_run(name)[1])
+        doctor(record)
+        if name == "loadtest":    # too short a run to judge timing gates
+            assert spec.failures(record, True) == []
+        monkeypatch.setattr(repro.bench, spec.measure,
+                            lambda **kwargs: record)
+        assert main([name, "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: " in err and reason in err
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
