@@ -279,8 +279,11 @@ def main(argv=None) -> int:
                    help="serial,thread,process,daemon,auto (auto "
                         "attaches to a running daemon, else serial)")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="micro-batching latency budget per flush")
+    p.add_argument("--max-wait-ms", type=float, default=0.0,
+                   help="linger before a quiet signature's first flush "
+                        "(default 0: dispatch is work-conserving and "
+                        "batches form while the dispatch thread is busy; "
+                        "set >0 to trade latency for fewer dispatches)")
     p.add_argument("--max-batch", type=int, default=4096,
                    help="max coalesced options per dispatch")
     p.add_argument("--max-pending", type=int, default=1024,

@@ -102,7 +102,8 @@ FLAGS = {
         help="comma-separated arrival rates (req/s)")),
     "budgets-ms": ("--budgets-ms", dict(
         type=_csv(float), default=None,
-        help="comma-separated max_wait budgets (ms)")),
+        help="comma-separated max_wait budgets (ms; 0 = no linger, "
+             "the gateway default)")),
     "samples-per-stage": ("--samples-per-stage", dict(
         type=int, default=3,
         help="bandit samples per arm per halving stage")),
@@ -267,7 +268,7 @@ def _loadtest_extra(a) -> dict:
         latency_requests=96 if a.smoke else 400,
         rates=a.rates or ((200.0,) if a.smoke else (100.0, 200.0, 400.0)),
         budgets_ms=a.budgets_ms or ((2.0,) if a.smoke
-                                    else (1.0, 2.0, 5.0)))
+                                    else (0.0, 1.0, 2.0, 5.0)))
 
 
 def _loadtest_failures(data, smoke) -> list:

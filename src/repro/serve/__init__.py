@@ -14,8 +14,9 @@ This package closes the gap inference-server style:
 * :class:`~.request.PricingRequest` — one user's small slab
   (kernel, tier, contracts, shared rate/vol).
 * :class:`~.gateway.PricingGateway` — an asyncio front end that queues
-  same-signature requests, coalesces them into one canonical-width
-  batch within a latency budget (``max_wait`` / ``max_batch``), prices
+  same-signature requests, coalesces whatever arrives while the
+  dispatch thread is busy into one canonical-width batch (up to
+  ``max_batch``; ``max_wait`` is an opt-in linger), prices
   the fused batch through a cached :class:`~repro.plan.ExecutionPlan`
   on any backend (daemon rings included), and scatters per-request
   :class:`~.request.GatewayResult` views back to each awaiting caller.

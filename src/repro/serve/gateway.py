@@ -3,15 +3,27 @@
 Control flow (all on one event loop, plus exactly one dispatch thread):
 
 * :meth:`PricingGateway.submit` validates a request, appends it to its
-  signature's queue, and awaits a future.  The *first* request of a
-  quiet signature arms a ``max_wait`` deadline timer; a queue reaching
-  ``max_batch`` options (or ``max_batch_requests`` requests) flushes
-  immediately instead — the classic inference-server latency/width
-  trade.
-* Flush jobs land on one **deadline-ordered** priority queue drained by
-  a single dispatcher task, so under backlog the oldest latency budget
-  is honoured first, and requests arriving while an earlier batch is
-  in flight keep coalescing until the moment theirs is packed.
+  signature's queue, and awaits a future.  Dispatch is
+  **work-conserving**: the first request of a quiet signature puts a
+  flush job straight on the flush queue, so an idle dispatch thread
+  starts it on the next loop iteration, and batches form from whatever
+  arrives while an earlier batch is in flight — the queueing between
+  ``submit``, the dispatcher task and the one dispatch thread does the
+  coalescing.  ``max_wait_s`` is an opt-in *linger*: non-zero, the
+  first request of a quiet signature instead arms a timer and the job
+  is queued when it fires (or when the queue reaches ``max_batch``
+  options / ``max_batch_requests`` requests, whichever is first) —
+  fewer, wider dispatches for up to ``max_wait_s`` more latency.  The
+  default ``0.0`` never touches the timer heap.
+* Flush jobs land on one priority queue keyed by the **oldest pending
+  request's arrival** (plus the linger) and drained by a single
+  dispatcher task, which prices *one* batch per job and re-queues the
+  signature if requests remain: under backlog the oldest request is
+  served first, and a signature that keeps receiving traffic cannot
+  starve an older flush of another.  Requests whose caller was
+  cancelled while they waited are dropped when their batch is taken,
+  not priced, and a signature's queue is deleted as soon as it is
+  empty and idle, so signature churn does not accumulate state.
 * The dispatcher packs the batch into its canonical-width
   :class:`~.batcher.Staging` (whose arrays are plan-bound — see
   :mod:`~.batcher`), then runs the compiled plan on a **single
@@ -73,10 +85,10 @@ class _SigQueue:
     __slots__ = ("items", "n_options", "timer", "enqueued")
 
     def __init__(self):
-        self.items = deque()     # (request, future)
+        self.items = deque()     # (request, future, arrival)
         self.n_options = 0
-        self.timer = None        # armed max_wait TimerHandle
-        self.enqueued = False    # a flush job is already queued
+        self.timer = None        # armed linger TimerHandle
+        self.enqueued = False    # a flush job is queued or in flight
 
 
 class PricingGateway:
@@ -90,7 +102,7 @@ class PricingGateway:
     def __init__(self, *, backend: str = "auto",
                  n_workers: int | None = None,
                  slab_bytes: int | None = None,
-                 max_wait_s: float = 0.002,
+                 max_wait_s: float = 0.0,
                  max_batch: int = 4096,
                  max_batch_requests: int | None = None,
                  min_bucket: int = 64,
@@ -141,7 +153,7 @@ class PricingGateway:
         self._policy = None         # PolicyTable once started (non-fixed)
         self._tuners = None         # TunerBank, "auto" mode only
         self._stat = {"requests": 0, "completed": 0, "shed": 0,
-                      "failed": 0, "batches": 0}
+                      "failed": 0, "cancelled": 0, "batches": 0}
         self._batch_requests_hist: dict = {}
         self._batch_options_hist: dict = {}
         self._service_s: list = []
@@ -201,13 +213,13 @@ class PricingGateway:
             self._closed = True
             return
         self._closed = True
+        # Every live queue either holds requests or has a job in flight
+        # (which re-queues itself while requests remain).
         for sig, st in self._queues.items():
             if st.items:
-                self._enqueue_flush(sig, self._loop.time())
-            elif st.timer is not None:
-                st.timer.cancel()
-                st.timer = None
-        # The stop sentinel sorts after every real deadline.
+                self._enqueue_flush(sig, st)
+        # The stop sentinel sorts after every real job, re-queued ones
+        # included.
         self._seq += 1
         self._flush_q.put_nowait((float("inf"), self._seq, None))
         try:
@@ -269,72 +281,82 @@ class PricingGateway:
         if st is None:
             st = self._queues[sig] = _SigQueue()
         fut = self._loop.create_future()
-        st.items.append((request, fut))
+        st.items.append((request, fut, self._loop.time()))
         st.n_options += request.n
         self._queued_requests += 1
         full = (st.n_options >= self.max_batch
                 or (self.max_batch_requests is not None
                     and len(st.items) >= self.max_batch_requests))
-        if full:
-            self._enqueue_flush(sig, self._loop.time())
+        if full or not self.max_wait_s:
+            self._enqueue_flush(sig, st)
         elif st.timer is None and not st.enqueued:
             st.timer = self._loop.call_later(
-                self.max_wait_s, self._deadline_fired, sig,
-                self._loop.time() + self.max_wait_s)
+                self.max_wait_s, self._deadline_fired, sig)
         return await fut
 
-    def _deadline_fired(self, sig, deadline: float) -> None:
+    def _deadline_fired(self, sig) -> None:
         st = self._queues.get(sig)
         if st is None:
             return
         st.timer = None
-        if st.items and not st.enqueued:
-            self._enqueue_flush(sig, deadline)
+        self._enqueue_flush(sig, st)
 
-    def _enqueue_flush(self, sig, deadline: float) -> None:
-        st = self._queues[sig]
+    def _enqueue_flush(self, sig, st: _SigQueue) -> None:
         if st.timer is not None:
             st.timer.cancel()
             st.timer = None
-        if st.enqueued:
-            return
-        st.enqueued = True
+        if not st.enqueued:
+            st.enqueued = True
+            self._put_job(sig, st)
+
+    def _put_job(self, sig, st: _SigQueue) -> None:
+        """Queue one flush of ``sig``, ordered by when its oldest
+        pending request arrived (plus the linger it was promised)."""
         self._seq += 1
-        self._flush_q.put_nowait((deadline, self._seq, sig))
+        self._flush_q.put_nowait(
+            (st.items[0][2] + self.max_wait_s, self._seq, sig))
 
     # -- dispatch ------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
-            _deadline, _seq, sig = await self._flush_q.get()
+            _key, _seq, sig = await self._flush_q.get()
             if sig is None:
                 return
-            st = self._queues.get(sig)
-            if st is None:
-                continue
-            while True:
-                batch = self._take_batch(st)
-                if not batch:
-                    # Atomic with the emptiness check (no await since),
-                    # so a submit landing after this sees a quiet queue
-                    # and arms a fresh timer: no lost wake-ups.
-                    st.enqueued = False
-                    break
+            st = self._queues[sig]
+            batch = self._take_batch(st)
+            if batch:
                 await self._price_batch(sig, batch)
+            # One batch per job: what arrived meanwhile goes back on
+            # the flush queue behind older flushes of other signatures.
+            # No await between this check and the bookkeeping, so a
+            # submit landing afterwards sees a quiet signature and
+            # queues its own job: no lost wake-ups.
+            if st.items:
+                self._put_job(sig, st)
+            else:
+                del self._queues[sig]
 
     def _take_batch(self, st: _SigQueue) -> list:
-        """Slice the longest prefix fitting the batch caps (>= 1)."""
+        """Slice the longest prefix fitting the batch caps, dropping
+        requests whose caller was cancelled while they waited; empty
+        only when every queued request was."""
         batch = []
         n_opts = 0
         max_reqs = self.max_batch_requests or len(st.items)
         while st.items and len(batch) < max_reqs:
-            req, fut = st.items[0]
-            if batch and n_opts + req.n > self.max_batch:
+            req, fut, _arrival = st.items[0]
+            cancelled = fut.cancelled()
+            if batch and not cancelled \
+                    and n_opts + req.n > self.max_batch:
                 break
             st.items.popleft()
             st.n_options -= req.n
             self._queued_requests -= 1
-            batch.append((req, fut))
-            n_opts += req.n
+            if cancelled:
+                self._stat["cancelled"] += 1
+            else:
+                batch.append((req, fut))
+                n_opts += req.n
         return batch
 
     async def _price_batch(self, sig, batch) -> None:

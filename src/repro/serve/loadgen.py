@@ -89,34 +89,39 @@ async def run_open_loop(gateway, requests, arrivals, *,
     Every request is its own task that sleeps until its absolute send
     time — in-flight count is whatever the arrival process produces,
     never throttled by completions.  Records carry per-request latency
-    (send → scattered result) and the shed/error outcome; with
-    ``keep_results`` each record also keeps ``(request, result)`` for
-    post-hoc digest verification outside the timed region.
+    timed from the instant the request was **due** (not from when the
+    loop got round to sending it, which would hide the delay a stalled
+    loop imposes on every later arrival — coordinated omission), how
+    late it was sent (``late_s`` = sent − due) and the shed/error
+    outcome; with ``keep_results`` each record also keeps ``(request,
+    result)`` for post-hoc digest verification outside the timed
+    region.
     """
     if len(requests) != len(arrivals):
         raise ExperimentError("requests and arrivals must align")
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    wall0 = time.perf_counter()
+    clock = time.perf_counter
+    wall0 = clock()
     records = [None] * len(requests)
 
     async def one(i: int, req: PricingRequest, due: float) -> None:
-        delay = (t0 + due) - loop.time()
+        due += wall0
+        delay = due - clock()
         if delay > 0:
             await asyncio.sleep(delay)
-        sent = time.perf_counter()
-        rec = {"i": i, "n_options": req.n, "sent_s": sent - wall0}
+        sent = clock()
+        due = min(due, sent)     # a timer may fire a clock tick early
+        rec = {"i": i, "n_options": req.n, "sent_s": sent - wall0,
+               "late_s": sent - due}
         try:
             result = await gateway.submit(req)
         except GatewayOverloadError:
-            rec.update(ok=False, shed=True,
-                       latency_s=time.perf_counter() - sent)
+            rec.update(ok=False, shed=True, latency_s=clock() - due)
         except GatewayError as exc:
             rec.update(ok=False, shed=False, error=str(exc),
-                       latency_s=time.perf_counter() - sent)
+                       latency_s=clock() - due)
         else:
-            done = time.perf_counter()
-            rec.update(ok=True, shed=False, latency_s=done - sent,
+            done = clock()
+            rec.update(ok=True, shed=False, latency_s=done - due,
                        done_s=done - wall0,
                        batch_requests=result.batch_requests,
                        batch_options=result.batch_options)

@@ -11,7 +11,7 @@ def data():
     # Tiny but real: both phases execute, every result digest-checked.
     return measure_serving(backend="serial", n_clients=4,
                            capacity_requests=24, latency_requests=12,
-                           rates=(400.0,), budgets_ms=(2.0,),
+                           rates=(400.0,), budgets_ms=(0.0, 2.0),
                            opts_range=(4, 12), n_signatures=2)
 
 
@@ -24,14 +24,16 @@ class TestMeasureServing:
         for mode in ("batched", "per_request"):
             assert cap[mode]["n_ok"] == 24
             assert cap[mode]["sustained_rps"] > 0
-        assert len(data["latency"]) == 1
-        row = data["latency"][0]
-        assert row["rate_rps"] == 400.0 and row["budget_ms"] == 2.0
-        assert row["n_ok"] + row["n_shed"] + row["n_error"] == 12
-        assert "allowance_ms" in row and "budget_ok" in row
+        # Budget 0 is the shipped default: no linger.
+        assert [r["budget_ms"] for r in data["latency"]] == [0.0, 2.0]
+        for row in data["latency"]:
+            assert row["rate_rps"] == 400.0
+            assert row["n_ok"] + row["n_shed"] + row["n_error"] == 12
+            assert "allowance_ms" in row and "budget_ok" in row
+            assert row["late_p99_ms"] >= 0.0
 
     def test_every_result_digest_checked(self, data):
-        # 24 per capacity mode + 12 latency = 60, minus sheds.
+        # 24 per capacity mode + 12 per latency row = 72, minus sheds.
         assert data["digests_checked"] > 0
         assert data["digests_ok"]
         assert data["digest_mismatches"] == []

@@ -5,6 +5,7 @@ loop with ``asyncio.run``.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,29 @@ def _req(m=8, lo=50.0, hi=150.0, tier="parallel", rate=0.05, vol=0.2):
                           X=np.linspace(hi, lo, m),
                           T=np.linspace(0.1, 2.0, m),
                           rate=rate, vol=vol, tier=tier)
+
+
+async def _submit_behind_held_batch(gw, first, later):
+    """Submit ``first``, park the dispatch thread inside its batch
+    (an ``Event`` in a wrapped ``_run_plan``), then submit ``later``;
+    returns ``(release, tasks)`` with every later request queued."""
+    entered, release = threading.Event(), threading.Event()
+    run_plan = gw._run_plan
+
+    def held(staging):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(60.0)
+        return run_plan(staging)
+
+    gw._run_plan = held
+    tasks = [asyncio.ensure_future(gw.submit(first))]
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, entered.wait, 60.0)
+    for req in later:
+        tasks.append(asyncio.ensure_future(gw.submit(req)))
+        await asyncio.sleep(0)           # let the submit enqueue
+    return release, tasks
 
 
 class TestValidation:
@@ -136,6 +160,105 @@ class TestCoalescing:
                     *(gw.submit(_req(4)) for _ in range(5)))
                 assert {r.batch_requests for r in results} == {1}
                 assert gw.stats["batches"] == 5
+        asyncio.run(main())
+
+
+class TestWorkConservingDispatch:
+    """The default gateway never lingers: an idle dispatch thread
+    starts a request at once, and batches form behind a busy one."""
+
+    def test_default_gateway_arms_no_timer(self):
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                assert gw.max_wait_s == 0.0
+                loop = asyncio.get_running_loop()
+
+                def no_timers(*args, **kwargs):
+                    raise AssertionError("default gateway armed a timer")
+
+                loop.call_later = no_timers      # shadows the method
+                try:
+                    # No wait_for here: its timeout is itself a timer.
+                    return await gw.submit(_req(5))
+                finally:
+                    del loop.call_later
+        res = asyncio.run(main())
+        assert res.batch_requests == 1
+        assert res.digest() == serial_reference(_req(5)).digest()
+
+    def test_requests_arriving_behind_a_busy_thread_ride_one_batch(self):
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                release, tasks = await _submit_behind_held_batch(
+                    gw, _req(4), [_req(5 + i) for i in range(5)])
+                release.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*tasks), timeout=60.0)
+                assert results[0].batch_requests == 1
+                assert {r.batch_requests for r in results[1:]} == {5}
+                assert gw.stats["batches"] == 2
+        asyncio.run(main())
+
+    def test_older_flush_of_another_signature_goes_first(self):
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                # A is in flight; B arrives, then A' joins A's queue.
+                # A' must not overtake B just because A's job is the
+                # one the dispatcher is holding.
+                release, tasks = await _submit_behind_held_batch(
+                    gw, _req(4, vol=0.2),
+                    [_req(4, vol=0.4), _req(6, vol=0.2)])
+                order = []
+                tasks[1].add_done_callback(lambda _: order.append("B"))
+                tasks[2].add_done_callback(lambda _: order.append("A'"))
+                release.set()
+                await asyncio.wait_for(asyncio.gather(*tasks),
+                                       timeout=60.0)
+                assert order == ["B", "A'"]
+                assert gw.stats["batches"] == 3
+        asyncio.run(main())
+
+
+class TestQueueHygiene:
+    @pytest.mark.parametrize("max_wait_s", [0.0, 0.001])
+    def test_signature_churn_leaves_no_queues_behind(self, max_wait_s):
+        async def main():
+            async with PricingGateway(backend="serial",
+                                      max_wait_s=max_wait_s,
+                                      plan_cache_size=4,
+                                      max_stagings=4) as gw:
+                reqs = [_req(4, vol=0.10 + 0.001 * i)
+                        for i in range(200)]
+                await asyncio.gather(*(gw.submit(r) for r in reqs))
+                assert len(gw._queues) == 0
+                assert gw.stats["queued_requests"] == 0
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("n_cancel", [3, 5])
+    def test_cancelled_requests_are_dropped_not_priced(self, n_cancel):
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                release, tasks = await _submit_behind_held_batch(
+                    gw, _req(4), [_req(5 + i) for i in range(5)])
+                queued = tasks[1:]
+                for task in queued[:n_cancel]:
+                    task.cancel()
+                release.set()
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True),
+                    timeout=60.0)
+                live = outcomes[1 + n_cancel:]
+                assert all(isinstance(o, asyncio.CancelledError)
+                           for o in outcomes[1:1 + n_cancel])
+                assert {r.batch_requests for r in live} \
+                    == ({5 - n_cancel} if live else set())
+                s = gw.stats
+                assert s["cancelled"] == n_cancel
+                assert s["completed"] == 1 + len(live)
+                # A take that was cancelled whole prices nothing.
+                assert s["batches"] == (2 if live else 1)
+                assert s["queued_requests"] == 0
+                assert len(gw._queues) == 0
         asyncio.run(main())
 
 

@@ -1,6 +1,7 @@
 """Load generator: determinism, Poisson arrivals, open-loop driving."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -69,8 +70,36 @@ class TestRunOpenLoop:
         assert load["n_shed"] == 0 and load["n_error"] == 0
         assert load["sustained_rps"] > 0
         for rec in load["records"]:
-            assert rec["ok"] and rec["latency_s"] >= 0
+            assert rec["ok"]
+            assert rec["latency_s"] >= rec["late_s"] >= 0
             assert rec["result"].n == rec["n_options"]
+
+    def test_blocked_loop_shows_in_latency_from_due_time(self):
+        """The first send blocks the event loop past the second
+        request's due time; the second request's latency must count
+        that wait, not start when the loop finally sent it."""
+        reqs = synth_requests(2, opts_range=(4, 8))
+
+        class StallingGateway:
+            def __init__(self, gw):
+                self.gw = gw
+                self.stalled = False
+
+            async def submit(self, req):
+                if not self.stalled:
+                    self.stalled = True
+                    time.sleep(0.3)      # on the loop, deliberately
+                return await self.gw.submit(req)
+
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                return await run_open_loop(StallingGateway(gw), reqs,
+                                           [0.0, 0.1])
+        load = asyncio.run(main())
+        assert load["n_ok"] == 2
+        second = load["records"][1]
+        assert second["late_s"] >= 0.19
+        assert second["latency_s"] >= second["late_s"]
 
     def test_misaligned_schedules_rejected(self):
         async def main():
