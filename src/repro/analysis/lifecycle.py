@@ -50,6 +50,7 @@ PAIRS = {
     "start": ("stop", "close", "shutdown", "terminate", "join"),
     "acquire": ("release",),
     "compile_shm": ("close",),
+    "compile_lanes": ("close",),
 }
 
 #: Verdicts check() can attach to an acquire site.

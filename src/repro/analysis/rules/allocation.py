@@ -26,10 +26,9 @@ constructor nested in their arguments) are the *sanctioned* way to hold
 scratch, wherever they appear — the arena hands out compile-time
 buffers, so a reserve inside a per-slab loop is setup, not hot-path
 traffic.  Likewise whole functions that exist to run once per plan or
-per batch — planners (``plan_*``), plan compilers (``compile_*``),
-workspace builders (``make_workspace``) and constructors
-(``__init__``) — are setup phase, exempt from the per-iteration
-allocation contract.
+per batch — planners and workspace builders (``plan_*``), plan
+compilers (``compile_*``) and constructors (``__init__``) — are setup
+phase, exempt from the per-iteration allocation contract.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ ARENA_METHODS = frozenset({"reserve", "reserve_like"})
 #: Functions that are plan-compile/setup phase by contract: they run
 #: once per plan (or per batch), so allocation inside them is exactly
 #: the hoisting the rule asks for.
-SETUP_NAMES = frozenset({"__init__", "make_workspace"})
+SETUP_NAMES = frozenset({"__init__"})
 SETUP_PREFIXES = ("compile_", "plan_")
 
 

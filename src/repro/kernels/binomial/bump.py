@@ -1,15 +1,14 @@
 """Binomial bump-and-revalue Greeks over option slabs.
 
-The register-tiled lattice has no analytic Greeks, so the risk tier
-revalues every contract under the five
-:data:`~repro.pricing.bump.SCENARIOS` and central-differences the
-results.  The expanded ``5n`` option group goes through the *same*
-slab dispatch as the price-only parallel tier — scenario cells
-load-balance exactly like options — and the combine is the shared
-``out=``-only arithmetic of :mod:`repro.pricing.bump`.  The base
-scenario runs the unchanged tiled ladder, so the tier's ``price``
-output is bit-identical to the parallel tier and stays checked against
-the reference ladder.
+The lattice has no analytic Greeks, so the risk tier revalues every
+contract under the five :data:`~repro.pricing.bump.SCENARIOS` and
+central-differences the results.  The expanded ``5n`` option group goes
+through the *same* slab dispatch as the price-only parallel tier —
+scenario cells are lanes of the same node-major sweep — and the combine
+is the shared ``out=``-only arithmetic of :mod:`repro.pricing.bump`.
+The base scenario's lane computes the parallel tier's reduction tree,
+so the tier's ``price`` output is bit-identical to the parallel tier
+and stays checked against the reference ladder.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 def greeks_tiled_parallel(options, n_steps: int,
                           executor: SlabExecutor | None = None,
                           h: float = BUMP_REL) -> ResultSlab:
-    """Bump Greeks for a European option group on the tiled lattice.
+    """Bump Greeks for a European option group on the binomial lattice.
 
     Returns a :class:`~repro.results.ResultSlab` with ``price``,
     ``delta``, ``gamma`` and ``vega`` (one value per option).
@@ -61,8 +60,8 @@ def compile_greeks_tiled(options, n_steps: int, executor: SlabExecutor,
                          arena, h: float = BUMP_REL):
     """Plan-compile the bump-Greeks tier: the expanded scenario group is
     compiled once through :func:`~.parallel.compile_price_tiled` (which
-    hoists leaves, CRR coefficients and the reduction workspaces into
-    the same arena), and the denominators and the ``4n`` result backing
+    hoists leaves, CRR coefficients and the sweep workspaces into the
+    same arena), and the denominators and the ``4n`` result backing
     are arena-resident — warm runs are the lattice sweep plus the
     in-place combine, with zero hot-path allocations."""
     options = list(options)

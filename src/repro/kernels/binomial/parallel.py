@@ -1,14 +1,20 @@
-"""Binomial tree *parallel* tier: slab over options.
+"""Binomial tree *parallel* tier: slab over options, node-major sweep.
 
 The paper parallelises the binomial benchmark over its
-embarrassingly-parallel outer dimension — independent options — with
-each thread running the register-tiled reduction on its share
+embarrassingly-parallel outer dimension — independent options
 (Sec. IV-B).  Here a slab is a contiguous group of options whose tree
-rows fit the LLC budget together; each slab runs the existing
-:func:`~.tiled.tiled_reduce` ladder unchanged and writes its root
-prices into a view of the preallocated result.  Per-lane arithmetic in
-the tiled reduction is elementwise across options, so slab prices are
-bit-identical to a whole-batch :func:`~.tiled.price_tiled` call.
+rows fit the LLC budget together, stored node-major
+(``(n_steps+1, lanes)``), so the vector axis is *options × nodes*: one
+backward time step is three ufunc calls over a contiguous block of
+every live node of every option, and the time step is the only
+Python-level loop.
+
+Every node is still ``pu·right + pd·left`` — two separate products and
+one add on the same values — so root prices are bit-identical to the
+register-tiled :func:`~.tiled.price_tiled` (the same reduction tree
+along anti-diagonals; it stays as the lane-accurate *modeled* tier) and
+to :func:`~.simd_across.price_simd_across`, for any slab partition,
+backend or worker count.
 """
 
 from __future__ import annotations
@@ -20,94 +26,91 @@ from ...errors import DomainError
 from ...parallel.slab import SlabExecutor, default_executor
 from ...pricing.options import ExerciseStyle
 from .params import crr_params, leaf_values
-from .tiled import default_tile_size, price_tiled, tiled_reduce_ws
 
 
-def _tiled_slab(arrays: dict, consts: dict, a: int, b: int,
-                slab: int) -> None:
-    """Slab task (module-level for process-backend pickling): run the
-    tiled ladder on this slab's options (shipped via ``per_slab``)."""
-    arrays["out"][:] = price_tiled(consts["options"], consts["n_steps"],
-                                   ts=consts["ts"],
-                                   vector_registers=consts["vr"])
-
-
-def _tiled_slab_ws(arrays: dict, consts: dict, a: int, b: int,
-                   slab: int) -> None:
-    """Planned slab task: refill the workspace call matrix from the
-    precomputed leaves and run the zero-allocation tiled ladder."""
-    ws = consts["ws"]
-    np.copyto(ws["call"], arrays["leaves"])
-    tiled_reduce_ws(ws["call"], consts["n_steps"], consts["ts"], ws,
-                    arrays["out"])
-
-
-def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
-                        arena, ts: int | None = None,
-                        vector_registers: int = 32):
-    """Plan-compile the tiled-parallel tier.
-
-    Everything the cold path recomputes per call is hoisted to compile
-    time: CRR parameters and leaf values (the options are baked into
-    the plan), the per-lane ``pu``/``pd`` coefficient vectors, and a
-    full tiled-reduction workspace per slab — so each warm run is just
-    a leaf refill plus the register pipeline, with zero allocations.
-    The process backend keeps the cold slab task (its workers own their
-    address space), compiled for staging/validation reuse only.
-    """
+def _european_group(options) -> list:
+    """The option group as a list, rejecting what the sweep cannot
+    price."""
     options = list(options)
     if not options:
         raise DomainError("empty option group")
     if any(o.style is ExerciseStyle.AMERICAN for o in options):
         raise DomainError(
-            "register tiling pipelines across time steps and cannot apply "
-            "per-step early exercise; use the basic/SIMD tiers for "
-            "American options"
+            "the parallel tier's backward sweep omits the per-step "
+            "intrinsic max, so it prices European exercise only; use the "
+            "basic/simd_across tiers for American options"
         )
-    if ts is None:
-        ts = default_tile_size(vector_registers)
+    return options
+
+
+def plan_sweep(options, n_steps: int, reserve) -> dict:
+    """One slab's sweep workspace through ``reserve(name, shape)``:
+    the transposed leaves, the ``call``/``t1``/``t2`` node-major trio
+    and the per-lane CRR coefficients."""
+    shape = (n_steps + 1, len(options))
+    ws = {name: reserve(name, shape)
+          for name in ("leaves", "call", "t1", "t2")}
+    pu = ws["pu"] = reserve("pu", len(options))
+    pd = ws["pd"] = reserve("pd", len(options))
+    for lane, o in enumerate(options):
+        p = crr_params(o, n_steps)
+        ws["leaves"][:, lane] = leaf_values(o, p)
+        pu[lane] = p.pu_by_df
+        pd[lane] = p.pd_by_df
+    return ws
+
+
+def sweep_node_major(ws: dict, out: np.ndarray) -> None:
+    """Refill ``call`` from the leaves and reduce it to the roots in
+    place: per step, the ``w`` live node rows of every lane at once."""
+    call, t1, t2 = ws["call"], ws["t1"], ws["t2"]
+    pu, pd = ws["pu"], ws["pd"]
+    np.copyto(call, ws["leaves"])
+    for w in range(call.shape[0] - 1, 0, -1):
+        np.multiply(call[1:w + 1], pu, out=t1[:w])
+        np.multiply(call[:w], pd, out=t2[:w])
+        np.add(t1[:w], t2[:w], out=call[:w])
+    np.copyto(out, call[0])
+
+
+def _sweep_slab(arrays: dict, consts: dict, a: int, b: int,
+                slab: int) -> None:
+    """Slab task (module-level for process-backend pickling): sweep
+    the planned workspace when the dispatch ships one, else build it
+    for this slab's options (shipped via ``per_slab``) first."""
+    ws = consts.get("ws") or plan_sweep(
+        consts["options"], consts["n_steps"],
+        lambda name, shape: np.empty(shape, dtype=DTYPE))
+    sweep_node_major(ws, arrays["out"])
+
+
+def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
+                        arena):
+    """Plan-compile the parallel tier.
+
+    Everything the cold path recomputes per call is hoisted to compile
+    time: CRR parameters, the transposed leaf values (the options are
+    baked into the plan) and one sweep workspace per slab — so each
+    warm run is a leaf refill plus the sweep, with zero allocations.
+    Out-of-process workers own their address space, so there the
+    dispatch ships the options and each run builds its workspace cold
+    (compiled for staging/validation reuse only).
+    """
+    options = _european_group(options)
     nopt = len(options)
-    n1 = n_steps + 1
-    bytes_per_option = 3 * n1 * 8
     out = arena.reserve("result", nopt)
     if executor.out_of_process:
-        dispatch = executor.compile_shm(
-            _tiled_slab, nopt, bytes_per_item=bytes_per_option,
-            sliced={"out": out}, writes=("out",),
-            consts={"n_steps": n_steps, "ts": ts,
-                    "vr": vector_registers},
-            per_slab=lambda a, b, i: {"options": options[a:b]},
-            tag="bin")
+        def per_slab(a, b, i):
+            return {"options": options[a:b]}
     else:
-        params = [crr_params(o, n_steps) for o in options]
-        leaves = arena.reserve("leaves", (nopt, n1))
-        for lane, (o, p) in enumerate(zip(options, params)):
-            leaves[lane] = leaf_values(o, p)
-        pu = arena.reserve("pu", nopt)
-        pd = arena.reserve("pd", nopt)
-        pu[:] = [p.pu_by_df for p in params]
-        pd[:] = [p.pd_by_df for p in params]
-        slabs = executor.plan(nopt, bytes_per_option)
-        wss = []
-        for i, (a, b) in enumerate(slabs):
-            lanes = b - a
-            wss.append({
-                "call": arena.reserve(f"call{i}", (lanes, n1)),
-                "t1": arena.reserve(f"t1_{i}", (lanes, n1)),
-                "t2": arena.reserve(f"t2_{i}", (lanes, n1)),
-                "tile": arena.reserve(f"tile{i}", (lanes, ts)),
-                "tmp": arena.reserve(f"tmp{i}", (lanes, ts)),
-                "m1": arena.reserve(f"m1_{i}", lanes),
-                "m2": arena.reserve(f"m2_{i}", lanes),
-                "mt": arena.reserve(f"mt_{i}", lanes),
-                "pu": pu[a:b], "pd": pd[a:b],
-                "pu_c": pu[a:b, None], "pd_c": pd[a:b, None],
-            })
-        dispatch = executor.compile_shm(
-            _tiled_slab_ws, nopt, bytes_per_item=bytes_per_option,
-            sliced={"out": out, "leaves": leaves}, writes=("out",),
-            consts={"n_steps": n_steps, "ts": ts},
-            per_slab=lambda a, b, i: {"ws": wss[i]}, tag="bin")
+        def per_slab(a, b, i):
+            return {"ws": plan_sweep(
+                options[a:b], n_steps,
+                lambda name, shape: arena.reserve(f"{name}{i}", shape))}
+    dispatch = executor.compile_lanes(
+        _sweep_slab, nopt, bytes_per_item=3 * (n_steps + 1) * 8,
+        sliced={"out": out}, writes=("out",),
+        consts={"n_steps": n_steps}, per_slab=per_slab, tag="bin")
 
     def run() -> np.ndarray:
         dispatch.run()
@@ -117,33 +120,22 @@ def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
 
 
 def price_tiled_parallel(options, n_steps: int,
-                         executor: SlabExecutor | None = None,
-                         ts: int | None = None,
-                         vector_registers: int = 32) -> np.ndarray:
-    """Register-tiled European pricing over option slabs.
+                         executor: SlabExecutor | None = None) -> np.ndarray:
+    """European pricing over option slabs.
 
     Returns one root price per option, bit-identical to the serial
     :func:`~.tiled.price_tiled` for any backend/worker count.
     """
-    options = list(options)
-    if not options:
-        raise DomainError("empty option group")
-    if any(o.style is ExerciseStyle.AMERICAN for o in options):
-        raise DomainError(
-            "register tiling pipelines across time steps and cannot apply "
-            "per-step early exercise; use the basic/SIMD tiers for "
-            "American options"
-        )
+    options = _european_group(options)
     if executor is None:
         executor = default_executor()
     out = np.empty(len(options), dtype=DTYPE)
-    # Per option in flight: the full tree row, its working copy inside
-    # tiled_reduce, and the leaf construction scratch.
+    # Per option in flight: the call/t1/t2 tree rows.
     bytes_per_option = 3 * (n_steps + 1) * 8
     executor.map_shm(
-        _tiled_slab, len(options), bytes_per_item=bytes_per_option,
+        _sweep_slab, len(options), bytes_per_item=bytes_per_option,
         sliced={"out": out}, writes=("out",),
-        consts={"n_steps": n_steps, "ts": ts, "vr": vector_registers},
+        consts={"n_steps": n_steps},
         # Each slab task carries only its own options, not the batch.
         per_slab=lambda a, b, i: {"options": options[a:b]},
     )

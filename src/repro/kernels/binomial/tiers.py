@@ -1,9 +1,10 @@
 """Functional-tier registrations for the binomial-tree kernel.
 
 The Fig. 5 ladder: scalar reference, unrolled basic, SIMD-across-options
-intermediate, register-tiled advanced, and the slab-parallel tier over
-option groups.  All tiers price the same European option group at the
-shared step count, so root prices are comparable to 1e-10.
+intermediate, register-tiled advanced (the lane-accurate model of
+Listing 3), and the slab-parallel tier's node-major options × nodes
+sweep.  All tiers price the same European option group at the shared
+step count, so root prices are comparable to 1e-10.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ register_impl("binomial", "simd_across", OptLevel.INTERMEDIATE,
 register_impl("binomial", "tiled", OptLevel.ADVANCED,
               lambda p, ex: price_tiled(p["options"], p["steps"]))
 def _plan_parallel(payload, executor, arena):
-    """Planner: leaves, CRR coefficients and the full tiled-reduction
-    workspace are hoisted out of the hot path."""
+    """Planner: transposed leaves, CRR coefficients and the node-major
+    sweep workspace of every slab are hoisted out of the hot path."""
     return compile_price_tiled(payload["options"], payload["steps"],
                                executor, arena)
 
@@ -70,7 +71,7 @@ def _plan_greeks(payload, executor, arena):
 
 
 # Risk tier: bump-and-revalue Greeks over the 5x-expanded scenario
-# group.  The base scenario is the unchanged tiled ladder, so the
+# group.  The base scenario's lane is the parallel tier's sweep, so the
 # "price" output stays checked against the reference ladder.
 register_impl("binomial", "greeks", OptLevel.PARALLEL,
               lambda p, ex: greeks_tiled_parallel(p["options"],

@@ -105,58 +105,6 @@ def tiled_reduce(call: np.ndarray, n_steps: int, pu, pd, ts: int) -> np.ndarray:
     return call[..., 0].copy()
 
 
-def tiled_reduce_ws(call: np.ndarray, n_steps: int, ts: int, ws: dict,
-                    out: np.ndarray) -> None:
-    """:func:`tiled_reduce` with every temporary supplied by ``ws``.
-
-    The planned-path twin: identical reduction tree, identical operand
-    order (each ``pu·x + pd·y`` step computes its two products into the
-    ``t1``/``t2`` scratch rows and adds them in the same left-to-right
-    order), so root values are **bit-identical** to :func:`tiled_reduce`
-    — but ``call`` is mutated in place (the caller refills it from the
-    precomputed leaves each run) and nothing is allocated.
-
-    ``ws`` carries, for one slab of ``L`` lanes: ``t1``/``t2``
-    ``(L, n_steps+1)`` step scratch, ``tile``/``tmp`` ``(L, ts)``
-    pipeline registers, ``m1``/``m2``/``mt`` ``(L,)`` lane carriers,
-    and the per-lane coefficients ``pu``/``pd`` ``(L,)`` with their
-    column-broadcast views ``pu_c``/``pd_c`` ``(L, 1)``.
-    """
-    pu, pd = ws["pu"], ws["pd"]
-    pu_c, pd_c = ws["pu_c"], ws["pd_c"]
-    t1, t2 = ws["t1"], ws["t2"]
-    tile, tmp = ws["tile"], ws["tmp"]
-    width = n_steps + 1
-    rem = n_steps % ts
-    for _ in range(rem):
-        width -= 1
-        np.multiply(pu_c, call[:, 1:width + 1], out=t1[:, :width])
-        np.multiply(pd_c, call[:, :width], out=t2[:, :width])
-        np.add(t1[:, :width], t2[:, :width], out=call[:, :width])
-    m = n_steps - rem
-    while m >= ts:
-        np.copyto(tmp, call[:, :ts])
-        tile[:, ts - 1] = tmp[:, ts - 1]
-        for depth in range(1, ts):
-            upto = ts - depth
-            np.multiply(pu_c, tmp[:, 1:upto + 1], out=t1[:, :upto])
-            np.multiply(pd_c, tmp[:, :upto], out=t2[:, :upto])
-            np.add(t1[:, :upto], t2[:, :upto], out=tmp[:, :upto])
-            tile[:, upto - 1] = tmp[:, upto - 1]
-        m1, m2, mt = ws["m1"], ws["m2"], ws["mt"]
-        for i in range(ts, m + 1):
-            np.copyto(m1, call[:, i])
-            for j in range(ts - 1, -1, -1):
-                np.multiply(pu, m1, out=m2)
-                np.multiply(pd, tile[:, j], out=mt)
-                m2 += mt
-                tile[:, j] = m1
-                m1, m2 = m2, m1
-            call[:, i - ts] = m1
-        m -= ts
-    np.copyto(out, call[:, 0])
-
-
 def price_tiled(options, n_steps: int, ts: int | None = None,
                 vector_registers: int = 32) -> np.ndarray:
     """Price a group of European options (one per lane) with register

@@ -5,12 +5,12 @@ revalues every contract under the five
 :data:`~repro.pricing.bump.SCENARIOS` and central-differences the
 results — the standard practice for early-exercise sensitivities.  The
 expanded ``5n`` contract group goes through the same slab dispatch as
-the price-only parallel tier (one independent lattice march per
-scenario cell), and the combine is the shared ``out=``-only arithmetic
-of :mod:`repro.pricing.bump`.  The base scenario is the unchanged
-red-black march, so the tier's ``price`` output matches the parallel
-tier bit for bit and stays checked against the reference solver at the
-workload tolerance.
+the price-only parallel tier (scenario cells are lanes of the same slab
+march, each independent of its neighbours), and the combine is the
+shared ``out=``-only arithmetic of :mod:`repro.pricing.bump`.  The base
+scenario's lane runs the parallel tier's iterates, so the tier's
+``price`` output matches the parallel tier bit for bit and stays
+checked against the reference solver at the workload tolerance.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def compile_greeks_batch(options, n_points: int, n_steps: int,
     """Plan-compile the bump-Greeks tier: the expanded scenario group is
     compiled once through :func:`~.parallel.compile_solve_batch` (which
     hoists grids, payoff profiles, boundary sequences and per-slab
-    march buffers into the same arena); the denominators and the ``4n``
-    result backing are arena-resident, so warm runs are the lattice
+    march workspaces into the same arena); the denominators and the
+    ``4n`` result backing are arena-resident, so warm runs are the slab
     marches plus the in-place combine with zero hot-path allocations."""
     options = list(options)
     n = len(options)

@@ -2,12 +2,16 @@
 
 The paper parallelises the American-option benchmark across options
 (each contract's lattice march is independent), so the slab engine
-partitions the option group and solves each slab's contracts in place
-into a view of the preallocated result.  Every per-option solve is
-deterministic — no RNG, and the ω-adaptation sequence depends only on
-that option's own convergence history — so slab prices are bit-identical
-to a serial :func:`~.solver.solve_batch` call with the same solver for
-any backend, slab size or worker count.
+partitions the option group and prices each slab's contracts in place
+into a view of the preallocated result.  With the default ``red_black``
+solver a slab is *one* march (:func:`~.planned.march_slab`), every
+ufunc call spanning contracts × lattice points, on all four backends;
+the lane-accurate solvers (``gsor``, ``wavefront*`` — the modeled
+Fig. 7/8 tiers) keep one cold :func:`~.solver.solve` per contract.
+Every lane is deterministic — no RNG, and its ω-adaptation and
+convergence depend only on its own sweep history — so prices are
+bit-identical to a serial :func:`~.solver.solve_batch` call with the
+same solver for any backend, slab partition or worker count.
 """
 
 from __future__ import annotations
@@ -17,28 +21,27 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import DomainError
 from ...parallel.slab import SlabExecutor, default_executor
-from .planned import make_workspace, march_planned, plan_contract
+from .planned import march_slab, plan_slab
 from .solver import solve
 
 
 def _solve_slab(arrays: dict, consts: dict, a: int, b: int,
                 slab: int) -> None:
-    """Slab task (module-level for process-backend pickling): march this
-    slab's contracts (shipped via ``per_slab``) into the output view."""
+    """Slab task (module-level for process-backend pickling).
+    ``red_black`` marches the slab, through the planned workspace when
+    the dispatch ships one, else one built for the options shipped via
+    ``per_slab``; the other solvers run one cold solve per contract."""
     out = arrays["out"]
-    for j, opt in enumerate(consts["options"]):
-        out[j] = solve(opt, consts["n_points"], consts["n_steps"],
-                       consts["solver"], **consts["kwargs"]).price
-
-
-def _solve_slab_planned(arrays: dict, consts: dict, a: int, b: int,
-                        slab: int) -> None:
-    """Planned slab task: march this slab's precompiled contracts
-    through its own workspace, allocation-free."""
-    out = arrays["out"]
-    ws = consts["ws"]
-    for j, pre in enumerate(consts["plans"]):
-        out[j] = march_planned(pre, ws)
+    n_points, n_steps = consts["n_points"], consts["n_steps"]
+    if consts["solver"] != "red_black":
+        for j, opt in enumerate(consts["options"]):
+            out[j] = solve(opt, n_points, n_steps, consts["solver"],
+                           **consts["kwargs"]).price
+        return
+    ws = consts.get("ws") or plan_slab(
+        consts["options"], n_points, n_steps,
+        lambda name, shape, dtype: np.empty(shape, dtype=dtype))
+    march_slab(ws, out, **consts["kwargs"])
 
 
 def compile_solve_batch(options, n_points: int, n_steps: int,
@@ -49,10 +52,10 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
     Hoists what :func:`solve_batch_parallel` redoes per call and per
     option: the grid build, the transformed-payoff spatial profile, the
     whole Dirichlet boundary sequence, the untransform/interp stencil
-    (see :mod:`.planned`), plus one set of march buffers per slab.  The
+    (see :mod:`.planned`), plus one slab-march workspace per slab.  The
     planned march exists for the default ``red_black`` solver; other
     solvers — and process workers, which march in their own address
-    spaces — compile the cold per-option solve instead (still a frozen,
+    spaces — ship the options and price them cold (still a frozen,
     validated dispatch).
     """
     options = list(options)
@@ -60,29 +63,21 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
         raise DomainError("empty option group")
     nopt = len(options)
     out = arena.reserve("result", nopt)
-    bytes_per_option = 8 * 8 * n_points
-    planned = solver == "red_black" and not kwargs
-    if executor.out_of_process or not planned:
-        dispatch = executor.compile_shm(
-            _solve_slab, nopt, bytes_per_item=bytes_per_option,
-            sliced={"out": out}, writes=("out",),
-            consts={"n_points": n_points, "n_steps": n_steps,
-                    "solver": solver, "kwargs": kwargs},
-            per_slab=lambda a, b, i: {"options": options[a:b]}, tag="cn")
+    if executor.out_of_process or solver != "red_black":
+        def per_slab(a, b, i):
+            return {"options": options[a:b]}
     else:
-        plans = [plan_contract(o, n_points, n_steps) for o in options]
-        slabs = executor.plan(nopt, bytes_per_option)
-        wss = [
-            make_workspace(
-                lambda name, shape, i=i: arena.reserve(f"{name}{i}", shape),
-                n_points)
-            for i in range(len(slabs))
-        ]
-        dispatch = executor.compile_shm(
-            _solve_slab_planned, nopt, bytes_per_item=bytes_per_option,
-            sliced={"out": out}, writes=("out",),
-            per_slab=lambda a, b, i: {"ws": wss[i], "plans": plans[a:b]},
-            tag="cn")
+        def per_slab(a, b, i):
+            return {"ws": plan_slab(
+                options[a:b], n_points, n_steps,
+                lambda name, shape, dtype:
+                arena.reserve(f"{name}{i}", shape, dtype))}
+    dispatch = executor.compile_lanes(
+        _solve_slab, nopt, bytes_per_item=8 * 8 * n_points,
+        sliced={"out": out}, writes=("out",),
+        consts={"n_points": n_points, "n_steps": n_steps,
+                "solver": solver, "kwargs": kwargs},
+        per_slab=per_slab, tag="cn")
 
     def run() -> np.ndarray:
         dispatch.run()

@@ -1,22 +1,25 @@
-"""Plan-compiled Crank-Nicolson march (red-black PSOR, zero-alloc).
+"""Plan-compiled Crank-Nicolson march (lane-batched red-black PSOR,
+zero-alloc).
 
 :func:`~.solver.solve` rebuilds the same τ-indexed state on every call:
 the grid, the transformed payoff's spatial profile, the Dirichlet
 boundary sequence, the untransform factor and the spot-interpolation
 stencil all depend only on the *contract*, not on any streamed data.
-:func:`plan_contract` hoists every one of them to compile time, and
-:func:`march_planned` replays the time-step march through caller-owned
-workspace buffers — the reproduction's analogue of the paper's Listing 6
-setup code moving out of the option loop.
+:func:`plan_contract` hoists every one of them to compile time,
+:func:`plan_slab` lays a slab's contracts side by side on one flat
+axis, and :func:`march_slab` marches them together through caller-owned
+workspace buffers: the Python-level loops are the time step and the SOR
+sweep, and every ufunc call spans *contracts × lattice points*.
 
-Bit-exactness contract: every floating-point operation the hot march
-performs is the same operation, on the same values, in the same order,
-as the cold ``solve(..., solver="red_black")`` path — only *where*
-results land changes (preallocated buffers instead of fresh arrays).
-Scalar factors multiply commutatively, sums associate identically, and
-the spot price replays ``np.interp``'s exact branch structure
-(``slope·(x−x_j) + f_j`` with the same edge cases), so planned and cold
-prices agree to the last bit.
+Bit-exactness contract: every floating-point operation the march
+performs on a lane is the same operation, on the same values, in the
+same order, as the cold ``solve(..., solver="red_black")`` path on that
+contract alone — only *where* results land changes.  Scalar factors
+become per-element arrays of the same scalar, the squared-update sum is
+a row reduce over the lane's own elements, a lane is frozen after its
+own convergence sweep, and the spot price replays ``np.interp``'s exact
+branch structure (``slope·(x−x_j) + f_j`` with the same edge cases), so
+prices agree to the last bit whatever contracts share the slab.
 """
 
 from __future__ import annotations
@@ -25,26 +28,23 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import ConvergenceError, DomainError
-from ...pricing.options import ExerciseStyle, Option, OptionKind
-from .grid import boundary_values, make_grid, transformed_payoff
+from ...pricing.options import ExerciseStyle, OptionKind
+from .grid import (HeatGrid, boundary_values, make_grid,
+                   transformed_payoff)
 from .gsor import adapt_omega
 
 
 class ContractPlan:
-    """Everything :func:`march_planned` needs that depends only on the
-    contract and lattice geometry — computed once, reused every run."""
+    """What :func:`march_slab` keeps per lane beside the slab arrays:
+    the contract's name (for errors) and its spot-interpolation
+    stencil."""
 
-    __slots__ = (
-        "n_points", "n_steps", "alpha", "alpha1", "alpha2", "coeff",
-        "half_alpha", "projected", "u0", "intrinsic", "xc", "shifts",
-        "los", "his", "point_index", "f_point", "f1", "f2", "dxs",
-        "denom", "label",
-    )
+    __slots__ = ("label", "j", "exact", "f1", "f2", "dxs", "denom")
 
 
-def plan_contract(opt: Option, n_points: int = 256,
-                  n_steps: int = 1000) -> ContractPlan:
-    """Precompute one contract's march constants.
+def plan_contract(grid: HeatGrid, ws: dict, lane: int) -> ContractPlan:
+    """Precompute one contract's march constants into lane ``lane`` of
+    the slab arrays ``ws``.
 
     Mirrors the setup half of :func:`~.solver.solve`: the grid build,
     the τ-independent pieces of ``transformed_payoff`` (``g(x,τ) =
@@ -52,48 +52,38 @@ def plan_contract(opt: Option, n_points: int = 256,
     scalar shift), the full boundary sequence, and the two untransform
     factors the spot interpolation actually reads.
     """
-    grid = make_grid(opt, n_points, n_steps)
-    k = grid.k
-    x = grid.x
+    opt, n_points, k, x = grid.opt, grid.n_points, grid.k, grid.x
     pre = ContractPlan()
-    pre.n_points = n_points
-    pre.n_steps = n_steps
-    pre.alpha = grid.alpha
-    pre.alpha1 = 1.0 - grid.alpha
-    pre.alpha2 = 0.5 * grid.alpha
-    pre.coeff = 1.0 / (1.0 + grid.alpha)
-    pre.half_alpha = 0.5 * grid.alpha
-    pre.projected = opt.style is ExerciseStyle.AMERICAN
     pre.label = f"{opt.kind.name} K={opt.strike:g}"
+    projected = ws["projected"][lane] = opt.style is ExerciseStyle.AMERICAN
+    ws["alpha1"][lane] = 1.0 - grid.alpha
+    ws["alpha2"][lane] = 0.5 * grid.alpha
+    half = (n_points + 1) // 2
+    ws["coeff"][lane * half:(lane + 1) * half] = 1.0 / (1.0 + grid.alpha)
+    ws["half_alpha"][lane * half:(lane + 1) * half] = 0.5 * grid.alpha
 
     # transformed_payoff(grid, tau) == exp(xc + tc*tau) * intrinsic,
     # with xc and tc evaluated by the very same expressions it uses.
-    pre.xc = np.asarray(0.5 * (k - 1.0) * x, dtype=DTYPE)
+    ws["xc"][lane] = (0.5 * (k - 1.0) * x)[1:-1]
     tc = 0.25 * (k + 1.0) ** 2
     if opt.kind is OptionKind.PUT:
         intrinsic = np.maximum(1.0 - np.exp(x), 0.0)
     else:
         intrinsic = np.maximum(np.exp(x) - 1.0, 0.0)
-    pre.intrinsic = np.asarray(intrinsic, dtype=DTYPE)
-    pre.u0 = transformed_payoff(grid, 0.0)
+    ws["intrinsic"][lane] = intrinsic[1:-1]
+    ws["u0"][lane] = transformed_payoff(grid, 0.0)
 
     # Per-step scalars: the payoff shift and the Dirichlet pair.
-    pre.shifts = []
-    pre.los = []
-    pre.his = []
-    for n in range(1, n_steps + 1):
-        tau = n * grid.dtau
-        pre.shifts.append(tc * tau)
-        lo, hi = boundary_values(grid, tau, pre.projected)
-        pre.los.append(lo)
-        pre.his.append(hi)
+    for step in range(grid.n_steps):
+        tau = (step + 1) * grid.dtau
+        ws["shifts"][step, lane] = tc * tau
+        ws["ends"][step, lane] = boundary_values(grid, tau, projected)
 
     # Spot price = np.interp(x_spot, x, factor * u) with factor the
     # untransform at tau_max; only the stencil's own factor values are
     # needed, and the interpolation replays np.interp's branches.
-    tau_max = grid.tau_max
     factor = opt.strike * np.exp(
-        -0.5 * (k - 1.0) * x - 0.25 * (k + 1.0) ** 2 * tau_max)
+        -0.5 * (k - 1.0) * x - 0.25 * (k + 1.0) ** 2 * grid.tau_max)
     x_spot = np.log(opt.spot / opt.strike)
     if not x[0] <= x_spot <= x[-1]:
         raise DomainError(
@@ -102,124 +92,173 @@ def plan_contract(opt: Option, n_points: int = 256,
             f"{opt.strike * np.exp(x[-1]):.2f}]"
         )
     j = int(np.searchsorted(x, x_spot, side="right")) - 1
-    pre.point_index = None
-    pre.f_point = 0.0
-    pre.f1 = pre.f2 = pre.dxs = pre.denom = 0.0
-    if j >= n_points - 1:           # x_spot lands on the last node
-        pre.point_index = n_points - 1
-        pre.f_point = float(factor[n_points - 1])
-    elif float(x[j]) == float(x_spot):   # exact node hit
-        pre.point_index = j
-        pre.f_point = float(factor[j])
-    else:
-        pre.point_index = -j - 1     # interval marker, recover j below
-        pre.f1 = float(factor[j])
+    pre.j = j
+    pre.f1 = float(factor[j])
+    # On the last node or an exact hit np.interp returns the node value.
+    pre.exact = j == n_points - 1 or float(x[j]) == float(x_spot)
+    if not pre.exact:
         pre.f2 = float(factor[j + 1])
         pre.denom = float(x[j + 1]) - float(x[j])
         pre.dxs = float(x_spot) - float(x[j])
     return pre
 
 
-def make_workspace(reserve, n_points: int) -> dict:
-    """Reserve one slab's march buffers through ``reserve(name, shape)``
-    (an arena partial) and precompute the red-black parity views.
+def plan_slab(options, n_points: int, n_steps: int, reserve) -> dict:
+    """One slab's march workspace through ``reserve(name, shape,
+    dtype)``: its contracts side by side on one flat axis, their
+    :class:`ContractPlan` records under ``"plans"``.
 
-    ``u``/``b``/``g`` are the lattice rows, ``e1``/``e2`` the explicit
-    half-step scratch, ``y``/``t`` the SOR update scratch.  ``rb`` holds,
-    per parity, views ``(u_j, u_left, u_right, b_j, g_j, y, t)`` over
-    those buffers — the slices :func:`~.gsor.gsor_solve_vectorized_rb`
-    rebuilds from ``np.arange`` fancy indexing on every sweep.
+    Lane ``l``'s point ``j`` sits at flat index ``1 + l*stride + j``
+    (``stride`` = ``n_points`` rounded up to even, one pad element at
+    each end), so the odd points of *every* lane are one strided 1-D
+    view, their left and right neighbours two more of the same length,
+    and likewise the even points; ``half_alpha``, ``coeff`` and ω are
+    expanded per element, so no sweep call broadcasts or iterates in
+    2-D.  Dirichlet and pad elements ride along inert: their ω is 0 and
+    their obstacle ``-inf``, as is a European lane's.
     """
+    # Grids first: they validate the lattice sizes the shapes below use.
+    grids = [make_grid(opt, n_points, n_steps) for opt in options]
+    lanes = len(options)
     n = n_points
-    u = reserve("u", n)
-    b = reserve("b", n)
-    g = reserve("g", n)
-    ws = {
-        "u": u, "b": b, "g": g,
-        "e1": reserve("e1", n - 2),
-        "e2": reserve("e2", n - 2),
-    }
+    half = (n + 1) // 2                # parity elements per lane
+    flat = 2 * half * lanes
+    ws = {}
+    for name, shape in (
+            ("ub", (2, flat + 2)), ("g", flat + 2),
+            ("e1", (lanes, n - 2)), ("e2", (lanes, n - 2)),
+            ("xc", (lanes, n - 2)), ("intrinsic", (lanes, n - 2)),
+            ("u0", (lanes, n)), ("shifts", (n_steps, lanes, 1)),
+            ("ends", (n_steps, lanes, 2)),
+            ("y", flat // 2), ("t", flat // 2),
+            ("half_alpha", flat // 2), ("coeff", flat // 2),
+            ("alpha1", (lanes, 1)), ("alpha2", (lanes, 1)),
+            ("omega", (lanes, 1)), ("mask", (2, lanes, half)),
+            ("om", (2, lanes, half)), ("err2", (2, lanes)),
+            ("err", lanes)):
+        ws[name] = reserve(name, shape, DTYPE)
+    ws["done"] = reserve("done", lanes, bool)
+    ws["projected"] = reserve("projected", (lanes, 1), bool)
+    ub, g, om, err2 = ws["ub"], ws["g"], ws["om"], ws["err2"]
+    ub[:] = 0.0
+    g[:] = -np.inf
+    # (lanes, n) views of the flat axes; ub2[0] is u, ub2[1] is b.
+    ws["ub2"] = ub[:, 1:flat + 1].reshape(2, lanes, 2 * half)[..., :n]
+    ws["ub_ends"] = ws["ub2"][..., ::n - 1]     # points 0 and n-1
+    ws["g_in"] = g[1:flat + 1].reshape(lanes, 2 * half)[:, 1:n - 1]
+    ws["plans"] = [plan_contract(grid, ws, lane)
+                   for lane, grid in enumerate(grids)]
+    ws["obstacle"] = bool(ws["projected"].any())
+    # Interior mask per parity: parity element k of a lane is point
+    # 2k+1 (odd set) or 2k (even set); ω lives only on points 1..n-2.
     counts = [len(range(p, n - 1, 2)) for p in (1, 2)]
-    y = reserve("y", max(counts))
-    t = reserve("t", max(counts))
-    ws["rb"] = tuple(
-        (u[p:n - 1:2], u[p - 1:n - 2:2], u[p + 1:n:2],
-         b[p:n - 1:2], g[p:n - 1:2], y[:c], t[:c])
-        for p, c in zip((1, 2), counts)
+    ws["mask"][:] = 0.0
+    ws["mask"][0, :, :counts[0]] = 1.0
+    ws["mask"][1, :, 1:1 + counts[1]] = 1.0
+    u, b = ub
+    t2 = ws["t"].reshape(lanes, half)
+    # Per parity: (u_j, u_left, u_right, b_j, g_j, omega, the lanes'
+    # own squared-update rows, their sums).
+    ws["rb"] = (
+        (u[2:flat + 1:2], u[1:flat:2], u[3:flat + 2:2],
+         b[2:flat + 1:2], g[2:flat + 1:2], om[0].reshape(-1),
+         t2[:, :counts[0]], err2[0]),
+        (u[1:flat:2], u[0:flat - 1:2], u[2:flat + 1:2],
+         b[1:flat:2], g[1:flat:2], om[1].reshape(-1),
+         t2[:, 1:1 + counts[1]], err2[1]),
     )
     return ws
 
 
-def _rb_sweeps(ws: dict, half_alpha: float, coeff: float, omega: float,
-               projected: bool, tol: float, max_sweeps: int) -> int:
-    """One implicit solve: red-black projected SOR through the
-    workspace views, allocation-free, iterate-identical to
-    :func:`~.gsor.gsor_solve_vectorized_rb`."""
-    np_ = np
-    error = 0.0
+def _rb_solve(ws: dict, tol: float, max_sweeps: int) -> list:
+    """One implicit solve of every lane: red-black projected SOR over
+    the flat parity views, allocation-free.  Each lane's iterates are
+    those of :func:`~.gsor.gsor_solve_vectorized_rb` on that lane
+    alone; returns every lane's own convergence sweep, after which its
+    ω is zeroed so later sweeps leave it untouched."""
+    y, t = ws["y"], ws["t"]
+    half_alpha, coeff = ws["half_alpha"], ws["coeff"]
+    om, err, done = ws["om"], ws["err"], ws["done"]
+    err_odd, err_even = ws["err2"]
+    rb, projected = ws["rb"], ws["obstacle"]
+    sweeps = [0] * len(done)
+    n_done = 0
     for sweep in range(1, max_sweeps + 1):
-        error = 0.0
-        for u_j, u_l, u_r, b_j, g_j, y, t in ws["rb"]:
-            np_.add(u_l, u_r, out=y)
-            np_.multiply(y, half_alpha, out=y)
-            np_.add(b_j, y, out=y)
-            np_.multiply(y, coeff, out=y)
-            np_.subtract(y, u_j, out=t)
-            np_.multiply(t, omega, out=t)
-            np_.add(u_j, t, out=y)
+        for u_j, u_l, u_r, b_j, g_j, omega, t_rows, err_p in rb:
+            np.add(u_l, u_r, out=y)
+            np.multiply(y, half_alpha, out=y)
+            np.add(b_j, y, out=y)
+            np.multiply(y, coeff, out=y)
+            np.subtract(y, u_j, out=t)
+            np.multiply(t, omega, out=t)
+            np.add(u_j, t, out=y)
             if projected:
-                np_.maximum(g_j, y, out=y)
-            np_.subtract(y, u_j, out=t)
-            np_.multiply(t, t, out=t)
-            error += float(t.sum())
-            np_.copyto(u_j, y)
-        if error <= tol:
-            return sweep
+                np.maximum(g_j, y, out=y)
+            np.subtract(y, u_j, out=t)
+            np.multiply(t, t, out=t)
+            np.add.reduce(t_rows, axis=1, out=err_p)
+            np.copyto(u_j, y)
+        np.add(err_odd, err_even, out=err)
+        np.less_equal(err, tol, out=done)
+        if np.count_nonzero(done) == n_done:
+            continue
+        for lane, ok in enumerate(done.tolist()):
+            if ok and not sweeps[lane]:
+                sweeps[lane] = sweep
+                om[:, lane] = 0.0
+                n_done += 1
+        if n_done == len(done):
+            return sweeps
+    lane = sweeps.index(0)
     raise ConvergenceError(
         f"red-black SOR did not reach tol={tol} in {max_sweeps} sweeps "
-        f"(residual {error:.3e})", max_sweeps, error,
+        f"for {ws['plans'][lane].label} (residual {err[lane]:.3e})",
+        max_sweeps, float(err[lane]),
     )
 
 
-def march_planned(pre: ContractPlan, ws: dict, omega: float = 1.0,
-                  tol: float = 1e-14, max_sweeps: int = 10_000) -> float:
-    """March one planned contract through ``pre.n_steps`` CN steps and
-    return its spot price.  The defaults match :func:`~.solver.solve`'s
-    (``tol=1e-14``, not the raw solver's ``1e-9``)."""
-    u, b, g = ws["u"], ws["b"], ws["g"]
-    e1, e2 = ws["e1"], ws["e2"]
-    alpha1, alpha2 = pre.alpha1, pre.alpha2
-    half_alpha, coeff = pre.half_alpha, pre.coeff
-    projected = pre.projected
-    np.copyto(u, pre.u0)
-    prev_sweeps = np.inf   # Listing 6 seeds oldloops high
-    for step in range(pre.n_steps):
-        if projected:
-            # Obstacle refresh: exp(xc + tc*tau) * intrinsic, in place.
-            np.add(pre.xc, pre.shifts[step], out=g)
-            np.exp(g, out=g)
-            np.multiply(g, pre.intrinsic, out=g)
+def march_slab(ws: dict, out: np.ndarray, omega: float = 1.0,
+               tol: float = 1e-14, max_sweeps: int = 10_000) -> None:
+    """March one slab's planned contracts through their CN steps and
+    write each spot price to ``out``.  The defaults match
+    :func:`~.solver.solve`'s (``tol=1e-14``, not the raw solver's
+    ``1e-9``).  Lanes share nothing but the calls: each keeps its own
+    ω history and convergence sweep, so prices do not depend on which
+    contracts share a slab."""
+    ub2, e1, e2 = ws["ub2"], ws["e1"], ws["e2"]
+    u2, b2 = ub2
+    alpha1, alpha2 = ws["alpha1"], ws["alpha2"]
+    omega_col, om, mask = ws["omega"], ws["om"], ws["mask"]
+    lanes = len(ws["plans"])
+    np.copyto(u2, ws["u0"])
+    omega_col[:] = omega
+    prev_sweeps = [np.inf] * lanes   # Listing 6 seeds oldloops high
+    for step in range(len(ws["ends"])):
+        if ws["obstacle"]:
+            # Obstacle refresh: exp(xc + tc*tau) * intrinsic, written
+            # to the projected lanes' interiors only.
+            np.add(ws["xc"], ws["shifts"][step], out=e1)
+            np.exp(e1, out=e1)
+            np.multiply(e1, ws["intrinsic"], out=ws["g_in"],
+                        where=ws["projected"])
         # Explicit half step: alpha1*u[1:-1] + alpha2*(u[2:] + u[:-2]).
-        np.add(u[2:], u[:-2], out=e2)
+        np.add(u2[:, 2:], u2[:, :-2], out=e2)
         np.multiply(e2, alpha2, out=e2)
-        np.multiply(u[1:-1], alpha1, out=e1)
-        np.add(e1, e2, out=b[1:-1])
-        lo = pre.los[step]
-        hi = pre.his[step]
-        u[0] = lo
-        b[0] = lo
-        u[-1] = hi
-        b[-1] = hi
-        sweeps = _rb_sweeps(ws, half_alpha, coeff, omega, projected,
-                            tol, max_sweeps)
-        omega = adapt_omega(omega, sweeps, prev_sweeps)
+        np.multiply(u2[:, 1:-1], alpha1, out=e1)
+        np.add(e1, e2, out=b2[:, 1:-1])
+        np.copyto(ws["ub_ends"], ws["ends"][step])   # Dirichlet pairs
+        np.multiply(mask, omega_col, out=om)
+        sweeps = _rb_solve(ws, tol, max_sweeps)
+        for lane in range(lanes):
+            omega_col[lane, 0] = adapt_omega(
+                float(omega_col[lane, 0]), sweeps[lane], prev_sweeps[lane])
         prev_sweeps = sweeps
     # Spot price: np.interp's branch structure over factor*u.
-    idx = pre.point_index
-    if idx >= 0:
-        return pre.f_point * float(u[idx])
-    j = -idx - 1
-    fy1 = pre.f1 * float(u[j])
-    fy2 = pre.f2 * float(u[j + 1])
-    slope = (fy2 - fy1) / pre.denom
-    return slope * pre.dxs + fy1
+    for lane, pre in enumerate(ws["plans"]):
+        fy1 = pre.f1 * float(u2[lane, pre.j])
+        if pre.exact:
+            out[lane] = fy1
+            continue
+        fy2 = pre.f2 * float(u2[lane, pre.j + 1])
+        slope = (fy2 - fy1) / pre.denom
+        out[lane] = slope * pre.dxs + fy1

@@ -59,8 +59,8 @@ register_impl("crank_nicolson", "wavefront_transformed", OptLevel.ADVANCED,
               _solver_fn("wavefront_transformed"))
 def _plan_parallel(payload, executor, arena):
     """Planner: per-contract grids, payoff profiles, boundary sequences
-    and interp stencils are hoisted to compile time; per-slab march
-    buffers live in the arena (see :mod:`.planned`)."""
+    and interp stencils are hoisted to compile time into one
+    lane-batched march workspace per slab (see :mod:`.planned`)."""
     return compile_solve_batch(payload["options"], payload["n_points"],
                                payload["n_steps"], executor, arena)
 
@@ -78,9 +78,9 @@ def _plan_greeks(payload, executor, arena):
 
 
 # Risk tier: American bump-and-revalue Greeks over the 5x-expanded
-# scenario group.  The base scenario is the unchanged red-black march,
-# so the "price" output stays checked against the reference solver at
-# the workload tolerance.
+# scenario group.  The base scenario's lane runs the parallel tier's
+# red-black iterates, so the "price" output stays checked against the
+# reference solver at the workload tolerance.
 register_impl("crank_nicolson", "greeks", OptLevel.PARALLEL,
               lambda p, ex: greeks_batch_parallel(
                   p["options"], p["n_points"], p["n_steps"], executor=ex),

@@ -4,8 +4,7 @@ stand-in), and the standing worker daemon with its shared-memory
 ring-buffer dispatch fabric."""
 
 from .daemon import DaemonClient, SlabDaemon, default_state_path, serve
-from .partition import (block_ranges, chunk_ranges, doubling_counts,
-                        round_robin, simd_groups, slab_ranges)
+from .partition import doubling_counts, slab_ranges
 from .ring import (ABI_VERSION, Ring, guard_unlink, install_signal_guards,
                    unguard)
 from .safety import (WritePlan, freeze_write_plan, validate_slab_plan,
@@ -25,8 +24,7 @@ __all__ = [
     "ABI_VERSION", "Ring", "guard_unlink", "install_signal_guards",
     "unguard",
     "DaemonClient", "SlabDaemon", "default_state_path", "serve",
-    "block_ranges", "chunk_ranges", "doubling_counts", "round_robin",
-    "simd_groups", "slab_ranges",
+    "doubling_counts", "slab_ranges",
     "WritePlan", "freeze_write_plan",
     "validate_slab_plan", "validate_write_plan",
 ]

@@ -2,43 +2,13 @@
 
 The paper parallelises every kernel the same way: OpenMP over the
 embarrassingly-parallel outer dimension (options or paths). These
-helpers split an index range into per-worker chunks with the standard
-balanced/block/round-robin policies.
+helpers split an index range into cache-sized, worker-aware slabs and
+build the worker-count ladder of the scaling curves.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError
-
-
-def block_ranges(n: int, n_workers: int):
-    """Balanced contiguous chunks: sizes differ by at most one.
-    Returns a list of ``(start, stop)`` pairs (empty chunks omitted)."""
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    if n_workers < 1:
-        raise ConfigurationError("n_workers must be >= 1")
-    base, extra = divmod(n, n_workers)
-    out = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            out.append((start, start + size))
-        start += size
-    return out
-
-
-def chunk_ranges(n: int, chunk: int):
-    """Fixed-size chunks (the last may be short) — the dynamic-schedule
-    work-queue shape."""
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    if chunk < 1:
-        raise ConfigurationError("chunk must be >= 1")
-    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
 def slab_ranges(n: int, slab_elems: int, n_workers: int = 1):
@@ -61,7 +31,8 @@ def slab_ranges(n: int, slab_elems: int, n_workers: int = 1):
     if n == 0:
         return []
     per_worker = max(1, n // n_workers)      # floor: slabs >= workers
-    return chunk_ranges(n, max(1, min(slab_elems, per_worker)))
+    slab = max(1, min(slab_elems, per_worker))
+    return [(a, min(a + slab, n)) for a in range(0, n, slab)]
 
 
 def doubling_counts(limit: int):
@@ -78,22 +49,3 @@ def doubling_counts(limit: int):
         c *= 2
     counts.append(limit)
     return counts
-
-
-def round_robin(n: int, n_workers: int):
-    """Index arrays per worker, dealt card-style — useful when cost
-    varies monotonically with index (e.g. option expiry sweeps)."""
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    if n_workers < 1:
-        raise ConfigurationError("n_workers must be >= 1")
-    return [np.arange(w, n, n_workers) for w in range(n_workers)]
-
-
-def simd_groups(n: int, width: int):
-    """Full vector groups plus the scalar remainder range:
-    ``(groups, remainder_start)`` where groups is a list of starts."""
-    if n < 0 or width < 1:
-        raise ConfigurationError("invalid n/width")
-    full = n // width
-    return [g * width for g in range(full)], full * width

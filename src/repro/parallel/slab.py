@@ -338,10 +338,13 @@ class SlabExecutor:
         shrunk so every worker gets a slab when ``n`` allows.  Backend-
         independent by construction (see the module determinism note).
         """
+        return self._slabs(n, bytes_per_item, self.n_workers)
+
+    def _slabs(self, n: int, bytes_per_item: int, n_workers: int):
         if bytes_per_item < 1:
             raise ConfigurationError("bytes_per_item must be >= 1")
         elems = max(1, self.slab_bytes // bytes_per_item)
-        return slab_ranges(n, elems, self.n_workers)
+        return slab_ranges(n, elems, n_workers)
 
     def n_slabs(self, n: int, bytes_per_item: int = 8) -> int:
         return len(self.plan(n, bytes_per_item))
@@ -617,6 +620,29 @@ class SlabExecutor:
         rebind.  This is the slab engine's half of the plan layer's
         zero-allocation contract.
         """
+        return self._compile(
+            fn, n, bytes_per_item, self.plan(n, bytes_per_item),
+            sliced=sliced, shared=shared, writes=writes, consts=consts,
+            per_slab=per_slab, outputs=outputs, tag=tag)
+
+    def compile_lanes(self, fn, n: int, bytes_per_item: int = 8,
+                      **dispatch) -> "CompiledDispatch":
+        """:meth:`compile_shm` for a body that vectorises *across* its
+        slab's items and whose results cannot depend on the partition
+        (independent lanes, no per-slab RNG stream): the lattice
+        kernels, where calls per run scale with the number of slabs.
+        Slabs that run back to back in the caller gain nothing from
+        :meth:`plan`'s worker-aware split and pay for it in calls, so
+        there only the cache budget splits them; a pooled dispatch
+        keeps the worker-aware plan."""
+        in_caller = self.backend == "serial" or self.inline(n, bytes_per_item)
+        slabs = self._slabs(n, bytes_per_item,
+                            1 if in_caller else self.n_workers)
+        return self._compile(fn, n, bytes_per_item, slabs, **dispatch)
+
+    def _compile(self, fn, n, bytes_per_item, slabs, *, sliced=None,
+                 shared=None, writes=(), consts=None, per_slab=None,
+                 outputs=None, tag=None) -> "CompiledDispatch":
         global _COMPILE_SEQ
         if self._closed:
             raise ConfigurationError("executor is closed")
@@ -632,7 +658,6 @@ class SlabExecutor:
         if unknown:
             raise ConfigurationError(
                 f"writes names {unknown} not among the dispatched arrays")
-        slabs = self.plan(n, bytes_per_item)
         plan = freeze_write_plan(slabs, n, sliced=sliced, shared=shared,
                                  writes=writes, consts=consts,
                                  outputs=outputs)

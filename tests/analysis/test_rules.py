@@ -87,8 +87,9 @@ class TestR001Arena:
         assert len(run_rule("R001", text)) == 1
 
     def test_setup_phase_functions_exempt(self):
-        # Planners / plan compilers / workspace builders / constructors
-        # run once per plan; allocating there IS the hoisting.
+        # Planners (workspace builders are ``plan_*`` too) / plan
+        # compilers / constructors run once per plan; allocating there
+        # IS the hoisting.
         text = ("import numpy as np\n"
                 "def compile_solve(options):\n"
                 "    for o in options:\n"
@@ -96,9 +97,6 @@ class TestR001Arena:
                 "def plan_contract(opt):\n"
                 "    for n in range(4):\n"
                 "        s = np.exp(np.arange(8.0))\n"
-                "def make_workspace(reserve, n):\n"
-                "    for p in (1, 2):\n"
-                "        y = np.empty(n)\n"
                 "class Batch:\n"
                 "    def __init__(self, fields, n):\n"
                 "        for f in fields:\n"

@@ -7,7 +7,8 @@ for every registered tier lives in ``test_registry_agreement.py``."""
 import numpy as np
 import pytest
 
-from repro.kernels.binomial import price_tiled, price_tiled_parallel
+from repro.kernels.binomial import (price_simd_across, price_tiled,
+                                    price_tiled_parallel)
 from repro.kernels.black_scholes import price_parallel
 from repro.kernels.brownian import (build_parallel,
                                     build_interleaved_parallel,
@@ -15,8 +16,10 @@ from repro.kernels.brownian import (build_parallel,
 from repro.kernels.monte_carlo import (price_asian_parallel,
                                        price_computed_parallel,
                                        price_stream, price_stream_parallel)
+from repro.errors import DomainError
 from repro.parallel import SlabExecutor
 from repro.pricing import Option, random_batch
+from repro.pricing.options import ExerciseStyle
 from repro.rng import MT19937, NormalGenerator
 
 
@@ -125,3 +128,24 @@ class TestBinomial:
         a = price_tiled_parallel(opts, 96, serial_ex)
         b = price_tiled_parallel(opts, 96, thread_ex)
         assert np.array_equal(a, b)
+
+    # Below, at and above the register tile (8 stages at the default
+    # register file), one lane to a full batch: the node-major sweep
+    # must reproduce both lane-accurate tiers bit for bit.
+    @pytest.mark.parametrize("steps", [1, 7, 8, 64, 129])
+    @pytest.mark.parametrize("lanes", [1, 3, 32])
+    def test_sweep_matches_lane_accurate_tiers(self, lanes, steps,
+                                               serial_ex, thread_ex):
+        opts = self._options(lanes, seed=lanes + steps)
+        tiled = price_tiled(opts, steps)
+        assert np.array_equal(tiled, price_simd_across(opts, steps))
+        for ex in (serial_ex, thread_ex):
+            assert np.array_equal(price_tiled_parallel(opts, steps, ex),
+                                  tiled)
+
+    def test_american_rejected_with_the_true_reason(self, serial_ex):
+        opts = self._options(2) + [Option(
+            spot=100.0, strike=100.0, expiry=1.0, rate=0.02, vol=0.3,
+            style=ExerciseStyle.AMERICAN)]
+        with pytest.raises(DomainError, match="intrinsic max"):
+            price_tiled_parallel(opts, 16, serial_ex)

@@ -1,56 +1,10 @@
 """Domain decomposition tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.parallel import (block_ranges, chunk_ranges, round_robin,
-                            simd_groups, slab_ranges)
-
-
-class TestBlockRanges:
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_partition_properties(self, n, w):
-        ranges = block_ranges(n, w)
-        # Covers [0, n) exactly, in order, without overlap.
-        covered = 0
-        for a, b in ranges:
-            assert a == covered and b > a
-            covered = b
-        assert covered == n
-        # Balanced: sizes differ by at most 1.
-        if ranges:
-            sizes = [b - a for a, b in ranges]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_more_workers_than_items(self):
-        assert block_ranges(3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_empty(self):
-        assert block_ranges(0, 4) == []
-
-    def test_uneven_remainder_spread_front(self):
-        # 10 over 4 workers: the 2 extra items land on the first ranges.
-        assert block_ranges(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            block_ranges(-1, 2)
-        with pytest.raises(ConfigurationError):
-            block_ranges(10, 0)
-
-
-class TestChunkRanges:
-    def test_fixed_chunks(self):
-        assert chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_empty(self):
-        assert chunk_ranges(0, 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            chunk_ranges(10, 0)
+from repro.parallel import slab_ranges
 
 
 class TestSlabRanges:
@@ -95,32 +49,3 @@ class TestSlabRanges:
             slab_ranges(10, 0, 1)
         with pytest.raises(ConfigurationError):
             slab_ranges(10, 4, 0)
-
-
-class TestRoundRobin:
-    def test_deal(self):
-        parts = round_robin(10, 3)
-        assert parts[0].tolist() == [0, 3, 6, 9]
-        assert parts[1].tolist() == [1, 4, 7]
-        assert parts[2].tolist() == [2, 5, 8]
-
-    @given(st.integers(0, 1000), st.integers(1, 16))
-    def test_exact_cover(self, n, w):
-        parts = round_robin(n, w)
-        merged = np.sort(np.concatenate(parts)) if n else np.array([])
-        assert np.array_equal(merged, np.arange(n))
-
-
-class TestSimdGroups:
-    def test_groups_and_remainder(self):
-        groups, rem_start = simd_groups(22, 8)
-        assert groups == [0, 8]
-        assert rem_start == 16
-
-    def test_exact_multiple(self):
-        groups, rem_start = simd_groups(16, 4)
-        assert len(groups) == 4 and rem_start == 16
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            simd_groups(10, 0)

@@ -48,6 +48,26 @@ class TestPlan:
         with SlabExecutor("serial") as ex:
             assert ex.plan(0) == []
 
+    def test_compile_lanes_splits_for_workers_only_when_pooled(self):
+        def body(arrays, consts, a, b, slab):
+            arrays["out"][:] = slab
+
+        for backend, inline_below, slabs in (
+                ("serial", 0, ((0, 5), (5, 6))),          # cache budget
+                ("thread", 0, ((0, 2), (2, 4), (4, 6))),  # one per worker
+                ("thread", 1 << 20, ((0, 5), (5, 6)))):   # inline
+            out = np.empty(6)
+            with SlabExecutor(backend, n_workers=3, slab_bytes=40,
+                              min_parallel_bytes=inline_below) as ex:
+                assert ex.plan(6, 8) == [(0, 2), (2, 4), (4, 6)]
+                dispatch = ex.compile_lanes(
+                    body, 6, bytes_per_item=8, sliced={"out": out},
+                    writes=("out",))
+                assert dispatch.plan.slabs == slabs
+                dispatch.run()
+            assert out.tolist() == [i for i, (a, b) in enumerate(slabs)
+                                    for _ in range(a, b)]
+
 
 class TestMapSlabs:
     def test_serial_thread_identical_coverage(self):

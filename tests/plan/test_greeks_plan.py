@@ -44,3 +44,20 @@ class TestPlannedGreeks:
             assert audit.clean, (
                 f"{kernel} warm planned greeks run allocated "
                 f"{audit.peak_bytes} bytes in the numpy domain")
+
+    # The lattice kernels' slab bodies differ by backend (arena
+    # workspace in-process, cold-built out of process; one slab in the
+    # caller, worker-aware slabs on a pool): the digest may not.
+    @pytest.mark.parametrize("backend", ["thread", "process", "daemon"])
+    @pytest.mark.parametrize("kernel", ["binomial", "crank_nicolson"])
+    def test_lattice_planned_digest_matches_serial_cold(self, kernel,
+                                                        backend):
+        tier = registry.greeks_tier(kernel)
+        payload = registry.workload(kernel).build(SMOKE_SIZES, seed=2012)
+        impl = registry.impl(kernel, tier, "serial")
+        with SlabExecutor("serial") as ex:
+            cold = as_result_slab(impl.fn(payload, ex),
+                                  impl.outputs).digest()
+        with compile_plan(kernel, tier, payload, backend=backend) as plan:
+            assert as_result_slab(plan.run(),
+                                  impl.outputs).digest() == cold
