@@ -16,8 +16,9 @@ R009) starts from.  A context is a string tag:
 ``worker:<root>``
     A daemon/process worker body — seeded from
     ``Process(target=...)`` (the standing daemon's worker loop) and
-    from slab bodies handed to ``map_shm``/``map_slabs`` (the same
-    hot-set roots the registry-driven discovery tracks).
+    from slab bodies handed to ``map_shm``/``compile_shm``/
+    ``compile_lanes`` (the same hot-set roots the registry-driven
+    discovery tracks).
 
 A function with no tag runs in *arbitrary caller* context — the rules
 treat that as unclassified rather than as a distinct context, so
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import ast
 
+from .slabs import SLAB_METHODS
+
 #: Tag for code running on the asyncio event loop.
 EVENT_LOOP = "event-loop"
 
@@ -55,7 +58,7 @@ _LOOP_CB_FIRST = {"call_soon", "call_soon_threadsafe", "add_done_callback"}
 _LOOP_CB_SECOND = {"call_later", "call_at"}
 
 #: Slab dispatch entry points: the body runs on pool/daemon workers.
-_SLAB_DISPATCH = {"map_shm", "map_slabs"}
+_SLAB_DISPATCH = frozenset(SLAB_METHODS)
 
 
 def call_name(func) -> str | None:

@@ -61,9 +61,8 @@ def _blocking_reason(sf, node) -> str | None:
         if name and name.lstrip("_").startswith("sock_call"):
             return "synchronous socket round-trip"
         return None
-    if name in ("map_shm", "map_slabs", "compile_shm", "compile_lanes",
-                "dispatch", "pin", "unpin", "update_consts", "ping",
-                "request_stop"):
+    if name in ("map_shm", "compile_shm", "compile_lanes",
+                "dispatch", "pin", "unpin", "ping", "request_stop"):
         return (f"{name}() is a synchronous dispatch that stalls the "
                 f"loop for a full batch service time")
     if name in ("accept", "recv", "recv_into", "recvfrom", "sendall",

@@ -9,9 +9,10 @@ to tolerate all of these, so the error only surfaces when someone
 switches ``backend="process"``: exactly the latent breakage a linter
 should catch at review time.
 
-The rule proves, per ``map_shm`` call site, that the slab-body argument
-is a bare name bound at module level (a top-level ``def``, an imported
-function, or ``module.attr`` on an imported module).
+The rule proves, per slab dispatch site (``map_shm``, ``compile_shm``,
+``compile_lanes``), that the slab-body argument is a bare name bound at
+module level (a top-level ``def``, an imported function, or
+``module.attr`` on an imported module).
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ class SlabBodyPicklability(Rule):
     code = "R003"
     name = "slab body must be a module-level (picklable) function"
     rationale = (
-        "map_shm dispatches the slab body to worker processes by "
-        "reference: pickle stores only module and qualified name. "
+        "The out-of-process backends ship the slab body to worker "
+        "processes by reference (per task on the pool, once per pin on "
+        "the daemon): pickle stores only module and qualified name. "
         "Lambdas, nested defs, bound methods and partials are not "
         "importable by name, so the dispatch works on the thread "
         "backend and explodes (or silently captures stale state) the "
         "day the kernel runs on backend='process'. Keeping every slab "
         "body a module-level function is what makes one kernel shape "
-        "portable across all three backends."
+        "portable across all four backends."
     )
     example_bad = (
         "def price(batch, executor):\n"
@@ -54,8 +56,6 @@ class SlabBodyPicklability(Rule):
     def check(self, sf, ctx):
         defs, importable = module_namespace(sf.tree)
         for site in slab_sites(sf.tree):
-            if site.method != "map_shm":
-                continue
             expr = site.fn_expr
             if isinstance(expr, ast.Lambda):
                 yield self.finding(

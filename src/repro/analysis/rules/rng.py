@@ -13,7 +13,7 @@ Flags, anywhere in the tree:
 * ``default_rng()`` with no seed argument;
 
 and inside slab bodies (functions dispatched via ``map_shm`` /
-``map_slabs``):
+``compile_shm`` / ``compile_lanes``):
 
 * ``.seed(...)`` calls and ``make_streams(...)`` stream splitting;
 * RNG construction whose seed does not come from the plan (the body's

@@ -1,10 +1,10 @@
 """R005 — shared-memory write declarations match slab-body mutations.
 
-``map_shm``'s process backend only copies back arrays named in
+The out-of-process backends only copy back arrays named in
 ``writes=``; a slab body that mutates an undeclared array works
 perfectly on the serial and thread backends (views alias the caller's
-memory) and silently loses its writes on the process backend — the
-nastiest class of backend divergence.  Conversely, writing a
+memory) and silently loses its writes on the process and daemon
+backends — the nastiest class of backend divergence.  Conversely, writing a
 ``shared=`` array races across slabs, and a name in both ``writes=``
 and ``consts=`` diverges between staged array and pickled constant.
 
@@ -16,13 +16,14 @@ an output backed by an array outside ``writes=`` is never filled
 is computed and then dropped from the named result slab
 (written-but-undeclared).
 
-The static analysis resolves each ``map_shm`` site's slab body in the
-same module and traces which dispatched arrays it mutates (direct
-subscript stores, in-place augmented assignment, ``out=`` targets, and
-one call hop into same-module helpers — see
+The static analysis resolves each dispatch site's slab body
+(``map_shm``, ``compile_shm``, ``compile_lanes``) in the same module
+and traces which dispatched arrays it mutates (direct subscript
+stores, in-place augmented assignment, ``out=`` targets, and one call
+hop into same-module helpers — see
 :func:`repro.analysis.slabs.written_arrays`).  The runtime complement
 is :func:`repro.parallel.safety.validate_write_plan`, which the
-executor runs before any worker starts.
+executor runs at compile time, before any worker starts.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ class WriteDeclarations(Rule):
     code = "R005"
     name = "slab-body writes must be declared (and race-free)"
     rationale = (
-        "On the process backend only arrays named in writes= are "
-        "copied back from shared memory; a mutation of an undeclared "
+        "Out of process (process and daemon backends) only arrays "
+        "named in writes= are copied back from shared memory by "
+        "CompiledDispatch.run; a mutation of an undeclared "
         "array is silently discarded — results differ between "
         "backends with no error. A write into a shared= array is a "
         "cross-slab race, and a writes= name that also appears in "
@@ -62,8 +64,6 @@ class WriteDeclarations(Rule):
     def check(self, sf, ctx):
         defs, _ = module_namespace(sf.tree)
         for site in slab_sites(sf.tree):
-            if site.method != "map_shm":
-                continue
             fndef = defs.get(site.fn_name)
             writes = site.writes
             sliced = site.sliced
@@ -122,6 +122,6 @@ class WriteDeclarations(Rule):
                 yield self.finding(
                     sf, written[name],
                     f"slab body {fndef.name} mutates dispatched array "
-                    f"{name!r} but the map_shm site does not declare "
-                    f"it in writes=; the mutation is silently lost on "
-                    f"the process backend")
+                    f"{name!r} but the {site.method} site does not "
+                    f"declare it in writes=; the mutation is silently "
+                    f"lost on the out-of-process backends")

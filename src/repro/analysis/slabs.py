@@ -1,12 +1,12 @@
-"""AST extraction of ``map_shm``/``map_slabs`` dispatch sites.
+"""AST extraction of slab dispatch sites (``map_shm`` one-shots and
+the ``compile_shm``/``compile_lanes`` declarations that serve).
 
 Shared by the RNG-discipline (R002), picklability (R003) and
 write-safety (R005) rules: finds every structured slab dispatch in a
 module, recovers the literal ``sliced=``/``shared=``/``writes=``/
 ``consts=``/``outputs=`` declarations, resolves the slab-body function,
-and performs
-the small dataflow analysis that determines which dispatched arrays a
-slab body actually mutates.
+and performs the small dataflow analysis that determines which
+dispatched arrays a slab body actually mutates.
 
 The dataflow is deliberately shallow — direct writes in the body plus
 one call hop into same-module helpers — matching how the kernels are
@@ -21,16 +21,19 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-#: SlabExecutor dispatch methods that take a slab-body function.
-SLAB_METHODS = ("map_shm", "map_slabs")
+#: SlabExecutor dispatch methods that take a slab-body function and
+#: the ``sliced=``/``writes=``/``consts=`` declaration: the one-shot and
+#: the two compilers every registered slab tier declares itself through.
+SLAB_METHODS = ("map_shm", "compile_shm", "compile_lanes")
 
 
 @dataclass
 class SlabSite:
-    """One ``executor.map_shm(...)``/``map_slabs(...)`` call site."""
+    """One ``executor.map_shm(...)``/``compile_shm(...)``/
+    ``compile_lanes(...)`` call site."""
 
     call: ast.Call
-    method: str                       # "map_shm" | "map_slabs"
+    method: str                       # one of SLAB_METHODS
     fn_expr: ast.expr                 # the slab-body argument
     fn_name: str | None               # its name when it is a bare Name
     sliced: dict | None               # {key: value expr} | None if dynamic

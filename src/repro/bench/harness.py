@@ -64,6 +64,24 @@ def time_run(label: str, fn, items: int, repeats: int = 3,
                     median=median, spread=spread)
 
 
+def time_plan(impl, payload, executor, items: int,
+              repeats: int = 3) -> tuple:
+    """Compile ``impl`` once on ``executor`` and time ``plan.run`` —
+    the served path, and what perfbench's ``kernels.ninja_gap.*`` and
+    ``parallel.*`` figures mean.  A loop over ``impl.fn`` would time a
+    one-shot per repeat instead: compile, stage and (on the daemon) pin
+    and unpin every call.  Returns ``(TimedRun, result)``; the result
+    is the plan's output buffer, still valid after the plan is closed.
+    """
+    from ..plan import compile_plan
+
+    with compile_plan(impl.kernel, impl.tier, payload,
+                      backend=impl.backend, executor=executor) as plan:
+        out = plan.run()
+        run = time_run(impl.label, plan.run, items, repeats)
+    return run, out
+
+
 # ----------------------------------------------------------------------
 # Serial-vs-slab speedup (the parallel-tier trajectory)
 # ----------------------------------------------------------------------
@@ -74,9 +92,9 @@ def measure_pool_crossover(backend: str = "thread", n_workers: int = 2,
     overhead — the data behind :data:`~repro.parallel.slab
     .MEASURED_CROSSOVER_BYTES`.
 
-    Each registered parallel kernel runs at several workload scales on
-    the same executor twice: once pooled, once forced in-caller
-    (``min_parallel_bytes`` maxed out).  Both paths run the identical
+    Each registered parallel kernel is compiled at several workload
+    scales twice: once pooled, once forced in-caller
+    (``min_parallel_bytes`` maxed out).  Both plans run the identical
     slab plan, so the ratio isolates pure dispatch overhead.  The
     recommended threshold is the smallest measured working set whose
     pooled/inline ratio stays within 5% — every smaller configuration
@@ -98,19 +116,15 @@ def measure_pool_crossover(backend: str = "thread", n_workers: int = 2,
         if kernel not in registry.parallel_kernels():
             continue
         spec = registry.workload(kernel)
-        fn = registry.impl(kernel, "parallel", backend).fn
+        impl = registry.impl(kernel, "parallel", backend)
         for v in vals:
             sz = dataclasses.replace(SMALL_SIZES, **{field: v})
             payload = spec.build(sz, seed=seed)
             with SlabExecutor(backend, n_workers=n_workers) as pooled, \
                     SlabExecutor(backend, n_workers=n_workers,
                                  min_parallel_bytes=1 << 62) as inline:
-                t_inline = time_run(f"{kernel}_{v}_inline",
-                                    lambda: fn(payload, inline),
-                                    v, repeats)
-                t_pooled = time_run(f"{kernel}_{v}_pooled",
-                                    lambda: fn(payload, pooled),
-                                    v, repeats)
+                t_inline, _ = time_plan(impl, payload, inline, v, repeats)
+                t_pooled, _ = time_plan(impl, payload, pooled, v, repeats)
             rows.append({
                 "kernel": kernel, "n": v,
                 "inline_s": t_inline.seconds,
@@ -172,8 +186,7 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
             baseline = registry.impl(kernel, spec.baseline_tier, "serial")
             tier = registry.parallel_tier(kernel)
             fused = registry.impl(kernel, tier, "serial")
-            slab = registry.impl(
-                kernel, tier, backend if backend != "serial" else "serial")
+            slab = registry.impl(kernel, tier, backend)
             # One slab executor per kernel: its pool starts lazily on
             # the first pooled dispatch, so whether it exists after the
             # timed runs records this kernel's crossover decision.
@@ -183,18 +196,11 @@ def measure_parallel_speedup(sizes: WorkloadSizes = SMALL_SIZES,
             with slab_ex:
                 pool_workers = slab_ex.n_workers
                 runs = {
-                    "serial": time_run(
-                        f"{kernel}_{spec.baseline_tier}",
-                        lambda: baseline.fn(payload, serial_ex),
-                        items, repeats),
-                    "fused_serial": time_run(
-                        f"{kernel}_{tier}_serial",
-                        lambda: fused.fn(payload, serial_ex),
-                        items, repeats),
-                    "slab": time_run(
-                        f"{kernel}_{tier}_{backend}",
-                        lambda: slab.fn(payload, slab_ex), items, repeats),
-                }
+                    name: time_plan(impl, payload, ex, items, repeats)[0]
+                    for name, impl, ex in (
+                        ("serial", baseline, serial_ex),
+                        ("fused_serial", fused, serial_ex),
+                        ("slab", slab, slab_ex))}
                 inline = backend != "serial" and slab_ex._pool is None
             record = kernel_record(
                 kernel, items, runs,

@@ -25,12 +25,15 @@ dispatch; ``daemon`` keeps the process backend's GIL-free execution
 but moves steady-state dispatch onto shared-memory descriptor rings,
 eliminating the per-call pickling and queue hops.
 
+Every point times ``plan.run`` of a plan compiled once for it
+(:func:`~.harness.time_plan`), the path the gateway serves.
+
 The study therefore also *measures the dispatch overhead itself*:
-:func:`measure_dispatch_overhead` times an empty-body ``map_shm``
-round-trip (one one-item slab per worker, so the work is zero and the
-transport is everything), and every point of the scaling study records
-that per-call cost as ``dispatch_overhead_us`` — the before/after
-number behind the daemon backend's acceptance criterion.
+:func:`measure_dispatch_overhead` times an empty-body compiled
+dispatch's ``run()`` (one one-item slab per worker, so the work is zero
+and the transport is everything), and every point of the scaling study
+records that per-run cost as ``dispatch_overhead_us`` — the
+before/after number behind the daemon backend's acceptance criterion.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from ..config import SMALL_SIZES, WorkloadSizes
 from ..errors import ExperimentError
-from .harness import time_run
+from .harness import time_plan
 from .record import timing_fields
 
 #: Modeled platforms overlaid next to the measured points.
@@ -62,61 +65,37 @@ def _noop_slab(arrays, consts, a, b, slab):
 def measure_dispatch_overhead(backend: str, n_workers: int,
                               slab_bytes: int | None = None,
                               inner: int = 100,
-                              repeats: int = 5,
-                              n_outputs: int = 1,
-                              compiled: bool = False) -> float:
-    """Steady-state per-call dispatch cost of one backend, in µs.
+                              repeats: int = 5) -> float:
+    """Steady-state per-run dispatch cost of one backend, in µs.
 
-    Times ``inner`` back-to-back :meth:`~repro.parallel.SlabExecutor
-    .map_shm` calls of :func:`_noop_slab` over a plan with **one
-    one-item slab per worker** (``bytes_per_item = slab_bytes`` forces
-    the slab length to one), best of ``repeats`` rounds, after one
-    warm-up call that pays every setup cost — pool spin-up, segment
-    staging, daemon pinning.  With zero work per slab, what remains is
-    pure transport: submission, scheduling and result collection.  This
-    is the fixed per-call tax every real dispatch pays on top of its
-    compute, the quantity the daemon backend's ring fabric exists to
-    shrink.
-
-    ``n_outputs > 1`` probes the **multi-output** contract instead: the
-    noop dispatch declares ``n_outputs`` named write arrays through the
-    outputs schema, so the probe pays the full result-slab bookkeeping
-    — schema validation, per-output write declarations, and the
-    output-set id carried in the ring descriptor's arg word — and the
-    single- vs multi-output delta is the contract's transport cost.
-
-    ``compiled=True`` times a pre-compiled dispatch's ``run()`` instead
-    of per-call ``map_shm``: schema validation and write-plan freezing
-    happen once at compile time (exactly as the Greeks planners do it),
-    so what's measured is the pure steady-state descriptor transport —
-    the number the <5% multi-output gate is judged on.
+    Times ``inner`` back-to-back ``run()`` calls of one compiled
+    dispatch of :func:`_noop_slab` over a plan with **one one-item slab
+    per worker** (``bytes_per_item = slab_bytes`` forces the slab
+    length to one), best of ``repeats`` rounds, after one warm-up run
+    (pool spin-up); validation, staging and daemon pinning are paid at
+    compile time, outside the loop.  With zero work per slab, what
+    remains is pure transport: submission, scheduling and result
+    collection — what perfbench's ``parallel.dispatch_us.*`` measures.
+    This is the fixed per-run tax every real dispatch pays on top of
+    its compute, the quantity the daemon backend's ring fabric exists
+    to shrink.  (:func:`measure_multi_output_overhead` is the paired
+    probe of the multi-output contract.)
     """
     from ..parallel import SlabExecutor
     from .stats import best_inner_us
     if inner < 1 or repeats < 1:
         raise ExperimentError("inner and repeats must be >= 1")
-    if n_outputs < 1:
-        raise ExperimentError("n_outputs must be >= 1")
     with SlabExecutor(backend, n_workers=n_workers,
                       slab_bytes=slab_bytes) as ex:
         n = ex.n_workers
-        if n_outputs == 1:
-            kw = dict(sliced={"x": np.zeros(n)}, consts={})
-        else:
-            names = tuple(f"o{i}" for i in range(n_outputs))
-            kw = dict(sliced={name: np.zeros(n) for name in names},
-                      writes=names,
-                      outputs={name: (name,) for name in names},
-                      consts={})
-        bpi = max(ex.slab_bytes, 1)
-        if compiled:
-            dispatch = ex.compile_shm(_noop_slab, n, bytes_per_item=bpi,
-                                      tag="noop", **kw)
-            call = dispatch.run
-        else:
-            def call():
-                ex.map_shm(_noop_slab, n, bytes_per_item=bpi, **kw)
-        us = best_inner_us(call, inner, repeats)
+        dispatch = ex.compile_shm(_noop_slab, n,
+                                  bytes_per_item=max(ex.slab_bytes, 1),
+                                  sliced={"x": np.zeros(n)}, consts={},
+                                  tag="noop")
+        try:
+            us = best_inner_us(dispatch.run, inner, repeats)
+        finally:
+            dispatch.close()
     return us
 
 
@@ -297,12 +276,10 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
         with SlabExecutor("serial", n_workers=1,
                           slab_bytes=slab_bytes) as base_ex:
             resolved_slab_bytes = base_ex.slab_bytes
-            impl = registry.impl(kernel, tier, "serial")
-            base_out = np.asarray(impl.fn(payload, base_ex))
+            base_run, base_out = time_plan(
+                registry.impl(kernel, tier, "serial"), payload, base_ex,
+                items, repeats)
             base_digest = _digest(base_out)
-            base_run = time_run(f"{kernel}_{tier}_serial_w1",
-                                lambda: impl.fn(payload, base_ex),
-                                items, repeats)
 
         points = []
         for backend in backends:
@@ -314,15 +291,12 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
                     with SlabExecutor(backend, n_workers=w,
                                       slab_bytes=slab_bytes) as ex:
                         if applied_mpb is not None:
+                            # Before compile: the plan freezes the
+                            # inline-vs-pool decision.
                             ex.min_parallel_bytes = applied_mpb
-                        out = np.asarray(impl.fn(payload, ex))
+                        run, out = time_plan(impl, payload, ex, items,
+                                             repeats)
                         digest = _digest(out)
-                        # The warmup inside time_run has already primed
-                        # the pool/arena, so timed repeats see a warm
-                        # executor.
-                        run = time_run(f"{kernel}_{tier}_{backend}_w{w}",
-                                       lambda: impl.fn(payload, ex),
-                                       items, repeats)
                 if digest != base_digest:
                     raise ExperimentError(
                         f"{kernel}/{tier}[{backend}] at {w} workers "
@@ -420,7 +394,8 @@ def scaling_result(data: dict):
                  f"({m['vs_single']:.2f}x)" if m else "")
         notes.append(
             f"dispatch overhead {ov['backend']} w={ov['n_workers']}: "
-            f"{ov['us']:.1f} us/call (empty-body map_shm round-trip)"
+            f"{ov['us']:.1f} us/call (empty-body compiled dispatch "
+            f"round-trip)"
             + extra)
     for k in data["kernels"]:
         note = _modeled_note(k["kernel"], k["modeled"])

@@ -11,24 +11,20 @@ backend:
 * **warm** — ``plan.run()`` on a compiled plan, ``samples`` times;
   p50/p99 latency and throughput.
 * **cold** — ``compile_plan(...) + run + close`` per call: what a
-  server without a plan cache pays per request.
-* **unplanned** — the registered cold ``fn`` per call on a shared
-  executor: the pre-plan dispatch path, for attribution.
+  server without a plan cache pays per request, and what a tier's
+  registered ``fn`` (the one-shot) does.
 
-Each record also carries the planned-vs-unplanned **digest check**
-(bit-identical results are the plan layer's correctness contract) and,
-on the ``serial``/``thread`` backends, the tracemalloc **allocation
-audit** of one warm call (see :mod:`repro.plan.audit`; the peak budget
-callers should apply is :data:`PEAK_NOISE_BUDGET`).  A separate section
-exercises the :class:`~repro.plan.PlanCache` against a request mix and
-reports hit/miss/eviction counts.
+Each record also carries, on the ``serial``/``thread`` backends, the
+tracemalloc **allocation audit** of one warm call (see
+:mod:`repro.plan.audit`; the peak budget callers should apply is
+:data:`PEAK_NOISE_BUDGET`).  A separate section exercises the
+:class:`~repro.plan.PlanCache` against a request mix and reports
+hit/miss/eviction counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
 
 from ..config import SMALL_SIZES, SMOKE_SIZES, WorkloadSizes
 from ..errors import ExperimentError
@@ -47,13 +43,12 @@ def measure_steady_state(sizes: WorkloadSizes = SMALL_SIZES,
                          seed: int = 2012, audit: bool = True) -> dict:
     """The data behind ``BENCH_steady_state.json``.
 
-    Per parallel kernel x backend: warm/cold/unplanned latencies, the
-    digest check, and (single-process backends) the allocation audit.
+    Per parallel kernel x backend: warm/cold latencies and
+    (single-process backends) the allocation audit.
     ``samples`` paces the warm loop; the cold loop recompiles per call,
     so it gets the smaller ``cold_samples``.
     """
     from .. import registry
-    from ..parallel import SlabExecutor
     from ..plan import PlanCache, audit_allocations, compile_plan, plan_key
 
     if samples < 1 or cold_samples < 1:
@@ -64,15 +59,8 @@ def measure_steady_state(sizes: WorkloadSizes = SMALL_SIZES,
         for backend in backends:
             payload = spec.build(sizes, seed=seed)
             items = spec.items(payload)
-            impl = registry.impl(kernel, "parallel", backend)
             plan = compile_plan(kernel, "parallel", payload,
                                 backend=backend)
-            with SlabExecutor(backend) as ex:
-                unplanned_res = np.asarray(impl.fn(payload, ex))
-                digest_match = bool(
-                    np.array_equal(unplanned_res, np.asarray(plan.run())))
-                unplanned = _latencies(lambda: impl.fn(payload, ex),
-                                       min(samples, 10))
             warm = _latencies(plan.run, samples)
 
             def cold_call():
@@ -89,12 +77,10 @@ def measure_steady_state(sizes: WorkloadSizes = SMALL_SIZES,
                 "backend": backend,
                 "items": items,
                 "planned": plan.planned,
-                "digest_match": digest_match,
                 "warm_p50_s": _percentile(warm, 0.50),
                 "warm_p99_s": _percentile(warm, 0.99),
                 "cold_p50_s": _percentile(cold, 0.50),
                 "cold_p99_s": _percentile(cold, 0.99),
-                "unplanned_p50_s": _percentile(unplanned, 0.50),
             }
             record["warm_throughput"] = (
                 items / record["warm_p50_s"] if record["warm_p50_s"] > 0
@@ -192,7 +178,6 @@ def steady_state_result(data: dict):
             round(k["warm_p99_s"] * 1e3, 3),
             round(k["cold_p50_s"] * 1e3, 3),
             round(k["cold_vs_warm_p50"], 2),
-            "ok" if k["digest_match"] else "MISMATCH",
             ("clean" if audit.get("clean") else "held!")
             if audit else "-",
         ))
@@ -204,16 +189,14 @@ def steady_state_result(data: dict):
         exp_id="steady_state",
         title="Steady-state serving: warm plan vs cold compile-per-call",
         headers=("kernel", "backend", "items", "warm p50 ms",
-                 "warm p99 ms", "cold p50 ms", "cold/warm", "digest",
-                 "audit"),
+                 "warm p99 ms", "cold p50 ms", "cold/warm", "audit"),
         rows=rows,
         notes=[
             f"samples={data['samples']} cold_samples={data['cold_samples']} "
             f"sizes={data['sizes']} seed={data['seed']}",
             "warm = plan.run() on a compiled ExecutionPlan; cold = "
-            "compile_plan + run + close per call; digest = planned vs "
-            "unplanned bit-identity; audit = zero held numpy "
-            "allocations in one warm call (serial/thread)",
+            "compile_plan + run + close per call; audit = zero held "
+            "numpy allocations in one warm call (serial/thread)",
             f"small-batch black_scholes cold/warm p50: {small}",
             f"plan cache over a mixed-width request stream: "
             f"{cache['hits']} hits, {cache['misses']} misses, "

@@ -28,7 +28,7 @@ import numpy as np
 from ..config import SMALL_SIZES, WorkloadSizes
 from ..errors import ExperimentError
 from ..results import as_result_slab
-from .harness import time_run
+from .harness import time_plan
 from .record import timing_fields
 
 
@@ -68,9 +68,10 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
     """Time every registered (kernel × tier × backend) implementation.
 
     Per kernel the workload is built once (from ``sizes`` and ``seed``)
-    and shared by all tiers; per tier the run is executed once for the
-    agreement check/digest and then ``repeats`` more times for the
-    best-of wall clock.  Returns the JSON-ready dict behind
+    and shared by all tiers; per tier one plan is compiled
+    (:func:`~.harness.time_plan`), run once for the agreement
+    check/digest and then ``repeats`` more times for the best-of wall
+    clock.  Returns the JSON-ready dict behind
     ``BENCH_ninja_measured.json``.
 
     ``policy`` (``"fixed"``/``"auto"``/path): under a non-fixed policy
@@ -130,13 +131,11 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
                 if impl.backend not in backends:
                     continue
                 ex = executors[impl.backend]
-                out = as_result_slab(impl.fn(payload, ex), impl.outputs)
+                run, out = time_plan(impl, payload, ex, items, repeats)
+                out = as_result_slab(out, impl.outputs)
                 tol = (impl.tolerance if impl.tolerance is not None
                        else spec.tolerance)
                 diff = _common_diff(out, ref_out)
-                run = time_run(impl.label,
-                               lambda fn=impl.fn, ex=ex: fn(payload, ex),
-                               items, repeats)
                 entry = {
                     "tier": impl.tier,
                     "backend": impl.backend,

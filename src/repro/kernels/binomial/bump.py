@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.bump import (BUMP_REL, bump_denominators, combine_central,
                              expand_bumped)
 from ...results import ResultSlab
-from .parallel import compile_price_tiled, price_tiled_parallel
+from .parallel import compile_price_tiled
 
 
 def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
@@ -35,25 +35,16 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 def greeks_tiled_parallel(options, n_steps: int,
                           executor: SlabExecutor | None = None,
                           h: float = BUMP_REL) -> ResultSlab:
-    """Bump Greeks for a European option group on the binomial lattice.
+    """Bump Greeks for a European option group on the binomial lattice:
+    the one-shot of :func:`compile_greeks_tiled`.
 
     Returns a :class:`~repro.results.ResultSlab` with ``price``,
     ``delta``, ``gamma`` and ``vega`` (one value per option).
     Bit-identical across backends: the lattice is deterministic and the
     combine runs in the parent in a fixed order.
     """
-    options = list(options)
-    if executor is None:
-        executor = default_executor()
-    n = len(options)
-    grid = price_tiled_parallel(expand_bumped(options, h), n_steps,
-                                executor)
-    denoms = bump_denominators(options, h)
-    backing = np.empty(4 * n, dtype=DTYPE)
-    slab = _result_slab(backing, n)
-    combine_central(grid, denoms, slab["price"], slab["delta"],
-                    slab["gamma"], slab["vega"])
-    return slab
+    return one_shot(compile_greeks_tiled, options, n_steps,
+                    executor=executor, h=h)
 
 
 def compile_greeks_tiled(options, n_steps: int, executor: SlabExecutor,

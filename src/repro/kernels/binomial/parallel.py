@@ -23,7 +23,8 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import DomainError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.options import ExerciseStyle
 from .params import crr_params, leaf_values
 
@@ -88,13 +89,13 @@ def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
                         arena):
     """Plan-compile the parallel tier.
 
-    Everything the cold path recomputes per call is hoisted to compile
-    time: CRR parameters, the transposed leaf values (the options are
-    baked into the plan) and one sweep workspace per slab — so each
-    warm run is a leaf refill plus the sweep, with zero allocations.
-    Out-of-process workers own their address space, so there the
-    dispatch ships the options and each run builds its workspace cold
-    (compiled for staging/validation reuse only).
+    Everything that depends only on the contracts is hoisted to
+    compile time: CRR parameters, the transposed leaf values (the
+    options are baked into the plan) and one sweep workspace per slab —
+    so each warm run is a leaf refill plus the sweep, with zero
+    allocations.  Out-of-process workers own their address space, so
+    there the dispatch ships the options and each run builds its
+    workspace in the worker.
     """
     options = _european_group(options)
     nopt = len(options)
@@ -107,10 +108,11 @@ def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
             return {"ws": plan_sweep(
                 options[a:b], n_steps,
                 lambda name, shape: arena.reserve(f"{name}{i}", shape))}
-    dispatch = executor.compile_lanes(
+    # Per option in flight: the call/t1/t2 tree rows.
+    dispatch = arena.adopt(executor.compile_lanes(
         _sweep_slab, nopt, bytes_per_item=3 * (n_steps + 1) * 8,
         sliced={"out": out}, writes=("out",),
-        consts={"n_steps": n_steps}, per_slab=per_slab, tag="bin")
+        consts={"n_steps": n_steps}, per_slab=per_slab, tag="bin"))
 
     def run() -> np.ndarray:
         dispatch.run()
@@ -121,22 +123,11 @@ def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
 
 def price_tiled_parallel(options, n_steps: int,
                          executor: SlabExecutor | None = None) -> np.ndarray:
-    """European pricing over option slabs.
+    """European pricing over option slabs: the one-shot of
+    :func:`compile_price_tiled`.
 
     Returns one root price per option, bit-identical to the serial
     :func:`~.tiled.price_tiled` for any backend/worker count.
     """
-    options = _european_group(options)
-    if executor is None:
-        executor = default_executor()
-    out = np.empty(len(options), dtype=DTYPE)
-    # Per option in flight: the call/t1/t2 tree rows.
-    bytes_per_option = 3 * (n_steps + 1) * 8
-    executor.map_shm(
-        _sweep_slab, len(options), bytes_per_item=bytes_per_option,
-        sliced={"out": out}, writes=("out",),
-        consts={"n_steps": n_steps},
-        # Each slab task carries only its own options, not the batch.
-        per_slab=lambda a, b, i: {"options": options[a:b]},
-    )
-    return out
+    return one_shot(compile_price_tiled, options, n_steps,
+                    executor=executor)

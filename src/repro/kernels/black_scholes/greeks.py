@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import DTYPE
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
@@ -150,31 +151,16 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 def greeks_parallel(batch: OptionBatch,
                     executor: SlabExecutor | None = None,
                     lib: VectorMathLib | str = "numpy") -> ResultSlab:
-    """Price the batch and fill every Greek over zero-copy slabs.
+    """Price the batch and fill every Greek over zero-copy slabs: the
+    one-shot of :func:`compile_greeks_parallel`.
 
     Returns a :class:`~repro.results.ResultSlab` with the six
     :data:`~repro.results.GREEK_OUTPUTS`, each a ``2n`` ``[call | put]``
     vector.  Bit-identical across backends (same plan, same values,
     same slab function).
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
-    if executor is None:
-        executor = default_executor()
-    soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
-    S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
-    n = S.shape[0]
-    backing = np.empty(12 * n, dtype=DTYPE)
-    views = _backing_views(backing, n)
-    executor.map_shm(
-        _greeks_slab_task, n,
-        bytes_per_item=GREEKS_BYTES_PER_OPTION,
-        sliced={"S": S, "X": X, "T": T, **views},
-        writes=GREEK_WRITES,
-        outputs=GREEK_SCHEMA,
-        consts={"r": batch.rate, "sig": batch.vol, "lib": lib},
-    )
-    return _result_slab(backing, n)
+    return one_shot(compile_greeks_parallel, batch, executor=executor,
+                    lib=lib)
 
 
 def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
@@ -201,14 +187,14 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         scratch = [arena.reserve(f"scratch{i}", (5, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _greeks_slab_task, n,
         bytes_per_item=GREEKS_BYTES_PER_OPTION,
         sliced={"S": S, "X": X, "T": T, **views},
         writes=GREEK_WRITES,
         outputs=GREEK_SCHEMA,
         consts={"r": batch.rate, "sig": batch.vol, "lib": lib},
-        per_slab=per_slab, tag="bsg")
+        per_slab=per_slab, tag="bsg"))
     slab = _result_slab(backing, n)
 
     def run() -> ResultSlab:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import DTYPE
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.implied_vol import VOL_HI, VOL_LO
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
@@ -152,40 +153,17 @@ def surface_vols(batch: OptionBatch) -> np.ndarray:
     return batch.vol * span
 
 
-def _targets(batch: OptionBatch, lib: VectorMathLib):
-    """``(S, X, T, sig_true, target_prices)`` for the inverse problem."""
-    soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
-    S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
-    sig = surface_vols(batch)
-    target = np.empty_like(S)
-    call_price_sig(S, X, T, batch.rate, sig, target, lib)
-    return S, X, T, sig, target
-
-
 def implied_parallel(batch: OptionBatch,
                      executor: SlabExecutor | None = None,
                      lib: VectorMathLib | str = "numpy") -> ResultSlab:
-    """Recover the batch's vol surface from its prices over slabs.
+    """Recover the batch's vol surface from its prices over slabs: the
+    one-shot of :func:`compile_implied_parallel`.
 
     Returns a single-output :class:`~repro.results.ResultSlab`
     (``implied_vol``, length ``n``).  Bit-identical across backends.
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
-    if executor is None:
-        executor = default_executor()
-    S, X, T, _, target = _targets(batch, lib)
-    n = S.shape[0]
-    iv = np.empty(n, dtype=DTYPE)
-    executor.map_shm(
-        _implied_slab_task, n,
-        bytes_per_item=IMPLIED_BYTES_PER_OPTION,
-        sliced={"price": target, "S": S, "X": X, "T": T, "iv": iv},
-        writes=("iv",),
-        outputs={"implied_vol": ("iv",)},
-        consts={"r": batch.rate, "lib": lib},
-    )
-    return ResultSlab({"implied_vol": iv})
+    return one_shot(compile_implied_parallel, batch, executor=executor,
+                    lib=lib)
 
 
 def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,
@@ -208,14 +186,14 @@ def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,
         scratch = [arena.reserve(f"scratch{i}", (6, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _implied_slab_task, n,
         bytes_per_item=IMPLIED_BYTES_PER_OPTION,
         sliced={"price": target, "S": S, "X": X, "T": T, "iv": iv},
         writes=("iv",),
         outputs={"implied_vol": ("iv",)},
         consts={"r": batch.rate, "lib": lib},
-        per_slab=per_slab, tag="bsiv")
+        per_slab=per_slab, tag="bsiv"))
     slab = ResultSlab({"implied_vol": iv})
 
     def run() -> ResultSlab:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import LayoutError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
@@ -74,26 +75,19 @@ def _price_slab(S, X, T, r: float, sig: float, call, put,
 def price_parallel(batch: OptionBatch,
                    executor: SlabExecutor | None = None,
                    lib: VectorMathLib | str = "numpy") -> None:
-    """Price the batch in place over zero-copy slabs.
+    """Price the batch in place over zero-copy slabs: the one-shot of
+    :func:`compile_price_parallel`.
 
     Accepts AOS (converted, as the intermediate tier does) or SOA
     batches.  ``executor=None`` uses the process-wide persistent
     threaded executor; pass ``SlabExecutor("serial")`` for the
     single-core baseline — the two produce bit-identical prices.
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
-    if executor is None:
-        executor = default_executor()
-    if batch.layout == "aos":
-        soa = aos_to_soa(batch.batch)
-        _price_soa_slabs(soa, batch.rate, batch.vol, executor, lib)
-        batch.batch.set("call", soa.get("call"))
-        batch.batch.set("put", soa.get("put"))
-    elif batch.layout == "soa":
-        _price_soa_slabs(batch.batch, batch.rate, batch.vol, executor, lib)
-    else:
-        raise LayoutError(f"unsupported layout {batch.layout!r}")
+    result = one_shot(compile_price_parallel, batch, executor=executor,
+                      lib=lib)
+    n = len(batch)
+    batch.batch.set("call", result[:n])
+    batch.batch.set("put", result[n:])
 
 
 def _price_slab_task(arrays: dict, consts: dict, a: int, b: int,
@@ -121,6 +115,8 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
     """
     if isinstance(lib, str):
         lib = get_lib(lib)
+    if batch.layout not in ("aos", "soa"):
+        raise LayoutError(f"unsupported layout {batch.layout!r}")
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
     n = S.shape[0]
@@ -132,29 +128,16 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
         scratch = [arena.reserve(f"scratch{i}", (3, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _price_slab_task, n,
         bytes_per_item=SLAB_BYTES_PER_OPTION,
         sliced={"S": S, "X": X, "T": T, "call": call, "put": put},
         writes=("call", "put"),
         consts={"r": batch.rate, "sig": batch.vol, "lib": lib},
-        per_slab=per_slab, tag="bs")
+        per_slab=per_slab, tag="bs"))
 
     def run() -> np.ndarray:
         dispatch.run()
         return result
 
     return run
-
-
-def _price_soa_slabs(soa, r: float, sig: float, executor: SlabExecutor,
-                     lib: VectorMathLib) -> None:
-    S = soa.get("S")
-    executor.map_shm(
-        _price_slab_task, S.shape[0],
-        bytes_per_item=SLAB_BYTES_PER_OPTION,
-        sliced={"S": S, "X": soa.get("X"), "T": soa.get("T"),
-                "call": soa.get("call"), "put": soa.get("put")},
-        writes=("call", "put"),
-        consts={"r": r, "sig": sig, "lib": lib},
-    )

@@ -16,7 +16,8 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import ConfigurationError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
@@ -69,28 +70,15 @@ def _expand(batch: OptionBatch, out=None):
 def scenario_parallel(batch: OptionBatch,
                       executor: SlabExecutor | None = None,
                       lib: VectorMathLib | str = "numpy") -> ResultSlab:
-    """Price the full spot×vol grid over slabs.
+    """Price the full spot×vol grid over slabs: the one-shot of
+    :func:`compile_scenario_parallel`.
 
     Returns a single-output :class:`~repro.results.ResultSlab`
     (``grid``, length ``n_scenarios()·n``, scenario-major).
     Bit-identical across backends.
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
-    if executor is None:
-        executor = default_executor()
-    gS, gX, gT, gsig = _expand(batch)
-    cells = gS.shape[0]
-    grid = np.empty(cells, dtype=DTYPE)
-    executor.map_shm(
-        _scenario_slab_task, cells,
-        bytes_per_item=SCENARIO_BYTES_PER_CELL,
-        sliced={"S": gS, "X": gX, "T": gT, "sig": gsig, "grid": grid},
-        writes=("grid",),
-        outputs={"grid": ("grid",)},
-        consts={"r": batch.rate, "lib": lib},
-    )
-    return ResultSlab({"grid": grid})
+    return one_shot(compile_scenario_parallel, batch, executor=executor,
+                    lib=lib)
 
 
 def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
@@ -119,14 +107,14 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
         scratch = [arena.reserve(f"scratch{i}", (3, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _scenario_slab_task, cells,
         bytes_per_item=SCENARIO_BYTES_PER_CELL,
         sliced={"S": gS, "X": gX, "T": gT, "sig": gsig, "grid": grid},
         writes=("grid",),
         outputs={"grid": ("grid",)},
         consts={"r": batch.rate, "lib": lib},
-        per_slab=per_slab, tag="bssc")
+        per_slab=per_slab, tag="bssc"))
     slab = ResultSlab({"grid": grid})
 
     def run() -> ResultSlab:

@@ -78,7 +78,7 @@ def _run_parallel(payload, executor):
 
 def _plan_parallel(payload, executor, arena):
     """Planner: prices land in the arena's ``[calls | puts]`` vector,
-    so the cold path's per-call ``np.concatenate`` disappears too."""
+    so warm runs also skip ``_run_parallel``'s ``np.concatenate``."""
     return compile_price_parallel(payload["soa"], executor, arena)
 
 

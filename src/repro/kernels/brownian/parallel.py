@@ -23,6 +23,7 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor, default_executor
+from ...plan import one_shot
 from ...rng import NormalGenerator, make_streams
 from .bridge import BridgeSchedule
 from .vectorized import (build_vectorized, build_vectorized_ws,
@@ -64,14 +65,16 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
                            executor: SlabExecutor, arena):
     """Plan-compile the slab-parallel bridge builder.
 
-    Hoists to compile time what :func:`build_parallel` redoes per call:
-    the path-major reshape, the output allocation, the per-level
+    Hoists to compile time everything that does not depend on the
+    draws: the path-major reshape, the output allocation, the per-level
     coefficient broadcasting, and — per slab — the two
     ``(n_points, L)`` level-state arrays plus update scratch.  Row 0 of
     each level state is zeroed exactly once, at reservation: the level
     recurrence rewrites every row it reads except row 0, which it only
-    copies forward, so the zero survives every run.  Bit-identical to
-    the cold path; the runner's result view is the flat
+    copies forward, so the zero survives every run.  Out-of-process
+    workers own their address space, so there each slab builds through
+    :func:`~.vectorized.build_vectorized` — the same per-path
+    arithmetic, bit for bit.  The runner's result view is the flat
     ``arena.get("result")`` reshaped per path.
     """
     r = randoms_to_path_major(schedule, randoms)
@@ -81,10 +84,10 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
     flat = out.reshape(-1)
     bpp = _bytes_per_path(schedule)
     if executor.out_of_process:
-        dispatch = executor.compile_shm(
+        dispatch = arena.adopt(executor.compile_shm(
             _build_slab, n_paths, bytes_per_item=bpp,
             sliced={"r": r, "out": out}, writes=("out",),
-            consts={"schedule": schedule}, tag="bb")
+            consts={"schedule": schedule}, tag="bb"))
     else:
         coefs = level_coefficients(schedule)
         half = max(1, n_pts // 2)
@@ -98,11 +101,11 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
                 "t1": arena.reserve(f"t1_{i}", (half, lanes)),
                 "t2": arena.reserve(f"t2_{i}", (half, lanes)),
             })
-        dispatch = executor.compile_shm(
+        dispatch = arena.adopt(executor.compile_shm(
             _build_slab_ws, n_paths, bytes_per_item=bpp,
             sliced={"r": r, "out": out}, writes=("out",),
             consts={"schedule": schedule, "coefs": coefs},
-            per_slab=lambda a, b, i: {"ws": wss[i]}, tag="bb")
+            per_slab=lambda a, b, i: {"ws": wss[i]}, tag="bb"))
 
     def run() -> np.ndarray:
         dispatch.run()
@@ -113,22 +116,15 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
 
 def build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
                    executor: SlabExecutor | None = None) -> np.ndarray:
-    """Build all bridges from a pre-generated stream, slab-parallel.
+    """Build all bridges from a pre-generated stream, slab-parallel:
+    the one-shot of :func:`compile_build_parallel`.
 
     Bit-identical to :func:`~.vectorized.build_vectorized` on the same
     stream; returns ``(n_paths, n_points)``.
     """
-    if executor is None:
-        executor = default_executor()
-    r = randoms_to_path_major(schedule, randoms)
-    n_paths = r.shape[0]
-    out = np.empty((n_paths, schedule.n_points), dtype=DTYPE)
-    executor.map_shm(
-        _build_slab, n_paths, bytes_per_item=_bytes_per_path(schedule),
-        sliced={"r": r, "out": out}, writes=("out",),
-        consts={"schedule": schedule},
-    )
-    return out
+    flat = one_shot(compile_build_parallel, schedule, randoms,
+                    executor=executor)
+    return flat.reshape(-1, schedule.n_points)
 
 
 def build_interleaved_parallel(schedule: BridgeSchedule, n_paths: int,

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from ...config import DTYPE
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
 from .bridge import BridgeSchedule
@@ -141,30 +142,16 @@ def _times(schedule: BridgeSchedule) -> np.ndarray:
 def barrier_risk_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
                           executor: SlabExecutor | None = None,
                           h: float = BUMP_REL) -> ResultSlab:
-    """Per-path barrier price/delta/vega contributions over path slabs.
+    """Per-path barrier price/delta/vega contributions over path slabs:
+    the one-shot of :func:`compile_barrier_risk`.
 
     Returns a :class:`~repro.results.ResultSlab` with ``price``,
     ``delta`` and ``vega``, each one value per path; the option-level
     estimate is the mean of each vector.  Bit-identical across
     backends.
     """
-    check_bump(h)
-    if executor is None:
-        executor = default_executor()
-    r = randoms_to_path_major(schedule, randoms)
-    n_paths = r.shape[0]
-    backing = np.empty(3 * n_paths, dtype=DTYPE)
-    views = _result_slab(backing, n_paths)
-    executor.map_shm(
-        _risk_slab, n_paths, bytes_per_item=_bytes_per_path(schedule),
-        sliced={"r": r, "price": views["price"], "delta": views["delta"],
-                "vega": views["vega"]},
-        writes=_RISK_WRITES,
-        outputs=_RISK_SCHEMA,
-        consts={"schedule": schedule, "times": _times(schedule), "h": h,
-                "df": float(np.exp(-RATE * schedule.horizon))},
-    )
-    return views
+    return one_shot(compile_barrier_risk, schedule, randoms,
+                    executor=executor, h=h)
 
 
 def compile_barrier_risk(schedule: BridgeSchedule, randoms: np.ndarray,
@@ -204,13 +191,13 @@ def compile_barrier_risk(schedule: BridgeSchedule, randoms: np.ndarray,
                 "alive": arena.reserve(f"alive{i}", lanes, dtype=bool),
             })
         per_slab = lambda a, b, i: {"ws": wss[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _risk_slab, n_paths, bytes_per_item=_bytes_per_path(schedule),
         sliced={"r": r_src, "price": views["price"],
                 "delta": views["delta"], "vega": views["vega"]},
         writes=_RISK_WRITES,
         outputs=_RISK_SCHEMA,
-        consts=consts, per_slab=per_slab, tag="bbrisk")
+        consts=consts, per_slab=per_slab, tag="bbrisk"))
 
     def run() -> ResultSlab:
         dispatch.run()

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.bump import (BUMP_REL, bump_denominators, combine_central,
                              expand_bumped)
 from ...results import ResultSlab
-from .parallel import compile_solve_batch, solve_batch_parallel
+from .parallel import compile_solve_batch
 
 
 def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
@@ -39,25 +39,16 @@ def greeks_batch_parallel(options, n_points: int = 256,
                           solver: str = "red_black",
                           executor: SlabExecutor | None = None,
                           h: float = BUMP_REL) -> ResultSlab:
-    """Bump Greeks for a contract group on the implicit lattice.
+    """Bump Greeks for a contract group on the implicit lattice: the
+    one-shot of :func:`compile_greeks_batch`.
 
     Returns a :class:`~repro.results.ResultSlab` with ``price``,
     ``delta``, ``gamma`` and ``vega`` (one value per contract).
     Bit-identical across backends: every scenario march is
     deterministic and the combine runs in the parent in a fixed order.
     """
-    options = list(options)
-    if executor is None:
-        executor = default_executor()
-    n = len(options)
-    grid = solve_batch_parallel(expand_bumped(options, h), n_points,
-                                n_steps, solver, executor=executor)
-    denoms = bump_denominators(options, h)
-    backing = np.empty(4 * n, dtype=DTYPE)
-    slab = _result_slab(backing, n)
-    combine_central(grid, denoms, slab["price"], slab["delta"],
-                    slab["gamma"], slab["vega"])
-    return slab
+    return one_shot(compile_greeks_batch, options, n_points, n_steps,
+                    executor=executor, solver=solver, h=h)
 
 
 def compile_greeks_batch(options, n_points: int, n_steps: int,

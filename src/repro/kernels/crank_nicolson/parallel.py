@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
 from ...errors import DomainError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from .planned import march_slab, plan_slab
 from .solver import solve
 
@@ -49,14 +49,14 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
                         solver: str = "red_black", **kwargs):
     """Plan-compile the slab-parallel contract pricer.
 
-    Hoists what :func:`solve_batch_parallel` redoes per call and per
-    option: the grid build, the transformed-payoff spatial profile, the
-    whole Dirichlet boundary sequence, the untransform/interp stencil
-    (see :mod:`.planned`), plus one slab-march workspace per slab.  The
-    planned march exists for the default ``red_black`` solver; other
-    solvers — and process workers, which march in their own address
-    spaces — ship the options and price them cold (still a frozen,
-    validated dispatch).
+    Hoists what depends only on the contracts: the grid build, the
+    transformed-payoff spatial profile, the whole Dirichlet boundary
+    sequence, the untransform/interp stencil (see :mod:`.planned`),
+    plus one slab-march workspace per slab.  The planned march exists
+    for the default ``red_black`` solver; other solvers — and
+    out-of-process workers, which march in their own address spaces —
+    ship the options and build their state in the slab body (still a
+    frozen, validated dispatch).
     """
     options = list(options)
     if not options:
@@ -72,12 +72,13 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
                 options[a:b], n_points, n_steps,
                 lambda name, shape, dtype:
                 arena.reserve(f"{name}{i}", shape, dtype))}
-    dispatch = executor.compile_lanes(
+    # Per option in flight: u/b/g lattice rows plus the grid tables.
+    dispatch = arena.adopt(executor.compile_lanes(
         _solve_slab, nopt, bytes_per_item=8 * 8 * n_points,
         sliced={"out": out}, writes=("out",),
         consts={"n_points": n_points, "n_steps": n_steps,
                 "solver": solver, "kwargs": kwargs},
-        per_slab=per_slab, tag="cn")
+        per_slab=per_slab, tag="cn"))
 
     def run() -> np.ndarray:
         dispatch.run()
@@ -90,25 +91,12 @@ def solve_batch_parallel(options, n_points: int = 256, n_steps: int = 1000,
                          solver: str = "red_black",
                          executor: SlabExecutor | None = None,
                          **kwargs) -> np.ndarray:
-    """Price several contracts over option slabs.
+    """Price several contracts over option slabs: the one-shot of
+    :func:`compile_solve_batch`.
 
     Defaults to the red-black solver — the fastest host tier for the
     implicit half step — while accepting any :data:`~.solver.SOLVERS`
     name.  Returns one price per option in input order.
     """
-    options = list(options)
-    if not options:
-        raise DomainError("empty option group")
-    if executor is None:
-        executor = default_executor()
-    out = np.empty(len(options), dtype=DTYPE)
-    # Per option in flight: u/b/g lattice rows plus the grid tables.
-    bytes_per_option = 8 * 8 * n_points
-    executor.map_shm(
-        _solve_slab, len(options), bytes_per_item=bytes_per_option,
-        sliced={"out": out}, writes=("out",),
-        consts={"n_points": n_points, "n_steps": n_steps,
-                "solver": solver, "kwargs": kwargs},
-        per_slab=lambda a, b, i: {"options": options[a:b]},
-    )
-    return out
+    return one_shot(compile_solve_batch, options, n_points, n_steps,
+                    executor=executor, solver=solver, **kwargs)

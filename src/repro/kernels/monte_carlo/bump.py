@@ -21,7 +21,8 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import ConfigurationError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
 from .parallel import _price_option_fused
@@ -98,37 +99,16 @@ def greeks_stream_parallel(S, X, T, rate: float, vol: float,
                            executor: SlabExecutor | None = None,
                            block: int = 65536,
                            h: float = BUMP_REL) -> ResultSlab:
-    """STREAM-mode bump Greeks over option slabs.
+    """STREAM-mode bump Greeks over option slabs: the one-shot of
+    :func:`compile_greeks_stream`.
 
     Returns a :class:`~repro.results.ResultSlab` with outputs
     ``price`` (the ``[price | stderr]`` pair), ``delta``, ``gamma``
     and ``vega``.  Bit-identical across backends: the slab plan, the
     replayed stream and the difference arithmetic are all deterministic.
     """
-    S = np.asarray(S, dtype=DTYPE)
-    X = np.asarray(X, dtype=DTYPE)
-    T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
-    randoms = np.asarray(randoms, dtype=DTYPE)
-    if randoms.ndim != 1 or randoms.size == 0:
-        raise ConfigurationError("randoms must be a non-empty 1-D stream")
-    check_bump(h)
-    if executor is None:
-        executor = default_executor()
-    nopt = S.shape[0]
-    n_paths = randoms.size
-    backing = np.empty(5 * nopt, dtype=DTYPE)
-    views = _views(backing, nopt)
-    # Five revaluations per option: five passes over the stream.
-    executor.map_shm(
-        _bump_slab, nopt, bytes_per_item=5 * 8 * n_paths,
-        sliced={"S": S, "X": X, "T": T, **views},
-        shared={"randoms": randoms},
-        writes=BUMP_WRITES,
-        outputs=BUMP_SCHEMA,
-        consts={"rate": rate, "vol": vol, "block": block, "h": h},
-    )
-    return _result_slab(backing, nopt)
+    return one_shot(compile_greeks_stream, S, X, T, rate, vol, randoms,
+                    executor=executor, block=block, h=h)
 
 
 def compile_greeks_stream(S, X, T, rate: float, vol: float,
@@ -146,6 +126,7 @@ def compile_greeks_stream(S, X, T, rate: float, vol: float,
     randoms = np.asarray(randoms, dtype=DTYPE)
     if randoms.ndim != 1 or randoms.size == 0:
         raise ConfigurationError("randoms must be a non-empty 1-D stream")
+    check_bump(h)
     nopt = S.shape[0]
     n_paths = randoms.size
     backing = arena.reserve("result", 5 * nopt)
@@ -156,14 +137,15 @@ def compile_greeks_stream(S, X, T, rate: float, vol: float,
         scratch = [arena.reserve(f"scratch{i}", min(block, n_paths))
                    for i in range(len(slabs))]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    # Five revaluations per option: five passes over the stream.
+    dispatch = arena.adopt(executor.compile_shm(
         _bump_slab, nopt, bytes_per_item=5 * 8 * n_paths,
         sliced={"S": S, "X": X, "T": T, **views},
         shared={"randoms": randoms},
         writes=BUMP_WRITES,
         outputs=BUMP_SCHEMA,
         consts={"rate": rate, "vol": vol, "block": block, "h": h},
-        per_slab=per_slab, tag="mcg")
+        per_slab=per_slab, tag="mcg"))
     slab = _result_slab(backing, nopt)
 
     def run() -> ResultSlab:

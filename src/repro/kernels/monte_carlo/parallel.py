@@ -27,6 +27,7 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor, default_executor
+from ...plan import one_shot
 from ...pricing.exotic_analytic import geometric_asian_call
 from ...pricing.options import Option, OptionKind
 from ...rng import NormalGenerator, make_streams
@@ -91,32 +92,16 @@ def price_stream_parallel(S, X, T, rate: float, vol: float,
                           randoms: np.ndarray,
                           executor: SlabExecutor | None = None,
                           block: int = 65536) -> MCResult:
-    """STREAM mode over option slabs: every option re-reads the shared
+    """STREAM mode over option slabs, the one-shot of
+    :func:`compile_price_stream`: every option re-reads the shared
     random array (cache-resident once per slab), results land in
     preallocated output views.  Bit-identical to
     :func:`~.vectorized.price_stream` for any backend/worker count."""
-    S = np.asarray(S, dtype=DTYPE)
-    X = np.asarray(X, dtype=DTYPE)
-    T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
-    randoms = np.asarray(randoms, dtype=DTYPE)
-    if randoms.ndim != 1 or randoms.size == 0:
-        raise ConfigurationError("randoms must be a non-empty 1-D stream")
-    if executor is None:
-        executor = default_executor()
-    nopt = S.shape[0]
-    n_paths = randoms.size
-    price = np.empty(nopt, dtype=DTYPE)
-    stderr = np.empty(nopt, dtype=DTYPE)
-    # Per-option traffic: one pass over the stream (plus the scratch).
-    executor.map_shm(
-        _stream_slab, nopt, bytes_per_item=8 * n_paths,
-        sliced={"S": S, "X": X, "T": T, "price": price, "stderr": stderr},
-        shared={"randoms": randoms},
-        writes=("price", "stderr"),
-        consts={"rate": rate, "vol": vol, "block": block},
-    )
-    return MCResult(price=price, stderr=stderr, n_paths=n_paths)
+    result = one_shot(compile_price_stream, S, X, T, rate, vol, randoms,
+                      executor=executor, block=block)
+    nopt = result.shape[0] // 2
+    return MCResult(price=result[:nopt], stderr=result[nopt:],
+                    n_paths=np.size(randoms))
 
 
 def compile_price_stream(S, X, T, rate: float, vol: float,
@@ -125,10 +110,10 @@ def compile_price_stream(S, X, T, rate: float, vol: float,
     """Plan-compile STREAM mode for repeated same-shape calls.
 
     The ``[price | stderr]`` result vector and one payoff-scratch block
-    per slab live in ``arena``; the shared random stream is staged (and,
-    on the process backend, copied to its segment) once per run rather
-    than re-validated and re-staged.  Bit-identical to
-    :func:`price_stream_parallel` — same slab plan, same fused ops.
+    per slab live in ``arena``; the shared random stream is validated
+    and staged once at compile time and, out of process, copied to its
+    segment once per run.  The per-option math is the fused chain of
+    :func:`_price_option_fused`.
     """
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
@@ -147,13 +132,14 @@ def compile_price_stream(S, X, T, rate: float, vol: float,
         scratch = [arena.reserve(f"scratch{i}", min(block, n_paths))
                    for i in range(len(slabs))]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = executor.compile_shm(
+    # Per-option traffic: one pass over the stream (plus the scratch).
+    dispatch = arena.adopt(executor.compile_shm(
         _stream_slab, nopt, bytes_per_item=8 * n_paths,
         sliced={"S": S, "X": X, "T": T, "price": price, "stderr": stderr},
         shared={"randoms": randoms},
         writes=("price", "stderr"),
         consts={"rate": rate, "vol": vol, "block": block},
-        per_slab=per_slab, tag="mc")
+        per_slab=per_slab, tag="mc"))
 
     def run() -> np.ndarray:
         dispatch.run()

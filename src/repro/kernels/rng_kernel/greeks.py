@@ -25,7 +25,8 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import ConfigurationError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...results import ResultSlab
 from ...rng.mt19937 import MT19937, block_workspace, uniform53_into
 
@@ -117,28 +118,15 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 
 def pathwise_parallel(n: int, seed: int = 5489,
                       executor: SlabExecutor | None = None) -> ResultSlab:
-    """``n`` per-path price/delta/vega contributions, slab-parallel.
+    """``n`` per-path price/delta/vega contributions, slab-parallel:
+    the one-shot of :func:`compile_pathwise_parallel`.
 
     Returns a :class:`~repro.results.ResultSlab` with ``price``,
     ``delta`` and ``vega``; the option-level estimate is the mean of
     each vector.  Bit-identical to a single sequential stream for any
     backend, slab plan or worker count.
     """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if executor is None:
-        executor = default_executor()
-    backing = np.empty(3 * n, dtype=DTYPE)
-    views = _result_slab(backing, n)
-    executor.map_shm(
-        _pathwise_slab, n, bytes_per_item=8 * 10,
-        sliced={"price": views["price"], "delta": views["delta"],
-                "vega": views["vega"]},
-        writes=_WRITES,
-        outputs=_SCHEMA,
-        consts={"seed": seed},
-    )
-    return views
+    return one_shot(compile_pathwise_parallel, n, seed, executor=executor)
 
 
 def compile_pathwise_parallel(n: int, seed: int,
@@ -155,10 +143,10 @@ def compile_pathwise_parallel(n: int, seed: int,
     sliced = {"price": views["price"], "delta": views["delta"],
               "vega": views["vega"]}
     if executor.out_of_process:
-        dispatch = executor.compile_shm(
+        dispatch = arena.adopt(executor.compile_shm(
             _pathwise_slab, n, bytes_per_item=8 * 10,
             sliced=sliced, writes=_WRITES, outputs=_SCHEMA,
-            consts={"seed": seed}, tag="rngpw")
+            consts={"seed": seed}, tag="rngpw"))
     else:
         slabs = executor.plan(n, 8 * 10)
         walker = MT19937(seed)
@@ -186,13 +174,13 @@ def compile_pathwise_parallel(n: int, seed: int,
             ws["tmp"] = arena.reserve(f"tmp{i}", lanes)
             ws["itm"] = arena.reserve(f"itm{i}", lanes, dtype=bool)
             wss.append(ws)
-        dispatch = executor.compile_shm(
+        dispatch = arena.adopt(executor.compile_shm(
             _pathwise_slab_planned, n, bytes_per_item=8 * 10,
             sliced=sliced, writes=_WRITES, outputs=_SCHEMA,
             per_slab=lambda a, b, i: {"ws": wss[i],
                                       "snap_mt": snaps[i][0],
                                       "snap_mti": snaps[i][1]},
-            tag="rngpw")
+            tag="rngpw"))
 
     def run() -> ResultSlab:
         dispatch.run()

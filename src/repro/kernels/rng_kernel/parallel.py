@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
 from ...errors import ConfigurationError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
+from ...plan import one_shot
 from ...rng.mt19937 import MT19937, block_workspace, uniform53_into
 
 #: Raw 32-bit outputs folded into each 53-bit uniform double.
@@ -55,14 +55,17 @@ def compile_uniform53_parallel(n: int, seed: int,
                                executor: SlabExecutor, arena):
     """Plan-compile the jump-ahead tabulation.
 
-    The expensive part of every cold call is the per-slab sequential
-    skip past the preceding slabs' ``2·a`` raw draws; the plan runs each
-    skip once, snapshots the jumped 624-word state, and warm runs just
-    restore the snapshot and generate.  One generator walks the stream
-    slab boundary to slab boundary, so compile pays O(2n) total skip
-    work rather than the cold path's O(n·slabs).  Generation itself
-    goes through :func:`~repro.rng.mt19937.uniform53_into` — the same
+    The expensive part of jump-ahead partitioning is the per-slab
+    sequential skip past the preceding slabs' ``2·a`` raw draws; the
+    plan runs each skip once, snapshots the jumped 624-word state, and
+    warm runs just restore the snapshot and generate.  One generator
+    walks the stream slab boundary to slab boundary, so compile pays
+    O(2n) total skip work, not O(n·slabs).  Generation itself goes
+    through :func:`~repro.rng.mt19937.uniform53_into` — the same
     twist/temper/fold bit for bit, through arena-owned buffers.
+    Out-of-process workers cannot receive a snapshot that lives in the
+    parent's arena, so there each slab skips in its own body
+    (:func:`_rng_slab`).
     """
     if n < 0:
         raise ConfigurationError("n must be non-negative")
@@ -70,10 +73,10 @@ def compile_uniform53_parallel(n: int, seed: int,
     if n == 0:
         return lambda: out
     if executor.out_of_process:
-        dispatch = executor.compile_shm(
+        dispatch = arena.adopt(executor.compile_shm(
             _rng_slab, n, bytes_per_item=8,
             sliced={"out": out}, writes=("out",),
-            consts={"seed": seed}, tag="rng")
+            consts={"seed": seed}, tag="rng"))
         return lambda: (dispatch.run(), out)[1]
     slabs = executor.plan(n, 8)
     walker = MT19937(seed)
@@ -94,12 +97,12 @@ def compile_uniform53_parallel(n: int, seed: int,
         ws["mt"] = arena.reserve(f"mt{i}", MT19937.state_size,
                                  dtype=np.uint32)
         wss.append(ws)
-    dispatch = executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_shm(
         _rng_slab_planned, n, bytes_per_item=8,
         sliced={"out": out}, writes=("out",),
         per_slab=lambda a, b, i: {"ws": wss[i], "snap_mt": snaps[i][0],
                                   "snap_mti": snaps[i][1]},
-        tag="rng")
+        tag="rng"))
 
     def run() -> np.ndarray:
         dispatch.run()
@@ -110,17 +113,9 @@ def compile_uniform53_parallel(n: int, seed: int,
 
 def uniform53_parallel(n: int, seed: int = 5489,
                        executor: SlabExecutor | None = None) -> np.ndarray:
-    """``n`` uniform [0, 1) doubles, slab-parallel, bit-identical to
+    """``n`` uniform [0, 1) doubles, slab-parallel — the one-shot of
+    :func:`compile_uniform53_parallel` — bit-identical to
     ``MT19937(seed).uniform53(n)`` (and hence to the scalar reference)
     for any backend, slab plan or worker count."""
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    if executor is None:
-        executor = default_executor()
-    out = np.empty(n, dtype=DTYPE)
-    if n == 0:
-        return out
-    executor.map_shm(_rng_slab, n, bytes_per_item=8,
-                     sliced={"out": out}, writes=("out",),
-                     consts={"seed": seed})
-    return out
+    return one_shot(compile_uniform53_parallel, n, seed,
+                    executor=executor)

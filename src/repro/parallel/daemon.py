@@ -1,11 +1,12 @@
 """Standing worker daemon: zero-pickle steady-state slab dispatch.
 
 The ``process`` backend pays pickling plus two executor-queue hops for
-every slab of every ``map_shm`` call; at high worker counts that fixed
+every slab of every dispatch run; at high worker counts that fixed
 cost is what caps the measured scaling curves.  This module promotes
-the pool to a **daemon**: workers start once, attach the shared-memory
-arena segments once, *pin* each compiled dispatch once (the only
-pickling, over a per-worker control pipe, at setup time), and
+the pool to a **daemon**: workers start once, *pin* each compiled
+dispatch once (the only pickling, over a per-worker control pipe, at
+setup time: the pin maps the dispatch's shared-memory segments, the
+matching unpin closes them again), and
 thereafter receive work as 24-byte slab descriptors over a
 :class:`~.ring.Ring` pair — submit ring in, ack ring out.  A
 steady-state dispatch therefore moves no Python objects at all:
@@ -146,12 +147,13 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
     install_signal_guards()
     import numpy as np
 
-    from .shm import _attach
+    from .shm import _attach, _detach
 
     submit = Ring.attach(submit_name)
     ack = Ring.attach(ack_name)
     plans: dict = {}                 # plan_id -> [(fn, arrays, consts), ...]
     plan_outs: dict = {}             # plan_id -> pinned output-set id
+    plan_segs: dict = {}             # plan_id -> segment names it maps
 
     def handle_ctl() -> bool:
         """One control message; returns False on stop."""
@@ -169,18 +171,21 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
                 arrays = {name: (views[name][a:b] if spec.sliced else
                                  views[name])
                           for name, spec in specs.items()}
-                pinned.append([fn, arrays, consts, a, b, slab])
+                pinned.append((fn, arrays, consts, a, b, slab))
             plans[plan_id] = pinned
             plan_outs[plan_id] = out_id
-            ctl.send(("ok", plan_id))
-        elif op == "consts":
-            _, plan_id, consts_list = msg
-            for task, consts in zip(plans[plan_id], consts_list):
-                task[2] = consts
+            plan_segs[plan_id] = {spec.segment for spec in specs.values()}
             ctl.send(("ok", plan_id))
         elif op == "unpin":
+            # Drop the plan's views first, then close the mappings no
+            # other pinned plan still reads: a retired dispatch's
+            # segments are unlinked by the parent, and a mapping kept
+            # here would hold its memory and two fds for good.
             plans.pop(msg[1], None)
             plan_outs.pop(msg[1], None)
+            stale = plan_segs.pop(msg[1], set())
+            for segment in stale.difference(*plan_segs.values()):
+                _detach(segment)
             ctl.send(("ok", msg[1]))
         elif op == "ping":
             ctl.send(("pong", worker_id, len(plans)))
@@ -414,20 +419,6 @@ class _RingDispatcher:
                 self._control(w, ("unpin", plan_id))
             except (DaemonError, OSError, EOFError):
                 pass
-
-    def update_consts(self, plan_id: int, consts_list) -> None:
-        """Replace a pinned plan's per-slab constants (small pickle on
-        the control channel; array payloads never travel this way)."""
-        self._check_alive()
-        if plan_id not in self._plans:
-            raise DaemonError(f"plan {plan_id} is not pinned")
-        for w in range(self.n_workers):
-            consts = [c for i, c in enumerate(consts_list)
-                      if self._worker_of(i) == w]
-            reply = self._control(w, ("consts", plan_id, consts))
-            if reply[0] != "ok":
-                raise DaemonError(
-                    f"worker {w} rejected consts update: {reply}")
 
     def unpin(self, plan_id: int) -> None:
         """Retire a pinned plan (idempotent; tolerates a daemon that
@@ -851,7 +842,7 @@ def serve(n_workers: int | None = None, state_path: str | None = None,
     Writes the state file, opens the Unix control socket, and serves
     one pickled request per connection: ``ping``/``status``/``stop``
     plus the setup-plane ops a remote client needs (``pin``,
-    ``consts``, ``unpin``, ``rings``).  Steady-state dispatch never
+    ``unpin``, ``rings``).  Steady-state dispatch never
     touches the socket — attached clients write the rings directly.
     """
     install_signal_guards()
@@ -938,10 +929,6 @@ def _serve_one(daemon: SlabDaemon, conn) -> bool:
             fn, specs, consts_list, slabs, outputs = payload
             reply = daemon.pin(fn, specs, consts_list, slabs,
                                outputs=outputs)
-        elif op == "consts":
-            plan_id, consts_list = payload
-            daemon.update_consts(plan_id, consts_list)
-            reply = plan_id
         elif op == "unpin":
             daemon.unpin(payload)
             reply = payload
@@ -979,7 +966,7 @@ def _serve_one(daemon: SlabDaemon, conn) -> bool:
 class DaemonClient(_RingDispatcher):
     """Attach to a CLI-started standing daemon from another process.
 
-    Control-plane calls (pin/unpin/consts/status) go over the Unix
+    Control-plane calls (pin/unpin/status) go over the Unix
     socket; steady-state dispatch writes the daemon's rings directly —
     the daemon process never touches a descriptor the client submits.
     One dispatching client at a time (SPSC rings).
@@ -1041,9 +1028,6 @@ class DaemonClient(_RingDispatcher):
         self._plans[plan_id] = len(slabs)
         self._plan_outs[plan_id] = output_set_id(outputs)
         return plan_id
-
-    def update_consts(self, plan_id: int, consts_list) -> None:
-        _sock_call(self._sock_path, "consts", (plan_id, list(consts_list)))
 
     def unpin(self, plan_id: int) -> None:
         if self._plans.pop(plan_id, None) is None:

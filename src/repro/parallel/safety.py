@@ -106,12 +106,13 @@ def validate_outputs_schema(outputs, writes) -> tuple:
 
 def validate_write_plan(slabs, n: int, *, sliced: dict, shared: dict,
                         writes, consts: dict, outputs=None) -> None:
-    """Full pre-dispatch write-safety check for one ``map_shm`` call.
+    """Full write-safety check for one slab dispatch.
 
-    Called by :meth:`~repro.parallel.slab.SlabExecutor.map_shm` on every
-    backend (the race is a property of the plan, not of the pool), so a
-    bad dispatch fails identically under serial, thread and process
-    execution — before any slab task starts.
+    Run once per compile (:func:`freeze_write_plan`, so also once per
+    ``map_shm`` one-shot) on every backend — the race is a property of
+    the plan, not of the pool — so a bad dispatch fails identically
+    under serial, thread, process and daemon execution, before any slab
+    task starts.
     """
     writes = tuple(writes)
     if outputs is not None:

@@ -4,7 +4,7 @@ The thread backend hands workers zero-copy views into the caller's
 arrays; a process pool cannot, so this module provides the next-best
 contract — **copy once, slice many**.  The parent stages each named
 array into a persistent :mod:`multiprocessing.shared_memory` segment
-(one ``memcpy`` per dispatch, reused across calls), and every worker
+(one ``memcpy`` per run of a compiled dispatch), and every worker
 maps the segment and slices its slab as a zero-copy view, exactly as
 the thread backend slices the caller's arrays.  Per-slab task messages
 therefore carry only ``(fn, segment specs, consts, start, stop, slab)``
@@ -15,13 +15,18 @@ from its shared address space.
 Layout of a dispatch
 --------------------
 * :class:`ShmArena` (parent side) owns named segments keyed by array
-  *role*.  Segments grow geometrically and are reused across calls and
-  kernels; close/unlink happens once, when the owning executor closes.
+  *role*.  Every compiled dispatch stages into roles of its own, kept
+  for as long as the dispatch lives — across all its runs — and
+  released (closed and unlinked) when it retires; a one-shot therefore
+  leaves no segment behind.  Whatever is still staged is unlinked when
+  the owning executor closes.
 * :class:`ArraySpec` describes one staged array: segment name, shape,
   dtype, and whether workers slice it per slab (``sliced``) or read it
   whole (shared inputs like a common random stream).
 * :func:`run_slab_task` (worker side) attaches segments through a
-  per-process cache — each worker maps each segment generation once —
+  bounded per-process cache — a pool worker maps a live dispatch's
+  segments once and forgets the least recently used beyond
+  :data:`_ATTACH_LIMIT`; daemon workers map at pin and unmap at unpin —
   rebuilds the NumPy views and calls the kernel's slab function.
 
 Workers attach existing segments; they never create or unlink.  On
@@ -95,11 +100,12 @@ class ArraySpec:
 class ShmArena:
     """Parent-side pool of named shared-memory segments.
 
-    Segments are keyed by *role* (the kernel's array name); a role's
-    segment persists across dispatches and kernels, growing
-    geometrically when a workload needs more room — so steady-state
-    benchmarking allocates nothing.  The arena owns every segment it
-    creates: :meth:`close` closes and unlinks them all.
+    Segments are keyed by *role* (a compiled dispatch's tag plus the
+    kernel's array name); a role's segment persists until
+    :meth:`release`, growing geometrically if re-staged larger — so
+    the runs of a compiled dispatch allocate nothing.  The arena owns
+    every segment it creates: :meth:`close` closes and unlinks them
+    all.
     """
 
     def __init__(self):
@@ -202,24 +208,39 @@ class ShmArena:
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-process attach cache: segment name -> SharedMemory.  Keyed by the
-#: full (generation-bearing) name, so a grown segment is re-attached
-#: exactly once and its predecessor is evicted.
+#: Per-process attach cache: segment name -> SharedMemory, least
+#: recently used first.  Keyed by the full (generation-bearing) name, so
+#: a grown segment is re-attached exactly once and its predecessor is
+#: evicted.
 _ATTACHED: dict = {}
+
+#: Most mappings a pool worker keeps between tasks.  Every compiled
+#: dispatch stages into roles of its own and pool workers are never told
+#: when one retires, so without a bound each retired dispatch would
+#: strand one mapping (two fds) per staged array in every worker.
+_ATTACH_LIMIT = 64
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
-    shm = _ATTACHED.get(name)
-    if shm is not None:
-        return shm
-    # Evict stale generations of the same role so long-lived workers do
-    # not accumulate dead mappings.
-    prefix = name.rsplit(_GEN_SEP, 1)[0] + _GEN_SEP
-    for stale in [n for n in _ATTACHED if n.startswith(prefix)]:
-        _ATTACHED.pop(stale).close()
-    shm = _untracked_attach(name)
-    _ATTACHED[name] = shm
+    shm = _ATTACHED.pop(name, None)
+    if shm is None:
+        # Evict stale generations of the same role so long-lived
+        # workers do not accumulate dead mappings.
+        prefix = name.rsplit(_GEN_SEP, 1)[0] + _GEN_SEP
+        for stale in [n for n in _ATTACHED if n.startswith(prefix)]:
+            _ATTACHED.pop(stale).close()
+        shm = _untracked_attach(name)
+    _ATTACHED[name] = shm             # (re-)insert: most recently used
     return shm
+
+
+def _detach(name: str) -> None:
+    """Close and forget one attached segment (no-op when not attached).
+    The caller must hold no view of it: NumPy views do not keep a
+    mapping alive."""
+    shm = _ATTACHED.pop(name, None)
+    if shm is not None:
+        shm.close()
 
 
 def run_slab_task(fn, specs: dict, consts: dict, a: int, b: int,
@@ -238,4 +259,10 @@ def run_slab_task(fn, specs: dict, consts: dict, a: int, b: int,
         shm = _attach(spec.segment)
         arr = np.ndarray(spec.shape, dtype=spec.dtype, buffer=shm.buf)
         arrays[name] = arr[a:b] if spec.sliced else arr
-    return fn(arrays, consts, a, b, slab)
+    try:
+        return fn(arrays, consts, a, b, slab)
+    finally:
+        # Task views die with this frame, so the least recently used
+        # mappings beyond the bound can be closed here — never mid-task.
+        while len(_ATTACHED) > max(_ATTACH_LIMIT, len(specs)):
+            _detach(next(iter(_ATTACHED)))

@@ -8,7 +8,11 @@ the same sizing :func:`repro.kernels.brownian.default_block_paths`
 applies to bridges) — and dispatches whole slabs to a **persistent**
 worker pool.
 
-Four backends share one slab plan:
+Four backends share one slab plan, and one dispatch body: every
+dispatch is *compiled* (:meth:`SlabExecutor.compile_shm` — plan,
+validate, build per-slab views, stage, pin) into a
+:class:`CompiledDispatch` and then *run*; a one-shot
+(:meth:`SlabExecutor.map_shm`) is compile, run once, retire.
 
 * ``serial`` — in-caller execution, the timing baseline.
 * ``thread`` — a reusable :class:`ThreadPoolExecutor`.  NumPy ufuncs
@@ -20,16 +24,15 @@ Four backends share one slab plan:
   hot Python portions of a slab kernel — loop control, small-slab
   dispatch, generator state — hold the GIL, so thread scaling tops out
   well below the core count; worker processes sidestep the GIL
-  entirely.  Arrays are staged into shared segments once per dispatch
-  and sliced by workers as views (*copy once, slice many*); per-slab
-  task messages never carry array data.
+  entirely.  Arrays are staged into shared segments once per compiled
+  dispatch and sliced by workers as views (*copy once, slice many*);
+  per-slab task messages never carry array data.
 * ``daemon`` — the standing-worker refinement of ``process``
-  (:mod:`.daemon`): workers start once, attach the arena segments
-  once, pin each dispatch once (the only pickling, at setup), and
-  steady-state calls move only fixed-size slab descriptors through
-  shared-memory rings (:mod:`.ring`) — zero pickling and zero
-  executor-queue hops per call, which is what keeps dispatch overhead
-  flat as worker counts grow.
+  (:mod:`.daemon`): workers start once, each compiled dispatch is
+  pinned once (the only pickling, at compile time), and every run
+  moves only fixed-size slab descriptors through shared-memory rings
+  (:mod:`.ring`) — zero pickling and zero executor-queue hops per run,
+  which is what keeps dispatch overhead flat as worker counts grow.
 
 Determinism contract
 --------------------
@@ -45,13 +48,17 @@ by digest.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .partition import slab_ranges
-from .safety import freeze_write_plan, validate_write_plan
+from .safety import freeze_write_plan
+from .shm import ShmArena, run_slab_task
 
 #: Execution backends: in-caller, GIL-releasing thread pool,
 #: shared-memory process pool, or the standing worker daemon with
@@ -62,11 +69,6 @@ BACKENDS = ("serial", "thread", "process", "daemon")
 #: Backends whose workers live in another address space: arrays travel
 #: through shared-memory segments and slab bodies must be picklable.
 OUT_OF_PROCESS_BACKENDS = ("process", "daemon")
-
-#: Cap on distinct ``map_shm`` signatures a daemon executor keeps
-#: pinned at once; least-recently-used pins are retired (and their
-#: segments released) beyond it.
-DAEMON_MAP_PINS = 32
 
 #: Fallback LLC size when sysfs is unreadable — matches the generic
 #: 8 MiB L3 that :func:`repro.arch.host.calibrate_host` assumes.
@@ -90,9 +92,10 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 MEASURED_CROSSOVER_BYTES = 1 << 21
 
 #: Sequence for per-compiled-dispatch shared-memory role prefixes, so
-#: two compiled plans never share (and never re-grow) each other's
-#: segments.
-_COMPILE_SEQ = 0
+#: two compiled dispatches never share (and never re-grow) each other's
+#: segments.  ``next()`` on a count is atomic, so concurrent one-shots
+#: from several threads still draw distinct prefixes.
+_COMPILE_SEQ = itertools.count(1)
 
 
 def host_llc_bytes(default: int = DEFAULT_LLC_BYTES) -> int:
@@ -183,8 +186,9 @@ class SlabExecutor:
 
     The pool is created lazily on the first pooled dispatch and
     **reused across calls** until :meth:`close` (or context-manager
-    exit) — no per-call pool churn.  The process backend's shared
-    segments are likewise pooled and reused across dispatches.
+    exit) — no per-call pool churn.  Shared segments and daemon pins
+    belong to a :class:`CompiledDispatch` and live exactly as long as
+    it does.
     """
 
     def __init__(self, backend: str = "thread", n_workers: int | None = None,
@@ -218,8 +222,6 @@ class SlabExecutor:
         self._arena = None         # ShmArena (process/daemon backends)
         self._daemon = None        # SlabDaemon | DaemonClient
         self._owns_daemon = False
-        self._map_pins = {}        # map_shm signature -> pinned entry
-        self._map_pin_seq = 0
         self._live_dispatches = []  # CompiledDispatch registry (close)
         self._closed = False
         if attach:
@@ -258,7 +260,6 @@ class SlabExecutor:
         if self._closed:
             raise ConfigurationError("executor is closed")
         if self._arena is None:
-            from .shm import ShmArena
             self._arena = ShmArena()
         return self._arena
 
@@ -297,9 +298,6 @@ class SlabExecutor:
         for dispatch in list(self._live_dispatches):
             dispatch.close()
         if self._daemon is not None:
-            for entry in self._map_pins.values():
-                self._daemon.unpin(entry["plan_id"])
-            self._map_pins.clear()
             if self._owns_daemon:
                 self._daemon.stop()
             else:
@@ -357,59 +355,31 @@ class SlabExecutor:
         return 0 < n * bytes_per_item < self.min_parallel_bytes
 
     # -- dispatch ------------------------------------------------------
-    def map_slabs(self, fn, n: int, bytes_per_item: int = 8):
-        """Run ``fn(start, stop, slab_index)`` over the slab plan.
-
-        Returns the per-slab results in slab order (kernels that write
-        through views into preallocated outputs return ``None``).
-        Pooled dispatch submits every slab to the persistent pool —
-        workers pull slabs dynamically, so uneven slab costs balance.
-
-        On the ``process`` backend ``fn`` must be picklable (a
-        module-level function); array-closure kernels should use
-        :meth:`map_shm`, which stages arrays through shared memory.
-        The ``daemon`` backend refuses this method outright: standing
-        workers execute *pinned* dispatches, and a bare
-        ``fn(start, stop, slab)`` callable has no arrays to pin — use
-        :meth:`map_shm`/:meth:`compile_shm`, the structured shape every
-        registered kernel already speaks.
-        """
-        if self._closed:
-            raise ConfigurationError("executor is closed")
-        if self.backend == "daemon":
-            raise ConfigurationError(
-                "map_slabs cannot run on the daemon backend (nothing to "
-                "pin); dispatch through map_shm or compile_shm")
-        slabs = self.plan(n, bytes_per_item)
-        if (self.backend == "serial" or len(slabs) <= 1
-                or self.inline(n, bytes_per_item)):
-            return [fn(a, b, i) for i, (a, b) in enumerate(slabs)]
-        pool = self._get_pool()
-        futures = [pool.submit(fn, a, b, i)
-                   for i, (a, b) in enumerate(slabs)]
-        return [f.result() for f in futures]
-
     def map_shm(self, fn, n: int, bytes_per_item: int = 8, *,
                 sliced: dict | None = None, shared: dict | None = None,
                 writes=(), consts: dict | None = None, per_slab=None,
                 outputs: dict | None = None):
-        """Structured slab dispatch: the backend-portable kernel shape.
+        """Structured slab dispatch, one-shot: compile, run once,
+        retire.  Returns the per-slab results in slab order (kernels
+        that write through views return ``None`` per slab).
 
         ``fn(arrays, consts, start, stop, slab_index)`` receives a dict
         of NumPy views — ``sliced`` entries cut ``[start:stop]`` along
         axis 0, ``shared`` entries whole — plus the merged constants.
         On the ``serial``/``thread`` backends the views alias the
         caller's arrays directly (zero-copy, results land in place); on
-        the ``process`` backend inputs are staged once into shared
+        the out-of-process backends inputs are staged into shared
         segments, workers slice views of those segments, and arrays
         named in ``writes`` are copied back into the caller's buffers
-        after the last slab completes.  The ``daemon`` backend goes one
-        step further: the first call with a given structural signature
-        pins the dispatch on the standing workers, and every repeat
-        call is pure ring-descriptor traffic (see :meth:`_map_daemon`).
-        Because every backend runs the same ``fn`` over the same plan
-        with the same values, results are bit-identical across
-        backends.
+        after the last slab completes.  Because every backend runs the
+        same ``fn`` over the same plan with the same values, results
+        are bit-identical across backends.
+
+        The dispatch is a :class:`CompiledDispatch` that lives for this
+        call only: nothing stays staged or pinned afterwards, and
+        ``per_slab`` constants (stateful stream objects) are built
+        fresh every call.  Callers that repeat a same-shape dispatch
+        should :meth:`compile_shm` once and ``run()`` many times.
 
         Parameters
         ----------
@@ -422,11 +392,12 @@ class SlabExecutor:
         writes:
             Names (from ``sliced``/``shared``) the kernel writes.
             Treated as write-only: their prior contents are not staged
-            to workers on the process backend.  Checked before dispatch
-            by :func:`.safety.validate_write_plan`: written arrays must
-            be ``sliced`` whenever the plan has more than one slab,
-            must not alias each other, and must not double as ``consts``
-            names — violations raise before any slab task runs.
+            to workers on the out-of-process backends.  Checked before
+            dispatch by :func:`.safety.validate_write_plan`: written
+            arrays must be ``sliced`` whenever the plan has more than
+            one slab, must not alias each other, and must not double as
+            ``consts`` names — violations raise before any slab task
+            runs.
         consts:
             Small picklable extras (scalars, schedules, seeds).
         per_slab:
@@ -446,179 +417,40 @@ class SlabExecutor:
             plan's contract.
 
         ``fn`` must be a module-level (picklable) function for the
-        process backend; the other backends accept any callable.
+        out-of-process backends; the other backends accept any
+        callable.
         """
-        if self._closed:
-            raise ConfigurationError("executor is closed")
-        sliced = dict(sliced or {})
-        shared = dict(shared or {})
-        consts = dict(consts or {})
-        for name, arr in sliced.items():
-            if arr.shape[0] != n:
-                raise ConfigurationError(
-                    f"sliced array {name!r} has leading dimension "
-                    f"{arr.shape[0]}, expected {n}")
-        unknown = [w for w in writes if w not in sliced and w not in shared]
-        if unknown:
-            raise ConfigurationError(
-                f"writes names {unknown} not among the dispatched arrays")
-        slabs = self.plan(n, bytes_per_item)
-        # Write-race detector: a bad plan or declaration fails here, on
-        # every backend, before any slab task is submitted.
-        validate_write_plan(slabs, n, sliced=sliced, shared=shared,
-                            writes=writes, consts=consts, outputs=outputs)
-
-        inline = self.inline(n, bytes_per_item)
-        if not self.out_of_process or len(slabs) <= 1 or inline:
-            def call(a, b, i):
-                arrays = {k: v[a:b] for k, v in sliced.items()}
-                arrays.update(shared)
-                c = (consts if per_slab is None
-                     else {**consts, **per_slab(a, b, i)})
-                return fn(arrays, c, a, b, i)
-
-            if self.backend != "thread" or len(slabs) <= 1 or inline:
-                return [call(a, b, i) for i, (a, b) in enumerate(slabs)]
-            pool = self._get_pool()
-            futures = [pool.submit(call, a, b, i)
-                       for i, (a, b) in enumerate(slabs)]
-            return [f.result() for f in futures]
-
-        if self.backend == "daemon":
-            return self._map_daemon(fn, slabs, sliced=sliced,
-                                    shared=shared, writes=writes,
-                                    consts=consts, per_slab=per_slab,
-                                    n=n, bytes_per_item=bytes_per_item,
-                                    outputs=outputs)
-
-        from .shm import run_slab_task
-        arena = self._get_arena()
-        pool = self._get_pool()
-        specs = {}
-        for name, arr in sliced.items():
-            spec = arena.stage(name, arr, copy=name not in writes)
-            spec.sliced = True
-            specs[name] = spec
-        for name, arr in shared.items():
-            specs[name] = arena.stage(name, arr, copy=name not in writes)
-        futures = []
-        for i, (a, b) in enumerate(slabs):
-            c = consts if per_slab is None else {**consts,
-                                                 **per_slab(a, b, i)}
-            futures.append(pool.submit(run_slab_task, fn, specs, c,
-                                       a, b, i))
-        results = [f.result() for f in futures]
-        for name in writes:
-            target = sliced.get(name, shared.get(name))
-            import numpy as np
-            np.copyto(target, arena.view(specs[name]))
-        return results
-
-    def _map_daemon(self, fn, slabs, *, sliced, shared, writes, consts,
-                    per_slab, n, bytes_per_item, outputs=None):
-        """The daemon backend's ``map_shm`` body: pin-once, replay-many.
-
-        The first call with a given structural signature — function,
-        plan inputs, array names/shapes/dtypes, write set — stages the
-        arrays into roles private to that signature and **pins** the
-        dispatch on the standing workers (the only pickling).  Repeat
-        calls refresh input contents in place, push slab descriptors,
-        and copy writes back: zero pickling, zero queue hops.  Merged
-        per-slab constants are re-sent over the control pipes only when
-        they can have changed (``per_slab`` present — stream objects
-        are stateful — or the pickled constants differ).  At most
-        :data:`DAEMON_MAP_PINS` signatures stay pinned; beyond that the
-        least-recently-used pin is retired and its segments released.
-        """
-        import pickle as _pickle
-
-        import numpy as np
-
-        daemon = self._get_daemon()
-        arena = self._get_arena()
-        output_names = tuple(outputs) if outputs else ()
-        sig = (fn, n, bytes_per_item,
-               tuple((nm, arr.shape, arr.dtype.str)
-                     for nm, arr in sliced.items()),
-               tuple((nm, arr.shape, arr.dtype.str)
-                     for nm, arr in shared.items()),
-               tuple(writes), output_names)
-        consts_list = [
-            consts if per_slab is None else {**consts, **per_slab(a, b, i)}
-            for i, (a, b) in enumerate(slabs)
-        ]
-        digest = (None if per_slab is not None else
-                  _pickle.dumps(consts_list,
-                                protocol=_pickle.HIGHEST_PROTOCOL))
-        entry = self._map_pins.pop(sig, None)
-        if entry is None:
-            while len(self._map_pins) >= DAEMON_MAP_PINS:
-                old = self._map_pins.pop(next(iter(self._map_pins)))
-                daemon.unpin(old["plan_id"])
-                for role in old["roles"]:
-                    arena.release(role)
-            self._map_pin_seq += 1
-            prefix = f"mp{self._map_pin_seq}"
-            specs = {}
-            copy_in = []
-            copy_back = []
-            for name, arr in sliced.items():
-                spec = arena.stage(f"{prefix}.{name}", arr, copy=False)
-                spec.sliced = True
-                specs[name] = spec
-                (copy_back if name in writes else copy_in).append(
-                    (name, arena.view(spec)))
-            for name, arr in shared.items():
-                spec = arena.stage(f"{prefix}.{name}", arr, copy=False)
-                specs[name] = spec
-                (copy_back if name in writes else copy_in).append(
-                    (name, arena.view(spec)))
-            try:
-                plan_id = daemon.pin(fn, specs, consts_list, slabs,
-                                     outputs=output_names)
-            except Exception:
-                # A refused pin must not strand the roles staged above:
-                # no entry records them, so nothing would ever release
-                # the arena segments.
-                for nm in specs:
-                    arena.release(f"{prefix}.{nm}")
-                raise
-            entry = {"plan_id": plan_id, "prefix": prefix,
-                     "roles": [f"{prefix}.{nm}" for nm in specs],
-                     "copy_in": copy_in, "copy_back": copy_back,
-                     "digest": digest}
-        elif per_slab is not None or entry["digest"] != digest:
-            # Stream objects are stateful (workers advance them while
-            # drawing), so per_slab constants are re-pinned every call —
-            # exactly what a fresh map_shm gives the other backends.
-            daemon.update_consts(entry["plan_id"], consts_list)
-            entry["digest"] = digest
-        self._map_pins[sig] = entry    # (re-)insert: LRU order
-        for name, view in entry["copy_in"]:
-            np.copyto(view, sliced.get(name, shared.get(name)))
-        results = daemon.dispatch(entry["plan_id"])
-        for name, view in entry["copy_back"]:
-            np.copyto(sliced.get(name, shared.get(name)), view)
-        return results
+        dispatch = self._compile(
+            fn, n, bytes_per_item, self.plan(n, bytes_per_item),
+            sliced=sliced, shared=shared, writes=writes, consts=consts,
+            per_slab=per_slab, outputs=outputs, tag="once")
+        try:
+            return dispatch.run()
+        finally:
+            dispatch.close()
 
     def compile_shm(self, fn, n: int, bytes_per_item: int = 8, *,
                     sliced: dict | None = None, shared: dict | None = None,
                     writes=(), consts: dict | None = None, per_slab=None,
                     outputs: dict | None = None,
                     tag: str | None = None) -> "CompiledDispatch":
-        """Compile one :meth:`map_shm` call for zero-setup replay.
+        """Compile one slab dispatch for zero-setup replay.
 
-        Same contract and parameters as :meth:`map_shm`, but everything
-        per-dispatch is paid **once**, here: the slab plan, the
-        write-plan validation (:func:`.safety.freeze_write_plan`), the
-        per-slab view dicts, the merged ``per_slab`` constants (RNG
-        streams, pre-sliced object lists) and — on the process backend —
-        the shared-segment staging.  The returned
+        Same contract and parameters as :meth:`map_shm` (plus ``tag``,
+        a readable prefix for the dispatch's shared-memory roles), but
+        everything per-dispatch is paid **once**, here: the slab plan,
+        the write-plan validation (:func:`.safety.freeze_write_plan`),
+        the per-slab view dicts, the merged ``per_slab`` constants (RNG
+        streams, pre-sliced object lists) and — out of process — the
+        shared-segment staging and the daemon pin.  The returned
         :class:`CompiledDispatch`'s :meth:`~CompiledDispatch.run`
         replays the dispatch against the *same array objects*: callers
         refresh contents in place (``np.copyto``) between runs, never
-        rebind.  This is the slab engine's half of the plan layer's
-        zero-allocation contract.
+        rebind.  The caller owns the handle and must
+        :meth:`~CompiledDispatch.close` it (plans do so through
+        :meth:`repro.plan.WorkspaceArena.adopt`); executor close
+        retires whatever is still live.  This is the slab engine's half
+        of the plan layer's zero-allocation contract.
         """
         return self._compile(
             fn, n, bytes_per_item, self.plan(n, bytes_per_item),
@@ -643,7 +475,6 @@ class SlabExecutor:
     def _compile(self, fn, n, bytes_per_item, slabs, *, sliced=None,
                  shared=None, writes=(), consts=None, per_slab=None,
                  outputs=None, tag=None) -> "CompiledDispatch":
-        global _COMPILE_SEQ
         if self._closed:
             raise ConfigurationError("executor is closed")
         sliced = dict(sliced or {})
@@ -661,17 +492,16 @@ class SlabExecutor:
         plan = freeze_write_plan(slabs, n, sliced=sliced, shared=shared,
                                  writes=writes, consts=consts,
                                  outputs=outputs)
-        _COMPILE_SEQ += 1
         # The caller's tag is a readable prefix; the sequence keeps
         # roles unique so no two compiled dispatches share segments.
         dispatch = CompiledDispatch(
             self, fn, plan, sliced=sliced, shared=shared, writes=writes,
             consts=consts, per_slab=per_slab,
             inline=self.inline(n, bytes_per_item),
-            tag=f"{tag or 'cd'}{_COMPILE_SEQ}")
-        # Registered so executor close — and plan-cache eviction, which
-        # closes the owning ExecutionPlan — retires daemon pins and
-        # releases staged segments deterministically.
+            tag=f"{tag or 'cd'}{next(_COMPILE_SEQ)}")
+        # The caller owns the handle and closes it; this registry only
+        # lets executor close retire whatever is still live (daemon
+        # pins, staged segments) deterministically.
         self._live_dispatches.append(dispatch)
         return dispatch
 
@@ -695,16 +525,19 @@ class SlabExecutor:
 
 
 class CompiledDispatch:
-    """One :meth:`SlabExecutor.map_shm` call, compiled for replay.
+    """One slab dispatch, compiled for replay — the only code that
+    slices per-slab views, stages arena roles, submits to a pool or
+    pins a daemon plan.
 
-    Built by :meth:`SlabExecutor.compile_shm`; holds the frozen
-    :class:`~.safety.WritePlan`, the prebuilt per-slab views and merged
-    constants, and (process backend) the staged shared segments with
-    their parent-side copy-in/copy-back views.  :meth:`run` replays the
-    dispatch with no validation, no staging and no array allocation in
-    the parent — the caller refreshes input contents in place between
-    runs.  Results are bit-identical to the equivalent ``map_shm`` call:
-    same plan, same values, same functions.
+    Built by :meth:`SlabExecutor.compile_shm`/``compile_lanes``; holds
+    the frozen :class:`~.safety.WritePlan`, the prebuilt per-slab views
+    and merged constants, and (out of process) the staged shared
+    segments with their parent-side copy-in/copy-back views and the
+    daemon pin.  :meth:`run` replays the dispatch with no validation,
+    no staging and no array allocation in the parent — the caller
+    refreshes input contents in place between runs.  :meth:`close`
+    retires it; :meth:`SlabExecutor.map_shm` is exactly
+    compile → ``run()`` → ``close()``.
     """
 
     def __init__(self, executor: SlabExecutor, fn, plan, *, sliced: dict,
@@ -719,15 +552,13 @@ class CompiledDispatch:
             consts if per_slab is None else {**consts, **per_slab(a, b, i)}
             for i, (a, b) in enumerate(slabs)
         ]
-        pooled_oop = (executor.out_of_process
-                      and len(slabs) > 1 and not inline)
-        self._pooled_process = pooled_oop and executor.backend == "process"
-        self._pooled_daemon = pooled_oop and executor.backend == "daemon"
-        self._pooled_thread = (executor.backend == "thread"
-                               and len(slabs) > 1 and not inline)
+        pooled = len(slabs) > 1 and not inline
+        self._pooled_thread = pooled and executor.backend == "thread"
         self._plan_id = None
         self._retired = False
-        if not pooled_oop:
+        self._specs = None
+        self._copy_in = self._copy_back = ()
+        if not (pooled and executor.out_of_process):
             # In-caller and thread paths call fn on prebuilt views into
             # the caller's arrays — zero-copy, results land in place.
             self._tasks = []
@@ -735,9 +566,6 @@ class CompiledDispatch:
                 arrays = {k: v[a:b] for k, v in sliced.items()}
                 arrays.update(shared)
                 self._tasks.append((arrays, self._consts[i], a, b, i))
-            self._specs = None
-            self._copy_in = ()
-            self._copy_back = ()
             return
         # Out-of-process backends: stage every array once, into roles
         # unique to this compiled dispatch (so no other dispatch
@@ -745,45 +573,34 @@ class CompiledDispatch:
         # remember the parent views for per-run input refresh and write
         # copy-back.
         arena = executor._get_arena()
-        import numpy as np
-        self._np = np
-        specs = {}
-        copy_in = []
-        copy_back = []
-        for name, arr in sliced.items():
-            spec = arena.stage(f"{tag}.{name}", arr, copy=False)
-            spec.sliced = True
-            specs[name] = spec
-            if name in writes:
-                copy_back.append((arr, arena.view(spec)))
-            else:
-                copy_in.append((arena.view(spec), arr))
-        for name, arr in shared.items():
-            spec = arena.stage(f"{tag}.{name}", arr, copy=False)
-            specs[name] = spec
-            if name in writes:
-                copy_back.append((arr, arena.view(spec)))
-            else:
-                copy_in.append((arena.view(spec), arr))
+        specs, copy_in, copy_back = {}, [], []
+        try:
+            for name, arr in {**sliced, **shared}.items():
+                spec = specs[name] = arena.stage(f"{tag}.{name}", arr,
+                                                 copy=False)
+                spec.sliced = name in sliced
+                if name in writes:
+                    copy_back.append((arr, arena.view(spec)))
+                else:
+                    copy_in.append((arena.view(spec), arr))
+            if executor.backend == "daemon":
+                # Pin once — the only pickle this dispatch ever pays;
+                # every run() is then pure descriptor traffic.
+                self._plan_id = executor._get_daemon().pin(
+                    fn, specs, self._consts, slabs,
+                    outputs=plan.output_names)
+        except Exception:
+            # Half-built dispatch: nothing holds a reference yet, so
+            # close() would never run — release the roles staged so far
+            # here or they leak for the arena's lifetime.
+            for name in specs:
+                arena.release(f"{tag}.{name}")
+            raise
         self._specs = specs
         self._copy_in = tuple(copy_in)
         self._copy_back = tuple(copy_back)
         self._tasks = [(self._consts[i], a, b, i)
                        for i, (a, b) in enumerate(slabs)]
-        if self._pooled_daemon:
-            # Pin once — the only pickle this dispatch ever pays; every
-            # run() is then pure descriptor traffic.
-            try:
-                self._plan_id = executor._get_daemon().pin(
-                    fn, specs, self._consts, slabs,
-                    outputs=plan.output_names)
-            except Exception:
-                # Half-built dispatch: nothing holds a reference yet,
-                # so close() would never run — release the roles staged
-                # above here or they leak for the arena's lifetime.
-                for name in specs:
-                    arena.release(f"{tag}.{name}")
-                raise
 
     @property
     def n_slabs(self) -> int:
@@ -797,24 +614,20 @@ class CompiledDispatch:
         if self._retired:
             raise ConfigurationError(
                 f"compiled dispatch {self.tag} is closed")
-        if self._pooled_daemon:
+        if self._specs is not None:
             for view, src in self._copy_in:
-                self._np.copyto(view, src)
-            results = self.executor._get_daemon().dispatch(self._plan_id)
+                np.copyto(view, src)
+            if self._plan_id is not None:
+                results = self.executor._get_daemon().dispatch(
+                    self._plan_id)
+            else:
+                pool = self.executor._get_pool()
+                futures = [pool.submit(run_slab_task, self.fn,
+                                       self._specs, c, a, b, i)
+                           for c, a, b, i in self._tasks]
+                results = [f.result() for f in futures]
             for target, view in self._copy_back:
-                self._np.copyto(target, view)
-            return results
-        if self._pooled_process:
-            from .shm import run_slab_task
-            for view, src in self._copy_in:
-                self._np.copyto(view, src)
-            pool = self.executor._get_pool()
-            futures = [pool.submit(run_slab_task, self.fn, self._specs,
-                                   c, a, b, i)
-                       for c, a, b, i in self._tasks]
-            results = [f.result() for f in futures]
-            for target, view in self._copy_back:
-                self._np.copyto(target, view)
+                np.copyto(target, view)
             return results
         if self._pooled_thread:
             pool = self.executor._get_pool()
@@ -827,8 +640,9 @@ class CompiledDispatch:
     def close(self) -> None:
         """Retire the dispatch (idempotent): unpin it from the standing
         workers and release its private shared segments.  Called by
-        plan eviction (:meth:`repro.plan.plan.ExecutionPlan.close`) and
-        by executor close; in-caller/thread dispatches hold no external
+        whoever compiled it — a one-shot's ``finally``, plan close and
+        eviction (:meth:`repro.plan.WorkspaceArena.close`) — and by
+        executor close; in-caller/thread dispatches hold no external
         resources, so for them this only marks the dispatch closed."""
         if self._retired:
             return

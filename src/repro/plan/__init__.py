@@ -25,7 +25,8 @@ calls — the serving steady state — hit warm plans automatically.
 from .arena import WorkspaceArena
 from .audit import AllocationAudit, audit_allocations
 from .cache import PlanCache, default_cache, shape_key
-from .plan import ExecutionPlan, cached_plan, compile_plan, plan_key
+from .plan import (ExecutionPlan, cached_plan, compile_plan, one_shot,
+                   plan_key)
 
 __all__ = [
     "AllocationAudit",
@@ -36,6 +37,7 @@ __all__ = [
     "cached_plan",
     "compile_plan",
     "default_cache",
+    "one_shot",
     "plan_key",
     "shape_key",
 ]

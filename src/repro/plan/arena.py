@@ -34,6 +34,7 @@ class WorkspaceArena:
     def __init__(self, tag: str = "plan"):
         self.tag = tag
         self._buffers: dict = {}      # name -> ndarray
+        self._dispatches: list = []   # compiled dispatches (see adopt)
         self._frozen = False
 
     # -- reservation (plan-compile time) -------------------------------
@@ -75,6 +76,17 @@ class WorkspaceArena:
         array = np.asarray(array)
         return self.reserve(name, array.shape, array.dtype, fill=fill)
 
+    def adopt(self, dispatch):
+        """Take ownership of a compiled slab dispatch built over this
+        arena's buffers and return it.  A planner hands every
+        :class:`~repro.parallel.slab.CompiledDispatch` it compiles to
+        its arena, so whoever made the arena — an
+        :class:`~.plan.ExecutionPlan`, a one-shot — retires exactly the
+        dispatches its own compile created through :meth:`close`,
+        whatever else is live on a shared executor."""
+        self._dispatches.append(dispatch)
+        return dispatch
+
     # -- lookup (hot path) ---------------------------------------------
     def get(self, name: str) -> np.ndarray:
         try:
@@ -92,6 +104,13 @@ class WorkspaceArena:
         """Seal the reservation phase; returns self for chaining."""
         self._frozen = True
         return self
+
+    def close(self) -> None:
+        """Retire the adopted dispatches (daemon unpin + shared-segment
+        release; idempotent).  The buffers are plain arrays and stay
+        valid — a one-shot's result outlives its arena."""
+        for dispatch in self._dispatches:
+            dispatch.close()
 
     @property
     def frozen(self) -> bool:

@@ -14,10 +14,12 @@ A tier opts in by registering a *planner* alongside its impl
 (:func:`repro.registry.register_impl` ``planner=``).  The planner
 receives ``(payload, executor, arena)`` and returns a zero-argument
 ``runner`` (optionally paired with a ``rebind`` callable) that prices
-the bound payload into arena-owned buffers.  Tiers without a planner
-still compile — the plan wraps the cold ``fn`` and reports
-``planned=False`` — so every registered impl has a uniform ``plan()``
-path and ``run()`` stays the compatibility wrapper.
+the bound payload into arena-owned buffers.  A slab tier has no second
+body: its registered ``fn`` is the one-shot of its planner
+(:func:`one_shot`: compile, run once, retire).  Serial ladder tiers
+without a planner still compile — the plan wraps their ``fn`` and
+reports ``planned=False`` — so every registered impl has a uniform
+``plan()`` path.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class ExecutionPlan:
 
     def __init__(self, *, impl, payload, arena: WorkspaceArena,
                  executor, runner, rebind=None, planned: bool,
-                 owns_executor: bool, key: tuple, dispatches=()):
+                 owns_executor: bool, key: tuple):
         self.impl = impl
         self.payload = payload
         self.arena = arena
@@ -131,7 +133,6 @@ class ExecutionPlan:
         self._runner = runner
         self._rebind = rebind
         self._owns_executor = owns_executor
-        self._dispatches = list(dispatches)
         self.calls = 0
 
     # -- identity ------------------------------------------------------
@@ -175,11 +176,11 @@ class ExecutionPlan:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        # Retire the compiled dispatches this plan created even when
-        # the executor is shared (cache eviction must unpin a daemon
-        # plan and release its segments, not wait for executor close).
-        for dispatch in self._dispatches:
-            dispatch.close()
+        # Retire the compiled dispatches this plan's arena adopted even
+        # when the executor is shared (cache eviction must unpin a
+        # daemon plan and release its segments, not wait for executor
+        # close).
+        self.arena.close()
         if self._owns_executor and self.executor is not None:
             self.executor.close()
 
@@ -222,17 +223,12 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
             f"executor backend {executor.backend!r} does not match "
             f"requested backend {backend!r}")
     arena = WorkspaceArena(tag=impl.label)
-    # Snapshot the executor's compiled-dispatch registry around the
-    # planner so the plan knows exactly which dispatches it created —
-    # close() retires those (daemon unpin + segment release) without
-    # touching dispatches owned by other plans on a shared executor.
-    n_before = len(getattr(executor, "_live_dispatches", ()))
     compiled = impl.plan(payload, executor, arena)
-    dispatches = list(getattr(executor, "_live_dispatches", ())[n_before:])
     rebind = None
     if compiled is None:
-        # No planner registered: the plan still exists (uniform plan()
-        # path) but each run pays the cold fn, flagged for benches.
+        # No planner registered (serial ladder tiers): the plan still
+        # exists (uniform plan() path) but each run calls fn, flagged
+        # for benches.
         def runner(_impl=impl, _p=payload, _ex=executor):
             return np.asarray(_impl.fn(_p, _ex))
         planned = False
@@ -246,8 +242,32 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
     key = plan_key(kernel, tier, backend, executor.n_workers, payload)
     return ExecutionPlan(impl=impl, payload=payload, arena=arena,
                          executor=executor, runner=runner, rebind=rebind,
-                         planned=planned, owns_executor=owns, key=key,
-                         dispatches=dispatches)
+                         planned=planned, owns_executor=owns, key=key)
+
+
+def one_shot(compile_fn, *args, executor=None, **kwargs):
+    """Compile, run once, retire — what a slab tier's plain function
+    (``price_parallel``, ``greeks_tiled_parallel``, …) is.
+
+    ``compile_fn(*args, executor, arena, **kwargs)`` is the tier's
+    ``compile_*`` function, the one place its dispatch is declared.  It
+    compiles against a fresh private arena on ``executor`` (default:
+    the process-wide threaded one), the runner is called once, and the
+    dispatches the compile created are retired whether or not the run
+    raised — nothing stays staged or pinned.  The result lives in the
+    arena's buffers, plain arrays that stay valid after the arena is
+    dropped.
+    """
+    if executor is None:
+        from ..parallel.slab import default_executor
+        executor = default_executor()
+    arena = WorkspaceArena(tag="one-shot")
+    try:
+        compiled = compile_fn(*args, executor, arena, **kwargs)
+        runner = compiled[0] if isinstance(compiled, tuple) else compiled
+        return runner()
+    finally:
+        arena.close()
 
 
 def plan_key(kernel: str, tier: str, backend: str, n_workers: int,

@@ -65,10 +65,13 @@ class KernelImpl:
     ``planner(payload, executor, arena)``, when registered, compiles the
     tier for repeated same-shape calls: it reserves every buffer the
     tier needs in the :class:`~repro.plan.WorkspaceArena`, freezes the
-    slab dispatch, pre-seeds RNG stream state, and returns a
-    zero-argument ``runner`` (optionally ``(runner, rebind)``) that
-    prices the bound payload with zero hot-path array allocations.
-    ``fn`` stays the cold-call compatibility wrapper.
+    slab dispatch (handing it to the arena), pre-seeds RNG stream
+    state, and returns a zero-argument ``runner`` (optionally
+    ``(runner, rebind)``) that prices the bound payload with zero
+    hot-path array allocations.  Every tier registered on a pooled
+    backend has one, and its ``fn`` is the planner's one-shot
+    (:func:`repro.plan.one_shot`: compile, run once, retire) — a slab
+    tier's dispatch is declared in exactly one place.
     """
 
     kernel: str

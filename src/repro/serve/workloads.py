@@ -99,13 +99,16 @@ def make_staging_payload(signature: tuple, width: int) -> dict:
 
 
 def reference_result(request: PricingRequest, executor) -> GatewayResult:
-    """The request priced *alone* through the registered cold ``fn`` —
-    the serial reference every scattered result must digest-match.
+    """The request priced *alone* through the registered ``fn`` — the
+    tier's one-shot (its own compile, one run, retired) — the serial
+    reference every scattered result must digest-match.
 
-    Runs at the request's own width (no canonical bucketing), so a
-    match proves the whole gateway pipeline — packing, canonical
-    padding, fused dispatch, scatter — preserved per-option values
-    exactly.
+    Runs at the request's own width (no canonical bucketing, no plan
+    cache, no rebind), so a match proves the whole gateway pipeline —
+    packing, canonical padding, fused dispatch, scatter — preserved
+    per-option values exactly.  That the kernel itself is right is the
+    reference ladder's job (every slab tier against its kernel's
+    reference tier), not this oracle's.
     """
     adapter = adapter_for(request.kernel, request.tier)
     impl = registry.impl(request.kernel, request.tier, executor.backend)

@@ -215,6 +215,40 @@ class TestR005Scope:
         assert run_rule("R005", text) == []
 
 
+class TestSlabSiteCoverage:
+    """R002/R003/R005 analyse the declarations that serve — the
+    ``compile_shm``/``compile_lanes`` sites — not only one-shots."""
+
+    def test_every_kernel_dispatch_site_is_seen(self):
+        import ast
+        from collections import Counter
+        from pathlib import Path
+
+        import repro.kernels
+        from repro.analysis.slabs import slab_sites
+
+        methods = Counter(
+            site.method
+            for path in Path(repro.kernels.__file__).parent.rglob("*.py")
+            for site in slab_sites(ast.parse(path.read_text())))
+        # 14 slab tiers declare 15 dispatches (the rng pair has one per
+        # address space); three planner-less helpers stay one-shots.
+        assert methods == {"compile_shm": 13, "compile_lanes": 2,
+                           "map_shm": 3}
+
+    @pytest.mark.parametrize("method", ["compile_shm", "compile_lanes"])
+    def test_undeclared_write_at_a_compile_site(self, method):
+        text = FIXTURES["R005"]["bad"].replace("map_shm", method)
+        findings = run_rule("R005", text)
+        assert any("'err'" in f.message and method in f.message
+                   for f in findings), [f.message for f in findings]
+
+    @pytest.mark.parametrize("method", ["compile_shm", "compile_lanes"])
+    def test_closure_body_at_a_compile_site(self, method):
+        text = FIXTURES["R003"]["bad"].replace("map_shm", method)
+        assert len(run_rule("R003", text)) == 2
+
+
 class TestR005Outputs:
     """Multi-output schema checks: outputs= must agree with writes=."""
 

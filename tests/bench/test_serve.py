@@ -1,4 +1,4 @@
-"""Steady-state serving benchmark: structure, digests, rendering."""
+"""Steady-state serving benchmark: structure, audit, rendering."""
 
 import pytest
 
@@ -20,10 +20,9 @@ class TestMeasure:
         assert ({k["kernel"] for k in data["kernels"]}
                 == set(registry.parallel_kernels()))
 
-    def test_every_record_is_planned_and_digest_checked(self, data):
+    def test_every_record_is_planned(self, data):
         for k in data["kernels"]:
             assert k["planned"], k["kernel"]
-            assert k["digest_match"], k["kernel"]
 
     def test_latency_fields_are_ordered(self, data):
         for k in data["kernels"]:
@@ -59,6 +58,6 @@ class TestRender:
         res = steady_state_result(data)
         assert res.exp_id == "steady_state"
         assert len(res.rows) == len(data["kernels"])
-        assert "digest" in res.headers and "audit" in res.headers
+        assert "cold/warm" in res.headers and "audit" in res.headers
         assert any("plan cache" in n for n in res.notes)
         assert any("small-batch" in n for n in res.notes)

@@ -75,13 +75,13 @@ class TestParallelPricing:
         batch = random_batch(10_000, seed=9)
         exact = bs_call(batch.S, batch.X, batch.T, batch.rate, batch.vol)
 
-        def price_slab(a, b, slab):
+        def price_slab(arrays, consts, a, b, slab):
             sub = random_batch(10_000, seed=9)
             repro.price_black_scholes(sub)
             return sub.call[a:b]
 
         with SlabExecutor("thread", n_workers=4) as ex:
-            parts = ex.map_slabs(price_slab, 10_000)
+            parts = ex.map_shm(price_slab, 10_000)
         assert len(parts) == 4
         assert np.allclose(np.concatenate(parts), exact, atol=1e-9)
 

@@ -93,15 +93,15 @@ class TestInlineDispatch:
     def test_inline_never_starts_the_pool(self):
         with SlabExecutor("thread", n_workers=2, slab_bytes=256,
                           min_parallel_bytes=1 << 62) as ex:
-            out = [0.0] * 4
+            out = np.zeros(4)
 
-            def body(a, b, i):
-                for j in range(a, b):
-                    out[j] = float(j)
+            def body(arrays, consts, a, b, i):
+                arrays["out"][:] = np.arange(a, b)
 
-            ex.map_slabs(body, 4, bytes_per_item=64)
+            ex.map_shm(body, 4, bytes_per_item=64, sliced={"out": out},
+                       writes=("out",))
             assert ex._pool is None          # dispatch stayed in-caller
-            assert out == [0.0, 1.0, 2.0, 3.0]
+            assert out.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_pooled_and_inline_results_are_bit_identical(self):
         payload = registry.workload("black_scholes").build(SMOKE_SIZES,
@@ -118,9 +118,8 @@ class TestInlineDispatch:
     def test_inline_uses_the_same_slab_plan(self):
         with SlabExecutor("thread", n_workers=2, slab_bytes=256,
                           min_parallel_bytes=1 << 62) as ex:
-            seen = []
-            ex.map_slabs(lambda a, b, i: seen.append((a, b, i)),
-                         64, bytes_per_item=64)
+            seen = ex.map_shm(lambda arrays, consts, a, b, i: (a, b, i),
+                              64, bytes_per_item=64)
             assert seen == [(a, b, i) for i, (a, b)
                             in enumerate(ex.plan(64, 64))]
             assert len(seen) > 1             # genuinely multi-slab

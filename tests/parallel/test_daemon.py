@@ -1,7 +1,8 @@
 """Standing-daemon tests: serial-identical digests on every registered
-parallel kernel, worker-crash detection with clean shutdown, pin
-reuse/LRU retirement, and the clear-error contract (not-running and
-ring-ABI failures raise, never hang)."""
+parallel kernel, worker-crash detection with clean shutdown, the pin
+lifecycle (one pin per compiled dispatch, none after a one-shot, worker
+mappings released on unpin), and the clear-error contract (not-running
+and ring-ABI failures raise, never hang)."""
 
 import json
 import os
@@ -21,16 +22,6 @@ KERNELS = registry.parallel_kernels()
 
 def _scale(arrays, consts, a, b, slab):
     arrays["out"][:] = arrays["x"] * consts["k"]
-    return slab
-
-
-def _shift(arrays, consts, a, b, slab):
-    arrays["out"][:] = arrays["x"] + consts["k"]
-    return slab
-
-
-def _square(arrays, consts, a, b, slab):
-    arrays["out"][:] = arrays["x"] ** 2
     return slab
 
 
@@ -126,9 +117,9 @@ class TestStatus:
         x = np.arange(64, dtype=np.float64)
         out = np.zeros_like(x)
         with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
-            ex.map_shm(_scale, x.shape[0], bytes_per_item=16,
-                       sliced={"x": x, "out": out},
-                       writes=("out",), consts={"k": 2.0})
+            ex.compile_shm(_scale, x.shape[0], bytes_per_item=16,
+                           sliced={"x": x, "out": out},
+                           writes=("out",), consts={"k": 2.0}).run()
             status = ex._daemon.status()
             from repro.parallel.ring import ABI_VERSION
             assert status["abi"] == ABI_VERSION
@@ -155,28 +146,26 @@ class TestPinLifecycle:
         x = np.arange(64, dtype=np.float64)
         out = np.zeros_like(x)
         with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
+            dispatch = ex.compile_shm(
+                _scale, x.shape[0], bytes_per_item=16,
+                sliced={"x": x, "out": out}, writes=("out",),
+                consts={"k": 2.0})
+            for scale in (1.0, 3.0, 4.0):
+                x[:] = np.arange(64) * scale     # refreshed in place
+                dispatch.run()
+                assert np.array_equal(out, x * 2.0)
+                assert len(ex._daemon._plans) == 1
+            dispatch.close()
+            assert ex._daemon._plans == {}
+
+    def test_one_shots_pin_fresh_constants_and_leave_no_pin(self):
+        x = np.arange(64, dtype=np.float64)
+        out = np.zeros_like(x)
+        with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
             for k in (2.0, 3.0, 4.0):
                 ex.map_shm(_scale, x.shape[0], bytes_per_item=16,
                            sliced={"x": x, "out": out},
                            writes=("out",), consts={"k": k})
                 assert np.array_equal(out, x * k)
-            assert len(ex._map_pins) == 1
-            assert len(ex._daemon._plans) == 1
-
-    def test_lru_eviction_unpins_oldest(self, monkeypatch):
-        monkeypatch.setattr("repro.parallel.slab.DAEMON_MAP_PINS", 2)
-        x = np.arange(64, dtype=np.float64)
-        out = np.zeros_like(x)
-        with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
-            for fn in (_scale, _shift, _square):
-                ex.map_shm(fn, x.shape[0], bytes_per_item=16,
-                           sliced={"x": x, "out": out},
-                           writes=("out",), consts={"k": 1.0})
-            assert len(ex._map_pins) == 2
-            assert len(ex._daemon._plans) == 2
-            # The evicted signature re-pins transparently and correctly.
-            ex.map_shm(_scale, x.shape[0], bytes_per_item=16,
-                       sliced={"x": x, "out": out},
-                       writes=("out",), consts={"k": 5.0})
-            assert np.array_equal(out, x * 5.0)
-            assert len(ex._map_pins) == 2
+                assert ex._daemon._plans == {}
+                assert ex._daemon.ping() == [(0, 0), (1, 0)]

@@ -106,10 +106,10 @@ class TestDaemonOutputSetCheck:
         p = np.zeros(64)
         d = np.zeros(64)
         with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
-            ex.map_shm(_fill_pd, 64, bytes_per_item=16,
-                       sliced={"p": p, "d": d}, writes=("p", "d"),
-                       outputs={"price": ("p",), "delta": ("d",)},
-                       consts={"k": 4.0})
+            ex.compile_shm(_fill_pd, 64, bytes_per_item=16,
+                           sliced={"p": p, "d": d}, writes=("p", "d"),
+                           outputs={"price": ("p",), "delta": ("d",)},
+                           consts={"k": 4.0}).run()
             daemon = ex._daemon
             plan_id = next(iter(daemon._plans))
             daemon._plan_outs[plan_id] ^= 0x5A5A5A  # corrupt dispatcher

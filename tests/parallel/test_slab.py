@@ -69,41 +69,52 @@ class TestPlan:
                                     for _ in range(a, b)]
 
 
+def _noop(arrays, consts, a, b, slab):
+    return None
+
+
+def _boom(arrays, consts, a, b, slab):
+    return 1 / 0
+
+
 class TestMapSlabs:
+    """One-shot dispatch over the slab plan (``map_shm``)."""
+
     def test_serial_thread_identical_coverage(self):
         n = 10_000
         out_s = np.zeros(n)
         out_t = np.zeros(n)
 
-        def fill(out):
-            def kernel(a, b, i):
-                out[a:b] = np.arange(a, b, dtype=float) * (i + 1)
-            return kernel
+        def kernel(arrays, consts, a, b, i):
+            arrays["out"][:] = np.arange(a, b, dtype=float) * (i + 1)
 
         with SlabExecutor("serial", slab_bytes=8 * 1024) as s:
-            s.map_slabs(fill(out_s), n, bytes_per_item=8)
+            s.map_shm(kernel, n, bytes_per_item=8, sliced={"out": out_s},
+                      writes=("out",))
             assert s._pool is None           # serial never builds a pool
         with SlabExecutor("thread", n_workers=4, slab_bytes=8 * 1024) as t:
-            t.map_slabs(fill(out_t), n, bytes_per_item=8)
+            t.map_shm(kernel, n, bytes_per_item=8, sliced={"out": out_t},
+                      writes=("out",))
         # Same plan -> same slab indices -> bit-identical output.
         assert np.array_equal(out_s, out_t)
 
     def test_slab_index_sequential(self):
-        seen = []
         with SlabExecutor("serial", slab_bytes=64) as ex:
-            ex.map_slabs(lambda a, b, i: seen.append(i), 100,
-                         bytes_per_item=8)
+            seen = ex.map_shm(lambda arrays, consts, a, b, i: i, 100,
+                              bytes_per_item=8)
         assert seen == list(range(len(seen)))
         assert len(seen) > 1
 
     def test_empty_is_noop(self):
         with SlabExecutor("thread") as ex:
-            ex.map_slabs(lambda a, b, i: 1 / 0, 0, bytes_per_item=8)
+            assert ex.map_shm(_boom, 0, bytes_per_item=8) == []
 
     def test_worker_exception_propagates(self):
         with SlabExecutor("thread", n_workers=2) as ex:
             with pytest.raises(ZeroDivisionError):
-                ex.map_slabs(lambda a, b, i: 1 / 0, 10, bytes_per_item=8)
+                ex.map_shm(_boom, 10, bytes_per_item=8)
+            # The failed one-shot still retired its dispatch.
+            assert ex._live_dispatches == []
 
 
 class TestStreams:
@@ -129,25 +140,25 @@ class TestPoolLifecycle:
     def test_pool_is_persistent(self):
         ex = SlabExecutor("thread", n_workers=2)
         try:
-            ex.map_slabs(lambda a, b, i: None, 10, 8)
+            ex.map_shm(_noop, 10, 8)
             pool = ex._pool
             assert pool is not None
-            ex.map_slabs(lambda a, b, i: None, 10, 8)
+            ex.map_shm(_noop, 10, 8)
             assert ex._pool is pool  # no churn between calls
         finally:
             ex.close()
 
     def test_close_idempotent_and_reuse_rejected(self):
         ex = SlabExecutor("thread")
-        ex.map_slabs(lambda a, b, i: None, 4, 8)
+        ex.map_shm(_noop, 4, 8)
         ex.close()
         ex.close()
         with pytest.raises(ConfigurationError):
-            ex.map_slabs(lambda a, b, i: None, 4, 8)
+            ex.map_shm(_noop, 4, 8)
 
     def test_context_manager_closes(self):
         with SlabExecutor("thread") as ex:
-            ex.map_slabs(lambda a, b, i: None, 4, 8)
+            ex.map_shm(_noop, 4, 8)
         assert ex._pool is None
 
     def test_default_executor_singleton(self):
@@ -156,4 +167,4 @@ class TestPoolLifecycle:
         a.close()
         b = default_executor()
         assert b is not a
-        b.map_slabs(lambda s, e, i: None, 4, 8)
+        b.map_shm(_noop, 4, 8)

@@ -1,6 +1,7 @@
 """Plan-compiled Greeks tiers: warm runs must reproduce the cold
-dispatch digest exactly and allocate nothing in the numpy domain —
-the zero-allocation steady state extended to multi-output slabs."""
+(one-shot: an independent compile, run once, retired) digest exactly,
+replay after replay, and allocate nothing in the numpy domain — the
+zero-allocation steady state extended to multi-output slabs."""
 
 import pytest
 
@@ -46,8 +47,9 @@ class TestPlannedGreeks:
                 f"{audit.peak_bytes} bytes in the numpy domain")
 
     # The lattice kernels' slab bodies differ by backend (arena
-    # workspace in-process, cold-built out of process; one slab in the
-    # caller, worker-aware slabs on a pool): the digest may not.
+    # workspace in-process, built in the worker out of process; one
+    # slab in the caller, worker-aware slabs on a pool): the digest may
+    # not.
     @pytest.mark.parametrize("backend", ["thread", "process", "daemon"])
     @pytest.mark.parametrize("kernel", ["binomial", "crank_nicolson"])
     def test_lattice_planned_digest_matches_serial_cold(self, kernel,

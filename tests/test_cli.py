@@ -107,9 +107,10 @@ class TestCLI:
                      "--cold-samples", "2", "--backends", "serial",
                      "--out", str(out_json)]) == 0
         out = capsys.readouterr().out
-        assert "Steady-state serving" in out and "digest" in out
+        assert "Steady-state serving" in out and "audit" in out
         data = json.loads(out_json.read_text())
-        assert all(k["digest_match"] for k in data["kernels"])
+        assert all(k["planned"] and k["audit"]["clean"]
+                   for k in data["kernels"])
 
     def test_loadtest_smoke(self, capsys, tmp_path):
         import json
@@ -204,9 +205,8 @@ class TestCLI:
         ("loadtest", lambda d: d["latency"][0].update(budget_ok=False),
          "> budget +"),
         ("greeks",
-         lambda d: d["kernels"][0]["points"][0].update(
-             planned_digest_match=False),
-         "planned digest diverges from cold"),
+         lambda d: d["kernels"][0].update(backends_bit_identical=False),
+         "backends diverge"),
         ("dse", lambda d: d["acceptance"].update({"pass": False}),
          "tuned >= fixed on"),
     ])

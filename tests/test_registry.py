@@ -56,6 +56,41 @@ class TestPopulation:
             assert registry.impl(kernel, baseline, "serial")
 
 
+class TestOneBodyPerSlabTier:
+    """A slab tier's dispatch is declared once, in its ``compile_*``
+    function; ``fn`` is that function's one-shot (ISSUE 17).  These two
+    invariants keep a second hand-written body from coming back."""
+
+    #: The planner-less one-shot helpers — no registered tier, so no
+    #: ``compile_*`` twin to go through.
+    ONE_SHOT_HELPERS = {"price_computed_parallel", "price_asian_parallel",
+                        "build_interleaved_parallel"}
+
+    def test_every_pooled_impl_has_a_planner(self):
+        missing = [i.label for i in registry.impls()
+                   if i.backend != "serial" and i.planner is None]
+        assert missing == []
+
+    def test_kernels_call_map_shm_only_in_the_helpers(self):
+        import ast
+        from pathlib import Path
+
+        import repro.kernels
+
+        callers = set()
+        for path in Path(repro.kernels.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if any(isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "map_shm"
+                       for node in ast.walk(fn)):
+                    callers.add(fn.name)
+        assert callers == self.ONE_SHOT_HELPERS
+
+
 class TestLookups:
     def test_impl_filtering(self):
         serial = registry.impls(kernel="black_scholes", backend="serial")
