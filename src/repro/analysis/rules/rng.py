@@ -16,6 +16,9 @@ and inside slab bodies (functions dispatched via ``map_shm`` /
 ``compile_shm`` / ``compile_lanes``):
 
 * ``.seed(...)`` calls and ``make_streams(...)`` stream splitting;
+* ``.jumped_copy(...)`` — a sequential O(draws) skip paid on every run
+  of the slab; the skip belongs to compile time, its state snapshot
+  shipped through ``shared=``/``per_slab=``;
 * RNG construction whose seed does not come from the plan (the body's
   ``consts`` dict, populated by the caller's ``consts=``/``per_slab=``).
 """
@@ -138,6 +141,14 @@ class RngDiscipline(Rule):
                     f"slab body {fndef.name} reseeds a generator; "
                     f"streams must come from the slab plan "
                     f"(consts=/per_slab=)")
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr == "jumped_copy"):
+                yield self.finding(
+                    sf, node,
+                    f"slab body {fndef.name} skips ahead with "
+                    f"jumped_copy on every run; walk the stream once at "
+                    f"compile time and ship the state snapshots through "
+                    f"shared=/per_slab=")
             elif (isinstance(func, ast.Name)
                   and func.id == "make_streams"):
                 yield self.finding(

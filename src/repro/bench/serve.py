@@ -32,8 +32,9 @@ from .stats import percentile as _percentile
 from .stats import sorted_latencies as _latencies
 
 #: Transient-peak noise budget for a warm run (bytes): a little above
-#: numpy's fixed ~64 KiB nditer working buffer (two may coexist), far
-#: below any real per-call workload array.
+#: numpy's fixed ~64 KiB nditer working buffer (one per operand of a
+#: casting ufunc over strided views, so up to three coexist), far below
+#: any real per-call workload array.
 PEAK_NOISE_BUDGET = 256 * 1024
 
 

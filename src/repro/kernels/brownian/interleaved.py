@@ -28,10 +28,13 @@ from .vectorized import build_vectorized
 
 
 def default_block_paths(schedule: BridgeSchedule, llc_bytes: int) -> int:
-    """Paths per block such that the block's randoms + two state buffers
-    + output fit in ``llc_bytes`` (the paper's LLC chunking rule)."""
+    """Paths per block such that the block's randoms, its output and
+    the build's own state fit in ``llc_bytes`` (the paper's LLC
+    chunking rule).  This sizes the *generation* chunk of the
+    interleaved tiers; inside it :func:`build_vectorized` builds in
+    L2-sized blocks of its own."""
     bytes_per_path = (schedule.randoms_per_path()      # the chunk of normals
-                      + 2 * schedule.n_points          # src/dst state
+                      + 2 * schedule.n_points          # state + draws.T
                       + schedule.n_points) * 8         # output block
     block = max(1, llc_bytes // (2 * bytes_per_path))  # half-LLC headroom
     return block

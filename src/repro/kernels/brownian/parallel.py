@@ -2,13 +2,14 @@
 
 The bridge construction is embarrassingly parallel across paths (each
 column of the level-update state is one path), so the slab engine
-partitions the path axis into LLC-sized blocks — the same working-set
-rule as :func:`~.interleaved.default_block_paths` — and builds each
-block through :func:`~.vectorized.build_vectorized` directly into a
-view of the preallocated ``(n_paths, n_points)`` output.  Per-path
-arithmetic is independent of the batch width, so the result is
-bit-identical to the serial vectorized tier for any slab size, backend
-or worker count.
+partitions the path axis into slabs — the unit of parallel work, sized
+from the LLC like :func:`~.interleaved.default_block_paths` — and each
+slab loops the one bridge core (:func:`~.vectorized.bridge_blocks`)
+over its L2-sized blocks, straight into a view of the preallocated
+``(n_paths, n_points)`` output.  A slab owns one block workspace,
+whatever its width.  Per-path arithmetic is independent of slab and
+block width, so the result is bit-identical to the serial vectorized
+tier for any slab size, backend or worker count.
 
 :func:`build_interleaved_parallel` adds the Sec. IV-C2 RNG interleaving
 on top: each slab generates its own normals from an independent
@@ -23,25 +24,30 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor, default_executor
-from ...plan import one_shot
+from ...plan import WorkspaceArena, one_shot
 from ...rng import NormalGenerator, make_streams
 from .bridge import BridgeSchedule
-from .vectorized import (build_vectorized, build_vectorized_ws,
-                         level_coefficients, randoms_to_path_major)
+from .vectorized import (bridge_blocks, bridge_workspace,
+                         build_vectorized, randoms_to_path_major)
 
 
 def _bytes_per_path(schedule: BridgeSchedule) -> int:
-    """Slab working set per path: randoms in, src/dst level state,
-    output block (the :func:`default_block_paths` accounting)."""
+    """Slab budget per path: randoms in, output block, and the share
+    of state and transposed draws a path holds while its block is
+    built (the :func:`default_block_paths` accounting)."""
     return (schedule.randoms_per_path() + 3 * schedule.n_points) * 8
 
 
 def _build_slab(arrays: dict, consts: dict, a: int, b: int,
                 slab: int) -> None:
-    """Pre-generated-stream slab task (module-level for process-backend
-    pickling): build this slab's bridges into the output view."""
-    build_vectorized(consts["schedule"], arrays["r"].reshape(-1),
-                     out=arrays["out"])
+    """Pre-generated-stream slab task, all four backends (module-level
+    for process-backend pickling): build this slab's bridges into the
+    output view, through the plan's block workspace — or, in a worker
+    process that owns no arena, one allocated for the call."""
+    schedule = consts["schedule"]
+    ws = consts.get("ws") or bridge_workspace(
+        schedule, b - a, WorkspaceArena("bb").reserve)
+    bridge_blocks(schedule, arrays["r"], arrays["out"], ws)
 
 
 def _interleaved_slab(arrays: dict, consts: dict, a: int, b: int,
@@ -53,59 +59,34 @@ def _interleaved_slab(arrays: dict, consts: dict, a: int, b: int,
     build_vectorized(consts["schedule"], z, out=arrays["out"])
 
 
-def _build_slab_ws(arrays: dict, consts: dict, a: int, b: int,
-                   slab: int) -> None:
-    """Planned slab task: build this slab's bridges through its own
-    preallocated level-state workspace."""
-    build_vectorized_ws(consts["schedule"], arrays["r"], consts["coefs"],
-                        consts["ws"], arrays["out"])
-
-
 def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
                            executor: SlabExecutor, arena):
     """Plan-compile the slab-parallel bridge builder.
 
     Hoists to compile time everything that does not depend on the
-    draws: the path-major reshape, the output allocation, the per-level
-    coefficient broadcasting, and — per slab — the two
-    ``(n_points, L)`` level-state arrays plus update scratch.  Row 0 of
-    each level state is zeroed exactly once, at reservation: the level
-    recurrence rewrites every row it reads except row 0, which it only
-    copies forward, so the zero survives every run.  Out-of-process
-    workers own their address space, so there each slab builds through
-    :func:`~.vectorized.build_vectorized` — the same per-path
-    arithmetic, bit for bit.  The runner's result view is the flat
-    ``arena.get("result")`` reshaped per path.
+    draws: the path-major reshape, the output allocation and — per
+    in-process slab — one block workspace
+    (:func:`~.vectorized.bridge_workspace`: in-place state with its
+    zero row, transposed-draw and update scratch).  Out-of-process
+    workers own their address space, so there the slab body allocates
+    its block workspace per call — the same core, bit for bit.  The
+    runner's result view is the flat ``arena.get("result")`` reshaped
+    per path.
     """
     r = randoms_to_path_major(schedule, randoms)
     n_paths = r.shape[0]
-    n_pts = schedule.n_points
-    out = arena.reserve("result", (n_paths, n_pts))
+    out = arena.reserve("result", (n_paths, schedule.n_points))
     flat = out.reshape(-1)
     bpp = _bytes_per_path(schedule)
-    if executor.out_of_process:
-        dispatch = arena.adopt(executor.compile_shm(
-            _build_slab, n_paths, bytes_per_item=bpp,
-            sliced={"r": r, "out": out}, writes=("out",),
-            consts={"schedule": schedule}, tag="bb"))
-    else:
-        coefs = level_coefficients(schedule)
-        half = max(1, n_pts // 2)
-        slabs = executor.plan(n_paths, bpp)
-        wss = []
-        for i, (a, b) in enumerate(slabs):
-            lanes = b - a
-            wss.append({
-                "src": arena.reserve(f"src{i}", (n_pts, lanes), fill=0.0),
-                "dst": arena.reserve(f"dst{i}", (n_pts, lanes), fill=0.0),
-                "t1": arena.reserve(f"t1_{i}", (half, lanes)),
-                "t2": arena.reserve(f"t2_{i}", (half, lanes)),
-            })
-        dispatch = arena.adopt(executor.compile_shm(
-            _build_slab_ws, n_paths, bytes_per_item=bpp,
-            sliced={"r": r, "out": out}, writes=("out",),
-            consts={"schedule": schedule, "coefs": coefs},
-            per_slab=lambda a, b, i: {"ws": wss[i]}, tag="bb"))
+    per_slab = None
+    if not executor.out_of_process:
+        wss = [bridge_workspace(schedule, b - a, arena.scoped(i))
+               for i, (a, b) in enumerate(executor.plan(n_paths, bpp))]
+        per_slab = lambda a, b, i: {"ws": wss[i]}  # noqa: E731
+    dispatch = arena.adopt(executor.compile_shm(
+        _build_slab, n_paths, bytes_per_item=bpp,
+        sliced={"r": r, "out": out}, writes=("out",),
+        consts={"schedule": schedule}, per_slab=per_slab, tag="bb"))
 
     def run() -> np.ndarray:
         dispatch.run()

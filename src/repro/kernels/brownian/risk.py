@@ -26,12 +26,12 @@ import numpy as np
 
 from ...config import DTYPE
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
+from ...plan import WorkspaceArena, one_shot
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
 from .bridge import BridgeSchedule
-from .vectorized import (build_vectorized, build_vectorized_ws,
-                         level_coefficients, randoms_to_path_major)
+from .vectorized import (bridge_blocks, bridge_workspace,
+                         randoms_to_path_major)
 
 #: Contract of the risk workload: at-the-money down-and-out call.
 SPOT = 100.0
@@ -49,8 +49,9 @@ _RISK_SCHEMA = {name: (name,) for name in _RISK_WRITES}
 
 
 def _bytes_per_path(schedule: BridgeSchedule) -> int:
-    """Slab working set per path: randoms in, bridge level state, the
-    drifted log-path, and the per-path reduction vectors."""
+    """Slab budget per path: randoms in, the bridged and the drifted
+    log-path, the block-build share of :mod:`.parallel`'s accounting,
+    and the per-path reduction vectors."""
     return (schedule.randoms_per_path() + 4 * schedule.n_points + 8) * 8
 
 
@@ -82,32 +83,38 @@ def _drift_scale(W, times, vol: float, logs, drift, m, st) -> None:
     np.exp(logs[:, -1], out=st)
 
 
+def _risk_workspace(schedule: BridgeSchedule, lanes: int,
+                    reserve) -> dict:
+    """One slab's buffers, each from ``reserve(name, shape[, dtype])``
+    (:meth:`~repro.plan.WorkspaceArena.reserve`'s signature): the
+    bridge block workspace, the slab's bridged and drifted paths and
+    every per-path scenario vector."""
+    n_pts = schedule.n_points
+    return {"bridge": bridge_workspace(schedule, lanes, reserve),
+            "W": reserve("W", (lanes, n_pts)),
+            "logs": reserve("logs", (lanes, n_pts)),
+            "drift": reserve("drift", n_pts),
+            "m": reserve("m", lanes), "st": reserve("st", lanes),
+            "pay": reserve("pay", lanes),
+            "alive": reserve("alive", lanes, bool)}
+
+
 def _risk_slab(arrays: dict, consts: dict, a: int, b: int,
                slab: int) -> None:
-    """Slab task (module-level for process-backend pickling): build this
-    slab's bridges once, revalue five scenarios, write per-path price
-    and CRN central-difference delta/vega contributions."""
+    """Slab task, all four backends (module-level for process-backend
+    pickling): build this slab's bridges once, revalue five scenarios,
+    write per-path price and CRN central-difference delta/vega
+    contributions — through the plan's workspace, or in a worker
+    process, which owns no arena, one allocated for the call."""
     schedule = consts["schedule"]
     times, h = consts["times"], consts["h"]
     df = consts["df"]
     price, delta, vega = arrays["price"], arrays["delta"], arrays["vega"]
-    lanes = b - a
-    n_pts = schedule.n_points
-    ws = consts.get("ws")
-    if ws is None:
-        ws = {"W": np.empty((lanes, n_pts), dtype=DTYPE),
-              "logs": np.empty((lanes, n_pts), dtype=DTYPE),
-              "drift": np.empty(n_pts, dtype=DTYPE),
-              "m": np.empty(lanes, dtype=DTYPE),
-              "st": np.empty(lanes, dtype=DTYPE),
-              "pay": np.empty(lanes, dtype=DTYPE),
-              "alive": np.empty(lanes, dtype=bool)}
-        build_vectorized(schedule, arrays["r"].reshape(-1), out=ws["W"])
-    else:
-        build_vectorized_ws(schedule, arrays["r"], consts["coefs"], ws,
-                            ws["W"])
+    ws = consts.get("ws") or _risk_workspace(
+        schedule, b - a, WorkspaceArena("bbrisk").reserve)
     W, logs, drift = ws["W"], ws["logs"], ws["drift"]
     m, st, pay, alive = ws["m"], ws["st"], ws["pay"], ws["alive"]
+    bridge_blocks(schedule, arrays["r"], W, ws["bridge"])
     # Base vol: one drift-and-scale pass serves base + both spot bumps.
     _drift_scale(W, times, VOL, logs, drift, m, st)
     _scenario_payoff(logs, m, st, alive, pay, 1.0, df)
@@ -158,38 +165,22 @@ def compile_barrier_risk(schedule: BridgeSchedule, randoms: np.ndarray,
                          executor: SlabExecutor, arena,
                          h: float = BUMP_REL):
     """Plan-compile the barrier risk tier: the path-major draw block,
-    the ``3n`` result backing, and — per slab — the bridge level state
-    plus every scenario buffer live in ``arena``; warm runs build,
-    revalue and difference with zero hot-path allocations."""
+    the ``3n`` result backing, and — per in-process slab — the bridge
+    block workspace plus every scenario buffer live in ``arena``; warm
+    runs build, revalue and difference with zero hot-path
+    allocations."""
     check_bump(h)
     r_src = randoms_to_path_major(schedule, randoms)
     n_paths = r_src.shape[0]
-    n_pts = schedule.n_points
     backing = arena.reserve("result", 3 * n_paths)
     views = _result_slab(backing, n_paths)
     consts = {"schedule": schedule, "times": _times(schedule), "h": h,
               "df": float(np.exp(-RATE * schedule.horizon))}
     per_slab = None
     if not executor.out_of_process:
-        consts["coefs"] = level_coefficients(schedule)
-        slabs = executor.plan(n_paths, _bytes_per_path(schedule))
-        half = max(1, n_pts // 2)
-        wss = []
-        for i, (a, b) in enumerate(slabs):
-            lanes = b - a
-            wss.append({
-                "src": arena.reserve(f"src{i}", (n_pts, lanes), fill=0.0),
-                "dst": arena.reserve(f"dst{i}", (n_pts, lanes), fill=0.0),
-                "t1": arena.reserve(f"t1_{i}", (half, lanes)),
-                "t2": arena.reserve(f"t2_{i}", (half, lanes)),
-                "W": arena.reserve(f"W{i}", (lanes, n_pts)),
-                "logs": arena.reserve(f"logs{i}", (lanes, n_pts)),
-                "drift": arena.reserve(f"drift{i}", n_pts),
-                "m": arena.reserve(f"m{i}", lanes),
-                "st": arena.reserve(f"st{i}", lanes),
-                "pay": arena.reserve(f"pay{i}", lanes),
-                "alive": arena.reserve(f"alive{i}", lanes, dtype=bool),
-            })
+        wss = [_risk_workspace(schedule, b - a, arena.scoped(i))
+               for i, (a, b) in enumerate(
+                   executor.plan(n_paths, _bytes_per_path(schedule)))]
         per_slab = lambda a, b, i: {"ws": wss[i]}  # noqa: E731
     dispatch = arena.adopt(executor.compile_shm(
         _risk_slab, n_paths, bytes_per_item=_bytes_per_path(schedule),

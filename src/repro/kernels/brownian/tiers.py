@@ -73,7 +73,7 @@ register_impl("brownian", "vectorized", OptLevel.INTERMEDIATE,
 register_impl("brownian", "interleaved", OptLevel.ADVANCED,
               _run_interleaved)
 def _plan_parallel(payload, executor, arena):
-    """Planner: level states, coefficients and the output block are
+    """Planner: each slab's block workspace and the output are
     arena-owned; runs rebuild bridges from the rebound randoms."""
     return compile_build_parallel(payload["schedule"],
                                   payload["randoms"], executor, arena)

@@ -9,12 +9,12 @@ call's **pathwise** (infinitesimal-perturbation) estimators
 ``vega_i  = e^{-rT}·1{S_T > K}·S_T·(√T·z − σT)``
 
 — derivative estimates with no bump and no revaluation, the
-measure-theoretic counterpart of the CRN tiers.  Slab ``[a, b)`` runs
-a fresh generator jump-ahead past the ``4a`` raw draws the preceding
-items consume (two doubles of two raw draws each), so the uniforms —
-and every output — are bit-identical to a single sequential stream for
-any backend, slab plan or worker count, exactly like the price tier's
-jump-ahead partitioning.
+measure-theoretic counterpart of the CRN tiers.  Slab ``[a, b)``
+starts past the ``2a`` doubles the preceding items consume and fills
+its uniform block from compile-time lane snapshots, exactly like the
+price tier (:mod:`.parallel`), so the uniforms — and every output —
+are bit-identical to a single sequential stream for any backend, slab
+plan or worker count.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import math
 
 import numpy as np
 
-from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
+from ...plan import WorkspaceArena, one_shot
 from ...results import ResultSlab
-from ...rng.mt19937 import MT19937, block_workspace, uniform53_into
+from .parallel import lane_tabulate, plan_snapshots
 
 #: Contract priced by every path: a slightly-OTM European call.
 SPOT = 100.0
@@ -37,8 +36,8 @@ RATE = 0.02
 VOL = 0.3
 HORIZON = 1.0
 
-#: Raw 32-bit outputs consumed per path: two doubles, two draws each.
-DRAWS_PER_PATH = 4
+#: Uniform doubles consumed per path (one Box-Muller pair).
+UNIFORMS_PER_PATH = 2
 
 #: Logical outputs of the pathwise tier.
 PATHWISE_OUTPUTS = ("price", "delta", "vega")
@@ -81,30 +80,26 @@ def _pathwise(u: np.ndarray, z, st, tmp, itm, price, delta,
     np.copyto(vega, tmp)
 
 
-def _pathwise_slab(arrays: dict, consts: dict, a: int, b: int,
-                   slab: int) -> None:
-    """Slab task (module-level for process-backend pickling): jump-ahead
-    generate this slab's uniforms and evaluate the pathwise outputs."""
-    lanes = b - a
-    gen = MT19937(consts["seed"]).jumped_copy(DRAWS_PER_PATH * a)
-    u = gen.uniform53(2 * lanes)
-    z = np.empty(lanes, dtype=DTYPE)
-    st = np.empty(lanes, dtype=DTYPE)
-    tmp = np.empty(lanes, dtype=DTYPE)
-    itm = np.empty(lanes, dtype=bool)
-    _pathwise(u, z, st, tmp, itm, arrays["price"], arrays["delta"],
-              arrays["vega"])
+def _workspace(lanes: int, reserve) -> dict:
+    """One slab's uniform block and transform scratch, each buffer
+    from ``reserve(name, shape[, dtype])``
+    (:meth:`~repro.plan.WorkspaceArena.reserve`'s signature)."""
+    return {"u": reserve("u", UNIFORMS_PER_PATH * lanes),
+            "z": reserve("z", lanes), "st": reserve("stt", lanes),
+            "tmp": reserve("tmp", lanes),
+            "itm": reserve("itm", lanes, bool)}
 
 
-def _pathwise_slab_planned(arrays: dict, consts: dict, a: int, b: int,
-                           slab: int) -> None:
-    """Planned slab task: restore the pre-jumped state snapshot,
-    tabulate the uniforms through the slab workspace, and evaluate —
-    the O(a) skip was paid once, at compile time."""
-    ws = consts["ws"]
-    mt = ws["mt"]
-    np.copyto(mt, consts["snap_mt"])
-    uniform53_into(mt, consts["snap_mti"], ws["u"], ws)
+def _greeks_slab(arrays: dict, consts: dict, a: int, b: int,
+                 slab: int) -> None:
+    """Slab task, all four backends (module-level for process-backend
+    pickling): tabulate this slab's uniforms from its lane snapshots
+    and evaluate the pathwise outputs — through the plan's scratch, or
+    in a worker process, which owns no arena, scratch allocated for
+    the call."""
+    ws = consts.get("scratch") or _workspace(
+        b - a, WorkspaceArena("rngpw").reserve)
+    lane_tabulate(arrays, consts, ws["u"])
     _pathwise(ws["u"], ws["z"], ws["st"], ws["tmp"], ws["itm"],
               arrays["price"], arrays["delta"], arrays["vega"])
 
@@ -131,56 +126,28 @@ def pathwise_parallel(n: int, seed: int = 5489,
 
 def compile_pathwise_parallel(n: int, seed: int,
                               executor: SlabExecutor, arena):
-    """Plan-compile the pathwise tier: per-slab jump-ahead skips run
-    once at compile time (624-word state snapshots in the arena, the
-    same trick as the price tier's planner), and the uniform block,
-    transform scratch and ``3n`` result backing are arena-owned — warm
-    runs generate and evaluate with zero hot-path allocations."""
+    """Plan-compile the pathwise tier: the stream walk runs once at
+    compile time and leaves lane snapshots (the price tier's
+    :func:`~.parallel.plan_snapshots`), and — in process — the lane
+    workspace, uniform block, transform scratch and ``3n`` result
+    backing are arena-owned: warm runs generate and evaluate with zero
+    hot-path allocations."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     backing = arena.reserve("result", 3 * n)
     views = _result_slab(backing, n)
-    sliced = {"price": views["price"], "delta": views["delta"],
-              "vega": views["vega"]}
-    if executor.out_of_process:
-        dispatch = arena.adopt(executor.compile_shm(
-            _pathwise_slab, n, bytes_per_item=8 * 10,
-            sliced=sliced, writes=_WRITES, outputs=_SCHEMA,
-            consts={"seed": seed}, tag="rngpw"))
-    else:
-        slabs = executor.plan(n, 8 * 10)
-        walker = MT19937(seed)
-        cursor = 0
-        snaps = []
-        for a, b in slabs:
-            walker = walker.jumped_copy(DRAWS_PER_PATH * (a - cursor))
-            cursor = a
-            snap = arena.reserve(f"snap{len(snaps)}", walker.state_size,
-                                 dtype=np.uint32)
-            np.copyto(snap, walker._mt)
-            snaps.append((snap, walker._mti))
-        wss = []
+    slabs = executor.plan(n, 8 * 10)
+    snaps, marks = plan_snapshots(seed, slabs, UNIFORMS_PER_PATH, executor,
+                                  arena)
+    if not executor.out_of_process:
         for i, (a, b) in enumerate(slabs):
-            lanes = b - a
-
-            def _reserve(name, shape, dtype, i=i):
-                return arena.reserve(f"{name}{i}", shape, dtype=dtype)
-            ws = block_workspace(2 * lanes, reserve=_reserve)
-            ws["mt"] = arena.reserve(f"mt{i}", MT19937.state_size,
-                                     dtype=np.uint32)
-            ws["u"] = arena.reserve(f"u{i}", 2 * lanes)
-            ws["z"] = arena.reserve(f"z{i}", lanes)
-            ws["st"] = arena.reserve(f"stt{i}", lanes)
-            ws["tmp"] = arena.reserve(f"tmp{i}", lanes)
-            ws["itm"] = arena.reserve(f"itm{i}", lanes, dtype=bool)
-            wss.append(ws)
-        dispatch = arena.adopt(executor.compile_shm(
-            _pathwise_slab_planned, n, bytes_per_item=8 * 10,
-            sliced=sliced, writes=_WRITES, outputs=_SCHEMA,
-            per_slab=lambda a, b, i: {"ws": wss[i],
-                                      "snap_mt": snaps[i][0],
-                                      "snap_mti": snaps[i][1]},
-            tag="rngpw"))
+            marks[i]["scratch"] = _workspace(b - a, arena.scoped(i))
+    dispatch = arena.adopt(executor.compile_shm(
+        _greeks_slab, n, bytes_per_item=8 * 10,
+        sliced={"price": views["price"], "delta": views["delta"],
+                "vega": views["vega"]},
+        shared={"snaps": snaps}, writes=_WRITES, outputs=_SCHEMA,
+        per_slab=lambda a, b, i: marks[i], tag="rngpw"))
 
     def run() -> ResultSlab:
         dispatch.run()

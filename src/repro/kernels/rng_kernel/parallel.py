@@ -1,22 +1,25 @@
-"""RNG *parallel* tier: jump-ahead slab generation.
+"""RNG *parallel* tier: lane-batched jump-ahead generation.
 
 The paper's per-thread RNG strategy (Sec. IV-D3) hands each thread an
 independent stream, which changes the draw sequence versus the serial
 generator.  This kernel's agreement tolerance is 0.0 — every tier must
 reproduce the scalar mt19937ar stream bit for bit — so the parallel
-tier instead uses **jump-ahead partitioning**: slab ``[a, b)`` runs a
-fresh :class:`~repro.rng.mt19937.MT19937` advanced past the ``2·a`` raw
-draws the preceding slabs consume (``uniform53`` folds two 32-bit
-outputs per double) and generates its ``b − a`` doubles from there.
-The concatenated slabs are exactly the sequential stream, on any
+tier instead uses **jump-ahead partitioning**, twice over: slab
+``[a, b)`` starts ``2·a`` raw draws into the one stream (``uniform53``
+folds two 32-bit outputs per double), and inside the slab up to
+:data:`~repro.rng.mt19937.LANES` *lanes* each start whole 624-word
+blocks further on.  The lanes are the vector axis: one ``(lanes, 624)``
+state advances through the ufunc calls a single state would take.  The
+concatenated lanes and slabs are exactly the sequential stream, on any
 backend, for any slab plan or worker count.
 
 The skip itself is sequential (MT19937 has no cheap log-time jump
-without the jump-polynomial tables), so each slab pays O(a) skip work —
-the classic jump-ahead trade-off.  With LLC-sized slabs the skip is a
-block-vectorized state recurrence over the same range the slab then
-tabulates, so the parallel tier still wins wall-clock once more than
-one worker runs; the measured scaling bench reports exactly how much.
+without the jump-polynomial tables), so it is paid **once, at compile
+time**: one walk of the stream leaves a 624-word snapshot per lane,
+re-based to start exactly at the lane's first draw.  Warm runs — in
+the caller, on threads, or in worker processes, which receive the
+snapshots as a shared array — restore snapshots and tabulate; no run
+re-walks the stream, and a lane's first block needs no twist.
 """
 
 from __future__ import annotations
@@ -26,83 +29,69 @@ import numpy as np
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
-from ...rng.mt19937 import MT19937, block_workspace, uniform53_into
-
-#: Raw 32-bit outputs folded into each 53-bit uniform double.
-DRAWS_PER_DOUBLE = 2
+from ...rng.mt19937 import (LANES, MT19937, advance_window,
+                            block_workspace, snapshot_lanes, uniform53_lanes)
 
 
-def _rng_slab(arrays: dict, consts: dict, a: int, b: int,
-              slab: int) -> None:
-    """Slab task (module-level for process-backend pickling): skip to
-    raw draw ``2·a``, then tabulate this slab's doubles in place."""
-    gen = MT19937(consts["seed"]).jumped_copy(DRAWS_PER_DOUBLE * a)
-    arrays["out"][:] = gen.uniform53(b - a)
+def plan_snapshots(seed: int, slabs, doubles_per_item: int,
+                   executor: SlabExecutor, arena):
+    """One walk of the ``seed`` stream across every slab of ``slabs``
+    (``doubles_per_item`` doubles per slab item) — O(2n) skip work per
+    compile, however many slabs and lanes.  Returns the ``(rows, 624)``
+    lane-snapshot array and the per-slab constants
+    :func:`lane_tabulate` reads: the slab's first ``row`` in it and, in
+    process, its ``(lanes, 624)`` workspace."""
+    w, mti = MT19937(seed).state()
+    ws = block_workspace()
+    advance_window(w, mti, ws)
+    states, marks = [], []
+    for i, (a, b) in enumerate(slabs):
+        marks.append({"row": len(states)})
+        states += snapshot_lanes(w, doubles_per_item * (b - a), ws)
+        if not executor.out_of_process:
+            marks[i]["ws"] = block_workspace(LANES, arena.scoped(i))
+    snaps = arena.reserve("snaps", (len(states), MT19937.state_size),
+                          dtype=np.uint32)
+    snaps[:] = states
+    return snaps, marks
 
 
-def _rng_slab_planned(arrays: dict, consts: dict, a: int, b: int,
-                      slab: int) -> None:
-    """Planned slab task: restore the pre-jumped state snapshot, then
-    tabulate in place through the slab workspace — the O(a) skip was
-    paid once, at compile time."""
-    ws = consts["ws"]
-    mt = ws["mt"]
-    np.copyto(mt, consts["snap_mt"])
-    uniform53_into(mt, consts["snap_mti"], arrays["out"], ws)
+def lane_tabulate(arrays: dict, consts: dict, out: np.ndarray) -> None:
+    """Fill ``out`` with this slab's doubles from its lane snapshots,
+    through the plan's workspace — or, in a worker process that owns no
+    arena, one allocated for the call."""
+    ws = consts.get("ws")
+    if ws is None:
+        ws = block_workspace(LANES)
+    uniform53_lanes(arrays["snaps"][consts["row"]:], out, ws)
+
+
+def _lanes_slab(arrays: dict, consts: dict, a: int, b: int,
+                slab: int) -> None:
+    """Slab task, all four backends (module-level for process-backend
+    pickling): tabulate this slab's doubles in place."""
+    lane_tabulate(arrays, consts, arrays["out"])
 
 
 def compile_uniform53_parallel(n: int, seed: int,
                                executor: SlabExecutor, arena):
-    """Plan-compile the jump-ahead tabulation.
-
-    The expensive part of jump-ahead partitioning is the per-slab
-    sequential skip past the preceding slabs' ``2·a`` raw draws; the
-    plan runs each skip once, snapshots the jumped 624-word state, and
-    warm runs just restore the snapshot and generate.  One generator
-    walks the stream slab boundary to slab boundary, so compile pays
-    O(2n) total skip work, not O(n·slabs).  Generation itself goes
-    through :func:`~repro.rng.mt19937.uniform53_into` — the same
-    twist/temper/fold bit for bit, through arena-owned buffers.
-    Out-of-process workers cannot receive a snapshot that lives in the
-    parent's arena, so there each slab skips in its own body
-    (:func:`_rng_slab`).
-    """
+    """Plan-compile the lane-batched jump-ahead tabulation: the stream
+    walk, its snapshots and the in-process workspaces
+    (:func:`plan_snapshots`) and the result are paid here; warm runs
+    generate straight into the result through
+    :func:`~repro.rng.mt19937.uniform53_lanes`, the class methods'
+    twist/temper/fold bit for bit."""
     if n < 0:
         raise ConfigurationError("n must be non-negative")
     out = arena.reserve("result", n)
     if n == 0:
         return lambda: out
-    if executor.out_of_process:
-        dispatch = arena.adopt(executor.compile_shm(
-            _rng_slab, n, bytes_per_item=8,
-            sliced={"out": out}, writes=("out",),
-            consts={"seed": seed}, tag="rng"))
-        return lambda: (dispatch.run(), out)[1]
-    slabs = executor.plan(n, 8)
-    walker = MT19937(seed)
-    cursor = 0
-    snaps = []
-    for a, b in slabs:
-        walker = walker.jumped_copy(DRAWS_PER_DOUBLE * (a - cursor))
-        cursor = a
-        snap = arena.reserve(f"snap{len(snaps)}", walker.state_size,
-                             dtype=np.uint32)
-        np.copyto(snap, walker._mt)
-        snaps.append((snap, walker._mti))
-    wss = []
-    for i, (a, b) in enumerate(slabs):
-        def _reserve(name, shape, dtype, i=i):
-            return arena.reserve(f"{name}{i}", shape, dtype=dtype)
-        ws = block_workspace(b - a, reserve=_reserve)
-        ws["mt"] = arena.reserve(f"mt{i}", MT19937.state_size,
-                                 dtype=np.uint32)
-        wss.append(ws)
+    snaps, marks = plan_snapshots(seed, executor.plan(n, 8), 1, executor,
+                                  arena)
     dispatch = arena.adopt(executor.compile_shm(
-        _rng_slab_planned, n, bytes_per_item=8,
-        sliced={"out": out}, writes=("out",),
-        per_slab=lambda a, b, i: {"ws": wss[i], "snap_mt": snaps[i][0],
-                                  "snap_mti": snaps[i][1]},
-        tag="rng"))
+        _lanes_slab, n, bytes_per_item=8,
+        sliced={"out": out}, shared={"snaps": snaps}, writes=("out",),
+        per_slab=lambda a, b, i: marks[i], tag="rng"))
 
     def run() -> np.ndarray:
         dispatch.run()

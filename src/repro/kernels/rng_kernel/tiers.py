@@ -41,9 +41,10 @@ register_impl("rng", "reference", OptLevel.REFERENCE,
 register_impl("rng", "vectorized", OptLevel.ADVANCED,
               lambda p, ex: MT19937(p["seed"]).uniform53(p["n"]))
 def _plan_parallel(payload, executor, arena):
-    """Planner: the per-slab jump-ahead skips run once at compile time
-    and leave 624-word state snapshots in the arena; warm runs restore
-    and tabulate allocation-free."""
+    """Planner: one walk of the stream at compile time leaves a
+    624-word state snapshot per slab lane in the arena; warm runs
+    restore them into a ``(lanes, 624)`` state and tabulate
+    allocation-free."""
     return compile_uniform53_parallel(payload["n"], payload["seed"],
                                       executor, arena)
 

@@ -76,6 +76,12 @@ class WorkspaceArena:
         array = np.asarray(array)
         return self.reserve(name, array.shape, array.dtype, fill=fill)
 
+    def scoped(self, suffix):
+        """:meth:`reserve` with ``suffix`` appended to every name: what
+        a planner hands a workspace builder it calls once per slab."""
+        return lambda name, *spec, **kw: self.reserve(f"{name}{suffix}",
+                                                      *spec, **kw)
+
     def adopt(self, dispatch):
         """Take ownership of a compiled slab dispatch built over this
         arena's buffers and return it.  A planner hands every

@@ -11,8 +11,18 @@ consume it" structure a wide-SIMD implementation uses.
 The tricky part of vectorizing the twist is its in-place cascade: element
 ``k`` of the new state depends on new element ``k−(n−m)``. The update is
 therefore staged into three slices whose dependencies only reach into
-already-computed slices, plus a scalar fix-up for the final element (which
-reads the *new* ``mt[0]``, exactly as the reference C does).
+already-computed slices, with the final element (which reads the *new*
+``mt[0]``, exactly as the reference C does) redone in between.
+
+There is one twist, temper and fold (:func:`twist_inplace` and below),
+allocation-free and written over the **last** axis of the state: ``mt``
+is ``(624,)`` — the :class:`MT19937` class — or ``(lanes, 624)``, many
+positions of the *one* stream advanced by the same ufunc calls: the
+paper's many-streams strategy with *streams x state words* as the vector
+axis.  All lanes share one ``mti`` (they twist together and are consumed
+in lock step); a 1-D state is the one-lane case of the same code.  Every
+operation is a bitwise or integer op (or an exact float fold), so each
+lane's outputs are bit-for-bit the scalar reference's.
 """
 
 from __future__ import annotations
@@ -73,33 +83,6 @@ def _init_by_array(init_key) -> np.ndarray:
     return np.array(state, dtype=np.uint32)
 
 
-def _twist(mt: np.ndarray) -> None:
-    """One full twist of the 624-word state, in place, vectorized."""
-    old = mt.copy()
-    y = (old & _UPPER) | (np.roll(old, -1) & _LOWER)
-
-    def f(yv):
-        return (yv >> np.uint32(1)) ^ np.where(
-            yv & np.uint32(1), _MATRIX_A, np.uint32(0)
-        )
-
-    nm = _N - _M  # 227
-    mt[:nm] = old[_M:] ^ f(y[:nm])
-    mt[nm:2 * nm] = mt[:nm] ^ f(y[nm:2 * nm])
-    mt[2 * nm:_N - 1] = mt[nm:_N - 1 - nm] ^ f(y[2 * nm:_N - 1])
-    # Final element reads the freshly-written mt[0].
-    y_last = (old[_N - 1] & _UPPER) | (mt[0] & _LOWER)
-    mt[_N - 1] = mt[_M - 1] ^ f(np.uint32(y_last))
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> np.uint32(11))
-    y = y ^ ((y << np.uint32(7)) & _T_B)
-    y = y ^ ((y << np.uint32(15)) & _T_C)
-    y = y ^ (y >> np.uint32(18))
-    return y
-
-
 class MT19937:
     """Block-vectorized MT19937 generator.
 
@@ -121,6 +104,7 @@ class MT19937:
                 )
             self._mt = _init_genrand(int(seed))
         self._mti = _N  # force a twist on first draw
+        self._ws = block_workspace()
 
     # ------------------------------------------------------------------
     def raw(self, n: int) -> np.ndarray:
@@ -128,17 +112,7 @@ class MT19937:
         if n < 0:
             raise ConfigurationError("n must be non-negative")
         out = np.empty(n, dtype=np.uint32)
-        filled = 0
-        while filled < n:
-            if self._mti >= _N:
-                _twist(self._mt)
-                self._mti = 0
-            take = min(n - filled, _N - self._mti)
-            out[filled:filled + take] = _temper(
-                self._mt[self._mti:self._mti + take]
-            )
-            self._mti += take
-            filled += take
+        self._mti = raw_into(self._mt, self._mti, out, self._ws)
         return out
 
     def uniform53(self, n: int) -> np.ndarray:
@@ -160,87 +134,93 @@ class MT19937:
 
     def jumped_copy(self, draws: int) -> "MT19937":
         """A copy advanced by ``draws`` raw outputs (sequential skip; MT
-        has no cheap log-time jump without the polynomial tables)."""
+        has no cheap log-time jump without the polynomial tables).
+        Skipped draws are never tempered or materialised: the skip is
+        whole-state twists plus an index, leaving exactly the state and
+        ``mti`` that :meth:`raw` would."""
         g = MT19937.__new__(MT19937)
         g._mt = self._mt.copy()
         g._mti = self._mti
-        remaining = draws
-        while remaining > 0:
-            step = min(remaining, 1 << 16)
-            g.raw(step)
-            remaining -= step
+        g._ws = block_workspace()
+        if draws > 0:
+            twists, last = divmod(self._mti + draws - 1, _N)
+            for _ in range(twists):
+                twist_inplace(g._mt, g._ws)
+            g._mti = last + 1
         return g
 
 
 # ----------------------------------------------------------------------
-# Allocation-free block generation (the plan-compiled hot path).
-#
-# The class methods above allocate their block temporaries on every
-# call; the functions below run the *same* twist/temper/fold arithmetic
-# through a caller-owned workspace, so a warm ExecutionPlan draws
-# without touching the allocator.  Every operation is a bitwise or
-# integer op (or the identical float fold), so outputs are bit-for-bit
-# the class methods' outputs for any state and draw count.
+# The generator body: lane-batched, through a caller-owned workspace.
 
-def block_workspace(n_doubles: int, reserve=None) -> dict:
-    """Workspace for :func:`uniform53_into` producing up to
-    ``n_doubles`` doubles per call.  ``reserve(name, shape, dtype)``
-    supplies each buffer (a :class:`~repro.plan.WorkspaceArena` partial
-    in planned code); the default allocates directly."""
+#: Lanes per batched twist: each lane tabulates its own run of whole
+#: 624-word blocks of the stream, started from a jump-ahead snapshot.
+#: Warm run of 2^18 doubles in two slabs, raw ms (median of 31,
+#: interleaved) by lane count — 1: 62.4, 8: 11.9, 16: 7.7, 32: 6.2,
+#: 48: 5.4, 64: 5.1, 96: 5.1, 128: 5.0 — flat from 48 up, so a
+#: constant, not an argument.  (256 reads 3.6, but only because every
+#: pass is then one block deep and so twist-free: a snapshot per 312
+#: doubles is the whole untempered stream, stored.  At 64 the
+#: snapshots stay under 320 KB a slab, the working set under 1 MB.)
+LANES = 64
+
+#: Doubles per 624-word block (``uniform53`` folds two raw draws each).
+_HALF = _N // 2
+
+
+def block_workspace(lanes: int | None = None, reserve=None) -> np.ndarray:
+    """Scratch for the functions below: ``(4, lanes, 624)`` uint32
+    (``(4, 624)`` for a 1-D state) — twist ``y``, shared temporary,
+    tempered block, and the lane state :func:`uniform53_lanes` restores
+    snapshots into.  ``reserve`` (planned code) has the signature of
+    :meth:`~repro.plan.WorkspaceArena.reserve`; default: a fresh array."""
+    shape = (4, _N) if lanes is None else (4, lanes, _N)
     if reserve is None:
-        def reserve(name, shape, dtype):
-            return np.empty(shape, dtype=dtype)
-    nm = _N - _M
-    return {
-        "old": reserve("old", _N, np.uint32),
-        "y": reserve("y", _N, np.uint32),
-        "fb": reserve("fb", nm, np.uint32),
-        "ft": reserve("ft", nm, np.uint32),
-        "tt": reserve("tt", _N, np.uint32),
-        "r32": reserve("r32", 2 * n_doubles, np.uint32),
-        "r64": reserve("r64", 2 * n_doubles, np.uint64),
-    }
+        return np.empty(shape, dtype=np.uint32)
+    return reserve("mtws", shape, np.uint32)
 
 
-def _f_into(y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """``f(y) = (y >> 1) ^ (MATRIX_A if y odd else 0)`` into ``out``
-    (the multiply-by-bit form of :func:`_twist`'s ``np.where``)."""
-    np.right_shift(y, np.uint32(1), out=out)
+def _f_inplace(y: np.ndarray, tmp: np.ndarray) -> None:
+    """``y <- (y >> 1) ^ (MATRIX_A if y odd else 0)``, the odd test as
+    a multiply by the low bit."""
     np.bitwise_and(y, np.uint32(1), out=tmp)
     np.multiply(tmp, _MATRIX_A, out=tmp)
-    np.bitwise_xor(out, tmp, out=out)
+    np.right_shift(y, np.uint32(1), out=y)
+    np.bitwise_xor(y, tmp, out=y)
 
 
-def twist_inplace(mt: np.ndarray, ws: dict) -> None:
-    """:func:`_twist`, allocation-free: same three staged slices, same
-    scalar fix-up of the final element."""
-    old, y = ws["old"], ws["y"]
-    fb, ft = ws["fb"], ws["ft"]
-    np.copyto(old, mt)
-    # y = (old & UPPER) | (roll(old, -1) & LOWER), rolled via two slices.
-    np.bitwise_and(old, _UPPER, out=y)
-    tmp = ws["tt"]
-    np.bitwise_and(old[1:], _LOWER, out=tmp[:_N - 1])
-    tmp[_N - 1] = old[0] & _LOWER
-    np.bitwise_or(y, tmp, out=y)
+def twist_inplace(mt: np.ndarray, ws: np.ndarray) -> None:
+    """One full twist of every lane's 624-word state, in place.  ``y``
+    of words 0..622 reads old words only, so it is formed (and pushed
+    through ``f``) first, over the flattened ``lanes·624`` words in one
+    contiguous call each (lanes must be C-contiguous; word 623 of a
+    lane gets a throw-away value there) and redone for word 623 once
+    the first staged slice has written the new word 0 it reads."""
+    y, t = ws[0], ws[1]
+    if not (mt.flags.c_contiguous and y.flags.c_contiguous):
+        raise ConfigurationError("MT19937 lanes must be C-contiguous")
     nm = _N - _M  # 227
-    _f_into(y[:nm], fb, ft)
-    np.bitwise_xor(old[_M:], fb, out=mt[:nm])
-    _f_into(y[nm:2 * nm], fb, ft)
-    np.bitwise_xor(mt[:nm], fb, out=mt[nm:2 * nm])
-    ln = _N - 1 - 2 * nm
-    _f_into(y[2 * nm:_N - 1], fb[:ln], ft[:ln])
-    # Reads mt[227:396], writes mt[454:623] — disjoint, safe in place.
-    np.bitwise_xor(mt[nm:_N - 1 - nm], fb[:ln], out=mt[2 * nm:_N - 1])
-    y_last = (int(old[_N - 1]) & 0x80000000) | (int(mt[0]) & 0x7FFFFFFF)
-    fv = (y_last >> 1) ^ (int(_MATRIX_A) if (y_last & 1) else 0)
-    mt[_N - 1] = int(mt[_M - 1]) ^ fv
+    flat, yf, tf = mt.reshape(-1), y.reshape(-1)[:-1], t.reshape(-1)[:-1]
+    np.bitwise_and(flat[:-1], _UPPER, out=yf)
+    np.bitwise_and(flat[1:], _LOWER, out=tf)
+    np.bitwise_or(yf, tf, out=yf)
+    _f_inplace(yf, tf)
+    np.bitwise_xor(mt[..., _M:], y[..., :nm], out=mt[..., :nm])
+    np.bitwise_and(mt[..., -1], _UPPER, out=y[..., -1])
+    np.bitwise_and(mt[..., 0], _LOWER, out=t[..., -1])
+    np.bitwise_or(y[..., -1], t[..., -1], out=y[..., -1])
+    _f_inplace(y[..., -1], t[..., -1])
+    np.bitwise_xor(mt[..., :nm], y[..., nm:2 * nm],
+                   out=mt[..., nm:2 * nm])
+    # Reads mt[227:397], writes mt[454:624] — disjoint, safe in place.
+    np.bitwise_xor(mt[..., nm:_M], y[..., 2 * nm:], out=mt[..., 2 * nm:])
 
 
 def temper_into(src: np.ndarray, out: np.ndarray,
                 tmp: np.ndarray) -> None:
-    """:func:`_temper` into ``out`` (``tmp`` at least ``len(src)``)."""
-    t = tmp[:src.shape[0]]
+    """The MT19937 tempering of ``src`` into ``out`` (``tmp`` at least
+    as wide as ``src`` along the last axis)."""
+    t = tmp[..., :src.shape[-1]]
     np.right_shift(src, np.uint32(11), out=out)
     np.bitwise_xor(src, out, out=out)
     np.left_shift(out, np.uint32(7), out=t)
@@ -254,38 +234,105 @@ def temper_into(src: np.ndarray, out: np.ndarray,
 
 
 def raw_into(mt: np.ndarray, mti: int, out: np.ndarray,
-             ws: dict) -> int:
-    """:meth:`MT19937.raw` into ``out``; returns the advanced ``mti``
-    (state advances in ``mt`` itself)."""
-    n = out.shape[0]
+             ws: np.ndarray) -> int:
+    """The next ``n`` tempered outputs of every lane into
+    ``out[..., :n]``; returns the advanced ``mti`` (state advances in
+    ``mt`` itself)."""
+    n = out.shape[-1]
     filled = 0
     while filled < n:
         if mti >= _N:
             twist_inplace(mt, ws)
             mti = 0
         take = min(n - filled, _N - mti)
-        temper_into(mt[mti:mti + take], out[filled:filled + take],
-                    ws["tt"])
+        temper_into(mt[..., mti:mti + take],
+                    out[..., filled:filled + take], ws[1])
         mti += take
         filled += take
     return mti
 
 
 def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
-                   ws: dict) -> int:
-    """:meth:`MT19937.uniform53` into ``out`` (float64, length ``n``):
-    same two-draw fold ``(a·2^26 + b) / 2^53``, same promotion to
-    float64, so doubles are bit-identical."""
-    n = out.shape[0]
-    r32 = ws["r32"][:2 * n]
-    r64 = ws["r64"][:2 * n]
-    mti = raw_into(mt, mti, r32, ws)
-    np.copyto(r64, r32)
-    ev = r64[0::2]
-    od = r64[1::2]
-    np.right_shift(ev, np.uint64(5), out=ev)
-    np.right_shift(od, np.uint64(6), out=od)
-    np.multiply(ev, 67108864.0, out=out)
-    np.add(out, od, out=out)
-    np.multiply(out, 1.0 / 9007199254740992.0, out=out)
+                   ws: np.ndarray) -> int:
+    """``genrand_res53`` of every lane into ``out`` (float64, ``n``
+    doubles along the last axis), one 624-word block at a time: the
+    two-draw fold ``(a·2^26 + b) / 2^53``, every step exact in float64,
+    so doubles are bit-identical to :meth:`MT19937.uniform53`."""
+    n = out.shape[-1]
+    for c in range(0, n, _HALF):
+        k = min(_HALF, n - c)
+        r = ws[2][..., :2 * k]
+        mti = raw_into(mt, mti, r, ws)
+        ev, od, o = r[..., 0::2], r[..., 1::2], out[..., c:c + k]
+        np.right_shift(ev, np.uint32(5), out=ev)
+        np.right_shift(od, np.uint32(6), out=od)
+        np.multiply(ev, 67108864.0, out=o)
+        np.add(o, od, out=o)
+        np.multiply(o, 1.0 / 9007199254740992.0, out=o)
     return mti
+
+
+def lane_passes(n_doubles: int) -> list:
+    """How a run of ``n_doubles`` consecutive doubles is split over
+    lanes: ``[(lanes, doubles_per_lane), ...]`` in stream order —
+    ``min(LANES, blocks)`` lanes of equally many whole 624-word blocks,
+    the left-over whole blocks as a second one-block-deep pass, the
+    sub-block tail on one lane."""
+    blocks, tail = divmod(n_doubles, _HALF)
+    lanes = min(LANES, blocks)
+    per = blocks // lanes if lanes else 0
+    return [(l, k) for l, k in ((lanes, per * _HALF),
+                                (blocks - per * lanes, _HALF), (1, tail))
+            if l and k]
+
+
+def advance_window(w: np.ndarray, draws: int, ws: np.ndarray) -> None:
+    """Slide the *aligned* 1-D state ``w`` — one whose next raw output
+    is ``temper(w[0])``, i.e. ``mti = 0`` — ``draws`` outputs down its
+    stream, keeping it aligned.  The recurrence is shift-invariant, so
+    any 624 consecutive words of the word stream are a valid state:
+    whole blocks are twists, a remainder ``e`` splices ``w[e:]`` onto
+    the first ``e`` words of the next twist."""
+    blocks, e = divmod(draws, _N)
+    for _ in range(blocks):
+        twist_inplace(w, ws)
+    if e:
+        head = w[e:].copy()
+        twist_inplace(w, ws)
+        w[_N - e:] = w[:e]
+        w[:_N - e] = head
+
+
+def snapshot_lanes(w: np.ndarray, n_doubles: int, ws: np.ndarray) -> list:
+    """Walk the aligned state ``w`` (see :func:`advance_window`) across
+    the next ``n_doubles`` doubles of its stream, returning one aligned
+    jump-ahead state per lane of :func:`lane_passes`, in pass order.
+    Every snapshot is aligned, so a lane's first block needs no twist
+    and all lanes of a pass twist together from ``mti = 0``."""
+    snaps = []
+    for lanes, k in lane_passes(n_doubles):
+        for _ in range(lanes):
+            snaps.append(w.copy())
+            advance_window(w, 2 * k, ws)
+    return snaps
+
+
+def uniform53_lanes(snaps: np.ndarray, out: np.ndarray,
+                    ws: np.ndarray) -> None:
+    """Tabulate ``out`` (1-D float64) from the ``(rows, 624)`` array of
+    the snapshots :func:`snapshot_lanes` took for ``len(out)`` doubles:
+    each pass restores its lanes into the workspace's state rows and
+    generates straight into its stretch of ``out`` viewed ``(lanes,
+    doubles)``.  ``ws`` is a :func:`block_workspace` of at least the
+    widest pass's lanes."""
+    if not out.flags.c_contiguous:
+        raise ConfigurationError("uniform53_lanes fills a contiguous out")
+    row = done = 0
+    for lanes, k in lane_passes(out.shape[0]):
+        lane_ws = ws[:, :lanes]
+        np.copyto(lane_ws[3], snaps[row:row + lanes])
+        uniform53_into(lane_ws[3], 0,
+                       out[done:done + lanes * k].reshape(lanes, k),
+                       lane_ws)
+        row += lanes
+        done += lanes * k

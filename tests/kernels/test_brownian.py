@@ -1,6 +1,8 @@
 """Brownian-bridge kernel tests: exact tier equality, Wiener statistics,
 interleaving, Fig. 6 shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,10 @@ from repro.kernels.brownian import (BridgeSchedule, bridge_covariance,
                                     build_interleaved, build_reference,
                                     build_vectorized, default_block_paths,
                                     make_schedule)
+from repro.kernels.brownian.vectorized import (block_paths, bridge_blocks,
+                                               bridge_workspace,
+                                               randoms_to_path_major)
+from repro.plan import WorkspaceArena
 from repro.rng import MT19937, NormalGenerator
 
 
@@ -103,6 +109,54 @@ class TestTierEquality:
             build_reference(schedule, np.zeros(63))
         with pytest.raises(ConfigurationError):
             build_vectorized(schedule, np.zeros((2, 64)))
+
+
+class TestBridgeCore:
+    """The one in-place, cache-blocked core behind every vectorized
+    tier is the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_equals_reference_every_depth(self, depth):
+        # A horizon the dyadic grid cannot represent exactly.
+        sch = make_schedule(depth, horizon=1.3)
+        z = NormalGenerator(MT19937(depth)).normals(37 * sch.n_steps)
+        assert np.array_equal(build_vectorized(sch, z),
+                              build_reference(sch, z))
+
+    def test_equals_reference_for_arbitrary_weights(self):
+        # Same operands in the same order, so not only for w = 1/2.
+        base = make_schedule(4)
+        gen = np.random.default_rng(5)
+        sch = dataclasses.replace(
+            base,
+            w_l=tuple(gen.uniform(0.1, 0.9, w.shape) for w in base.w_l),
+            w_r=tuple(gen.uniform(0.1, 0.9, w.shape) for w in base.w_r),
+            sig=tuple(gen.uniform(0.1, 0.9, w.shape) for w in base.sig))
+        z = NormalGenerator(MT19937(8)).normals(50 * sch.n_steps)
+        assert np.array_equal(build_vectorized(sch, z),
+                              build_reference(sch, z))
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0),
+                                               (1, 1), (3, 7)])
+    def test_block_edges(self, schedule, blocks, extra):
+        n_paths = blocks * block_paths(schedule) + extra
+        z = NormalGenerator(MT19937(n_paths)).normals(n_paths * 64)
+        assert np.array_equal(build_vectorized(schedule, z),
+                              build_reference(schedule, z))
+
+    def test_reused_workspace_leaks_nothing(self, schedule):
+        width = block_paths(schedule)
+        ws = bridge_workspace(schedule, width, WorkspaceArena().reserve)
+        first = NormalGenerator(MT19937(1)).normals((width + 5) * 64)
+        second = NormalGenerator(MT19937(2)).normals(9 * 64)
+        out = np.empty((width + 5, 65))
+        bridge_blocks(schedule, randoms_to_path_major(schedule, first),
+                      out, ws)
+        # A narrower second build over the stale state of the first.
+        bridge_blocks(schedule, randoms_to_path_major(schedule, second),
+                      out[:9], ws)
+        assert np.array_equal(out[:9], build_vectorized(schedule, second))
+        assert not ws["state"][0].any()
 
 
 class TestWienerStatistics:

@@ -16,8 +16,11 @@ from repro.kernels.brownian import (build_parallel,
 from repro.kernels.monte_carlo import (price_asian_parallel,
                                        price_computed_parallel,
                                        price_stream, price_stream_parallel)
+from repro import registry
+from repro.config import SMALL_SIZES, SMOKE_SIZES
 from repro.errors import DomainError
 from repro.parallel import SlabExecutor
+from repro.plan import audit_allocations, compile_plan
 from repro.pricing import Option, random_batch
 from repro.pricing.options import ExerciseStyle
 from repro.rng import MT19937, NormalGenerator
@@ -103,6 +106,39 @@ class TestBrownian:
         z = NormalGenerator(MT19937(22)).normals(500 * 64)
         assert np.array_equal(build_parallel(sched, z, thread_ex),
                               build_vectorized(sched, z))
+
+    @pytest.mark.parametrize("sizes", [SMOKE_SIZES, SMALL_SIZES],
+                             ids=["smoke", "small"])
+    def test_plans_agree_on_four_backends(self, sizes):
+        """One bridge core on every backend: the ``parallel`` plan is
+        the vectorized tier (itself the scalar reference, see
+        ``test_brownian.py``), the ``greeks`` plan one digest — with
+        slabs several blocks wide and slabs narrower than a block."""
+        payload = registry.workload("brownian").build(sizes, seed=2012)
+        want = build_vectorized(payload["schedule"],
+                                payload["randoms"]).ravel()
+        risk = set()
+        for backend in ("serial", "thread", "process", "daemon"):
+            for slab_bytes in (None, 256 * 1024):
+                with SlabExecutor(backend, n_workers=2,
+                                  slab_bytes=slab_bytes) as ex:
+                    with compile_plan("brownian", "parallel", payload,
+                                      backend=backend, executor=ex) as plan:
+                        assert np.array_equal(plan.run(), want)
+                    with compile_plan("brownian", "greeks", payload,
+                                      backend=backend, executor=ex) as plan:
+                        risk.add(plan.run().digest())
+        assert len(risk) == 1
+
+    @pytest.mark.parametrize("tier", ["parallel", "greeks"])
+    def test_warm_run_allocates_nothing(self, tier):
+        # SMALL: every slab loops its block workspace over several
+        # blocks, the last one ragged.
+        payload = registry.workload("brownian").build(SMALL_SIZES,
+                                                      seed=2012)
+        with compile_plan("brownian", tier, payload,
+                          backend="serial") as plan:
+            assert audit_allocations(plan.run).numpy_bytes == 0
 
     def test_interleaved_backend_bit_identical(self, serial_ex, thread_ex):
         sched = make_schedule(4)

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kernels.rng_kernel import ScalarMT19937, rng_tier_rates
+from repro.kernels.rng_kernel import (ScalarMT19937, pathwise_parallel,
+                                      rng_tier_rates, uniform53_parallel)
+from repro.kernels.rng_kernel.greeks import PATHWISE_OUTPUTS, _pathwise
+from repro.parallel import SlabExecutor
+from repro.plan import audit_allocations, compile_plan
 from repro.rng import MT19937
 from repro.validation import MT19937_SEED_5489_FIRST
+
+BACKENDS = ("serial", "thread", "process", "daemon")
 
 
 class TestScalarReference:
@@ -36,3 +42,43 @@ class TestTierComparison:
         rates = rng_tier_rates(n=2_000)
         assert rates["speedup"] > 1.0
         assert rates["scalar_per_s"] > 0
+
+
+class TestParallelTiers:
+    """The lane-batched slab tiers reproduce the one sequential stream
+    on every backend, at a size no slab, lane or block boundary
+    divides."""
+
+    N, SEED = 40_001, 77
+    #: Small slabs: many of them, none 312-aligned, three lane passes.
+    SLAB_BYTES = 96 * 1024
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_parallel_equals_sequential_stream(self, backend):
+        want = MT19937(self.SEED).uniform53(self.N)
+        with SlabExecutor(backend, n_workers=2,
+                          slab_bytes=self.SLAB_BYTES) as ex:
+            assert ex.n_slabs(self.N, 8) > 2
+            assert np.array_equal(
+                uniform53_parallel(self.N, self.SEED, ex), want)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_greeks_equals_sequential_stream(self, backend):
+        n = self.N
+        u = MT19937(self.SEED).uniform53(2 * n)
+        want = {k: np.empty(n) for k in PATHWISE_OUTPUTS}
+        _pathwise(u, np.empty(n), np.empty(n), np.empty(n),
+                  np.empty(n, dtype=bool), *want.values())
+        with SlabExecutor(backend, n_workers=2,
+                          slab_bytes=self.SLAB_BYTES) as ex:
+            got = pathwise_parallel(n, self.SEED, ex)
+        for name in PATHWISE_OUTPUTS:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("tier", ["parallel", "greeks"])
+    def test_warm_run_allocates_nothing(self, tier):
+        with SlabExecutor("serial",
+                          slab_bytes=self.SLAB_BYTES) as ex, \
+                compile_plan("rng", tier, {"n": self.N, "seed": self.SEED},
+                             backend="serial", executor=ex) as plan:
+            assert audit_allocations(plan.run).numpy_bytes == 0

@@ -28,6 +28,13 @@ class TestReserve:
         b = arena.reserve("x", 4, fill=1.5)   # reuse keeps contents
         assert np.all(b == 7.0)
 
+    def test_scoped_reserve_suffixes_every_name(self):
+        arena = WorkspaceArena()
+        a = arena.scoped(0)("x", 4)
+        b = arena.scoped(1)("x", (2, 2), bool)
+        assert arena.names == ("x0", "x1")
+        assert a is arena.get("x0") and b.dtype == bool
+
     def test_shape_drift_raises(self):
         arena = WorkspaceArena()
         arena.reserve("x", 8)

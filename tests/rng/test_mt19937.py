@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.kernels.rng_kernel import ScalarMT19937
 from repro.rng import MT19937
+from repro.rng.mt19937 import (LANES, advance_window, block_workspace,
+                               lane_passes, snapshot_lanes, twist_inplace,
+                               uniform53_into, uniform53_lanes)
 from repro.validation import (MT19937_ARRAY_SEED_FIRST,
                               MT19937_SEED_5489_FIRST)
 
@@ -67,6 +72,85 @@ class TestAPI:
         g = MT19937(3)
         g.jumped_copy(100)
         assert np.array_equal(g.raw(5), MT19937(3).raw(5))
+
+    @pytest.mark.parametrize("mti", [0, 1, 623, 624])
+    @pytest.mark.parametrize("draws", [0, 1, 623, 624, 625, 1248])
+    def test_jumped_copy_block_boundaries(self, mti, draws):
+        """The skip is twists plus an index: state *and* ``mti`` must
+        be what ``raw()`` leaves, from every index position."""
+        g, ref = MT19937(21), MT19937(21)
+        for gen in (g, ref):
+            gen.raw(700)            # a twisted, mid-stream state
+            gen._mti = mti
+        ref.raw(draws)
+        jumped = g.jumped_copy(draws)
+        key, pos = jumped.state()
+        assert pos == ref.state()[1]
+        assert np.array_equal(key, ref.state()[0])
+        assert np.array_equal(jumped.raw(10), ref.raw(10))
+
+
+def lane_uniform53(seed, n, cuts=()):
+    """``n`` doubles through the lane-batched path: one compile-time
+    walk leaving aligned snapshots per ``[cut, cut)`` stretch, then a
+    warm tabulation of each stretch."""
+    w, mti = MT19937(seed).state()
+    walk_ws, ws = block_workspace(), block_workspace(LANES)
+    advance_window(w, mti, walk_ws)
+    out = np.empty(n)
+    for a, b in zip((0, *cuts), (*cuts, n)):
+        snaps = np.array(snapshot_lanes(w, b - a, walk_ws))
+        uniform53_lanes(snaps, out[a:b], ws)
+    return out
+
+
+class TestLaneGenerator:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6000), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_scalar_stream_for_any_split(self, seed, n, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+        assert np.array_equal(lane_uniform53(seed, n, cuts),
+                              ScalarMT19937(seed).uniform53(n))
+
+    @pytest.mark.parametrize("n", [
+        5, 311,                      # n < 312: the tail lane only
+        3 * 312,                     # fewer blocks than LANES
+        2 * LANES * 312,             # R = 0
+        (2 * LANES - 1) * 312 + 7,   # R = lanes - 1, and a tail
+    ])
+    def test_lane_layout_edges(self, n):
+        passes = lane_passes(n)
+        assert sum(lanes * k for lanes, k in passes) == n
+        assert all(0 < lanes <= LANES for lanes, _ in passes)
+        assert np.array_equal(lane_uniform53(9, n, cuts=(n // 3,)),
+                              MT19937(9).uniform53(n))
+
+    def test_one_dimensional_state_is_the_one_lane_case(self):
+        mt, mti = MT19937(3).state()
+        out = np.empty(1000)
+        mti = uniform53_into(mt, mti, out, block_workspace())
+        ref = MT19937(3)
+        assert np.array_equal(out, ref.uniform53(1000))
+        assert mti == ref.state()[1]
+        assert np.array_equal(mt, ref.state()[0])
+
+    @pytest.mark.parametrize("draws", [0, 1, 311, 312, 623, 624, 625, 2000])
+    def test_advanced_window_is_an_aligned_state(self, draws):
+        # Any 624 consecutive words of the word stream are a state.
+        w, mti = MT19937(4).state()
+        ws = block_workspace()
+        advance_window(w, mti, ws)      # align at the stream's start
+        advance_window(w, draws, ws)
+        out = np.empty(700)
+        uniform53_into(w, 0, out, ws)
+        ref = MT19937(4)
+        ref.raw(draws)
+        assert np.array_equal(out, ref.uniform53(700))
+
+    def test_strided_lanes_rejected(self):
+        ws = block_workspace(4)
+        with pytest.raises(ConfigurationError):
+            twist_inplace(np.zeros((4, 1248), np.uint32)[:, ::2], ws)
 
 
 class TestDistribution:
