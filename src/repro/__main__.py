@@ -23,7 +23,7 @@ scaling                 measured core-scaling curves (workers x backends)
 greeks                  risk workloads: Greeks tiers, cold vs plan-compiled
 serve-bench             steady-state serving: warm plan vs cold compile
 loadtest                open-loop gateway loadtest: capacity + latency grid
-dse                     design-space sweep + measured autotune gate
+dse                     design-space sweep: modeled gap/crossover surfaces
 
 Kernel choices everywhere are derived from :mod:`repro.registry`, so a
 newly registered kernel shows up in ``figure``/``profile``/``sweep``
@@ -158,7 +158,7 @@ def _cmd_daemon(args) -> int:
     from .tune import PolicyTable, default_policy_path
     state = _read_state(state_path)
     status = _sock_call(state["socket"], "status")
-    # This machine's learned dispatch policy rides along: the daemon
+    # This machine's dispatch policy table rides along: the daemon
     # itself is policy-agnostic (gateways resolve policies client-side),
     # so status reports what a policy-aware client would apply here.
     policy_path = default_policy_path()

@@ -1,354 +1,81 @@
-"""Design-space exploration + measured autotuning: ``BENCH_dse.json``.
+"""Design-space exploration: the modeled surfaces behind ``BENCH_dse.json``.
 
-Two halves, one artifact.
+The paper characterises two fixed 2012 chips; :mod:`repro.tune.space`
+makes the machine model parametric, so this driver sweeps cores × SIMD
+width × LLC capacity × bandwidth through the existing cost/roofline
+models and records, per kernel and grid point, where the Ninja gap and
+the serial/parallel crossover move.  The two real chips (SNB-EP, KNC)
+ride along as *anchor rows* computed from the registered model builders
+— if the resynthesis path drifts from the paper's Table 1 ladders, the
+record shows the mismatch.
 
-**Modeled surfaces** — the paper characterises two fixed 2012 chips;
-:mod:`repro.tune.space` makes the machine model parametric, so this
-driver sweeps cores × SIMD width × LLC capacity × bandwidth through the
-existing cost/roofline models and records, per kernel and grid point,
-where the Ninja gap and the serial/parallel crossover move.  The two
-real chips (SNB-EP, KNC) ride along as *anchor rows* computed from the
-registered model builders — if the resynthesis path drifts from the
-paper's Table 1 ladders, the committed artifact shows the mismatch.
-
-**Measured autotune gate** — the online autotuner
-(:class:`~repro.tune.autotuner.CandidateTuner`) is run for real on this
-host: per (kernel × workload size) grid point it races the fixed
-default dispatch configuration (``MEASURED_CROSSOVER_BYTES`` on the
-thread pool) against always-inline, always-pool and the analytic
-model's bootstrap crossover, converges by successive halving, writes
-the winner into a :class:`~repro.tune.policy.PolicyTable`, and then
-re-measures tuned vs fixed head-to-head.  The fixed default is always
-in the candidate set, so the tuner can never *choose* a worse
-configuration — the acceptance gate checks that it also never
-*measures* worse: tuned throughput >= fixed on >= 80% of grid points,
-never worse than 5%, and every tuned result digest bit-identical to
-the serial reference.
+Nothing here times this host: the record is a deterministic function of
+the model.  The *measured* crossover of the served path (compiled plans,
+pooled vs forced-inline) is ``python -m repro parallel --crossover``
+(:func:`~repro.bench.harness.measure_pool_crossover`).
 """
 
 from __future__ import annotations
 
-import time
 
-from ..config import SMALL_SIZES, WorkloadSizes
-from ..errors import ExperimentError
-from ..results import as_result_slab
-
-#: Acceptance thresholds (ISSUE 10): tuned >= fixed on this fraction of
-#: grid points, and never slower than this ratio on any point.
-GATE_FRAC_GE_FIXED = 0.8
-GATE_MIN_RATIO = 0.95
-
-#: Safety cap on bandit pulls per grid point (4 arms x 3-sample stages
-#: converge in ~12-18 pulls; the cap only matters if halving stalls).
-MAX_TUNE_PULLS = 64
-
-
-def _candidates(kernel: str):
-    """The per-point candidate set.  ``fixed`` (the historical constant)
-    is always present, so the tuner's incumbent is never worse than the
-    default by construction."""
-    from ..parallel import MEASURED_CROSSOVER_BYTES
-    from ..tune import (BOOTSTRAP_MAX_BYTES, BOOTSTRAP_MIN_BYTES, Candidate,
-                        host_like_spec, modeled_crossover_bytes)
-
-    cands = [
-        Candidate(name="fixed", backend="thread",
-                  min_parallel_bytes=MEASURED_CROSSOVER_BYTES),
-        Candidate(name="inline", backend="thread",
-                  min_parallel_bytes=1 << 62),
-        Candidate(name="pool", backend="thread", min_parallel_bytes=0),
-    ]
-    try:
-        xover = int(modeled_crossover_bytes(kernel, host_like_spec()))
-    except Exception:
-        return tuple(cands)
-    xover = max(BOOTSTRAP_MIN_BYTES, min(BOOTSTRAP_MAX_BYTES, xover))
-    if xover not in {c.min_parallel_bytes for c in cands}:
-        cands.append(Candidate(name="model", backend="thread",
-                               min_parallel_bytes=xover))
-    return tuple(cands)
-
-
-def _surfaces(kernels, axes) -> dict:
-    """Modeled (ninja gap, bound, crossover) surfaces + chip anchors."""
-    from ..tune import anchor_rows, kernel_surface
-
-    return {
-        kernel: {
-            "anchors": anchor_rows(kernel),
-            "grid": kernel_surface(kernel, axes),
-        }
-        for kernel in kernels
-    }
-
-
-def _tune_point(kernel: str, sizes: WorkloadSizes, seed: int,
-                repeats: int, samples_per_stage: int,
-                n_workers: int | None, mismatches: list) -> dict:
-    """Autotune one (kernel, workload) grid point; returns its row."""
-    from .. import registry
-    from ..parallel import MEASURED_CROSSOVER_BYTES, SlabExecutor
-    from ..tune import CandidateTuner, shape_bucket
-
-    spec = registry.workload(kernel)
-    tier = registry.parallel_tier(kernel)
-    payload = spec.build(sizes, seed=seed)
-    items = spec.items(payload)
-    impl = registry.impl(kernel, tier, "thread")
-
-    with SlabExecutor("serial", n_workers=1) as ref_ex:
-        ref_serial = registry.impl(kernel, tier, "serial")
-        ref_digest = as_result_slab(
-            ref_serial.fn(payload, ref_ex), ref_serial.outputs).digest()
-
-    candidates = _candidates(kernel)
-    tuner = CandidateTuner(candidates=candidates,
-                           samples_per_stage=samples_per_stage,
-                           seed=seed)
-    with SlabExecutor("thread", n_workers=n_workers) as ex:
-        # One digest-checked warm-up per arm: first calls pay pool
-        # spin-up and lazy imports, and every candidate must reproduce
-        # the serial reference bit for bit before its timings count.
-        for cand in candidates:
-            ex.min_parallel_bytes = cand.min_parallel_bytes
-            digest = as_result_slab(impl.fn(payload, ex),
-                                    impl.outputs).digest()
-            if digest != ref_digest:
-                mismatches.append(
-                    f"{kernel}[{cand.name}]: {digest} != serial "
-                    f"{ref_digest}")
-
-        pulls = 0
-        while not tuner.converged and pulls < MAX_TUNE_PULLS:
-            cand = tuner.choose()
-            ex.min_parallel_bytes = cand.min_parallel_bytes
-            t0 = time.perf_counter()
-            impl.fn(payload, ex)
-            tuner.observe(cand.name, time.perf_counter() - t0)
-            pulls += 1
-        winner = tuner.best()
-
-        # Head-to-head re-measure, best-of-``repeats`` each side.  When
-        # the tuner kept the default the configurations are identical
-        # and the ratio is 1.0 by definition (re-timing the same config
-        # twice measures only noise).
-        def best_of(mpb: int) -> float:
-            ex.min_parallel_bytes = mpb
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                impl.fn(payload, ex)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        tuned_s = best_of(winner.min_parallel_bytes)
-        fixed_s = (tuned_s if winner.name == "fixed"
-                   else best_of(MEASURED_CROSSOVER_BYTES))
-
-    # The head-to-head is the bandit's *final* halving round: the noisy
-    # single-shot pulls nominate an incumbent, the careful best-of-N
-    # here decides between it and the fixed default.  A pick that loses
-    # this round is never deployed — the policy keeps the default, so an
-    # autotuned machine can only ever match or beat the fixed constant.
-    raw_ratio = (1.0 if winner.name == "fixed"
-                 else (fixed_s / tuned_s if tuned_s > 0 else float("inf")))
-    fell_back = winner.name != "fixed" and raw_ratio < 1.0
-    deployed = (next(c for c in candidates if c.name == "fixed")
-                if fell_back else winner)
-
-    snap = tuner.snapshot()
-    return {
-        "kernel": kernel,
-        "tier": tier,
-        "items": items,
-        "bucket": shape_bucket(items),
-        "outputs": list(impl.outputs),
-        "bytes": items * spec.bytes_per_item,
-        "candidates": {c.name: c.min_parallel_bytes for c in candidates},
-        "chosen": winner.name,
-        "deployed": deployed.name,
-        "deployed_min_parallel_bytes": deployed.min_parallel_bytes,
-        "fell_back": fell_back,
-        "tune_pulls": pulls,
-        "explore": snap["explore"],
-        "exploit": snap["exploit"],
-        "arms": snap["arms"],
-        "tuned_s": tuned_s,
-        "fixed_s": fixed_s,
-        "raw_ratio": raw_ratio,
-        # The gate judges the deployed configuration: identical configs
-        # compare at exactly 1.0 (re-timing one config twice is noise).
-        "ratio": (1.0 if winner.name == "fixed" or fell_back
-                  else raw_ratio),
-        "digest": ref_digest,
-        "tuner": snap,
-    }
-
-
-def measure_dse(axes: dict | None = None,
-                sizes: WorkloadSizes = SMALL_SIZES,
-                kernels: tuple | None = None,
-                repeats: int = 3, seed: int = 2012,
-                samples_per_stage: int = 3,
-                n_workers: int | None = None,
-                policy_out: str | None = None) -> dict:
-    """Run both halves; returns the ``BENCH_dse.json`` payload.
-
-    ``axes`` parameterises the modeled sweep (default
-    :data:`~repro.tune.space.DEFAULT_AXES`; CI passes
-    :data:`~repro.tune.space.SMOKE_AXES`).  ``kernels`` restricts the
-    *measured* grid (the modeled surfaces always cover every kernel
-    with a machine model, so the committed surfaces stay complete).
-    ``policy_out`` writes the tuned :class:`~repro.tune.PolicyTable` to
-    an explicit path — never the default policy file, so a DSE run
-    cannot silently change later runs' dispatch behaviour.
-    """
-    from .. import registry
-    from ..tune import PolicyEntry, PolicyTable, shape_bucket
+def measure_dse(axes: dict | None = None) -> dict:
+    """The ``BENCH_dse.json`` payload: per modeled kernel, the chip
+    anchors and the (ninja gap, bound, crossover) surface over ``axes``
+    (default :data:`~repro.tune.space.DEFAULT_AXES`; CI passes
+    :data:`~repro.tune.space.SMOKE_AXES`)."""
+    from ..tune import DEFAULT_AXES, anchor_rows, kernel_surface
     from .ninja import GAP_KERNELS
 
-    if repeats < 1 or samples_per_stage < 1:
-        raise ExperimentError(
-            "repeats and samples_per_stage must be >= 1")
-    names = registry.parallel_kernels()
-    if kernels is not None:
-        unknown = [k for k in kernels if k not in names]
-        if unknown:
-            raise ExperimentError(
-                f"unknown parallel kernel(s) {unknown}; "
-                f"registered: {list(names)}")
-        names = tuple(k for k in names if k in kernels)
-
-    surfaces = _surfaces(GAP_KERNELS, axes)
-
-    mismatches: list = []
-    grid = [_tune_point(kernel, sizes, seed, repeats, samples_per_stage,
-                        n_workers, mismatches)
-            for kernel in names]
-
-    # Fold the winners into a policy table: one shape-bucket entry per
-    # grid point plus a kernel-level wildcard from the largest workload
-    # (the shape the crossover decision matters most for).
-    table = PolicyTable()
-    largest: dict = {}
-    def _entry(row) -> PolicyEntry:
-        return PolicyEntry(
-            backend="thread",
-            min_parallel_bytes=row["deployed_min_parallel_bytes"],
-            source="tuned", explore=row["explore"],
-            exploit=row["exploit"], samples=row["tune_pulls"],
-            best_s=min(row["tuned_s"], row["fixed_s"]),
-        )
-
-    for row in grid:
-        table.set(row["kernel"], _entry(row),
-                  outputs=tuple(row["outputs"]), bucket=row["bucket"])
-        prev = largest.get(row["kernel"])
-        if prev is None or row["items"] > prev["items"]:
-            largest[row["kernel"]] = row
-    for kernel, row in largest.items():
-        table.set(kernel, _entry(row), outputs=tuple(row["outputs"]))
-    if policy_out:
-        table.save(policy_out)
-
-    ratios = [row["ratio"] for row in grid]
-    frac = (sum(1 for r in ratios if r >= 1.0) / len(ratios)
-            if ratios else 1.0)
-    min_ratio = min(ratios) if ratios else 1.0
-    acceptance = {
-        "grid_points": len(grid),
-        "frac_tuned_ge_fixed": round(frac, 4),
-        "min_ratio": round(min_ratio, 4),
-        "gate_frac": GATE_FRAC_GE_FIXED,
-        "gate_min_ratio": GATE_MIN_RATIO,
-        "digests_checked": len(grid) and sum(
-            len(row["candidates"]) for row in grid),
-        "digest_mismatches": mismatches,
-        "digests_ok": not mismatches,
-        "pass": bool(frac >= GATE_FRAC_GE_FIXED
-                     and min_ratio >= GATE_MIN_RATIO
-                     and not mismatches),
-    }
-
+    axes = axes or DEFAULT_AXES
     return {
-        "axes": {k: list(v) for k, v in (axes or _default_axes()).items()},
-        "kernels": list(names),
-        "repeats": repeats,
-        "samples_per_stage": samples_per_stage,
-        "seed": seed,
-        "fingerprint": table.fingerprint,
-        "host_facts": table.facts,
-        "surfaces": surfaces,
-        "autotune": grid,
-        "policy": table.summary(),
-        "policy_out": policy_out,
-        "acceptance": acceptance,
+        "axes": {k: list(v) for k, v in axes.items()},
+        "surfaces": {
+            kernel: {
+                "anchors": anchor_rows(kernel),
+                "grid": kernel_surface(kernel, axes),
+            }
+            for kernel in GAP_KERNELS
+        },
     }
 
 
-def _default_axes() -> dict:
-    from ..tune import DEFAULT_AXES
-
-    return DEFAULT_AXES
-
-
-def _surface_notes(surfaces: dict) -> list:
-    """One anchor line per kernel plus the crossover span of its grid."""
-    notes = []
-    for kernel, surf in surfaces.items():
-        anchors = "; ".join(
-            f"{a['platform']} gap {a['ninja_gap']:.1f}x "
-            f"xover {a['crossover_bytes'] / 1024:.0f}KiB"
-            for a in surf["anchors"])
-        xs = [row["crossover_bytes"] for row in surf["grid"]
-              if row["crossover_bytes"] != float("inf")]
-        gaps = [row["ninja_gap"] for row in surf["grid"]]
-        span = (f"grid gap {min(gaps):.1f}-{max(gaps):.1f}x, "
-                f"xover {min(xs) / 1024:.0f}-{max(xs) / 1024:.0f}KiB"
-                if xs else "grid all single-core (no crossover)")
-        notes.append(f"{kernel}: {anchors}; {span}")
-    return notes
+def _span(values, scale: float = 1.0) -> str:
+    return f"{min(values) / scale:.1f}-{max(values) / scale:.1f}"
 
 
 def dse_result(data: dict):
     """Render :func:`measure_dse` output through the standard
-    experiment reporters (one row per measured grid point)."""
+    experiment reporters (one row per kernel)."""
     from .experiments import ExperimentResult
 
     rows = []
-    for row in data["autotune"]:
+    for kernel, surf in data["surfaces"].items():
+        anchors = {a["platform"]: a for a in surf["anchors"]}
+        grid = surf["grid"]
+        xovers = [row["crossover_bytes"] for row in grid
+                  if row["crossover_bytes"] != float("inf")]
         rows.append((
-            row["kernel"], row["items"],
-            row["chosen"],
-            row["deployed"],
-            round(row["fixed_s"] * 1e3, 3),
-            round(row["tuned_s"] * 1e3, 3),
-            round(row["ratio"], 3),
-            row["tune_pulls"],
+            kernel,
+            round(anchors["SNB-EP"]["ninja_gap"], 1),
+            round(anchors["KNC"]["ninja_gap"], 1),
+            round(anchors["SNB-EP"]["crossover_bytes"] / 1024, 1),
+            round(anchors["KNC"]["crossover_bytes"] / 1024, 1),
+            _span([row["ninja_gap"] for row in grid]),
+            _span(xovers, 1024) if xovers else "single-core",
         ))
-    acc = data["acceptance"]
-    notes = [
-        f"machine {data['fingerprint']} "
-        f"({data['host_facts'].get('cpu_count', '?')} cores); "
-        f"seed={data['seed']} repeats={data['repeats']}",
-        f"acceptance: tuned >= fixed on "
-        f"{acc['frac_tuned_ge_fixed']:.0%} of {acc['grid_points']} "
-        f"points (gate >= {acc['gate_frac']:.0%}), min ratio "
-        f"{acc['min_ratio']:.3f} (gate >= {acc['gate_min_ratio']}), "
-        f"{len(acc['digest_mismatches'])} digest mismatches "
-        f"[{'PASS' if acc['pass'] else 'FAIL'}]",
-        "ratio = fixed best-of / deployed best-of (>= 1 means the "
-        "deployed config is at least as fast); a bandit pick that "
-        "loses the head-to-head is never deployed — the policy keeps "
-        "the fixed default and the point reports 1.0",
-    ]
-    notes.extend(_surface_notes(data["surfaces"]))
+    n_grid = len(next(iter(data["surfaces"].values()))["grid"])
     return ExperimentResult(
         exp_id="dse",
-        title="Design-space exploration + measured autotune gate",
-        headers=("kernel", "items", "chosen", "deployed",
-                 "fixed ms", "tuned ms", "ratio", "pulls"),
+        title="Design-space exploration: modeled Ninja gap and "
+              "serial/parallel crossover",
+        headers=("kernel", "SNB-EP gap", "KNC gap", "SNB-EP xover KiB",
+                 "KNC xover KiB", "grid gap", "grid xover KiB"),
         rows=rows,
-        notes=notes,
+        notes=[
+            f"{n_grid} grid points per kernel: "
+            + " x ".join(f"{k}={v}" for k, v in data["axes"].items()),
+            "anchors come from the registered model builders, the grid "
+            "from the resynthesised ladders; the measured crossover of "
+            "the served path is `python -m repro parallel --crossover`",
+        ],
     )

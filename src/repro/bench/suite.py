@@ -7,7 +7,10 @@ which ``*_result`` views render it, where the artifact lands, which
 flags of the shared vocabulary (:data:`FLAGS`) the subcommand takes —
 their parsed values are the ``measure_*`` keywords, plus the entry's
 ``extra`` — the gate (``failures``) and the acceptance lines
-(``summary``).
+(``summary``).  A gate is a function of digests, tier agreement and the
+allocation audit only: no exit code reads a clock (perfbench owns
+capacity and latency, speed-corrected and bounded); timing verdicts are
+reported figures and ``[PASS]``/``[MISS]`` marks.
 :func:`run_measured` is the only runner — the CLI registers the
 subcommands by looping over the table, and CI loops over its names.
 
@@ -76,8 +79,9 @@ FLAGS = {
     "format": ("--format", dict(default="text", choices=list(FORMATS))),
     "policy": ("--policy", dict(
         default="fixed",
-        help="dispatch policy: fixed, auto (this machine's tuned policy "
-             "file), or a policy-file path")),
+        help="dispatch policy table: fixed (none), auto (this "
+             "machine's section of the policy file, bootstrapped from "
+             "the model when empty), or a policy-file path")),
     "crossover": ("--crossover", dict(
         action="store_true",
         help="also measure the pool-crossover overhead table "
@@ -104,13 +108,6 @@ FLAGS = {
         type=_csv(float), default=None,
         help="comma-separated max_wait budgets (ms; 0 = no linger, "
              "the gateway default)")),
-    "samples-per-stage": ("--samples-per-stage", dict(
-        type=int, default=3,
-        help="bandit samples per arm per halving stage")),
-    "policy-out": ("--policy-out", dict(
-        default=None,
-        help="tuned policy table path (default: BENCH_policy.json "
-             "beside --out; never the live policy file)")),
 }
 
 
@@ -263,48 +260,16 @@ def _loadtest_extra(a) -> dict:
 
 
 def _loadtest_failures(data, smoke) -> list:
-    """Digests always; the 5x capacity gate and the latency budgets
-    only outside ``--smoke`` (a smoke run is too short to judge them)."""
-    failures = [f"digest mismatch: {m}"
-                for m in data["digest_mismatches"][:5]]
-    if smoke:
-        return failures
-    if not data["capacity"]["gate_5x"]:
-        failures.append(f"capacity speedup {data['capacity']['speedup']}x "
-                        f"< 5x gate")
-    for row in data["latency"]:
-        if not row["budget_ok"]:
-            failures.append(
-                f"rate={row['rate_rps']} budget={row['budget_ms']}ms: p99 "
-                f"{row['latency_ms'].get('p99_ms', 0):.2f}ms > budget + "
-                f"{row['allowance_ms']}ms allowance")
-    return failures
+    """Digests only: ``capacity.gate_5x`` and each row's ``budget_ok``
+    stay in the record and the rendered table as reported figures."""
+    return [f"digest mismatch: {m}"
+            for m in data["digest_mismatches"][:5]]
 
 
 def _dse_extra(a) -> dict:
     from ..tune import DEFAULT_AXES, SMOKE_AXES
 
-    policy_out = a.policy_out
-    if policy_out is None and a.out:
-        policy_out = os.path.join(
-            os.path.dirname(os.path.abspath(a.out)), "BENCH_policy.json")
-    return dict(_sized(a), axes=SMOKE_AXES if a.smoke else DEFAULT_AXES,
-                policy_out=policy_out)
-
-
-def _dse_failures(data, smoke) -> list:
-    acc = data["acceptance"]
-    if acc["pass"]:
-        return []
-    return [f"digest mismatch: {m}"
-            for m in acc["digest_mismatches"][:5]] + [
-        f"tuned >= fixed on {acc['frac_tuned_ge_fixed']:.0%} of "
-        f"{acc['grid_points']} points (gate >= {acc['gate_frac']:.0%}), "
-        f"min ratio {acc['min_ratio']} (gate >= {acc['gate_min_ratio']})"]
-
-
-def _dse_summary(data) -> list:
-    return [f"wrote {data['policy_out']}"] if data["policy_out"] else []
+    return dict(axes=SMOKE_AXES if a.smoke else DEFAULT_AXES)
 
 
 _SLAB = ("workers", "slab-bytes", "repeats", "seed")
@@ -370,16 +335,13 @@ MEASURED = {b.name: b for b in (
         extra=_loadtest_extra, failures=_loadtest_failures),
     MeasuredBench(
         name="dse",
-        help="design-space exploration (modeled surfaces) + measured "
-             "autotune acceptance gate",
+        help="design-space exploration: modeled Ninja-gap and "
+             "crossover surfaces",
         measure="measure_dse",
         views=("dse_result",),
         artifact="BENCH_dse.json",
-        flags=("smoke", "kernels", "workers", "repeats",
-               "samples-per-stage", "seed", "policy-out"),
-        defaults={"repeats": 3},
-        extra=_dse_extra, failures=_dse_failures,
-        summary=_dse_summary),
+        flags=("smoke",),
+        extra=_dse_extra),
 )}
 
 

@@ -87,7 +87,7 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 #: was within noise of inline (rng at 2 MiB: 1.004x, binomial at
 #: 3.2 MiB: 1.003x).  This constant is the documented *last resort*:
 #: :func:`default_crossover_bytes` prefers the ``REPRO_CROSSOVER_BYTES``
-#: env override, then this machine's tuned policy file
+#: env override, then this machine's section of the policy file
 #: (``repro.tune.policy``), and only then falls back here.
 MEASURED_CROSSOVER_BYTES = 1 << 21
 
@@ -672,9 +672,9 @@ def default_crossover_bytes(kernel: str | None = None,
     """The inline/pool crossover for this machine.
 
     Resolution order (ISSUE 10 satellite): the explicit
-    ``REPRO_CROSSOVER_BYTES`` env override wins; then a tuned policy
+    ``REPRO_CROSSOVER_BYTES`` env override wins; then a policy
     entry for this machine's fingerprint (consulted only when a policy
-    file already exists, so untuned machines keep the historical
+    file already exists, so machines without one keep the historical
     behaviour bit for bit); finally the measured-once
     :data:`MEASURED_CROSSOVER_BYTES` constant.
     """
@@ -687,8 +687,8 @@ def default_crossover_bytes(kernel: str | None = None,
 def default_executor() -> SlabExecutor:
     """The process-wide threaded executor the parallel-tier kernels use
     when none is passed: one persistent pool for the whole process.
-    Carries this machine's resolved crossover (env override > tuned
-    policy > measured constant) so incidental tiny dispatches do not
+    Carries this machine's resolved crossover (env override > policy
+    file > measured constant) so incidental tiny dispatches do not
     pay pool overhead."""
     global _DEFAULT
     if _DEFAULT is None or _DEFAULT._closed:

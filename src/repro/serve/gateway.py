@@ -44,20 +44,19 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
   and only then do plans, stagings, the dispatch thread and the
   executor shut down.
 
-**Dispatch policy** (``policy=`` — ISSUE 10): ``"fixed"`` keeps the
-historical constants (power-of-two buckets, the executor's own
-crossover).  ``"auto"`` consults this machine's section of the policy
-file (:mod:`repro.tune.policy`, bootstrapped from the analytic model
-when empty) and *refines* it online: per (kernel, output set, shape
-bucket) an epsilon-greedy tuner picks the batch bucket among a small
-candidate set, scores it by measured per-option service time, and the
-surviving choices are persisted back to the policy file on close.  A
-path (or :class:`~repro.tune.PolicyTable`) pins a pre-tuned policy
-without refining.  The policy-resolved ``min_parallel_bytes`` enters
-the plan-cache key, so tuning never silently reuses a plan compiled
-under a different inline decision, and every choice only moves *where*
-a batch runs — padding and slab plans keep results bit-identical to
-the serial reference.
+**Dispatch policy** (``policy=``): which table the gateway reads when
+it compiles a plan.  ``"fixed"`` keeps the historical constants
+(power-of-two buckets, the executor's own crossover).  ``"auto"`` is
+this machine's section of the policy file (:mod:`repro.tune.policy`,
+bootstrapped from the analytic model when empty); a path or a
+:class:`~repro.tune.PolicyTable` is that table.  The gateway only
+*reads* a table — nothing times requests to decide anything and nothing
+here writes a policy file.  On an executor the gateway owns, the
+table's per-kernel ``min_parallel_bytes`` is set before the compile and
+enters the plan-cache key, so a plan compiled under one inline decision
+is never reused for another; a borrowed executor keeps its own
+crossover.  Every choice only moves *where* a batch runs — padding and
+slab plans keep results bit-identical to the serial reference.
 """
 
 from __future__ import annotations
@@ -151,7 +150,6 @@ class PricingGateway:
         self._started = False
         self._policy_spec = policy
         self._policy = None         # PolicyTable once started (non-fixed)
-        self._tuners = None         # TunerBank, "auto" mode only
         self._stat = {"requests": 0, "completed": 0, "shed": 0,
                       "failed": 0, "cancelled": 0, "batches": 0}
         self._batch_requests_hist: dict = {}
@@ -164,13 +162,11 @@ class PricingGateway:
             raise ConfigurationError("gateway already started")
         self._loop = asyncio.get_running_loop()
         if self._policy_spec not in (None, "fixed"):
-            from ..tune import TunerBank, load_policy
+            from ..tune import load_policy
             # Policy load touches the filesystem (and may bootstrap from
             # the analytic model); keep it off the event loop.
             self._policy = await self._loop.run_in_executor(
                 None, load_policy, self._policy_spec)
-            if self._policy_spec == "auto":
-                self._tuners = TunerBank(self._policy)
         from ..parallel.slab import SlabExecutor
         # The policy's machine-wide crossover seeds every executor this
         # gateway creates; per-kernel entries refine it at compile time
@@ -237,16 +233,6 @@ class PricingGateway:
 
     def _teardown_blocking(self) -> None:
         """Blocking tail of close(); runs on a helper thread."""
-        if self._tuners is not None:
-            # Persist what this serving run learned: tuner incumbents
-            # become "tuned" policy entries for this machine's
-            # fingerprint.  Best-effort — an unwritable cache dir must
-            # not fail the drain.
-            self._tuners.flush_to_policy()
-            try:
-                self._policy.save()
-            except OSError:
-                pass
         with self._cache_lock:
             self._cache.clear()
         self._pool.shutdown(wait=True)
@@ -363,17 +349,13 @@ class PricingGateway:
         requests = [req for req, _ in batch]
         total = sum(r.n for r in requests)
         try:
-            width, tuner, arm = self._bucket_for(sig, total)
+            width = self._bucket_for(sig, total)
             staging = self._get_staging(sig, width)
             offsets = staging.pack(requests)
             t0 = time.perf_counter()
             value = await self._loop.run_in_executor(
                 self._pool, self._run_plan, staging)
             service = time.perf_counter() - t0
-            if tuner is not None:
-                # Score the chosen bucket by per-option service time so
-                # a bucket covering mixed batch totals compares fairly.
-                tuner.observe(arm, service / total)
             results = staging.scatter(value, offsets)
         except Exception as exc:                  # deliver, don't die
             self._stat["failed"] += len(batch)
@@ -394,40 +376,27 @@ class PricingGateway:
             if not fut.done():
                 fut.set_result(res)
 
-    def _bucket_for(self, sig, total: int):
-        """``(width, tuner, arm)`` for one batch.
-
-        Fixed policy: the canonical power-of-two bucket, no tuner.
-        Pinned policy: the policy entry's bucket when one exists.
-        Auto: an epsilon-greedy tuner chooses between the canonical
-        bucket and the next wider one (fewer distinct plans under mixed
-        totals, at the cost of padding) — scored by live timings.
-        """
+    def _bucket_for(self, sig, total: int) -> int:
+        """Staging width for one batch: the canonical power-of-two
+        bucket, widened to the policy entry's ``bucket_width`` when the
+        table has one for this kernel and size."""
         base = bucket_width(total, self.min_bucket, self.max_batch)
         if self._policy is None:
-            return base, None, None
+            return base
         kernel, tier, _, _ = sig
-        outputs = adapter_for(kernel, tier).outputs
-        if self._tuners is None:
-            bucket = self._policy.value("bucket_width", kernel, outputs,
-                                        n=total)
-            if bucket is not None:
-                return max(base, min(int(bucket), self.max_batch)), \
-                    None, None
-            return base, None, None
-        from ..tune import Candidate
-        candidates = [Candidate(name=f"w{base}", bucket_width=base)]
-        if base * 2 <= self.max_batch:
-            candidates.append(
-                Candidate(name=f"w{base * 2}", bucket_width=base * 2))
-        tuner = self._tuners.tuner(kernel, outputs, base, candidates)
-        chosen = tuner.choose()
-        return chosen.bucket_width, tuner, chosen.name
+        bucket = self._policy.value(
+            "bucket_width", kernel, adapter_for(kernel, tier).outputs,
+            n=total)
+        if bucket is None:
+            return base
+        return max(base, min(int(bucket), self.max_batch))
 
     def _policy_crossover(self, staging: Staging) -> int | None:
         """The policy's ``min_parallel_bytes`` for a staging's kernel
-        and width, or None when no policy (or no entry) applies."""
-        if self._policy is None:
+        and width, or None when no policy (or no entry) applies.  A
+        borrowed executor — possibly the process-wide default — is its
+        owner's to configure, so the table never applies to it."""
+        if self._policy is None or not self._owns_executor:
             return None
         kernel, tier, _, _ = staging.signature
         return self._policy.min_parallel_bytes(
@@ -454,7 +423,7 @@ class PricingGateway:
         kernel, tier, _, _ = staging.signature
         # The policy-resolved crossover is part of the key: a plan
         # compiled under one inline decision is never reused for
-        # another, so tuning updates can't churn or cross-wire plans.
+        # another.
         return plan_key(kernel, tier, self.backend,
                         self._executor.n_workers, staging.payload) \
             + (self._policy_crossover(staging),)
@@ -490,11 +459,9 @@ class PricingGateway:
     # -- observability -------------------------------------------------
     def reset_stats(self) -> dict:
         """Zero the counters and histograms (plans and stagings stay
-        warm) and return the active policy snapshot — what the tuner
-        chose per signature up to this point survives the reset, so
-        benchmarks that reset after warmup still see which arm won.
-        Benchmarks call this after warmup dispatches so the one-time
-        first-kernel-run cost never skews service percentiles."""
+        warm) and return the active policy summary.  Benchmarks call
+        this after warmup dispatches so the one-time first-kernel-run
+        cost never skews service percentiles."""
         for key in self._stat:
             self._stat[key] = 0
         self._batch_requests_hist.clear()
@@ -503,18 +470,15 @@ class PricingGateway:
         return self.policy_summary()
 
     def policy_summary(self) -> dict:
-        """The active dispatch policy, per signature: chosen
-        tier/backend/bucket plus exploration-vs-exploitation counts."""
+        """The active dispatch policy: mode, machine fingerprint and
+        the table's entries."""
         if self._policy is None:
             return {"mode": "fixed"}
-        summary = {
-            "mode": "auto" if self._tuners is not None else "pinned",
+        return {
+            "mode": "auto" if self._policy_spec == "auto" else "pinned",
             "fingerprint": self._policy.fingerprint,
             "entries": self._policy.summary(),
         }
-        if self._tuners is not None:
-            summary["tuners"] = self._tuners.snapshot()
-        return summary
 
     @property
     def stats(self) -> dict:

@@ -1,19 +1,17 @@
-"""Design-space exploration and online autotuning.
+"""Design-space exploration and the dispatch policy table.
 
 Two halves of one idea — the paper's best code shape is per-kernel and
-per-platform, so the runtime's dispatch constants should be data:
+per-platform, so the runtime's dispatch constants should be data,
+derived from machine facts and fixed before the run:
 
 * :mod:`repro.tune.space` sweeps the parametric machine model (cores ×
   SIMD width × LLC × bandwidth) and maps where each kernel's Ninja gap
   and serial/parallel crossover move (``python -m repro dse``);
 * :mod:`repro.tune.policy` persists per-machine dispatch policies keyed
-  by :func:`~repro.arch.host.machine_fingerprint`;
-* :mod:`repro.tune.autotuner` refines those policies from live timings
-  (epsilon-greedy with successive-halving elimination).
+  by :func:`~repro.arch.host.machine_fingerprint`, bootstrapped from
+  that model and read when a dispatch is compiled.
 """
 
-from .autotuner import (EPSILON, SAMPLES_PER_STAGE, Candidate,
-                        CandidateTuner, TunerBank)
 from .policy import (BOOTSTRAP_MAX_BYTES, BOOTSTRAP_MIN_BYTES,
                      CROSSOVER_ENV, POLICY_PATH_ENV, PolicyEntry,
                      PolicyTable, bootstrap, default_policy_path,
@@ -25,8 +23,6 @@ from .space import (DEFAULT_AXES, DISPATCH_OVERHEAD_S, SMOKE_AXES,
                     modeled_crossover_bytes, rebuild_model, variant_for)
 
 __all__ = [
-    "Candidate", "CandidateTuner", "TunerBank",
-    "EPSILON", "SAMPLES_PER_STAGE",
     "PolicyEntry", "PolicyTable", "bootstrap", "default_policy_path",
     "entry_key", "load_policy", "resolve_crossover_bytes", "shape_bucket",
     "CROSSOVER_ENV", "POLICY_PATH_ENV",

@@ -1,17 +1,20 @@
 """Persisted per-machine dispatch policies.
 
-The runtime's dispatch choices — pool vs inline (``min_parallel_bytes``),
-backend, slab width, gateway batch bucket — were fixed constants measured
-once on one machine (PR 5's ``MEASURED_CROSSOVER_BYTES``).  The paper's
-central observation is that these operating points are *per-kernel and
-per-platform*; this module makes them per-machine data instead of code.
+The runtime's dispatch choices — pool vs inline (``min_parallel_bytes``)
+and the gateway batch bucket — were fixed constants measured once on one
+machine (PR 5's ``MEASURED_CROSSOVER_BYTES``).  The paper's central
+observation is that these operating points are *per-kernel and
+per-platform*, derived from machine facts and fixed before the run; this
+module makes them per-machine data instead of code.  Nothing here times
+anything: a table is read when a dispatch is compiled.
 
 A :class:`PolicyTable` is one machine's section of a JSON policy file
 keyed by :func:`~repro.arch.host.machine_fingerprint`.  Entries are keyed
 by ``kernel[output-set]@shape-bucket`` (bucket = next power of two of the
 item count, ``*`` for any shape) and record the chosen dispatch
 configuration plus how it was obtained (``bootstrap`` from the analytic
-model, ``tuned`` by the online autotuner, ``pinned`` by an operator).
+model, ``tuned`` from a measurement such as ``python -m repro parallel
+--crossover``, ``pinned`` by an operator).
 
 Resolution order for the executor's crossover (satellite of ISSUE 10):
 
@@ -78,16 +81,9 @@ class PolicyEntry:
     """One dispatch decision: which knobs to set for one (kernel,
     output set, shape bucket) on one machine."""
 
-    tier: str | None = None
-    backend: str | None = None
     min_parallel_bytes: int | None = None
-    slab_bytes: int | None = None
     bucket_width: int | None = None
     source: str = "bootstrap"        # bootstrap | tuned | pinned
-    explore: int = 0                 # epsilon-greedy exploration pulls
-    exploit: int = 0                 # greedy best-arm pulls
-    samples: int = 0                 # timings folded into best_s
-    best_s: float | None = None      # best observed seconds at this key
 
     def __post_init__(self):
         if self.source not in ("bootstrap", "tuned", "pinned"):
@@ -101,13 +97,15 @@ class PolicyEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolicyEntry":
+        # Unknown keys are dropped: files written by earlier versions
+        # carry fields (tier, backend, tuner counters) nothing reads.
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
 class PolicyTable:
-    """One machine's learned dispatch policies.
+    """One machine's dispatch policies.
 
     ``entries`` maps :func:`entry_key` strings to :class:`PolicyEntry`.
     Lookup is most-specific-first: the exact shape bucket, then the
@@ -148,8 +146,8 @@ class PolicyTable:
               n: int | None = None):
         """Most-specific non-None value of one knob.
 
-        An entry that does not set ``field`` (a tuned bucket entry may
-        only pick a bucket width) falls through to the next-more-general
+        An entry that does not set ``field`` (a bucket entry may only
+        pick a bucket width) falls through to the next-more-general
         key instead of masking it.
         """
         for key in self._keys_for(kernel, outputs, n):
@@ -172,10 +170,8 @@ class PolicyTable:
         """Compact per-entry view for status/stats reporting."""
         return {
             key: {
-                "tier": e.tier, "backend": e.backend,
                 "min_parallel_bytes": e.min_parallel_bytes,
                 "bucket_width": e.bucket_width, "source": e.source,
-                "explore": e.explore, "exploit": e.exploit,
             }
             for key, e in sorted(self.entries.items())
         }
@@ -192,7 +188,7 @@ class PolicyTable:
         """Merge this machine's section into the policy file.
 
         Other machines' sections are preserved; the write is atomic
-        (tmp + rename) so a crashed tuner never truncates the file.
+        (tmp + rename) so a crashed writer never truncates the file.
         """
         path = path or default_policy_path()
         doc = _read_file(path)
@@ -249,7 +245,7 @@ def bootstrap(table: PolicyTable | None = None) -> PolicyTable:
     crossover (``repro.tune.space``) becomes a ``bootstrap`` entry's
     ``min_parallel_bytes``, clamped to the plausible band.  Pure model
     evaluation — no micro-benchmarks — so it is cheap enough to run on
-    first use of an untuned machine.
+    first use of a machine with no policy file.
     """
     from .. import registry
     from .space import host_like_spec, modeled_crossover_bytes
@@ -268,17 +264,13 @@ def bootstrap(table: PolicyTable | None = None) -> PolicyTable:
         key = entry_key(kernel)
         if key not in table.entries:
             table.entries[key] = PolicyEntry(
-                backend="thread", min_parallel_bytes=xover,
-                source="bootstrap",
-            )
+                min_parallel_bytes=xover, source="bootstrap")
     gkey = entry_key(WILDCARD)
     if values and gkey not in table.entries:
         # The global fallback is the most conservative (largest) kernel
         # crossover: inlining a bit long is cheap, pooling early is not.
         table.entries[gkey] = PolicyEntry(
-            backend="thread", min_parallel_bytes=max(values),
-            source="bootstrap",
-        )
+            min_parallel_bytes=max(values), source="bootstrap")
     return table
 
 
@@ -290,8 +282,8 @@ def resolve_crossover_bytes(kernel: str | None = None,
     """The satellite's resolution chain: env > policy > default.
 
     When no ``policy`` is passed, the policy file is consulted only if
-    it already exists — an untuned machine gets exactly the historical
-    constant behaviour, bit for bit.
+    it already exists — a machine without one gets exactly the
+    historical constant behaviour, bit for bit.
     """
     env = os.environ.get(CROSSOVER_ENV)
     if env is not None:
@@ -314,10 +306,11 @@ def resolve_crossover_bytes(kernel: str | None = None,
 def load_policy(spec, bootstrap_missing: bool = True):
     """Resolve a CLI ``--policy`` value to a table (or None for fixed).
 
-    ``"fixed"``/``None`` disable the autotuner; ``"auto"`` loads this
-    machine's section of the default policy file (bootstrapping from the
-    analytic model when empty); a path loads that file and requires it
-    to exist; a :class:`PolicyTable` passes through.
+    ``"fixed"``/``None`` mean no table (the historical constants);
+    ``"auto"`` loads this machine's section of the default policy file
+    (bootstrapping from the analytic model when empty); a path loads
+    that file and requires it to exist; a :class:`PolicyTable` passes
+    through.
     """
     if spec is None or spec == "fixed":
         return None

@@ -112,8 +112,8 @@ def variant_for(point: DesignPoint, base: ArchSpec = SNB_EP) -> ArchSpec:
 def rebuild_model(kernel: str, variant: ArchSpec):
     """Re-synthesise ``kernel``'s tier ladder on ``variant``.
 
-    Public wrapper over the ``bench.whatif`` builder so the tuner and
-    the DSE driver share one resynthesis path.
+    Public wrapper over the ``bench.whatif`` builder so the policy
+    bootstrap and the DSE driver share one resynthesis path.
     """
     from ..bench.whatif import _rebuild_for
 
@@ -125,8 +125,8 @@ def host_like_spec(facts: dict | None = None) -> ArchSpec:
 
     Used to bootstrap policy tables: core count and LLC size come from
     :func:`~repro.arch.host.host_facts`; clock, width and bandwidth are
-    generic modern-x86 nominals.  This is a prior for the autotuner, not
-    a calibration — :func:`~repro.arch.host.calibrate_host` measures.
+    generic modern-x86 nominals.  This is a prior for the policy table,
+    not a calibration — :func:`~repro.arch.host.calibrate_host` measures.
     """
     from ..arch.host import host_facts
 
@@ -212,7 +212,7 @@ def anchor_rows(kernel: str):
 
     Computed from the kernel's *registered* model builder (not the
     resynthesised ladders), so a drifting rebuild path shows up as an
-    anchor mismatch in the committed artifact.
+    anchor mismatch in the ``dse`` record.
     """
     from ..kernels import build_model
 

@@ -13,8 +13,7 @@ from repro.simd import VectorMachine
 def _isolated_dispatch_policy(tmp_path, monkeypatch):
     """Keep dispatch-policy resolution hermetic: a developer's real
     ``~/.cache/repro/policy.json`` or exported ``REPRO_CROSSOVER_BYTES``
-    must never leak into test behaviour — and a test that *writes* the
-    policy file (gateway auto mode) must not leak into later tests."""
+    must never leak into test behaviour."""
     monkeypatch.setenv("REPRO_POLICY_PATH", str(tmp_path / "policy.json"))
     monkeypatch.delenv("REPRO_CROSSOVER_BYTES", raising=False)
 

@@ -91,6 +91,37 @@ class TestOneBodyPerSlabTier:
         assert callers == self.ONE_SHOT_HELPERS
 
 
+class TestPolicyIsReadAtCompileTime:
+    """A dispatch decision is a table read at compile time (ISSUE 21):
+    nothing under ``serve``/``parallel`` persists a table (no ``.save(``
+    call at all) or imports ``random`` to explore alternatives."""
+
+    def test_served_path_neither_saves_nor_draws_random(self):
+        import ast
+        from pathlib import Path
+
+        import repro.parallel
+        import repro.serve
+
+        offenders = []
+        for pkg in (repro.serve, repro.parallel):
+            for path in Path(pkg.__file__).parent.rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call) \
+                            and isinstance(node.func, ast.Attribute) \
+                            and node.func.attr == "save":
+                        offenders.append(f"{path.name}: .save(")
+                    elif isinstance(node, ast.Import) and any(
+                            a.name.split(".")[0] == "random"
+                            for a in node.names):
+                        offenders.append(f"{path.name}: import random")
+                    elif isinstance(node, ast.ImportFrom) \
+                            and node.level == 0 and node.module \
+                            and node.module.split(".")[0] == "random":
+                        offenders.append(f"{path.name}: from random")
+        assert offenders == []
+
+
 class TestLookups:
     def test_impl_filtering(self):
         serial = registry.impls(kernel="black_scholes", backend="serial")

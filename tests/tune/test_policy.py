@@ -47,8 +47,8 @@ class TestLookup:
         assert t.min_parallel_bytes() == 333
 
     def test_entry_without_field_falls_through(self):
-        # A tuned bucket entry that only picks a bucket width must not
-        # mask the kernel-level crossover.
+        # A bucket entry that only picks a bucket width must not mask
+        # the kernel-level crossover.
         t = PolicyTable(fingerprint="f", facts={})
         t.set("bs", PolicyEntry(bucket_width=128), bucket=64)
         t.set("bs", PolicyEntry(min_parallel_bytes=222))
@@ -65,8 +65,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "policy.json")
         t = PolicyTable(fingerprint="abc", facts={"cpu_count": 4})
-        t.set("bs", PolicyEntry(backend="thread",
-                                min_parallel_bytes=4096,
+        t.set("bs", PolicyEntry(min_parallel_bytes=4096,
                                 source="tuned"))
         assert t.save(path) == path
         back = PolicyTable.load(path, fingerprint="abc")
@@ -82,6 +81,27 @@ class TestPersistence:
         doc = json.loads(open(path).read())
         assert set(doc["machines"]) == {"m1", "m2"}
         assert doc["version"] == 1
+
+    def test_file_from_an_earlier_version_loads(self, tmp_path):
+        # Entries once carried ten fields (tier, backend, slab_bytes and
+        # the tuner's counters); the extra keys are ignored and the
+        # crossover resolves as before.
+        path = str(tmp_path / "old.json")
+        old = {"tier": "parallel", "backend": "thread",
+               "min_parallel_bytes": 4096, "slab_bytes": 1 << 20,
+               "bucket_width": 128, "source": "tuned", "explore": 3,
+               "exploit": 40, "samples": 6, "best_s": 1.5e-4}
+        with open(path, "w") as fh:
+            json.dump({"version": 1, "machines": {"abc": {
+                "facts": {"cpu_count": 4},
+                "entries": {"bs[price]@*": old}}}}, fh)
+        back = PolicyTable.load(path, fingerprint="abc")
+        assert back.lookup("bs") == PolicyEntry(
+            min_parallel_bytes=4096, bucket_width=128, source="tuned")
+        assert resolve_crossover_bytes("bs", policy=back,
+                                       default=1) == 4096
+        assert set(back.summary()["bs[price]@*"]) == \
+            {"min_parallel_bytes", "bucket_width", "source"}
 
     def test_load_missing_file(self, tmp_path):
         path = str(tmp_path / "nope.json")
