@@ -280,7 +280,7 @@ def main(argv=None) -> int:
                         "attaches to a running daemon, else serial)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-wait-ms", type=float, default=0.0,
-                   help="linger before a quiet signature's first flush "
+                   help="linger before a quiet tier's first flush "
                         "(default 0: dispatch is work-conserving and "
                         "batches form while the dispatch thread is busy; "
                         "set >0 to trade latency for fewer dispatches)")

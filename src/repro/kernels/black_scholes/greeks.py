@@ -30,6 +30,7 @@ from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
+from .parallel import rate_vol_operands
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -55,7 +56,7 @@ GREEK_SCHEMA = {
 GREEKS_BYTES_PER_OPTION = 8 * 20
 
 
-def _greeks_slab(S, X, T, r: float, sig: float, out: dict,
+def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
                  lib: VectorMathLib, scratch=None) -> None:
     """Fused price+Greeks for one slab, writing the 12 vectors of
     ``out`` in place.
@@ -64,7 +65,9 @@ def _greeks_slab(S, X, T, r: float, sig: float, out: dict,
     ``(5, len(S))`` block on the planned path; allocated here
     otherwise).  Gamma and vega are call/put-identical and are stored
     twice so every logical output keeps the uniform ``[call | put]``
-    layout.
+    layout.  ``r``/``sig`` are floats, or with ``cols`` per-option
+    columns (the fused scalar expressions become column passes in the
+    same IEEE grouping — bit-identical either way).
     """
     if scratch is None:
         scratch = np.empty((5, S.shape[0]), dtype=DTYPE)
@@ -73,12 +76,22 @@ def _greeks_slab(S, X, T, r: float, sig: float, out: dict,
     np.sqrt(T, out=sqt)                    # sqt = √T
     np.divide(S, X, out=d1)
     lib.log(d1, out=d1)                    # d1 = ln(S/X)
-    np.multiply(T, r + sig * sig / 2.0, out=d2)
+    if cols:
+        np.multiply(sig, sig, out=d2)
+        d2 /= 2.0
+        d2 += r
+        d2 *= T
+    else:
+        np.multiply(T, r + sig * sig / 2.0, out=d2)
     d1 += d2                               # d1 = ln(S/X) + (r+σ²/2)T
     np.multiply(sqt, sig, out=d2)          # d2 = σ√T
     d1 /= d2                               # d1 done
     np.subtract(d1, d2, out=d2)            # d2 = d1 − σ√T
-    np.multiply(T, -r, out=disc)
+    if cols:
+        np.negative(r, out=disc)
+        disc *= T
+    else:
+        np.multiply(T, -r, out=disc)
     lib.exp(disc, out=disc)
     disc *= X                              # disc = X·e^{−rT}
     np.multiply(d1, d1, out=pdf)
@@ -113,7 +126,11 @@ def _greeks_slab(S, X, T, r: float, sig: float, out: dict,
     price_p += rho_p                       # P = disc·N(−d2) − S·N(−d1)
     theta_c, theta_p = out["theta_c"], out["theta_p"]
     np.divide(vega_c, T, out=theta_c)
-    theta_c *= -0.5 * sig                  # −S·φ(d1)·σ/(2√T)
+    if cols:
+        np.multiply(sig, -0.5, out=d2)     # d2 is dead once N(d2) exists
+        theta_c *= d2
+    else:
+        theta_c *= -0.5 * sig              # −S·φ(d1)·σ/(2√T)
     np.multiply(rho_p, r, out=theta_p)
     theta_p += theta_c                     # θ_put = … + r·disc·N(−d2)
     np.multiply(rho_c, r, out=pdf)         # pdf reused: r·disc·N(d2)
@@ -127,16 +144,18 @@ def _greeks_slab_task(arrays: dict, consts: dict, a: int, b: int,
                       slab: int) -> None:
     """Slab task in the backend-portable shape (module-level so the
     process backend can pickle it by reference)."""
+    cols = consts["cols"]
+    params = arrays if cols else consts
     _greeks_slab(arrays["S"], arrays["X"], arrays["T"],
-                 consts["r"], consts["sig"],
+                 params["r"], params["sig"], cols,
                  {name: arrays[name] for name in GREEK_WRITES},
                  consts["lib"], consts.get("scratch"))
 
 
-def _backing_views(backing: np.ndarray, n: int) -> dict:
-    """The 12 write views of one ``12n`` backing vector, in order."""
+def _backing_views(backing: np.ndarray, n: int, names: tuple) -> dict:
+    """The ``n``-long write views of one backing vector, in order."""
     return {name: backing[i * n:(i + 1) * n]
-            for i, name in enumerate(GREEK_WRITES)}
+            for i, name in enumerate(names)}
 
 
 def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
@@ -180,20 +199,21 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
     n = S.shape[0]
     backing = arena.reserve("result", 12 * n)
-    views = _backing_views(backing, n)
+    views = _backing_views(backing, n, GREEK_WRITES)
     per_slab = None
     if not executor.out_of_process:
         slabs = executor.plan(n, GREEKS_BYTES_PER_OPTION)
         scratch = [arena.reserve(f"scratch{i}", (5, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+    columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_shm(
         _greeks_slab_task, n,
         bytes_per_item=GREEKS_BYTES_PER_OPTION,
-        sliced={"S": S, "X": X, "T": T, **views},
+        sliced={"S": S, "X": X, "T": T, **views, **columns},
         writes=GREEK_WRITES,
         outputs=GREEK_SCHEMA,
-        consts={"r": batch.rate, "sig": batch.vol, "lib": lib},
+        consts={"lib": lib, **params},
         per_slab=per_slab, tag="bsg"))
     slab = _result_slab(backing, n)
 

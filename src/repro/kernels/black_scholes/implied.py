@@ -49,8 +49,9 @@ IMPLIED_BYTES_PER_OPTION = 8 * 11
 def call_price_sig(S, X, T, r: float, sig, out, lib: VectorMathLib,
                    scratch=None) -> None:
     """Fused European call price with a **per-element** σ vector,
-    written into ``out`` (three scratch rows).  Shared by the implied
-    tier's target generation and the scenario-grid tier's slab body."""
+    written into ``out`` (three scratch rows): the implied tier's
+    target generation, and the operation sequence the scenario tier's
+    broadcast body reproduces cell for cell."""
     if scratch is None:
         scratch = np.empty((3, np.shape(S)[0]), dtype=DTYPE)
     a, b, c = scratch

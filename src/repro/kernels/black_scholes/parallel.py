@@ -30,7 +30,18 @@ _INV_SQRT2 = 0.7071067811865476
 SLAB_BYTES_PER_OPTION = 8 * 8
 
 
-def _price_slab(S, X, T, r: float, sig: float, call, put,
+def rate_vol_operands(batch: OptionBatch) -> tuple:
+    """Where a dispatch declares the batch's ``r``/``sig``, as
+    ``(sliced, consts)`` fragments: streamed columns for a per-option
+    batch, plan constants otherwise.  ``consts["cols"]`` tells the slab
+    body which form it was compiled for: nothing is probed per run."""
+    operands = {"r": batch.rate, "sig": batch.vol}
+    if batch.per_option:
+        return operands, {"cols": True}
+    return {}, {**operands, "cols": False}
+
+
+def _price_slab(S, X, T, r, sig, cols: bool, call, put,
                 lib: VectorMathLib, scratch=None) -> None:
     """Fused pricing of one slab, writing ``call``/``put`` in place.
 
@@ -38,8 +49,10 @@ def _price_slab(S, X, T, r: float, sig: float, call, put,
     reused across five algebraic roles each (annotated inline).
     ``scratch`` — a ``(3, len(S))`` block — supplies them preallocated
     (the planned path); without it the slab allocates its own.
+    ``r``/``sig`` are floats, or with ``cols`` per-option columns: the
+    fused scalar expressions then run as column passes in the same IEEE
+    grouping, bit-identical to the float form.
     """
-    sig22 = sig * sig / 2.0
     if scratch is None:
         a = np.empty_like(S)
         b = np.empty_like(S)
@@ -50,11 +63,21 @@ def _price_slab(S, X, T, r: float, sig: float, call, put,
     lib.log(a, out=a)                      # a = ln(S/X)
     np.sqrt(T, out=b)
     b *= sig                               # b = σ√T
-    np.multiply(T, r + sig22, out=c)
+    if cols:
+        np.multiply(sig, sig, out=c)
+        c /= 2.0
+        c += r
+        c *= T
+    else:
+        np.multiply(T, r + sig * sig / 2.0, out=c)
     a += c                                 # a = ln(S/X) + (r+σ²/2)T
     a /= b                                 # a = d1
     np.subtract(a, b, out=b)               # b = d2  (d1 − σ√T)
-    np.multiply(T, -r, out=c)
+    if cols:
+        np.negative(r, out=c)
+        c *= T
+    else:
+        np.multiply(T, -r, out=c)
     lib.exp(c, out=c)
     c *= X                                 # c = X·e^{−rT}
     a *= _INV_SQRT2
@@ -94,8 +117,10 @@ def _price_slab_task(arrays: dict, consts: dict, a: int, b: int,
                      slab: int) -> None:
     """Slab task in the backend-portable shape (module-level so the
     process backend can pickle it by reference)."""
+    cols = consts["cols"]
+    params = arrays if cols else consts
     _price_slab(arrays["S"], arrays["X"], arrays["T"],
-                consts["r"], consts["sig"],
+                params["r"], params["sig"], cols,
                 arrays["call"], arrays["put"], consts["lib"],
                 consts.get("scratch"))
 
@@ -128,12 +153,14 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
         scratch = [arena.reserve(f"scratch{i}", (3, b - a))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+    columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_shm(
         _price_slab_task, n,
         bytes_per_item=SLAB_BYTES_PER_OPTION,
-        sliced={"S": S, "X": X, "T": T, "call": call, "put": put},
+        sliced={"S": S, "X": X, "T": T, "call": call, "put": put,
+                **columns},
         writes=("call", "put"),
-        consts={"r": batch.rate, "sig": batch.vol, "lib": lib},
+        consts={"lib": lib, **params},
         per_slab=per_slab, tag="bs"))
 
     def run() -> np.ndarray:

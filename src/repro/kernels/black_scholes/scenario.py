@@ -1,13 +1,15 @@
-"""Spot×vol scenario grids priced as one giant slab.
+"""Spot×vol scenario grids priced straight from the batch.
 
 The risk-scenario workload: revalue the whole batch under a grid of
 relative spot and volatility shifts (the classic stress matrix).  The
-grid is **flattened into one dispatch** — ``n_scenarios · n`` options
-priced by the same fused call kernel with a per-element σ vector —
-so the slab engine load-balances scenario cells exactly like options
-and the result digests as a single vector.  Expansion happens at
-dispatch (or plan-compile) time in the parent; the slab body is pure
-pricing.
+dispatch runs over the ``n`` options and reads S/X/T (and r/σ, in
+either operand form) directly, like the price and Greeks tiers; the 25
+cells are 25 write vectors, contiguous ``n``-views of one scenario-major
+``25n`` result.  The slab body prices the grid by broadcast: √T and
+X·e^{−rT} once per option, ln(S_k/X) per spot shift, (r+σ_j²/2)T and
+σ_j√T per vol shift, and only the ``erf`` passes over all 25 cells —
+each element seeing exactly :func:`.implied.call_price_sig`'s operation
+sequence, so prices are bit-identical to pricing 25 shifted copies.
 """
 
 from __future__ import annotations
@@ -15,56 +17,107 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import DTYPE
-from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
-from .implied import call_price_sig
+from .greeks import _backing_views
+from .parallel import rate_vol_operands
+
+_INV_SQRT2 = 0.7071067811865476
 
 #: Relative shifts: every pair of one spot and one vol factor is a
 #: scenario cell, ordered spot-major (cell k·|vols|+j = spot k, vol j).
 SPOT_SHIFTS = (0.90, 0.95, 1.00, 1.05, 1.10)
 VOL_SHIFTS = (0.80, 0.90, 1.00, 1.10, 1.20)
+_SPOT = np.array(SPOT_SHIFTS, dtype=DTYPE)[:, None]
+_VOL = np.array(VOL_SHIFTS, dtype=DTYPE)[:, None]
+_NS, _NV = len(SPOT_SHIFTS), len(VOL_SHIFTS)
 
-#: Doubles per grid cell: S/X/T/σ in, grid out, 3 scratch.
-SCENARIO_BYTES_PER_CELL = 8 * 8
+#: Write-array names, in backing order: cell ``k·|vols|+j`` is one
+#: contiguous ``n`` view of the scenario-major result.
+GRID_WRITES = tuple(f"g{c:02d}" for c in range(_NS * _NV))
+
+#: Scratch rows per option: S_k, ln(S_k/X), σ_j√T, (r+σ_j²/2)T, √T,
+#: X·e^{−rT}, and the two 25-cell blocks d1/N(d1) and d2/N(d2)·disc.
+_SCRATCH_ROWS = 2 * _NS + 2 * _NV + 2 + 2 * _NS * _NV
+
+#: Doubles per option: S/X/T in, 25 cells out, the scratch rows.
+SCENARIO_BYTES_PER_OPTION = 8 * (3 + _NS * _NV + _SCRATCH_ROWS)
 
 
 def n_scenarios() -> int:
-    return len(SPOT_SHIFTS) * len(VOL_SHIFTS)
+    return _NS * _NV
+
+
+def _scratch_views(block: np.ndarray) -> tuple:
+    """The named views of one ``(_SCRATCH_ROWS, m)`` block, built once
+    per slab at compile time (per run only out of process)."""
+    m = block.shape[1]
+    S5, ln5, b5, c5, (sqt, disc), a3, b3 = np.split(block, np.cumsum(
+        [_NS, _NS, _NV, _NV, 2, _NS * _NV]))
+    a3 = a3.reshape(_NS, _NV, m)
+    b3 = b3.reshape(_NS, _NV, m)
+    cells = [(S5[k], a3[k, j], b3[k, j])
+             for k in range(_NS) for j in range(_NV)]
+    return (S5, ln5, b5, c5, sqt, disc, a3, b3,
+            ln5[:, None, :], c5[None], b5[None], cells)
+
+
+def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
+                   lib: VectorMathLib, scratch=None) -> None:
+    """The 5×5 grid of one slab, written into the 25 vectors of
+    ``grid``.  ``r``/``sig`` are floats, or with ``cols`` per-option
+    columns; ``scratch`` is :func:`_scratch_views` of an arena block
+    (allocated here otherwise)."""
+    if scratch is None:
+        scratch = _scratch_views(
+            np.empty((_SCRATCH_ROWS, S.shape[0]), dtype=DTYPE))
+    S5, ln5, b5, c5, sqt, disc, a3, b3, ln5b, c5b, b5b, cells = scratch
+    np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
+    np.divide(S5, X, out=ln5)
+    lib.log(ln5, out=ln5)                  # ln5[k] = ln(S_k/X)
+    np.multiply(_VOL, sig, out=b5)         # b5[j] = σ_j = σ·vol_j
+    np.multiply(b5, b5, out=c5)
+    c5 *= 0.5
+    c5 += r
+    c5 *= T                                # c5[j] = (r+σ_j²/2)T
+    np.sqrt(T, out=sqt)
+    b5 *= sqt                              # b5[j] = σ_j√T
+    if cols:
+        np.negative(r, out=disc)
+        disc *= T
+    else:
+        np.multiply(T, -r, out=disc)
+    lib.exp(disc, out=disc)
+    disc *= X                              # disc = X·e^{−rT}
+    np.add(ln5b, c5b, out=a3)
+    a3 /= b5b                              # a3[k,j] = d1
+    np.subtract(a3, b5b, out=b3)           # b3[k,j] = d2
+    a3 *= _INV_SQRT2
+    lib.erf(a3, out=a3)
+    a3 *= 0.5
+    a3 += 0.5                              # a3 = N(d1)
+    b3 *= _INV_SQRT2
+    lib.erf(b3, out=b3)
+    b3 *= 0.5
+    b3 += 0.5                              # b3 = N(d2)
+    b3 *= disc                             # b3 = X·e^{−rT}·N(d2)
+    for g, (S_k, nd1, dnd2) in zip(grid, cells):
+        np.multiply(S_k, nd1, out=g)
+        g -= dnd2                          # C = S_k·N(d1) − X·e^{−rT}·N(d2)
 
 
 def _scenario_slab_task(arrays: dict, consts: dict, a: int, b: int,
                         slab: int) -> None:
-    call_price_sig(arrays["S"], arrays["X"], arrays["T"], consts["r"],
-                   arrays["sig"], arrays["grid"], consts["lib"],
-                   consts.get("scratch"))
-
-
-def _expand(batch: OptionBatch, out=None):
-    """Tile the batch across the shift grid: ``(S, X, T, sig)`` arrays
-    of length ``n_scenarios()·n``, written into ``out`` when given (a
-    ``(4, cells)`` block, the planned path's arena buffer)."""
-    soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
-    S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
-    n = S.shape[0]
-    cells = n_scenarios() * n
-    if out is None:
-        out = np.empty((4, cells), dtype=DTYPE)
-    gS, gX, gT, gsig = out
-    k = 0
-    for s_shift in SPOT_SHIFTS:
-        for v_shift in VOL_SHIFTS:
-            sl = slice(k * n, (k + 1) * n)
-            np.multiply(S, s_shift, out=gS[sl])
-            gX[sl] = X
-            gT[sl] = T
-            gsig[sl] = batch.vol * v_shift
-            k += 1
-    return gS, gX, gT, gsig
+    cols = consts["cols"]
+    params = arrays if cols else consts
+    _scenario_slab(arrays["S"], arrays["X"], arrays["T"],
+                   params["r"], params["sig"], cols,
+                   [arrays[name] for name in GRID_WRITES],
+                   consts["lib"], consts.get("scratch"))
 
 
 def scenario_parallel(batch: OptionBatch,
@@ -83,53 +136,40 @@ def scenario_parallel(batch: OptionBatch,
 
 def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
                               arena, lib: VectorMathLib | str = "numpy"):
-    """Plan-compile the scenario grid: the expanded inputs live in
-    arena buffers, built once at compile time; warm runs are pure
-    pricing sweeps with zero hot-path allocations.
+    """Plan-compile the scenario grid for repeated same-shape calls.
 
-    Returns ``(run, rebind)``: unlike the price/Greeks planners, whose
-    dispatches read the batch arrays directly every run, this tier
-    prices a *derived* expansion of the batch, so new numbers must be
-    re-tiled into the arena inputs — ``rebind`` copies the new batch in
-    and re-expands in place (no allocation).  Without it, a cached plan
-    re-run with fresh numbers would silently price the stale grid.
+    Reserves the ``25n`` result and one scratch block per slab in
+    ``arena``.  The dispatch reads the batch arrays directly, so new
+    numbers packed into them need nothing re-derived, and warm runs
+    allocate nothing (out of process the scratch handoff is skipped).
     """
     if isinstance(lib, str):
         lib = get_lib(lib)
-    n = len(batch)
-    cells = n_scenarios() * n
-    inputs = arena.reserve("inputs", (4, cells))
-    gS, gX, gT, gsig = _expand(batch, out=inputs)
-    grid = arena.reserve("result", cells)
+    soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
+    S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
+    n = S.shape[0]
+    grid = arena.reserve("result", n_scenarios() * n)
+    views = _backing_views(grid, n, GRID_WRITES)
     per_slab = None
     if not executor.out_of_process:
-        slabs = executor.plan(cells, SCENARIO_BYTES_PER_CELL)
-        scratch = [arena.reserve(f"scratch{i}", (3, b - a))
+        slabs = executor.plan(n, SCENARIO_BYTES_PER_OPTION)
+        scratch = [_scratch_views(arena.reserve(f"scratch{i}",
+                                                (_SCRATCH_ROWS, b - a)))
                    for i, (a, b) in enumerate(slabs)]
         per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+    columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_shm(
-        _scenario_slab_task, cells,
-        bytes_per_item=SCENARIO_BYTES_PER_CELL,
-        sliced={"S": gS, "X": gX, "T": gT, "sig": gsig, "grid": grid},
-        writes=("grid",),
-        outputs={"grid": ("grid",)},
-        consts={"r": batch.rate, "lib": lib},
+        _scenario_slab_task, n,
+        bytes_per_item=SCENARIO_BYTES_PER_OPTION,
+        sliced={"S": S, "X": X, "T": T, **views, **columns},
+        writes=GRID_WRITES,
+        outputs={"grid": GRID_WRITES},
+        consts={"lib": lib, **params},
         per_slab=per_slab, tag="bssc"))
-    slab = ResultSlab({"grid": grid})
+    slab = ResultSlab({"grid": grid}, backing=grid)
 
     def run() -> ResultSlab:
         dispatch.run()
         return slab
 
-    def rebind(new: OptionBatch) -> None:
-        if (new.n != batch.n or new.rate != batch.rate
-                or new.vol != batch.vol):
-            raise ConfigurationError(
-                "scenario batch width/rate/vol are compiled into the "
-                "plan; compile a new plan")
-        if new is not batch:
-            for name in ("S", "X", "T"):
-                np.copyto(batch.batch.get(name), new.batch.get(name))
-        _expand(batch, out=inputs)
-
-    return run, rebind
+    return run

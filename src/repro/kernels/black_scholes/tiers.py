@@ -103,10 +103,7 @@ def _run_scenario(payload, executor):
 
 
 def _plan_scenario(payload, executor, arena):
-    run, rebind = compile_scenario_parallel(payload["soa"], executor, arena)
-    # The plan-level rebind receives the full registry payload; the
-    # grid only ever prices the SOA half.
-    return run, (lambda new: rebind(new["soa"]))
+    return compile_scenario_parallel(payload["soa"], executor, arena)
 
 
 register_workload(WorkloadSpec(

@@ -44,14 +44,15 @@ def shape_key(payload) -> tuple:
     if hasattr(payload, "n_points"):            # BridgeSchedule and kin
         return (type(payload).__name__, int(payload.n_points))
     if hasattr(payload, "batch"):               # OptionBatch
-        # rate/vol are *plan parameters*, not per-option data: planners
-        # bake them into dispatch consts, and ExecutionPlan refuses to
-        # rebind across a change.  The gateway coalesces many request
-        # signatures at one width, so they must key distinct plans.
-        return (type(payload).__name__, len(payload),
-                getattr(payload, "layout", None),
-                getattr(payload, "rate", None),
-                getattr(payload, "vol", None))
+        # Float rate/vol are *plan parameters*: planners bake them into
+        # dispatch consts and ExecutionPlan refuses to rebind across a
+        # change, so their values key distinct plans.  Per-option
+        # columns are streamed like S/X/T and key by form alone.
+        if payload.per_option:
+            return (type(payload).__name__, len(payload), payload.layout,
+                    "per_option")
+        return (type(payload).__name__, len(payload), payload.layout,
+                payload.rate, payload.vol)
     return (type(payload).__name__,)
 
 

@@ -13,12 +13,13 @@ the loop body then only streams data through pre-built state.
 A tier opts in by registering a *planner* alongside its impl
 (:func:`repro.registry.register_impl` ``planner=``).  The planner
 receives ``(payload, executor, arena)`` and returns a zero-argument
-``runner`` (optionally paired with a ``rebind`` callable) that prices
-the bound payload into arena-owned buffers.  A slab tier has no second
-body: its registered ``fn`` is the one-shot of its planner
-(:func:`one_shot`: compile, run once, retire).  Serial ladder tiers
-without a planner still compile — the plan wraps their ``fn`` and
-reports ``planned=False`` — so every registered impl has a uniform
+``runner`` that prices the bound payload into arena-owned buffers,
+reading the payload's arrays on every run (new numbers are copied into
+them in place — no planner keeps a derived copy to refresh).  A slab
+tier has no second body: its registered ``fn`` is the one-shot of its
+planner (:func:`one_shot`: compile, run once, retire).  Serial ladder
+tiers without a planner still compile — the plan wraps their ``fn``
+and reports ``planned=False`` — so every registered impl has a uniform
 ``plan()`` path.
 """
 
@@ -44,8 +45,13 @@ def _rebind_into(bound, new, path: str = "payload") -> None:
     lists, schedules — is *compiled into* the plan (leaf counts, grid
     spacings, RNG jumps all derive from it), so a differing value is a
     shape change in disguise and raises: compile a fresh plan (the
-    :class:`~.cache.PlanCache` key catches this automatically).
+    :class:`~.cache.PlanCache` key catches this automatically).  An
+    :class:`~repro.pricing.options.OptionBatch` streams S/X/T and, when
+    it carries them per option, its rate/vol columns; a shared float
+    rate/vol is a plan constant like any other scalar.
     """
+    if new is bound:
+        return              # the plan's own payload: nothing to copy
     if isinstance(bound, np.ndarray):
         arr = np.asarray(new)
         if arr.shape != bound.shape or arr.dtype != bound.dtype:
@@ -70,11 +76,18 @@ def _rebind_into(bound, new, path: str = "payload") -> None:
             _rebind_into(b, v, f"{path}[{i}]")
         return
     if hasattr(bound, "batch") and hasattr(bound, "n"):   # OptionBatch
-        if (new.n != bound.n or new.rate != bound.rate
-                or new.vol != bound.vol):
+        if new.n != bound.n or new.per_option != bound.per_option:
             raise ConfigurationError(
-                f"{path}: batch width/rate/vol are compiled into the "
-                f"plan; compile a new plan")
+                f"{path}: batch width and rate/vol form are compiled "
+                f"into the plan; compile a new plan")
+        if bound.per_option:
+            # Columns are streamed next to S/X/T.
+            np.copyto(bound.rate, new.rate)
+            np.copyto(bound.vol, new.vol)
+        elif new.rate != bound.rate or new.vol != bound.vol:
+            raise ConfigurationError(
+                f"{path}: a shared rate/vol is compiled into the plan; "
+                f"compile a new plan")
         for name in ("S", "X", "T"):
             np.copyto(bound.batch.get(name), new.batch.get(name))
         return
@@ -122,7 +135,7 @@ class ExecutionPlan:
     """
 
     def __init__(self, *, impl, payload, arena: WorkspaceArena,
-                 executor, runner, rebind=None, planned: bool,
+                 executor, runner, planned: bool,
                  owns_executor: bool, key: tuple):
         self.impl = impl
         self.payload = payload
@@ -131,7 +144,6 @@ class ExecutionPlan:
         self.planned = planned
         self.key = key
         self._runner = runner
-        self._rebind = rebind
         self._owns_executor = owns_executor
         self.calls = 0
 
@@ -163,10 +175,7 @@ class ExecutionPlan:
         directly (valid until the next ``run``).
         """
         if payload is not None:
-            if self._rebind is not None:
-                self._rebind(payload)
-            else:
-                _rebind_into(self.payload, payload)
+            _rebind_into(self.payload, payload)
         result = self._runner()
         self.calls += 1
         if out is not None:
@@ -223,25 +232,18 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
             f"executor backend {executor.backend!r} does not match "
             f"requested backend {backend!r}")
     arena = WorkspaceArena(tag=impl.label)
-    compiled = impl.plan(payload, executor, arena)
-    rebind = None
-    if compiled is None:
+    runner = impl.plan(payload, executor, arena)
+    planned = runner is not None
+    if not planned:
         # No planner registered (serial ladder tiers): the plan still
         # exists (uniform plan() path) but each run calls fn, flagged
         # for benches.
         def runner(_impl=impl, _p=payload, _ex=executor):
             return np.asarray(_impl.fn(_p, _ex))
-        planned = False
-    else:
-        if isinstance(compiled, tuple):
-            runner, rebind = compiled
-        else:
-            runner = compiled
-        planned = True
     arena.freeze()
     key = plan_key(kernel, tier, backend, executor.n_workers, payload)
     return ExecutionPlan(impl=impl, payload=payload, arena=arena,
-                         executor=executor, runner=runner, rebind=rebind,
+                         executor=executor, runner=runner,
                          planned=planned, owns_executor=owns, key=key)
 
 
@@ -263,9 +265,7 @@ def one_shot(compile_fn, *args, executor=None, **kwargs):
         executor = default_executor()
     arena = WorkspaceArena(tag="one-shot")
     try:
-        compiled = compile_fn(*args, executor, arena, **kwargs)
-        runner = compiled[0] if isinstance(compiled, tuple) else compiled
-        return runner()
+        return compile_fn(*args, executor, arena, **kwargs)()
     finally:
         arena.close()
 
@@ -300,8 +300,5 @@ def cached_plan(kernel: str, tier: str, payload, *,
         return plan
     if payload is not None:
         # Rebind the caller's numbers into the cached plan's buffers.
-        if plan._rebind is not None:
-            plan._rebind(payload)
-        else:
-            _rebind_into(plan.payload, payload)
+        _rebind_into(plan.payload, payload)
     return plan

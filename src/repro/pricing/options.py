@@ -4,7 +4,8 @@ A single :class:`Option` is the scalar-reference-code view; an
 :class:`OptionBatch` is the benchmark workload view — ``nopt`` contracts
 with per-contract spot ``S``, strike ``X`` and expiry ``T``, sharing the
 risk-free rate ``r`` and volatility ``sig`` across the batch exactly as
-the paper's Black-Scholes kernel assumes (Sec. IV-A1). Batches exist in
+the paper's Black-Scholes kernel assumes (Sec. IV-A1) — or, coalesced
+from many requests, carrying them as two more columns. Batches exist in
 both AOS and SOA layouts through :mod:`repro.simd.layout`.
 """
 
@@ -95,10 +96,15 @@ BS_FIELDS = (
 
 
 class OptionBatch:
-    """``nopt`` options with shared ``r``/``sig``, in a chosen layout."""
+    """``nopt`` options in a chosen layout.
 
-    def __init__(self, S, X, T, rate: float, vol: float,
-                 layout: str = "soa"):
+    ``rate``/``vol`` are two floats shared by the batch (the paper's
+    form: planners bake them into dispatch constants) or, if either is
+    an array, two owned length-``n`` columns (``per_option``: planners
+    stream them next to S/X/T, so one plan prices any mix).
+    """
+
+    def __init__(self, S, X, T, rate, vol, layout: str = "soa"):
         S = np.ascontiguousarray(S, dtype=DTYPE)
         X = np.ascontiguousarray(X, dtype=DTYPE)
         T = np.ascontiguousarray(T, dtype=DTYPE)
@@ -109,8 +115,17 @@ class OptionBatch:
             )
         validate_inputs(S, X, T, vol)
         self.n = S.shape[0]
-        self.rate = float(rate)
-        self.vol = float(vol)
+        self.per_option = bool(np.ndim(rate) or np.ndim(vol))
+        if not self.per_option:
+            self.rate, self.vol = float(rate), float(vol)
+        elif {np.shape(rate), np.shape(vol)} <= {(), S.shape}:
+            self.rate, self.vol = (
+                np.array(np.broadcast_to(v, S.shape), dtype=DTYPE)
+                for v in (rate, vol))
+        else:
+            raise DomainError(
+                f"rate/vol columns must have length {self.n}, got "
+                f"{np.shape(rate)}/{np.shape(vol)}")
         if layout == "soa":
             self.batch = SOABatch(BS_FIELDS, self.n,
                                   arrays={"S": S, "X": X, "T": T})
@@ -152,9 +167,11 @@ class OptionBatch:
         """Extract contract ``i`` as a scalar :class:`Option`."""
         if not 0 <= i < self.n:
             raise DomainError(f"option index {i} out of range [0, {self.n})")
+        rate, vol = ((float(self.rate[i]), float(self.vol[i]))
+                     if self.per_option else (self.rate, self.vol))
         return Option(
             spot=float(self.S[i]), strike=float(self.X[i]),
-            expiry=float(self.T[i]), rate=self.rate, vol=self.vol,
+            expiry=float(self.T[i]), rate=rate, vol=vol,
             kind=kind, style=style,
         )
 

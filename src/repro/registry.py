@@ -66,9 +66,8 @@ class KernelImpl:
     tier for repeated same-shape calls: it reserves every buffer the
     tier needs in the :class:`~repro.plan.WorkspaceArena`, freezes the
     slab dispatch (handing it to the arena), pre-seeds RNG stream
-    state, and returns a zero-argument ``runner`` (optionally
-    ``(runner, rebind)``) that prices the bound payload with zero
-    hot-path array allocations.  Every tier registered on a pooled
+    state, and returns a zero-argument ``runner`` that prices the
+    bound payload with zero hot-path array allocations.  Every tier registered on a pooled
     backend has one, and its ``fn`` is the planner's one-shot
     (:func:`repro.plan.one_shot`: compile, run once, retire) — a slab
     tier's dispatch is declared in exactly one place.
@@ -95,8 +94,8 @@ class KernelImpl:
 
     def plan(self, payload, executor, arena):
         """Compile this impl against ``payload``: the planner's
-        ``runner`` (or ``(runner, rebind)``), or ``None`` when the tier
-        registered no planner (callers fall back to wrapping ``fn``)."""
+        ``runner``, or ``None`` when the tier registered no planner
+        (callers fall back to wrapping ``fn``)."""
         if self.planner is None:
             return None
         return self.planner(payload, executor, arena)

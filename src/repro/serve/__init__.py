@@ -14,7 +14,8 @@ This package closes the gap inference-server style:
 * :class:`~.request.PricingRequest` — one user's small slab
   (kernel, tier, contracts, shared rate/vol).
 * :class:`~.gateway.PricingGateway` — an asyncio front end that queues
-  same-signature requests, coalesces whatever arrives while the
+  requests by ``(kernel, tier)`` (rate and vol are per-option columns,
+  so any signatures mix), coalesces whatever arrives while the
   dispatch thread is busy into one canonical-width batch (up to
   ``max_batch``; ``max_wait`` is an opt-in linger), prices
   the fused batch through a cached :class:`~repro.plan.ExecutionPlan`

@@ -9,9 +9,11 @@ of widths cover every load level, each width's plan compiles once, its
 daemon dispatch pins once, and every later batch at that width is pure
 descriptor replay.
 
-A :class:`Staging` owns the payload for one ``(signature, width)``:
-its SOA arrays are the *plan-bound* arrays, so :meth:`pack` writes
-request segments straight into the memory the compiled dispatch reads —
+A :class:`Staging` owns the payload for one ``(kernel, tier, width)``:
+its SOA arrays — S/X/T and the per-option rate/vol columns — are the
+*plan-bound* arrays, so :meth:`pack` writes request segments (each
+with its own rate/vol) straight into the memory the compiled dispatch
+reads —
 the in-process backends price the very same buffers, and the
 out-of-process backends bulk-copy them into their staged
 :class:`~repro.parallel.shm.ShmArena` segments on dispatch (the
@@ -50,7 +52,11 @@ def bucket_width(total: int, min_bucket: int = 64,
 
 
 class Staging:
-    """Packing/scatter state for one ``(signature, width)``."""
+    """Packing/scatter state for one ``(kernel, tier, width)``.
+
+    ``signature`` is ``(kernel, tier)``, optionally followed by the
+    ``(rate, vol)`` the parameter columns start filled with.
+    """
 
     __slots__ = ("adapter", "signature", "width", "payload", "batch",
                  "packs")
@@ -71,6 +77,8 @@ class Staging:
         S = self.batch.S
         X = self.batch.X
         T = self.batch.T
+        rate = self.batch.rate
+        vol = self.batch.vol
         offsets = []
         cur = 0
         for req in requests:
@@ -83,6 +91,8 @@ class Staging:
             S[cur:end] = req.S
             X[cur:end] = req.X
             T[cur:end] = req.T
+            rate[cur:end] = req.rate
+            vol[cur:end] = req.vol
             offsets.append((cur, end))
             cur = end
         self.packs += 1

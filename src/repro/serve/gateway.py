@@ -3,27 +3,28 @@
 Control flow (all on one event loop, plus exactly one dispatch thread):
 
 * :meth:`PricingGateway.submit` validates a request, appends it to its
-  signature's queue, and awaits a future.  Dispatch is
-  **work-conserving**: the first request of a quiet signature puts a
-  flush job straight on the flush queue, so an idle dispatch thread
-  starts it on the next loop iteration, and batches form from whatever
-  arrives while an earlier batch is in flight — the queueing between
-  ``submit``, the dispatcher task and the one dispatch thread does the
-  coalescing.  ``max_wait_s`` is an opt-in *linger*: non-zero, the
-  first request of a quiet signature instead arms a timer and the job
-  is queued when it fires (or when the queue reaches ``max_batch``
+  tier's queue — one per ``(kernel, tier)``; rate and vol travel with
+  the data, so requests of any signature share it — and awaits a
+  future.  Dispatch is **work-conserving**: the first request of a
+  quiet tier puts a flush job straight on the flush queue, so an idle
+  dispatch thread starts it on the next loop iteration, and batches
+  form from whatever arrives while an earlier batch is in flight — the
+  queueing between ``submit``, the dispatcher task and the one dispatch
+  thread does the coalescing.  ``max_wait_s`` is an opt-in *linger*:
+  non-zero, the first request of a quiet tier instead arms a timer and
+  the job is queued when it fires (or when the queue reaches ``max_batch``
   options / ``max_batch_requests`` requests, whichever is first) —
   fewer, wider dispatches for up to ``max_wait_s`` more latency.  The
   default ``0.0`` never touches the timer heap.
 * Flush jobs land on one priority queue keyed by the **oldest pending
   request's arrival** (plus the linger) and drained by a single
   dispatcher task, which prices *one* batch per job and re-queues the
-  signature if requests remain: under backlog the oldest request is
-  served first, and a signature that keeps receiving traffic cannot
+  tier if requests remain: under backlog the oldest request is
+  served first, and a tier that keeps receiving traffic cannot
   starve an older flush of another.  Requests whose caller was
   cancelled while they waited are dropped when their batch is taken,
-  not priced, and a signature's queue is deleted as soon as it is
-  empty and idle, so signature churn does not accumulate state.
+  not priced, and a tier's queue is deleted as soon as it is empty
+  and idle.
 * The dispatcher packs the batch into its canonical-width
   :class:`~.batcher.Staging` (whose arrays are plan-bound — see
   :mod:`~.batcher`), then runs the compiled plan on a **single
@@ -35,9 +36,11 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
   the ``max_pending`` cap, beyond which new requests are shed with
   :class:`~repro.errors.GatewayOverloadError`.
 * Plans come from a gateway-owned :class:`~repro.plan.PlanCache`: one
-  compile (and one daemon pin) per ``(signature, width)``, LRU-retired
-  under signature churn — eviction closes the plan, which unpins its
-  daemon dispatch and releases its segments.
+  compile (and one daemon pin) per ``(kernel, tier, width)`` — at most
+  three tiers × seven power-of-two widths under the defaults, however
+  many signatures the traffic carries — LRU-retired should a
+  configuration exceed the cache; eviction closes the plan, which
+  unpins its daemon dispatch and releases its segments.
 * :meth:`PricingGateway.close` drains gracefully: intake stops
   (:class:`~repro.errors.GatewayClosedError`), every queued request is
   flushed regardless of deadline, the dispatcher finishes its backlog,
@@ -78,8 +81,8 @@ from .workloads import adapter_for
 _SERVICE_SAMPLES = 20_000
 
 
-class _SigQueue:
-    """Pending requests of one signature."""
+class _TierQueue:
+    """Pending requests of one ``(kernel, tier)``, of any signature."""
 
     __slots__ = ("items", "n_options", "timer", "enqueued")
 
@@ -211,9 +214,9 @@ class PricingGateway:
         self._closed = True
         # Every live queue either holds requests or has a job in flight
         # (which re-queues itself while requests remain).
-        for sig, st in self._queues.items():
+        for key, st in self._queues.items():
             if st.items:
-                self._enqueue_flush(sig, st)
+                self._enqueue_flush(key, st)
         # The stop sentinel sorts after every real job, re-queued ones
         # included.
         self._seq += 1
@@ -262,10 +265,10 @@ class PricingGateway:
                 f"{self._queued_requests} requests queued "
                 f"(max_pending={self.max_pending}); retry later")
         self._stat["requests"] += 1
-        sig = request.signature
-        st = self._queues.get(sig)
+        key = (request.kernel, request.tier)
+        st = self._queues.get(key)
         if st is None:
-            st = self._queues[sig] = _SigQueue()
+            st = self._queues[key] = _TierQueue()
         fut = self._loop.create_future()
         st.items.append((request, fut, self._loop.time()))
         st.n_options += request.n
@@ -274,55 +277,55 @@ class PricingGateway:
                 or (self.max_batch_requests is not None
                     and len(st.items) >= self.max_batch_requests))
         if full or not self.max_wait_s:
-            self._enqueue_flush(sig, st)
+            self._enqueue_flush(key, st)
         elif st.timer is None and not st.enqueued:
             st.timer = self._loop.call_later(
-                self.max_wait_s, self._deadline_fired, sig)
+                self.max_wait_s, self._deadline_fired, key)
         return await fut
 
-    def _deadline_fired(self, sig) -> None:
-        st = self._queues.get(sig)
+    def _deadline_fired(self, key) -> None:
+        st = self._queues.get(key)
         if st is None:
             return
         st.timer = None
-        self._enqueue_flush(sig, st)
+        self._enqueue_flush(key, st)
 
-    def _enqueue_flush(self, sig, st: _SigQueue) -> None:
+    def _enqueue_flush(self, key, st: _TierQueue) -> None:
         if st.timer is not None:
             st.timer.cancel()
             st.timer = None
         if not st.enqueued:
             st.enqueued = True
-            self._put_job(sig, st)
+            self._put_job(key, st)
 
-    def _put_job(self, sig, st: _SigQueue) -> None:
-        """Queue one flush of ``sig``, ordered by when its oldest
+    def _put_job(self, key, st: _TierQueue) -> None:
+        """Queue one flush of ``key``, ordered by when its oldest
         pending request arrived (plus the linger it was promised)."""
         self._seq += 1
         self._flush_q.put_nowait(
-            (st.items[0][2] + self.max_wait_s, self._seq, sig))
+            (st.items[0][2] + self.max_wait_s, self._seq, key))
 
     # -- dispatch ------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
-            _key, _seq, sig = await self._flush_q.get()
-            if sig is None:
+            _due, _seq, key = await self._flush_q.get()
+            if key is None:
                 return
-            st = self._queues[sig]
+            st = self._queues[key]
             batch = self._take_batch(st)
             if batch:
-                await self._price_batch(sig, batch)
+                await self._price_batch(key, batch)
             # One batch per job: what arrived meanwhile goes back on
             # the flush queue behind older flushes of other signatures.
             # No await between this check and the bookkeeping, so a
             # submit landing afterwards sees a quiet signature and
             # queues its own job: no lost wake-ups.
             if st.items:
-                self._put_job(sig, st)
+                self._put_job(key, st)
             else:
-                del self._queues[sig]
+                del self._queues[key]
 
-    def _take_batch(self, st: _SigQueue) -> list:
+    def _take_batch(self, st: _TierQueue) -> list:
         """Slice the longest prefix fitting the batch caps, dropping
         requests whose caller was cancelled while they waited; empty
         only when every queued request was."""
@@ -345,12 +348,12 @@ class PricingGateway:
                 n_opts += req.n
         return batch
 
-    async def _price_batch(self, sig, batch) -> None:
+    async def _price_batch(self, key, batch) -> None:
         requests = [req for req, _ in batch]
         total = sum(r.n for r in requests)
         try:
-            width = self._bucket_for(sig, total)
-            staging = self._get_staging(sig, width)
+            width = self._bucket_for(key, total)
+            staging = self._get_staging(key, width)
             offsets = staging.pack(requests)
             t0 = time.perf_counter()
             value = await self._loop.run_in_executor(
@@ -376,14 +379,14 @@ class PricingGateway:
             if not fut.done():
                 fut.set_result(res)
 
-    def _bucket_for(self, sig, total: int) -> int:
+    def _bucket_for(self, key, total: int) -> int:
         """Staging width for one batch: the canonical power-of-two
         bucket, widened to the policy entry's ``bucket_width`` when the
         table has one for this kernel and size."""
         base = bucket_width(total, self.min_bucket, self.max_batch)
         if self._policy is None:
             return base
-        kernel, tier, _, _ = sig
+        kernel, tier = key
         bucket = self._policy.value(
             "bucket_width", kernel, adapter_for(kernel, tier).outputs,
             n=total)
@@ -398,19 +401,18 @@ class PricingGateway:
         owner's to configure, so the table never applies to it."""
         if self._policy is None or not self._owns_executor:
             return None
-        kernel, tier, _, _ = staging.signature
         return self._policy.min_parallel_bytes(
-            kernel, staging.adapter.outputs, n=staging.width)
+            staging.adapter.kernel, staging.adapter.outputs,
+            n=staging.width)
 
-    def _get_staging(self, sig, width: int) -> Staging:
-        key = (sig, width)
-        staging = self._stagings.get(key)
+    def _get_staging(self, key, width: int) -> Staging:
+        slot = (key, width)
+        staging = self._stagings.get(slot)
         if staging is not None:
-            self._stagings.move_to_end(key)
+            self._stagings.move_to_end(slot)
             return staging
-        kernel, tier, _, _ = sig
-        staging = Staging(adapter_for(kernel, tier), sig, width)
-        self._stagings[key] = staging
+        staging = Staging(adapter_for(*key), key, width)
+        self._stagings[slot] = staging
         while len(self._stagings) > self.max_stagings:
             _, old = self._stagings.popitem(last=False)
             # Retire the evicted shape's plan with it: close() unpins
@@ -420,17 +422,16 @@ class PricingGateway:
         return staging
 
     def _plan_key(self, staging: Staging) -> tuple:
-        kernel, tier, _, _ = staging.signature
         # The policy-resolved crossover is part of the key: a plan
         # compiled under one inline decision is never reused for
         # another.
-        return plan_key(kernel, tier, self.backend,
-                        self._executor.n_workers, staging.payload) \
+        return plan_key(staging.adapter.kernel, staging.adapter.tier,
+                        self.backend, self._executor.n_workers,
+                        staging.payload) \
             + (self._policy_crossover(staging),)
 
     def _run_plan(self, staging: Staging):
         """Dispatch-thread body: warm plan lookup + fused batch run."""
-        kernel, tier, _, _ = staging.signature
         key = self._plan_key(staging)
         with self._cache_lock:
             plan = self._cache.get(key)
@@ -443,16 +444,15 @@ class PricingGateway:
                 # the executor *before* the compile below.
                 with self._cache_lock:
                     self._executor.min_parallel_bytes = mpb
-            plan = compile_plan(kernel, tier, staging.payload,
+            plan = compile_plan(staging.adapter.kernel,
+                                staging.adapter.tier, staging.payload,
                                 backend=self.backend,
                                 executor=self._executor)
             with self._cache_lock:
                 plan = self._cache.setdefault(key, plan)
-        if staging.adapter.needs_rebind \
-                or plan.payload is not staging.payload:
-            # Scenario-style tiers re-expand their derived inputs; a
-            # cached plan that outlived its staging (LRU interleaving)
-            # rebinds onto the new arrays.  Both go through run(payload).
+        if plan.payload is not staging.payload:
+            # A cached plan that outlived its staging (LRU
+            # interleaving) copies the new arrays into its own.
             return plan.run(staging.payload)
         return plan.run()
 
@@ -483,6 +483,7 @@ class PricingGateway:
     @property
     def stats(self) -> dict:
         from ..bench.stats import latency_summary
+        # Keyed by queue — ``(kernel, tier)`` — under its historical name.
         queued = {str(k): st.n_options
                   for k, st in self._queues.items() if st.items}
         return {

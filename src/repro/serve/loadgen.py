@@ -32,8 +32,9 @@ def synth_requests(n: int, *, kernel: str = "black_scholes",
     """``n`` deterministic small pricing requests.
 
     Contract counts draw uniformly from ``opts_range``; rate/vol draw
-    from ``n_signatures`` distinct (rate, vol) pairs, so the stream
-    exercises multi-signature queueing, not just one hot key.
+    from ``n_signatures`` distinct (rate, vol) pairs, so coalesced
+    batches mix parameters (the gateway queues by tier and streams
+    rate/vol per option), not just one hot pair.
     """
     if n < 1:
         raise ExperimentError("n must be >= 1")

@@ -11,23 +11,26 @@ per-request array copy of the hot dispatch path).
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Mapping
 
 import numpy as np
 
 from ..config import DTYPE
-from ..errors import GatewayError
+from ..errors import DomainError, GatewayError
 from ..pricing.options import validate_inputs
 
 
 class PricingRequest:
     """One user's pricing request: ``n`` contracts sharing rate/vol.
 
-    ``signature`` is the coalescing key: requests agreeing on
-    ``(kernel, tier, rate, vol)`` can be packed into one contiguous
-    batch and priced by one compiled plan, because rate and vol are
-    plan *constants* (baked into dispatch consts) while S/X/T are the
-    streamed per-option data.
+    Requests agreeing on ``(kernel, tier)`` are packed into one
+    contiguous batch and priced by one compiled plan: rate and vol
+    travel with the data, as two more streamed columns next to S/X/T.
+    ``signature`` names the request's parameters for callers; it is
+    not what the gateway coalesces by.  Every input must be finite — a
+    NaN passes the positive-domain checks and would be priced, as NaN,
+    inside a batch shared with other clients.
     """
 
     __slots__ = ("kernel", "tier", "S", "X", "T", "rate", "vol")
@@ -44,9 +47,13 @@ class PricingRequest:
             raise GatewayError(
                 f"request S/X/T must be equal-length non-empty 1-D "
                 f"arrays, got {self.S.shape}/{self.X.shape}/{self.T.shape}")
-        validate_inputs(self.S, self.X, self.T, vol)
         self.rate = float(rate)
         self.vol = float(vol)
+        if not (math.isfinite(self.rate) and math.isfinite(self.vol)
+                and np.isfinite(self.S).all() and np.isfinite(self.X).all()
+                and np.isfinite(self.T).all()):
+            raise DomainError("request S/X/T/rate/vol must be finite")
+        validate_inputs(self.S, self.X, self.T, self.vol)
 
     @property
     def n(self) -> int:

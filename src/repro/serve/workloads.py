@@ -1,9 +1,9 @@
 """Which registered tiers the gateway may coalesce, and why.
 
 Dynamic batching is only *correct* for tiers whose per-option results
-are *elementwise* — a pure function of that option's ``(S, X, T)`` and
-the signature's ``(rate, vol)``, independent of batch width, slab
-partition and neighbours.  The Black-Scholes price, fused-Greeks and
+are *elementwise* — a pure function of that option's own
+``(S, X, T, rate, vol)``, independent of batch width, slab partition
+and neighbours.  The Black-Scholes price, fused-Greeks and
 scenario-grid tiers qualify: every value they emit is computed by
 length-invariant ufunc sweeps, so coalescing ``B`` requests into one
 slab yields bit-identical numbers to pricing each alone (the loadtest's
@@ -42,12 +42,10 @@ from .request import GatewayResult, PricingRequest
 class TierAdapter:
     """How the gateway drives one batchable ``(kernel, tier)``.
 
-    ``outputs`` is the tier's declared schema (scatter order);
-    ``needs_rebind`` marks planners that price a *derived* expansion of
-    the batch (the scenario grid) and therefore need the plan-level
-    rebind run after packing — the price/Greeks dispatches read the
-    staged batch arrays directly every run, so packing in place is
-    enough for them.
+    ``outputs`` is the tier's declared schema (scatter order).  Every
+    adapter's dispatch reads the staged batch arrays directly every
+    run, so packing in place is all a batch needs; ``needs_rebind``
+    is always ``False`` and only the benchmark's replay still reads it.
     """
 
     kernel: str
@@ -63,8 +61,7 @@ _ADAPTERS = {
         "black_scholes", "greeks",
         outputs=("price", "delta", "gamma", "vega", "theta", "rho")),
     ("black_scholes", "scenario"): TierAdapter(
-        "black_scholes", "scenario", outputs=("grid",),
-        needs_rebind=True),
+        "black_scholes", "scenario", outputs=("grid",)),
 }
 
 
@@ -88,14 +85,17 @@ def adapter_for(kernel: str, tier: str) -> TierAdapter:
 def make_staging_payload(signature: tuple, width: int) -> dict:
     """A registry payload whose SOA arrays are the packing target.
 
-    Initialized to ones (every field must satisfy the positive-domain
-    checks before real segments land); the risk tiers only ever read
-    ``payload["soa"]``, so the AOS half is omitted.
+    Initialized so a staging that was never packed still prices valid
+    numbers: S/X/T to ones, the per-option rate/vol columns to the
+    signature's ``(rate, vol)`` when it carries them, else ones too.
+    The risk tiers only read ``payload["soa"]``: no AOS half.
     """
-    kernel, tier, rate, vol = signature
+    rate, vol = signature[2:] or (1.0, 1.0)
     ones = np.ones(width)
     return {"soa": OptionBatch(ones, ones.copy(), ones.copy(),
-                               rate=rate, vol=vol, layout="soa")}
+                               rate=np.broadcast_to(rate, width),
+                               vol=np.broadcast_to(vol, width),
+                               layout="soa")}
 
 
 def reference_result(request: PricingRequest, executor) -> GatewayResult:

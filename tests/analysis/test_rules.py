@@ -266,6 +266,53 @@ class TestSlabSiteCoverage:
         text = FIXTURES["R003"]["bad"].replace("map_shm", method)
         assert len(run_rule("R003", text)) == 2
 
+    def test_operand_form_sites_stay_visible(self):
+        # r/sig are spread into sliced= (columns) or consts= (floats),
+        # which makes those two dicts dynamic; the site, its body and
+        # its writes=/outputs= must stay in the analysis' sight.
+        import ast
+        from pathlib import Path
+
+        import repro.kernels.black_scholes as bs
+        from repro.analysis.slabs import slab_sites
+
+        root = Path(bs.__file__).parent
+        seen = {}
+        for name, body in (("parallel", "_price_slab_task"),
+                           ("greeks", "_greeks_slab_task"),
+                           ("scenario", "_scenario_slab_task")):
+            tree = ast.parse((root / f"{name}.py").read_text())
+            (site,) = slab_sites(tree)
+            assert site.method == "compile_shm"
+            assert site.fn_name == body
+            kws = {k.arg for k in site.call.keywords}
+            assert {"sliced", "writes", "consts"} <= kws
+            seen[name] = (site, kws)
+        assert seen["parallel"][0].writes == ("call", "put")
+        assert "outputs" in seen["greeks"][1]
+        assert "outputs" in seen["scenario"][1]
+
+    def test_undeclared_cell_write_at_a_scenario_shaped_site(self):
+        text = ("import numpy as np\n"
+                "def _cells(S, g00, g01):\n"
+                "    np.multiply(S, 0.9, out=g00)\n"
+                "    np.multiply(S, 1.1, out=g01)\n"
+                "def _slab(arrays, consts, a, b, slab):\n"
+                "    _cells(arrays['S'], arrays['g00'], arrays['g01'])\n"
+                "def compile_grid(ex, S, views, columns, params, n):\n"
+                "    return ex.compile_shm(\n"
+                "        _slab, n,\n"
+                "        sliced={'S': S, **views, **columns},\n"
+                "        writes=('g00',),\n"
+                "        outputs={'grid': ('g00',)},\n"
+                "        consts={'lib': None, **params})\n")
+        findings = run_rule("R005", text)
+        assert [f for f in findings if "'g01'" in f.message
+                and "compile_shm" in f.message], \
+            [f.message for f in findings]
+        declared = text.replace("('g00',)", "('g00', 'g01')")
+        assert run_rule("R005", declared) == []
+
 
 class TestR005Outputs:
     """Multi-output schema checks: outputs= must agree with writes=."""

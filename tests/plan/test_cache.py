@@ -114,3 +114,9 @@ class TestShapeKey:
         assert base == shape_key({"soa": batch(0.05, 0.2)})
         assert base != shape_key({"soa": batch(0.06, 0.2)})
         assert base != shape_key({"soa": batch(0.05, 0.3)})
+        # Per-option columns are streamed data: their values never key
+        # a plan, but the form does (a float batch compiles constants).
+        cols = shape_key({"soa": batch(np.full(8, 0.05), np.full(8, 0.2))})
+        assert cols == shape_key(
+            {"soa": batch(np.linspace(0.01, 0.08, 8), np.full(8, 0.3))})
+        assert cols != base

@@ -87,6 +87,33 @@ class TestRebind:
             with pytest.raises(ConfigurationError):
                 plan.run(build("black_scholes", sizes=grown))
 
+    def test_option_batch_streams_columns_and_freezes_floats(self):
+        from repro.pricing import OptionBatch
+        ones = np.ones(8)
+
+        def payload(rate, vol):
+            return {"soa": OptionBatch(ones * 100.0, ones * 95.0, ones,
+                                       rate, vol)}
+
+        with SlabExecutor("serial") as ex:
+            fn = registry.impl("black_scholes", "parallel", "serial").fn
+            want = np.asarray(fn(payload(0.01, 0.4), ex))
+            # Columns are streamed: new values ride the same plan.
+            with compile_plan("black_scholes", "parallel",
+                              payload(ones * 0.05, ones * 0.2),
+                              backend="serial", executor=ex) as plan:
+                got = np.asarray(plan.run(payload(ones * 0.01, ones * 0.4)))
+                assert np.array_equal(got, want)
+                with pytest.raises(ConfigurationError, match="form"):
+                    plan.run(payload(0.01, 0.4))
+            # A shared float is a plan constant: a change is a new plan.
+            with compile_plan("black_scholes", "parallel",
+                              payload(0.05, 0.2), backend="serial",
+                              executor=ex) as plan:
+                with pytest.raises(ConfigurationError,
+                                   match="compile a new plan"):
+                    plan.run(payload(0.01, 0.4))
+
     def test_out_receives_a_copy(self):
         payload = build("rng")
         with compile_plan("rng", "parallel", payload,

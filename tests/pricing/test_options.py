@@ -86,6 +86,24 @@ class TestOptionBatch:
         with pytest.raises(DomainError):
             OptionBatch([100.0], [-1.0], [1.0], 0.0, 0.3)
 
+    def test_per_option_columns(self):
+        vol = np.array([0.3, 0.4])
+        b = OptionBatch([100.0, 90.0], [95.0, 105.0], [1.0, 0.5],
+                        rate=0.02, vol=vol)
+        assert b.per_option and not self._batch("soa").per_option
+        # One array makes both columns; each is owned and writable.
+        assert np.array_equal(b.rate, [0.02, 0.02])
+        b.vol[0] = 0.5
+        assert vol[0] == 0.3
+        o = b.option(1)
+        assert o.rate == 0.02 and o.vol == 0.4
+        with pytest.raises(DomainError, match="length 2"):
+            OptionBatch([100.0, 90.0], [95.0, 105.0], [1.0, 0.5],
+                        rate=np.zeros(3), vol=0.3)
+        with pytest.raises(DomainError):
+            OptionBatch([100.0, 90.0], [95.0, 105.0], [1.0, 0.5],
+                        rate=0.02, vol=[0.3, -0.1])
+
     def test_unknown_layout(self):
         with pytest.raises(DomainError):
             OptionBatch([1.0], [1.0], [1.0], 0.0, 0.3, layout="csr")

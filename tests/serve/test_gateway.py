@@ -98,17 +98,23 @@ class TestCoalescing:
         for req, res in zip(reqs, results):
             assert res.digest() == serial_reference(req).digest()
 
-    def test_distinct_signatures_never_fuse(self):
+    def test_distinct_signatures_of_one_tier_fuse(self):
+        # rate/vol travel with the data: requests of one tier ride one
+        # batch whatever their signatures, and each still prices
+        # exactly as it does alone with float parameters.
         async def main():
             async with PricingGateway(backend="serial",
                                       max_wait_s=0.01) as gw:
-                a = gw.submit(_req(4, vol=0.2))
-                b = gw.submit(_req(4, vol=0.4))
-                ra, rb = await asyncio.gather(a, b)
-                assert ra.batch_requests == 1
-                assert rb.batch_requests == 1
-                assert gw.stats["batches"] == 2
-        asyncio.run(main())
+                reqs = [_req(4, vol=0.2), _req(4, vol=0.4),
+                        _req(6, rate=0.01, vol=0.3)]
+                results = await asyncio.gather(
+                    *(gw.submit(r) for r in reqs))
+                assert {r.batch_requests for r in results} == {3}
+                assert gw.stats["batches"] == 1
+                return reqs, results
+        reqs, results = asyncio.run(main())
+        for req, res in zip(reqs, results):
+            assert res.digest() == serial_reference(req).digest()
 
     def test_mixed_tiers_route_to_their_own_batches(self):
         async def main():
@@ -199,15 +205,15 @@ class TestWorkConservingDispatch:
                 assert gw.stats["batches"] == 2
         asyncio.run(main())
 
-    def test_older_flush_of_another_signature_goes_first(self):
+    def test_older_flush_of_another_tier_goes_first(self):
         async def main():
             async with PricingGateway(backend="serial") as gw:
-                # A is in flight; B arrives, then A' joins A's queue.
-                # A' must not overtake B just because A's job is the
-                # one the dispatcher is holding.
+                # A is in flight; B (another tier) arrives, then A'
+                # joins A's queue.  A' must not overtake B just because
+                # A's job is the one the dispatcher is holding.
                 release, tasks = await _submit_behind_held_batch(
-                    gw, _req(4, vol=0.2),
-                    [_req(4, vol=0.4), _req(6, vol=0.2)])
+                    gw, _req(4),
+                    [_req(4, tier="greeks"), _req(6)])
                 order = []
                 tasks[1].add_done_callback(lambda _: order.append("B"))
                 tasks[2].add_done_callback(lambda _: order.append("A'"))
@@ -233,6 +239,36 @@ class TestQueueHygiene:
                 assert len(gw._queues) == 0
                 assert gw.stats["queued_requests"] == 0
         asyncio.run(main())
+
+    def test_signature_churn_compiles_per_width_not_per_signature(self):
+        # 48 signatures x 3 tiers x mixed sizes through a default
+        # gateway: plans and stagings are bounded by tiers x widths.
+        gen = np.random.default_rng(22)
+        reqs = []
+        for i in range(48):
+            for tier in ("parallel", "greeks", "scenario"):
+                m = int(gen.integers(5, 601))
+                reqs.append(PricingRequest(
+                    S=gen.uniform(10.0, 200.0, m),
+                    X=gen.uniform(10.0, 200.0, m),
+                    T=gen.uniform(0.1, 3.0, m),
+                    rate=0.01 + 0.002 * i, vol=0.12 + 0.01 * i, tier=tier))
+
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                results = []
+                for k in range(0, len(reqs), 8):     # bursts of 8
+                    results += await asyncio.gather(
+                        *(gw.submit(r) for r in reqs[k:k + 8]))
+                assert len(gw._queues) == 0
+                return results, gw.stats
+        results, stats = asyncio.run(main())
+        assert stats["plan_cache"]["evictions"] == 0
+        assert stats["plan_cache"]["misses"] <= 21
+        assert stats["stagings"] <= 21
+        assert max(r.batch_requests for r in results) > 1
+        for req, res in zip(reqs, results):
+            assert res.digest() == serial_reference(req).digest()
 
     @pytest.mark.parametrize("n_cancel", [3, 5])
     def test_cancelled_requests_are_dropped_not_priced(self, n_cancel):
@@ -330,8 +366,8 @@ class TestSharedExecutor:
 
 
 class TestDaemonChurn:
-    """Satellite: signature churn through a small PlanCache must keep
-    the daemon's pinned-dispatch set bounded (eviction unpins)."""
+    """Width churn through a small PlanCache must keep the daemon's
+    pinned-dispatch set bounded (eviction unpins)."""
 
     def test_plan_eviction_unpins_daemon_dispatches(self):
         with SlabExecutor("daemon", n_workers=2, slab_bytes=1 << 16) as ex:
@@ -341,20 +377,21 @@ class TestDaemonChurn:
                 async with PricingGateway(executor=ex, max_wait_s=0.0,
                                           plan_cache_size=3,
                                           max_stagings=16) as gw:
-                    # 8 distinct (rate, vol) signatures -> 8 plans
-                    # through a 3-slot cache.
-                    reqs = [_req(8, vol=0.15 + 0.05 * i)
-                            for i in range(8)]
+                    # Plans are keyed by width, not signature: six
+                    # buckets (64 ... 2048) through a 3-slot cache,
+                    # each request under its own (rate, vol).
+                    reqs = [_req(40 << i, vol=0.15 + 0.05 * i)
+                            for i in range(6)]
                     for req in reqs:
                         res = await gw.submit(req)
                         assert res.digest() == \
                             serial_reference(req).digest()
                     stats = gw.stats
-                    assert stats["plan_cache"]["evictions"] >= 5
+                    assert stats["plan_cache"]["evictions"] >= 3
                     assert stats["plan_cache"]["size"] <= 3
                     # The daemon holds pins only for live plans.
                     assert len(ex._daemon._plans) <= 3
-                    # Churned signatures re-price correctly (recompile
+                    # An evicted width re-prices correctly (recompile
                     # + re-pin transparently).
                     res = await gw.submit(reqs[0])
                     assert res.digest() == \

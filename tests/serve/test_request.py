@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GatewayError
+from repro.errors import DomainError, GatewayError
 from repro.serve import GatewayResult, PricingRequest
 
 
@@ -47,6 +47,19 @@ class TestPricingRequest:
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(Exception):
             _req(4, S=np.array([100.0, -1.0, 100.0, 100.0]))
+
+
+    @pytest.mark.parametrize("bad", [
+        dict(rate=float("nan")), dict(vol=float("nan")),
+        dict(vol=float("inf")), dict(rate=float("-inf")),
+        dict(S=np.array([np.nan, 90.0, 100.0, 110.0])),
+        dict(X=np.array([100.0, np.inf, 100.0, 100.0])),
+        dict(T=np.array([1.0, 1.0, np.nan, 1.0]))])
+    def test_nonfinite_inputs_rejected(self, bad):
+        # NaN passes every ``x <= 0`` domain check; unrejected it would
+        # be priced as NaN inside a batch shared with other clients.
+        with pytest.raises(DomainError, match="finite"):
+            _req(4, **bad)
 
 
 class TestGatewayResult:

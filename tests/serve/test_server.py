@@ -97,6 +97,20 @@ class TestServer:
             assert reply["ok"] and reply["id"] == 3
         asyncio.run(_with_server(body))
 
+    def test_nonfinite_parameter_gets_error_reply(self):
+        async def body(reader, writer):
+            reply = await _rpc(reader, writer, {
+                "id": 5, "S": [100.0], "X": [95.0], "T": [1.0],
+                "rate": 0.05, "vol": float("nan")})   # sent as NaN
+            assert not reply["ok"]
+            assert reply["error"] == "DomainError"
+            assert "finite" in reply["message"]
+            reply = await _rpc(reader, writer, {
+                "id": 6, "S": [100.0], "X": [95.0], "T": [1.0],
+                "rate": 0.05, "vol": 0.2})
+            assert reply["ok"] and reply["id"] == 6
+        asyncio.run(_with_server(body))
+
     def test_unbatchable_tier_reported(self):
         async def body(reader, writer):
             reply = await _rpc(reader, writer, {
