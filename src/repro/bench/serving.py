@@ -62,10 +62,10 @@ def _run(coro):
 async def _drive(gateway_kw: dict, requests, arrivals,
                  keep_results: bool):
     async with PricingGateway(**gateway_kw) as gw:
-        # Warm the lazy numpy/scipy import path and the hot-signature
-        # plan outside the timed region: the very first kernel run in a
-        # process costs ~100-1000x a steady-state one, and whichever
-        # mode ran first would otherwise eat it.
+        # Warm the hot-signature plan (and the CDF's per-thread
+        # workspace) outside the timed region: the very first kernel run
+        # in a process costs far more than a steady-state one, and
+        # whichever mode ran first would otherwise eat it.
         await gw.submit(requests[0])
         gw.reset_stats()
         load = await run_open_loop(gw, requests, arrivals,

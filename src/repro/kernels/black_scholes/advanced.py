@@ -2,8 +2,11 @@
 
 The remaining Sec. IV-A2 optimizations on top of SOA:
 
-* **erf substitution** — ``cnd(x) = (1 + erf(x/√2))/2``; two ``erf``
-  evaluations replace four ``cnd``.
+* **one CDF pass** — the paper substitutes ``cnd(x) = (1 + erf(x/√2))/2``
+  so two ``erf`` evaluations replace four ``cnd``; here N(d1) and N(d2)
+  are one ``lib.cnd`` call over both (the SVML facade evaluates it
+  through that erf identity, the NumPy one through the table-driven
+  :func:`~repro.vmath.ndtr.ndtr`).
 * **call/put parity** — the put comes from the call with three flops
   (``P = C − S + X·e^{−rT}``), halving the CDF work again.
 * **library choice** — SVML-style block-fused evaluation (cache-resident
@@ -21,8 +24,6 @@ from ...errors import LayoutError
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
-
-_INV_SQRT2 = 0.7071067811865476
 
 
 def price_advanced(batch: OptionBatch, lib: VectorMathLib | str = "numpy",
@@ -69,9 +70,8 @@ def _price_blocked(soa, r: float, sig: float, lib: VectorMathLib,
         d1 = (qlog + (r + sig22) * T) * denom
         d2 = (qlog + (r - sig22) * T) * denom
         xexp = X * lib.exp(np.asarray(-r * T, dtype=DTYPE))
-        # cnd via erf: cnd(x) = 0.5 + 0.5*erf(x/sqrt2)
-        nd1 = 0.5 + 0.5 * lib.erf(d1 * _INV_SQRT2)
-        nd2 = 0.5 + 0.5 * lib.erf(d2 * _INV_SQRT2)
+        nd1, nd2 = lib.cnd(np.stack((d1, d2)))   # one N(x) pass
         call = S * nd1 - xexp * nd2
-        call_all[start:stop] = call
-        put_all[start:stop] = call - S + xexp  # put-call parity
+        np.maximum(call, 0.0, out=call_all[start:stop])
+        # put-call parity; it cancels for deep OTM puts, hence the floor
+        np.maximum(call - S + xexp, 0.0, out=put_all[start:stop])

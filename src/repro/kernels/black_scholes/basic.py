@@ -34,5 +34,6 @@ def price_basic(batch: OptionBatch) -> None:
     d1 = (qlog + (r + sig22) * T) * denom
     d2 = (qlog + (r - sig22) * T) * denom
     xexp = X * np.exp(-r * T)
-    batch.call[:] = S * vcnd(d1) - xexp * vcnd(d2)
-    batch.put[:] = xexp * vcnd(-d2) - S * vcnd(-d1)
+    # Floored: deep out of the money the difference rounds below zero.
+    np.maximum(S * vcnd(d1) - xexp * vcnd(d2), 0.0, out=batch.call)
+    np.maximum(xexp * vcnd(-d2) - S * vcnd(-d1), 0.0, out=batch.put)

@@ -6,10 +6,10 @@ write vectors — call/put price, delta, gamma, vega, theta, rho — while
 touching the shared intermediates (``d1``, ``d2``, ``N(d1)``,
 ``N(d2)``, ``pdf(d1)``, the discount factor) exactly once.  Next to a
 price-only pass the Greeks come almost free: the expensive transcendentals
-(`log`, `exp`, `erf`) are already paid for by the price, and every
-Greek is a handful of multiplies on top — the observation the
-streaming-Greeks literature (arXiv:2212.13977) builds its FPGA
-pipelines around.
+(`log`, `exp`, one N(x) pass over d1 and d2) are already paid for by the
+price, and every Greek is a handful of multiplies on top — the
+observation the streaming-Greeks literature (arXiv:2212.13977) builds
+its FPGA pipelines around.
 
 Puts are computed **natively** (``N(-d1)``/``N(-d2)`` complements),
 not via put-call parity at report time: parity reproduces the put
@@ -32,7 +32,6 @@ from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
 from .parallel import rate_vol_operands
 
-_INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 #: Write-array names, in backing order: the call and put vector of
@@ -63,9 +62,10 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
 
     Five scratch rows cover every intermediate (``scratch`` is a
     ``(5, len(S))`` block on the planned path; allocated here
-    otherwise).  Gamma and vega are call/put-identical and are stored
-    twice so every logical output keeps the uniform ``[call | put]``
-    layout.  ``r``/``sig`` are floats, or with ``cols`` per-option
+    otherwise); d1 and d2 are adjacent rows, so N(d1) and N(d2) are one
+    ``lib.cnd`` call.  Gamma and vega are call/put-identical and stored
+    twice so every output keeps the uniform ``[call | put]`` layout.
+    ``r``/``sig`` are floats, or with ``cols`` per-option
     columns (the fused scalar expressions become column passes in the
     same IEEE grouping — bit-identical either way).
     """
@@ -98,15 +98,9 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     pdf *= -0.5
     lib.exp(pdf, out=pdf)
     pdf *= _INV_SQRT_2PI                   # pdf = φ(d1)
-    np.multiply(d1, _INV_SQRT2, out=delta_c)
-    lib.erf(delta_c, out=delta_c)
-    delta_c *= 0.5
-    delta_c += 0.5                         # delta_c = N(d1)
-    np.subtract(delta_c, 1.0, out=delta_p)  # delta_p = N(d1) − 1 = −N(−d1)
-    np.multiply(d2, _INV_SQRT2, out=d1)    # d1 reused: N(d2)
-    lib.erf(d1, out=d1)
-    d1 *= 0.5
-    d1 += 0.5                              # d1 = N(d2)
+    lib.cnd(scratch[1:3], out=scratch[1:3])  # d1 = N(d1), d2 = N(d2)
+    np.copyto(delta_c, d1)                 # delta_c = N(d1)
+    np.subtract(d1, 1.0, out=delta_p)      # delta_p = N(d1) − 1 = −N(−d1)
     gamma_c, gamma_p = out["gamma_c"], out["gamma_p"]
     np.multiply(S, sig, out=gamma_c)
     gamma_c *= sqt                         # S·σ·√T
@@ -117,7 +111,7 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     vega_c *= sqt                          # ν = S·φ(d1)·√T
     np.copyto(vega_p, vega_c)              # put vega = call vega
     rho_c, rho_p = out["rho_c"], out["rho_p"]
-    np.multiply(disc, d1, out=rho_c)       # rho_c holds disc·N(d2)
+    np.multiply(disc, d2, out=rho_c)       # rho_c holds disc·N(d2)
     np.subtract(disc, rho_c, out=rho_p)    # rho_p holds disc·N(−d2)
     price_c, price_p = out["price_c"], out["price_p"]
     np.multiply(S, delta_c, out=price_c)
@@ -127,7 +121,7 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     theta_c, theta_p = out["theta_c"], out["theta_p"]
     np.divide(vega_c, T, out=theta_c)
     if cols:
-        np.multiply(sig, -0.5, out=d2)     # d2 is dead once N(d2) exists
+        np.multiply(sig, -0.5, out=d2)     # d2 is dead once rho holds N(d2)
         theta_c *= d2
     else:
         theta_c *= -0.5 * sig              # −S·φ(d1)·σ/(2√T)
@@ -175,8 +169,8 @@ def greeks_parallel(batch: OptionBatch,
 
     Returns a :class:`~repro.results.ResultSlab` with the six
     :data:`~repro.results.GREEK_OUTPUTS`, each a ``2n`` ``[call | put]``
-    vector.  Bit-identical across backends (same plan, same values,
-    same slab function).
+    vector.  Bit-identical across backends (every output element is a
+    function of its own option alone, so the slab split cannot move it).
     """
     return one_shot(compile_greeks_parallel, batch, executor=executor,
                     lib=lib)
@@ -202,12 +196,10 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
     views = _backing_views(backing, n, GREEK_WRITES)
     per_slab = None
     if not executor.out_of_process:
-        slabs = executor.plan(n, GREEKS_BYTES_PER_OPTION)
-        scratch = [arena.reserve(f"scratch{i}", (5, b - a))
-                   for i, (a, b) in enumerate(slabs)]
-        per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+        def per_slab(a, b, i):
+            return {"scratch": arena.reserve(f"scratch{i}", (5, b - a))}
     columns, params = rate_vol_operands(batch)
-    dispatch = arena.adopt(executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_lanes(
         _greeks_slab_task, n,
         bytes_per_item=GREEKS_BYTES_PER_OPTION,
         sliced={"S": S, "X": X, "T": T, **views, **columns},
@@ -216,9 +208,11 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         consts={"lib": lib, **params},
         per_slab=per_slab, tag="bsg"))
     slab = _result_slab(backing, n)
+    price = slab["price"]
 
     def run() -> ResultSlab:
         dispatch.run()
+        np.maximum(price, 0.0, out=price)  # rounding never prices below 0
         return slab
 
     return run

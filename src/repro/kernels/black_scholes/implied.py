@@ -5,10 +5,11 @@ recover the volatility surface.  The scalar solver in
 :mod:`repro.pricing.implied_vol` brackets and bisects per option; this
 tier instead runs a **fixed-iteration safeguarded Newton** over whole
 slabs with every intermediate in ``out=`` scratch — the shape of
-Listing 1's fused loops applied to root finding.  A fixed iteration
-count (no per-element early exit) keeps the arithmetic a pure function
-of the inputs, so results are bit-identical across serial, thread,
-process and daemon backends regardless of slab boundaries.
+Listing 1's fused loops applied to root finding (each sweep's N(d1),
+N(d2) are one ``lib.cnd`` call).  A fixed iteration count (no
+per-element early exit) keeps the arithmetic a pure function of the
+inputs, so results are bit-identical across serial, thread, process
+and daemon backends regardless of slab boundaries.
 
 The tier's workload derives a deterministic per-option vol surface
 from the shared batch (``vol · (0.6 … 1.4)``), prices it with the same
@@ -29,7 +30,6 @@ from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
 
-_INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 #: Newton sweeps per solve.  Seeded at the Manaster–Koehler inflection
@@ -49,7 +49,8 @@ IMPLIED_BYTES_PER_OPTION = 8 * 11
 def call_price_sig(S, X, T, r: float, sig, out, lib: VectorMathLib,
                    scratch=None) -> None:
     """Fused European call price with a **per-element** σ vector,
-    written into ``out`` (three scratch rows): the implied tier's
+    written into ``out`` (three scratch rows, the first two d1/d2 for
+    one stacked ``lib.cnd`` call): the implied tier's
     target generation, and the operation sequence the scenario tier's
     broadcast body reproduces cell for cell."""
     if scratch is None:
@@ -69,14 +70,7 @@ def call_price_sig(S, X, T, r: float, sig, out, lib: VectorMathLib,
     np.multiply(T, -r, out=c)
     lib.exp(c, out=c)
     c *= X                                 # c = X·e^{−rT}
-    a *= _INV_SQRT2
-    lib.erf(a, out=a)
-    a *= 0.5
-    a += 0.5                               # a = N(d1)
-    b *= _INV_SQRT2
-    lib.erf(b, out=b)
-    b *= 0.5
-    b += 0.5                               # b = N(d2)
+    lib.cnd(scratch[:2], out=scratch[:2])  # a = N(d1), b = N(d2)
     b *= c
     np.multiply(S, a, out=out)
     out -= b                               # C = S·N(d1) − X·e^{−rT}·N(d2)
@@ -88,6 +82,7 @@ def _implied_slab(price, S, X, T, r: float, iv, lib: VectorMathLib,
     if scratch is None:
         scratch = np.empty((6, S.shape[0]), dtype=DTYPE)
     lsx, sqt, disc, d1, d2, pdf = scratch
+    d12 = scratch[3:5]                     # d1, d2 adjacent: one cnd call
     np.divide(S, X, out=lsx)
     lib.log(lsx, out=lsx)                  # ln(S/X), loop-invariant
     np.sqrt(T, out=sqt)                    # √T, loop-invariant
@@ -119,14 +114,7 @@ def _implied_slab(price, S, X, T, r: float, iv, lib: VectorMathLib,
         pdf *= -0.5
         lib.exp(pdf, out=pdf)
         pdf *= _INV_SQRT_2PI               # φ(d1)
-        d1 *= _INV_SQRT2
-        lib.erf(d1, out=d1)
-        d1 *= 0.5
-        d1 += 0.5                          # N(d1)
-        d2 *= _INV_SQRT2
-        lib.erf(d2, out=d2)
-        d2 *= 0.5
-        d2 += 0.5                          # N(d2)
+        lib.cnd(d12, out=d12)              # N(d1), N(d2)
         d1 *= S
         d2 *= disc
         d1 -= d2                           # model price
@@ -183,11 +171,9 @@ def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,
     iv = arena.reserve("result", n)
     per_slab = None
     if not executor.out_of_process:
-        slabs = executor.plan(n, IMPLIED_BYTES_PER_OPTION)
-        scratch = [arena.reserve(f"scratch{i}", (6, b - a))
-                   for i, (a, b) in enumerate(slabs)]
-        per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
-    dispatch = arena.adopt(executor.compile_shm(
+        def per_slab(a, b, i):
+            return {"scratch": arena.reserve(f"scratch{i}", (6, b - a))}
+    dispatch = arena.adopt(executor.compile_lanes(
         _implied_slab_task, n,
         bytes_per_item=IMPLIED_BYTES_PER_OPTION,
         sliced={"price": target, "S": S, "X": X, "T": T, "iv": iv},

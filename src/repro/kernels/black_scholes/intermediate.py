@@ -45,5 +45,6 @@ def _price_soa(soa, r: float, sig: float) -> None:
     d1 = (qlog + (r + sig22) * T) * denom
     d2 = (qlog + (r - sig22) * T) * denom
     xexp = X * np.exp(-r * T)
-    soa.set("call", S * vcnd(d1) - xexp * vcnd(d2))
-    soa.set("put", xexp * vcnd(-d2) - S * vcnd(-d1))
+    # Floored: deep out of the money the difference rounds below zero.
+    soa.set("call", np.maximum(S * vcnd(d1) - xexp * vcnd(d2), 0.0))
+    soa.set("put", np.maximum(xexp * vcnd(-d2) - S * vcnd(-d1), 0.0))

@@ -49,5 +49,6 @@ def price_reference(batch: OptionBatch) -> None:
         call = opt["S"] * _cnd_scalar(d1) - xexp * _cnd_scalar(d2)
         put = xexp * _cnd_scalar(-d2) - opt["S"] * _cnd_scalar(-d1)
         base = i * aos.stride
-        aos.data[base + 3] = call
-        aos.data[base + 4] = put
+        # Deep OTM both terms are subnormal and can round below zero.
+        aos.data[base + 3] = max(call, 0.0)
+        aos.data[base + 4] = max(put, 0.0)

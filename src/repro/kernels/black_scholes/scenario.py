@@ -7,9 +7,10 @@ either operand form) directly, like the price and Greeks tiers; the 25
 cells are 25 write vectors, contiguous ``n``-views of one scenario-major
 ``25n`` result.  The slab body prices the grid by broadcast: √T and
 X·e^{−rT} once per option, ln(S_k/X) per spot shift, (r+σ_j²/2)T and
-σ_j√T per vol shift, and only the ``erf`` passes over all 25 cells —
-each element seeing exactly :func:`.implied.call_price_sig`'s operation
-sequence, so prices are bit-identical to pricing 25 shifted copies.
+σ_j√T per vol shift, and only d1, d2 and the one N(x) pass over the
+adjacent d1/d2 blocks of all 25 cells — each element seeing exactly
+:func:`.implied.call_price_sig`'s operation sequence, so prices are
+bit-identical to pricing 25 shifted copies.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
 from .greeks import _backing_views
 from .parallel import rate_vol_operands
-
-_INV_SQRT2 = 0.7071067811865476
 
 #: Relative shifts: every pair of one spot and one vol factor is a
 #: scenario cell, ordered spot-major (cell k·|vols|+j = spot k, vol j).
@@ -56,13 +55,12 @@ def _scratch_views(block: np.ndarray) -> tuple:
     """The named views of one ``(_SCRATCH_ROWS, m)`` block, built once
     per slab at compile time (per run only out of process)."""
     m = block.shape[1]
-    S5, ln5, b5, c5, (sqt, disc), a3, b3 = np.split(block, np.cumsum(
-        [_NS, _NS, _NV, _NV, 2, _NS * _NV]))
-    a3 = a3.reshape(_NS, _NV, m)
-    b3 = b3.reshape(_NS, _NV, m)
+    S5, ln5, b5, c5, (sqt, disc), d12 = np.split(block, np.cumsum(
+        [_NS, _NS, _NV, _NV, 2]))
+    a3, b3 = d12.reshape(2, _NS, _NV, m)
     cells = [(S5[k], a3[k, j], b3[k, j])
              for k in range(_NS) for j in range(_NV)]
-    return (S5, ln5, b5, c5, sqt, disc, a3, b3,
+    return (S5, ln5, b5, c5, sqt, disc, a3, b3, d12,
             ln5[:, None, :], c5[None], b5[None], cells)
 
 
@@ -75,7 +73,7 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
     if scratch is None:
         scratch = _scratch_views(
             np.empty((_SCRATCH_ROWS, S.shape[0]), dtype=DTYPE))
-    S5, ln5, b5, c5, sqt, disc, a3, b3, ln5b, c5b, b5b, cells = scratch
+    S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, cells = scratch
     np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
     np.divide(S5, X, out=ln5)
     lib.log(ln5, out=ln5)                  # ln5[k] = ln(S_k/X)
@@ -96,14 +94,7 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
     np.add(ln5b, c5b, out=a3)
     a3 /= b5b                              # a3[k,j] = d1
     np.subtract(a3, b5b, out=b3)           # b3[k,j] = d2
-    a3 *= _INV_SQRT2
-    lib.erf(a3, out=a3)
-    a3 *= 0.5
-    a3 += 0.5                              # a3 = N(d1)
-    b3 *= _INV_SQRT2
-    lib.erf(b3, out=b3)
-    b3 *= 0.5
-    b3 += 0.5                              # b3 = N(d2)
+    lib.cnd(d12, out=d12)                  # a3 = N(d1), b3 = N(d2)
     b3 *= disc                             # b3 = X·e^{−rT}·N(d2)
     for g, (S_k, nd1, dnd2) in zip(grid, cells):
         np.multiply(S_k, nd1, out=g)
@@ -152,13 +143,11 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
     views = _backing_views(grid, n, GRID_WRITES)
     per_slab = None
     if not executor.out_of_process:
-        slabs = executor.plan(n, SCENARIO_BYTES_PER_OPTION)
-        scratch = [_scratch_views(arena.reserve(f"scratch{i}",
-                                                (_SCRATCH_ROWS, b - a)))
-                   for i, (a, b) in enumerate(slabs)]
-        per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+        def per_slab(a, b, i):
+            return {"scratch": _scratch_views(arena.reserve(
+                f"scratch{i}", (_SCRATCH_ROWS, b - a)))}
     columns, params = rate_vol_operands(batch)
-    dispatch = arena.adopt(executor.compile_shm(
+    dispatch = arena.adopt(executor.compile_lanes(
         _scenario_slab_task, n,
         bytes_per_item=SCENARIO_BYTES_PER_OPTION,
         sliced={"S": S, "X": X, "T": T, **views, **columns},
@@ -170,6 +159,7 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
 
     def run() -> ResultSlab:
         dispatch.run()
+        np.maximum(grid, 0.0, out=grid)    # rounding never prices below 0
         return slab
 
     return run

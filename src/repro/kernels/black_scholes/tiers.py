@@ -1,10 +1,10 @@
 """Functional-tier registrations for the Black-Scholes kernel.
 
 Registers the Fig. 4 ladder — reference (scalar AOS), basic (vectorized
-AOS), intermediate (SOA), advanced (erf + parity), parallel (fused slab)
-— with :mod:`repro.registry`, plus the shared Fig. 4 workload.  Each
-adapter prices the payload in place and returns the concatenated
-``call``/``put`` vector so tiers are comparable element for element.
+AOS), intermediate (SOA), advanced (one CDF pass + parity), parallel
+(fused slab) — with :mod:`repro.registry`, plus the shared Fig. 4
+workload.  Each adapter prices the payload in place and returns the
+concatenated ``call``/``put`` vector, comparable element for element.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Vector math substrate: from-scratch vectorized transcendentals and the
-SVML/VML library facades with cost accounting."""
+"""Vector math substrate: from-scratch vectorized transcendentals, the
+table-driven normal CDF the measured tiers use, and the SVML/VML
+library facades with cost accounting."""
 
 from .cnd import vcnd, vcnd_via_erf, vpdf
 from .erf import verf, verfc

@@ -250,8 +250,9 @@ class TestSlabSiteCoverage:
             for site in slab_sites(ast.parse(path.read_text())))
         # 14 slab tiers declare 12 dispatches, one each whatever the
         # address space (the lattice greeks tiers reuse their price
-        # tier's); three planner-less helpers stay one-shots.
-        assert methods == {"compile_shm": 10, "compile_lanes": 2,
+        # tier's); the lattice and the four Black-Scholes slab tiers are
+        # lanes; three planner-less helpers stay one-shots.
+        assert methods == {"compile_shm": 6, "compile_lanes": 6,
                            "map_shm": 3}
 
     @pytest.mark.parametrize("method", ["compile_shm", "compile_lanes"])
@@ -283,7 +284,7 @@ class TestSlabSiteCoverage:
                            ("scenario", "_scenario_slab_task")):
             tree = ast.parse((root / f"{name}.py").read_text())
             (site,) = slab_sites(tree)
-            assert site.method == "compile_shm"
+            assert site.method == "compile_lanes"
             assert site.fn_name == body
             kws = {k.arg for k in site.call.keywords}
             assert {"sliced", "writes", "consts"} <= kws
