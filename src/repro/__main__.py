@@ -17,11 +17,10 @@ The measured studies — one subcommand per entry of
 (``--smoke`` for the CI size, ``--out`` for the ``BENCH_*.json``
 artifact, exit 1 when the bench's gate fails):
 
-parallel                serial-vs-slab speedup of the parallel-tier kernels
-sweep                   measure the Ninja gap: time every registered tier
-scaling                 measured core-scaling curves (workers x backends)
-greeks                  risk workloads: Greeks tiers, cold vs plan-compiled
-serve-bench             steady-state serving: warm plan vs cold compile
+sweep                   measure the Ninja gap: time every registered tier,
+                        gate digests across backends and warm allocations
+scaling                 measured core-scaling curves (workers x backends;
+                        --crossover adds the pool-crossover table)
 loadtest                open-loop gateway loadtest: capacity + latency grid
 dse                     design-space sweep: modeled gap/crossover surfaces
 

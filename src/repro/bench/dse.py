@@ -11,7 +11,7 @@ record shows the mismatch.
 
 Nothing here times this host: the record is a deterministic function of
 the model.  The *measured* crossover of the served path (compiled plans,
-pooled vs forced-inline) is ``python -m repro parallel --crossover``
+pooled vs forced-inline) is ``python -m repro scaling --crossover``
 (:func:`~repro.bench.harness.measure_pool_crossover`).
 """
 
@@ -76,6 +76,6 @@ def dse_result(data: dict):
             + " x ".join(f"{k}={v}" for k, v in data["axes"].items()),
             "anchors come from the registered model builders, the grid "
             "from the resynthesised ladders; the measured crossover of "
-            "the served path is `python -m repro parallel --crossover`",
+            "the served path is `python -m repro scaling --crossover`",
         ],
     )

@@ -45,8 +45,7 @@ import numpy as np
 
 from ..config import SMALL_SIZES, WorkloadSizes
 from ..errors import ExperimentError
-from .harness import time_plan
-from .record import timing_fields
+from .harness import measure_pool_crossover, time_plan, timing_fields
 
 #: Modeled platforms overlaid next to the measured points.
 _MODEL_ARCHES = ("SNB-EP", "KNC")
@@ -78,8 +77,7 @@ def measure_dispatch_overhead(backend: str, n_workers: int,
     collection — what perfbench's ``parallel.dispatch_us.*`` measures.
     This is the fixed per-run tax every real dispatch pays on top of
     its compute, the quantity the daemon backend's ring fabric exists
-    to shrink.  (:func:`measure_multi_output_overhead` is the paired
-    probe of the multi-output contract.)
+    to shrink.
     """
     from ..parallel import SlabExecutor
     from .stats import best_inner_us
@@ -97,75 +95,6 @@ def measure_dispatch_overhead(backend: str, n_workers: int,
         finally:
             dispatch.close()
     return us
-
-
-def measure_multi_output_overhead(backend: str, n_workers: int,
-                                  slab_bytes: int | None = None,
-                                  inner: int = 50, rounds: int = 8,
-                                  n_outputs: int = 6) -> dict:
-    """Paired single- vs multi-output compiled-dispatch probe, in µs.
-
-    Both noop dispatches — one sliced write array versus ``n_outputs``
-    schema-declared ones — are compiled once on the **same** executor
-    and timed in alternating rounds; each reports the *minimum* round
-    (the classic noise-robust wall-clock estimator, essential on busy
-    hosts where a single pooled round trip can jitter by hundreds of
-    µs).  Schema validation and write-plan freezing are compile-time
-    costs here, exactly as in the Greeks planners, so the delta is the
-    pure steady-state descriptor transport the <5% multi-output gate is
-    judged on: the output-set id rides the existing descriptor arg
-    word, so the ring traffic must not widen.
-    """
-    import time as _time
-
-    from ..parallel import SlabExecutor
-    from .stats import summarize_times
-    if inner < 1 or rounds < 1 or n_outputs < 2:
-        raise ExperimentError(
-            "inner and rounds must be >= 1, n_outputs >= 2")
-    with SlabExecutor(backend, n_workers=n_workers,
-                      slab_bytes=slab_bytes) as ex:
-        n = ex.n_workers
-        bpi = max(ex.slab_bytes, 1)
-        single = ex.compile_shm(_noop_slab, n, bytes_per_item=bpi,
-                                sliced={"x": np.zeros(n)}, consts={},
-                                tag="noop1")
-        try:
-            names = tuple(f"o{i}" for i in range(n_outputs))
-            multi = ex.compile_shm(
-                _noop_slab, n, bytes_per_item=bpi,
-                sliced={nm: np.zeros(n) for nm in names},
-                writes=names,
-                outputs={nm: (nm,) for nm in names},
-                consts={}, tag="noop6")
-            try:
-                single.run()                                  # warm-up
-                multi.run()
-                t_single, t_multi = [], []
-                for _ in range(rounds):
-                    t0 = _time.perf_counter()
-                    for _ in range(inner):
-                        single.run()
-                    t_single.append(_time.perf_counter() - t0)
-                    t0 = _time.perf_counter()
-                    for _ in range(inner):
-                        multi.run()
-                    t_multi.append(_time.perf_counter() - t0)
-            finally:
-                multi.close()
-        finally:
-            single.close()
-    single_us = summarize_times(t_single)[0] / inner * 1e6
-    multi_us = summarize_times(t_multi)[0] / inner * 1e6
-    return {
-        "backend": backend,
-        "n_workers": n_workers,
-        "n_outputs": n_outputs,
-        "us": round(multi_us, 2),
-        "single_us": round(single_us, 2),
-        "vs_single": (round(multi_us / single_us, 4)
-                      if single_us > 0 else None),
-    }
 
 
 def _modeled_curves(kernel: str) -> dict | None:
@@ -203,7 +132,7 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
                     slab_bytes: int | None = None,
                     repeats: int = 3, seed: int = 2012,
                     kernels: tuple | None = None,
-                    policy="fixed") -> dict:
+                    policy="fixed", crossover: bool = False) -> dict:
     """Time every parallel-tier kernel across backends × worker counts.
 
     ``worker_counts`` defaults to the doubling ladder ``1, 2, 4, …,
@@ -223,6 +152,11 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
     ``min_parallel_bytes`` before timing (recorded per kernel), so the
     curves reflect the tuned runtime's dispatch decisions; digests stay
     policy-invariant because inline-vs-pool never changes slab values.
+
+    ``crossover`` also runs :func:`~.harness.measure_pool_crossover` on
+    the first requested pooled backend (``thread`` when there is none)
+    at the widest worker count, and records its table under the
+    ``crossover`` key.
     """
     from .. import registry
     from ..parallel import SlabExecutor, doubling_counts
@@ -250,18 +184,12 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
         names = tuple(k for k in names if k in kernels)
 
     # Transport cost per (backend, workers) pair: kernel-independent,
-    # so measured once and stamped onto every matching point.  Each
-    # pair also runs the paired compiled-dispatch probe — one output
-    # versus six (the Greeks slab shape) — so the multi-output
-    # contract's descriptor cost is measured, not assumed.
+    # so measured once and stamped onto every matching point.
     overhead = {}
-    overhead_multi = []
     for backend in backends:
         for w in worker_counts:
             overhead[(backend, w)] = measure_dispatch_overhead(
                 backend, w, slab_bytes=slab_bytes)
-            overhead_multi.append(measure_multi_output_overhead(
-                backend, w, slab_bytes=slab_bytes))
 
     entries = []
     resolved_slab_bytes = None
@@ -331,7 +259,7 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
         for f, v in timing_fields("serial", base_run).items():
             entries[-1][f] = v
 
-    return {
+    data = {
         "cpu_count": cpu_count,
         "worker_counts": list(worker_counts),
         "backends": list(backends),
@@ -343,9 +271,13 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
             {"backend": b, "n_workers": w, "us": round(us, 2)}
             for (b, w), us in overhead.items()
         ],
-        "dispatch_overhead_multi": overhead_multi,
         "kernels": entries,
     }
+    if crossover:
+        data["crossover"] = measure_pool_crossover(
+            backend=next((b for b in backends if b != "serial"), "thread"),
+            n_workers=max(worker_counts), repeats=repeats, seed=seed)
+    return data
 
 
 def _modeled_note(kernel: str, modeled: dict | None) -> str | None:
@@ -385,18 +317,11 @@ def scaling_result(data: dict):
         "efficiency = speedup / workers; every point's digest is "
         "verified against the serial baseline",
     ]
-    multi = {(ov["backend"], ov["n_workers"]): ov
-             for ov in data.get("dispatch_overhead_multi", ())}
     for ov in data.get("dispatch_overhead", ()):
-        m = multi.get((ov["backend"], ov["n_workers"]))
-        extra = (f"; compiled {m['single_us']:.1f} us -> "
-                 f"{m['n_outputs']}-output {m['us']:.1f} us "
-                 f"({m['vs_single']:.2f}x)" if m else "")
         notes.append(
             f"dispatch overhead {ov['backend']} w={ov['n_workers']}: "
             f"{ov['us']:.1f} us/call (empty-body compiled dispatch "
-            f"round-trip)"
-            + extra)
+            f"round-trip)")
     for k in data["kernels"]:
         note = _modeled_note(k["kernel"], k["modeled"])
         if note:

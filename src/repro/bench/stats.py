@@ -5,8 +5,8 @@ ways — nearest-rank percentiles for latency distributions, best/median/
 spread for repeated timings, min-of-rounds inner loops for sub-µs probes,
 and integer histograms for discrete distributions (batch sizes, worker
 counts).  Before this module each bench carried its own copy; now
-serve-bench, the scaling probes, the harness ``time_run`` and the
-serving loadtest all reduce through one audited implementation.
+the scaling probes, the harness ``time_run``, the serving loadtest and
+the gateway's own stats all reduce through one audited implementation.
 
 All helpers are pure functions over plain Python floats/ints so they
 stay trivially picklable and allocation-free in the numpy domain (the
@@ -82,8 +82,8 @@ def latency_summary(samples_s, *, scale: float = 1.0,
 
     Returns ``n`` plus mean/p50/p99/p999/max under ``{name}{suffix}``
     keys, each multiplied by ``scale`` (pass ``1e3``/``"_ms"`` for
-    millisecond reporting).  The shape shared by serve-bench records and
-    the serving loadtest's per-rate rows.
+    millisecond reporting).  The shape shared by the gateway's service
+    stats and the serving loadtest's per-rate rows.
     """
     s = sorted(samples_s)
     n = len(s)

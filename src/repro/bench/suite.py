@@ -24,17 +24,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 from ..config import PAPER_SIZES, SMALL_SIZES, SMOKE_SIZES
 from .export import FORMATS, render
-
-#: The single-output daemon steady-state dispatch cost measured when
-#: the ring fabric landed (4 workers, this container class) — the
-#: baseline the multi-output contract is judged against.
-BASELINE_DAEMON_US = 318.0
 
 
 def _csv(kind):
@@ -56,8 +51,7 @@ FLAGS = {
     "full": ("--full", dict(
         action="store_true", help="use PAPER_SIZES workloads")),
     "backend": ("--backend", dict(
-        default="thread",
-        help="serial,thread,process,daemon (loadtest: also auto)")),
+        default="serial", help="serial,thread,process,daemon,auto")),
     "backends": ("--backends", dict(
         type=_csv(str), default="serial,thread,process,daemon",
         help="comma-separated subset of serial,thread,process,daemon")),
@@ -86,12 +80,6 @@ FLAGS = {
         action="store_true",
         help="also measure the pool-crossover overhead table "
              "(recorded under 'crossover' in the JSON)")),
-    "samples": ("--samples", dict(
-        type=int, default=30,
-        help="warm-latency samples per kernel x backend")),
-    "cold-samples": ("--cold-samples", dict(
-        type=int, default=5,
-        help="cold compile+run samples per kernel x backend")),
     "tier": ("--tier", dict(
         default="black_scholes:parallel",
         help="kernel:tier to drive (batchable tiers only)")),
@@ -122,7 +110,6 @@ class MeasuredBench:
     artifact: str                 # default --out, in the cwd
     flags: tuple                  # keys of FLAGS (format/out are implied)
     extra: Callable               # args -> keywords no flag spells out
-    defaults: dict = field(default_factory=dict)
     failures: Callable = lambda data, smoke: []
     summary: Callable = lambda data: []
 
@@ -133,29 +120,52 @@ def _sized(a) -> dict:
             else PAPER_SIZES if getattr(a, "full", False) else SMALL_SIZES}
 
 
-def _parallel_summary(data) -> list:
-    mc = next(k for k in data["kernels"] if k["kernel"] == "monte_carlo")
-    if (data["cpu_count"] or 1) >= 4 and not data["smoke"]:
-        status = "PASS" if mc["speedup"] >= 2.0 else "MISS"
-        return [f"mc slab-vs-serial acceptance (>=2x on >=4 cores): "
-                f"{mc['speedup']:.2f}x [{status}]"]
-    return [f"mc slab-vs-serial: {mc['speedup']:.2f}x (acceptance gate "
-            f"needs >=4 cores and a non-smoke run; host has "
-            f"{data['cpu_count']})"]
+def _tier_digests(data) -> dict:
+    """``{kernel/tier: [digest per backend the sweep timed it on]}``."""
+    digests: dict = {}
+    for k in data["kernels"]:
+        for t in k["tiers"]:
+            digests.setdefault(f"{k['kernel']}/{t['tier']}",
+                               []).append(t["digest"])
+    return digests
+
+
+def _audited(data) -> list:
+    return [(f"{k['kernel']}/{t['tier']}", t["audit"])
+            for k in data["kernels"] for t in k["tiers"]
+            if t["audit"] is not None]
 
 
 def _sweep_failures(data, smoke) -> list:
     disagree = [f"{k['kernel']}/{t['tier']}[{t['backend']}]"
                 for k in data["kernels"] for t in k["tiers"]
                 if not t["agrees"]]
-    return ([f"tiers disagree with reference: {disagree}"]
-            if disagree else [])
+    diverge = [name for name, d in _tier_digests(data).items()
+               if len(set(d)) > 1]
+    dirty = [name for name, audit in _audited(data)
+             if not audit["clean"]]
+    failures = []
+    if disagree:
+        failures.append(f"tiers disagree with reference: {disagree}")
+    if diverge:
+        failures.append(f"backends diverge: {diverge}")
+    if dirty:
+        failures.append(f"warm run allocates in the numpy domain "
+                        f"(held bytes or peak over PEAK_NOISE_BUDGET): "
+                        f"{dirty}")
+    return failures
 
 
 def _sweep_summary(data) -> list:
     n_tiers = sum(len(k["tiers"]) for k in data["kernels"])
+    n_multi = sum(len(d) > 1 for d in _tier_digests(data).values())
     return [f"agreement: all {n_tiers} timed (kernel x tier x backend) "
-            f"implementations match their reference tier"]
+            f"implementations match their reference tier",
+            f"determinism: all {n_multi} multi-backend tiers "
+            f"digest-identical across {','.join(data['backends'])}",
+            f"allocation audit: all {len(_audited(data))} planned serial "
+            f"tiers hold no numpy bytes after a warm run, peak within "
+            f"PEAK_NOISE_BUDGET"]
 
 
 def _pooled_best(kernel: dict, workers: int, key: str) -> float:
@@ -182,24 +192,6 @@ def _scaling_summary(data) -> list:
                      f"{pool_us:.0f} us/call -> daemon {ring_us:.0f} "
                      f"us/call ({ratio:.1f}x lower){gate}")
 
-    # Multi-output contract tax on the daemon's steady-state rings: a
-    # compiled six-output noop dispatch must stay within 5% of the
-    # single-output cost recorded before the result-slab refactor.
-    daemon_multi = [ov for ov in data.get("dispatch_overhead_multi", ())
-                    if ov["backend"] == "daemon" and ov["n_workers"] > 1]
-    if daemon_multi:
-        point = max(daemon_multi, key=lambda ov: ov["n_workers"])
-        pct = (point["us"] / BASELINE_DAEMON_US - 1.0) * 100.0
-        gate = ("[PASS]" if point["us"] <= BASELINE_DAEMON_US * 1.05
-                else "[MISS]")
-        lines.append(
-            f"multi-output dispatch overhead (compiled daemon rings, "
-            f"w={point['n_workers']}): {point['us']:.0f} us/call with "
-            f"{point['n_outputs']} outputs vs the single-output baseline "
-            f"{BASELINE_DAEMON_US:.0f} us/call ({pct:+.1f}%; gate <= +5%) "
-            f"{gate} [paired single-output probe: "
-            f"{point['single_us']:.0f} us]")
-
     if 4 in data["worker_counts"] and not data["smoke"]:
         winners = [k["kernel"] for k in data["kernels"]
                    if _pooled_best(k, 4, "speedup") >= 1.5]
@@ -217,35 +209,6 @@ def _scaling_summary(data) -> list:
                      f"acceptance gate needs >= 4 cores and a non-smoke "
                      f"run): {effs}")
     return lines
-
-
-def _greeks_failures(data, smoke) -> list:
-    failures = []
-    for k in data["kernels"]:
-        if not k["backends_bit_identical"]:
-            failures.append(f"{k['kernel']}: backends diverge")
-        for p in k["points"]:
-            if not p.get("audit_clean", True):
-                failures.append(
-                    f"{k['kernel']}[{p['backend']}]: warm run allocates "
-                    f"in the numpy domain")
-    return failures
-
-
-def _greeks_summary(data) -> list:
-    n_points = sum(len(k["points"]) for k in data["kernels"])
-    speedups = ", ".join(
-        "{}={:.1f}x".format(
-            k["kernel"],
-            max((p["cold_s"] / p["warm_s"] for p in k["points"]
-                 if p["warm_s"] > 0), default=0.0))
-        for k in data["kernels"])
-    return [f"greeks acceptance: {len(data['kernels'])} kernels x "
-            f"{len(data['backends'])} backend(s) = {n_points} points; all "
-            f"digests bit-identical, warm serial runs allocation-clean "
-            f"[PASS]",
-            f"plan.run speedup over the one-shot (compile + run + "
-            f"retire): {speedups}"]
 
 
 def _loadtest_extra(a) -> dict:
@@ -276,14 +239,6 @@ _SLAB = ("workers", "slab-bytes", "repeats", "seed")
 
 MEASURED = {b.name: b for b in (
     MeasuredBench(
-        name="parallel",
-        help="serial vs slab-parallel functional speedup",
-        measure="measure_parallel_speedup",
-        views=("parallel_speedup_result",),
-        artifact="BENCH_parallel.json",
-        flags=("smoke", "full", "backend", *_SLAB, "crossover"),
-        extra=_sized, summary=_parallel_summary),
-    MeasuredBench(
         name="sweep",
         help="measured Ninja gap: time every registered tier x backend",
         measure="measure_ninja_sweep",
@@ -299,29 +254,8 @@ MEASURED = {b.name: b for b in (
         views=("scaling_result",),
         artifact="BENCH_scaling.json",
         flags=("smoke", "full", "backends", "kernels", "worker-counts",
-               "slab-bytes", "repeats", "seed", "policy"),
+               "slab-bytes", "repeats", "seed", "policy", "crossover"),
         extra=_sized, summary=_scaling_summary),
-    MeasuredBench(
-        name="greeks",
-        help="risk workloads: time every Greeks tier, one-shot vs "
-             "plan-compiled, with digest and allocation checks",
-        measure="measure_greeks",
-        views=("greeks_result",),
-        artifact="BENCH_greeks.json",
-        flags=("smoke", "full", "backends", "kernels", *_SLAB),
-        defaults={"backends": ("serial", "thread")},
-        extra=_sized, failures=_greeks_failures,
-        summary=_greeks_summary),
-    MeasuredBench(
-        name="serve-bench",
-        help="steady-state serving: warm plan.run() vs cold "
-             "compile-per-call, with the warm-run allocation audit",
-        measure="measure_steady_state",
-        views=("steady_state_result",),
-        artifact="BENCH_steady_state.json",
-        flags=("smoke", "backends", "samples", "cold-samples", "seed"),
-        defaults={"backends": ("serial", "thread")},
-        extra=_sized),
     MeasuredBench(
         name="loadtest",
         help="open-loop Poisson loadtest of the pricing gateway "
@@ -331,7 +265,6 @@ MEASURED = {b.name: b for b in (
         artifact="BENCH_serving.json",
         flags=("smoke", "backend", "tier", "clients", "requests", "rates",
                "budgets-ms", "workers", "seed", "policy"),
-        defaults={"backend": "serial"},
         extra=_loadtest_extra, failures=_loadtest_failures),
     MeasuredBench(
         name="dse",
@@ -387,4 +320,4 @@ def add_measured_parsers(sub) -> None:
             p.add_argument(option, **kwargs)
         p.add_argument("--out", default=spec.artifact,
                        help="raw measurement JSON path ('' to skip)")
-        p.set_defaults(fn=partial(run_measured, spec), **spec.defaults)
+        p.set_defaults(fn=partial(run_measured, spec))

@@ -16,7 +16,11 @@ several backends (``serial``/``thread``/``process``/``daemon``) must
 produce bit-identical results on all of them.  Multi-output tiers
 (Greeks, implied vol, scenario grids) are compared on the outputs they
 share with the reference — for every checked risk tier that is the
-``price`` vector — and digested over their full stacked slab.
+``price`` vector — and digested over their full stacked slab.  Every
+planned serial tier also carries the allocation audit of one warm run
+(:func:`~repro.plan.audit_allocations`): no numpy bytes held, peak
+within :data:`~repro.plan.audit.PEAK_NOISE_BUDGET`.  The ``sweep``
+gate (:mod:`.suite`) fails on any of the three.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ import numpy as np
 from ..config import SMALL_SIZES, WorkloadSizes
 from ..errors import ExperimentError
 from ..results import as_result_slab
-from .harness import time_plan
-from .record import timing_fields
+from .harness import time_run, timing_fields
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,26 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
     """Time every registered (kernel × tier × backend) implementation.
 
     Per kernel the workload is built once (from ``sizes`` and ``seed``)
-    and shared by all tiers; per tier one plan is compiled
-    (:func:`~.harness.time_plan`), run once for the agreement
-    check/digest and then ``repeats`` more times for the best-of wall
-    clock.  Returns the JSON-ready dict behind
+    and shared by all tiers; per tier one plan is compiled, run once
+    for the agreement check/digest and then ``repeats`` more times for
+    the best-of wall clock (``plan.run``, the served path — as
+    :func:`~.harness.time_plan`); a planned serial tier's plan is then
+    audited.  Returns the JSON-ready dict behind
     ``BENCH_ninja_measured.json``.
 
     ``policy`` (``"fixed"``/``"auto"``/path): under a non-fixed policy
     each kernel's pooled executors take the policy's per-kernel
-    ``min_parallel_bytes`` before timing (recorded per kernel in the
-    output), so sweeps measure the same dispatch decisions the tuned
-    runtime would make; ``"fixed"`` pins the historical behaviour for
-    reproducible digest comparisons.  Digests are policy-invariant by
-    construction — inline-vs-pool never changes slab plans or values.
+    ``min_parallel_bytes`` before timing — or their own crossover when
+    the table has no entry for the kernel — and each kernel records the
+    value in force, so sweeps measure the same dispatch decisions the
+    tuned runtime would make; ``"fixed"`` pins the historical behaviour
+    for reproducible digest comparisons.  Digests are policy-invariant
+    by construction — inline-vs-pool never changes slab plans or values.
     """
     from .. import registry
     from ..parallel import SlabExecutor
+    from ..plan import audit_allocations, compile_plan
+    from ..plan.audit import PEAK_NOISE_BUDGET
     from ..tune import load_policy
     from .ninja import ninja_gaps
 
@@ -109,16 +116,21 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
         # sweep.
         executors["serial"] = SlabExecutor("serial", n_workers=n_workers,
                                            slab_bytes=slab_bytes)
+    # Every executor is built alike, so they share one own crossover.
+    own_mpb = executors["serial"].min_parallel_bytes
     entries = []
     try:
         for kernel in names:
             applied_mpb = None
             if table is not None:
+                # A kernel the table has no entry for runs under the
+                # executors' own crossover, not the previous kernel's.
                 applied_mpb = table.min_parallel_bytes(kernel)
-                if applied_mpb is not None:
-                    for b, ex in executors.items():
-                        if b != "serial":
-                            ex.min_parallel_bytes = applied_mpb
+                if applied_mpb is None:
+                    applied_mpb = own_mpb
+                for b, ex in executors.items():
+                    if b != "serial":
+                        ex.min_parallel_bytes = applied_mpb
             spec = registry.workload(kernel)
             payload = spec.build(sizes, seed=seed)
             items = spec.items(payload)
@@ -131,8 +143,20 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
                 if impl.backend not in backends:
                     continue
                 ex = executors[impl.backend]
-                run, out = time_plan(impl, payload, ex, items, repeats)
-                out = as_result_slab(out, impl.outputs)
+                with compile_plan(kernel, impl.tier, payload,
+                                  backend=impl.backend,
+                                  executor=ex) as plan:
+                    out = as_result_slab(plan.run(), impl.outputs)
+                    run = time_run(impl.label, plan.run, items, repeats)
+                    audit = None
+                    if plan.planned and impl.backend == "serial":
+                        a = audit_allocations(plan.run)
+                        audit = {
+                            "held_bytes": a.numpy_bytes,
+                            "peak_bytes": a.peak_bytes,
+                            "clean": (a.clean
+                                      and a.peak_bytes <= PEAK_NOISE_BUDGET),
+                        }
                 tol = (impl.tolerance if impl.tolerance is not None
                        else spec.tolerance)
                 diff = _common_diff(out, ref_out)
@@ -151,6 +175,8 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
                     "agrees": (not impl.checked)
                     or (diff is not None and diff <= tol),
                     "digest": out.digest(),
+                    "planned": plan.planned,
+                    "audit": audit,
                 }
                 entry.update(timing_fields("time", run))
                 tiers.append(entry)

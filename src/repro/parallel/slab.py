@@ -78,7 +78,8 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 #: the bench host: below this, pool submission overhead exceeds the
 #: parallel win and dispatch runs in-caller over the same slab plan.
 #: Measured by :func:`repro.bench.harness.measure_pool_crossover`
-#: (recorded under ``"crossover"`` in ``BENCH_parallel.json``): pooled
+#: (``python -m repro scaling --crossover``, recorded under
+#: ``"crossover"`` in ``BENCH_scaling.json``): pooled
 #: thread dispatch costs a fixed ~25–40 µs per submission round, and
 #: every measured kernel configuration with a working set under 2 MiB
 #: ran *slower* pooled than inline (Black-Scholes at 1.25 MiB: 1.15x,

@@ -19,7 +19,8 @@ definition of its zero-allocation contract, checked two ways:
   (``np.getbufsize()`` elements, ~64 KiB of float64) — a bounded,
   workload-size-independent constant, not a per-call data allocation.
   Callers therefore compare the peak against a noise budget a little
-  above that constant and far below their smallest real array.
+  above that constant and far below their smallest real array
+  (:data:`PEAK_NOISE_BUDGET`).
 
 Process-backend workers allocate in their own address spaces, which the
 parent's tracemalloc cannot see; audits are therefore meaningful on the
@@ -33,6 +34,12 @@ import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Transient-peak noise budget for a warm run (bytes): a little above
+#: numpy's fixed ~64 KiB nditer working buffer (one per operand of a
+#: casting ufunc over strided views, so up to three coexist), far below
+#: any real per-call workload array.
+PEAK_NOISE_BUDGET = 256 * 1024
 
 
 @dataclass(frozen=True)

@@ -127,12 +127,12 @@ class WorkloadSpec:
         and therefore appears in the modeled Ninja-gap table (the rng
         kernel does not).
     baseline_tier:
-        The serial tier the serial-vs-slab parallel bench uses as its
-        baseline (``None`` when the kernel has no pooled backend).
+        The kernel's fastest pre-existing serial tier, the baseline its
+        slab-parallel tier is compared against (``None`` when the
+        kernel has no pooled backend).
     greeks_tier:
-        The kernel's Greeks-capable multi-output tier — the one the
-        ``greeks`` CLI/bench measures (``None`` until the kernel
-        registers a risk workload).
+        The kernel's Greeks-capable multi-output tier (``None`` until
+        the kernel registers a risk workload).
     """
 
     kernel: str

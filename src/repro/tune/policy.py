@@ -13,7 +13,7 @@ keyed by :func:`~repro.arch.host.machine_fingerprint`.  Entries are keyed
 by ``kernel[output-set]@shape-bucket`` (bucket = next power of two of the
 item count, ``*`` for any shape) and record the chosen dispatch
 configuration plus how it was obtained (``bootstrap`` from the analytic
-model, ``tuned`` from a measurement such as ``python -m repro parallel
+model, ``tuned`` from a measurement such as ``python -m repro scaling
 --crossover``, ``pinned`` by an operator).
 
 Resolution order for the executor's crossover (satellite of ISSUE 10):

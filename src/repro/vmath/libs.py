@@ -151,16 +151,18 @@ class NumpyLib(VectorMathLib):
     """NumPy ufuncs plus the table-driven :func:`~repro.vmath.ndtr.ndtr`:
     the fast functional path used inside timed benchmark loops.  ``cnd``
     and ``erf`` are accurate to 1e-15 absolute; ``exp``/``log`` are
-    NumPy's own (asserted against the from-scratch kernels in tests)."""
+    NumPy's own (asserted against the from-scratch kernels in tests);
+    ``invcnd`` is the from-scratch :func:`~repro.vmath.invcnd.vinvcnd`,
+    as in the other facades."""
 
     name = "numpy"
     array_call = False
 
     def _impl(self, func: str, x: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-        # Every branch writes through ``out=`` in C loops — genuinely
-        # allocation-free, unlike the from-scratch facades (which
-        # compute then copy into ``out``).
+        # Every branch but ``invcnd`` writes through ``out=`` in C
+        # loops — genuinely allocation-free, unlike the from-scratch
+        # facades (which compute then copy into ``out``).
         if func == "exp":
             return np.exp(x, out=out) if out is not None else np.exp(x)
         if func == "log":
@@ -174,10 +176,7 @@ class NumpyLib(VectorMathLib):
         if func == "cnd":
             return ndtr(x, out=out)
         if func == "invcnd":
-            # scipy's one runtime use (with rng.normal's icdf transform),
-            # imported on first call; no measured path reaches either.
-            from scipy.special import ndtri as _ndtri
-            return _ndtri(x, out=out) if out is not None else _ndtri(x)
+            return _into(out, vinvcnd(x))
         raise KeyError(func)
 
 

@@ -1,13 +1,12 @@
-"""Functional-harness tests: timing, the registry-owned workloads the
-benches share, and the serial-vs-slab speedup measurement."""
+"""Functional-harness tests: timing and the registry-owned workloads
+the benches share."""
 
 import numpy as np
 import pytest
 
 from repro import registry
-from repro.bench import (TimedRun, measure_parallel_speedup,
-                         parallel_speedup_result, time_run)
-from repro.config import BENCH_WARMUP, SMALL_SIZES, WorkloadSizes
+from repro.bench import TimedRun, time_run
+from repro.config import BENCH_WARMUP, SMALL_SIZES
 from repro.errors import ExperimentError
 from repro.pricing import ExerciseStyle
 
@@ -96,46 +95,3 @@ class TestWorkloadBuilders:
         assert len(opts) == SMALL_SIZES.cn_nopt
         assert all(o.style is ExerciseStyle.AMERICAN for o in opts)
 
-
-#: Seconds-scale sizes so the speedup harness test stays cheap.
-_TINY = WorkloadSizes(
-    black_scholes_nopt=512, binomial_steps=(16, 32), binomial_nopt=4,
-    brownian_steps=16, brownian_paths=128, mc_path_length=512, mc_nopt=2,
-    cn_prices=32, cn_steps=10, cn_nopt=2, rng_numbers=256,
-)
-
-
-class TestMeasureParallelSpeedup:
-    def test_structure_and_rendering(self):
-        data = measure_parallel_speedup(sizes=_TINY, repeats=1)
-        assert data["backend"] == "thread"
-        assert data["n_workers"] >= 1 and data["slab_bytes"] > 0
-        kernels = {k["kernel"]: k for k in data["kernels"]}
-        # Every kernel with a registered thread backend is measured.
-        assert set(kernels) == set(registry.parallel_kernels())
-        assert "crank_nicolson" in kernels
-        for k in kernels.values():
-            assert k["serial_s"] > 0 and k["slab_s"] > 0
-            assert k["speedup"] == pytest.approx(
-                k["serial_s"] / k["slab_s"])
-            # Fusion gain is attributed separately for every kernel.
-            assert k["fused_vs_serial"] == pytest.approx(
-                k["serial_s"] / k["fused_serial_s"])
-            assert k["unit"] and k["scale"] > 0
-            # Satellite: every record says how many workers each timed
-            # run actually used.
-            assert k["n_workers"]["serial"] == 1
-            assert k["n_workers"]["fused_serial"] == 1
-            # Tiny workloads may stay under the measured crossover, in
-            # which case the slab run is in-caller and single-worker.
-            assert k["n_workers"]["slab"] == (
-                1 if k["inline"] else data["n_workers"])
-
-        result = parallel_speedup_result(data)
-        assert result.exp_id == "parallel"
-        assert len(result.rows) == len(kernels)
-
-    def test_serial_backend_runs(self):
-        data = measure_parallel_speedup(sizes=_TINY, backend="serial",
-                                        repeats=1)
-        assert data["backend"] == "serial"

@@ -7,6 +7,7 @@ from repro import registry
 from repro.bench import (MeasuredNinjaGap, measure_ninja_sweep,
                          measured_gaps, render, sweep_detail_result,
                          sweep_gap_result)
+from repro.bench.suite import MEASURED
 from repro.config import WorkloadSizes
 from repro.errors import ExperimentError
 
@@ -19,6 +20,7 @@ _TINY = WorkloadSizes(
 
 @pytest.fixture(scope="module")
 def sweep():
+    """One run on all four backends (the default)."""
     return measure_ninja_sweep(sizes=_TINY, repeats=1, n_workers=2)
 
 
@@ -89,6 +91,40 @@ class TestDeterminism:
                 assert t["digest"] == match["digest"]
 
 
+class TestGate:
+    def test_four_backend_run_passes_every_check(self, sweep):
+        assert sweep["backends"] == list(registry.BACKENDS)
+        assert MEASURED["sweep"].failures(sweep, True) == []
+        tiers = [(k["kernel"], t) for k in sweep["kernels"]
+                 for t in k["tiers"]]
+        # Every tier registered on more than one backend was timed on
+        # each of them, so the gate compared its digests.
+        backends = {}
+        for kernel, t in tiers:
+            backends.setdefault((kernel, t["tier"]), set()).add(
+                t["backend"])
+        registered = {}
+        for i in registry.impls():
+            registered.setdefault((i.kernel, i.tier), set()).add(
+                i.backend)
+        multi = {key for key, b in registered.items() if len(b) > 1}
+        assert multi and {key for key, b in backends.items()
+                          if len(b) > 1} == multi
+        # Every serial impl with a planner carries a clean audit, and
+        # only those do.
+        audited = {(kernel, t["tier"]) for kernel, t in tiers
+                   if t["audit"] is not None}
+        planned = {(i.kernel, i.tier)
+                   for i in registry.impls(backend="serial")
+                   if i.planner is not None}
+        assert planned and audited == planned
+        for kernel, t in tiers:
+            assert t["planned"] == (t["backend"] != "serial"
+                                    or (kernel, t["tier"]) in planned)
+            if t["audit"] is not None:
+                assert t["audit"]["clean"] and t["audit"]["held_bytes"] == 0
+
+
 class TestFiltersAndValidation:
     def test_kernel_subset(self):
         data = measure_ninja_sweep(sizes=_TINY, repeats=1,
@@ -131,6 +167,34 @@ class TestPolicy:
         for t in entry["tiers"]:
             if (t["tier"], t["backend"]) in base:
                 assert t["digest"] == base[(t["tier"], t["backend"])]
+
+    def test_kernel_without_entry_keeps_the_executor_crossover(
+            self, monkeypatch):
+        # black_scholes is swept first; its entry must not leak into
+        # binomial, which the table (no global entry) says nothing about.
+        import repro.plan
+        from repro.tune import PolicyEntry, PolicyTable
+        table = PolicyTable(fingerprint="f", facts={})
+        table.set("black_scholes", PolicyEntry(min_parallel_bytes=1 << 62))
+        seen = {}
+        compile_plan = repro.plan.compile_plan
+
+        def spy(kernel, tier, payload=None, **kw):
+            seen[(kernel, tier, kw["backend"])] = \
+                kw["executor"].min_parallel_bytes
+            return compile_plan(kernel, tier, payload, **kw)
+
+        monkeypatch.setattr(repro.plan, "compile_plan", spy)
+        data = measure_ninja_sweep(
+            sizes=_TINY, repeats=1, n_workers=2,
+            backends=("serial", "thread"),
+            kernels=("black_scholes", "binomial"), policy=table)
+        by_kernel = {k["kernel"]: k for k in data["kernels"]}
+        assert by_kernel["black_scholes"]["policy_min_parallel_bytes"] \
+            == 1 << 62
+        assert seen[("black_scholes", "parallel", "thread")] == 1 << 62
+        assert seen[("binomial", "parallel", "thread")] == 0
+        assert by_kernel["binomial"]["policy_min_parallel_bytes"] == 0
 
 
 class TestRendering:

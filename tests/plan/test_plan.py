@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from repro import registry
-from repro.bench.serve import PEAK_NOISE_BUDGET
 from repro.config import SMOKE_SIZES
 from repro.errors import ConfigurationError
 from repro.parallel import SlabExecutor
 from repro.plan import (PlanCache, audit_allocations, cached_plan,
                         compile_plan, plan_key)
+from repro.plan.audit import PEAK_NOISE_BUDGET
 
 KERNELS = registry.parallel_kernels()
 BACKENDS = ("serial", "thread", "process", "daemon")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from repro.errors import ConfigurationError
 from repro.rng import (MT19937, NormalGenerator, Philox, box_muller,
@@ -47,10 +47,13 @@ class TestICDF:
         assert abs(z.std() - 1.0) < 0.01
 
     def test_exact_path_matches_scipy(self, rng_np):
-        u = rng_np.uniform(1e-6, 1 - 1e-6, 10_000)
-        fast = icdf_transform(u, exact=False)
-        exact = icdf_transform(u, exact=True)
-        assert np.allclose(fast, exact, atol=1e-9)
+        # Both clipping endpoints included: 0 maps to ndtri(tiny), and
+        # 1 - 2**-53 is the largest double below 1, kept as is.
+        u = np.concatenate([rng_np.uniform(1e-6, 1 - 1e-6, 10_000),
+                            [0.0, 1.0 - 2.0 ** -53]])
+        want = special.ndtri(np.clip(u, np.finfo(float).tiny,
+                                     1.0 - 2.0 ** -53))
+        assert np.allclose(icdf_transform(u), want, atol=1e-9)
 
     def test_monotone_in_u(self):
         u = np.linspace(0.01, 0.99, 1001)

@@ -13,14 +13,10 @@ from repro.bench.suite import FLAGS, MEASURED
 #: The cheapest run of each measured bench: ``--smoke`` plus the fewest
 #: repeats/samples and in-process backends only.
 _SMOKE_ARGS = {
-    "parallel": ["--repeats", "1", "--workers", "2"],
     "sweep": ["--repeats", "1", "--workers", "2",
               "--backends", "serial,thread"],
     "scaling": ["--repeats", "1", "--workers", "1,2",
                 "--backends", "serial,thread"],
-    "greeks": ["--repeats", "1"],
-    "serve-bench": ["--samples", "3", "--cold-samples", "2",
-                    "--backends", "serial"],
     "loadtest": ["--clients", "4", "--requests", "24", "--rates", "400",
                  "--budgets-ms", "2"],
     "dse": [],
@@ -111,26 +107,6 @@ class TestCLI:
         assert "american put" in out
         assert "closed form" not in out  # no closed form for American
 
-    def test_parallel_speedup(self, capsys, tmp_path):
-        out_json = tmp_path / "BENCH_parallel.json"
-        assert main(["parallel", "--repeats", "1", "--workers", "2",
-                     "--out", str(out_json)]) == 0
-        out = capsys.readouterr().out
-        assert "slab-parallel" in out and "monte_carlo" in out
-        assert out_json.exists()
-
-    def test_serve_bench_smoke(self, capsys, tmp_path):
-        import json
-        out_json = tmp_path / "BENCH_steady_state.json"
-        assert main(["serve-bench", "--smoke", "--samples", "3",
-                     "--cold-samples", "2", "--backends", "serial",
-                     "--out", str(out_json)]) == 0
-        out = capsys.readouterr().out
-        assert "Steady-state serving" in out and "audit" in out
-        data = json.loads(out_json.read_text())
-        assert all(k["planned"] and k["audit"]["clean"]
-                   for k in data["kernels"])
-
     def test_loadtest_smoke(self, capsys, tmp_path):
         import json
         out_json = tmp_path / "BENCH_serving.json"
@@ -164,6 +140,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "rng" in out and "black_scholes" not in out
         assert not (tmp_path / "BENCH_ninja_measured.json").exists()
+
+    def test_scaling_crossover(self, tmp_path):
+        out_json = tmp_path / "BENCH_scaling.json"
+        assert main(["scaling", "--smoke", "--crossover", "--repeats", "1",
+                     "--backends", "serial,thread", "--workers", "1,2",
+                     "--out", str(out_json)]) == 0
+        table = json.loads(out_json.read_text())["crossover"]
+        assert table["backend"] == "thread" and table["n_workers"] == 2
+        assert {r["kernel"] for r in table["rows"]} >= {"black_scholes",
+                                                       "rng"}
+        assert all(r["inline_s"] > 0 and r["pooled_s"] > 0
+                   for r in table["rows"])
 
     def test_dse_smoke_subset(self, capsys, tmp_path, monkeypatch):
         import json
@@ -218,9 +206,14 @@ class TestCLI:
         ("loadtest",
          lambda d: d["digest_mismatches"].append("req 0: a != b"),
          "digest mismatch"),
-        ("greeks",
-         lambda d: d["kernels"][0].update(backends_bit_identical=False),
+        ("sweep",
+         lambda d: next(t for t in d["kernels"][0]["tiers"]
+                        if t["backend"] == "thread").update(digest="0" * 32),
          "backends diverge"),
+        ("sweep",
+         lambda d: next(t for t in d["kernels"][0]["tiers"]
+                        if t["audit"])["audit"].update(clean=False),
+         "warm run allocates"),
     ])
     def test_doctored_record_fails_the_gate(self, name, doctor, reason,
                                             smoke_run, monkeypatch,
