@@ -18,7 +18,6 @@ from .sweep import (MeasuredNinjaGap, measure_ninja_sweep, measured_gaps,
                     sweep_detail_result, sweep_gap_result)
 from .profile import (ProfileLine, format_profile, hotspot, profile_trace)
 from .report import format_table, ladder_bars, stacked_bars
-from .scenarios import SCENARIOS, ScenarioResult, run_scenario
 
 __all__ = [
     "ExperimentResult", "EXPERIMENTS", "run_experiment", "run_all",
@@ -34,6 +33,5 @@ __all__ = [
     "percentile", "sorted_latencies", "summarize_times",
     "latency_summary", "best_inner_us", "int_histogram",
     "profile_trace", "hotspot", "format_profile", "ProfileLine",
-    "SCENARIOS", "ScenarioResult", "run_scenario",
     "render", "to_json", "to_csv", "from_json", "FORMATS",
 ]

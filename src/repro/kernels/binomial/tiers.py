@@ -40,7 +40,6 @@ register_workload(WorkloadSpec(
     unit=" Kopts/s",
     scale=1e-3,
     tolerance=1e-10,
-    baseline_tier="tiled",
     greeks_tier="greeks",
 ))
 register_impl("binomial", "reference", OptLevel.REFERENCE,

@@ -114,7 +114,6 @@ register_workload(WorkloadSpec(
     scale=1e-6,
     tolerance=1e-10,
     bytes_per_item=SLAB_BYTES_PER_OPTION,
-    baseline_tier="intermediate",
     greeks_tier="greeks",
 ))
 register_impl("black_scholes", "reference", OptLevel.REFERENCE,

@@ -11,7 +11,7 @@ from .interleaved import (build_cache_to_cache, build_interleaved,
                           default_block_paths)
 from .model import (TIERS, basic_trace, build, cache_to_cache_trace,
                     interleaved_trace, intermediate_trace)
-from .parallel import build_interleaved_parallel, build_parallel
+from .parallel import build_parallel
 from .reference import build_reference
 from .risk import barrier_risk_parallel
 from .vectorized import build_vectorized, randoms_to_path_major
@@ -21,7 +21,7 @@ __all__ = [
     "build_reference", "build_vectorized", "randoms_to_path_major",
     "barrier_risk_parallel",
     "build_interleaved", "build_cache_to_cache", "default_block_paths",
-    "build_parallel", "build_interleaved_parallel",
+    "build_parallel",
     "build", "TIERS", "basic_trace", "intermediate_trace",
     "interleaved_trace", "cache_to_cache_trace",
     "price_up_and_out_call", "bridge_crossing_probability",

@@ -11,24 +11,20 @@ whatever its width.  Per-path arithmetic is independent of slab and
 block width, so the result is bit-identical to the serial vectorized
 tier for any slab size, backend or worker count.
 
-:func:`build_interleaved_parallel` adds the Sec. IV-C2 RNG interleaving
-on top: each slab generates its own normals from an independent
-per-slab stream immediately before consuming them, so the random array
-never exists at full size.
+The Sec. IV-C2 RNG interleaving (normals generated block by block and
+consumed cache-hot) is the serial ``interleaved`` tier,
+:func:`~.interleaved.build_interleaved`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
-from ...errors import ConfigurationError
-from ...parallel.slab import SlabExecutor, default_executor
+from ...parallel.slab import SlabExecutor
 from ...plan import WorkspaceArena, one_shot
-from ...rng import NormalGenerator, make_streams
 from .bridge import BridgeSchedule
 from .vectorized import (bridge_blocks, bridge_workspace,
-                         build_vectorized, randoms_to_path_major)
+                         randoms_to_path_major)
 
 
 def _bytes_per_path(schedule: BridgeSchedule) -> int:
@@ -48,15 +44,6 @@ def _build_slab(arrays: dict, consts: dict, a: int, b: int,
     ws = consts.get("ws") or bridge_workspace(
         schedule, b - a, WorkspaceArena("bb").reserve)
     bridge_blocks(schedule, arrays["r"], arrays["out"], ws)
-
-
-def _interleaved_slab(arrays: dict, consts: dict, a: int, b: int,
-                      slab: int) -> None:
-    """Interleaved-RNG slab task: generate this slab's normals from its
-    own stream and consume them immediately."""
-    gen = NormalGenerator(consts["stream"], consts["method"])
-    z = gen.normals((b - a) * consts["per_path"])
-    build_vectorized(consts["schedule"], z, out=arrays["out"])
 
 
 def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
@@ -106,32 +93,3 @@ def build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
     flat = one_shot(compile_build_parallel, schedule, randoms,
                     executor=executor)
     return flat.reshape(-1, schedule.n_points)
-
-
-def build_interleaved_parallel(schedule: BridgeSchedule, n_paths: int,
-                               executor: SlabExecutor | None = None,
-                               seed: int = 2012, kind: str = "mt2203",
-                               method: str = "box_muller") -> np.ndarray:
-    """Interleaved-RNG construction: per-slab streams generate each
-    block's normals cache-hot, immediately consumed — the full random
-    array never touches DRAM.  Deterministic for a fixed seed and slab
-    plan (serial ≡ thread)."""
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
-    if executor is None:
-        executor = default_executor()
-    per_path = schedule.randoms_per_path()
-    bpp = _bytes_per_path(schedule)
-    slabs = executor.plan(n_paths, bpp)
-    max_paths = max((b - a) for a, b in slabs) if slabs else 1
-    streams = make_streams(max(1, len(slabs)), kind=kind, seed=seed,
-                           draws_per_worker=4 * max_paths * per_path + 8)
-    out = np.empty((n_paths, schedule.n_points), dtype=DTYPE)
-    executor.map_shm(
-        _interleaved_slab, n_paths, bytes_per_item=bpp,
-        sliced={"out": out}, writes=("out",),
-        consts={"schedule": schedule, "per_path": per_path,
-                "method": method},
-        per_slab=lambda a, b, i: {"stream": streams[i]},
-    )
-    return out

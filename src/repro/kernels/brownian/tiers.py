@@ -61,7 +61,6 @@ register_workload(WorkloadSpec(
     unit=" Mpaths/s",
     scale=1e-6,
     tolerance=1e-10,
-    baseline_tier="vectorized",
     greeks_tier="greeks",
 ))
 register_impl("brownian", "reference", OptLevel.REFERENCE,

@@ -46,7 +46,6 @@ register_workload(WorkloadSpec(
     unit=" Kopts/s",
     scale=1e-3,
     tolerance=1e-3,
-    baseline_tier="red_black",
     greeks_tier="greeks",
 ))
 register_impl("crank_nicolson", "gsor", OptLevel.REFERENCE,

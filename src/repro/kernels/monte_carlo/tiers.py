@@ -51,7 +51,6 @@ register_workload(WorkloadSpec(
     unit=" Kopts/s",
     scale=1e-3,
     tolerance=1e-10,
-    baseline_tier="vectorized",
     greeks_tier="greeks",
 ))
 register_impl("monte_carlo", "reference", OptLevel.REFERENCE,

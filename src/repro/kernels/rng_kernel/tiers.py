@@ -33,7 +33,6 @@ register_workload(WorkloadSpec(
     scale=1e-9,
     tolerance=0.0,
     modeled_gap=False,
-    baseline_tier="vectorized",
     greeks_tier="greeks",
 ))
 register_impl("rng", "reference", OptLevel.REFERENCE,

@@ -506,24 +506,6 @@ class SlabExecutor:
         self._live_dispatches.append(dispatch)
         return dispatch
 
-    # -- RNG -----------------------------------------------------------
-    def streams(self, n: int, bytes_per_item: int = 8,
-                kind: str = "mt2203", seed: int = 1,
-                draws_per_slab: int = 1 << 20):
-        """One independent random stream **per slab** of ``plan(n)``.
-
-        Per-slab (rather than per-worker) assignment makes the draws a
-        function of the plan alone: whichever worker executes slab ``i``
-        consumes stream ``i``, so all backends are bit-identical.
-        Stream kinds are the paper's (Sec. IV-D3): ``mt2203`` family
-        members, counter-split ``philox``, or a block-skipped
-        ``mt19937``.
-        """
-        from ..rng import make_streams
-        n_slabs = max(1, len(self.plan(n, bytes_per_item)))
-        return make_streams(n_slabs, kind=kind, seed=seed,
-                            draws_per_worker=draws_per_slab)
-
 
 class CompiledDispatch:
     """One slab dispatch, compiled for replay — the only code that

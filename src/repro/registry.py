@@ -126,10 +126,6 @@ class WorkloadSpec:
         Whether the kernel's *performance model* has a reference tier
         and therefore appears in the modeled Ninja-gap table (the rng
         kernel does not).
-    baseline_tier:
-        The kernel's fastest pre-existing serial tier, the baseline its
-        slab-parallel tier is compared against (``None`` when the
-        kernel has no pooled backend).
     greeks_tier:
         The kernel's Greeks-capable multi-output tier (``None`` until
         the kernel registers a risk workload).
@@ -143,7 +139,6 @@ class WorkloadSpec:
     tolerance: float = 1e-10
     bytes_per_item: int = 8
     modeled_gap: bool = True
-    baseline_tier: str | None = None
     greeks_tier: str | None = None
 
 

@@ -48,6 +48,9 @@ BOOTSTRAP_MAX_BYTES = 1 << 24
 
 WILDCARD = "*"
 
+#: How an entry was obtained (see the module docstring).
+SOURCES = ("bootstrap", "tuned", "pinned")
+
 
 def default_policy_path() -> str:
     """Policy-file location: ``REPRO_POLICY_PATH`` or the user cache."""
@@ -86,7 +89,7 @@ class PolicyEntry:
     source: str = "bootstrap"        # bootstrap | tuned | pinned
 
     def __post_init__(self):
-        if self.source not in ("bootstrap", "tuned", "pinned"):
+        if self.source not in SOURCES:
             raise ConfigurationError(
                 f"policy source must be bootstrap/tuned/pinned, "
                 f"got {self.source!r}"
@@ -96,11 +99,27 @@ class PolicyEntry:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
-    def from_json(cls, data: dict) -> "PolicyEntry":
-        # Unknown keys are dropped: files written by earlier versions
-        # carry fields (tier, backend, tuner counters) nothing reads.
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+    def from_json(cls, data) -> "PolicyEntry | None":
+        """The entry ``data`` describes, or ``None`` when it is not one.
+
+        The file comes from outside the program, so a malformed entry
+        (not an object, a non-integer knob, an unknown source) is
+        dropped like unparseable JSON rather than failing every
+        dispatch that resolves a crossover.  Unknown keys are dropped
+        too: files written by earlier versions carry fields (tier,
+        backend, tuner counters) nothing reads.
+        """
+        if not isinstance(data, dict):
+            return None
+        kw = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
+        if kw.get("source", "bootstrap") not in SOURCES:
+            return None
+        for knob in ("min_parallel_bytes", "bucket_width"):
+            v = kw.get(knob)
+            if v is not None and (isinstance(v, bool)
+                                  or not isinstance(v, int)):
+                return None
+        return cls(**kw)
 
 
 @dataclass
@@ -213,7 +232,12 @@ class PolicyTable:
     def load(cls, path: str | None = None,
              fingerprint: str | None = None,
              missing_ok: bool = True) -> "PolicyTable":
-        """This machine's section of the policy file (empty if absent)."""
+        """This machine's section of the policy file (empty if absent).
+
+        Any part of it that is not the shape :meth:`save` writes — a
+        section that is not an object, a malformed entry — is dropped,
+        so resolution falls back to the next source.
+        """
         path = path or default_policy_path()
         doc = _read_file(path)
         if not doc and not missing_ok:
@@ -221,12 +245,19 @@ class PolicyTable:
         if fingerprint is None:
             from ..arch.host import machine_fingerprint
             fingerprint = machine_fingerprint()
-        section = doc.get("machines", {}).get(fingerprint, {})
+        section = _object(_object(doc.get("machines")).get(fingerprint))
         table = cls(fingerprint=fingerprint,
-                    facts=section.get("facts", {}))
-        for key, data in section.get("entries", {}).items():
-            table.entries[key] = PolicyEntry.from_json(data)
+                    facts=_object(section.get("facts")))
+        for key, data in _object(section.get("entries")).items():
+            entry = PolicyEntry.from_json(data)
+            if entry is not None:
+                table.entries[key] = entry
         return table
+
+
+def _object(value) -> dict:
+    """``value`` if it is a JSON object, else an empty one."""
+    return value if isinstance(value, dict) else {}
 
 
 def _read_file(path: str) -> dict:
@@ -235,7 +266,7 @@ def _read_file(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, ValueError):
         return {}
-    return doc if isinstance(doc, dict) else {}
+    return _object(doc)
 
 
 def bootstrap(table: PolicyTable | None = None) -> PolicyTable:

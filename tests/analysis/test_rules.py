@@ -251,9 +251,8 @@ class TestSlabSiteCoverage:
         # 14 slab tiers declare 12 dispatches, one each whatever the
         # address space (the lattice greeks tiers reuse their price
         # tier's); the lattice and the four Black-Scholes slab tiers are
-        # lanes; three planner-less helpers stay one-shots.
-        assert methods == {"compile_shm": 6, "compile_lanes": 6,
-                           "map_shm": 3}
+        # lanes; no kernel dispatches a one-shot by hand.
+        assert methods == {"compile_shm": 6, "compile_lanes": 6}
 
     @pytest.mark.parametrize("method", ["compile_shm", "compile_lanes"])
     def test_undeclared_write_at_a_compile_site(self, method):

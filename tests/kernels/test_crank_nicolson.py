@@ -139,6 +139,15 @@ class TestSolverEquivalence:
         assert adapt_omega(1.0, sweeps=5, prev_sweeps=10) == 1.0
         assert adapt_omega(1.94, sweeps=10, prev_sweeps=5) == 1.94  # capped
 
+    def test_check_stride_overshoots_by_less_than_a_stride(self):
+        """Checking convergence every W sweeps can only overshoot by
+        fewer than W sweeps — the cost Sec. IV-E2 accepts for
+        vectorizability."""
+        b, g, u0 = _random_system(3, 129)
+        s1 = gsor_solve(b, u0.copy(), g, 0.73, tol=1e-12, check_every=1)
+        s8 = gsor_solve(b, u0.copy(), g, 0.73, tol=1e-12, check_every=8)
+        assert s1.sweeps <= s8.sweeps < s1.sweeps + 8
+
     def test_check_every_validation(self):
         b, g, u = _random_system(2)
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
 """Parallel-tier acceptance: slab kernels are backend-deterministic —
-``serial`` and ``thread`` executors produce bit-identical results —
-including for the entry points that are not registry tiers (computed-
-mode MC, Asian, own-RNG interleaved bridge).  Reference-tier agreement
-for every registered tier lives in ``test_registry_agreement.py``."""
+``serial`` and ``thread`` executors produce bit-identical results.
+Reference-tier agreement for every registered tier lives in
+``test_registry_agreement.py``."""
 
 import numpy as np
 import pytest
@@ -10,12 +9,9 @@ import pytest
 from repro.kernels.binomial import (price_simd_across, price_tiled,
                                     price_tiled_parallel)
 from repro.kernels.black_scholes import price_parallel
-from repro.kernels.brownian import (build_parallel,
-                                    build_interleaved_parallel,
-                                    build_vectorized, make_schedule)
-from repro.kernels.monte_carlo import (price_asian_parallel,
-                                       price_computed_parallel,
-                                       price_stream, price_stream_parallel)
+from repro.kernels.brownian import (build_parallel, build_vectorized,
+                                    make_schedule)
+from repro.kernels.monte_carlo import price_stream, price_stream_parallel
 from repro import registry
 from repro.config import SMALL_SIZES, SMOKE_SIZES
 from repro.errors import DomainError
@@ -77,29 +73,6 @@ class TestMonteCarloStream:
         assert np.array_equal(a.price, b.price)
 
 
-class TestMonteCarloComputed:
-    def test_backend_bit_identical(self, serial_ex, thread_ex):
-        rng = np.random.default_rng(4)
-        S = rng.uniform(90, 110, 6)
-        X = rng.uniform(90, 110, 6)
-        T = rng.uniform(0.5, 1.5, 6)
-        a = price_computed_parallel(S, X, T, 0.02, 0.3, 4096, serial_ex,
-                                    seed=77)
-        b = price_computed_parallel(S, X, T, 0.02, 0.3, 4096, thread_ex,
-                                    seed=77)
-        assert np.array_equal(a.price, b.price)
-        assert np.array_equal(a.stderr, b.stderr)
-
-
-class TestAsian:
-    def test_backend_bit_identical(self, serial_ex, thread_ex):
-        opt = Option(spot=100.0, strike=100.0, expiry=1.0, rate=0.05,
-                     vol=0.3)
-        a = price_asian_parallel(opt, 4096, 16, serial_ex, seed=13)
-        b = price_asian_parallel(opt, 4096, 16, thread_ex, seed=13)
-        assert a.price == b.price and a.stderr == b.stderr
-
-
 class TestBrownian:
     def test_bit_identical_to_vectorized_tier(self, thread_ex):
         sched = make_schedule(6)
@@ -139,12 +112,6 @@ class TestBrownian:
         with compile_plan("brownian", tier, payload,
                           backend="serial") as plan:
             assert audit_allocations(plan.run).numpy_bytes == 0
-
-    def test_interleaved_backend_bit_identical(self, serial_ex, thread_ex):
-        sched = make_schedule(4)
-        a = build_interleaved_parallel(sched, 300, serial_ex, seed=31)
-        b = build_interleaved_parallel(sched, 300, thread_ex, seed=31)
-        assert np.array_equal(a, b)
 
 
 class TestBinomial:

@@ -117,25 +117,6 @@ class TestMapSlabs:
             assert ex._live_dispatches == []
 
 
-class TestStreams:
-    def test_one_stream_per_slab(self):
-        with SlabExecutor("serial", slab_bytes=1024) as ex:
-            plan = ex.plan(1000, 8)
-            streams = ex.streams(1000, bytes_per_item=8, seed=7)
-            assert len(streams) == len(plan)
-
-    def test_streams_backend_independent(self):
-        kw = dict(slab_bytes=1024, n_workers=1)
-        with SlabExecutor("serial", **kw) as s, \
-                SlabExecutor("thread", **kw) as t:
-            zs = [g.normals(64)
-                  for g in s.streams(1000, 8, seed=7).normal_generators()]
-            zt = [g.normals(64)
-                  for g in t.streams(1000, 8, seed=7).normal_generators()]
-        for a, b in zip(zs, zt):
-            assert np.array_equal(a, b)
-
-
 class TestPoolLifecycle:
     def test_pool_is_persistent(self):
         ex = SlabExecutor("thread", n_workers=2)

@@ -1,14 +1,11 @@
-"""Heston model tests: degeneration, parity, MC agreement, smiles."""
+"""Heston model tests: degeneration, parity, smiles."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DomainError
-from repro.kernels.monte_carlo import price_heston_call_mc, simulate_heston
 from repro.pricing import (HestonParams, bs_call, bs_equivalent_params,
                            heston_call, heston_put, implied_vol)
-from repro.rng import MT19937, NormalGenerator
-from repro.validation import mc_error_within_clt
 
 STANDARD = HestonParams(kappa=2.0, theta=0.09, sigma_v=0.4, rho=-0.7,
                         v0=0.09)
@@ -74,39 +71,3 @@ class TestSemiAnalytic:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             heston_call(-1, 100, 1.0, 0.03, STANDARD)
-
-
-class TestMonteCarloAgreement:
-    def test_mc_matches_semi_analytic(self):
-        exact = heston_call(100, 100, 1.0, 0.03, STANDARD)
-        mc = price_heston_call_mc(100, 100, 1.0, 0.03, STANDARD,
-                                  30_000, 150, NormalGenerator(MT19937(3)))
-        assert mc_error_within_clt(mc.price[0], exact,
-                                   mc.stderr[0] + 0.03)  # + O(dt) bias
-
-    def test_variance_mean_reverts(self):
-        """Long horizon: E[v_T] → θ."""
-        _, vt = simulate_heston(100, 5.0, 0.0, STANDARD, 20_000, 250,
-                                NormalGenerator(MT19937(7)))
-        assert vt.mean() == pytest.approx(STANDARD.theta, rel=0.05)
-
-    def test_terminal_prices_positive(self):
-        st, vt = simulate_heston(100, 1.0, 0.03, STANDARD, 5_000, 50,
-                                 NormalGenerator(MT19937(1)))
-        assert np.all(st > 0)
-        assert np.all(vt >= 0)
-
-    def test_martingale(self):
-        st, _ = simulate_heston(100, 1.0, 0.05, STANDARD, 60_000, 100,
-                                NormalGenerator(MT19937(9)))
-        assert (st.mean() * np.exp(-0.05)) == pytest.approx(100.0,
-                                                            rel=0.01)
-
-    def test_validation(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            simulate_heston(-1, 1.0, 0.0, STANDARD, 10, 10,
-                            NormalGenerator(MT19937(1)))
-        with pytest.raises(ConfigurationError):
-            price_heston_call_mc(100, -1, 1.0, 0.0, STANDARD, 10, 10,
-                                 NormalGenerator(MT19937(1)))

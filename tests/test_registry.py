@@ -50,21 +50,15 @@ class TestPopulation:
         assert (impl.tolerance if impl.tolerance is not None
                 else registry.workload("rng").tolerance) == 0.0
 
-    def test_baseline_tier_is_registered_serial(self):
-        for kernel in registry.parallel_kernels():
-            baseline = registry.workload(kernel).baseline_tier
-            assert registry.impl(kernel, baseline, "serial")
-
 
 class TestOneBodyPerSlabTier:
     """A slab tier's dispatch is declared once, in its ``compile_*``
     function; ``fn`` is that function's one-shot (ISSUE 17).  These two
     invariants keep a second hand-written body from coming back."""
 
-    #: The planner-less one-shot helpers — no registered tier, so no
-    #: ``compile_*`` twin to go through.
-    ONE_SHOT_HELPERS = {"price_computed_parallel", "price_asian_parallel",
-                        "build_interleaved_parallel"}
+    #: Kernel functions allowed to dispatch slabs without a plan: none,
+    #: every slab dispatch is a registered tier's ``compile_*``.
+    ONE_SHOT_HELPERS = set()
 
     def test_every_pooled_impl_has_a_planner(self):
         missing = [i.label for i in registry.impls()
@@ -72,6 +66,8 @@ class TestOneBodyPerSlabTier:
         assert missing == []
 
     def test_kernels_call_map_shm_only_in_the_helpers(self):
+        """No kernel function calls ``map_shm``: a slab dispatch under
+        ``repro.kernels`` is compiled, never one-shot by hand."""
         import ast
         from pathlib import Path
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -113,6 +114,45 @@ class TestPersistence:
         path = str(tmp_path / "bad.json")
         open(path, "w").write("{not json")
         assert PolicyTable.load(path, fingerprint="f").entries == {}
+
+    @pytest.mark.parametrize("machine", [
+        None,                                            # machines: []
+        [],                                              # section a list
+        {"entries": {"*[price]@*": 5}},                  # entry an int
+        {"entries": {"*[price]@*": {"min_parallel_bytes": 4096,
+                                    "source": "learned"}}},
+        {"entries": {"*[price]@*": {"min_parallel_bytes": "lots"}}},
+    ], ids=["machines-list", "section-list", "entry-int",
+            "unknown-source", "non-int-bytes"])
+    def test_malformed_file_falls_back(self, machine, monkeypatch,
+                                       tmp_path):
+        # The file comes from outside the program: a malformed part is
+        # dropped, so every default one-shot still resolves and prices.
+        from repro.arch.host import machine_fingerprint
+        from repro.kernels.black_scholes import price_parallel
+        from repro.parallel import (default_crossover_bytes,
+                                    default_executor, slab)
+        from repro.pricing import random_batch
+        path = tmp_path / "policy.json"
+        machines = [] if machine is None else \
+            {machine_fingerprint(): machine}
+        path.write_text(json.dumps({"version": 1, "machines": machines}))
+        monkeypatch.setenv("REPRO_POLICY_PATH", str(path))
+        assert default_crossover_bytes() == MEASURED_CROSSOVER_BYTES
+        assert load_policy("auto").entries   # bootstrapped
+        # The process-wide executor resolves at creation: force a fresh
+        # one, the one a default price_parallel call then uses.
+        monkeypatch.setattr(slab, "_DEFAULT", None)
+        ex = default_executor()
+        try:
+            assert ex.min_parallel_bytes == MEASURED_CROSSOVER_BYTES
+            batch = random_batch(1000)
+            price_parallel(batch)
+            assert np.all(batch.call >= 0)
+        finally:
+            ex.close()
+        monkeypatch.setenv(CROSSOVER_ENV, "4096")
+        assert default_crossover_bytes() == 4096
 
     def test_default_path_respects_env(self, monkeypatch, tmp_path):
         p = str(tmp_path / "env-policy.json")
