@@ -113,7 +113,8 @@ def asian_control_variate() -> None:
 
 def heston_smile() -> None:
     print("\n6. Heston stochastic volatility: the smile appears:")
-    from repro.pricing import HestonParams, heston_call, implied_vol
+    from repro.kernels.black_scholes import implied_vol
+    from repro.pricing import HestonParams, heston_call
     hp = HestonParams(kappa=2.0, theta=0.04, sigma_v=0.4, rho=-0.7,
                       v0=0.04)
     strikes = np.array([80.0, 90.0, 100.0, 110.0, 120.0])

@@ -2,8 +2,9 @@
 
 Provides parametric machine models of the paper's two platforms
 (:data:`SNB_EP`, :data:`KNC` — Table I), a set-associative cache
-simulator, a cycle cost model for instruction traces, roofline bounds and
-a multicore scaling model.
+simulator, roofline bounds, and one cycle cost model for instruction
+traces (:class:`CostModel`: core count, STREAM-bandwidth floor, and
+read-for-ownership traffic with or without streaming stores).
 """
 
 from .cache import CacheHierarchy, CacheLevel, CacheStats, working_set_fits
@@ -11,11 +12,9 @@ from .cost import (CostBreakdown, CostModel, ExecutionContext,
                    cycles_per_item)
 from .host import (calibrate_host, host_facts, machine_fingerprint,
                    measure_flops, measure_stream_bandwidth)
-from .memory import MemoryModel, Traffic, store_traffic
 from .roofline import (KernelResource, RooflineBound, attainable_gflops,
                        binomial_resource, black_scholes_resource,
                        brownian_resource, ridge_intensity, roofline)
-from .scaling import ScalingModel, strong_scaling_curve
 from .spec import (KNC, PLATFORMS, SNB_EP, ArchSpec, CacheSpec,
                    platform_by_name)
 from .topology import (HwThread, Placement, enumerate_threads, place,
@@ -26,11 +25,9 @@ __all__ = [
     "platform_by_name",
     "CacheHierarchy", "CacheLevel", "CacheStats", "working_set_fits",
     "CostModel", "CostBreakdown", "ExecutionContext", "cycles_per_item",
-    "MemoryModel", "Traffic", "store_traffic",
     "KernelResource", "RooflineBound", "roofline", "ridge_intensity",
     "attainable_gflops", "black_scholes_resource", "binomial_resource",
     "brownian_resource",
-    "ScalingModel", "strong_scaling_curve",
     "HwThread", "Placement", "enumerate_threads", "place",
     "placement_summary",
     "calibrate_host", "measure_flops", "measure_stream_bandwidth",

@@ -90,8 +90,6 @@ class ExecutionContext:
         Hardware threads resident per core (defaults to the arch's SMT).
     streaming_stores:
         DRAM store traffic skips read-for-ownership.
-    bandwidth_efficiency:
-        Fraction of STREAM bandwidth this access pattern sustains.
     load_cost_factor:
         Multiplier on load issue cost when the working set spills the L1
         (L2-resident streams sustain fewer loads per cycle).
@@ -100,7 +98,6 @@ class ExecutionContext:
     unrolled: bool = False
     smt_threads: int | None = None
     streaming_stores: bool = True
-    bandwidth_efficiency: float = 1.0
     load_cost_factor: float = 1.0
 
 
@@ -249,8 +246,7 @@ class CostModel:
         compute_s = bd.total_cycles / (a.clock_ghz * 1e9) / cores
         rfo = 0 if ctx.streaming_stores else trace.bytes_written
         dram_bytes = trace.bytes_read + trace.bytes_written + rfo + trace.rfo_bytes
-        bw = a.stream_bw_gbs * 1e9 * ctx.bandwidth_efficiency
-        memory_s = dram_bytes / bw
+        memory_s = dram_bytes / (a.stream_bw_gbs * 1e9)
         return max(compute_s, memory_s)
 
     def throughput(self, trace: OpTrace,
@@ -267,8 +263,7 @@ class CostModel:
         a = self.arch
         bd = self.compute_cycles(trace, ctx)
         compute_s = bd.total_cycles / (a.clock_ghz * 1e9) / a.total_cores
-        bw = a.stream_bw_gbs * 1e9 * ctx.bandwidth_efficiency
-        memory_s = trace.dram_bytes / bw
+        memory_s = trace.dram_bytes / (a.stream_bw_gbs * 1e9)
         return memory_s > compute_s
 
 

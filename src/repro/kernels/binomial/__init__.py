@@ -2,7 +2,6 @@
 the novel register-tiling reduction of Listing 3."""
 
 from .basic import price_basic, price_basic_batch
-from .bump import greeks_tiled_parallel
 from .model import (TIERS, build, compute_bound, reference_trace,
                     simd_across_trace, tiled_trace, working_set_bytes)
 from .parallel import price_tiled_parallel
@@ -19,7 +18,7 @@ from .traced import traced_inner_loop, traced_simd_across, traced_tiled
 from . import tiers  # noqa: E402,F401
 
 __all__ = [
-    "price_tiled_parallel", "greeks_tiled_parallel",
+    "price_tiled_parallel",
     "TreeParams", "crr_params", "leaf_values", "intrinsic_row",
     "spot_at_node",
     "price_reference", "price_reference_batch",

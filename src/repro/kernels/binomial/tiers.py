@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...pricing.bump import BUMP_OUTPUTS
+from ...plan import one_shot
+from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import Option
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ..base import OptLevel
 from .basic import price_basic_batch
-from .bump import compile_greeks_tiled, greeks_tiled_parallel
 from .parallel import compile_price_tiled, price_tiled_parallel
 from .reference import price_reference_batch
 from .simd_across import price_simd_across
@@ -65,16 +65,17 @@ register_impl("binomial", "parallel", OptLevel.PARALLEL,
 
 
 def _plan_greeks(payload, executor, arena):
-    return compile_greeks_tiled(payload["options"], payload["steps"],
-                                executor, arena)
+    return compile_bumped(compile_price_tiled, payload["options"],
+                          (payload["steps"],), executor, arena)
 
 
 # Risk tier: bump-and-revalue Greeks over the 5x-expanded scenario
 # group.  The base scenario's lane is the parallel tier's sweep, so the
 # "price" output stays checked against the reference ladder.
 register_impl("binomial", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: greeks_tiled_parallel(p["options"],
-                                                  p["steps"], ex),
+              lambda p, ex: one_shot(compile_bumped, compile_price_tiled,
+                                     p["options"], (p["steps"],),
+                                     executor=ex),
               backends=("serial", "thread", "process", "daemon"),
               outputs=BUMP_OUTPUTS,
               planner=_plan_greeks)

@@ -1,19 +1,23 @@
-"""Vectorized-Newton implied volatility as a slab tier.
+"""Vectorized-Newton implied volatility: the calibration solver and its
+slab tier.
 
-The inverse problem of the pricing ladder: given observed call prices,
-recover the volatility surface.  The scalar solver in
-:mod:`repro.pricing.implied_vol` brackets and bisects per option; this
-tier instead runs a **fixed-iteration safeguarded Newton** over whole
-slabs with every intermediate in ``out=`` scratch — the shape of
-Listing 1's fused loops applied to root finding (each sweep's N(d1),
-N(d2) are one ``lib.cnd`` call).  A fixed iteration count (no
+The inverse problem of the pricing ladder: given observed option
+prices, recover the volatility the market implies — the calibration
+primitive the paper's intro motivates (Sec. I).  One solver body,
+:func:`_implied_slab`, runs a **fixed-iteration safeguarded Newton**
+over whole vectors with every intermediate in ``out=`` scratch — the
+shape of Listing 1's fused loops applied to root finding (each sweep's
+N(d1), N(d2) are one ``lib.cnd`` call).  A fixed iteration count (no
 per-element early exit) keeps the arithmetic a pure function of the
 inputs, so results are bit-identical across serial, thread, process
 and daemon backends regardless of slab boundaries.
 
-The tier's workload derives a deterministic per-option vol surface
-from the shared batch (``vol · (0.6 … 1.4)``), prices it with the same
-fused math, and then inverts those prices — so the round trip
+Two entries run that body: :func:`implied_vol`, the caller-facing
+solver (calls and puts, no-arbitrage and residual checks), and the
+registered ``implied`` tier.  The tier's workload derives a
+deterministic per-option vol surface from the shared batch
+(``vol · (0.6 … 1.4)``), prices it with the same fused math, and then
+inverts those prices over slabs — so the round trip
 ``price → IV → price`` closes to solver precision by construction and
 the agreement test has an exact target.
 """
@@ -23,12 +27,25 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import DTYPE
+from ...errors import ConvergenceError, DomainError
 from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
-from ...pricing.implied_vol import VOL_HI, VOL_LO
+from ...pricing.options import validate_inputs
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.libs import VectorMathLib, get_lib
+
+#: Search band for the volatility: every Newton iterate is clipped
+#: into it.
+VOL_LO = 1e-4
+VOL_HI = 5.0
+
+#: Largest call-price residual :func:`implied_vol` accepts from the
+#: solved σ.
+RESIDUAL_TOL = 1e-10
+
+#: Slack on the static no-arbitrage band before a price is rejected.
+_BAND_SLACK = 1e-12
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -125,6 +142,54 @@ def _implied_slab(price, S, X, T, r: float, iv, lib: VectorMathLib,
         d1 /= pdf                          # Newton step
         iv -= d1
         np.clip(iv, VOL_LO, VOL_HI, out=iv)
+
+
+def implied_vol(price, S, X, T, r, is_call=True) -> np.ndarray:
+    """Implied volatility of observed option prices: the tier's Newton
+    body (:func:`_implied_slab`) over the caller's vectors.
+
+    ``price``, ``S``, ``X`` and ``T`` are scalars or equal-length
+    vectors; ``is_call`` is a scalar bool or a per-element mask.  Puts
+    are turned into call prices by parity (they share σ), so one solver
+    serves both.  Returns σ in ``price``'s shape.
+
+    Raises
+    ------
+    DomainError
+        If a term is non-positive, or a price lies outside its static
+        no-arbitrage band (no σ can reproduce it).
+    ConvergenceError
+        If the solved σ reprices a call more than :data:`RESIDUAL_TOL`
+        away from its target (a price above the model's at
+        :data:`VOL_HI`).
+    """
+    price, S, X, T, calls = np.broadcast_arrays(
+        *(np.asarray(a, dtype=DTYPE) for a in (price, S, X, T)),
+        np.asarray(is_call, dtype=bool))
+    shape = price.shape
+    price, S, X, T, calls = (a.reshape(-1) for a in (price, S, X, T, calls))
+    validate_inputs(S, X, T, 0.5)
+    disc = X * np.exp(-r * T)
+    target = np.where(calls, price, price + S - disc)
+    bad = ((target < np.maximum(S - disc, 0.0) - _BAND_SLACK)
+           | (target > S + _BAND_SLACK))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        raise DomainError(
+            f"{int(bad.sum())} price(s) violate no-arbitrage bounds "
+            f"(first at index {first})")
+    lib = get_lib("numpy")
+    iv = np.empty_like(target)
+    _implied_slab(target, S, X, T, r, iv, lib)
+    model = np.empty_like(target)
+    call_price_sig(S, X, T, r, iv, model, lib)
+    worst = float(np.max(np.abs(model - target)))
+    if worst > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"implied vol did not reach tol={RESIDUAL_TOL} in "
+            f"{NEWTON_ITERS} iterations (worst residual {worst:.3e})",
+            NEWTON_ITERS, worst)
+    return iv.reshape(shape)
 
 
 def _implied_slab_task(arrays: dict, consts: dict, a: int, b: int,

@@ -8,7 +8,6 @@ from .gsor import (SolveStats, adapt_omega, gsor_solve,
 from .model import (SWEEPS_PER_STEP, TIERS, build, reference_trace,
                     transformed_trace, wavefront_trace)
 from .boundary import ExerciseBoundary, exercise_boundary
-from .bump import greeks_batch_parallel
 from .parallel import solve_batch_parallel
 from .schemes import (explicit_stability_limit, explicit_steps_required,
                       is_explicit_stable, solve_theta)
@@ -26,7 +25,7 @@ __all__ = [
     "wavefront_solve", "wavefront_solve_transformed", "split_parity",
     "merge_parity",
     "solve", "solve_batch", "solve_batch_parallel",
-    "greeks_batch_parallel", "CNResult", "SOLVERS",
+    "CNResult", "SOLVERS",
     "build", "TIERS", "SWEEPS_PER_STEP",
     "reference_trace", "wavefront_trace", "transformed_trace",
     "solve_theta", "explicit_stability_limit", "is_explicit_stable",

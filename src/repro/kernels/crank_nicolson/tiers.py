@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...pricing.bump import BUMP_OUTPUTS
+from ...plan import one_shot
+from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import ExerciseStyle, Option, OptionKind
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ..base import OptLevel
-from .bump import compile_greeks_batch, greeks_batch_parallel
 from .parallel import compile_solve_batch, solve_batch_parallel
 from .solver import solve_batch
 
@@ -72,8 +72,9 @@ register_impl("crank_nicolson", "parallel", OptLevel.PARALLEL,
 
 
 def _plan_greeks(payload, executor, arena):
-    return compile_greeks_batch(payload["options"], payload["n_points"],
-                                payload["n_steps"], executor, arena)
+    return compile_bumped(compile_solve_batch, payload["options"],
+                          (payload["n_points"], payload["n_steps"]),
+                          executor, arena)
 
 
 # Risk tier: American bump-and-revalue Greeks over the 5x-expanded
@@ -81,8 +82,9 @@ def _plan_greeks(payload, executor, arena):
 # red-black iterates, so the "price" output stays checked against the
 # reference solver at the workload tolerance.
 register_impl("crank_nicolson", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: greeks_batch_parallel(
-                  p["options"], p["n_points"], p["n_steps"], executor=ex),
+              lambda p, ex: one_shot(
+                  compile_bumped, compile_solve_batch, p["options"],
+                  (p["n_points"], p["n_steps"]), executor=ex),
               backends=("serial", "thread", "process", "daemon"),
               outputs=BUMP_OUTPUTS,
               planner=_plan_greeks)

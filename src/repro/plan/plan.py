@@ -249,7 +249,9 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
 
 def one_shot(compile_fn, *args, executor=None, **kwargs):
     """Compile, run once, retire — what a slab tier's plain function
-    (``price_parallel``, ``greeks_tiled_parallel``, …) is.
+    (``price_parallel``, ``implied_parallel``, …) is, and what the
+    lattice Greeks tiers register directly
+    (``one_shot(compile_bumped, compile_price_tiled, …)``).
 
     ``compile_fn(*args, executor, arena, **kwargs)`` is the tier's
     ``compile_*`` function, the one place its dispatch is declared.  It

@@ -9,7 +9,6 @@ from .exotic_analytic import (digital_call, digital_parity_residual,
                               digital_put, geometric_asian_call)
 from .heston import (HestonParams, bs_equivalent_params, heston_call,
                      heston_put)
-from .implied_vol import implied_vol
 from .options import (BS_FIELDS, ExerciseStyle, Option, OptionBatch,
                       OptionKind, validate_inputs)
 from .payoff import (call_payoff, payoff, payoff_in_log_space, put_payoff)
@@ -22,7 +21,6 @@ __all__ = [
     "bs_call", "bs_put", "bs_call_put", "parity_residual",
     "bs_delta", "bs_gamma", "bs_vega", "bs_theta", "bs_rho",
     "PortfolioSpec", "random_batch", "atm_batch", "strike_ladder",
-    "implied_vol",
     "HestonParams", "heston_call", "heston_put", "bs_equivalent_params",
     "digital_call", "digital_put", "digital_parity_residual",
     "geometric_asian_call",

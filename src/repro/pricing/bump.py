@@ -1,20 +1,23 @@
-"""Bump-and-revalue scaffolding shared by the lattice risk tiers.
+"""Bump-and-revalue Greeks for the lattice risk tiers.
 
 The binomial and Crank-Nicolson kernels have no cheap analytic Greeks:
 their risk tiers revalue each contract under five scenarios — base,
 spot bumped ``±h·S``, vol bumped ``±h·σ`` — and take central
-differences.  This module owns the scenario bookkeeping those tiers
-share: expanding an option group into the scenario-major ``5n`` list
-the slab engine prices as one dispatch, the per-option difference
-denominators, and the deterministic ``out=``-only combine that turns
-the priced grid into ``price``/``delta``/``gamma``/``vega`` vectors
-(allocation-free, so the planned warm path stays clean under the
-allocation audit).
+differences.  This module owns the one compiler both tiers register,
+:func:`compile_bumped`, and the scenario bookkeeping it runs on:
+expanding an option group into the scenario-major ``5n`` list the
+kernel's own price compiler turns into one slab dispatch, the
+per-option difference denominators, and the deterministic
+``out=``-only combine that turns the priced grid into
+``price``/``delta``/``gamma``/``vega`` vectors (allocation-free, so the
+planned warm path stays clean under the allocation audit).
 
 Lattice revaluations are deterministic, so unlike the Monte-Carlo bump
 tier there is no common-random-number story here — the differences are
 exact up to the scheme's own convergence error and the O(h²)
-truncation.
+truncation.  Scenario cells are lanes of the price tier's sweep, so
+the base scenario's lane computes the price tier's own arithmetic and
+the ``price`` output matches it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from ..config import DTYPE
 from ..errors import ConfigurationError
+from ..results import ResultSlab
 
 #: Relative bump for the central differences, shared by every
 #: bump-and-revalue tier: scenarios revalue at ``S·(1±h)``/``σ·(1±h)``.
@@ -91,3 +95,34 @@ def combine_central(grid: np.ndarray, denoms: np.ndarray, price, delta,
     gamma /= denoms[1]
     np.subtract(up_v, dn_v, out=vega)
     vega /= denoms[2]
+
+
+def compile_bumped(compile_grid, options, grid_args: tuple, executor,
+                   arena, h: float = BUMP_REL):
+    """Plan-compile a lattice bump-Greeks tier over the price compiler
+    ``compile_grid(options, *grid_args, executor, arena)``.
+
+    The expanded scenario group is compiled once through
+    ``compile_grid`` (which hoists the kernel's own workspaces into the
+    same arena); the denominators and the ``4n`` result backing are
+    arena-resident, so warm runs are the slab sweep plus the in-place
+    combine with zero hot-path allocations.  The runner returns a
+    :class:`~repro.results.ResultSlab` of :data:`BUMP_OUTPUTS`, one
+    value per option, bit-identical across backends: the lattice is
+    deterministic and the combine runs in the parent in a fixed order.
+    """
+    options = list(options)
+    n = len(options)
+    run_grid = compile_grid(expand_bumped(options, h), *grid_args,
+                            executor, arena)
+    denoms = bump_denominators(options, h,
+                               out=arena.reserve("denoms", (3, n)))
+    backing = arena.reserve("greeks", 4 * n)
+    outs = tuple(backing.reshape(len(BUMP_OUTPUTS), n))
+    slab = ResultSlab(dict(zip(BUMP_OUTPUTS, outs)), backing=backing)
+
+    def run() -> ResultSlab:
+        combine_central(run_grid(), denoms, *outs)
+        return slab
+
+    return run

@@ -4,9 +4,9 @@ The paper characterises two fixed 2012 chips; the machine model here is
 parametric, so the follow-on question — *where do each kernel's Ninja
 gap and serial/parallel crossover move as the machine changes?* — is
 answerable by sweeping :class:`~repro.arch.spec.ArchSpec` axes (cores ×
-SIMD width × LLC capacity × bandwidth) through the existing cost and
-scaling models.  Each grid point re-synthesises the kernel's tier ladder
-at the variant's width (the ``bench.whatif`` idiom) and records:
+SIMD width × LLC capacity × bandwidth) through the cost model.  Each
+grid point re-synthesises the kernel's tier ladder at the variant's
+width (the ``bench.whatif`` idiom) and records:
 
 * the Ninja gap (best tier / reference tier throughput);
 * whether the best tier is compute- or bandwidth-bound;
@@ -14,18 +14,19 @@ at the variant's width (the ``bench.whatif`` idiom) and records:
   problem (in bytes) where fanning out to all cores beats staying on
   one, given a fixed per-dispatch overhead.
 
-The crossover formula comes from the Amdahl + sync model of
-:class:`~repro.arch.scaling.ScalingModel`: with per-item single-core
-time ``t1``, ``c`` cores and serial fraction ``s``, parallel wins once
+The crossover formula is Amdahl's law plus a fixed per-dispatch sync
+cost: ``c`` cores run a job of single-core time ``t`` in
+``t·(s + (1-s)/c) + sync_overhead``.  With per-item single-core time
+``t1`` and serial fraction ``s``, parallel wins once
 
     n * t1 * (1 - (s + (1-s)/c))  >  sync_overhead
     n*  =  sync_overhead / (t1 * (1-s) * (1 - 1/c))
 
 and ``crossover_bytes = n* × bytes_per_item`` (working set from the
 kernel's registered :class:`~repro.registry.WorkloadSpec`).  The
-dispatch overhead defaults to the thread-pool submission round measured
-in PR 5 (25–40 µs on the reference host), not the model's 5 µs OpenMP
-barrier — the runtime being tuned dispatches through a Python pool.
+dispatch overhead defaults to the measured thread-pool submission round
+(25–40 µs on the reference host), not a ~5 µs OpenMP barrier — the
+runtime being tuned dispatches through a Python pool.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from ..errors import ConfigurationError
 #: round — PR 5 measured 25–40 µs; the midpoint seeds the model.
 DISPATCH_OVERHEAD_S = 30e-6
 
-#: Serial fraction of a pool dispatch (argument marshalling, result
-#: collection) — matches ScalingModel's default.
+#: Serial fraction ``s`` of a pool dispatch (argument marshalling,
+#: result collection) in the Amdahl term ``s + (1-s)/c``.
 SERIAL_FRACTION = 1e-4
 
 #: Default sweep axes: cores × SIMD width × LLC capacity × bandwidth.

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DomainError
+from repro.kernels.black_scholes import implied_vol
 from repro.pricing import (HestonParams, bs_call, bs_equivalent_params,
-                           heston_call, heston_put, implied_vol)
+                           heston_call, heston_put)
 
 STANDARD = HestonParams(kappa=2.0, theta=0.09, sigma_v=0.4, rho=-0.7,
                         v0=0.09)

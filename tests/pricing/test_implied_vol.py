@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import registry
+from repro.config import SMALL_SIZES
 from repro.errors import DomainError
+from repro.kernels.black_scholes import implied_vol
+from repro.kernels.black_scholes.implied import call_price_sig, surface_vols
+from repro.parallel import SlabExecutor
 from repro.pricing import bs_call, bs_put, bs_vega
-from repro.pricing.implied_vol import implied_vol
+from repro.results import as_result_slab
+from repro.vmath.libs import get_lib
 
 
 class TestRoundtrip:
@@ -70,3 +76,37 @@ class TestDomain:
         with pytest.raises(DomainError):
             implied_vol(np.array([5.0]), np.array([-1.0]),
                         np.array([100.0]), np.array([1.0]), 0.02)
+
+    @pytest.mark.parametrize("wrap", [float, lambda v: np.array([v])],
+                             ids=["scalar", "array1"])
+    def test_out_of_band_rejected_in_input_shape(self, wrap):
+        """A price above spot has no σ, whether it arrives as a scalar
+        or a 1-element vector; an in-band one comes back in its own
+        shape."""
+        with pytest.raises(DomainError, match="no-arbitrage"):
+            implied_vol(wrap(200.0), wrap(100.0), wrap(100.0), wrap(1.0),
+                        0.05)
+        price = wrap(float(bs_call(100.0, 100.0, 1.0, 0.05, 0.25)))
+        iv = implied_vol(price, wrap(100.0), wrap(100.0), wrap(1.0), 0.05)
+        assert np.shape(iv) == np.shape(price)
+        assert float(np.asarray(iv).reshape(-1)[0]) == pytest.approx(
+            0.25, abs=1e-9)
+
+
+class TestOneSolver:
+    def test_matches_implied_tier_bit_for_bit(self):
+        """``implied_vol`` on the ``implied`` tier's own payload returns
+        the serial tier's output exactly: one Newton body, not two
+        solvers that disagree where vega underflows."""
+        payload = registry.workload("black_scholes").build(SMALL_SIZES,
+                                                          seed=3)
+        batch = payload["soa"]
+        S, X, T = (batch.batch.get(k) for k in ("S", "X", "T"))
+        target = np.empty_like(S)
+        call_price_sig(S, X, T, batch.rate, surface_vols(batch), target,
+                       get_lib("numpy"))
+        impl = registry.impl("black_scholes", "implied", "serial")
+        with SlabExecutor("serial") as ex:
+            tier = as_result_slab(impl.fn(payload, ex), impl.outputs)
+        iv = implied_vol(target, S, X, T, batch.rate)
+        assert np.array_equal(iv, tier["implied_vol"])
