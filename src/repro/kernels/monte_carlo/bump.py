@@ -9,10 +9,11 @@ the differences and the finite-difference estimator's variance drops
 by orders of magnitude versus independent draws (the classic CRN
 result; the test suite checks the inequality empirically).
 
-The base-scenario arithmetic is op-for-op the fused STREAM chain of
-:func:`~.parallel._price_option_fused`, so the tier's ``price`` output
-is bit-identical to the price-only parallel tier and stays checked
-against the reference ladder.
+Every scenario is one call of the STREAM tail body
+:func:`~.parallel._price_option_tail` on the run's sorted stream, so
+the tier's ``price`` output equals the price-only parallel tier's,
+stays within ``tolerance`` of the reference and is bit-identical across
+backends.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import DTYPE
-from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
-from .parallel import _price_option_fused
+from .parallel import BLOCK, _price_option_tail, _sorted_stream
 from .reference import _check
 
 #: Write-array names in backing order: price/stderr first so the
@@ -52,27 +52,25 @@ def _bump_slab(arrays: dict, consts: dict, a: int, b: int,
     S, X, T = arrays["S"], arrays["X"], arrays["T"]
     price, stderr = arrays["price"], arrays["stderr"]
     delta, gamma, vega = arrays["delta"], arrays["gamma"], arrays["vega"]
-    randoms = arrays["randoms"]
+    # CRN: every scenario replays this same sorted stream.
+    zs = arrays["randoms"]
     rate, vol, block = consts["rate"], consts["vol"], consts["block"]
     h = consts["h"]
-    n_paths = randoms.size
     scratch = consts.get("scratch")
     if scratch is None:
-        scratch = np.empty(min(block, n_paths), dtype=DTYPE)
-    draw = lambda n, lo: randoms[lo:lo + n]  # noqa: E731 — CRN: every
-    # scenario replays this same stream.
+        scratch = np.empty(min(block, zs.size), dtype=DTYPE)
     for o in range(S.shape[0]):
         s, x, t = S[o], X[o], T[o]
-        price[o], stderr[o] = _price_option_fused(
-            s, x, t, rate, vol, n_paths, draw, block, scratch)
-        up_s, _ = _price_option_fused(
-            s * (1.0 + h), x, t, rate, vol, n_paths, draw, block, scratch)
-        dn_s, _ = _price_option_fused(
-            s * (1.0 - h), x, t, rate, vol, n_paths, draw, block, scratch)
-        up_v, _ = _price_option_fused(
-            s, x, t, rate, vol * (1.0 + h), n_paths, draw, block, scratch)
-        dn_v, _ = _price_option_fused(
-            s, x, t, rate, vol * (1.0 - h), n_paths, draw, block, scratch)
+        price[o], stderr[o] = _price_option_tail(
+            s, x, t, rate, vol, zs, block, scratch)
+        up_s, _ = _price_option_tail(
+            s * (1.0 + h), x, t, rate, vol, zs, block, scratch)
+        dn_s, _ = _price_option_tail(
+            s * (1.0 - h), x, t, rate, vol, zs, block, scratch)
+        up_v, _ = _price_option_tail(
+            s, x, t, rate, vol * (1.0 + h), zs, block, scratch)
+        dn_v, _ = _price_option_tail(
+            s, x, t, rate, vol * (1.0 - h), zs, block, scratch)
         delta[o] = (up_s - dn_s) / (2.0 * h * s)
         gamma[o] = (up_s - 2.0 * price[o] + dn_s) / ((h * s) * (h * s))
         vega[o] = (up_v - dn_v) / (2.0 * h * vol)
@@ -97,7 +95,7 @@ def _views(backing: np.ndarray, nopt: int) -> dict:
 def greeks_stream_parallel(S, X, T, rate: float, vol: float,
                            randoms: np.ndarray,
                            executor: SlabExecutor | None = None,
-                           block: int = 65536,
+                           block: int = BLOCK,
                            h: float = BUMP_REL) -> ResultSlab:
     """STREAM-mode bump Greeks over option slabs: the one-shot of
     :func:`compile_greeks_stream`.
@@ -113,35 +111,32 @@ def greeks_stream_parallel(S, X, T, rate: float, vol: float,
 
 def compile_greeks_stream(S, X, T, rate: float, vol: float,
                           randoms: np.ndarray, executor: SlabExecutor,
-                          arena, block: int = 65536,
+                          arena, block: int = BLOCK,
                           h: float = BUMP_REL):
     """Plan-compile the bump-Greeks tier for repeated same-shape calls:
-    the ``5n`` backing vector and per-slab payoff scratch live in
-    ``arena``, and warm runs replay the compiled dispatch with zero
-    hot-path allocations."""
+    the ``5n`` backing vector, the sorted stream and per-slab payoff
+    scratch live in ``arena``, and warm runs sort the stream once and
+    replay the compiled dispatch with zero hot-path allocations."""
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
     T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
-    randoms = np.asarray(randoms, dtype=DTYPE)
-    if randoms.ndim != 1 or randoms.size == 0:
-        raise ConfigurationError("randoms must be a non-empty 1-D stream")
+    _check(S, X, T, rate, vol)
+    zs, refresh = _sorted_stream(randoms, arena)
     check_bump(h)
     nopt = S.shape[0]
-    n_paths = randoms.size
+    n_paths = zs.size
     backing = arena.reserve("result", 5 * nopt)
     views = _views(backing, nopt)
     per_slab = None
     if not executor.out_of_process:
-        slabs = executor.plan(nopt, 5 * 8 * n_paths)
-        scratch = [arena.reserve(f"scratch{i}", min(block, n_paths))
-                   for i in range(len(slabs))]
-        per_slab = lambda a, b, i: {"scratch": scratch[i]}  # noqa: E731
+        def per_slab(a, b, i):
+            return {"scratch": arena.reserve(f"scratch{i}",
+                                             min(block, n_paths))}
     # Five revaluations per option: five passes over the stream.
     dispatch = arena.adopt(executor.compile_shm(
         _bump_slab, nopt, bytes_per_item=5 * 8 * n_paths,
         sliced={"S": S, "X": X, "T": T, **views},
-        shared={"randoms": randoms},
+        shared={"randoms": zs},
         writes=BUMP_WRITES,
         outputs=BUMP_SCHEMA,
         consts={"rate": rate, "vol": vol, "block": block, "h": h},
@@ -149,6 +144,7 @@ def compile_greeks_stream(S, X, T, rate: float, vol: float,
     slab = _result_slab(backing, nopt)
 
     def run() -> ResultSlab:
+        refresh()
         dispatch.run()
         return slab
 

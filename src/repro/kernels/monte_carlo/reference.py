@@ -32,7 +32,11 @@ class MCResult:
         return self.price - half, self.price + half
 
 
-def _check(S, X, T, vol):
+def _check(S, X, T, rate, vol):
+    # A NaN passes every ``<= 0`` test below and would price as NaN.
+    if not all(np.all(np.isfinite(v)) for v in (S, X, T, rate, vol)):
+        raise DomainError("spots, strikes, expiries, rate and vol must "
+                          "be finite")
     if np.any(np.asarray(S) <= 0) or np.any(np.asarray(X) <= 0):
         raise DomainError("spots and strikes must be positive")
     if np.any(np.asarray(T) <= 0) or vol <= 0:
@@ -49,7 +53,7 @@ def price_reference(S, X, T, rate: float, vol: float,
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
     T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
+    _check(S, X, T, rate, vol)
     randoms = np.asarray(randoms, dtype=DTYPE)
     if randoms.ndim != 1 or randoms.size == 0:
         raise ConfigurationError("randoms must be a non-empty 1-D stream")

@@ -2,10 +2,11 @@
 
 Table II row 1 (STREAM mode): scalar reference path loop, the
 vectorized tier (also the paper's peak — Sec. IV-D2 needs only basic
-optimizations), and the fused slab-parallel tier.  Every tier reuses
-one shared pre-generated normal stream, so prices and standard errors
-are comparable to 1e-10 (and the parallel tier is bit-identical to the
-vectorized one).
+optimizations), and the slab-parallel tier.  Every tier reuses one
+shared pre-generated normal stream, so prices and standard errors are
+comparable to 1e-10.  The slab tiers (``parallel`` and ``greeks``) price
+each option's in-the-money tail of a sorted copy of that stream: within
+``tolerance`` of the reference; bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _plan_greeks(payload, executor, arena):
 
 
 # Risk tier: bump-and-revalue Greeks with common random numbers.  Its
-# "price" output is the base scenario — the same fused chain as the
+# "price" output is the base scenario — the same tail body as the
 # parallel tier — so it stays checked against the reference ladder on
 # the shared ``price`` output.
 register_impl("monte_carlo", "greeks", OptLevel.PARALLEL,

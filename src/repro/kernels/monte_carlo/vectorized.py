@@ -33,7 +33,7 @@ def price_stream(S, X, T, rate: float, vol: float, randoms: np.ndarray,
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
     T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
+    _check(S, X, T, rate, vol)
     randoms = np.asarray(randoms, dtype=DTYPE)
     if randoms.ndim != 1 or randoms.size == 0:
         raise ConfigurationError("randoms must be a non-empty 1-D stream")
@@ -51,7 +51,7 @@ def price_computed(S, X, T, rate: float, vol: float, n_paths: int,
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
     T = np.asarray(T, dtype=DTYPE)
-    _check(S, X, T, vol)
+    _check(S, X, T, rate, vol)
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     return _price(S, X, T, rate, vol, n_paths,

@@ -14,7 +14,7 @@ from repro import registry
 from repro.config import SMOKE_SIZES
 from repro.errors import DaemonError
 from repro.kernels.black_scholes import price_parallel
-from repro.kernels.monte_carlo import price_stream, price_stream_parallel
+from repro.kernels.monte_carlo import price_stream_parallel
 from repro.parallel import SlabExecutor, default_executor, shm
 from repro.pricing.portfolio import random_batch
 
@@ -143,14 +143,15 @@ class TestReentrant:
         dispatches by diffing the executor's live list would retire a
         neighbour's, or miss its own)."""
         batch = random_batch(2048, seed=7)
-        with SlabExecutor("serial") as serial_ex:
-            price_parallel(batch, serial_ex)
-        want_bs = np.concatenate([batch.call, batch.put])
         rng = np.random.default_rng(7)
         S, X, T = (rng.uniform(80.0, 120.0, 8), rng.uniform(80.0, 120.0, 8),
                    rng.uniform(0.25, 2.0, 8))
         randoms = rng.standard_normal(2048)
-        want_mc = price_stream(S, X, T, 0.02, 0.3, randoms).price
+        with SlabExecutor("serial") as serial_ex:
+            price_parallel(batch, serial_ex)
+            want_mc = price_stream_parallel(S, X, T, 0.02, 0.3, randoms,
+                                            serial_ex).price
+        want_bs = np.concatenate([batch.call, batch.put])
 
         ex = default_executor()
         errors = []
