@@ -152,25 +152,10 @@ def _cmd_daemon(args) -> int:
         return 0
 
     # status
-    import os
-
-    from .tune import PolicyTable, default_policy_path
     state = _read_state(state_path)
     status = _sock_call(state["socket"], "status")
-    # This machine's dispatch policy table rides along: the daemon
-    # itself is policy-agnostic (gateways resolve policies client-side),
-    # so status reports what a policy-aware client would apply here.
-    policy_path = default_policy_path()
-    if os.path.exists(policy_path):
-        table = PolicyTable.load(policy_path)
-        policy = {"path": policy_path,
-                  "fingerprint": table.fingerprint,
-                  "entries": table.summary()}
-    else:
-        policy = {"path": policy_path, "mode": "fixed",
-                  "entries": {}}
     print(json.dumps({"state_path": state_path, "pid": state["pid"],
-                      **status, "policy": policy}, indent=2))
+                      **status}, indent=2))
     return 0
 
 

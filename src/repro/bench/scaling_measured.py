@@ -132,7 +132,7 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
                     slab_bytes: int | None = None,
                     repeats: int = 3, seed: int = 2012,
                     kernels: tuple | None = None,
-                    policy="fixed", crossover: bool = False) -> dict:
+                    crossover: bool = False) -> dict:
     """Time every parallel-tier kernel across backends × worker counts.
 
     ``worker_counts`` defaults to the doubling ladder ``1, 2, 4, …,
@@ -147,12 +147,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
     :class:`~repro.errors.ExperimentError` if any point's digest
     disagrees with the serial baseline.
 
-    ``policy`` (``"fixed"``/``"auto"``/path): under a non-fixed policy
-    every pooled point's executor takes the policy's per-kernel
-    ``min_parallel_bytes`` before timing (recorded per kernel), so the
-    curves reflect the tuned runtime's dispatch decisions; digests stay
-    policy-invariant because inline-vs-pool never changes slab values.
-
     ``crossover`` also runs :func:`~.harness.measure_pool_crossover` on
     the first requested pooled backend (``thread`` when there is none)
     at the widest worker count, and records its table under the
@@ -160,9 +154,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
     """
     from .. import registry
     from ..parallel import SlabExecutor, doubling_counts
-    from ..tune import load_policy
-
-    table = load_policy(policy)
 
     for backend in backends:
         if backend not in registry.BACKENDS:
@@ -194,8 +185,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
     entries = []
     resolved_slab_bytes = None
     for kernel in names:
-        applied_mpb = (table.min_parallel_bytes(kernel)
-                       if table is not None else None)
         spec = registry.workload(kernel)
         tier = registry.parallel_tier(kernel)
         payload = spec.build(sizes, seed=seed)
@@ -218,10 +207,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
                     impl = registry.impl(kernel, tier, backend)
                     with SlabExecutor(backend, n_workers=w,
                                       slab_bytes=slab_bytes) as ex:
-                        if applied_mpb is not None:
-                            # Before compile: the plan freezes the
-                            # inline-vs-pool decision.
-                            ex.min_parallel_bytes = applied_mpb
                         run, out = time_plan(impl, payload, ex, items,
                                              repeats)
                         digest = _digest(out)
@@ -252,7 +237,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
             "unit": spec.unit.strip(),
             "scale": spec.scale,
             "serial_digest": base_digest,
-            "policy_min_parallel_bytes": applied_mpb,
             "points": points,
             "modeled": _modeled_curves(kernel),
         })
@@ -266,7 +250,6 @@ def measure_scaling(sizes: WorkloadSizes = SMALL_SIZES,
         "slab_bytes": resolved_slab_bytes,
         "repeats": repeats,
         "seed": seed,
-        "policy_mode": (policy if isinstance(policy, str) else "pinned"),
         "dispatch_overhead": [
             {"backend": b, "n_workers": w, "us": round(us, 2)}
             for (b, w), us in overhead.items()

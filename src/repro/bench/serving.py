@@ -104,16 +104,8 @@ def measure_serving(*, backend: str = "serial",
                     n_signatures: int = 4,
                     max_batch: int = 4096,
                     seed: int = 2012,
-                    verify_digests: bool = True,
-                    policy="fixed") -> dict:
-    """Run both phases; returns the ``BENCH_serving.json`` payload.
-
-    ``policy`` is forwarded to every gateway under test (``"fixed"``,
-    ``"auto"``, or a policy-file path — see
-    :class:`~repro.serve.PricingGateway`); the solo serial reference
-    used for digest verification never consults a policy, so the
-    digest gate proves results under any table bit-identical to it.
-    """
+                    verify_digests: bool = True) -> dict:
+    """Run both phases; returns the ``BENCH_serving.json`` payload."""
     if n_clients < 1 or capacity_requests < 1 or latency_requests < 1:
         raise ExperimentError("client/request counts must be >= 1")
     # The accept path (event loop) and the dispatch thread share the
@@ -126,7 +118,7 @@ def measure_serving(*, backend: str = "serial",
         return _measure(backend, n_workers, kernel, tier, n_clients,
                         capacity_requests, latency_requests, rates,
                         budgets_ms, opts_range, n_signatures, max_batch,
-                        seed, verify_digests, policy)
+                        seed, verify_digests)
     finally:
         sys.setswitchinterval(old_switch)
 
@@ -134,7 +126,7 @@ def measure_serving(*, backend: str = "serial",
 def _measure(backend, n_workers, kernel, tier, n_clients,
              capacity_requests, latency_requests, rates, budgets_ms,
              opts_range, n_signatures, max_batch, seed,
-             verify_digests, policy="fixed") -> dict:
+             verify_digests) -> dict:
     from ..parallel.slab import SlabExecutor
 
     mismatches: list = []
@@ -142,7 +134,7 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
     ref_ex = SlabExecutor("serial") if verify_digests else None
 
     base_kw = dict(backend=backend, n_workers=n_workers,
-                   max_batch=max_batch, policy=policy)
+                   max_batch=max_batch)
 
     # ---- capacity phase --------------------------------------------
     cap_requests = synth_requests(
@@ -177,7 +169,6 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
             "batches": stats["batches"],
             "service_ms": stats["service"],
             "plan_cache": stats["plan_cache"],
-            "policy": stats["policy"],
         }
     per_rps = capacity["per_request"]["sustained_rps"]
     speedup = (capacity["batched"]["sustained_rps"] / per_rps
@@ -244,7 +235,6 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
         "opts_range": list(opts_range),
         "n_signatures": n_signatures,
         "max_batch": max_batch,
-        "policy_mode": (policy if isinstance(policy, str) else "pinned"),
         "seed": seed,
         "capacity": capacity,
         "latency": latency_rows,

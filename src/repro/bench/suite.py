@@ -71,11 +71,6 @@ FLAGS = {
         help="best-of repeats (default: 2 with --smoke, else 5)")),
     "seed": ("--seed", dict(type=int, default=2012)),
     "format": ("--format", dict(default="text", choices=list(FORMATS))),
-    "policy": ("--policy", dict(
-        default="fixed",
-        help="dispatch policy table: fixed (none), auto (this "
-             "machine's section of the policy file, bootstrapped from "
-             "the model when empty), or a policy-file path")),
     "crossover": ("--crossover", dict(
         action="store_true",
         help="also measure the pool-crossover overhead table "
@@ -244,7 +239,7 @@ MEASURED = {b.name: b for b in (
         measure="measure_ninja_sweep",
         views=("sweep_detail_result", "sweep_gap_result"),
         artifact="BENCH_ninja_measured.json",
-        flags=("smoke", "full", "backends", "kernels", *_SLAB, "policy"),
+        flags=("smoke", "full", "backends", "kernels", *_SLAB),
         extra=_sized, failures=_sweep_failures,
         summary=_sweep_summary),
     MeasuredBench(
@@ -254,7 +249,7 @@ MEASURED = {b.name: b for b in (
         views=("scaling_result",),
         artifact="BENCH_scaling.json",
         flags=("smoke", "full", "backends", "kernels", "worker-counts",
-               "slab-bytes", "repeats", "seed", "policy", "crossover"),
+               "slab-bytes", "repeats", "seed", "crossover"),
         extra=_sized, summary=_scaling_summary),
     MeasuredBench(
         name="loadtest",
@@ -264,7 +259,7 @@ MEASURED = {b.name: b for b in (
         views=("serving_result",),
         artifact="BENCH_serving.json",
         flags=("smoke", "backend", "tier", "clients", "requests", "rates",
-               "budgets-ms", "workers", "seed", "policy"),
+               "budgets-ms", "workers", "seed"),
         extra=_loadtest_extra, failures=_loadtest_failures),
     MeasuredBench(
         name="dse",

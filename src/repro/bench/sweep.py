@@ -66,8 +66,7 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
                         n_workers: int | None = None,
                         slab_bytes: int | None = None,
                         repeats: int = 3, seed: int = 2012,
-                        kernels: tuple | None = None,
-                        policy="fixed") -> dict:
+                        kernels: tuple | None = None) -> dict:
     """Time every registered (kernel × tier × backend) implementation.
 
     Per kernel the workload is built once (from ``sizes`` and ``seed``)
@@ -77,24 +76,12 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
     :func:`~.harness.time_plan`); a planned serial tier's plan is then
     audited.  Returns the JSON-ready dict behind
     ``BENCH_ninja_measured.json``.
-
-    ``policy`` (``"fixed"``/``"auto"``/path): under a non-fixed policy
-    each kernel's pooled executors take the policy's per-kernel
-    ``min_parallel_bytes`` before timing — or their own crossover when
-    the table has no entry for the kernel — and each kernel records the
-    value in force, so sweeps measure the same dispatch decisions the
-    tuned runtime would make; ``"fixed"`` pins the historical behaviour
-    for reproducible digest comparisons.  Digests are policy-invariant
-    by construction — inline-vs-pool never changes slab plans or values.
     """
     from .. import registry
     from ..parallel import SlabExecutor
     from ..plan import audit_allocations, compile_plan
     from ..plan.audit import PEAK_NOISE_BUDGET
-    from ..tune import load_policy
     from .ninja import ninja_gaps
-
-    table = load_policy(policy)
 
     for backend in backends:
         if backend not in registry.BACKENDS:
@@ -116,21 +103,9 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
         # sweep.
         executors["serial"] = SlabExecutor("serial", n_workers=n_workers,
                                            slab_bytes=slab_bytes)
-    # Every executor is built alike, so they share one own crossover.
-    own_mpb = executors["serial"].min_parallel_bytes
     entries = []
     try:
         for kernel in names:
-            applied_mpb = None
-            if table is not None:
-                # A kernel the table has no entry for runs under the
-                # executors' own crossover, not the previous kernel's.
-                applied_mpb = table.min_parallel_bytes(kernel)
-                if applied_mpb is None:
-                    applied_mpb = own_mpb
-                for b, ex in executors.items():
-                    if b != "serial":
-                        ex.min_parallel_bytes = applied_mpb
             spec = registry.workload(kernel)
             payload = spec.build(sizes, seed=seed)
             items = spec.items(payload)
@@ -195,7 +170,6 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
                 "measured_gap": best["rate"] / ref_entry["rate"],
                 "modeled_gap": (ninja_gaps(kernel) if spec.modeled_gap
                                 else None),
-                "policy_min_parallel_bytes": applied_mpb,
                 "tiers": tiers,
             })
     finally:
@@ -209,7 +183,6 @@ def measure_ninja_sweep(sizes: WorkloadSizes = SMALL_SIZES,
         "slab_bytes": any_ex.slab_bytes,
         "repeats": repeats,
         "seed": seed,
-        "policy_mode": (policy if isinstance(policy, str) else "pinned"),
         "kernels": entries,
     }
 

@@ -86,10 +86,8 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 #: brownian at 0.6 MiB: 1.4x, binomial at 32 options / ~0.8 MiB: the
 #: 0.95x that motivated the fallback), while at and above 2 MiB pooled
 #: was within noise of inline (rng at 2 MiB: 1.004x, binomial at
-#: 3.2 MiB: 1.003x).  This constant is the documented *last resort*:
-#: :func:`default_crossover_bytes` prefers the ``REPRO_CROSSOVER_BYTES``
-#: env override, then this machine's section of the policy file
-#: (``repro.tune.policy``), and only then falls back here.
+#: 3.2 MiB: 1.003x).  :func:`default_executor` carries it; an explicit
+#: executor gets whatever its caller passes.
 MEASURED_CROSSOVER_BYTES = 1 << 21
 
 #: Sequence for per-compiled-dispatch shared-memory role prefixes, so
@@ -180,10 +178,13 @@ class SlabExecutor:
         dispatch whose total working set (``n * bytes_per_item``) falls
         below it runs in-caller over the *same* slab plan instead of
         paying pool submission overhead — results are bit-identical,
-        only the transport changes.  Default ``0`` keeps the fallback
+        only the transport changes.  Fixed at construction; it is the
+        only inline-vs-pool input.  Default ``0`` keeps the fallback
         off (explicit executors always exercise their pool, which the
-        pool-persistence tests rely on); the benches and the serving
-        path pass the measured :data:`MEASURED_CROSSOVER_BYTES`.
+        pool-persistence tests rely on; the benches' and the gateway's
+        executors keep it too).  :func:`default_executor` and perfbench's
+        ``batch_wide`` pass the measured
+        :data:`MEASURED_CROSSOVER_BYTES`.
 
     The pool is created lazily on the first pooled dispatch and
     **reused across calls** until :meth:`close` (or context-manager
@@ -650,29 +651,17 @@ class CompiledDispatch:
 _DEFAULT: SlabExecutor | None = None
 
 
-def default_crossover_bytes(kernel: str | None = None,
-                            n: int | None = None) -> int:
-    """The inline/pool crossover for this machine.
-
-    Resolution order (ISSUE 10 satellite): the explicit
-    ``REPRO_CROSSOVER_BYTES`` env override wins; then a policy
-    entry for this machine's fingerprint (consulted only when a policy
-    file already exists, so machines without one keep the historical
-    behaviour bit for bit); finally the measured-once
-    :data:`MEASURED_CROSSOVER_BYTES` constant.
-    """
-    from ..tune.policy import resolve_crossover_bytes
-
-    return resolve_crossover_bytes(kernel=kernel, n=n,
-                                   default=MEASURED_CROSSOVER_BYTES)
+def default_crossover_bytes() -> int:
+    """The inline/pool crossover the default executor carries: the
+    measured :data:`MEASURED_CROSSOVER_BYTES`."""
+    return MEASURED_CROSSOVER_BYTES
 
 
 def default_executor() -> SlabExecutor:
     """The process-wide threaded executor the parallel-tier kernels use
     when none is passed: one persistent pool for the whole process.
-    Carries this machine's resolved crossover (env override > policy
-    file > measured constant) so incidental tiny dispatches do not
-    pay pool overhead."""
+    Carries the measured crossover so incidental tiny dispatches do
+    not pay pool overhead."""
     global _DEFAULT
     if _DEFAULT is None or _DEFAULT._closed:
         _DEFAULT = SlabExecutor(

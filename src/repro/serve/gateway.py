@@ -40,26 +40,14 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
   three tiers × seven power-of-two widths under the defaults, however
   many signatures the traffic carries — LRU-retired should a
   configuration exceed the cache; eviction closes the plan, which
-  unpins its daemon dispatch and releases its segments.
+  unpins its daemon dispatch and releases its segments.  A plan's
+  inline-vs-pool choice is the executor's ``min_parallel_bytes`` as it
+  was built; the gateway never changes it.
 * :meth:`PricingGateway.close` drains gracefully: intake stops
   (:class:`~repro.errors.GatewayClosedError`), every queued request is
   flushed regardless of deadline, the dispatcher finishes its backlog,
   and only then do plans, stagings, the dispatch thread and the
   executor shut down.
-
-**Dispatch policy** (``policy=``): which table the gateway reads when
-it compiles a plan.  ``"fixed"`` keeps the historical constants
-(power-of-two buckets, the executor's own crossover).  ``"auto"`` is
-this machine's section of the policy file (:mod:`repro.tune.policy`,
-bootstrapped from the analytic model when empty); a path or a
-:class:`~repro.tune.PolicyTable` is that table.  The gateway only
-*reads* a table — nothing times requests to decide anything and nothing
-here writes a policy file.  On an executor the gateway owns, the
-table's per-kernel ``min_parallel_bytes`` is set before the compile and
-enters the plan-cache key, so a plan compiled under one inline decision
-is never reused for another; a borrowed executor keeps its own
-crossover.  Every choice only moves *where* a batch runs — padding and
-slab plans keep results bit-identical to the serial reference.
 """
 
 from __future__ import annotations
@@ -111,8 +99,7 @@ class PricingGateway:
                  max_pending: int = 1024,
                  plan_cache_size: int = 32,
                  max_stagings: int = 32,
-                 executor=None,
-                 policy="fixed"):
+                 executor=None):
         if max_wait_s < 0:
             raise ConfigurationError("max_wait_s must be >= 0")
         if max_batch < 1 or min_bucket < 1 or min_bucket > max_batch:
@@ -151,8 +138,6 @@ class PricingGateway:
         self._dispatcher = None
         self._closed = False
         self._started = False
-        self._policy_spec = policy
-        self._policy = None         # PolicyTable once started (non-fixed)
         self._stat = {"requests": 0, "completed": 0, "shed": 0,
                       "failed": 0, "cancelled": 0, "batches": 0}
         self._batch_requests_hist: dict = {}
@@ -164,40 +149,25 @@ class PricingGateway:
         if self._started:
             raise ConfigurationError("gateway already started")
         self._loop = asyncio.get_running_loop()
-        if self._policy_spec not in (None, "fixed"):
-            from ..tune import load_policy
-            # Policy load touches the filesystem (and may bootstrap from
-            # the analytic model); keep it off the event loop.
-            self._policy = await self._loop.run_in_executor(
-                None, load_policy, self._policy_spec)
         from ..parallel.slab import SlabExecutor
-        # The policy's machine-wide crossover seeds every executor this
-        # gateway creates; per-kernel entries refine it at compile time
-        # (see _run_plan).  Borrowed executors keep their own value.
-        mpb = 0
-        if self._policy is not None:
-            mpb = self._policy.min_parallel_bytes(None) or 0
         if self._executor is None:
             backend = self.backend
             if backend == "auto":
                 try:
                     self._executor = SlabExecutor(
-                        "daemon", attach=True, slab_bytes=self.slab_bytes,
-                        min_parallel_bytes=mpb)
+                        "daemon", attach=True, slab_bytes=self.slab_bytes)
                     backend = "daemon"
                 except DaemonError:
                     self._executor = SlabExecutor(
                         "serial", n_workers=self.n_workers,
-                        slab_bytes=self.slab_bytes,
-                        min_parallel_bytes=mpb)
+                        slab_bytes=self.slab_bytes)
                     backend = "serial"
                 self.backend = backend
             else:
                 self._executor = SlabExecutor(
                     backend, n_workers=self.n_workers,
                     slab_bytes=self.slab_bytes,
-                    attach=(backend == "daemon"),
-                    min_parallel_bytes=mpb)
+                    attach=(backend == "daemon"))
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-gateway")
         self._flush_q = asyncio.PriorityQueue()
@@ -352,7 +322,7 @@ class PricingGateway:
         requests = [req for req, _ in batch]
         total = sum(r.n for r in requests)
         try:
-            width = self._bucket_for(key, total)
+            width = bucket_width(total, self.min_bucket, self.max_batch)
             staging = self._get_staging(key, width)
             offsets = staging.pack(requests)
             t0 = time.perf_counter()
@@ -379,32 +349,6 @@ class PricingGateway:
             if not fut.done():
                 fut.set_result(res)
 
-    def _bucket_for(self, key, total: int) -> int:
-        """Staging width for one batch: the canonical power-of-two
-        bucket, widened to the policy entry's ``bucket_width`` when the
-        table has one for this kernel and size."""
-        base = bucket_width(total, self.min_bucket, self.max_batch)
-        if self._policy is None:
-            return base
-        kernel, tier = key
-        bucket = self._policy.value(
-            "bucket_width", kernel, adapter_for(kernel, tier).outputs,
-            n=total)
-        if bucket is None:
-            return base
-        return max(base, min(int(bucket), self.max_batch))
-
-    def _policy_crossover(self, staging: Staging) -> int | None:
-        """The policy's ``min_parallel_bytes`` for a staging's kernel
-        and width, or None when no policy (or no entry) applies.  A
-        borrowed executor — possibly the process-wide default — is its
-        owner's to configure, so the table never applies to it."""
-        if self._policy is None or not self._owns_executor:
-            return None
-        return self._policy.min_parallel_bytes(
-            staging.adapter.kernel, staging.adapter.outputs,
-            n=staging.width)
-
     def _get_staging(self, key, width: int) -> Staging:
         slot = (key, width)
         staging = self._stagings.get(slot)
@@ -422,13 +366,9 @@ class PricingGateway:
         return staging
 
     def _plan_key(self, staging: Staging) -> tuple:
-        # The policy-resolved crossover is part of the key: a plan
-        # compiled under one inline decision is never reused for
-        # another.
         return plan_key(staging.adapter.kernel, staging.adapter.tier,
                         self.backend, self._executor.n_workers,
-                        staging.payload) \
-            + (self._policy_crossover(staging),)
+                        staging.payload)
 
     def _run_plan(self, staging: Staging):
         """Dispatch-thread body: warm plan lookup + fused batch run."""
@@ -436,14 +376,6 @@ class PricingGateway:
         with self._cache_lock:
             plan = self._cache.get(key)
         if plan is None:
-            mpb = self._policy_crossover(staging)
-            if mpb is not None \
-                    and self._executor.min_parallel_bytes != mpb:
-                # compile_shm freezes the inline decision into the
-                # dispatch, so the per-kernel policy value must be on
-                # the executor *before* the compile below.
-                with self._cache_lock:
-                    self._executor.min_parallel_bytes = mpb
             plan = compile_plan(staging.adapter.kernel,
                                 staging.adapter.tier, staging.payload,
                                 backend=self.backend,
@@ -457,28 +389,16 @@ class PricingGateway:
         return plan.run()
 
     # -- observability -------------------------------------------------
-    def reset_stats(self) -> dict:
+    def reset_stats(self) -> None:
         """Zero the counters and histograms (plans and stagings stay
-        warm) and return the active policy summary.  Benchmarks call
-        this after warmup dispatches so the one-time first-kernel-run
-        cost never skews service percentiles."""
+        warm).  Benchmarks call this after warmup dispatches so the
+        one-time first-kernel-run cost never skews service
+        percentiles."""
         for key in self._stat:
             self._stat[key] = 0
         self._batch_requests_hist.clear()
         self._batch_options_hist.clear()
         self._service_s.clear()
-        return self.policy_summary()
-
-    def policy_summary(self) -> dict:
-        """The active dispatch policy: mode, machine fingerprint and
-        the table's entries."""
-        if self._policy is None:
-            return {"mode": "fixed"}
-        return {
-            "mode": "auto" if self._policy_spec == "auto" else "pinned",
-            "fingerprint": self._policy.fingerprint,
-            "entries": self._policy.summary(),
-        }
 
     @property
     def stats(self) -> dict:
@@ -501,5 +421,4 @@ class PricingGateway:
             "plan_cache": self._cache.stats,
             "stagings": len(self._stagings),
             "backend": self.backend,
-            "policy": self.policy_summary(),
         }

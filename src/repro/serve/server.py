@@ -13,7 +13,11 @@ request is priced as its batch flushes, so pipelined clients win)::
      "outputs": {"price": [[...calls], [...puts]], ...}}
 
 Errors come back as ``{"id": ..., "ok": false, "error": "...",
-"message": "..."}``; ``{"op": "stats"}`` returns gateway counters.
+"message": "..."}``; ``{"op": "stats"}`` returns gateway counters.  A
+line that is not a JSON object gets an error reply too, and the
+connection stays usable.  A line longer than the gateway's
+``max_batch`` options can need gets one ``GatewayError`` reply naming
+the limit, then the connection closes.
 
 This wrapper exists for operability (poke the gateway with ``nc``),
 not peak throughput: JSON float marshalling costs far more than the
@@ -33,8 +37,27 @@ from .gateway import PricingGateway
 from .request import PricingRequest
 
 
+#: Bytes one option can take on a request line: three float arrays
+#: (S, X, T), each element at most a double's 24-character ``repr``
+#: plus json's ``", "`` separator.
+_OPTION_LINE_BYTES = 3 * 26
+
+#: Room on a request line for everything but the arrays.
+_LINE_HEADROOM = 1 << 16
+
+
 def _encode(obj) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+async def _reply(writer: asyncio.StreamWriter, lock: asyncio.Lock,
+                 reply: dict) -> None:
+    async with lock:                     # one writer per connection
+        try:
+            writer.write(_encode(reply))
+            await writer.drain()
+        except (ConnectionError, RuntimeError):
+            pass
 
 
 async def _handle_line(gateway: PricingGateway, line: bytes,
@@ -43,6 +66,9 @@ async def _handle_line(gateway: PricingGateway, line: bytes,
     req_id = None
     try:
         msg = json.loads(line)
+        if not isinstance(msg, dict):
+            raise GatewayError(f"a request must be a JSON object, "
+                               f"got {type(msg).__name__}")
         req_id = msg.get("id")
         if msg.get("op") == "stats":
             reply = {"id": req_id, "ok": True, "stats": gateway.stats}
@@ -62,23 +88,38 @@ async def _handle_line(gateway: PricingGateway, line: bytes,
     except (ReproError, KeyError, ValueError, TypeError) as exc:
         reply = {"id": req_id, "ok": False,
                  "error": type(exc).__name__, "message": str(exc)}
-    async with lock:                     # one writer per connection
-        try:
-            writer.write(_encode(reply))
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
+    await _reply(writer, lock, reply)
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input through the end of the current line (or EOF)."""
+    while True:
+        chunk = await reader.read(1 << 16)
+        if not chunk or b"\n" in chunk:
+            return
 
 
 async def _handle_conn(gateway: PricingGateway,
                        reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
+                       writer: asyncio.StreamWriter, limit: int) -> None:
     lock = asyncio.Lock()
     tasks = []
     try:
         while True:
-            line = await reader.readline()
-            if not line:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:      # EOF
+                line = exc.partial
+                if not line:
+                    break
+            except asyncio.LimitOverrunError:
+                await _reply(writer, lock, {
+                    "id": None, "ok": False, "error": "GatewayError",
+                    "message": f"request line exceeds the {limit}-byte "
+                               f"limit (max_batch="
+                               f"{gateway.max_batch} options)"})
+                # Read the rest of the line so the close is clean.
+                await _skip_line(reader)
                 break
             line = line.strip()
             if not line:
@@ -116,14 +157,16 @@ async def serve_gateway(gateway: PricingGateway, host: str = "127.0.0.1",
     # in-flight replies, instead of at loop teardown where asyncio
     # logs a CancelledError traceback for each.
     conn_tasks: set[asyncio.Task] = set()
+    limit = gateway.max_batch * _OPTION_LINE_BYTES + _LINE_HEADROOM
 
     def _on_conn(reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(_handle_conn(gateway, reader, writer))
+        task = asyncio.ensure_future(
+            _handle_conn(gateway, reader, writer, limit))
         conn_tasks.add(task)
         task.add_done_callback(conn_tasks.discard)
 
-    server = await asyncio.start_server(_on_conn, host, port)
+    server = await asyncio.start_server(_on_conn, host, port, limit=limit)
     addr = server.sockets[0].getsockname()
     if ready is not None:
         ready(addr)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..arch.cost import CostModel, cycles_per_item
-from ..arch.spec import KNC, SNB_EP, ArchSpec, CacheSpec
+from ..arch.spec import KNC, SNB_EP, ArchSpec
 from ..errors import ConfigurationError
 
 #: Per-dispatch overhead (s) for the measured runtime's pool submission
@@ -113,44 +113,12 @@ def variant_for(point: DesignPoint, base: ArchSpec = SNB_EP) -> ArchSpec:
 def rebuild_model(kernel: str, variant: ArchSpec):
     """Re-synthesise ``kernel``'s tier ladder on ``variant``.
 
-    Public wrapper over the ``bench.whatif`` builder so the policy
-    bootstrap and the DSE driver share one resynthesis path.
+    Public wrapper over the ``bench.whatif`` builder, the one
+    resynthesis path the DSE surfaces and anchors use.
     """
     from ..bench.whatif import _rebuild_for
 
     return _rebuild_for(kernel, variant)
-
-
-def host_like_spec(facts: dict | None = None) -> ArchSpec:
-    """A model-only spec shaped like *this* host — no micro-benchmarks.
-
-    Used to bootstrap policy tables: core count and LLC size come from
-    :func:`~repro.arch.host.host_facts`; clock, width and bandwidth are
-    generic modern-x86 nominals.  This is a prior for the policy table,
-    not a calibration — :func:`~repro.arch.host.calibrate_host` measures.
-    """
-    from ..arch.host import host_facts
-
-    facts = facts or host_facts()
-    cores = max(1, int(facts.get("cpu_count", 1)))
-    llc = max(1 << 21, int(facts.get("llc_bytes", 8 * 1024 * 1024)))
-    # Keep the shared-LLC geometry legal at any core count: round the
-    # per-core slice down to a whole multiple of line*associativity.
-    line, assoc = 64, 16
-    unit = line * assoc * cores
-    llc = max(unit, (llc // unit) * unit)
-    return ArchSpec(
-        name="HOST-LIKE", codename="bootstrap", sockets=1,
-        cores_per_socket=cores, smt=1, clock_ghz=3.0, simd_width_dp=4,
-        fma=True, mul_add_ports=False, out_of_order=True,
-        caches=(
-            CacheSpec("L1", 32 * 1024),
-            CacheSpec("L2", 512 * 1024),
-            CacheSpec("L3", llc, shared=True, associativity=assoc),
-        ),
-        dram_gb=8.0, stream_bw_gbs=25.0,
-        table1_dp_gflops=cores * 3.0 * 8, table1_sp_gflops=cores * 3.0 * 16,
-    )
 
 
 def crossover_items(t1_item_s: float, cores: int,

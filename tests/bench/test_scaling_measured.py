@@ -107,24 +107,3 @@ class TestValidation:
         with pytest.raises(ExperimentError):
             measure_scaling(sizes=_TINY, kernels=("no_such_kernel",))
 
-
-class TestPolicy:
-    def test_fixed_policy_records_nothing(self, data):
-        assert data["policy_mode"] == "fixed"
-        assert all(k["policy_min_parallel_bytes"] is None
-                   for k in data["kernels"])
-
-    def test_policy_table_applied_digests_unchanged(self, data):
-        from repro.tune import PolicyEntry, PolicyTable
-        table = PolicyTable(fingerprint="f", facts={})
-        table.set("black_scholes",
-                  PolicyEntry(min_parallel_bytes=1 << 11))
-        pinned = measure_scaling(
-            sizes=_TINY, worker_counts=(1, 2), repeats=1,
-            kernels=("black_scholes",), policy=table)
-        assert pinned["policy_mode"] == "pinned"
-        entry = pinned["kernels"][0]
-        assert entry["policy_min_parallel_bytes"] == 1 << 11
-        base = next(k for k in data["kernels"]
-                    if k["kernel"] == "black_scholes")
-        assert entry["serial_digest"] == base["serial_digest"]

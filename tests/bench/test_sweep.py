@@ -141,62 +141,6 @@ class TestFiltersAndValidation:
             measure_ninja_sweep(sizes=_TINY, backends=("cuda",))
 
 
-class TestPolicy:
-    def test_fixed_policy_records_nothing(self, sweep):
-        assert sweep["policy_mode"] == "fixed"
-        assert all(k["policy_min_parallel_bytes"] is None
-                   for k in sweep["kernels"])
-
-    def test_policy_table_applied_and_recorded(self, sweep):
-        from repro.tune import PolicyEntry, PolicyTable
-        table = PolicyTable(fingerprint="f", facts={})
-        table.set("black_scholes",
-                  PolicyEntry(min_parallel_bytes=1 << 12))
-        data = measure_ninja_sweep(
-            sizes=_TINY, repeats=1, n_workers=2,
-            backends=("serial", "thread"),
-            kernels=("black_scholes",), policy=table)
-        assert data["policy_mode"] == "pinned"
-        entry = data["kernels"][0]
-        assert entry["policy_min_parallel_bytes"] == 1 << 12
-        # Dispatch policy must never move a digest.
-        base = {(t["tier"], t["backend"]): t["digest"]
-                for k in sweep["kernels"]
-                if k["kernel"] == "black_scholes"
-                for t in k["tiers"]}
-        for t in entry["tiers"]:
-            if (t["tier"], t["backend"]) in base:
-                assert t["digest"] == base[(t["tier"], t["backend"])]
-
-    def test_kernel_without_entry_keeps_the_executor_crossover(
-            self, monkeypatch):
-        # black_scholes is swept first; its entry must not leak into
-        # binomial, which the table (no global entry) says nothing about.
-        import repro.plan
-        from repro.tune import PolicyEntry, PolicyTable
-        table = PolicyTable(fingerprint="f", facts={})
-        table.set("black_scholes", PolicyEntry(min_parallel_bytes=1 << 62))
-        seen = {}
-        compile_plan = repro.plan.compile_plan
-
-        def spy(kernel, tier, payload=None, **kw):
-            seen[(kernel, tier, kw["backend"])] = \
-                kw["executor"].min_parallel_bytes
-            return compile_plan(kernel, tier, payload, **kw)
-
-        monkeypatch.setattr(repro.plan, "compile_plan", spy)
-        data = measure_ninja_sweep(
-            sizes=_TINY, repeats=1, n_workers=2,
-            backends=("serial", "thread"),
-            kernels=("black_scholes", "binomial"), policy=table)
-        by_kernel = {k["kernel"]: k for k in data["kernels"]}
-        assert by_kernel["black_scholes"]["policy_min_parallel_bytes"] \
-            == 1 << 62
-        assert seen[("black_scholes", "parallel", "thread")] == 1 << 62
-        assert seen[("binomial", "parallel", "thread")] == 0
-        assert by_kernel["binomial"]["policy_min_parallel_bytes"] == 0
-
-
 class TestRendering:
     def test_gap_table(self, sweep):
         result = sweep_gap_result(sweep)

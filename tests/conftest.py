@@ -9,15 +9,6 @@ from repro.rng import MT19937, NormalGenerator
 from repro.simd import VectorMachine
 
 
-@pytest.fixture(autouse=True)
-def _isolated_dispatch_policy(tmp_path, monkeypatch):
-    """Keep dispatch-policy resolution hermetic: a developer's real
-    ``~/.cache/repro/policy.json`` or exported ``REPRO_CROSSOVER_BYTES``
-    must never leak into test behaviour."""
-    monkeypatch.setenv("REPRO_POLICY_PATH", str(tmp_path / "policy.json"))
-    monkeypatch.delenv("REPRO_CROSSOVER_BYTES", raising=False)
-
-
 @pytest.fixture
 def snb():
     return SNB_EP

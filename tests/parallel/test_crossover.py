@@ -43,50 +43,11 @@ class TestThreshold:
 
 
 class TestPolicyResolution:
-    """The constant is now the *last resort*: env var, then the
-    machine's policy file, then ``MEASURED_CROSSOVER_BYTES``."""
+    """The default crossover is the measured constant: no env var or
+    file moves it."""
 
     def test_untuned_machine_gets_the_constant(self):
-        # conftest points REPRO_POLICY_PATH at a nonexistent file.
         assert default_crossover_bytes() == MEASURED_CROSSOVER_BYTES
-        assert default_crossover_bytes("black_scholes") == \
-            MEASURED_CROSSOVER_BYTES
-
-    def test_env_override_wins(self, monkeypatch):
-        from repro.parallel import slab
-        monkeypatch.setenv("REPRO_CROSSOVER_BYTES", "4096")
-        assert default_crossover_bytes() == 4096
-        # The process-wide executor resolves at creation: force a fresh
-        # one (monkeypatch restores the real singleton afterwards).
-        monkeypatch.setattr(slab, "_DEFAULT", None)
-        ex = default_executor()
-        try:
-            assert ex.min_parallel_bytes == 4096
-        finally:
-            ex.close()
-
-    def test_bad_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CROSSOVER_BYTES", "2MiB")
-        with pytest.raises(ConfigurationError):
-            default_crossover_bytes()
-
-    def test_policy_file_overrides_constant(self, monkeypatch, tmp_path):
-        from repro.tune import PolicyEntry, PolicyTable
-        path = str(tmp_path / "policy.json")
-        monkeypatch.setenv("REPRO_POLICY_PATH", path)
-        table = PolicyTable()
-        table.set("black_scholes", PolicyEntry(min_parallel_bytes=8192))
-        table.set("*", PolicyEntry(min_parallel_bytes=1 << 14))
-        table.save(path)
-        assert default_crossover_bytes("black_scholes") == 8192
-        assert default_crossover_bytes("binomial") == 1 << 14
-        from repro.parallel import slab
-        monkeypatch.setattr(slab, "_DEFAULT", None)
-        ex = default_executor()
-        try:
-            assert ex.min_parallel_bytes == 1 << 14
-        finally:
-            ex.close()
 
 
 class TestInlineDispatch:

@@ -402,111 +402,15 @@ class TestDaemonChurn:
 
 
 class TestDispatchPolicy:
-    """The gateway reads a dispatch policy table instead of the global
-    crossover constant — it never writes one, never touches a borrowed
-    executor, and no table changes a result bit."""
-
-    def _drive(self, policy, n_requests=24):
-        async def main():
-            async with PricingGateway(backend="serial", max_wait_s=0.0,
-                                      policy=policy) as gw:
-                digests = []
-                for i in range(n_requests):
-                    req = _req(8 + (i % 3) * 8, vol=0.2 + 0.01 * (i % 2))
-                    res = await gw.submit(req)
-                    digests.append(res.digest())
-                return digests, gw.stats
-        return asyncio.run(main())
-
-    def test_fixed_mode_reports_fixed_policy(self):
-        digests, stats = self._drive("fixed")
-        assert stats["policy"] == {"mode": "fixed"}
-
-    def test_auto_digests_bit_identical_to_fixed(self):
-        fixed, _ = self._drive("fixed")
-        auto, stats = self._drive("auto")
-        assert auto == fixed
-        assert stats["policy"]["mode"] == "auto"
-
-    def test_auto_is_the_bootstrapped_table_and_writes_no_file(self):
-        import os
-
-        from repro.arch import machine_fingerprint
-        from repro.tune import default_policy_path
-        path = default_policy_path()   # conftest: per-test tmp path
-        assert not os.path.exists(path)
-        _, stats = self._drive("auto")
-        policy = stats["policy"]
-        assert policy["fingerprint"] == machine_fingerprint()
-        assert policy["entries"]        # bootstrapped from the model
-        assert {e["source"] for e in policy["entries"].values()} == \
-            {"bootstrap"}
-        # Serving reads the table; closing the gateway leaves no file
-        # for later processes' default_executor() to pick up.
-        assert not os.path.exists(path)
-
-    def test_reset_stats_returns_policy_summary(self):
-        async def main():
-            async with PricingGateway(backend="serial", max_wait_s=0.0,
-                                      policy="auto") as gw:
-                await gw.submit(_req(8))
-                summary = gw.reset_stats()
-                assert summary["mode"] == "auto"
-                assert gw.stats["requests"] == 0
-                assert summary["entries"] == gw.stats["policy"]["entries"]
-        asyncio.run(main())
-
-    def test_pinned_policy_file_applies_without_tuning(self, tmp_path):
-        from repro.tune import PolicyEntry, PolicyTable
-        path = str(tmp_path / "pinned.json")
-        table = PolicyTable()
-        table.set("black_scholes", PolicyEntry(min_parallel_bytes=4096,
-                                               bucket_width=64,
-                                               source="pinned"))
-        table.save(path)
-        digests, stats = self._drive(path)
-        assert stats["policy"]["mode"] == "pinned"
-        assert set(stats["policy"]) == {"mode", "fingerprint", "entries"}
-        fixed, _ = self._drive("fixed")
-        assert digests == fixed
-
-    def _table(self, mpb):
-        from repro.tune import PolicyEntry, PolicyTable
-        table = PolicyTable()
-        table.set("black_scholes", PolicyEntry(min_parallel_bytes=mpb,
-                                               source="pinned"))
-        return table
+    """The gateway never rewrites an executor's crossover."""
 
     def test_borrowed_executor_keeps_its_crossover(self):
         with SlabExecutor("thread", n_workers=2,
                           min_parallel_bytes=1 << 21) as ex:
             async def main():
-                async with PricingGateway(
-                        executor=ex, policy=self._table(12345)) as gw:
+                async with PricingGateway(executor=ex) as gw:
                     req = _req(8)
                     res = await gw.submit(req)
                     assert res.digest() == serial_reference(req).digest()
-                    assert gw.stats["policy"]["mode"] == "pinned"
             asyncio.run(main())
             assert ex.min_parallel_bytes == 1 << 21
-
-    def test_owned_executor_compiles_under_the_table_crossover(self):
-        def drive(policy):
-            async def main():
-                async with PricingGateway(backend="thread", n_workers=2,
-                                          policy=policy) as gw:
-                    digests = [(await gw.submit(
-                        _req(8 + 8 * i, vol=0.2 + 0.01 * i))).digest()
-                        for i in range(4)]
-                    with gw._cache_lock:
-                        keys = set(gw._cache._plans)
-                    return digests, keys
-            return asyncio.run(main())
-
-        fixed, fixed_keys = drive("fixed")
-        pooled, pooled_keys = drive(self._table(0))
-        inline, inline_keys = drive(self._table(1 << 62))
-        assert pooled == inline == fixed
-        assert {k[-1] for k in fixed_keys} == {None}
-        assert {k[-1] for k in pooled_keys} == {0}
-        assert {k[-1] for k in inline_keys} == {1 << 62}

@@ -9,6 +9,10 @@ import pytest
 from repro.serve import PricingGateway, PricingRequest, serial_reference
 from repro.serve.server import serve_gateway
 
+#: Client stream limit: a reply to a full batch of Greeks carries far
+#: more floats than its request did.
+_CLIENT_LIMIT = 1 << 24
+
 
 async def _with_server(body):
     """Run ``body(reader, writer)`` against a live gateway server on an
@@ -26,7 +30,7 @@ async def _with_server(body):
             gw, "127.0.0.1", 0, ready=on_ready, stop_event=stop))
         await asyncio.wait_for(ready.wait(), timeout=5.0)
         reader, writer = await asyncio.open_connection(
-            "127.0.0.1", addr["port"])
+            "127.0.0.1", addr["port"], limit=_CLIENT_LIMIT)
         try:
             return await body(reader, writer)
         finally:
@@ -119,4 +123,53 @@ class TestServer:
             assert not reply["ok"]
             assert reply["error"] == "GatewayError"
             assert "implied" in reply["message"]
+        asyncio.run(_with_server(body))
+
+    @pytest.mark.parametrize("tier", ["parallel", "greeks"])
+    def test_max_batch_request_round_trips(self, tier):
+        # 4096 full-precision options make a ~250 KB line, well past
+        # asyncio's default 64 KiB stream limit.
+        gen = np.random.default_rng(30)
+        S, X, T = (gen.uniform(50.0, 150.0, 4096).tolist(),
+                   gen.uniform(50.0, 150.0, 4096).tolist(),
+                   gen.uniform(0.1, 2.0, 4096).tolist())
+
+        async def body(reader, writer):
+            reply = await _rpc(reader, writer, {
+                "id": 11, "tier": tier, "S": S, "X": X, "T": T,
+                "rate": 0.05, "vol": 0.2})
+            assert reply["ok"] and reply["n"] == 4096
+            ref = serial_reference(PricingRequest(
+                S=S, X=X, T=T, rate=0.05, vol=0.2, tier=tier))
+            assert reply["digest"] == ref.digest()
+        asyncio.run(_with_server(body))
+
+    def test_over_limit_line_gets_error_reply_then_close(self):
+        async def body(reader, writer):
+            writer.write(b'{"id": 1, "pad": "' + b"x" * 500_000 + b'"}\n')
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(),
+                                                      timeout=10.0))
+            assert not reply["ok"]
+            assert reply["error"] == "GatewayError"
+            assert "limit" in reply["message"]
+            assert "max_batch=4096" in reply["message"]
+            assert await asyncio.wait_for(reader.read(), timeout=10.0) == b""
+        asyncio.run(_with_server(body))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "42", '"x"', "null"])
+    def test_non_object_line_gets_error_reply(self, line):
+        async def body(reader, writer):
+            writer.write(line.encode() + b"\n")
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(),
+                                                      timeout=10.0))
+            assert not reply["ok"]
+            assert reply["error"] == "GatewayError"
+            assert "JSON object" in reply["message"]
+            # The connection survives for the next request.
+            reply = await _rpc(reader, writer, {
+                "id": 8, "S": [100.0], "X": [95.0], "T": [1.0],
+                "rate": 0.05, "vol": 0.2})
+            assert reply["ok"] and reply["id"] == 8
         asyncio.run(_with_server(body))

@@ -164,18 +164,6 @@ class TestCLI:
         # The artifact is the only file a dse run leaves behind.
         assert [p.name for p in tmp_path.iterdir()] == ["BENCH_dse.json"]
 
-    def test_loadtest_policy_auto(self, capsys, tmp_path):
-        import json
-        out_json = tmp_path / "BENCH_serving.json"
-        assert main(["loadtest", "--smoke", "--clients", "4",
-                     "--requests", "24", "--rates", "400",
-                     "--budgets-ms", "2", "--policy", "auto",
-                     "--out", str(out_json)]) == 0
-        data = json.loads(out_json.read_text())
-        assert data["digests_ok"]
-        assert data["policy_mode"] == "auto"
-        assert data["capacity"]["batched"]["policy"]["mode"] == "auto"
-
     @pytest.mark.parametrize("name", sorted(MEASURED))
     def test_every_measured_bench_smokes(self, name, smoke_run):
         rc, record = smoke_run(name)

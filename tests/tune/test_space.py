@@ -5,9 +5,8 @@ import pytest
 from repro.arch import KNC, SNB_EP
 from repro.errors import ConfigurationError
 from repro.tune import (SMOKE_AXES, DesignPoint, anchor_rows,
-                        crossover_items, design_grid, host_like_spec,
-                        kernel_surface, modeled_crossover_bytes,
-                        rebuild_model, variant_for)
+                        crossover_items, design_grid, kernel_surface,
+                        modeled_crossover_bytes, rebuild_model, variant_for)
 
 
 class TestGrid:
@@ -85,15 +84,3 @@ class TestSurfaces:
             km.ninja_gap("SNB-EP"))
         assert rows["KNC"]["cores"] == KNC.total_cores
 
-
-class TestHostLikeSpec:
-    def test_spec_is_valid_and_sized_from_facts(self):
-        spec = host_like_spec({"cpu_count": 6, "llc_bytes": 12 << 20})
-        assert spec.total_cores == 6
-        spec.validate_against_table1()
-
-    def test_degenerate_facts_still_legal(self):
-        for facts in ({"cpu_count": 1, "llc_bytes": 1},
-                      {"cpu_count": 3, "llc_bytes": 5 << 20},
-                      {}):
-            host_like_spec(facts).validate_against_table1()

@@ -57,8 +57,7 @@ ROOTS = (
       for b in _BACKENDS),
     ("dse", "--smoke", "--out", ""),
     ("loadtest", "--smoke", "--clients", "4", "--requests", "24",
-     "--rates", "400", "--budgets-ms", "2", "--policy", "auto",
-     "--out", ""),
+     "--rates", "400", "--budgets-ms", "2", "--out", ""),
     ("lint",),
     *((str(ROOT / "perfbench" / "run.py"), "--workload", w, "--seed", "1",
        "--seconds", "3", "--trace", "1")
@@ -218,9 +217,7 @@ _CHILD = ("import sys; sys.path.insert(0, {!r}); "
 def _run(target: str, args, scratch: str, tag: str):
     """Run one recorded child in ``scratch``; (exit code, JSON)."""
     out = os.path.join(scratch, f"{tag}.json")
-    env = dict(os.environ, PYTHONPATH=str(SRC),
-               REPRO_POLICY_PATH=os.path.join(scratch, "no-policy.json"))
-    env.pop("REPRO_CROSSOVER_BYTES", None)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c", _CHILD.format(str(Path(__file__).parent)),
            out, target, *args]
     proc = subprocess.run(cmd, cwd=scratch, env=env,
