@@ -13,9 +13,9 @@ via :mod:`..hot`, levels ``advanced``/``parallel``), and only flags:
 * array-allocating ``np.*`` calls **inside a loop** — per-call scratch
   allocated once outside the loop is the sanctioned pattern;
 * ``np`` math ufuncs **inside a loop** without ``out=``;
-* vector-math library calls (``lib.exp`` etc.) without ``out=``
-  anywhere in a hot function — vmath operands are arrays by
-  construction;
+* transcendental calls (``np.exp``/``np.log``, ``ndtr``, ``lib.exp``
+  etc.) without ``out=`` anywhere in a hot function — their operands
+  are arrays by construction;
 * known ``out=``-capable repro kernels (``build_vectorized``) called
   inside a loop without ``out=``.
 
@@ -56,9 +56,13 @@ UFUNC_MATH = frozenset({
     "negative", "reciprocal", "tanh", "sin", "cos", "clip",
 })
 
-#: Vector-math facade ops (:class:`repro.vmath.libs.VectorMathLib`).
+#: Vector-math ops on a ``lib``/``*_lib`` receiver (a math-library
+#: object a caller injects).  The Black-Scholes bodies call ``np.exp``,
+#: ``np.log`` and :func:`repro.vmath.ndtr.ndtr` directly: those are
+#: checked anywhere in a hot function too, not only inside loops.
 VMATH_OPS = frozenset({"exp", "log", "erf", "erfc", "cnd", "invcnd",
                        "pdf"})
+NP_TRANSCENDENTALS = frozenset({"exp", "log"})
 
 #: repro kernel entry points with native ``out=`` support.
 OUT_CAPABLE = frozenset({"build_vectorized"})
@@ -114,10 +118,14 @@ def _np_attr(call: ast.Call):
 
 def _vmath_receiver(call: ast.Call) -> bool:
     f = call.func
+    if isinstance(f, ast.Name):
+        return f.id == "ndtr"
     return (isinstance(f, ast.Attribute)
-            and f.attr in VMATH_OPS
             and isinstance(f.value, ast.Name)
-            and (f.value.id == "lib" or f.value.id.endswith("_lib")))
+            and ((f.attr in VMATH_OPS
+                  and (f.value.id == "lib" or f.value.id.endswith("_lib")))
+                 or (f.attr in NP_TRANSCENDENTALS
+                     and f.value.id in NP_NAMES)))
 
 
 @register
@@ -128,7 +136,7 @@ class HotLoopAllocation(Rule):
         "Optimized tiers (advanced/parallel in the registry) promise a "
         "bounded working set: scratch is allocated once and every array "
         "op writes through out=. An allocation inside the hot loop — or "
-        "a vmath call without out= — silently restores the per-op "
+        "a transcendental without out= — silently restores the per-op "
         "temporaries the tier was built to eliminate, and only a "
         "benchmark regression would notice. This protects the paper's "
         "Sec. IV fused-kernel contract (Table II / Listing 3)."
@@ -170,7 +178,7 @@ class HotLoopAllocation(Rule):
             elif _vmath_receiver(node) and not _has_out(node):
                 yield self.finding(
                     sf, node,
-                    f"vmath call {ast.unparse(node.func)} without out= "
+                    f"transcendental {ast.unparse(node.func)} without out= "
                     f"allocates a whole-array temporary in a fused "
                     f"tier; pass out= to evaluate in place")
             elif (isinstance(node.func, ast.Name)

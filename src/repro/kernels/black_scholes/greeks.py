@@ -29,7 +29,7 @@ from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
-from ...vmath.libs import VectorMathLib, get_lib
+from ...vmath.ndtr import ndtr
 from .parallel import rate_vol_operands
 
 _INV_SQRT_2PI = 0.3989422804014327
@@ -56,14 +56,14 @@ GREEKS_BYTES_PER_OPTION = 8 * 20
 
 
 def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
-                 lib: VectorMathLib, scratch=None) -> None:
+                 scratch=None) -> None:
     """Fused price+Greeks for one slab, writing the 12 vectors of
     ``out`` in place.
 
     Five scratch rows cover every intermediate (``scratch`` is a
     ``(5, len(S))`` block on the planned path; allocated here
     otherwise); d1 and d2 are adjacent rows, so N(d1) and N(d2) are one
-    ``lib.cnd`` call.  Gamma and vega are call/put-identical and stored
+    ``ndtr`` call.  Gamma and vega are call/put-identical and stored
     twice so every output keeps the uniform ``[call | put]`` layout.
     ``r``/``sig`` are floats, or with ``cols`` per-option
     columns (the fused scalar expressions become column passes in the
@@ -75,7 +75,7 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     delta_c, delta_p = out["delta_c"], out["delta_p"]
     np.sqrt(T, out=sqt)                    # sqt = √T
     np.divide(S, X, out=d1)
-    lib.log(d1, out=d1)                    # d1 = ln(S/X)
+    np.log(d1, out=d1)                     # d1 = ln(S/X)
     if cols:
         np.multiply(sig, sig, out=d2)
         d2 /= 2.0
@@ -92,13 +92,13 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
         disc *= T
     else:
         np.multiply(T, -r, out=disc)
-    lib.exp(disc, out=disc)
+    np.exp(disc, out=disc)
     disc *= X                              # disc = X·e^{−rT}
     np.multiply(d1, d1, out=pdf)
     pdf *= -0.5
-    lib.exp(pdf, out=pdf)
+    np.exp(pdf, out=pdf)
     pdf *= _INV_SQRT_2PI                   # pdf = φ(d1)
-    lib.cnd(scratch[1:3], out=scratch[1:3])  # d1 = N(d1), d2 = N(d2)
+    ndtr(scratch[1:3], out=scratch[1:3])   # d1 = N(d1), d2 = N(d2)
     np.copyto(delta_c, d1)                 # delta_c = N(d1)
     np.subtract(d1, 1.0, out=delta_p)      # delta_p = N(d1) − 1 = −N(−d1)
     gamma_c, gamma_p = out["gamma_c"], out["gamma_p"]
@@ -143,7 +143,7 @@ def _greeks_slab_task(arrays: dict, consts: dict, a: int, b: int,
     _greeks_slab(arrays["S"], arrays["X"], arrays["T"],
                  params["r"], params["sig"], cols,
                  {name: arrays[name] for name in GREEK_WRITES},
-                 consts["lib"], consts.get("scratch"))
+                 consts.get("scratch"))
 
 
 def _backing_views(backing: np.ndarray, n: int, names: tuple) -> dict:
@@ -162,8 +162,7 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 
 
 def greeks_parallel(batch: OptionBatch,
-                    executor: SlabExecutor | None = None,
-                    lib: VectorMathLib | str = "numpy") -> ResultSlab:
+                    executor: SlabExecutor | None = None) -> ResultSlab:
     """Price the batch and fill every Greek over zero-copy slabs: the
     one-shot of :func:`compile_greeks_parallel`.
 
@@ -172,12 +171,11 @@ def greeks_parallel(batch: OptionBatch,
     vector.  Bit-identical across backends (every output element is a
     function of its own option alone, so the slab split cannot move it).
     """
-    return one_shot(compile_greeks_parallel, batch, executor=executor,
-                    lib=lib)
+    return one_shot(compile_greeks_parallel, batch, executor=executor)
 
 
 def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
-                            arena, lib: VectorMathLib | str = "numpy"):
+                            arena):
     """Plan-compile the fused Greeks tier for repeated same-shape calls.
 
     Reserves the ``12n`` backing vector and one ``(5, slab_len)``
@@ -187,8 +185,6 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
     hot-path array allocations (the out-of-process backends skip the
     scratch handoff, as the price planner does).
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
     n = S.shape[0]
@@ -205,7 +201,7 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         sliced={"S": S, "X": X, "T": T, **views, **columns},
         writes=GREEK_WRITES,
         outputs=GREEK_SCHEMA,
-        consts={"lib": lib, **params},
+        consts=params,
         per_slab=per_slab, tag="bsg"))
     slab = _result_slab(backing, n)
     price = slab["price"]

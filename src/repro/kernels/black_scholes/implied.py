@@ -7,7 +7,7 @@ primitive the paper's intro motivates (Sec. I).  One solver body,
 :func:`_implied_slab`, runs a **fixed-iteration safeguarded Newton**
 over whole vectors with every intermediate in ``out=`` scratch — the
 shape of Listing 1's fused loops applied to root finding (each sweep's
-N(d1), N(d2) are one ``lib.cnd`` call).  A fixed iteration count (no
+N(d1), N(d2) are one ``ndtr`` call).  A fixed iteration count (no
 per-element early exit) keeps the arithmetic a pure function of the
 inputs, so results are bit-identical across serial, thread, process
 and daemon backends regardless of slab boundaries.
@@ -33,7 +33,7 @@ from ...plan import one_shot
 from ...pricing.options import validate_inputs
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
-from ...vmath.libs import VectorMathLib, get_lib
+from ...vmath.ndtr import ndtr
 
 #: Search band for the volatility: every Newton iterate is clipped
 #: into it.
@@ -63,11 +63,10 @@ _VEGA_FLOOR = 1e-12
 IMPLIED_BYTES_PER_OPTION = 8 * 11
 
 
-def call_price_sig(S, X, T, r: float, sig, out, lib: VectorMathLib,
-                   scratch=None) -> None:
+def call_price_sig(S, X, T, r: float, sig, out, scratch=None) -> None:
     """Fused European call price with a **per-element** σ vector,
     written into ``out`` (three scratch rows, the first two d1/d2 for
-    one stacked ``lib.cnd`` call): the implied tier's
+    one stacked ``ndtr`` call): the implied tier's
     target generation, and the operation sequence the scenario tier's
     broadcast body reproduces cell for cell."""
     if scratch is None:
@@ -78,33 +77,32 @@ def call_price_sig(S, X, T, r: float, sig, out, lib: VectorMathLib,
     c += r
     c *= T                                 # c = (r+σ²/2)T
     np.divide(S, X, out=a)
-    lib.log(a, out=a)
+    np.log(a, out=a)
     a += c                                 # a = ln(S/X) + (r+σ²/2)T
     np.sqrt(T, out=b)
     b *= sig                               # b = σ√T
     a /= b                                 # a = d1
     np.subtract(a, b, out=b)               # b = d2
     np.multiply(T, -r, out=c)
-    lib.exp(c, out=c)
+    np.exp(c, out=c)
     c *= X                                 # c = X·e^{−rT}
-    lib.cnd(scratch[:2], out=scratch[:2])  # a = N(d1), b = N(d2)
+    ndtr(scratch[:2], out=scratch[:2])     # a = N(d1), b = N(d2)
     b *= c
     np.multiply(S, a, out=out)
     out -= b                               # C = S·N(d1) − X·e^{−rT}·N(d2)
 
 
-def _implied_slab(price, S, X, T, r: float, iv, lib: VectorMathLib,
-                  scratch=None) -> None:
+def _implied_slab(price, S, X, T, r: float, iv, scratch=None) -> None:
     """Fixed-iteration vectorized Newton, writing ``iv`` in place."""
     if scratch is None:
         scratch = np.empty((6, S.shape[0]), dtype=DTYPE)
     lsx, sqt, disc, d1, d2, pdf = scratch
     d12 = scratch[3:5]                     # d1, d2 adjacent: one cnd call
     np.divide(S, X, out=lsx)
-    lib.log(lsx, out=lsx)                  # ln(S/X), loop-invariant
+    np.log(lsx, out=lsx)                   # ln(S/X), loop-invariant
     np.sqrt(T, out=sqt)                    # √T, loop-invariant
     np.multiply(T, -r, out=disc)
-    lib.exp(disc, out=disc)
+    np.exp(disc, out=disc)
     disc *= X                              # X·e^{−rT}, loop-invariant
     # Manaster–Koehler warm start: σ₀ = √(2|ln(F/X)|/T) is the vol at
     # which d1 = −d2, the inflection point of price-in-vol.  Newton
@@ -129,9 +127,9 @@ def _implied_slab(price, S, X, T, r: float, iv, lib: VectorMathLib,
         np.subtract(d1, d2, out=d2)        # d2
         np.multiply(d1, d1, out=pdf)
         pdf *= -0.5
-        lib.exp(pdf, out=pdf)
+        np.exp(pdf, out=pdf)
         pdf *= _INV_SQRT_2PI               # φ(d1)
-        lib.cnd(d12, out=d12)              # N(d1), N(d2)
+        ndtr(d12, out=d12)                 # N(d1), N(d2)
         d1 *= S
         d2 *= disc
         d1 -= d2                           # model price
@@ -169,7 +167,9 @@ def implied_vol(price, S, X, T, r, is_call=True) -> np.ndarray:
     shape = price.shape
     price, S, X, T, calls = (a.reshape(-1) for a in (price, S, X, T, calls))
     validate_inputs(S, X, T, 0.5)
-    disc = X * np.exp(-r * T)
+    disc = np.multiply(T, -r)
+    np.exp(disc, out=disc)
+    disc *= X                              # X·e^{−rT}
     target = np.where(calls, price, price + S - disc)
     bad = ((target < np.maximum(S - disc, 0.0) - _BAND_SLACK)
            | (target > S + _BAND_SLACK))
@@ -178,11 +178,10 @@ def implied_vol(price, S, X, T, r, is_call=True) -> np.ndarray:
         raise DomainError(
             f"{int(bad.sum())} price(s) violate no-arbitrage bounds "
             f"(first at index {first})")
-    lib = get_lib("numpy")
     iv = np.empty_like(target)
-    _implied_slab(target, S, X, T, r, iv, lib)
+    _implied_slab(target, S, X, T, r, iv)
     model = np.empty_like(target)
-    call_price_sig(S, X, T, r, iv, model, lib)
+    call_price_sig(S, X, T, r, iv, model)
     worst = float(np.max(np.abs(model - target)))
     if worst > RESIDUAL_TOL:
         raise ConvergenceError(
@@ -195,8 +194,7 @@ def implied_vol(price, S, X, T, r, is_call=True) -> np.ndarray:
 def _implied_slab_task(arrays: dict, consts: dict, a: int, b: int,
                        slab: int) -> None:
     _implied_slab(arrays["price"], arrays["S"], arrays["X"], arrays["T"],
-                  consts["r"], arrays["iv"], consts["lib"],
-                  consts.get("scratch"))
+                  consts["r"], arrays["iv"], consts.get("scratch"))
 
 
 def surface_vols(batch: OptionBatch) -> np.ndarray:
@@ -208,31 +206,27 @@ def surface_vols(batch: OptionBatch) -> np.ndarray:
 
 
 def implied_parallel(batch: OptionBatch,
-                     executor: SlabExecutor | None = None,
-                     lib: VectorMathLib | str = "numpy") -> ResultSlab:
+                     executor: SlabExecutor | None = None) -> ResultSlab:
     """Recover the batch's vol surface from its prices over slabs: the
     one-shot of :func:`compile_implied_parallel`.
 
     Returns a single-output :class:`~repro.results.ResultSlab`
     (``implied_vol``, length ``n``).  Bit-identical across backends.
     """
-    return one_shot(compile_implied_parallel, batch, executor=executor,
-                    lib=lib)
+    return one_shot(compile_implied_parallel, batch, executor=executor)
 
 
 def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,
-                             arena, lib: VectorMathLib | str = "numpy"):
+                             arena):
     """Plan-compile the implied-vol tier: targets are generated once at
     compile time into arena buffers, and warm runs are pure Newton
     sweeps with zero hot-path allocations."""
-    if isinstance(lib, str):
-        lib = get_lib(lib)
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
     n = S.shape[0]
     sig = surface_vols(batch)
     target = arena.reserve("target", n)
-    call_price_sig(S, X, T, batch.rate, sig, target, lib)
+    call_price_sig(S, X, T, batch.rate, sig, target)
     iv = arena.reserve("result", n)
     per_slab = None
     if not executor.out_of_process:
@@ -244,7 +238,7 @@ def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,
         sliced={"price": target, "S": S, "X": X, "T": T, "iv": iv},
         writes=("iv",),
         outputs={"implied_vol": ("iv",)},
-        consts={"r": batch.rate, "lib": lib},
+        consts={"r": batch.rate},
         per_slab=per_slab, tag="bsiv"))
     slab = ResultSlab({"implied_vol": iv})
 

@@ -27,7 +27,7 @@ from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
-from ...vmath.libs import VectorMathLib, get_lib
+from ...vmath.ndtr import ndtr
 
 #: Doubles in flight per option: S/X/T in, call/put out, 3 scratch.
 SLAB_BYTES_PER_OPTION = 8 * 8
@@ -49,13 +49,13 @@ def rate_vol_operands(batch: OptionBatch) -> tuple:
 
 
 def _price_slab(S, X, T, r, sig, cols: bool, call, put,
-                lib: VectorMathLib, scratch=None) -> None:
+                scratch=None) -> None:
     """Fused pricing of one slab, writing ``call``/``put`` in place.
 
     Walked in :data:`PRICE_BLOCK`-option sub-blocks on three scratch
     rows (a flat ``3·min(len(S), PRICE_BLOCK)`` block, preallocated on
     the planned path); ``a``/``b`` take five roles each (annotated
-    inline) and are adjacent, so N(d1), N(d2) are one ``lib.cnd`` call.
+    inline) and are adjacent, so N(d1), N(d2) are one ``ndtr`` call.
     ``r``/``sig`` are floats, or with ``cols`` per-option columns whose
     passes keep the float form's IEEE grouping, bit for bit.
     """
@@ -70,7 +70,7 @@ def _price_slab(S, X, T, r, sig, cols: bool, call, put,
         ab, c = scratch[:2 * k], scratch[2 * k:3 * k]
         a, b = ab[:k], ab[k:]
         np.divide(Sb, Xb, out=a)
-        lib.log(a, out=a)                  # a = ln(S/X)
+        np.log(a, out=a)                   # a = ln(S/X)
         np.sqrt(Tb, out=b)
         b *= sb                            # b = σ√T
         if cols:
@@ -88,9 +88,9 @@ def _price_slab(S, X, T, r, sig, cols: bool, call, put,
             c *= Tb
         else:
             np.multiply(Tb, -r, out=c)
-        lib.exp(c, out=c)
+        np.exp(c, out=c)
         c *= Xb                            # c = X·e^{−rT}
-        lib.cnd(ab, out=ab)                # a = N(d1), b = N(d2)
+        ndtr(ab, out=ab)                   # a = N(d1), b = N(d2)
         b *= c                             # b = X·e^{−rT}·N(d2)
         np.multiply(Sb, a, out=cb)
         cb -= b                            # C = S·N(d1) − X·e^{−rT}·N(d2)
@@ -99,8 +99,7 @@ def _price_slab(S, X, T, r, sig, cols: bool, call, put,
 
 
 def price_parallel(batch: OptionBatch,
-                   executor: SlabExecutor | None = None,
-                   lib: VectorMathLib | str = "numpy") -> None:
+                   executor: SlabExecutor | None = None) -> None:
     """Price the batch in place over zero-copy slabs: the one-shot of
     :func:`compile_price_parallel`.
 
@@ -109,8 +108,7 @@ def price_parallel(batch: OptionBatch,
     threaded executor; pass ``SlabExecutor("serial")`` for the
     single-core baseline — the two produce bit-identical prices.
     """
-    result = one_shot(compile_price_parallel, batch, executor=executor,
-                      lib=lib)
+    result = one_shot(compile_price_parallel, batch, executor=executor)
     n = len(batch)
     batch.batch.set("call", result[:n])
     batch.batch.set("put", result[n:])
@@ -124,12 +122,11 @@ def _price_slab_task(arrays: dict, consts: dict, a: int, b: int,
     params = arrays if cols else consts
     _price_slab(arrays["S"], arrays["X"], arrays["T"],
                 params["r"], params["sig"], cols,
-                arrays["call"], arrays["put"], consts["lib"],
-                consts.get("scratch"))
+                arrays["call"], arrays["put"], consts.get("scratch"))
 
 
 def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
-                           arena, lib: VectorMathLib | str = "numpy"):
+                           arena):
     """Plan-compile the fused slab tier for repeated same-shape calls.
 
     Reserves the concatenated ``[calls | puts]`` result vector and one
@@ -141,8 +138,6 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
     receive pickled copies each run).  Returns the zero-argument
     runner; its result view is ``arena.get("result")``.
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
     if batch.layout not in ("aos", "soa"):
         raise LayoutError(f"unsupported layout {batch.layout!r}")
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
@@ -162,7 +157,7 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
         sliced={"S": S, "X": X, "T": T, "call": call, "put": put,
                 **columns},
         writes=("call", "put"),
-        consts={"lib": lib, **params},
+        consts=params,
         per_slab=per_slab, tag="bs"))
 
     def run() -> np.ndarray:

@@ -23,7 +23,7 @@ from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
-from ...vmath.libs import VectorMathLib, get_lib
+from ...vmath.ndtr import ndtr
 from .greeks import _backing_views
 from .parallel import rate_vol_operands
 
@@ -65,7 +65,7 @@ def _scratch_views(block: np.ndarray) -> tuple:
 
 
 def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
-                   lib: VectorMathLib, scratch=None) -> None:
+                   scratch=None) -> None:
     """The 5×5 grid of one slab, written into the 25 vectors of
     ``grid``.  ``r``/``sig`` are floats, or with ``cols`` per-option
     columns; ``scratch`` is :func:`_scratch_views` of an arena block
@@ -76,7 +76,7 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
     S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, cells = scratch
     np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
     np.divide(S5, X, out=ln5)
-    lib.log(ln5, out=ln5)                  # ln5[k] = ln(S_k/X)
+    np.log(ln5, out=ln5)                   # ln5[k] = ln(S_k/X)
     np.multiply(_VOL, sig, out=b5)         # b5[j] = σ_j = σ·vol_j
     np.multiply(b5, b5, out=c5)
     c5 *= 0.5
@@ -89,12 +89,12 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
         disc *= T
     else:
         np.multiply(T, -r, out=disc)
-    lib.exp(disc, out=disc)
+    np.exp(disc, out=disc)
     disc *= X                              # disc = X·e^{−rT}
     np.add(ln5b, c5b, out=a3)
     a3 /= b5b                              # a3[k,j] = d1
     np.subtract(a3, b5b, out=b3)           # b3[k,j] = d2
-    lib.cnd(d12, out=d12)                  # a3 = N(d1), b3 = N(d2)
+    ndtr(d12, out=d12)                     # a3 = N(d1), b3 = N(d2)
     b3 *= disc                             # b3 = X·e^{−rT}·N(d2)
     for g, (S_k, nd1, dnd2) in zip(grid, cells):
         np.multiply(S_k, nd1, out=g)
@@ -108,12 +108,11 @@ def _scenario_slab_task(arrays: dict, consts: dict, a: int, b: int,
     _scenario_slab(arrays["S"], arrays["X"], arrays["T"],
                    params["r"], params["sig"], cols,
                    [arrays[name] for name in GRID_WRITES],
-                   consts["lib"], consts.get("scratch"))
+                   consts.get("scratch"))
 
 
 def scenario_parallel(batch: OptionBatch,
-                      executor: SlabExecutor | None = None,
-                      lib: VectorMathLib | str = "numpy") -> ResultSlab:
+                      executor: SlabExecutor | None = None) -> ResultSlab:
     """Price the full spot×vol grid over slabs: the one-shot of
     :func:`compile_scenario_parallel`.
 
@@ -121,12 +120,11 @@ def scenario_parallel(batch: OptionBatch,
     (``grid``, length ``n_scenarios()·n``, scenario-major).
     Bit-identical across backends.
     """
-    return one_shot(compile_scenario_parallel, batch, executor=executor,
-                    lib=lib)
+    return one_shot(compile_scenario_parallel, batch, executor=executor)
 
 
 def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
-                              arena, lib: VectorMathLib | str = "numpy"):
+                              arena):
     """Plan-compile the scenario grid for repeated same-shape calls.
 
     Reserves the ``25n`` result and one scratch block per slab in
@@ -134,8 +132,6 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
     numbers packed into them need nothing re-derived, and warm runs
     allocate nothing (out of process the scratch handoff is skipped).
     """
-    if isinstance(lib, str):
-        lib = get_lib(lib)
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
     n = S.shape[0]
@@ -153,7 +149,7 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
         sliced={"S": S, "X": X, "T": T, **views, **columns},
         writes=GRID_WRITES,
         outputs={"grid": GRID_WRITES},
-        consts={"lib": lib, **params},
+        consts=params,
         per_slab=per_slab, tag="bssc"))
     slab = ResultSlab({"grid": grid}, backing=grid)
 

@@ -9,8 +9,9 @@ assumed:
 * SOA: every access is one aligned vector load/store touching the
   minimum number of lines.
 
-Transcendentals are routed through an (optionally traced) math library
-facade, charging element counts the cost model prices per architecture.
+Every transcendental element (one ``log``, one ``exp`` and four ``cnd``
+an option) is charged to the machine's trace, which the cost model
+prices per architecture.
 Use small batch sizes — this is a validation instrument, not the
 functional path.
 """
@@ -19,21 +20,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...pricing.options import BS_FIELDS, OptionBatch
 from ...simd.layout import AOSBatch
 from ...simd.machine import VectorMachine
-from ...vmath.libs import VectorMathLib, get_lib
+from ...vmath.ndtr import ndtr
 
 
-def _price_block(machine, lib, S, X, T, rate, sig):
+def _price_block(machine, S, X, T, rate, sig):
     """The vectorized pricing math on machine-bound values; returns
-    (call, put) numpy blocks (transcendentals evaluated via the lib,
-    charged to the machine's trace)."""
+    (call, put) numpy blocks (transcendental elements charged to the
+    machine's trace)."""
     tr = machine.trace
+    n = S.size
     sig22 = sig * sig / 2.0
-    qlog = lib.log(S / X)          # lib charges the log elements
+    qlog = np.log(S / X)
+    tr.transcendental("log", n)
     tr.op("div")
     sqrt_t = np.sqrt(T)
     tr.op("sqrt")
@@ -44,12 +46,14 @@ def _price_block(machine, lib, S, X, T, rate, sig):
     d2 = (qlog + (rate - sig22) * T) * denom
     tr.op("mul", 4)
     tr.op("add", 2)
-    xexp = X * lib.exp(np.asarray(-rate * T, dtype=DTYPE))
+    xexp = X * np.exp(-rate * T)
+    tr.transcendental("exp", n)
     tr.op("mul", 2)
-    nd1 = lib.cnd(d1)
-    nd2 = lib.cnd(d2)
-    nd1m = lib.cnd(-d1)
-    nd2m = lib.cnd(-d2)
+    nd1 = ndtr(d1)
+    nd2 = ndtr(d2)
+    nd1m = ndtr(-d1)
+    nd2m = ndtr(-d2)
+    tr.transcendental("cnd", 4 * n)
     tr.op("sub", 2)                # the two negations
     call = S * nd1 - xexp * nd2
     put = xexp * nd2m - S * nd1m
@@ -58,14 +62,11 @@ def _price_block(machine, lib, S, X, T, rate, sig):
     return call, put
 
 
-def traced_price_aos(machine: VectorMachine, batch: OptionBatch,
-                     lib: VectorMathLib | str = "numpy") -> None:
+def traced_price_aos(machine: VectorMachine, batch: OptionBatch) -> None:
     """Price an AOS batch on the machine: field accesses are gathers,
     output writes are scatters."""
     if batch.layout != "aos":
         raise ConfigurationError("traced_price_aos needs an AOS batch")
-    if isinstance(lib, str):
-        lib = get_lib(lib, machine.trace)
     w = machine.width
     if batch.n % w:
         raise ConfigurationError(
@@ -77,7 +78,7 @@ def traced_price_aos(machine: VectorMachine, batch: OptionBatch,
         S = machine.gather(arr, aos.field_indices("S", w, start))
         X = machine.gather(arr, aos.field_indices("X", w, start))
         T = machine.gather(arr, aos.field_indices("T", w, start))
-        call, put = _price_block(machine, lib, S.data, X.data, T.data,
+        call, put = _price_block(machine, S.data, X.data, T.data,
                                  batch.rate, batch.vol)
         from ...simd.vec import F64Vec
         machine.scatter(arr, aos.field_indices("call", w, start),
@@ -89,13 +90,10 @@ def traced_price_aos(machine: VectorMachine, batch: OptionBatch,
     aos.data[:] = arr.data
 
 
-def traced_price_soa(machine: VectorMachine, batch: OptionBatch,
-                     lib: VectorMathLib | str = "numpy") -> None:
+def traced_price_soa(machine: VectorMachine, batch: OptionBatch) -> None:
     """Price an SOA batch on the machine: contiguous aligned accesses."""
     if batch.layout != "soa":
         raise ConfigurationError("traced_price_soa needs an SOA batch")
-    if isinstance(lib, str):
-        lib = get_lib(lib, machine.trace)
     w = machine.width
     if batch.n % w:
         raise ConfigurationError(
@@ -109,7 +107,7 @@ def traced_price_soa(machine: VectorMachine, batch: OptionBatch,
         S = machine.load(arrays["S"], start)
         X = machine.load(arrays["X"], start)
         T = machine.load(arrays["T"], start)
-        call, put = _price_block(machine, lib, S.data, X.data, T.data,
+        call, put = _price_block(machine, S.data, X.data, T.data,
                                  batch.rate, batch.vol)
         from ...simd.vec import F64Vec
         machine.store(arrays["call"], start, F64Vec(call, machine=machine))

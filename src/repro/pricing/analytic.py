@@ -5,8 +5,7 @@ and Monte-Carlo European results must all converge to these values, and
 put-call parity (``C − P = S − X·e^{−rT}``) must hold to rounding.
 
 All functions are vectorized over equal-shaped inputs and use the
-tail-accurate :func:`~repro.vmath.cnd.vcnd` by default (swap in any
-:class:`~repro.vmath.libs.VectorMathLib` to study library trade-offs).
+tail-accurate :func:`~repro.vmath.cnd.vcnd`.
 """
 
 from __future__ import annotations

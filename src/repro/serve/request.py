@@ -20,6 +20,8 @@ from ..config import DTYPE
 from ..errors import DomainError, GatewayError
 from ..pricing.options import validate_inputs
 
+_NOT_FINITE = "request S/X/T/rate/vol must be finite"
+
 
 class PricingRequest:
     """One user's pricing request: ``n`` contracts sharing rate/vol.
@@ -39,20 +41,24 @@ class PricingRequest:
                  kernel: str = "black_scholes", tier: str = "parallel"):
         self.kernel = str(kernel)
         self.tier = str(tier)
-        self.S = np.ascontiguousarray(S, dtype=DTYPE)
-        self.X = np.ascontiguousarray(X, dtype=DTYPE)
-        self.T = np.ascontiguousarray(T, dtype=DTYPE)
-        if not (self.S.shape == self.X.shape == self.T.shape) \
-                or self.S.ndim != 1 or self.S.shape[0] < 1:
-            raise GatewayError(
-                f"request S/X/T must be equal-length non-empty 1-D "
-                f"arrays, got {self.S.shape}/{self.X.shape}/{self.T.shape}")
-        self.rate = float(rate)
-        self.vol = float(vol)
+        try:        # an integer beyond float range (JSON allows one)
+            self.S = np.ascontiguousarray(S, dtype=DTYPE)
+            self.X = np.ascontiguousarray(X, dtype=DTYPE)
+            self.T = np.ascontiguousarray(T, dtype=DTYPE)
+            if not (self.S.shape == self.X.shape == self.T.shape) \
+                    or self.S.ndim != 1 or self.S.shape[0] < 1:
+                raise GatewayError(
+                    f"request S/X/T must be equal-length non-empty 1-D "
+                    f"arrays, got "
+                    f"{self.S.shape}/{self.X.shape}/{self.T.shape}")
+            self.rate = float(rate)
+            self.vol = float(vol)
+        except OverflowError:
+            raise DomainError(_NOT_FINITE) from None
         if not (math.isfinite(self.rate) and math.isfinite(self.vol)
                 and np.isfinite(self.S).all() and np.isfinite(self.X).all()
                 and np.isfinite(self.T).all()):
-            raise DomainError("request S/X/T/rate/vol must be finite")
+            raise DomainError(_NOT_FINITE)
         validate_inputs(self.S, self.X, self.T, self.vol)
 
     @property

@@ -1,20 +1,19 @@
-"""Vector math substrate: from-scratch vectorized transcendentals, the
-table-driven normal CDF the measured tiers use, and the SVML/VML
-library facades with cost accounting."""
+"""Vector math substrate: from-scratch vectorized transcendentals and
+the table-driven normal CDF the measured Black-Scholes tiers call
+directly (the paper's SVML-vs-VML library choice is modeled, in
+:mod:`repro.kernels.black_scholes.model`)."""
 
-from .cnd import vcnd, vcnd_via_erf, vpdf
+from .cnd import vcnd, vpdf
 from .erf import verf, verfc
-from .exp import vexp, vexp_blocked
+from .exp import vexp
 from .invcnd import vinvcnd
-from .libs import NumpyLib, SVMLLib, VectorMathLib, VMLLib, get_lib
-from .log import vlog, vlog_blocked
+from .log import vlog
 from .poly import estrin, estrin_depth, horner, horner_depth
 from .trig import box_muller_scratch, vcos, vsin, vsincos
 
 __all__ = [
-    "vexp", "vexp_blocked", "vlog", "vlog_blocked",
-    "verf", "verfc", "vcnd", "vcnd_via_erf", "vpdf", "vinvcnd",
+    "vexp", "vlog",
+    "verf", "verfc", "vcnd", "vpdf", "vinvcnd",
     "horner", "estrin", "horner_depth", "estrin_depth",
-    "VectorMathLib", "SVMLLib", "VMLLib", "NumpyLib", "get_lib",
     "vsin", "vcos", "vsincos", "box_muller_scratch",
 ]

@@ -1,10 +1,9 @@
 """Cumulative normal distribution and density.
 
-``vcnd`` is the reference-code primitive (Listing 1's ``cnd``); the
-optimized Black-Scholes path instead uses ``erf`` through the identity
-``cnd(x) = (1 + erf(x/√2))/2`` (Sec. IV-A2) — both are provided, and a
-tail-accurate variant built on ``erfc`` is used where the naive identity
-would cancel.
+``vcnd`` is the reference-code primitive (Listing 1's ``cnd``), built
+on ``erfc`` so the lower tail does not cancel as the paper's
+``cnd(x) = (1 + erf(x/√2))/2`` substitution (Sec. IV-A2) would; the
+measured Black-Scholes tiers use the table-driven :func:`.ndtr.ndtr`.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DTYPE
-from .erf import verf, verfc
+from .erf import verfc
 from .exp import vexp
 
 _INV_SQRT2 = 0.7071067811865476
@@ -24,16 +23,6 @@ def vcnd(x, out: np.ndarray | None = None) -> np.ndarray:
     the result in place (aliasing ``x`` is allowed)."""
     x = np.asarray(x, dtype=DTYPE)
     res = verfc(-x * _INV_SQRT2, out=out)
-    res *= 0.5
-    return res
-
-
-def vcnd_via_erf(x, out: np.ndarray | None = None) -> np.ndarray:
-    """The paper's substitution: ``(1 + erf(x/√2)) / 2``. Same accuracy
-    as :func:`vcnd` away from the deep lower tail; cheaper per element."""
-    x = np.asarray(x, dtype=DTYPE)
-    res = verf(x * _INV_SQRT2, out=out)
-    res += 1.0
     res *= 0.5
     return res
 

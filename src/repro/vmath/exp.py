@@ -56,18 +56,3 @@ def vexp(x, out: np.ndarray | None = None) -> np.ndarray:
         return out
     return res
 
-
-def vexp_blocked(x, block: int = 1024, out: np.ndarray | None = None) -> np.ndarray:
-    """Block-fused variant: evaluates ``block`` elements at a time so the
-    working set of the reduction/polynomial temporaries stays in cache —
-    the "SVML-style" evaluation pattern, vs the whole-array "VML-style"
-    pass of :func:`vexp`."""
-    x = np.asarray(x, dtype=DTYPE)
-    if out is None:
-        out = np.empty_like(x)
-    flat_in = x.reshape(-1)
-    flat_out = out.reshape(-1)
-    for start in range(0, flat_in.size, block):
-        stop = min(start + block, flat_in.size)
-        flat_out[start:stop] = vexp(flat_in[start:stop])
-    return out

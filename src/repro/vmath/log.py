@@ -47,15 +47,3 @@ def vlog(x, out: np.ndarray | None = None) -> np.ndarray:
         return out
     return res
 
-
-def vlog_blocked(x, block: int = 1024, out: np.ndarray | None = None) -> np.ndarray:
-    """Cache-blocked evaluation (see :func:`repro.vmath.exp.vexp_blocked`)."""
-    x = np.asarray(x, dtype=DTYPE)
-    if out is None:
-        out = np.empty_like(x)
-    flat_in = x.reshape(-1)
-    flat_out = out.reshape(-1)
-    for start in range(0, flat_in.size, block):
-        stop = min(start + block, flat_in.size)
-        flat_out[start:stop] = vlog(flat_in[start:stop])
-    return out

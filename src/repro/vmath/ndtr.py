@@ -1,7 +1,7 @@
 """Standard normal CDF from a Taylor table: NumPy only, no allocation.
 
-Every measured Black-Scholes tier evaluates N(d1) and N(d2) with
-``ndtr`` (through ``NumpyLib.cnd``), replaying the paper's Sec.
+Every measured Black-Scholes tier evaluates N(d1) and N(d2) with a
+direct ``ndtr`` call, replaying the paper's Sec.
 IV-A2/IV-A3 choice on NumPy: the compiled ``erf`` it replaces is scalar
 code at 9-20 ns/element, while a ufunc pass costs ~0.3 ns and a gather
 ~0.8 ns.  The table wins once a call is wide enough to pay for its 16

@@ -56,6 +56,22 @@ class TestR001Scope:
         assert len(findings) == 1
         assert "build_vectorized" in findings[0].message
 
+    @pytest.mark.parametrize("call", ["np.exp(x)", "ndtr(x)"])
+    def test_transcendental_outside_loop_needs_out(self, call):
+        text = ("import numpy as np\n"
+                "def kernel(x):\n"
+                f"    y = {call}\n"
+                "    return y\n")
+        findings = run_rule("R001", text)
+        assert len(findings) == 1
+        assert call.split("(")[0] in findings[0].message
+
+    def test_transcendental_with_out_clean(self):
+        text = ("def kernel(x):\n"
+                "    ndtr(x, out=x)\n"
+                "    return x\n")
+        assert run_rule("R001", text) == []
+
 
 class TestR001Arena:
     """The plan layer's arena is the sanctioned allocator in hot tiers."""

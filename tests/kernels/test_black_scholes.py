@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch import KNC, SNB_EP
-from repro.errors import LayoutError
+from repro.errors import ConfigurationError, LayoutError
 from repro.kernels.black_scholes import (BYTES_PER_OPTION, advanced_trace,
                                          bandwidth_bound, build,
                                          price_advanced, price_basic,
@@ -41,11 +41,10 @@ class TestFunctionalTiers:
         assert np.allclose(b.call, expected[0], atol=1e-10)
         assert np.allclose(b.put, expected[1], atol=1e-10)
 
-    @pytest.mark.parametrize("lib", ["numpy", "svml", "vml"])
     @pytest.mark.parametrize("layout", ["aos", "soa"])
-    def test_advanced_matches(self, lib, layout, expected):
+    def test_advanced_matches(self, layout, expected):
         b = random_batch(400, seed=17, layout=layout)
-        price_advanced(b, lib=lib)
+        price_advanced(b)
         assert np.allclose(b.call, expected[0], atol=1e-9)
         assert np.allclose(b.put, expected[1], atol=1e-9)
 
@@ -54,6 +53,12 @@ class TestFunctionalTiers:
             b = random_batch(400, seed=17)
             price_advanced(b, block=block)
             assert np.allclose(b.call, expected[0], atol=1e-9)
+
+    @pytest.mark.parametrize("block", [-1, 0])
+    def test_advanced_rejects_nonpositive_block(self, block):
+        b = random_batch(16, seed=17)
+        with pytest.raises(ConfigurationError):
+            price_advanced(b, block=block)
 
     def test_reference_requires_aos(self):
         b = random_batch(8, layout="soa")

@@ -18,7 +18,6 @@ from repro.kernels.black_scholes.implied import call_price_sig
 from repro.kernels.black_scholes.scenario import SPOT_SHIFTS, VOL_SHIFTS
 from repro.kernels.black_scholes.tiers import make_payload
 from repro.parallel import SlabExecutor
-from repro.vmath.libs import get_lib
 
 SLAB_TIERS = ("parallel", "greeks", "scenario")
 LADDER = ("reference", "basic", "intermediate", "advanced")
@@ -73,7 +72,7 @@ def test_prices_nonnegative_every_tier_and_backend(executors, contract):
 
 def test_scenario_cells_equal_call_price_sig(executors):
     """Cell (k, j) of the grid is ``call_price_sig`` on spot·spot_k and
-    σ·vol_j, bit for bit: both price through one stacked ``lib.cnd``."""
+    σ·vol_j, bit for bit: both price through one stacked ``ndtr``."""
     gen = np.random.default_rng(21)
     n = 300
     S, X = gen.uniform(10, 200, n), gen.uniform(10, 200, n)
@@ -81,10 +80,10 @@ def test_scenario_cells_equal_call_price_sig(executors):
     impl = registry.impl("black_scholes", "scenario", "serial")
     grid = np.asarray(impl.fn(make_payload(S, X, T, rate, vol),
                               executors["serial"])["grid"]).reshape(-1, n)
-    lib, cell = get_lib("numpy"), np.empty(n)
+    cell = np.empty(n)
     for k, spot in enumerate(SPOT_SHIFTS):
         for j, shift in enumerate(VOL_SHIFTS):
             call_price_sig(S * spot, X, T, rate, np.full(n, vol * shift),
-                           cell, lib)
+                           cell)
             np.maximum(cell, 0.0, out=cell)
             assert np.array_equal(grid[k * len(VOL_SHIFTS) + j], cell)

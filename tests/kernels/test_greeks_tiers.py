@@ -23,7 +23,6 @@ from repro.pricing import bs_call, bs_put, random_batch
 from repro.results import as_result_slab
 from repro.rng import MT19937, NormalGenerator
 from repro.simd.layout import aos_to_soa
-from repro.vmath.libs import get_lib
 
 BACKENDS = ("serial", "thread", "process", "daemon")
 
@@ -144,15 +143,14 @@ class TestCommonRandomNumbers:
 class TestImpliedVolRoundTrip:
     def test_price_iv_price_closes(self, serial_ex):
         batch = random_batch(256, seed=11, layout="soa")
-        lib = get_lib("numpy")
         soa = batch.batch
         S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
         sig_true = surface_vols(batch)
         target = np.empty_like(S)
-        call_price_sig(S, X, T, batch.rate, sig_true, target, lib)
+        call_price_sig(S, X, T, batch.rate, sig_true, target)
         iv = implied_parallel(batch, serial_ex)["implied_vol"]
         reprice = np.empty_like(S)
-        call_price_sig(S, X, T, batch.rate, iv, reprice, lib)
+        call_price_sig(S, X, T, batch.rate, iv, reprice)
         assert np.max(np.abs(reprice - target)) < 1e-10
         # The vol itself is only identifiable where the price moves
         # with it: deep ITM/OTM options have vanishing vega, so any σ

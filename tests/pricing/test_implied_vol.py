@@ -12,7 +12,6 @@ from repro.kernels.black_scholes.implied import call_price_sig, surface_vols
 from repro.parallel import SlabExecutor
 from repro.pricing import bs_call, bs_put, bs_vega
 from repro.results import as_result_slab
-from repro.vmath.libs import get_lib
 
 
 class TestRoundtrip:
@@ -103,8 +102,7 @@ class TestOneSolver:
         batch = payload["soa"]
         S, X, T = (batch.batch.get(k) for k in ("S", "X", "T"))
         target = np.empty_like(S)
-        call_price_sig(S, X, T, batch.rate, surface_vols(batch), target,
-                       get_lib("numpy"))
+        call_price_sig(S, X, T, batch.rate, surface_vols(batch), target)
         impl = registry.impl("black_scholes", "implied", "serial")
         with SlabExecutor("serial") as ex:
             tier = as_result_slab(impl.fn(payload, ex), impl.outputs)

@@ -61,6 +61,14 @@ class TestPricingRequest:
         with pytest.raises(DomainError, match="finite"):
             _req(4, **bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(S=[10 ** 400, 90.0, 100.0, 110.0]), dict(rate=10 ** 400)])
+    def test_integer_beyond_float_range_rejected(self, bad):
+        # JSON allows integers no double holds; converting one raises
+        # OverflowError, which must surface as the same typed error.
+        with pytest.raises(DomainError, match="finite"):
+            _req(4, **bad)
+
 
 class TestGatewayResult:
     def _result(self):

@@ -115,6 +115,19 @@ class TestServer:
             assert reply["ok"] and reply["id"] == 6
         asyncio.run(_with_server(body))
 
+    def test_integer_beyond_float_range_gets_error_reply(self):
+        async def body(reader, writer):
+            reply = await _rpc(reader, writer, {
+                "id": 7, "S": [10 ** 400], "X": [95.0], "T": [1.0],
+                "rate": 0.05, "vol": 0.2})
+            assert not reply["ok"] and reply["id"] == 7
+            assert reply["error"] == "DomainError"
+            reply = await _rpc(reader, writer, {
+                "id": 8, "S": [100.0], "X": [95.0], "T": [1.0],
+                "rate": 0.05, "vol": 0.2})
+            assert reply["ok"] and reply["id"] == 8
+        asyncio.run(_with_server(body))
+
     def test_unbatchable_tier_reported(self):
         async def body(reader, writer):
             reply = await _rpc(reader, writer, {

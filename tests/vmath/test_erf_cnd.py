@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from repro.vmath import vcnd, vcnd_via_erf, verf, verfc, vpdf
+from repro.vmath import vcnd, verf, verfc, vpdf
 
 
 class TestErf:
@@ -78,12 +78,6 @@ class TestCnd:
 
     def test_median(self):
         assert vcnd(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-16)
-
-    def test_via_erf_matches_in_core(self, rng_np):
-        """The paper's erf substitution is accuracy-neutral in the region
-        option pricing uses (Sec. IV-A2)."""
-        x = rng_np.uniform(-8, 8, 50_000)
-        assert np.allclose(vcnd_via_erf(x), vcnd(x), atol=2e-16, rtol=1e-12)
 
     def test_monotone(self):
         x = np.linspace(-8, 8, 100_001)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vmath import vexp, vexp_blocked, vlog, vlog_blocked
+from repro.vmath import vexp, vlog
 
 
 class TestExpAccuracy:
@@ -79,19 +79,3 @@ class TestRoundTrips:
         b = rng_np.uniform(-5, 5, 1000)
         assert np.allclose(vexp(a + b), vexp(a) * vexp(b), rtol=1e-13)
 
-
-class TestBlockedVariants:
-    def test_blocked_exp_identical(self, rng_np):
-        x = rng_np.uniform(-50, 50, 10_001)  # non-multiple of block
-        assert np.array_equal(vexp_blocked(x, block=1024), vexp(x))
-
-    def test_blocked_log_identical(self, rng_np):
-        x = 10.0 ** rng_np.uniform(-5, 5, 3_333)
-        assert np.array_equal(vlog_blocked(x, block=256), vlog(x))
-
-    def test_blocked_out_parameter(self, rng_np):
-        x = rng_np.uniform(-1, 1, 100)
-        out = np.empty_like(x)
-        ret = vexp_blocked(x, block=32, out=out)
-        assert ret is out
-        assert np.array_equal(out, vexp(x))
