@@ -11,7 +11,9 @@ with ``w_l = (t_r − t_m)/(t_r − t_l)``, ``w_r = 1 − w_l`` and
 ``sig = sqrt((t_m − t_l)(t_r − t_m)/(t_r − t_l))``. On the uniform dyadic
 grid these are ``w = ½`` and ``sig_d = sqrt(T / 2^(d+2))``, but the tables
 are computed from the general formula so non-dyadic spacing is a
-one-line extension.
+one-line extension.  A schedule records whether its tables are that
+uniform case exactly (:attr:`BridgeSchedule.uniform_sig`), which lets
+the vectorized core take its four-pass level body.
 
 A ``depth``-level bridge has ``2^depth`` steps (the paper's "64-step"
 workload is depth 6) and consumes exactly ``2^depth`` normals per path:
@@ -20,7 +22,9 @@ one for the terminal value, then ``2^d`` per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +46,11 @@ class BridgeSchedule:
         Tuples of per-level arrays, each of length ``2^d`` at level ``d``.
     last_sig:
         ``sqrt(T)`` — scale of the terminal value's gaussian.
+    uniform_sig:
+        Derived from the tables, never passed: one ``sig`` per level
+        when every ``w_l``/``w_r`` is exactly ``0.5`` and ``sig`` is
+        constant within each level, else ``None``.
+        ``dataclasses.replace`` re-derives it.
     """
 
     depth: int
@@ -50,6 +59,15 @@ class BridgeSchedule:
     w_r: tuple
     sig: tuple
     last_sig: float
+    uniform_sig: tuple | None = field(init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self) -> None:
+        uniform = all((wl == 0.5).all() and (wr == 0.5).all()
+                      and (sg == sg[0]).all()
+                      for wl, wr, sg in zip(self.w_l, self.w_r, self.sig))
+        object.__setattr__(self, "uniform_sig", tuple(
+            float(sg[0]) for sg in self.sig) if uniform else None)
 
     @property
     def n_steps(self) -> int:
@@ -67,10 +85,15 @@ class BridgeSchedule:
 def make_schedule(depth: int, horizon: float = 1.0) -> BridgeSchedule:
     """Coefficient tables for a uniform dyadic bridge of ``2^depth``
     steps over ``[0, horizon]``."""
-    if depth < 1:
-        raise ConfigurationError(f"depth must be >= 1, got {depth}")
-    if horizon <= 0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    if (isinstance(depth, bool)
+            or not isinstance(depth, numbers.Integral) or depth < 1):
+        raise ConfigurationError(
+            f"depth must be an integer >= 1, got {depth!r}")
+    if (not isinstance(horizon, numbers.Real)
+            or not math.isfinite(horizon) or horizon <= 0):
+        raise ConfigurationError(
+            f"horizon must be positive and finite, got {horizon!r}")
+    depth, horizon = int(depth), float(horizon)
     w_l, w_r, sig = [], [], []
     times = np.linspace(0.0, horizon, (1 << depth) + 1)
     for d in range(depth):

@@ -34,7 +34,7 @@ def default_block_paths(schedule: BridgeSchedule, llc_bytes: int) -> int:
     interleaved tiers; inside it :func:`build_vectorized` builds in
     L2-sized blocks of its own."""
     bytes_per_path = (schedule.randoms_per_path()      # the chunk of normals
-                      + 2 * schedule.n_points          # state + draws.T
+                      + 2 * schedule.n_points          # state + scratch
                       + schedule.n_points) * 8         # output block
     block = max(1, llc_bytes // (2 * bytes_per_path))  # half-LLC headroom
     return block

@@ -29,8 +29,8 @@ from .vectorized import (bridge_blocks, bridge_workspace,
 
 def _bytes_per_path(schedule: BridgeSchedule) -> int:
     """Slab budget per path: randoms in, output block, and the share
-    of state and transposed draws a path holds while its block is
-    built (the :func:`default_block_paths` accounting)."""
+    of state and update scratch a path holds while its block is built
+    (the :func:`default_block_paths` accounting)."""
     return (schedule.randoms_per_path() + 3 * schedule.n_points) * 8
 
 
@@ -54,11 +54,10 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
     draws: the path-major reshape, the output allocation and — per
     in-process slab — one block workspace
     (:func:`~.vectorized.bridge_workspace`: in-place state with its
-    zero row, transposed-draw and update scratch).  Out-of-process
-    workers own their address space, so there the slab body allocates
-    its block workspace per call — the same core, bit for bit.  The
-    runner's result view is the flat ``arena.get("result")`` reshaped
-    per path.
+    zero row, and update scratch).  Out-of-process workers own their
+    address space, so there the slab body allocates its block
+    workspace per call — the same core, bit for bit.  The runner's
+    result view is the flat ``arena.get("result")`` reshaped per path.
     """
     r = randoms_to_path_major(schedule, randoms)
     n_paths = r.shape[0]

@@ -2,11 +2,14 @@
 interleaving, Fig. 6 shape."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import registry
+from repro.config import SMALL_SIZES
 from repro.errors import ConfigurationError
 from repro.kernels.brownian import (BridgeSchedule, bridge_covariance,
                                     build, build_cache_to_cache,
@@ -63,6 +66,64 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             make_schedule(3, horizon=-1.0)
 
+    @pytest.mark.parametrize("depth, horizon", [
+        (3, math.nan), (3, math.inf), (3, -math.inf),
+        (2.5, 1.0), (True, 1.0), ("3", 1.0), (3, "1.0")],
+        ids=["nan", "inf", "-inf", "depth-2.5", "depth-True",
+             "depth-str", "horizon-str"])
+    def test_rejects_non_finite_horizon_and_non_int_depth(self, depth,
+                                                          horizon):
+        with pytest.raises(ConfigurationError):
+            make_schedule(depth, horizon=horizon)
+
+    def test_numpy_integer_depth_accepted(self):
+        sch = make_schedule(np.int64(3), horizon=np.float64(2.0))
+        assert sch.n_steps == 8 and type(sch.depth) is int
+
+
+class TestUniformDetection:
+    """Which level body runs: a silent fall-back to the general body
+    would pass every equality test, so the detection is pinned."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_dyadic_schedule_is_uniform(self, depth):
+        sch = make_schedule(depth)
+        assert sch.uniform_sig == tuple(float(sg[0]) for sg in sch.sig)
+
+    def test_workload_schedule_is_uniform(self):
+        payload = registry.workload("brownian").build(SMALL_SIZES, seed=1)
+        assert payload["schedule"].uniform_sig is not None
+
+    @pytest.mark.parametrize("depth", range(2, 9))
+    def test_inexact_horizon_is_not_uniform(self, depth):
+        assert make_schedule(depth, horizon=1.3).uniform_sig is None
+
+    def test_replace_rederives(self):
+        base = make_schedule(4)
+        scaled = dataclasses.replace(
+            base, sig=tuple(2.0 * sg for sg in base.sig))
+        assert scaled.uniform_sig == tuple(2.0 * s for s in base.uniform_sig)
+
+    def test_sig_varying_within_a_level_is_not_uniform(self):
+        base = make_schedule(4)
+        sch = dataclasses.replace(
+            base, sig=base.sig[:3] + (base.sig[3] * np.linspace(0.5, 1.5, 8),))
+        assert all((w == 0.5).all() for w in sch.w_l + sch.w_r)
+        assert sch.uniform_sig is None
+        z = NormalGenerator(MT19937(9)).normals(50 * sch.n_steps)
+        assert np.array_equal(build_vectorized(sch, z),
+                              build_reference(sch, z))
+
+    @given(st.integers(1, 8), st.integers(-3, 3), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_body_equals_reference(self, depth, k, n_paths):
+        sch = make_schedule(depth, horizon=2.0 ** k)
+        assert sch.uniform_sig is not None
+        z = NormalGenerator(MT19937(depth * 1000 + n_paths)).normals(
+            n_paths * sch.randoms_per_path())
+        assert np.array_equal(build_vectorized(sch, z),
+                              build_reference(sch, z))
+
 
 class TestTierEquality:
     def test_vectorized_bitwise_equals_reference(self, schedule, randoms):
@@ -110,6 +171,12 @@ class TestTierEquality:
         with pytest.raises(ConfigurationError):
             build_vectorized(schedule, np.zeros((2, 64)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_out_dtype_validated(self, schedule, dtype):
+        out = np.zeros((2, schedule.n_points), dtype=dtype)
+        with pytest.raises(ConfigurationError):
+            build_vectorized(schedule, np.ones(2 * 64), out=out)
+
 
 class TestBridgeCore:
     """The one in-place, cache-blocked core behind every vectorized
@@ -147,6 +214,8 @@ class TestBridgeCore:
     def test_reused_workspace_leaks_nothing(self, schedule):
         width = block_paths(schedule)
         ws = bridge_workspace(schedule, width, WorkspaceArena().reserve)
+        # State and two scratch blocks; the draws are read in place.
+        assert sorted(ws) == ["state", "t1", "t2"]
         first = NormalGenerator(MT19937(1)).normals((width + 5) * 64)
         second = NormalGenerator(MT19937(2)).normals(9 * 64)
         out = np.empty((width + 5, 65))
