@@ -19,12 +19,13 @@ half-step and its GSOR solve are needed).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ...config import DTYPE
-from ...errors import DomainError
+from ...errors import ConfigurationError, DomainError
 from ...pricing.options import Option, OptionKind
 
 
@@ -68,6 +69,12 @@ def make_grid(opt: Option, n_points: int = 256, n_steps: int = 1000,
     """Build the grid. ``x_half_width`` defaults to a multiple of the
     total volatility wide enough that boundary truncation error is
     negligible for near-the-money contracts."""
+    for name, value in (("n_points", n_points), ("n_steps", n_steps)):
+        if (isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)):
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}")
+    n_points, n_steps = int(n_points), int(n_steps)
     if n_points < 8:
         raise DomainError("need at least 8 spatial points")
     if n_steps < 1:

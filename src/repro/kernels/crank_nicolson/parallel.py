@@ -21,6 +21,7 @@ import numpy as np
 from ...errors import DomainError
 from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
+from .gsor import check_solver_args
 from .planned import march_slab, plan_slab
 from .solver import solve
 
@@ -56,8 +57,11 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
     for the default ``red_black`` solver; other solvers — and
     out-of-process workers, which march in their own address spaces —
     ship the options and build their state in the slab body (still a
-    frozen, validated dispatch).
+    frozen, validated dispatch).  ``omega``, ``tol`` and ``max_sweeps``
+    are checked here, before anything is reserved.
     """
+    check_solver_args(kwargs.get("omega", 1.0), kwargs.get("tol", 1e-14),
+                      kwargs.get("max_sweeps", 10_000))
     options = list(options)
     if not options:
         raise DomainError("empty option group")

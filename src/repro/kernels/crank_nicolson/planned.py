@@ -14,12 +14,17 @@ sweep, and every ufunc call spans *contracts × lattice points*.
 Bit-exactness contract: every floating-point operation the march
 performs on a lane is the same operation, on the same values, in the
 same order, as the cold ``solve(..., solver="red_black")`` path on that
-contract alone — only *where* results land changes.  Scalar factors
-become per-element arrays of the same scalar, the squared-update sum is
-a row reduce over the lane's own elements, a lane is frozen after its
-own convergence sweep, and the spot price replays ``np.interp``'s exact
-branch structure (``slope·(x−x_j) + f_j`` with the same edge cases), so
-prices agree to the last bit whatever contracts share the slab.
+contract alone — only *where* results land changes.  The fused
+coefficients ``A = ω·(coeff·α/2)``, ``C = 1−ω`` and ``Bw = (ω·coeff)·b``
+become per-element arrays of the oracle's scalars (``Bw`` of its
+array), and every lane tests convergence on the oracle's sweeps —
+every :data:`~.gsor.RB_CHECK_EVERY` and at ``max_sweeps`` — with the
+squared-update sum a row reduce over the lane's own elements.  A lane is
+frozen after its own convergence sweep by ``A = Bw = 0, C = 1``, which
+makes its half-sweep ``u·1 + 0`` — itself.  The spot price replays
+``np.interp``'s exact branch structure (``slope·(x−x_j) + f_j`` with the
+same edge cases), so prices agree to the last bit whatever contracts
+share the slab.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from ...errors import ConvergenceError, DomainError
 from ...pricing.options import ExerciseStyle, OptionKind
 from .grid import (HeatGrid, boundary_values, make_grid,
                    transformed_payoff)
-from .gsor import adapt_omega
+from .gsor import RB_CHECK_EVERY, adapt_omega, check_solver_args
 
 
 class ContractPlan:
@@ -58,9 +63,10 @@ def plan_contract(grid: HeatGrid, ws: dict, lane: int) -> ContractPlan:
     projected = ws["projected"][lane] = opt.style is ExerciseStyle.AMERICAN
     ws["alpha1"][lane] = 1.0 - grid.alpha
     ws["alpha2"][lane] = 0.5 * grid.alpha
-    half = (n_points + 1) // 2
-    ws["coeff"][lane * half:(lane + 1) * half] = 1.0 / (1.0 + grid.alpha)
-    ws["half_alpha"][lane * half:(lane + 1) * half] = 0.5 * grid.alpha
+    # The oracle's scalars, by its own expressions: A = ω·ca, ω·coeff.
+    coeff = 1.0 / (1.0 + grid.alpha)
+    ws["coeff"][lane] = coeff
+    ws["ca"][lane] = coeff * (0.5 * grid.alpha)
 
     # transformed_payoff(grid, tau) == exp(xc + tc*tau) * intrinsic,
     # with xc and tc evaluated by the very same expressions it uses.
@@ -112,10 +118,11 @@ def plan_slab(options, n_points: int, n_steps: int, reserve) -> dict:
     (``stride`` = ``n_points`` rounded up to even, one pad element at
     each end), so the odd points of *every* lane are one strided 1-D
     view, their left and right neighbours two more of the same length,
-    and likewise the even points; ``half_alpha``, ``coeff`` and ω are
-    expanded per element, so no sweep call broadcasts or iterates in
-    2-D.  Dirichlet and pad elements ride along inert: their ω is 0 and
-    their obstacle ``-inf``, as is a European lane's.
+    and likewise the even points; the fused coefficients ``A``, ``C``
+    and ``Bw`` are expanded per parity element, so no sweep call
+    broadcasts or iterates in 2-D.  Dirichlet and pad elements ride
+    along inert: their ``A`` and ``Bw`` are 0, their ``C`` 1 and their
+    obstacle ``-inf``, as is a European lane's.
     """
     # Grids first: they validate the lattice sizes the shapes below use.
     grids = [make_grid(opt, n_points, n_steps) for opt in options]
@@ -131,15 +138,16 @@ def plan_slab(options, n_points: int, n_steps: int, reserve) -> dict:
             ("u0", (lanes, n)), ("shifts", (n_steps, lanes, 1)),
             ("ends", (n_steps, lanes, 2)),
             ("y", flat // 2), ("t", flat // 2),
-            ("half_alpha", flat // 2), ("coeff", flat // 2),
+            ("coeff", (lanes, 1)), ("ca", (lanes, 1)),
             ("alpha1", (lanes, 1)), ("alpha2", (lanes, 1)),
             ("omega", (lanes, 1)), ("mask", (2, lanes, half)),
-            ("om", (2, lanes, half)), ("err2", (2, lanes)),
-            ("err", lanes)):
+            ("om", (2, lanes, half)), ("A", (2, lanes, half)),
+            ("C", (2, lanes, half)), ("Bw", (2, lanes, half)),
+            ("err2", (2, lanes)), ("err", lanes)):
         ws[name] = reserve(name, shape, DTYPE)
     ws["done"] = reserve("done", lanes, bool)
     ws["projected"] = reserve("projected", (lanes, 1), bool)
-    ub, g, om, err2 = ws["ub"], ws["g"], ws["om"], ws["err2"]
+    ub, g, err2 = ws["ub"], ws["g"], ws["err2"]
     ub[:] = 0.0
     g[:] = -np.inf
     # (lanes, n) views of the flat axes; ub2[0] is u, ub2[1] is b.
@@ -157,47 +165,63 @@ def plan_slab(options, n_points: int, n_steps: int, reserve) -> dict:
     ws["mask"][1, :, 1:1 + counts[1]] = 1.0
     u, b = ub
     t2 = ws["t"].reshape(lanes, half)
-    # Per parity: (u_j, u_left, u_right, b_j, g_j, omega, the lanes'
-    # own squared-update rows, their sums).
+    A, C, Bw = (ws[name].reshape(2, -1) for name in ("A", "C", "Bw"))
+    # Per parity: (u_j, u_left, u_right, g_j, A, C, Bw, the lanes' own
+    # squared-update rows, their sums).
     ws["rb"] = (
-        (u[2:flat + 1:2], u[1:flat:2], u[3:flat + 2:2],
-         b[2:flat + 1:2], g[2:flat + 1:2], om[0].reshape(-1),
-         t2[:, :counts[0]], err2[0]),
-        (u[1:flat:2], u[0:flat - 1:2], u[2:flat + 1:2],
-         b[1:flat:2], g[1:flat:2], om[1].reshape(-1),
-         t2[:, 1:1 + counts[1]], err2[1]),
+        (u[2:flat + 1:2], u[1:flat:2], u[3:flat + 2:2], g[2:flat + 1:2],
+         A[0], C[0], Bw[0], t2[:, :counts[0]], err2[0]),
+        (u[1:flat:2], u[0:flat - 1:2], u[2:flat + 1:2], g[1:flat:2],
+         A[1], C[1], Bw[1], t2[:, 1:1 + counts[1]], err2[1]),
     )
+    # Per parity: (b_j, ω·coeff, Bw) for the per-step Bw = (ω·coeff)·b.
+    om = ws["om"].reshape(2, -1)
+    ws["bw_terms"] = ((b[2:flat + 1:2], om[0], Bw[0]),
+                      (b[1:flat:2], om[1], Bw[1]))
     return ws
 
 
 def _rb_solve(ws: dict, tol: float, max_sweeps: int) -> list:
     """One implicit solve of every lane: red-black projected SOR over
-    the flat parity views, allocation-free.  Each lane's iterates are
-    those of :func:`~.gsor.gsor_solve_vectorized_rb` on that lane
-    alone; returns every lane's own convergence sweep, after which its
-    ω is zeroed so later sweeps leave it untouched."""
+    the flat parity views on the step's fused coefficients,
+    allocation-free.  Each lane's iterates are those of
+    :func:`~.gsor.gsor_solve_vectorized_rb` on that lane alone.  Only
+    a test sweep (every :data:`~.gsor.RB_CHECK_EVERY`, and the last)
+    keeps the update in ``y`` to form the squared-update rows; the
+    others write ``u`` in place.  Returns every lane's own convergence
+    sweep, after which its coefficients are made inert (``A = Bw = 0,
+    C = 1``) so later sweeps leave it untouched."""
     y, t = ws["y"], ws["t"]
-    half_alpha, coeff = ws["half_alpha"], ws["coeff"]
-    om, err, done = ws["om"], ws["err"], ws["done"]
+    A, C, Bw = ws["A"], ws["C"], ws["Bw"]
+    err, done = ws["err"], ws["done"]
     err_odd, err_even = ws["err2"]
     rb, projected = ws["rb"], ws["obstacle"]
     sweeps = [0] * len(done)
     n_done = 0
     for sweep in range(1, max_sweeps + 1):
-        for u_j, u_l, u_r, b_j, g_j, omega, t_rows, err_p in rb:
+        test = sweep % RB_CHECK_EVERY == 0 or sweep == max_sweeps
+        for u_j, u_l, u_r, g_j, a, c, bw, t_rows, err_p in rb:
+            # y = (u_l + u_r)·A + Bw + u_j·C, then max(g_j, y).
+            np.multiply(u_j, c, out=t)
             np.add(u_l, u_r, out=y)
-            np.multiply(y, half_alpha, out=y)
-            np.add(b_j, y, out=y)
-            np.multiply(y, coeff, out=y)
-            np.subtract(y, u_j, out=t)
-            np.multiply(t, omega, out=t)
-            np.add(u_j, t, out=y)
+            np.multiply(y, a, out=y)
+            np.add(y, bw, out=y)
+            if not test:
+                if projected:
+                    np.add(y, t, out=y)
+                    np.maximum(g_j, y, out=u_j)
+                else:
+                    np.add(y, t, out=u_j)
+                continue
+            np.add(y, t, out=y)
             if projected:
                 np.maximum(g_j, y, out=y)
             np.subtract(y, u_j, out=t)
             np.multiply(t, t, out=t)
             np.add.reduce(t_rows, axis=1, out=err_p)
             np.copyto(u_j, y)
+        if not test:
+            continue
         np.add(err_odd, err_even, out=err)
         np.less_equal(err, tol, out=done)
         if np.count_nonzero(done) == n_done:
@@ -205,7 +229,9 @@ def _rb_solve(ws: dict, tol: float, max_sweeps: int) -> list:
         for lane, ok in enumerate(done.tolist()):
             if ok and not sweeps[lane]:
                 sweeps[lane] = sweep
-                om[:, lane] = 0.0
+                A[:, lane] = 0.0
+                Bw[:, lane] = 0.0
+                C[:, lane] = 1.0
                 n_done += 1
         if n_done == len(done):
             return sweeps
@@ -224,7 +250,9 @@ def march_slab(ws: dict, out: np.ndarray, omega: float = 1.0,
     :func:`~.solver.solve`'s (``tol=1e-14``, not the raw solver's
     ``1e-9``).  Lanes share nothing but the calls: each keeps its own
     ω history and convergence sweep, so prices do not depend on which
-    contracts share a slab."""
+    contracts share a slab.  Raises ``ConfigurationError`` for arguments
+    no PSOR solve can honour (:func:`~.gsor.check_solver_args`)."""
+    check_solver_args(omega, tol, max_sweeps)
     ub2, e1, e2 = ws["ub2"], ws["e1"], ws["e2"]
     u2, b2 = ub2
     alpha1, alpha2 = ws["alpha1"], ws["alpha2"]
@@ -247,7 +275,13 @@ def march_slab(ws: dict, out: np.ndarray, omega: float = 1.0,
         np.multiply(u2[:, 1:-1], alpha1, out=e1)
         np.add(e1, e2, out=b2[:, 1:-1])
         np.copyto(ws["ub_ends"], ws["ends"][step])   # Dirichlet pairs
+        # Fused coefficients: om = ω on interior points, 0 elsewhere.
         np.multiply(mask, omega_col, out=om)
+        np.subtract(1.0, om, out=ws["C"])
+        np.multiply(om, ws["ca"], out=ws["A"])
+        np.multiply(om, ws["coeff"], out=om)
+        for b_j, omega_coeff, bw in ws["bw_terms"]:
+            np.multiply(omega_coeff, b_j, out=bw)
         sweeps = _rb_solve(ws, tol, max_sweeps)
         for lane in range(lanes):
             omega_col[lane, 0] = adapt_omega(

@@ -5,7 +5,7 @@ half-implicit steps. The explicit half and the payoff refresh
 autovectorize (the cheap ~10% the paper leaves alone); the implicit half
 is delegated to a pluggable PSOR solver — scalar GSOR (reference),
 wavefront (manual SIMD), transformed wavefront (data reorder), or
-red-black (ablation). Listing 6's ω-adaptation heuristic is applied
+red-black (the basic tier). Listing 6's ω-adaptation heuristic is applied
 between steps.
 """
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import ConvergenceError
-from .gsor import SolveStats
+from .gsor import SolveStats, check_solver_args
 
 
 def _band_waves(k_lo: int, k_hi: int, n: int):
@@ -44,6 +44,7 @@ def wavefront_solve(b: np.ndarray, u: np.ndarray, g: np.ndarray | None,
                     width: int = 8, max_sweeps: int = 10_000) -> SolveStats:
     """Implicit solve, in place on ``u``, by W-unrolled wavefront PSOR
     with strided (gathered) accesses."""
+    check_solver_args(omega, tol, max_sweeps)
     if width < 1:
         raise ValueError("width must be >= 1")
     n = u.shape[0]
@@ -96,6 +97,7 @@ def wavefront_solve_transformed(b: np.ndarray, u: np.ndarray,
     """Same wavefront schedule on parity-reordered arrays: every access
     is a unit-stride slice (the Fig. 8 advanced tier). Results are
     bit-identical to :func:`wavefront_solve`."""
+    check_solver_args(omega, tol, max_sweeps)
     if width < 1:
         raise ValueError("width must be >= 1")
     n = u.shape[0]

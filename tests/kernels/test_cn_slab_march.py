@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConvergenceError
-from repro.kernels.crank_nicolson import (solve, solve_batch,
+from repro.errors import ConfigurationError, ConvergenceError
+from repro.kernels.crank_nicolson import (SOLVERS, solve, solve_batch,
                                           solve_batch_parallel)
+from repro.kernels.crank_nicolson.gsor import RB_CHECK_EVERY
+from repro.kernels.crank_nicolson.parallel import compile_solve_batch
 from repro.kernels.crank_nicolson.planned import march_slab, plan_slab
 from repro.parallel import SlabExecutor
 from repro.plan import WorkspaceArena, audit_allocations
@@ -38,8 +40,9 @@ def march(options, n_points=N_POINTS, n_steps=N_STEPS, **kwargs):
     return out, ws
 
 
-#: Fast, middling and slow lanes (at most 3, 5 and 8 sweeps a step on
-#: the test lattice), a European call and a call struck off the spot.
+#: Fast, middling and slow lanes (4, 4 and 8 sweeps a step on the test
+#: lattice, whose convergence is tested every 4), a European call and a
+#: call struck off the spot.
 MIXED = [
     contract(100, vol=0.05, expiry=0.1),
     contract(95, vol=0.1),
@@ -90,12 +93,14 @@ class TestSlabPartition:
         assert not exact[1]
 
     def test_lanes_converge_at_different_sweeps(self):
-        sweeps = [solve(o, N_POINTS, N_STEPS, "red_black").total_sweeps
+        # On 41 points the three lanes need 4, 8 and 16 sweeps a step
+        # (on 21 points the first two both stop at the first test).
+        sweeps = [solve(o, 41, N_STEPS, "red_black").total_sweeps
                   for o in MIXED[:3]]
         assert len(set(sweeps)) == 3
         assert np.array_equal(
-            march(MIXED[:3])[0],
-            solve_batch(MIXED[:3], N_POINTS, N_STEPS, "red_black"))
+            march(MIXED[:3], 41)[0],
+            solve_batch(MIXED[:3], 41, N_STEPS, "red_black"))
 
     def test_backend_partitions_agree(self):
         # serial marches one cache-sized slab, the pooled thread
@@ -110,9 +115,46 @@ class TestSlabPartition:
             assert np.array_equal(prices, reference), backend
 
 
+class TestCheckStride:
+    @pytest.mark.parametrize("n_points, max_sweeps",
+                             [(N_POINTS, 10_000), (41, 10_000),
+                              (N_POINTS, 7)])
+    def test_step_sweeps_are_test_sweeps(self, monkeypatch, n_points,
+                                         max_sweeps):
+        # Convergence is tested every RB_CHECK_EVERY sweeps and at
+        # max_sweeps, so no step can report any other count.
+        counts = []
+        oracle = SOLVERS["red_black"]
+
+        def recording(*args, **kwargs):
+            stats = oracle(*args, **kwargs)
+            counts.append(stats.sweeps)
+            return stats
+
+        monkeypatch.setitem(SOLVERS, "red_black", recording)
+        for opt in MIXED[:3]:
+            solve(opt, n_points, N_STEPS, "red_black",
+                  max_sweeps=max_sweeps)
+        assert len(counts) == 3 * N_STEPS
+        assert all(c % RB_CHECK_EVERY == 0 or c == max_sweeps
+                   for c in counts), counts
+        if max_sweeps == 7:
+            # The slow lane converges on the forced test at sweep 7.
+            assert 7 % RB_CHECK_EVERY and 7 in counts
+
+    def test_forced_test_sweep_is_bit_identical(self):
+        prices, _ = march(MIXED, max_sweeps=7)
+        assert np.array_equal(
+            prices, solve_batch(MIXED, N_POINTS, N_STEPS, "red_black",
+                                max_sweeps=7))
+
+
 class TestConvergenceError:
     def test_names_the_slow_lane(self):
         slow = MIXED[2]
+        # 5 is off the test stride: the forced test at max_sweeps
+        # forms the residual, planned and cold alike.
+        assert 5 % RB_CHECK_EVERY
         with pytest.raises(ConvergenceError) as alone:
             solve(slow, N_POINTS, N_STEPS, "red_black", max_sweeps=5)
         with SlabExecutor("serial") as ex:
@@ -121,14 +163,46 @@ class TestConvergenceError:
                                      executor=ex, max_sweeps=5)
         err = batched.value
         assert "PUT K=100" in str(err)
-        assert err.iterations == 5
+        assert err.iterations == alone.value.iterations == 5
         # The lane's own residual, not a slab-wide sum.
-        assert err.residual == alone.value.residual
+        assert err.residual == alone.value.residual > 0.0
 
     def test_fast_lanes_alone_converge(self):
         prices, _ = march(MIXED[:2], max_sweeps=5)
         assert np.array_equal(
             prices, solve_batch(MIXED[:2], N_POINTS, N_STEPS, "red_black"))
+
+
+BAD_ARGS = [{"omega": 0.0}, {"omega": 2.0}, {"omega": float("nan")},
+            {"tol": float("nan")}, {"tol": -1.0}, {"max_sweeps": 0},
+            {"max_sweeps": True}]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("bad", BAD_ARGS, ids=str)
+    def test_march_rejects(self, bad):
+        ws = plan_slab(MIXED, N_POINTS, N_STEPS,
+                       lambda name, shape, dtype: np.empty(shape, dtype))
+        out = np.full(len(MIXED), -1.0)
+        with pytest.raises(ConfigurationError):
+            march_slab(ws, out, **bad)
+        assert (out == -1.0).all()
+
+    @pytest.mark.parametrize("solver", ["red_black", "gsor"])
+    @pytest.mark.parametrize("bad", BAD_ARGS, ids=str)
+    def test_compile_rejects_before_reserving(self, bad, solver):
+        arena = WorkspaceArena(tag="cn-test")
+        with SlabExecutor("serial") as ex:
+            with pytest.raises(ConfigurationError):
+                compile_solve_batch(MIXED, N_POINTS, N_STEPS, ex, arena,
+                                    solver=solver, **bad)
+        assert arena.nbytes == 0
+
+    def test_parallel_tier_rejects_omega_zero(self):
+        with SlabExecutor("serial") as ex:
+            with pytest.raises(ConfigurationError):
+                solve_batch_parallel(MIXED[:1], 64, 50, executor=ex,
+                                     omega=0.0)
 
 
 class TestAllocation:

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ConvergenceError, DomainError
 from repro.kernels.binomial import price_basic as binomial_price
-from repro.kernels.crank_nicolson import (adapt_omega, build, gsor_solve,
+from repro.kernels.crank_nicolson import (SOLVERS, adapt_omega, build,
+                                          gsor_solve,
                                           gsor_solve_vectorized_rb,
                                           make_grid, price_at_spot, s_grid,
                                           solve, solve_batch,
                                           transformed_payoff, untransform,
                                           wavefront_solve,
                                           wavefront_solve_transformed)
+from repro.kernels.crank_nicolson.gsor import RB_CHECK_EVERY
 from repro.pricing import (ExerciseStyle, Option, OptionKind, bs_call,
                            bs_put)
 from repro.validation import AMERICAN_PUT_ANCHOR
@@ -58,6 +60,22 @@ class TestGrid:
             make_grid(american_put, 4, 10)
         with pytest.raises(DomainError):
             make_grid(american_put, 64, 0)
+
+    @pytest.mark.parametrize("n_points, n_steps", [
+        (64, True), (True, 50), (64.5, 50), (64, 50.0), ("64", 50),
+        (64, None)])
+    def test_non_integer_sizes_rejected(self, american_put, n_points,
+                                        n_steps):
+        # True is an int to Python and would price a 1-step lattice.
+        with pytest.raises(ConfigurationError):
+            make_grid(american_put, n_points, n_steps)
+
+    def test_numpy_integer_sizes_accepted(self, american_put):
+        g = make_grid(american_put, np.int64(64), np.int32(50))
+        want = make_grid(american_put, 64, 50)
+        assert (g.n_points, g.n_steps) == (64, 50)
+        assert type(g.n_points) is int and type(g.n_steps) is int
+        assert np.array_equal(g.x, want.x) and g.alpha == want.alpha
 
 
 def _random_system(seed, n=61):
@@ -148,10 +166,65 @@ class TestSolverEquivalence:
         s8 = gsor_solve(b, u0.copy(), g, 0.73, tol=1e-12, check_every=8)
         assert s1.sweeps <= s8.sweeps < s1.sweeps + 8
 
+    def test_red_black_residual_is_the_last_sweeps_own(self):
+        """At a ``max_sweeps`` off the test stride, the forced test
+        reports the update of sweep ``max_sweeps`` itself: the same as
+        one more sweep from where ``max_sweeps - 1`` sweeps left u."""
+        b, g, u0 = _random_system(4)
+        m = RB_CHECK_EVERY + 1
+        with pytest.raises(ConvergenceError) as whole:
+            gsor_solve_vectorized_rb(b, u0.copy(), g, 0.73, tol=0.0,
+                                     max_sweeps=m)
+        u = u0.copy()
+        with pytest.raises(ConvergenceError):
+            gsor_solve_vectorized_rb(b, u, g, 0.73, tol=0.0,
+                                     max_sweeps=m - 1)
+        with pytest.raises(ConvergenceError) as last:
+            gsor_solve_vectorized_rb(b, u, g, 0.73, tol=0.0, max_sweeps=1)
+        assert whole.value.iterations == m
+        assert whole.value.residual == last.value.residual > 0.0
+
     def test_check_every_validation(self):
         b, g, u = _random_system(2)
         with pytest.raises(ValueError):
             gsor_solve(b, u, g, 0.73, check_every=0)
+
+
+#: Arguments no PSOR solve can honour: ω = 0 never moves an iterate, ω
+#: outside (0, 2) or a NaN ω or tol can only run out of sweeps, and with
+#: no sweep there is no residual to report.
+BAD_SOLVER_ARGS = [
+    {"omega": 0.0}, {"omega": -0.5}, {"omega": 2.0},
+    {"omega": float("nan")}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": -1e-9}, {"max_sweeps": 0}, {"max_sweeps": -3},
+    {"max_sweeps": True}, {"max_sweeps": 2.5},
+]
+
+
+class TestSolverArguments:
+    @pytest.mark.parametrize("bad", BAD_SOLVER_ARGS, ids=str)
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_every_solver_rejects(self, solver, bad):
+        b, g, u = _random_system(6)
+        before = u.copy()
+        with pytest.raises(ConfigurationError):
+            SOLVERS[solver](b, u, g, 0.73, **bad)
+        assert np.array_equal(u, before)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_omega_zero_does_not_price(self, solver, american_put):
+        # Unchecked, ω = 0 prices the payoff march: 0.943, not 9.880.
+        with pytest.raises(ConfigurationError):
+            solve(american_put, 64, 50, solver, omega=0.0)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_numpy_integer_max_sweeps_accepted(self, solver):
+        b, g, u0 = _random_system(6)
+        u1, u2 = u0.copy(), u0.copy()
+        s1 = SOLVERS[solver](b, u1, g, 0.73, max_sweeps=np.int64(5000))
+        s2 = SOLVERS[solver](b, u2, g, 0.73, max_sweeps=5000)
+        assert s1.sweeps == s2.sweeps
+        assert np.array_equal(u1, u2)
 
 
 class TestPricing:
