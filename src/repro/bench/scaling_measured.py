@@ -20,8 +20,8 @@ Interpreting the pooled backends: ``thread`` scales only as far as
 NumPy ufuncs release the GIL (large-array tiers scale, Python-bound
 tiers flatline — exactly the gap this study exists to expose);
 ``process`` sidesteps the GIL by mapping slabs out of shared-memory
-segments at the cost of one staging copy plus per-slab pickling per
-dispatch; ``daemon`` keeps the process backend's GIL-free execution
+segments (a plan's arrays live there from compile time) at the cost of
+per-slab pickling per dispatch; ``daemon`` keeps the process backend's GIL-free execution
 but moves steady-state dispatch onto shared-memory descriptor rings,
 eliminating the per-call pickling and queue hops.
 

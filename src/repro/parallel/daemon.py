@@ -145,8 +145,6 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
     Module-level so the ``spawn`` start method can import it.
     """
     install_signal_guards()
-    import numpy as np
-
     from .shm import _attach, _detach
 
     submit = Ring.attach(submit_name)
@@ -161,11 +159,8 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
         op = msg[0]
         if op == "pin":
             _, plan_id, out_id, fn, specs, tasks = msg
-            views = {}
-            for name, spec in specs.items():
-                shm = _attach(spec.segment)
-                views[name] = np.ndarray(spec.shape, dtype=spec.dtype,
-                                         buffer=shm.buf)
+            views = {name: spec.view(_attach(spec.segment).buf)
+                     for name, spec in specs.items()}
             pinned = []
             for consts, a, b, slab in tasks:
                 arrays = {name: (views[name][a:b] if spec.sliced else

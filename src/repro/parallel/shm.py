@@ -1,28 +1,41 @@
-"""Shared-memory staging for the process backend.
+"""Shared memory for the out-of-process backends.
 
 The thread backend hands workers zero-copy views into the caller's
-arrays; a process pool cannot, so this module provides the next-best
-contract — **copy once, slice many**.  The parent stages each named
-array into a persistent :mod:`multiprocessing.shared_memory` segment
-(one ``memcpy`` per run of a compiled dispatch), and every worker
-maps the segment and slices its slab as a zero-copy view, exactly as
-the thread backend slices the caller's arrays.  Per-slab task messages
-therefore carry only ``(fn, segment specs, consts, start, stop, slab)``
-— never array payloads — so dispatch cost is independent of the
-workload size, the property the paper's Sec. IV threading layer gets
-from its shared address space.
+arrays; a process cannot see the caller's heap, so this module puts
+the arrays where both sides can — named
+:mod:`multiprocessing.shared_memory` segments — and keeps a dispatch's
+per-run traffic free of array data.  Two kinds of array reach a
+worker:
+
+* **Resident** arrays already live in one of the executor's segments:
+  everything a plan compiles on a ``process``/``daemon`` executor (its
+  :class:`~repro.plan.WorkspaceArena` reservations and its copy of the
+  payload's streamed arrays).  A dispatch references them in place, as
+  ``(segment, offset)`` (:meth:`ShmArena.locate`), so a warm run
+  copies nothing — the property the paper's Sec. IV threading layer
+  gets from its shared address space.
+* **Caller-owned** arrays (a plain ``compile_shm``/``map_shm`` call)
+  are *staged*: copied into a segment of their own before each run and,
+  for written arrays, copied back after it.
+
+Either way workers slice their slab out of the segment as a zero-copy
+view, so per-slab task messages carry only ``(fn, segment specs,
+consts, start, stop, slab)`` — never array payloads.
 
 Layout of a dispatch
 --------------------
-* :class:`ShmArena` (parent side) owns named segments keyed by array
-  *role*.  Every compiled dispatch stages into roles of its own, kept
-  for as long as the dispatch lives — across all its runs — and
-  released (closed and unlinked) when it retires; a one-shot therefore
-  leaves no segment behind.  Whatever is still staged is unlinked when
-  the owning executor closes.
-* :class:`ArraySpec` describes one staged array: segment name, shape,
-  dtype, and whether workers slice it per slab (``sliced``) or read it
-  whole (shared inputs like a common random stream).
+* :class:`ShmArena` (parent side) owns named segments keyed by *role*:
+  a compiled dispatch's staged arrays and a workspace arena's chunks.
+  A role lives until :meth:`ShmArena.release` (dispatch retire, plan
+  close) and whatever is left is released when the owning executor
+  closes.  Release unlinks the segment's *name*; the parent's views are
+  built over a mapping of their own that they keep alive, so a result
+  read after its plan and executor closed is still valid, and the
+  memory goes when the last view does.
+* :class:`ArraySpec` describes one array to a worker: segment name,
+  byte offset, shape, dtype, and whether workers slice it per slab
+  (``sliced``) or read it whole (shared inputs like a common random
+  stream).
 * :func:`run_slab_task` (worker side) attaches segments through a
   bounded per-process cache — a pool worker maps a live dispatch's
   segments once and forgets the least recently used beyond
@@ -37,12 +50,14 @@ does not unlink a segment the parent still owns.
 
 from __future__ import annotations
 
+import mmap
 import os
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from .ring import guard_unlink, unguard
 
 #: Generation separator inside segment names; bumping the generation
 #: (on growth) changes the name, which is what invalidates worker-side
@@ -79,32 +94,74 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 
 
 class ArraySpec:
-    """Picklable description of one staged array (worker view recipe)."""
+    """Picklable description of one array in a segment (worker view
+    recipe): the array starts ``offset`` bytes into ``segment``."""
 
-    __slots__ = ("segment", "shape", "dtype", "sliced")
+    __slots__ = ("segment", "shape", "dtype", "sliced", "offset")
 
     def __init__(self, segment: str, shape: tuple, dtype: str,
-                 sliced: bool):
+                 sliced: bool, offset: int = 0):
         self.segment = segment
         self.shape = shape
         self.dtype = dtype
         self.sliced = sliced
+        self.offset = offset
+
+    def view(self, buf) -> np.ndarray:
+        """The array over ``buf``, a mapping of :attr:`segment`."""
+        return np.ndarray(self.shape, dtype=self.dtype, buffer=buf,
+                          offset=self.offset)
 
     def __getstate__(self):
-        return (self.segment, self.shape, self.dtype, self.sliced)
+        return (self.segment, self.shape, self.dtype, self.sliced,
+                self.offset)
 
     def __setstate__(self, state):
-        self.segment, self.shape, self.dtype, self.sliced = state
+        (self.segment, self.shape, self.dtype, self.sliced,
+         self.offset) = state
+
+
+class _Segment:
+    """One segment the parent created, seen through a mapping of its
+    own.  Views are built over :attr:`mm` — never over
+    ``SharedMemory.buf``, whose ``close()`` unmaps under live NumPy
+    views — so each view keeps the mapping alive: :meth:`unlink`
+    removes the name, and the pages go when the last view does."""
+
+    __slots__ = ("name", "size", "mm", "addr", "_shm")
+
+    def __init__(self, name: str, size: int):
+        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+        try:
+            # No public accessor for the fd; mmap dups it.
+            self.mm = mmap.mmap(shm._fd, size)
+        except BaseException:
+            shm.close()
+            shm.unlink()
+            raise
+        shm.close()                 # its mapping and fd; ours stay
+        self._shm = shm
+        self.name, self.size = shm.name, size
+        self.addr = self.view((1,), np.uint8).__array_interface__["data"][0]
+
+    def view(self, shape, dtype, offset: int = 0) -> np.ndarray:
+        return np.ndarray(shape, dtype=dtype, buffer=self.mm, offset=offset)
+
+    def unlink(self) -> None:
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:
+            pass
 
 
 class ShmArena:
     """Parent-side pool of named shared-memory segments.
 
     Segments are keyed by *role* (a compiled dispatch's tag plus the
-    kernel's array name); a role's segment persists until
-    :meth:`release`, growing geometrically if re-staged larger — so
-    the runs of a compiled dispatch allocate nothing.  The arena owns
-    every segment it creates: :meth:`close` closes and unlinks them
+    kernel's array name, or a workspace arena's chunk); a role's segment
+    persists until :meth:`release`, growing geometrically if re-staged
+    larger — so the runs of a compiled dispatch allocate nothing.  The
+    arena owns every segment it creates: :meth:`close` unlinks them
     all.
     """
 
@@ -112,43 +169,40 @@ class ShmArena:
         global _ARENA_SEQ
         _ARENA_SEQ += 1
         self._tag = f"repro{os.getpid()}x{_ARENA_SEQ}"
-        self._segments: dict = {}     # role -> SharedMemory
-        self._by_name: dict = {}      # segment name -> SharedMemory
+        self._segments: dict = {}     # role -> _Segment
+        self._by_name: dict = {}      # segment name -> _Segment
         self._gens: dict = {}         # role -> generation counter
         self._closed = False
         # Crash hygiene: unlink every owned segment at interpreter exit
         # (atexit-backed, and signal-backed wherever
         # ring.install_signal_guards ran) so an aborted run does not
         # strand /dev/shm segments.
-        from .ring import guard_unlink
         guard_unlink(self)
 
     def _name(self, role: str, gen: int) -> str:
         return f"{self._tag}_{role}{_GEN_SEP}{gen}"
 
-    def segment(self, role: str, nbytes: int) -> shared_memory.SharedMemory:
+    def segment(self, role: str, nbytes: int) -> _Segment:
         """The segment backing ``role``, grown to at least ``nbytes``."""
         if self._closed:
             raise ConfigurationError("arena is closed")
         if nbytes < 1:
             raise ConfigurationError("nbytes must be >= 1")
-        shm = self._segments.get(role)
-        if shm is not None and shm.size >= nbytes:
-            return shm
-        if shm is not None:
-            self._by_name.pop(shm.name, None)
-            shm.close()
-            shm.unlink()
+        seg = self._segments.get(role)
+        if seg is not None and seg.size >= nbytes:
+            return seg
+        if seg is not None:
+            self._by_name.pop(seg.name, None)
+            seg.unlink()
         gen = self._gens.get(role, 0) + 1
         self._gens[role] = gen
         # Geometric growth so repeated small increases do not re-create
         # (and re-attach) segments every call.
-        size = max(nbytes, 2 * shm.size if shm is not None else nbytes)
-        shm = shared_memory.SharedMemory(
-            name=self._name(role, gen), create=True, size=size)
-        self._segments[role] = shm
-        self._by_name[shm.name] = shm
-        return shm
+        size = max(nbytes, 2 * seg.size if seg is not None else nbytes)
+        seg = _Segment(self._name(role, gen), size)
+        self._segments[role] = seg
+        self._by_name[seg.name] = seg
+        return seg
 
     def stage(self, role: str, array: np.ndarray,
               copy: bool = True) -> ArraySpec:
@@ -156,46 +210,54 @@ class ShmArena:
         workers rebuild their view from.  ``copy=False`` reserves room
         without transferring contents (pure-output arrays)."""
         array = np.asarray(array)
-        shm = self.segment(role, array.nbytes or 1)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
+        seg = self.segment(role, array.nbytes or 1)
         if copy:
-            np.copyto(view, array)
-        return ArraySpec(shm.name, array.shape, array.dtype.str,
+            np.copyto(seg.view(array.shape, array.dtype), array)
+        return ArraySpec(seg.name, array.shape, array.dtype.str,
                          sliced=False)
 
+    def locate(self, array: np.ndarray) -> ArraySpec | None:
+        """The spec of ``array`` *in place* when it is C-contiguous and
+        lies in one of this arena's live segments (a workspace-arena
+        buffer or a view of one), else ``None``: such an array is never
+        staged, workers map it where it is."""
+        if array.nbytes == 0 or not array.flags.c_contiguous:
+            return None
+        addr = array.__array_interface__["data"][0]
+        for seg in self._segments.values():
+            offset = addr - seg.addr
+            if 0 <= offset and offset + array.nbytes <= seg.size:
+                return ArraySpec(seg.name, array.shape, array.dtype.str,
+                                 sliced=False, offset=offset)
+        return None
+
     def view(self, spec: ArraySpec) -> np.ndarray:
-        """Parent-side view of a staged array (for copy-back)."""
-        shm = self._by_name[spec.segment]
-        return np.ndarray(spec.shape, dtype=spec.dtype, buffer=shm.buf)
+        """Parent-side view of an array in one of the arena's segments
+        (for copy-in and copy-back)."""
+        return spec.view(self._by_name[spec.segment].mm)
 
     def release(self, role: str) -> None:
-        """Close and unlink one role's segment (idempotent).
+        """Unlink one role's segment (idempotent).
 
-        Compiled dispatches stage into roles unique to themselves, so
-        retiring a dispatch (plan-cache eviction, daemon unpin) can
-        release its segments without touching any other dispatch."""
-        shm = self._segments.pop(role, None)
-        if shm is None:
+        Compiled dispatches and workspace arenas use roles unique to
+        themselves, so retiring one (plan-cache eviction, daemon unpin)
+        releases its segments without touching any other.  Views of the
+        segment stay valid until they die."""
+        seg = self._segments.pop(role, None)
+        if seg is None:
             return
-        self._by_name.pop(shm.name, None)
+        self._by_name.pop(seg.name, None)
         self._gens.pop(role, None)
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, BufferError):
-            pass
+        seg.unlink()
 
     def close(self) -> None:
-        """Close and unlink every owned segment (idempotent)."""
+        """Unlink every owned segment (idempotent)."""
+        if self._closed:
+            return
         self._closed = True
-        from .ring import unguard
         unguard(self)
-        for shm in self._segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        for seg in self._segments.values():
+            seg.unlink()
         self._segments.clear()
         self._by_name.clear()
 
@@ -256,8 +318,7 @@ def run_slab_task(fn, specs: dict, consts: dict, a: int, b: int,
     """
     arrays = {}
     for name, spec in specs.items():
-        shm = _attach(spec.segment)
-        arr = np.ndarray(spec.shape, dtype=spec.dtype, buffer=shm.buf)
+        arr = spec.view(_attach(spec.segment).buf)
         arrays[name] = arr[a:b] if spec.sliced else arr
     try:
         return fn(arrays, consts, a, b, slab)

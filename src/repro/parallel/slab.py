@@ -24,9 +24,10 @@ validate, build per-slab views, stage, pin) into a
   hot Python portions of a slab kernel — loop control, small-slab
   dispatch, generator state — hold the GIL, so thread scaling tops out
   well below the core count; worker processes sidestep the GIL
-  entirely.  Arrays are staged into shared segments once per compiled
-  dispatch and sliced by workers as views (*copy once, slice many*);
-  per-slab task messages never carry array data.
+  entirely.  A plan's arrays live in shared segments from compile time
+  and workers slice them in place; only caller-owned arrays are staged
+  (copied in before a run, written ones copied back after it).
+  Per-slab task messages never carry array data.
 * ``daemon`` — the standing-worker refinement of ``process``
   (:mod:`.daemon`): workers start once, each compiled dispatch is
   pinned once (the only pickling, at compile time), and every run
@@ -265,6 +266,13 @@ class SlabExecutor:
             self._arena = ShmArena()
         return self._arena
 
+    def shm_arena(self):
+        """Where a plan compiled on this executor allocates: the
+        executor's :class:`~.shm.ShmArena` out of process (so its
+        compiled dispatches read and write those buffers in place),
+        ``None`` in process."""
+        return self._get_arena() if self.out_of_process else None
+
     def _get_daemon(self):
         """The standing worker daemon behind the ``daemon`` backend:
         a private :class:`~.daemon.SlabDaemon` started on first use, or
@@ -370,10 +378,11 @@ class SlabExecutor:
         axis 0, ``shared`` entries whole — plus the merged constants.
         On the ``serial``/``thread`` backends the views alias the
         caller's arrays directly (zero-copy, results land in place); on
-        the out-of-process backends inputs are staged into shared
-        segments, workers slice views of those segments, and arrays
-        named in ``writes`` are copied back into the caller's buffers
-        after the last slab completes.  Because every backend runs the
+        the out-of-process backends workers slice views of shared
+        segments: arrays already in the executor's segments are used in
+        place, others are staged in and, when named in ``writes``,
+        copied back into the caller's buffers after the last slab
+        completes.  Because every backend runs the
         same ``fn`` over the same plan with the same values, results
         are bit-identical across backends.
 
@@ -446,10 +455,15 @@ class SlabExecutor:
         streams, pre-sliced object lists) and — out of process — the
         shared-segment staging and the daemon pin.  The returned
         :class:`CompiledDispatch`'s :meth:`~CompiledDispatch.run`
-        replays the dispatch against the *same array objects*: callers
-        refresh contents in place (``np.copyto``) between runs, never
-        rebind.  The caller owns the handle and must
-        :meth:`~CompiledDispatch.close` it (plans do so through
+        replays the dispatch against the *same array objects*, never
+        rebound: new numbers are written into them in place
+        (``np.copyto``) between runs.  Out of process, an array that
+        already lives in one of the executor's segments (every buffer
+        a plan compiled, and its payload copy) is read and written
+        where it is; any other array is copied into a private segment
+        before each run and, if written, back out after it.  The caller
+        owns the handle and must :meth:`~CompiledDispatch.close` it
+        (plans do so through
         :meth:`repro.plan.WorkspaceArena.adopt`); executor close
         retires whatever is still live.  This is the slab engine's half
         of the plan layer's zero-allocation contract.
@@ -515,11 +529,12 @@ class CompiledDispatch:
 
     Built by :meth:`SlabExecutor.compile_shm`/``compile_lanes``; holds
     the frozen :class:`~.safety.WritePlan`, the prebuilt per-slab views
-    and merged constants, and (out of process) the staged shared
-    segments with their parent-side copy-in/copy-back views and the
-    daemon pin.  :meth:`run` replays the dispatch with no validation,
-    no staging and no array allocation in the parent — the caller
-    refreshes input contents in place between runs.  :meth:`close`
+    and merged constants, and (out of process) the worker specs — in
+    place for arrays already in the executor's segments, staged with
+    parent-side copy-in/copy-back views for the rest — and the daemon
+    pin.  :meth:`run` replays the dispatch with no validation and no
+    array allocation in the parent; a dispatch over segment-resident
+    arrays copies nothing either.  :meth:`close`
     retires it; :meth:`SlabExecutor.map_shm` is exactly
     compile → ``run()`` → ``close()``.
     """
@@ -541,7 +556,7 @@ class CompiledDispatch:
         self._plan_id = None
         self._retired = False
         self._specs = None
-        self._copy_in = self._copy_back = ()
+        self._staged = self._copy_in = self._copy_back = ()
         if not (pooled and executor.out_of_process):
             # In-caller and thread paths call fn on prebuilt views into
             # the caller's arrays — zero-copy, results land in place.
@@ -551,22 +566,28 @@ class CompiledDispatch:
                 arrays.update(shared)
                 self._tasks.append((arrays, self._consts[i], a, b, i))
             return
-        # Out-of-process backends: stage every array once, into roles
-        # unique to this compiled dispatch (so no other dispatch
-        # re-grows — and thereby invalidates — our segments), then
-        # remember the parent views for per-run input refresh and write
+        # Out-of-process backends: an array already in one of the
+        # executor's segments (plan buffers, a plan's payload copy) is
+        # referenced where it lives.  Any other array is staged once,
+        # into a role unique to this compiled dispatch (so no other
+        # dispatch re-grows — and thereby invalidates — its segment),
+        # with a parent view for per-run input refresh or write
         # copy-back.
         arena = executor._get_arena()
-        specs, copy_in, copy_back = {}, [], []
+        specs, staged, copy_in, copy_back = {}, [], [], []
         try:
             for name, arr in {**sliced, **shared}.items():
-                spec = specs[name] = arena.stage(f"{tag}.{name}", arr,
-                                                 copy=False)
+                spec = arena.locate(arr)
+                if spec is None:
+                    role = f"{tag}.{name}"
+                    spec = arena.stage(role, arr, copy=False)
+                    staged.append(role)
+                    if name in writes:
+                        copy_back.append((arr, arena.view(spec)))
+                    else:
+                        copy_in.append((arena.view(spec), arr))
                 spec.sliced = name in sliced
-                if name in writes:
-                    copy_back.append((arr, arena.view(spec)))
-                else:
-                    copy_in.append((arena.view(spec), arr))
+                specs[name] = spec
             if executor.backend == "daemon":
                 # Pin once — the only pickle this dispatch ever pays;
                 # every run() is then pure descriptor traffic.
@@ -577,10 +598,11 @@ class CompiledDispatch:
             # Half-built dispatch: nothing holds a reference yet, so
             # close() would never run — release the roles staged so far
             # here or they leak for the arena's lifetime.
-            for name in specs:
-                arena.release(f"{tag}.{name}")
+            for role in staged:
+                arena.release(role)
             raise
         self._specs = specs
+        self._staged = tuple(staged)
         self._copy_in = tuple(copy_in)
         self._copy_back = tuple(copy_back)
         self._tasks = [(self._consts[i], a, b, i)
@@ -634,10 +656,9 @@ class CompiledDispatch:
         ex = self.executor
         if self._plan_id is not None and ex._daemon is not None:
             ex._daemon.unpin(self._plan_id)
-        if self._specs is not None and ex._arena is not None \
-                and not ex._arena._closed:
-            for name in self._specs:
-                ex._arena.release(f"{self.tag}.{name}")
+        if ex._arena is not None:
+            for role in self._staged:
+                ex._arena.release(role)
         try:
             ex._live_dispatches.remove(self)
         except ValueError:

@@ -18,24 +18,50 @@ of silently allocating per call.  Re-reserving an existing name with
 the same shape and dtype stays legal (it returns the pooled buffer),
 which is what lets a plan re-compile against a same-shape payload
 without growing.
+
+On an out-of-process executor (``process``/``daemon``) every buffer is
+carved out of the executor's shared-memory segments (64-byte aligned,
+small ones packed into :data:`SHM_CHUNK_BYTES` chunks), so the plan's
+compiled dispatches hand workers ``(segment, offset)`` references and a
+warm run copies nothing in or out.  In process the buffers are plain
+NumPy arrays.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from ..config import DTYPE
 from ..errors import ConfigurationError
 
+#: Shared-memory chunk a workspace arena packs its buffers into; a
+#: larger buffer gets a segment of its own.  Untouched tail pages of a
+#: chunk cost no memory.
+SHM_CHUNK_BYTES = 1 << 20
+
+#: Buffer alignment inside a chunk: one cache line, so buffers written
+#: by different workers never share one.
+_ALIGN = 64
+
+#: Sequence for the arenas' shared-memory role prefixes.
+_SHM_SEQ = itertools.count(1)
+
 
 class WorkspaceArena:
-    """Named, dtype-checked pool of preallocated NumPy buffers."""
+    """Named, dtype-checked pool of preallocated NumPy buffers;
+    ``executor``, when out of process, puts them in its shared
+    segments."""
 
-    def __init__(self, tag: str = "plan"):
+    def __init__(self, tag: str = "plan", executor=None):
         self.tag = tag
         self._buffers: dict = {}      # name -> ndarray
         self._dispatches: list = []   # compiled dispatches (see adopt)
         self._frozen = False
+        self._shm = executor.shm_arena() if executor is not None else None
+        self._roles: list = []        # shared-memory roles (see close)
+        self._chunk = None            # (segment, bytes used)
 
     # -- reservation (plan-compile time) -------------------------------
     def reserve(self, name: str, shape, dtype=DTYPE,
@@ -64,11 +90,33 @@ class WorkspaceArena:
                 f"arena {self.tag!r} is frozen: reserving new buffer "
                 f"{name!r} on the hot path is exactly the per-call "
                 f"allocation plans exist to remove")
-        buf = np.empty(shape, dtype=dtype)
+        buf = (np.empty(shape, dtype=dtype) if self._shm is None
+               else self._shared(shape, dtype))
         if fill is not None:
             buf.fill(fill)
         self._buffers[name] = buf
         return buf
+
+    def _shared(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """A fresh buffer in the executor's shared segments: packed into
+        the current chunk when it fits, else into a new segment."""
+        nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)
+        seg, used = self._chunk or (None, 0)
+        if seg is None or used + nbytes > seg.size:
+            role = f"ws{next(_SHM_SEQ)}"
+            self._roles.append(role)
+            seg = self._shm.segment(role, max(nbytes, SHM_CHUNK_BYTES))
+            used = 0
+            if nbytes > SHM_CHUNK_BYTES:      # its own segment
+                return seg.view(shape, dtype)
+        self._chunk = (seg, -(-(used + nbytes) // _ALIGN) * _ALIGN)
+        return seg.view(shape, dtype, used)
+
+    @property
+    def shared(self) -> bool:
+        """True when buffers live in an out-of-process executor's
+        shared segments."""
+        return self._shm is not None
 
     def reserve_like(self, name: str, array: np.ndarray,
                      fill: float | None = None) -> np.ndarray:
@@ -113,10 +161,14 @@ class WorkspaceArena:
 
     def close(self) -> None:
         """Retire the adopted dispatches (daemon unpin + shared-segment
-        release; idempotent).  The buffers are plain arrays and stay
-        valid — a one-shot's result outlives its arena."""
+        release) and unlink the arena's own segments; idempotent.  The
+        buffers stay valid — a one-shot's result, or a plan's read after
+        its executor closed, outlives its arena: a shared buffer keeps
+        its mapping alive for as long as any view of it does."""
         for dispatch in self._dispatches:
             dispatch.close()
+        for role in self._roles:
+            self._shm.release(role)
 
     @property
     def frozen(self) -> bool:

@@ -14,8 +14,13 @@ A tier opts in by registering a *planner* alongside its impl
 (:func:`repro.registry.register_impl` ``planner=``).  The planner
 receives ``(payload, executor, arena)`` and returns a zero-argument
 ``runner`` that prices the bound payload into arena-owned buffers,
-reading the payload's arrays on every run (new numbers are copied into
-them in place — no planner keeps a derived copy to refresh).  A slab
+reading the bound payload's arrays on every run (new numbers are copied
+into them in place — no planner keeps a derived copy to refresh).  In
+process the bound payload is the caller's.  On an out-of-process
+executor it is the plan's own copy, with every streamed array in the
+executor's shared segments next to the arena's buffers, so the
+compiled dispatches read and write all of them in place and
+``run(payload)`` is the only copy a new batch pays.  A slab
 tier has no second body: its registered ``fn`` is the one-shot of its
 planner (:func:`one_shot`: compile, run once, retire).  Serial ladder
 tiers without a planner still compile — the plan wraps their ``fn``
@@ -25,6 +30,7 @@ and reports ``planned=False`` — so every registered impl has a uniform
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 
@@ -97,6 +103,42 @@ def _rebind_into(bound, new, path: str = "payload") -> None:
             f"{path}: value of type {type(new).__name__} differs from "
             f"the compiled one; it is baked into the plan — compile a "
             f"new one")
+
+
+def _shared_copy(payload, arena: WorkspaceArena, path: str = "payload"):
+    """``payload`` with each array :func:`_rebind_into` streams copied
+    into ``arena`` (the executor's shared segments): ndarrays, through
+    dicts and lists/tuples, and an SOA
+    :class:`~repro.pricing.options.OptionBatch`'s S/X/T plus its
+    per-option rate/vol columns.  A subtree that streams nothing is
+    returned as is, and so is an AOS batch, whose strided fields no
+    dispatch could read in place (its planners convert it first)."""
+    if isinstance(payload, np.ndarray):
+        buf = arena.reserve(path, payload.shape, payload.dtype)
+        np.copyto(buf, payload)
+        return buf
+    if isinstance(payload, dict):
+        items = {k: _shared_copy(v, arena, f"{path}[{k!r}]")
+                 for k, v in payload.items()}
+        same = all(items[k] is payload[k] for k in payload)
+        return payload if same else items
+    if isinstance(payload, (list, tuple)):
+        items = [_shared_copy(v, arena, f"{path}[{i}]")
+                 for i, v in enumerate(payload)]
+        same = all(a is b for a, b in zip(items, payload))
+        return payload if same else type(payload)(items)
+    if hasattr(payload, "batch") and hasattr(payload, "n") \
+            and payload.layout == "soa":                  # OptionBatch
+        soa = payload.batch
+        batch = copy.copy(payload)
+        batch.batch = type(soa)(soa.fields, payload.n, arrays={
+            name: _shared_copy(soa.get(name), arena, f"{path}.{name}")
+            for name in ("S", "X", "T")})
+        if payload.per_option:
+            batch.rate = _shared_copy(payload.rate, arena, f"{path}.rate")
+            batch.vol = _shared_copy(payload.vol, arena, f"{path}.vol")
+        return batch
+    return payload
 
 
 def _values_equal(a, b) -> bool:
@@ -231,18 +273,25 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
         raise ConfigurationError(
             f"executor backend {executor.backend!r} does not match "
             f"requested backend {backend!r}")
-    arena = WorkspaceArena(tag=impl.label)
-    runner = impl.plan(payload, executor, arena)
+    arena = WorkspaceArena(tag=impl.label, executor=executor)
+    try:
+        bound = _shared_copy(payload, arena) if arena.shared else payload
+        runner = impl.plan(bound, executor, arena)
+    except BaseException:
+        # A failed compile keeps nothing pinned or linked in /dev/shm
+        # on an executor that outlives it.
+        arena.close()
+        raise
     planned = runner is not None
     if not planned:
         # No planner registered (serial ladder tiers): the plan still
         # exists (uniform plan() path) but each run calls fn, flagged
         # for benches.
-        def runner(_impl=impl, _p=payload, _ex=executor):
+        def runner(_impl=impl, _p=bound, _ex=executor):
             return np.asarray(_impl.fn(_p, _ex))
     arena.freeze()
     key = plan_key(kernel, tier, backend, executor.n_workers, payload)
-    return ExecutionPlan(impl=impl, payload=payload, arena=arena,
+    return ExecutionPlan(impl=impl, payload=bound, arena=arena,
                          executor=executor, runner=runner,
                          planned=planned, owns_executor=owns, key=key)
 
@@ -258,14 +307,15 @@ def one_shot(compile_fn, *args, executor=None, **kwargs):
     compiles against a fresh private arena on ``executor`` (default:
     the process-wide threaded one), the runner is called once, and the
     dispatches the compile created are retired whether or not the run
-    raised — nothing stays staged or pinned.  The result lives in the
-    arena's buffers, plain arrays that stay valid after the arena is
-    dropped.
+    raised — nothing stays staged, pinned or linked in ``/dev/shm``.
+    The result lives in the arena's buffers, which stay valid after the
+    arena is closed (out of process they are views of unlinked shared
+    segments, freed with the last view).
     """
     if executor is None:
         from ..parallel.slab import default_executor
         executor = default_executor()
-    arena = WorkspaceArena(tag="one-shot")
+    arena = WorkspaceArena(tag="one-shot", executor=executor)
     try:
         return compile_fn(*args, executor, arena, **kwargs)()
     finally:

@@ -14,11 +14,10 @@ its SOA arrays — S/X/T and the per-option rate/vol columns — are the
 *plan-bound* arrays, so :meth:`pack` writes request segments (each
 with its own rate/vol) straight into the memory the compiled dispatch
 reads —
-the in-process backends price the very same buffers, and the
-out-of-process backends bulk-copy them into their staged
-:class:`~repro.parallel.shm.ShmArena` segments on dispatch (the
-copy-once/slice-many path from PR 3).  No per-request staging, no
-payload rebuild, no plan rebind.
+the in-process backends price the very same buffers, and on the
+out-of-process backends ``plan.run(staging.payload)`` copies them once
+into the plan's own shared-memory copy, which the workers read in
+place.  No per-request staging and no payload rebuild.
 
 The pad tail beyond the packed total keeps its previous (positive)
 contents and is priced wastefully — bounded by 2x thanks to the

@@ -64,16 +64,27 @@ class TestZeroAllocation:
 
 
 class TestRebind:
-    def test_new_numbers_same_plan(self):
-        # Same shape, different seed: rebind streams the new arrays in.
+    #: Several slabs per SMOKE-size dispatch, so the out-of-process
+    #: backends really run the plan in their workers.
+    SLAB_BYTES = 128
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_new_numbers_same_plan(self, backend):
+        # Same shape, different seed: rebind streams the new arrays in
+        # (the sorted stream is derived from them on every run).
         p1 = build("monte_carlo", seed=2012)
         p2 = build("monte_carlo", seed=7)
-        with SlabExecutor("serial") as ex:
+        with SlabExecutor("serial", n_workers=2,
+                          slab_bytes=self.SLAB_BYTES) as ex:
             expected = np.asarray(
                 registry.impl("monte_carlo", "parallel", "serial")
                 .fn(p2, ex))
-        with compile_plan("monte_carlo", "parallel", p1,
-                          backend="serial") as plan:
+        with SlabExecutor(backend, n_workers=2,
+                          slab_bytes=self.SLAB_BYTES) as ex, \
+                compile_plan("monte_carlo", "parallel", p1,
+                             backend=backend, executor=ex) as plan:
+            # Out of process the plan streams through its own copy.
+            assert (plan.payload is p1) == (not ex.out_of_process)
             got = np.asarray(plan.run(p2))
             assert np.array_equal(expected, got)
 
@@ -87,7 +98,8 @@ class TestRebind:
             with pytest.raises(ConfigurationError):
                 plan.run(build("black_scholes", sizes=grown))
 
-    def test_option_batch_streams_columns_and_freezes_floats(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_option_batch_streams_columns_and_freezes_floats(self, backend):
         from repro.pricing import OptionBatch
         ones = np.ones(8)
 
@@ -95,20 +107,24 @@ class TestRebind:
             return {"soa": OptionBatch(ones * 100.0, ones * 95.0, ones,
                                        rate, vol)}
 
-        with SlabExecutor("serial") as ex:
-            fn = registry.impl("black_scholes", "parallel", "serial").fn
+        with SlabExecutor(backend, n_workers=2,
+                          slab_bytes=self.SLAB_BYTES) as ex:
+            fn = registry.impl("black_scholes", "parallel", backend).fn
             want = np.asarray(fn(payload(0.01, 0.4), ex))
             # Columns are streamed: new values ride the same plan.
             with compile_plan("black_scholes", "parallel",
                               payload(ones * 0.05, ones * 0.2),
-                              backend="serial", executor=ex) as plan:
+                              backend=backend, executor=ex) as plan:
                 got = np.asarray(plan.run(payload(ones * 0.01, ones * 0.4)))
                 assert np.array_equal(got, want)
+                # The columns stream through the plan's own copy, which
+                # out-of-process workers read in place.
+                assert all(d._copy_in == () for d in plan.arena._dispatches)
                 with pytest.raises(ConfigurationError, match="form"):
                     plan.run(payload(0.01, 0.4))
             # A shared float is a plan constant: a change is a new plan.
             with compile_plan("black_scholes", "parallel",
-                              payload(0.05, 0.2), backend="serial",
+                              payload(0.05, 0.2), backend=backend,
                               executor=ex) as plan:
                 with pytest.raises(ConfigurationError,
                                    match="compile a new plan"):

@@ -401,6 +401,32 @@ class TestDaemonChurn:
             assert len(ex._daemon._plans) == 0
 
 
+class TestDaemonPricing:
+    def test_daemon_gateway_is_bit_identical_to_serial(self):
+        """On the daemon a plan streams through its own shared-memory
+        copy of the staging, so every batch takes the ``run(payload)``
+        branch: one copy in, none out, the same bits as serial."""
+        with SlabExecutor("daemon", n_workers=2, slab_bytes=1 << 12) as ex:
+            async def main():
+                async with PricingGateway(executor=ex) as gw:
+                    for i, tier in enumerate(("parallel", "greeks",
+                                              "scenario")):
+                        for m in (8, 300):
+                            req = _req(m, lo=40.0 + i, vol=0.2 + 0.05 * i,
+                                       tier=tier)
+                            res = await gw.submit(req)
+                            assert res.digest() == \
+                                serial_reference(req).digest(), (tier, m)
+                    stagings = {id(s.payload) for s in gw._stagings.values()}
+                    plans = list(gw._cache._plans.values())
+                    assert plans
+                    for plan in plans:
+                        assert id(plan.payload) not in stagings
+                        for d in plan.arena._dispatches:
+                            assert d._copy_in == () and d._copy_back == ()
+            asyncio.run(main())
+
+
 class TestDispatchPolicy:
     """The gateway never rewrites an executor's crossover."""
 
