@@ -16,6 +16,12 @@ The package provides:
   threading substrates;
 * :mod:`repro.bench` — one experiment per paper table/figure.
 
+Nothing here loads until it is used.  The priced half (kernel tier
+modules, ``vmath``, ``rng``, ``pricing``, ``plan``, ``parallel``,
+``serve``) never imports the modeled half (the kernels' ``model.py`` and
+``traced.py``, ``arch``, the ``simd`` tracing machine, ``bench``):
+a gateway process loads one kernel's tiers and nothing of the models.
+
 Quickstart::
 
     from repro import price_black_scholes, run_experiment, format_table
@@ -26,29 +32,21 @@ Quickstart::
     print(format_table(run_experiment("fig4")))
 """
 
-from . import arch, bench, kernels, parallel, pricing, rng, simd, validation, vmath
-from .bench import format_table, ladder_bars, run_all, run_experiment
-from .config import DEFAULT_CONFIG, PAPER_SIZES, SMALL_SIZES, RunConfig
-from .errors import (ConfigurationError, ConvergenceError, DomainError,
-                     ExperimentError, LayoutError, ReproError, TraceError,
-                     VectorWidthError)
-from .kernels.black_scholes import price_advanced as price_black_scholes
-from .kernels.binomial import price_tiled as price_binomial
-from .kernels.crank_nicolson import solve as price_american_cn
-from .kernels.monte_carlo import price_stream as price_monte_carlo
-from .pricing import (ExerciseStyle, Option, OptionBatch, OptionKind,
-                      random_batch)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "arch", "simd", "vmath", "rng", "pricing", "kernels", "parallel",
-    "bench", "validation",
-    "Option", "OptionBatch", "OptionKind", "ExerciseStyle", "random_batch",
-    "price_black_scholes", "price_binomial", "price_monte_carlo",
-    "price_american_cn",
-    "run_experiment", "run_all", "format_table", "ladder_bars",
-    "RunConfig", "DEFAULT_CONFIG", "PAPER_SIZES", "SMALL_SIZES",
-    "ReproError", "ConfigurationError", "LayoutError", "VectorWidthError",
-    "TraceError", "ConvergenceError", "DomainError", "ExperimentError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".pricing": ("Option", "OptionBatch", "OptionKind", "ExerciseStyle",
+                 "random_batch"),
+    ".kernels.black_scholes.advanced": ("price_black_scholes=price_advanced",),
+    ".kernels.binomial.tiled": ("price_binomial=price_tiled",),
+    ".kernels.monte_carlo.vectorized": ("price_monte_carlo=price_stream",),
+    ".kernels.crank_nicolson.solver": ("price_american_cn=solve",),
+    ".bench": ("run_experiment", "run_all", "format_table", "ladder_bars"),
+    ".config": ("RunConfig", "DEFAULT_CONFIG", "PAPER_SIZES", "SMALL_SIZES"),
+    ".errors": ("ReproError", "ConfigurationError", "LayoutError",
+                "VectorWidthError", "TraceError", "ConvergenceError",
+                "DomainError", "ExperimentError"),
+}, submodules=("arch", "simd", "vmath", "rng", "pricing", "kernels",
+               "parallel", "bench", "validation"))

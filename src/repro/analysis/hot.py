@@ -64,10 +64,11 @@ def _one_hop_callees(fn):
 def discover_hot_files() -> dict:
     """``{absolute Path: sorted tier labels}`` of every hot-tier file.
 
-    Imports the registry (and through it every kernel package); safe to
-    call repeatedly — registration is idempotent at import time.
+    Imports the registry (and through it every kernel's tier module);
+    safe to call repeatedly — registration is idempotent at import
+    time.
     """
-    from ..kernels.base import OptLevel
+    from ..kernels.levels import OptLevel
     from .. import registry
 
     hot_levels = (OptLevel.ADVANCED, OptLevel.PARALLEL)

@@ -1,4 +1,5 @@
-"""Kernel infrastructure: optimization tiers, results, and the registry.
+"""Kernel model infrastructure: tier ladders, modeled results and the
+model registry (the ladder's levels live in :mod:`.levels`).
 
 Every benchmark kernel exposes the same shape:
 
@@ -14,29 +15,15 @@ Every benchmark kernel exposes the same shape:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from enum import Enum
 
+from .. import registry
 from ..arch.cost import CostModel, ExecutionContext
 from ..arch.spec import PLATFORMS, ArchSpec
 from ..errors import ConfigurationError
 from ..simd.trace import OpTrace
-
-
-class OptLevel(Enum):
-    """The paper's optimization tiers (Sec. III-B), plus the threaded
-    rung the functional registry adds on top of the advanced tier."""
-
-    REFERENCE = "reference"
-    BASIC = "basic"
-    INTERMEDIATE = "intermediate"
-    ADVANCED = "advanced"
-    PARALLEL = "parallel"
-
-    @property
-    def order(self) -> int:
-        return ("reference", "basic", "intermediate",
-                "advanced", "parallel").index(self.value)
+from .levels import OptLevel
 
 
 @dataclass(frozen=True)
@@ -131,27 +118,31 @@ class KernelModel:
                 / self.reference(arch_name).throughput)
 
 
-#: Global registry of kernel model builders, filled by each kernel's
-#: ``model.py`` at import time via :func:`register_model`.
+#: Model builders registered at run time, beside the six kernels'
+#: ``model.py``, which ``build_model`` imports (and with them the
+#: tracing machine and the cost model) the first time each is built.
 _MODEL_BUILDERS = {}
 
 
 def register_model(name: str, builder) -> None:
-    if name in _MODEL_BUILDERS:
+    if name in _MODEL_BUILDERS or name in registry.PACKAGES:
         raise ConfigurationError(f"kernel model {name!r} already registered")
     _MODEL_BUILDERS[name] = builder
 
 
 def build_model(name: str, **kwargs) -> KernelModel:
     """Build a kernel's modeled ladder on both platforms."""
+    if name in registry.PACKAGES:
+        model = importlib.import_module(registry.PACKAGES[name] + ".model")
+        return model.build(**kwargs)
     try:
         builder = _MODEL_BUILDERS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown kernel model {name!r}; known: {sorted(_MODEL_BUILDERS)}"
+            f"unknown kernel model {name!r}; known: {registered_models()}"
         ) from None
     return builder(**kwargs)
 
 
 def registered_models():
-    return sorted(_MODEL_BUILDERS)
+    return sorted({*registry.PACKAGES, *_MODEL_BUILDERS})

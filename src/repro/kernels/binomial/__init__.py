@@ -1,33 +1,19 @@
 """1-D binomial tree pricing kernel (paper Sec. IV-B, Fig. 5), including
 the novel register-tiling reduction of Listing 3."""
 
-from .basic import price_basic, price_basic_batch
-from .model import (TIERS, build, compute_bound, reference_trace,
-                    simd_across_trace, tiled_trace, working_set_bytes)
-from .parallel import price_tiled_parallel
-from .params import (TreeParams, crr_params, intrinsic_row, leaf_values,
-                     spot_at_node)
-from .reference import price_reference, price_reference_batch
-from .simd_across import price_simd_across
-from .tiled import default_tile_size, price_tiled, tiled_reduce
-from .trinomial import (TrinomialParams, price_trinomial,
-                        price_trinomial_batch, trinomial_params)
-from .traced import traced_inner_loop, traced_simd_across, traced_tiled
+from ..._lazy import lazy_exports
 
-# Registers the functional ladder for European groups with repro.registry.
-from . import tiers  # noqa: E402,F401
-
-__all__ = [
-    "price_tiled_parallel",
-    "TreeParams", "crr_params", "leaf_values", "intrinsic_row",
-    "spot_at_node",
-    "price_reference", "price_reference_batch",
-    "price_basic", "price_basic_batch",
-    "price_simd_across",
-    "price_tiled", "tiled_reduce", "default_tile_size",
-    "traced_inner_loop", "traced_simd_across", "traced_tiled",
-    "build", "TIERS", "compute_bound", "working_set_bytes",
-    "reference_trace", "simd_across_trace", "tiled_trace",
-    "price_trinomial", "price_trinomial_batch", "trinomial_params",
-    "TrinomialParams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".basic": ("price_basic", "price_basic_batch"),
+    ".model": ("TIERS", "build", "compute_bound", "reference_trace",
+               "simd_across_trace", "tiled_trace", "working_set_bytes"),
+    ".parallel": ("price_tiled_parallel",),
+    ".params": ("TreeParams", "crr_params", "intrinsic_row", "leaf_values",
+                "spot_at_node"),
+    ".reference": ("price_reference", "price_reference_batch"),
+    ".simd_across": ("price_simd_across",),
+    ".tiled": ("default_tile_size", "price_tiled", "tiled_reduce"),
+    ".trinomial": ("TrinomialParams", "price_trinomial",
+                   "price_trinomial_batch", "trinomial_params"),
+    ".traced": ("traced_inner_loop", "traced_simd_across", "traced_tiled"),
+})

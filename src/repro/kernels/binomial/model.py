@@ -29,7 +29,7 @@ from ...arch.roofline import binomial_resource, roofline
 from ...arch.spec import PLATFORMS, ArchSpec
 from ...errors import ConfigurationError
 from ...simd.trace import OpTrace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 from .tiled import default_tile_size
 
 #: Fig. 5 bar labels (stacking order).
@@ -137,6 +137,3 @@ def build(n_steps: int = 1024, n_options: int = 64) -> KernelModel:
 def compute_bound(arch: ArchSpec, n_steps: int) -> float:
     """The Fig. 5 horizontal line (options/s)."""
     return roofline(arch, binomial_resource(n_steps)).compute_bound
-
-
-register_model("binomial", build)

@@ -15,7 +15,7 @@ from ...plan import one_shot
 from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import Option
 from ...registry import WorkloadSpec, register_impl, register_workload
-from ..base import OptLevel
+from ..levels import OptLevel
 from .basic import price_basic_batch
 from .parallel import compile_price_tiled, price_tiled_parallel
 from .reference import price_reference_batch

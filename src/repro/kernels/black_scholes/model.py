@@ -28,7 +28,7 @@ from ...arch.spec import KNC, PLATFORMS, SNB_EP, ArchSpec
 from ...pricing.options import BS_FIELDS
 from ...simd.layout import AOSBatch
 from ...simd.trace import OpTrace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 
 #: Fig. 4 bar labels.
 TIERS = (
@@ -164,6 +164,3 @@ def build(n: int = _GROUP) -> KernelModel:
 def bandwidth_bound(arch: ArchSpec) -> float:
     """The Fig. 4 horizontal line: B/40 options per second."""
     return roofline(arch, black_scholes_resource()).bandwidth_bound
-
-
-register_model("black_scholes", build)

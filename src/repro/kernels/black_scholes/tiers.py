@@ -15,7 +15,7 @@ from ...pricing.options import OptionBatch
 from ...pricing.portfolio import random_batch
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ...results import GREEK_OUTPUTS
-from ..base import OptLevel
+from ..levels import OptLevel
 from .advanced import price_advanced
 from .basic import price_basic
 from .greeks import (GREEKS_BYTES_PER_OPTION, compile_greeks_parallel,

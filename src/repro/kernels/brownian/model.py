@@ -26,7 +26,7 @@ from ...arch.cost import ExecutionContext
 from ...arch.spec import PLATFORMS, ArchSpec
 from ...errors import ConfigurationError
 from ...simd.trace import OpTrace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 
 #: Fig. 6 bar labels (stacking order).
 TIERS = (
@@ -123,6 +123,3 @@ def build(n_steps: int = 64, n_paths: int = 1024) -> KernelModel:
         km.add(TIERS[3], arch, cache_to_cache_trace(arch, n_steps, n_paths),
                _chunk_ctx(arch))
     return km
-
-
-register_model("brownian", build)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ...rng import MT19937, NormalGenerator
-from ..base import OptLevel
+from ..levels import OptLevel
 from .bridge import make_schedule
 from .interleaved import build_interleaved, default_block_paths
 from .parallel import build_parallel, compile_build_parallel

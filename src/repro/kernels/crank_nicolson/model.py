@@ -25,7 +25,7 @@ from ...arch.cost import ExecutionContext
 from ...arch.spec import PLATFORMS, ArchSpec
 from ...errors import ConfigurationError
 from ...simd.trace import OpTrace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 
 #: Fig. 8 bar labels.
 TIERS = (
@@ -147,6 +147,3 @@ def build(n_points: int = 256, n_steps: int = 1000,
                transformed_trace(arch, n_points, n_steps, n_options),
                ExecutionContext(unrolled=True))
     return km
-
-
-register_model("crank_nicolson", build)

@@ -17,7 +17,7 @@ from ...plan import one_shot
 from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import ExerciseStyle, Option, OptionKind
 from ...registry import WorkloadSpec, register_impl, register_workload
-from ..base import OptLevel
+from ..levels import OptLevel
 from .parallel import compile_solve_batch, solve_batch_parallel
 from .solver import solve_batch
 

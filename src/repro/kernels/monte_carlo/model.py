@@ -18,7 +18,7 @@ from ...arch.spec import PLATFORMS, ArchSpec
 from ...errors import ConfigurationError
 from ...rng.counting import normal_trace
 from ...simd.trace import OpTrace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 
 #: Table II row labels.
 TIERS = (
@@ -78,6 +78,3 @@ def build(n_options: int = 16, n_paths: int = PATH_LENGTH) -> KernelModel:
         km.add(TIERS[0], arch, stream_trace(arch, n_options, n_paths), ctx)
         km.add(TIERS[1], arch, computed_trace(arch, n_options, n_paths), ctx)
     return km
-
-
-register_model("monte_carlo", build)

@@ -25,7 +25,8 @@ from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
 from .reference import MCResult, _check
 
-#: Tail block (draws): 512 KB of scratch, inside a 4 MiB private L2.
+#: Tail block (draws): 512 KB of scratch, inside a core's 2 MiB private
+#: L2 (sysfs ``index2``; lscpu's 4 MiB sums the host's two instances).
 #: Warm serial runs at 16 × 327 680, sort included, median of 6
 #: interleaved rounds (the nine-pass body it replaced: 15.8 ms):
 #: 8192 9.5, 16 384 8.4, 32 768 8.1, 65 536 7.8 ms — smaller blocks

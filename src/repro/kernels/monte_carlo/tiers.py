@@ -15,7 +15,7 @@ import numpy as np
 
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ...rng import MT19937, NormalGenerator
-from ..base import OptLevel
+from ..levels import OptLevel
 from .bump import (BUMP_OUTPUTS, compile_greeks_stream,
                    greeks_stream_parallel)
 from .parallel import compile_price_stream, price_stream_parallel

@@ -1,13 +1,10 @@
 """Random-number generation kernel (paper Sec. IV-D3, Table II rows 3–4)."""
 
-from .functional import ScalarMT19937, rng_tier_rates
-from .greeks import pathwise_parallel
-from .model import TIERS, build, modeled_rate
-from .parallel import uniform53_parallel
+from ..._lazy import lazy_exports
 
-# Registers the scalar/vectorized/jump-ahead functional ladder with
-# repro.registry.
-from . import tiers  # noqa: E402,F401
-
-__all__ = ["build", "TIERS", "modeled_rate", "ScalarMT19937",
-           "rng_tier_rates", "uniform53_parallel", "pathwise_parallel"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".functional": ("ScalarMT19937", "rng_tier_rates"),
+    ".greeks": ("pathwise_parallel",),
+    ".model": ("TIERS", "build", "modeled_rate"),
+    ".parallel": ("uniform53_parallel",),
+})

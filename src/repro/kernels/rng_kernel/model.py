@@ -11,7 +11,7 @@ from ...arch.cost import CostModel, ExecutionContext
 from ...arch.spec import PLATFORMS, ArchSpec
 from ...errors import ConfigurationError
 from ...rng.counting import normal_trace, uniform_trace
-from ..base import KernelModel, OptLevel, Tier, register_model
+from ..base import KernelModel, OptLevel, Tier
 
 #: Table II row labels.
 TIERS = (
@@ -47,6 +47,3 @@ def modeled_rate(arch: ArchSpec, kind: str = "uniform",
     else:
         raise ConfigurationError(f"kind must be uniform|normal, got {kind!r}")
     return CostModel(arch).throughput(trace, ExecutionContext(unrolled=True))
-
-
-register_model("rng", build)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ...rng.mt19937 import MT19937
-from ..base import OptLevel
+from ..levels import OptLevel
 from .functional import ScalarMT19937
 from .greeks import (PATHWISE_OUTPUTS, compile_pathwise_parallel,
                      pathwise_parallel)

@@ -45,8 +45,12 @@ Every blocking wait polls worker liveness, so a crashed worker raises
 :class:`~repro.errors.DaemonError` instead of hanging; slab-body
 exceptions travel back over the control pipe (ack status flags the
 parent to read it).  Ring and arena segments register exit guards
-(:mod:`.ring`), so even an aborted parent strands nothing in
-``/dev/shm``.
+(:mod:`.ring`), which unlink them when the owner exits normally, raises
+or is stopped by ``SIGTERM``/``SIGINT``.  ``SIGKILL`` runs no guard: a
+SIGKILLed owner's segments stay linked in ``/dev/shm`` (nothing reaps
+them yet).  Its workers do not stay behind: a worker closes every
+parent-side pipe end it inherited, so the owner's death reaches it as
+EOF, and each park timeout checks that the owner is still its parent.
 
 Standing service
 ----------------
@@ -107,9 +111,11 @@ _PARK_AFTER = 2000
 _CTL_EVERY = 64
 
 #: Parked-worker wait quantum.  Every real wake is a doorbell byte;
-#: the timeout only bounds the theoretical store/load race between a
-#: producer's door check and this consumer's park (and lets a parked
-#: worker notice a vanished parent).
+#: the timeout bounds the theoretical store/load race between a
+#: producer's door check and this consumer's park, and on each timeout
+#: a parked worker compares ``os.getppid()`` with its owner's pid and
+#: exits if the owner is gone, SIGKILLed owners included.  (The owner's
+#: segments are another matter: see the module docstring.)
 _PARK_QUANTUM = 0.5
 
 #: Dispatcher-side ack wait quantum.  Short so worker death during a
@@ -125,7 +131,7 @@ _DAEMON_SEQ = 0
 # ----------------------------------------------------------------------
 
 def _worker_main(worker_id: int, submit_name: str, ack_name: str,
-                 ctl, kick, ack_kick) -> None:
+                 ctl, kick, ack_kick, owner: int, inherited) -> None:
     """Worker loop: pin plans from the control pipe, execute slab
     descriptors from the submit ring, ack on the ack ring.
 
@@ -141,9 +147,16 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
     both sides publish to the ring **before** kicking and drain stale
     kicks **before** re-checking the ring ahead of a block.
 
-    Runs until a ``stop`` control message (or the parent vanishes).
-    Module-level so the ``spawn`` start method can import it.
+    Runs until a ``stop`` control message, or until the owner vanishes:
+    ``inherited`` are the parent-side pipe ends a forked worker holds
+    (its own and every earlier sibling's), closed first so the owner's
+    death is EOF here; ``owner`` is the pid the worker was forked under
+    (``0``: read it from ``os.getppid()``), re-checked on every park
+    timeout.  Module-level so the ``spawn`` start method can import it.
     """
+    for conn in inherited:
+        conn.close()
+    owner = owner or os.getppid()
     install_signal_guards()
     from .shm import _attach, _detach
 
@@ -297,6 +310,8 @@ def _worker_main(worker_id: int, submit_name: str, ack_name: str,
                 continue
             woke = kick.poll(_PARK_QUANTUM)
             submit.door_set(0)
+            if not woke and os.getppid() != owner:
+                break                 # orphaned: the owner died unguarded
             # A doorbell byte means work (or control) is in flight:
             # restart the ladder hot.  A bare timeout re-parks at
             # once, so a deep-idle worker costs ~2 syscalls/s.
@@ -553,6 +568,9 @@ class SlabDaemon(_RingDispatcher):
         from .slab import _default_mp_context
         ctx = multiprocessing.get_context(
             self._mp_context or _default_mp_context())
+        method = ctx.get_start_method()
+        # A forkserver child's parent is the server, not this process.
+        owner = 0 if method == "forkserver" else os.getpid()
         guard_unlink(self)
         # One ack doorbell shared by every worker: contentless one-byte
         # sends are atomic (<< PIPE_BUF), and a single read end lets
@@ -564,10 +582,15 @@ class SlabDaemon(_RingDispatcher):
             ak = Ring.create(f"{self._tag}a{w}", self._ring_slots)
             parent_conn, child_conn = ctx.Pipe()
             kick_r, kick_w = ctx.Pipe(duplex=False)
+            # A forked worker inherits every parent-side end open now:
+            # left open, a later sibling would hold an earlier worker's
+            # control pipe and doorbell, so neither ever reaches EOF.
+            inherited = ([ack_kick_r, parent_conn, kick_w, *self._pipes,
+                          *self._kick_w] if method == "fork" else [])
             proc = ctx.Process(
                 target=_worker_main, name=f"repro-daemon-{w}",
                 args=(w, sub.name, ak.name, child_conn, kick_r,
-                      ack_kick_w), daemon=True)
+                      ack_kick_w, owner, inherited), daemon=True)
             proc.start()
             child_conn.close()
             kick_r.close()

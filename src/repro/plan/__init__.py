@@ -22,22 +22,12 @@ which :mod:`.audit` verifies with tracemalloc's numpy domain.  The LRU
 calls — the serving steady state — hit warm plans automatically.
 """
 
-from .arena import WorkspaceArena
-from .audit import AllocationAudit, audit_allocations
-from .cache import PlanCache, default_cache, shape_key
-from .plan import (ExecutionPlan, cached_plan, compile_plan, one_shot,
-                   plan_key)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllocationAudit",
-    "ExecutionPlan",
-    "PlanCache",
-    "WorkspaceArena",
-    "audit_allocations",
-    "cached_plan",
-    "compile_plan",
-    "default_cache",
-    "one_shot",
-    "plan_key",
-    "shape_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".arena": ("WorkspaceArena",),
+    ".audit": ("AllocationAudit", "audit_allocations"),
+    ".cache": ("PlanCache", "default_cache", "shape_key"),
+    ".plan": ("ExecutionPlan", "cached_plan", "compile_plan", "one_shot",
+              "plan_key"),
+})

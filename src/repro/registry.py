@@ -2,8 +2,9 @@
 
 The single plane through which every consumer — the CLI, the benchmark
 harness, the measured Ninja-gap sweep, the validation suite — discovers
-and dispatches the *functional* kernel implementations.  Each kernel
-package registers, at import time:
+and dispatches the *functional* kernel implementations.  Each kernel's
+tier module (``repro/kernels/<kernel>/tiers.py``) registers, when it is
+imported:
 
 * one :class:`KernelImpl` per ``(tier, backend)`` pair — a uniform
   callable ``fn(payload, executor) -> np.ndarray`` wrapping that tier's
@@ -13,20 +14,23 @@ package registers, at import time:
   what unit its rates are quoted in, and how tightly every non-reference
   tier must agree with the reference tier on the same inputs.
 
-Adding a tier, a backend, or a whole kernel is then one registration
-call; the CLI choices, the agreement tests and the sweep coverage all
-follow automatically.  Kernels appear in **registration order**, which
-:mod:`repro.kernels` fixes to the paper's Sec. IV presentation order —
-the same order the modeled Ninja table and its golden baseline use.
+Adding a tier or a backend is then one registration call; adding a
+kernel is one more row in :data:`KERNELS`.  The CLI choices, the
+agreement tests and the sweep coverage all follow automatically.
 
-The registry deliberately imports no kernel package (the kernel
-packages import *it* during registration); accessors lazily import
-:mod:`repro.kernels` so a bare ``from repro import registry`` still
-sees a fully-populated table.
+:data:`KERNELS` is a static table of the six kernels in the paper's
+Sec. IV presentation order — the same order the modeled Ninja table and
+its golden baseline use — each with its package.  The registry
+imports no kernel itself: a lookup of one kernel (``workload``,
+``impl``, ``impls(kernel)``) imports that kernel's tier module only, so
+a gateway pricing Black-Scholes never loads the other five; a listing
+(``kernels()``, ``impls()``) imports all six.  Listings come out in
+table order whatever order the kernels were first looked up in.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -75,7 +79,7 @@ class KernelImpl:
 
     kernel: str
     tier: str                      # functional tier name, e.g. "tiled"
-    level: "OptLevel"              # modeled-ladder rung (kernels.base)
+    level: "OptLevel"              # ladder rung (kernels.levels)
     backend: str                   # "serial"|"thread"|"process"|"daemon"
     fn: Callable
     checked: bool = True           # compared against the reference tier
@@ -142,17 +146,43 @@ class WorkloadSpec:
     greeks_tier: str | None = None
 
 
+#: The paper's kernels in Sec. IV order, each with its package: a
+#: lookup imports ``<package>.tiers`` (whose import registers the
+#: kernel's tiers and workload); ``build_model`` imports
+#: ``<package>.model``.
+KERNELS = (
+    ("black_scholes", "repro.kernels.black_scholes"),
+    ("binomial", "repro.kernels.binomial"),
+    ("brownian", "repro.kernels.brownian"),
+    ("monte_carlo", "repro.kernels.monte_carlo"),
+    ("crank_nicolson", "repro.kernels.crank_nicolson"),
+    ("rng", "repro.kernels.rng_kernel"),
+)
+PACKAGES = dict(KERNELS)
+_ORDER = {kernel: i for i, (kernel, _) in enumerate(KERNELS)}
+
+
+def _rank(kernel: str) -> int:
+    """Paper position; a kernel registered outside the table sorts
+    last, in registration order."""
+    return _ORDER.get(kernel, len(_ORDER))
+
+
 _WORKLOADS: dict = {}              # kernel -> WorkloadSpec
 _IMPLS: dict = {}                  # (kernel, tier, backend) -> KernelImpl
 
 
-def _ensure_registered() -> None:
-    """Import the kernel packages so their registrations have run."""
-    from . import kernels  # noqa: F401  (import side effect)
+def _ensure_registered(kernel: str | None = None) -> None:
+    """Import ``kernel``'s tier module, or every kernel's when ``kernel``
+    is ``None`` or not in :data:`KERNELS`."""
+    if kernel in _WORKLOADS:
+        return
+    for name in ((kernel,) if kernel in PACKAGES else PACKAGES):
+        importlib.import_module(PACKAGES[name] + ".tiers")
 
 
 # ----------------------------------------------------------------------
-# Registration (called by the kernel packages at import time)
+# Registration (called by the kernels' tier modules at import time)
 # ----------------------------------------------------------------------
 
 def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
@@ -210,35 +240,36 @@ def register_impl(kernel: str, tier: str, level, fn: Callable,
 # ----------------------------------------------------------------------
 
 def kernels() -> tuple:
-    """Registered kernel names, in registration (paper) order."""
+    """Registered kernel names, in the paper's Sec. IV order."""
     _ensure_registered()
-    return tuple(_WORKLOADS)
+    return tuple(sorted(_WORKLOADS, key=_rank))
 
 
 def workload(kernel: str) -> WorkloadSpec:
-    _ensure_registered()
+    _ensure_registered(kernel)
     try:
         return _WORKLOADS[kernel]
     except KeyError:
         raise ConfigurationError(
             f"no workload registered for kernel {kernel!r}; "
-            f"known: {list(_WORKLOADS)}"
+            f"known: {list(kernels())}"
         ) from None
 
 
 def impls(kernel: str | None = None, backend: str | None = None) -> tuple:
-    """Registered implementations, ladder-ordered (level, then
-    registration order), optionally filtered by kernel and backend."""
-    _ensure_registered()
+    """Registered implementations, ladder-ordered (level, then paper
+    kernel order, then registration order within the kernel),
+    optionally filtered by kernel and backend."""
+    _ensure_registered(kernel)
     out = [i for i in _IMPLS.values()
            if (kernel is None or i.kernel == kernel)
            and (backend is None or i.backend == backend)]
-    out.sort(key=lambda i: (i.kernel != kernel, i.level.order, i.seq))
+    out.sort(key=lambda i: (i.level.order, _rank(i.kernel), i.seq))
     return tuple(out)
 
 
 def impl(kernel: str, tier: str, backend: str = "serial") -> KernelImpl:
-    _ensure_registered()
+    _ensure_registered(kernel)
     try:
         return _IMPLS[(kernel, tier, backend)]
     except KeyError:
@@ -264,7 +295,7 @@ def tiers(kernel: str) -> tuple:
 def reference_impl(kernel: str) -> KernelImpl:
     """The kernel's serial reference tier (the agreement oracle and the
     denominator of the measured Ninja gap)."""
-    from .kernels.base import OptLevel
+    from .kernels.levels import OptLevel
     for i in impls(kernel, backend="serial"):
         if i.level is OptLevel.REFERENCE:
             return i

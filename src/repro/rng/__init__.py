@@ -2,19 +2,15 @@
 MT2203-style family), Philox counter-based streams, normal transforms and
 parallel stream management — the reproduction's MKL-RNG stand-in."""
 
-from .counting import normal_trace, uniform_trace
-from .mt19937 import MT19937
-from .mt2203 import MAX_STREAMS, MT2203, family, stream_parameters
-from .normal import NormalGenerator, box_muller, icdf_transform
-from .philox import Philox
-from .sobol import Sobol, direction_numbers, is_primitive, primitive_polynomials
-from .streams import StreamSet, make_streams
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MT19937", "MT2203", "Philox", "family", "stream_parameters",
-    "MAX_STREAMS",
-    "NormalGenerator", "box_muller", "icdf_transform",
-    "StreamSet", "make_streams",
-    "uniform_trace", "normal_trace",
-    "Sobol", "primitive_polynomials", "is_primitive", "direction_numbers",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".counting": ("normal_trace", "uniform_trace"),
+    ".mt19937": ("MT19937",),
+    ".mt2203": ("MAX_STREAMS", "MT2203", "family", "stream_parameters"),
+    ".normal": ("NormalGenerator", "box_muller", "icdf_transform"),
+    ".philox": ("Philox",),
+    ".sobol": ("Sobol", "direction_numbers", "is_primitive",
+               "primitive_polynomials"),
+    ".streams": ("StreamSet", "make_streams"),
+})

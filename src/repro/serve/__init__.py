@@ -32,15 +32,12 @@ makes the scattered results **bit-identical** to pricing each request
 alone — the correctness contract the loadtest verifies by digest.
 """
 
-from .batcher import Staging, bucket_width
-from .gateway import PricingGateway
-from .loadgen import poisson_arrivals, run_open_loop, synth_requests
-from .request import GatewayResult, PricingRequest
-from .workloads import TierAdapter, adapter_for, serial_reference
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PricingRequest", "GatewayResult", "PricingGateway",
-    "Staging", "bucket_width",
-    "TierAdapter", "adapter_for", "serial_reference",
-    "synth_requests", "poisson_arrivals", "run_open_loop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".batcher": ("Staging", "bucket_width"),
+    ".gateway": ("PricingGateway",),
+    ".loadgen": ("poisson_arrivals", "run_open_loop", "synth_requests"),
+    ".request": ("GatewayResult", "PricingRequest"),
+    ".workloads": ("TierAdapter", "adapter_for", "serial_reference"),
+})

@@ -63,6 +63,7 @@ from ..errors import (ConfigurationError, DaemonError, GatewayClosedError,
 from ..plan import PlanCache, compile_plan, plan_key
 from .batcher import Staging, bucket_width
 from .request import PricingRequest
+from .stats import latency_summary
 from .workloads import adapter_for
 
 #: Retain at most this many per-batch service-time samples for stats.
@@ -402,7 +403,6 @@ class PricingGateway:
 
     @property
     def stats(self) -> dict:
-        from ..bench.stats import latency_summary
         # Keyed by queue — ``(kernel, tier)`` — under its historical name.
         queued = {str(k): st.n_options
                   for k, st in self._queues.items() if st.items}

@@ -2,19 +2,16 @@
 layouts and prefetch modeling — the Python analogue of the paper's
 ``F64vec4``/``F64vec8`` intrinsics layer."""
 
-from .layout import (AOSBatch, FieldSpec, RecordBatch, SOABatch, aos_to_soa,
-                     make_batch, soa_to_aos, transform_traffic_bytes)
-from .machine import TracedArray, VectorMachine
-from .prefetch import (DRAM_LATENCY_CYCLES, PrefetchSchedule,
-                       miss_stall_cycles)
-from .trace import (ARITH_OPS, FLOPS_PER_LANE, TRANSCENDENTAL_FLOPS, OpTrace)
-from .vec import F64Vec, F64vec4, F64vec8, Mask
+from .._lazy import lazy_exports
 
-__all__ = [
-    "F64Vec", "F64vec4", "F64vec8", "Mask",
-    "VectorMachine", "TracedArray",
-    "OpTrace", "ARITH_OPS", "FLOPS_PER_LANE", "TRANSCENDENTAL_FLOPS",
-    "FieldSpec", "RecordBatch", "AOSBatch", "SOABatch",
-    "aos_to_soa", "soa_to_aos", "make_batch", "transform_traffic_bytes",
-    "PrefetchSchedule", "miss_stall_cycles", "DRAM_LATENCY_CYCLES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".layout": ("AOSBatch", "FieldSpec", "RecordBatch", "SOABatch",
+                "aos_to_soa", "make_batch", "soa_to_aos",
+                "transform_traffic_bytes"),
+    ".machine": ("TracedArray", "VectorMachine"),
+    ".prefetch": ("DRAM_LATENCY_CYCLES", "PrefetchSchedule",
+                  "miss_stall_cycles"),
+    ".trace": ("ARITH_OPS", "FLOPS_PER_LANE", "TRANSCENDENTAL_FLOPS",
+               "OpTrace"),
+    ".vec": ("F64Vec", "F64vec4", "F64vec8", "Mask"),
+})

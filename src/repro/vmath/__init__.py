@@ -3,17 +3,14 @@ the table-driven normal CDF the measured Black-Scholes tiers call
 directly (the paper's SVML-vs-VML library choice is modeled, in
 :mod:`repro.kernels.black_scholes.model`)."""
 
-from .cnd import vcnd, vpdf
-from .erf import verf, verfc
-from .exp import vexp
-from .invcnd import vinvcnd
-from .log import vlog
-from .poly import estrin, estrin_depth, horner, horner_depth
-from .trig import box_muller_scratch, vcos, vsin, vsincos
+from .._lazy import lazy_exports
 
-__all__ = [
-    "vexp", "vlog",
-    "verf", "verfc", "vcnd", "vpdf", "vinvcnd",
-    "horner", "estrin", "horner_depth", "estrin_depth",
-    "vsin", "vcos", "vsincos", "box_muller_scratch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cnd": ("vcnd", "vpdf"),
+    ".erf": ("verf", "verfc"),
+    ".exp": ("vexp",),
+    ".invcnd": ("vinvcnd",),
+    ".log": ("vlog",),
+    ".poly": ("estrin", "estrin_depth", "horner", "horner_depth"),
+    ".trig": ("box_muller_scratch", "vcos", "vsin", "vsincos"),
+})

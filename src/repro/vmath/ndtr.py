@@ -21,7 +21,8 @@ NaN); u = t - rint(t) exactly; one gather of the coefficient rows and
 four Horner steps.  Every step is elementwise, so blocking never
 changes a bit.  Max absolute error 4.4e-16 against ``mpmath.ncdf``.
 
-Sweep at 400k elements, 2-vCPU Xeon, 4 MiB private L2: J = 4096, K = 4
+Sweep at 400k elements, 2-vCPU Xeon, 2 MiB private L2 per core (sysfs
+``index2``; lscpu's 4 MiB is the sum over two instances): J = 4096, K = 4
 is a 164 KB table at ~9 ns/element, against ~18 for the erf route.
 J = 32768, K = 3 saves a Horner step but its 1 MB table's gathers
 evict the serving thread's working set (``serve_steady`` ops/s -5 %).

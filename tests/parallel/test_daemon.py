@@ -2,11 +2,17 @@
 parallel kernel, worker-crash detection with clean shutdown, the pin
 lifecycle (one pin per compiled dispatch, none after a one-shot, worker
 mappings released on unpin), and the clear-error contract (not-running
-and ring-ABI failures raise, never hang)."""
+and ring-ABI failures raise, never hang), and a SIGKILLed owner's
+workers exit rather than park forever."""
 
+import glob
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from repro import registry
 from repro.config import SMOKE_SIZES
 from repro.errors import DaemonError, DaemonNotRunningError, RingABIError
 from repro.parallel import SlabDaemon, SlabExecutor
-from repro.parallel.daemon import DaemonClient
+from repro.parallel.daemon import _PARK_QUANTUM, DaemonClient
 
 KERNELS = registry.parallel_kernels()
 
@@ -169,3 +175,64 @@ class TestPinLifecycle:
                 assert np.array_equal(out, x * k)
                 assert ex._daemon._plans == {}
                 assert ex._daemon.ping() == [(0, 0), (1, 0)]
+
+
+#: An owner with a live two-worker daemon (one Black-Scholes plan run
+#: on it, as in production) prints its workers' pids and SIGKILLs
+#: itself, so no exit guard runs.  With ``HOLD`` it first forks a
+#: sleeper that inherits every pipe end the owner holds, so the
+#: workers never see EOF and only the park-timeout parent check can
+#: notice the owner is gone.
+ORPHAN = """
+import os, signal, time
+from repro.parallel import SlabExecutor
+from repro.plan import compile_plan
+ex = SlabExecutor("daemon", n_workers=2, slab_bytes=4096)
+plan = compile_plan("black_scholes", "parallel", executor=ex,
+                    backend="daemon")
+plan.run()
+holder = os.fork() if HOLD else 1
+if holder == 0:
+    time.sleep(60)
+    os._exit(0)
+print(holder, *(p.pid for p in ex._daemon._procs), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Exited: no such process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("hold", [False, True],
+                             ids=["eof", "parent-check"])
+    def test_owner_sigkill_takes_its_workers(self, hold):
+        script = textwrap.dedent(ORPHAN).replace("HOLD", str(hold))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # Read one line, not to EOF: orphans still hold the pipe.
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        with proc.stdout:
+            line = proc.stdout.readline()
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        holder, *workers = map(int, line.split())
+        try:
+            assert len(workers) == 2
+            deadline = time.monotonic() + 6 * _PARK_QUANTUM
+            while time.monotonic() < deadline \
+                    and not all(map(_gone, workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if not _gone(pid)] == []
+        finally:
+            if hold:
+                os.kill(holder, signal.SIGKILL)
+            # SIGKILL ran no unlink guard: sweep what the owner left.
+            for path in glob.glob(f"/dev/shm/repro{proc.pid}x*") \
+                    + glob.glob(f"/dev/shm/reprod{proc.pid}x*"):
+                os.unlink(path)

@@ -4,6 +4,7 @@ worker mapping behind — also when the slab body raises — and they are
 re-entrant on a shared executor."""
 
 import os
+import re
 import sys
 import threading
 
@@ -36,8 +37,37 @@ def _probe(arrays, consts, a, b, slab):
     return len(shm._ATTACHED), len(os.listdir("/proc/self/fd"))
 
 
+#: Every segment the runtime creates is named ``repro<pid>x…`` (arenas)
+#: or ``reprod<pid>x…`` (daemon rings), ``<pid>`` being its creator's.
+_SEGMENT = re.compile(r"reprod?(\d+)x")
+
+
+def _process_tree() -> set:
+    """This process's pid and every descendant's."""
+    children: dict = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        children.setdefault(ppid, []).append(int(entry))
+    tree, todo = set(), [os.getpid()]
+    while todo:
+        pid = todo.pop()
+        tree.add(pid)
+        todo += children.get(pid, [])
+    return tree
+
+
 def _census() -> set:
-    return set(os.listdir("/dev/shm"))
+    """The segments this test's process tree owns: a concurrent
+    ``repro`` process elsewhere on the host cannot move it."""
+    tree = _process_tree()
+    return {name for name in os.listdir("/dev/shm")
+            if (m := _SEGMENT.match(name)) and int(m.group(1)) in tree}
 
 
 def _assert_nothing_left(ex, baseline: set) -> None:

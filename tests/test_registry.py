@@ -1,5 +1,11 @@
-"""Functional-tier registry tests: population, ordering, lookups and
-registration-time validation."""
+"""Functional-tier registry tests: population, ordering (whatever order
+the kernels are first looked up in), lookups and registration-time
+validation."""
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +176,38 @@ class TestDerivedConsumers:
         from repro.__main__ import main
         for kernel in registry.kernels():
             assert main(["profile", kernel]) == 0
+
+
+#: Looks ``FIRST`` up in a fresh interpreter, then prints every listing
+#: whose order is part of ``experiment all``'s output.
+ORDER_PROBE = """
+import json
+from repro import registry
+for kernel in FIRST:
+    registry.workload(kernel)
+    registry.impls(kernel)
+from repro.bench.ninja import ninja_table
+print(json.dumps({
+    "kernels": registry.kernels(),
+    "impls": [i.label for i in registry.impls()],
+    "ninja": [row[0] for row in ninja_table()[0]],
+}))
+"""
+
+
+class TestOrderIndependentOfLookups:
+    @staticmethod
+    def _listings(first: tuple) -> dict:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", ORDER_PROBE.replace("FIRST", repr(first))],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def test_rng_then_crank_nicolson_first_keeps_paper_order(self):
+        late = self._listings(("rng", "crank_nicolson"))
+        assert tuple(late["kernels"]) == PAPER_ORDER
+        assert tuple(late["ninja"]) == PAPER_ORDER[:-1]
+        assert late == self._listings(())
+        assert late["impls"] == [i.label for i in registry.impls()]
