@@ -8,7 +8,6 @@ profile <kernel>        VTune-style cycle profile on one platform
 ninja                   the modeled Ninja-gap table
 platforms               the simulated machines (+ optional host calibration)
 price ...               price one contract with every applicable engine
-daemon start|stop|status  manage the standing slab-worker daemon
 gateway                 serve the micro-batching pricing gateway over TCP
 lint                    AST conformance analysis of the tree (R001-R010)
 
@@ -79,83 +78,6 @@ def _cmd_platforms(args) -> int:
     if args.host:
         from .arch import calibrate_host
         print(calibrate_host().describe())
-    return 0
-
-
-def _cmd_daemon(args) -> int:
-    import json
-    import subprocess
-    import time
-
-    from .errors import DaemonError, DaemonNotRunningError
-    from .parallel.daemon import (_read_state, _sock_call, default_state_path,
-                                  serve)
-
-    state_path = args.state or default_state_path()
-
-    if args.action == "serve":
-        # Foreground host (what `start` launches detached).
-        return serve(n_workers=args.workers, state_path=state_path)
-
-    if args.action == "start":
-        try:
-            state = _read_state(state_path)
-            _sock_call(state["socket"], "ping")
-            print(f"daemon already running (pid {state['pid']}, "
-                  f"{state['n_workers']} workers, state {state_path})")
-            return 0
-        except (DaemonNotRunningError, DaemonError):
-            pass
-        cmd = [sys.executable, "-m", "repro", "daemon", "serve",
-               "--state", state_path]
-        if args.workers:
-            cmd += ["--workers", str(args.workers)]
-        import os
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else src)
-        proc = subprocess.Popen(
-            cmd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, start_new_session=True, env=env)
-        deadline = time.monotonic() + args.timeout
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                print(f"error: daemon host exited early "
-                      f"(code {proc.returncode})", file=sys.stderr)
-                return 1
-            try:
-                state = _read_state(state_path)
-                reply = _sock_call(state["socket"], "ping")
-                print(f"daemon started (pid {state['pid']}, "
-                      f"{len(reply['workers'])} workers, "
-                      f"abi v{reply['abi']}, state {state_path})")
-                return 0
-            except (DaemonNotRunningError, DaemonError):
-                time.sleep(0.1)
-        print(f"error: daemon did not come up within {args.timeout}s",
-              file=sys.stderr)
-        return 1
-
-    if args.action == "stop":
-        state = _read_state(state_path)
-        _sock_call(state["socket"], "stop")
-        deadline = time.monotonic() + args.timeout
-        while time.monotonic() < deadline:
-            try:
-                import os
-                os.kill(state["pid"], 0)
-                time.sleep(0.1)
-            except ProcessLookupError:
-                break
-        print(f"daemon stopped (pid {state['pid']})")
-        return 0
-
-    # status
-    state = _read_state(state_path)
-    status = _sock_call(state["socket"], "status")
-    print(json.dumps({"state_path": state_path, "pid": state["pid"],
-                      **status}, indent=2))
     return 0
 
 
@@ -238,30 +160,13 @@ def main(argv=None) -> int:
     add_measured_parsers(sub)
 
     p = sub.add_parser(
-        "daemon",
-        help="manage the standing slab-worker daemon (ring dispatch)")
-    p.add_argument("action",
-                   choices=["start", "stop", "status", "serve"],
-                   help="start: launch a detached daemon host; stop: "
-                        "retire it; status: query it; serve: host in "
-                        "the foreground")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: cpu_count)")
-    p.add_argument("--state", default=None,
-                   help="state-file path (default: "
-                        "$REPRO_DAEMON_STATE or the per-user tempfile)")
-    p.add_argument("--timeout", type=float, default=15.0,
-                   help="seconds to wait for start/stop to take effect")
-    p.set_defaults(fn=_cmd_daemon)
-
-    p = sub.add_parser(
         "gateway",
         help="serve the async micro-batching pricing gateway over TCP")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7101)
-    p.add_argument("--backend", default="auto",
-                   help="serial,thread,process,daemon,auto (auto "
-                        "attaches to a running daemon, else serial)")
+    p.add_argument("--backend", default="serial",
+                   help="serial,thread,process,daemon (daemon forks "
+                        "a worker fleet the gateway owns)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-wait-ms", type=float, default=0.0,
                    help="linger before a quiet tier's first flush "

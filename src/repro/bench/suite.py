@@ -51,7 +51,7 @@ FLAGS = {
     "full": ("--full", dict(
         action="store_true", help="use PAPER_SIZES workloads")),
     "backend": ("--backend", dict(
-        default="serial", help="serial,thread,process,daemon,auto")),
+        default="serial", help="serial,thread,process,daemon")),
     "backends": ("--backends", dict(
         type=_csv(str), default="serial,thread,process,daemon",
         help="comma-separated subset of serial,thread,process,daemon")),

@@ -59,9 +59,9 @@ class DaemonError(ReproError):
 
 
 class DaemonNotRunningError(DaemonError):
-    """A dispatch or attach was attempted against a daemon that is not
-    running (never started, already stopped, or its state file points
-    at a dead process). Raised eagerly instead of hanging on a ring."""
+    """A dispatch or control call was attempted against a daemon that
+    is not running (never started or already stopped).  Raised eagerly
+    instead of hanging on a ring."""
 
 
 class RingABIError(DaemonError):

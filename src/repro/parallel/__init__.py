@@ -1,12 +1,12 @@
 """Thread-level-parallelism substrate: domain decomposition, the
 zero-copy slab engine behind the parallel kernel tier (the OpenMP
-stand-in), and the standing worker daemon with its shared-memory
+stand-in), and the executor-owned worker daemon with its shared-memory
 ring-buffer dispatch fabric."""
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".daemon": ("DaemonClient", "SlabDaemon", "default_state_path", "serve"),
+    ".daemon": ("SlabDaemon",),
     ".partition": ("doubling_counts", "slab_ranges"),
     ".ring": ("ABI_VERSION", "Ring", "guard_unlink", "install_signal_guards",
               "unguard"),

@@ -23,6 +23,10 @@ Topology
     dispatch: submit_ring[i].push ────────▶ run slab fn on pinned views
               ack_ring[i].pop    ◀──────── push (call_seq, plan, slab)
 
+The parent is the process that prices: its executor forks the fleet
+and stops it, and only it holds the rings, doorbells and control
+pipes.  Nothing attaches to a fleet from outside.
+
 Slabs are assigned **statically round-robin** (slab ``j`` belongs to
 worker ``j % n_workers``): assignment is then a pure function of the
 plan, never of worker timing, which preserves the slab engine's
@@ -46,42 +50,29 @@ Every blocking wait polls worker liveness, so a crashed worker raises
 exceptions travel back over the control pipe (ack status flags the
 parent to read it).  Ring and arena segments register exit guards
 (:mod:`.ring`), which unlink them when the owner exits normally, raises
-or is stopped by ``SIGTERM``/``SIGINT``.  ``SIGKILL`` runs no guard: a
-SIGKILLed owner's segments stay linked in ``/dev/shm`` (nothing reaps
-them yet).  Its workers do not stay behind: a worker closes every
+or is stopped by ``SIGTERM``/``SIGINT``.  ``SIGKILL`` runs no guard.
+A SIGKILLed owner's workers do not stay behind: a worker closes every
 parent-side pipe end it inherited, so the owner's death reaches it as
 EOF, and each park timeout checks that the owner is still its parent.
-
-Standing service
-----------------
-:func:`serve` hosts a daemon behind a Unix control socket and a state
-file, which is what ``python -m repro daemon start|status|stop``
-manages; :class:`DaemonClient` attaches from another process — control
-traffic (pin/unpin/status) goes over the socket, steady-state dispatch
-goes straight into the same rings.  One dispatching client at a time
-(the rings are SPSC); the CLI daemon exists for standing-service
-workflows, while in-process executors own a private daemon.
+Its segments are unlinked by CPython's resource tracker once every
+pipe end to the tracker has closed; if the tracker died too (a SIGKILL
+of the process group), the next process that starts a daemon or arena
+reclaims them (:func:`~.ring.reap_dead_owners`).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
-import socket
-import struct
-import tempfile
 import time
 
-from ..errors import (ConfigurationError, DaemonError,
-                      DaemonNotRunningError, RingABIError)
+from ..errors import ConfigurationError, DaemonError, DaemonNotRunningError
 from ..results import output_set_id
-from .ring import (ABI_VERSION, Ring, _backoff, guard_unlink,
-                   install_signal_guards, unguard)
+from .ring import (ABI_VERSION, Ring, guard_unlink, install_signal_guards,
+                   reap_dead_owners, unguard)
 
 #: Submit/ack ring capacity per worker.  Descriptor pushes interleave
 #: with ack drains, so this bounds in-flight work per worker without
-#: ever deadlocking (see :meth:`_RingDispatcher.dispatch`).
+#: ever deadlocking (see :meth:`SlabDaemon.dispatch`).
 RING_SLOTS = 256
 
 #: Ack status codes (the descriptor ``arg`` field on the ack ring).
@@ -114,8 +105,8 @@ _CTL_EVERY = 64
 #: the timeout bounds the theoretical store/load race between a
 #: producer's door check and this consumer's park, and on each timeout
 #: a parked worker compares ``os.getppid()`` with its owner's pid and
-#: exits if the owner is gone, SIGKILLed owners included.  (The owner's
-#: segments are another matter: see the module docstring.)
+#: exits if the owner is gone, SIGKILLed owners included.  (Its segments
+#: are reaped by the next owner to start: see the module docstring.)
 _PARK_QUANTUM = 0.5
 
 #: Dispatcher-side ack wait quantum.  Short so worker death during a
@@ -332,56 +323,49 @@ def _task_for(tasks, slab: int):
 
 
 # ----------------------------------------------------------------------
-# Producer-side dispatch machinery (shared by owner and remote client)
+# Owner side
 # ----------------------------------------------------------------------
 
-class _RingDispatcher:
-    """Descriptor submit/collect over one ring pair per worker.
+class SlabDaemon:
+    """In-process owner of a standing worker fleet.
 
-    Subclasses provide the control channel (:meth:`_control` — direct
-    pipes for the in-process owner, the Unix socket for a remote
-    client) and :meth:`_check_alive`.
+    Created (lazily) by ``SlabExecutor("daemon")``; ``start()`` forks
+    the workers and builds the ring pairs, ``stop()`` retires them and
+    unlinks every segment.  Control traffic (pin/unpin/ping/stop) runs
+    over per-worker pipes; steady-state dispatch submits descriptors
+    over one ring pair per worker and collects the acks.
     """
 
-    def __init__(self):
+    def __init__(self, n_workers: int, mp_context: str | None = None,
+                 ring_slots: int = RING_SLOTS):
+        if n_workers < 1:
+            raise ConfigurationError("n_workers must be >= 1")
+        global _DAEMON_SEQ
+        _DAEMON_SEQ += 1
+        self.n_workers_requested = n_workers
+        self._tag = f"reprod{os.getpid()}x{_DAEMON_SEQ}"
+        self._ring_slots = ring_slots
+        self._mp_context = mp_context
         self._submit: list = []       # Ring per worker
         self._ack: list = []          # Ring per worker
         self._call_seq = 0
         self._plan_seq = 0
         self._plans: dict = {}        # plan_id -> n_slabs
         self._plan_outs: dict = {}    # plan_id -> output-set id
+        self._procs: list = []
+        self._pipes: list = []
+        self._side: list = []         # buffered taskresult/taskerror msgs
+        self._kick_w: list = []       # submit doorbells (parent → worker)
+        self._ack_kick_r = None       # ack doorbell (all workers → parent)
+        self._started = False
+        self._stopped = False
 
     @property
     def n_workers(self) -> int:
         return len(self._submit)
 
-    def _check_alive(self) -> None:
-        raise NotImplementedError
-
-    def _control(self, worker: int, msg: tuple):
-        raise NotImplementedError
-
     def _worker_of(self, slab: int) -> int:
         return slab % self.n_workers
-
-    # -- doorbell hooks (see :func:`_worker_main`) ---------------------
-    def _kick(self, worker: int) -> None:
-        """Ring one worker's doorbell after publishing a descriptor
-        (no-op for dispatchers without direct doorbell access)."""
-
-    def _kick_flush(self, expected) -> None:
-        """Post-push barrier kick: wake every worker with outstanding
-        descriptors.  This is the kick that makes the protocol
-        lost-wakeup-free — it happens after *all* publishes."""
-
-    def _drain_doorbells(self) -> None:
-        """Swallow stale ack-doorbell bytes (bounded-buffer hygiene)."""
-
-    def _await_acks(self, expected, spins: int) -> None:
-        """Block (briefly) until an ack is plausibly ready; the default
-        degrades to the spin/yield/sleep ladder for dispatchers that
-        cannot wait on the ack doorbells."""
-        _backoff(spins)
 
     # -- pin lifecycle -------------------------------------------------
     def pin(self, fn, specs: dict, consts_list, slabs,
@@ -497,7 +481,7 @@ class _RingDispatcher:
                 os.sched_yield()
                 continue
             self._check_alive()
-            self._await_acks(expected, spins)
+            self._await_acks(expected)
         return results
 
     def _drain(self, call_seq: int, plan_id: int, results, expected) -> int:
@@ -517,7 +501,7 @@ class _RingDispatcher:
                 got += 1
                 if status == _ACK_OK:
                     continue
-                kind, rseq, rslab, payload = self._recv_side(w)
+                kind, rseq, rslab, payload = self._recv_pipe(w, "side")
                 if status == _ACK_RESULT and kind == "taskresult":
                     results[slab] = payload
                 else:
@@ -526,46 +510,13 @@ class _RingDispatcher:
                         f"worker {w}:\n{payload}")
         return got
 
-    def _recv_side(self, worker: int):
-        """The pipe message that accompanies a RESULT/ERROR ack."""
-        raise NotImplementedError
-
-
-class SlabDaemon(_RingDispatcher):
-    """In-process owner of a standing worker fleet.
-
-    Created (lazily) by ``SlabExecutor("daemon")`` and by
-    :func:`serve`; ``start()`` forks the workers and builds the ring
-    pairs, ``stop()`` retires them and unlinks every segment.  All
-    control traffic runs over per-worker pipes; steady-state dispatch
-    runs over the rings.
-    """
-
-    def __init__(self, n_workers: int, mp_context: str | None = None,
-                 ring_slots: int = RING_SLOTS):
-        super().__init__()
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
-        global _DAEMON_SEQ
-        _DAEMON_SEQ += 1
-        self.n_workers_requested = n_workers
-        self._tag = f"reprod{os.getpid()}x{_DAEMON_SEQ}"
-        self._ring_slots = ring_slots
-        self._mp_context = mp_context
-        self._procs: list = []
-        self._pipes: list = []
-        self._side: list = []         # buffered taskresult/taskerror msgs
-        self._kick_w: list = []       # submit doorbells (parent → worker)
-        self._ack_kick_r = None       # ack doorbell (all workers → parent)
-        self._started = False
-        self._stopped = False
-
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "SlabDaemon":
         if self._started:
             return self
         import multiprocessing
         from .slab import _default_mp_context
+        reap_dead_owners()
         ctx = multiprocessing.get_context(
             self._mp_context or _default_mp_context())
         method = ctx.get_start_method()
@@ -703,13 +654,7 @@ class SlabDaemon(_RingDispatcher):
         # wait is bounded by one slab's runtime.
         return self._recv_pipe(worker, "control")
 
-    def _recv_side(self, worker: int):
-        return self._recv_pipe(worker, "side")
-
     # -- doorbells -----------------------------------------------------
-    def _kick(self, worker: int) -> None:
-        self._kick_w[worker].send_bytes(b"k")
-
     def _kick_flush(self, expected) -> None:
         # Door check is a shared-memory read: only parked workers cost
         # a pipe write, so steady state (workers yielding) is pipe-free.
@@ -717,12 +662,7 @@ class SlabDaemon(_RingDispatcher):
             if expected[w] > 0 and self._submit[w].door:
                 self._kick_w[w].send_bytes(b"k")
 
-    def _drain_doorbells(self) -> None:
-        conn = self._ack_kick_r
-        while conn is not None and conn.poll(0):
-            conn.recv_bytes()
-
-    def _await_acks(self, expected, spins: int) -> None:
+    def _await_acks(self, expected) -> None:
         """Park on the shared ack doorbell until a worker rings it.
 
         Raises the door on every ack ring still owed (workers kick only
@@ -736,7 +676,8 @@ class SlabDaemon(_RingDispatcher):
             if expected[w] > 0:
                 self._ack[w].door_set(1)
         try:
-            self._drain_doorbells()
+            while self._ack_kick_r.poll(0):     # stale bytes
+                self._ack_kick_r.recv_bytes()
             for w in range(self.n_workers):
                 if expected[w] > 0 and len(self._ack[w]):
                     return
@@ -778,304 +719,3 @@ class SlabDaemon(_RingDispatcher):
             "submit_rings": [r.name for r in self._submit],
             "ack_rings": [r.name for r in self._ack],
         }
-
-
-# ----------------------------------------------------------------------
-# Standing service: state file, control socket, remote client
-# ----------------------------------------------------------------------
-
-def default_state_path() -> str:
-    """Where ``repro daemon`` records the standing instance (override
-    with ``REPRO_DAEMON_STATE``)."""
-    override = os.environ.get("REPRO_DAEMON_STATE")
-    if override:
-        return override
-    return os.path.join(tempfile.gettempdir(),
-                        f"repro-daemon-{os.getuid()}.json")
-
-
-def _read_state(state_path: str) -> dict:
-    try:
-        with open(state_path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DaemonNotRunningError(
-            f"no daemon state file at {state_path}; start one with "
-            f"`python -m repro daemon start`") from None
-    except (OSError, ValueError) as exc:
-        raise DaemonError(
-            f"unreadable daemon state file {state_path}: {exc}") from exc
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-_LEN = struct.Struct("<I")
-
-
-def _sock_call(sock_path: str, op: str, payload=None,
-               timeout: float = _CTL_TIMEOUT):
-    """One length-prefixed pickle request/response on the control
-    socket (one request per connection keeps framing trivial)."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(timeout)
-        try:
-            sock.connect(sock_path)
-        except (FileNotFoundError, ConnectionRefusedError) as exc:
-            raise DaemonNotRunningError(
-                f"daemon control socket {sock_path} is not accepting "
-                f"connections ({exc}); is the daemon running?") from None
-        blob = pickle.dumps((op, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        sock.sendall(_LEN.pack(len(blob)) + blob)
-        raw = _recv_exact(sock, _LEN.size)
-        (n,) = _LEN.unpack(raw)
-        status, reply = pickle.loads(_recv_exact(sock, n))
-    if status == "error":
-        raise DaemonError(f"daemon refused {op!r}: {reply}")
-    return reply
-
-
-def _recv_exact(sock, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise DaemonError("daemon control connection closed early")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def serve(n_workers: int | None = None, state_path: str | None = None,
-          ready_event=None) -> int:
-    """Host a standing daemon until a ``stop`` request arrives.
-
-    Writes the state file, opens the Unix control socket, and serves
-    one pickled request per connection: ``ping``/``status``/``stop``
-    plus the setup-plane ops a remote client needs (``pin``,
-    ``unpin``, ``rings``).  Steady-state dispatch never
-    touches the socket — attached clients write the rings directly.
-    """
-    install_signal_guards()
-    state_path = state_path or default_state_path()
-    sock_path = state_path + ".sock"
-    try:
-        existing = _read_state(state_path)
-        if _pid_alive(existing.get("pid", -1)):
-            raise DaemonError(
-                f"a daemon is already running (pid {existing['pid']}, "
-                f"state {state_path}); stop it first")
-        os.unlink(state_path)         # stale file from a dead daemon
-    except DaemonNotRunningError:
-        pass
-    for stale in (sock_path,):
-        try:
-            os.unlink(stale)
-        except FileNotFoundError:
-            pass
-
-    daemon = SlabDaemon(n_workers or os.cpu_count() or 1).start()
-    state = {
-        "pid": os.getpid(),
-        "abi": ABI_VERSION,
-        "n_workers": daemon.n_workers,
-        "socket": sock_path,
-        "submit_rings": [r.name for r in daemon._submit],
-        "ack_rings": [r.name for r in daemon._ack],
-    }
-    with open(state_path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=2)
-        fh.write("\n")
-
-    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        server.bind(sock_path)
-        server.listen(8)
-        server.settimeout(0.5)
-        if ready_event is not None:
-            ready_event.set()
-        running = True
-        while running:
-            try:
-                conn, _ = server.accept()
-            except socket.timeout:
-                try:
-                    daemon._check_alive()
-                except DaemonError:
-                    break             # a worker died; shut down cleanly
-                daemon._drain_doorbells()
-                continue
-            with conn:
-                running = _serve_one(daemon, conn)
-    finally:
-        server.close()
-        daemon.stop()
-        for path in (sock_path, state_path):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-    return 0
-
-
-def _serve_one(daemon: SlabDaemon, conn) -> bool:
-    """Handle one control request; returns False when asked to stop."""
-    try:
-        (n,) = _LEN.unpack(_recv_exact(conn, _LEN.size))
-        op, payload = pickle.loads(_recv_exact(conn, n))
-    except (DaemonError, OSError, pickle.UnpicklingError):
-        return True
-    running = True
-    try:
-        if op == "ping":
-            reply = {"abi": ABI_VERSION, "workers": daemon.ping()}
-        elif op == "status":
-            reply = daemon.status()
-        elif op == "rings":
-            reply = {"abi": ABI_VERSION,
-                     "submit": [r.name for r in daemon._submit],
-                     "ack": [r.name for r in daemon._ack],
-                     "pid": os.getpid()}
-        elif op == "pin":
-            fn, specs, consts_list, slabs, outputs = payload
-            reply = daemon.pin(fn, specs, consts_list, slabs,
-                               outputs=outputs)
-        elif op == "unpin":
-            daemon.unpin(payload)
-            reply = payload
-        elif op == "kick":
-            # A ring-attached client has no worker doorbells; one socket
-            # round-trip after its push phase rings them all by proxy
-            # (and sweeps the ack doorbells the daemon process is not
-            # otherwise draining while a client collects acks itself).
-            daemon._drain_doorbells()
-            for w in range(daemon.n_workers):
-                daemon._kick(w)
-            reply = daemon.n_workers
-        elif op == "dispatch":
-            # Socket-mediated dispatch: correctness fallback for
-            # clients that cannot map the rings.  Attached executors
-            # use the rings directly instead.
-            reply = daemon.dispatch(payload)
-        elif op == "stop":
-            reply = "stopping"
-            running = False
-        else:
-            raise DaemonError(f"unknown op {op!r}")
-        blob = pickle.dumps(("ok", reply),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # noqa: BLE001 — relayed to the client
-        blob = pickle.dumps(("error", f"{type(exc).__name__}: {exc}"),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        conn.sendall(_LEN.pack(len(blob)) + blob)
-    except OSError:
-        pass
-    return running
-
-
-class DaemonClient(_RingDispatcher):
-    """Attach to a CLI-started standing daemon from another process.
-
-    Control-plane calls (pin/unpin/status) go over the Unix
-    socket; steady-state dispatch writes the daemon's rings directly —
-    the daemon process never touches a descriptor the client submits.
-    One dispatching client at a time (SPSC rings).
-    """
-
-    def __init__(self, state_path: str | None = None):
-        super().__init__()
-        self.state_path = state_path or default_state_path()
-        state = _read_state(self.state_path)
-        if not _pid_alive(state.get("pid", -1)):
-            raise DaemonNotRunningError(
-                f"daemon state file {self.state_path} names pid "
-                f"{state.get('pid')}, which is not running; remove the "
-                f"stale file or start a new daemon")
-        if state.get("abi") != ABI_VERSION:
-            raise RingABIError(
-                f"daemon at {self.state_path} speaks ABI "
-                f"v{state.get('abi')}; this client is v{ABI_VERSION}")
-        self.pid = state["pid"]
-        self._sock_path = state["socket"]
-        rings = _sock_call(self._sock_path, "rings")
-        if rings["abi"] != ABI_VERSION:
-            raise RingABIError(
-                f"daemon rings speak ABI v{rings['abi']}; this client "
-                f"is v{ABI_VERSION}")
-        self._submit = [Ring.attach(n) for n in rings["submit"]]
-        self._ack = [Ring.attach(n) for n in rings["ack"]]
-        # Plan ids are daemon-allocated for remote clients; the local
-        # counter is unused.
-        self._remote = True
-
-    # -- dispatcher plumbing -------------------------------------------
-    def _check_alive(self) -> None:
-        if not _pid_alive(self.pid):
-            raise DaemonError(
-                f"daemon process {self.pid} died while this client was "
-                f"attached")
-
-    def _control(self, worker: int, msg: tuple):  # pragma: no cover
-        raise DaemonError("remote clients pin through the socket")
-
-    def _kick_flush(self, expected) -> None:
-        # No direct doorbell fds across processes, but the doors are in
-        # the mapped rings: if every worker is awake (steady state) the
-        # push alone suffices; only a parked worker costs one socket
-        # round trip asking the daemon to ring doorbells by proxy.
-        # _await_acks keeps the base-class backoff ladder.
-        for w in range(self.n_workers):
-            if expected[w] > 0 and self._submit[w].door:
-                _sock_call(self._sock_path, "kick")
-                return
-
-    def pin(self, fn, specs: dict, consts_list, slabs,
-            outputs=()) -> int:
-        plan_id = _sock_call(self._sock_path, "pin",
-                             (fn, specs, list(consts_list),
-                              [(int(a), int(b)) for a, b in slabs],
-                              tuple(outputs)))
-        self._plans[plan_id] = len(slabs)
-        self._plan_outs[plan_id] = output_set_id(outputs)
-        return plan_id
-
-    def unpin(self, plan_id: int) -> None:
-        if self._plans.pop(plan_id, None) is None:
-            return
-        self._plan_outs.pop(plan_id, None)
-        try:
-            _sock_call(self._sock_path, "unpin", plan_id)
-        except DaemonError:
-            pass
-
-    def _recv_side(self, worker: int):
-        raise DaemonError(
-            "a value-returning or failing slab body needs the daemon's "
-            "side channel, which remote clients do not hold; use "
-            "view-writing slab kernels through an attached executor")
-
-    def ping(self) -> dict:
-        return _sock_call(self._sock_path, "ping")
-
-    def status(self) -> dict:
-        return _sock_call(self._sock_path, "status")
-
-    def request_stop(self) -> None:
-        _sock_call(self._sock_path, "stop")
-
-    def stop(self) -> None:
-        """Detach (close ring mappings); the daemon keeps running."""
-        for ring in self._submit + self._ack:
-            ring.close()
-        self._submit = []
-        self._ack = []
-
-    close = stop

@@ -39,13 +39,15 @@ guard (:func:`guard_unlink` / :func:`unguard`), an ``atexit``-backed
 registry also used by :class:`~.shm.ShmArena`.
 :func:`install_signal_guards` converts ``SIGTERM``/``SIGINT`` into
 ``SystemExit`` so those guards also run when a daemon or worker is
-killed politely.
+killed politely, and :func:`reap_dead_owners` reclaims what an owner
+killed without a guard left behind.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import re
 import signal
 import struct
 import time
@@ -385,7 +387,7 @@ def install_signal_guards() -> None:
     Only replaces handlers still at their defaults — an application
     that installed its own handlers keeps them.  ``SIGKILL`` cannot be
     guarded; a kill -9'd daemon leaves segments for the *parent's*
-    guards (or the next daemon start) to sweep.
+    guards (or :func:`reap_dead_owners` in the next owner) to sweep.
     """
     global _SIGNAL_GUARDS_INSTALLED
     if _SIGNAL_GUARDS_INSTALLED:
@@ -401,3 +403,52 @@ def install_signal_guards() -> None:
 
 def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)
+
+
+#: Owner-named segments: ``repro<pid>x…`` (arenas) and
+#: ``reprod<pid>x…`` (daemon rings).
+_OWNED_NAME = re.compile(r"reprod?(\d+)x")
+
+_REAPED = False
+
+
+def reap_dead_owners() -> None:
+    """Unlink every owner-named segment whose owner pid is dead.
+
+    Runs once per process, when it starts its first
+    :class:`~.shm.ShmArena` or :class:`~.daemon.SlabDaemon`.  An owner
+    killed with no exit guard (``SIGKILL`` of its process group, the
+    OOM killer) together with its resource tracker leaves its segments
+    linked; the next owner to start removes them.  A pid that
+    ``os.kill(pid, 0)`` cannot signal (``PermissionError``) counts as
+    alive, and names without the owner prefix are never touched.
+    Assumes one pid namespace per ``/dev/shm``: a pid read from a name
+    is checked against this process's namespace.
+    """
+    global _REAPED
+    if _REAPED:
+        return
+    _REAPED = True
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return
+    dead: dict = {}
+    for name in names:
+        match = _OWNED_NAME.match(name)
+        if match is None:
+            continue
+        pid = int(match.group(1))
+        if pid not in dead:
+            try:
+                os.kill(pid, 0)
+                dead[pid] = False
+            except ProcessLookupError:
+                dead[pid] = True
+            except (OSError, OverflowError):   # PermissionError: alive
+                dead[pid] = False
+        if dead[pid]:
+            try:
+                os.unlink(os.path.join("/dev/shm", name))
+            except OSError:
+                pass

@@ -57,7 +57,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..errors import ConfigurationError
-from .ring import guard_unlink, unguard
+from .ring import guard_unlink, reap_dead_owners, unguard
 
 #: Generation separator inside segment names; bumping the generation
 #: (on growth) changes the name, which is what invalidates worker-side
@@ -167,6 +167,7 @@ class ShmArena:
 
     def __init__(self):
         global _ARENA_SEQ
+        reap_dead_owners()
         _ARENA_SEQ += 1
         self._tag = f"repro{os.getpid()}x{_ARENA_SEQ}"
         self._segments: dict = {}     # role -> _Segment

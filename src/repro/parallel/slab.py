@@ -29,9 +29,10 @@ validate, build per-slab views, stage, pin) into a
   (copied in before a run, written ones copied back after it).
   Per-slab task messages never carry array data.
 * ``daemon`` — the standing-worker refinement of ``process``
-  (:mod:`.daemon`): workers start once, each compiled dispatch is
-  pinned once (the only pickling, at compile time), and every run
-  moves only fixed-size slab descriptors through shared-memory rings
+  (:mod:`.daemon`): the executor forks its own worker fleet once and
+  stops it on close, each compiled dispatch is pinned once (the only
+  pickling, at compile time), and every run moves only fixed-size slab
+  descriptors through shared-memory rings
   (:mod:`.ring`) — zero pickling and zero executor-queue hops per run,
   which is what keeps dispatch overhead flat as worker counts grow.
 
@@ -128,16 +129,6 @@ def host_llc_bytes(default: int = DEFAULT_LLC_BYTES) -> int:
     return best or default
 
 
-def _arch_llc_bytes(arch) -> int:
-    """LLC budget of an :class:`~repro.arch.spec.ArchSpec`: the largest
-    cache level, divided among cores when shared."""
-    best = 0
-    for c in arch.caches:
-        size = c.size // arch.total_cores if c.shared else c.size
-        best = max(best, size)
-    return best or DEFAULT_LLC_BYTES
-
-
 def _default_mp_context() -> str:
     """``fork`` where available (instant worker start, inherited
     imports), else ``spawn``."""
@@ -156,20 +147,16 @@ class SlabExecutor:
         the GIL so slabs overlap on real cores), ``process``
         (reusable :class:`ProcessPoolExecutor`; slabs are mapped out of
         shared-memory segments, so GIL-bound kernel portions scale too)
-        or ``daemon`` (standing workers fed slab descriptors through
-        shared-memory rings — the process backend minus its per-call
-        pickling and queue hops; see :mod:`.daemon`).
+        or ``daemon`` (a worker fleet this executor forks and owns,
+        fed slab descriptors through shared-memory rings — the process
+        backend minus its per-call pickling and queue hops; see
+        :mod:`.daemon`).
     n_workers:
         Pool width; defaults to the host CPU count.
     slab_bytes:
-        Working-set budget per slab.  Defaults to half the LLC (half of
-        an :class:`~repro.arch.spec.ArchSpec`'s per-core LLC share when
-        ``arch`` is given, half the sysfs-detected host LLC otherwise)
-        so a slab's inputs, outputs and scratch stay cache-resident
-        while the next slab streams in.
-    arch:
-        Optional :class:`~repro.arch.spec.ArchSpec` to size slabs from
-        instead of the host cache hierarchy.
+        Working-set budget per slab.  Defaults to half the
+        sysfs-detected host LLC, so a slab's inputs, outputs and
+        scratch stay cache-resident while the next slab streams in.
     mp_context:
         Start method for the process backend (``fork``/``spawn``/
         ``forkserver``); default picks ``fork`` where the platform
@@ -187,18 +174,17 @@ class SlabExecutor:
         ``batch_wide`` pass the measured
         :data:`MEASURED_CROSSOVER_BYTES`.
 
-    The pool is created lazily on the first pooled dispatch and
-    **reused across calls** until :meth:`close` (or context-manager
-    exit) — no per-call pool churn.  Shared segments and daemon pins
-    belong to a :class:`CompiledDispatch` and live exactly as long as
-    it does.
+    The pool (or daemon fleet) is created lazily on the first pooled
+    dispatch and **reused across calls** until :meth:`close` (or
+    context-manager exit) — no per-call pool churn.  Shared segments
+    and daemon pins belong to a :class:`CompiledDispatch` and live
+    exactly as long as it does.
     """
 
     def __init__(self, backend: str = "thread", n_workers: int | None = None,
-                 slab_bytes: int | None = None, arch=None,
+                 slab_bytes: int | None = None,
                  mp_context: str | None = None,
-                 min_parallel_bytes: int = 0,
-                 attach: bool | str = False):
+                 min_parallel_bytes: int = 0):
         if backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; want one of {BACKENDS}"
@@ -209,30 +195,18 @@ class SlabExecutor:
             raise ConfigurationError("slab_bytes must be >= 1")
         if min_parallel_bytes < 0:
             raise ConfigurationError("min_parallel_bytes must be >= 0")
-        if attach and backend != "daemon":
-            raise ConfigurationError(
-                "attach= applies only to the daemon backend")
         self.backend = backend
         self.n_workers = n_workers or os.cpu_count() or 1
         if slab_bytes is None:
-            llc = _arch_llc_bytes(arch) if arch is not None else host_llc_bytes()
-            slab_bytes = max(1, llc // 2)
+            slab_bytes = max(1, host_llc_bytes() // 2)
         self.slab_bytes = slab_bytes
         self.mp_context = mp_context or _default_mp_context()
         self.min_parallel_bytes = min_parallel_bytes
-        self.attach = attach
         self._pool = None          # ThreadPoolExecutor | ProcessPoolExecutor
         self._arena = None         # ShmArena (process/daemon backends)
-        self._daemon = None        # SlabDaemon | DaemonClient
-        self._owns_daemon = False
+        self._daemon = None        # SlabDaemon (daemon backend)
         self._live_dispatches = []  # CompiledDispatch registry (close)
         self._closed = False
-        if attach:
-            # Attach eagerly: a missing standing daemon raises
-            # DaemonNotRunningError here, at construction, not deep in
-            # the first dispatch; and the slab plan adopts the standing
-            # fleet's width.
-            self._get_daemon()
 
     @property
     def out_of_process(self) -> bool:
@@ -274,44 +248,24 @@ class SlabExecutor:
         return self._get_arena() if self.out_of_process else None
 
     def _get_daemon(self):
-        """The standing worker daemon behind the ``daemon`` backend:
-        a private :class:`~.daemon.SlabDaemon` started on first use, or
-        — with ``attach`` — a :class:`~.daemon.DaemonClient` onto the
-        CLI-managed instance (``attach=True`` uses the default state
-        path, a string names one).  Raises
-        :class:`~repro.errors.DaemonNotRunningError` when attaching to
-        nothing, :class:`~repro.errors.RingABIError` on a daemon from
-        another build."""
+        """The worker fleet behind the ``daemon`` backend: a
+        :class:`~.daemon.SlabDaemon` this executor starts on first use
+        and stops on :meth:`close`."""
         if self._closed:
             raise ConfigurationError("executor is closed")
         if self._daemon is None:
-            from .daemon import DaemonClient, SlabDaemon
-            if self.attach:
-                path = self.attach if isinstance(self.attach, str) else None
-                self._daemon = DaemonClient(path)
-                self._owns_daemon = False
-                # The slab plan must target the standing fleet's width,
-                # not whatever n_workers the caller guessed.
-                self.n_workers = self._daemon.n_workers
-            else:
-                self._daemon = SlabDaemon(
-                    self.n_workers, self.mp_context).start()
-                self._owns_daemon = True
+            from .daemon import SlabDaemon
+            self._daemon = SlabDaemon(self.n_workers, self.mp_context).start()
         return self._daemon
 
     def close(self) -> None:
-        """Shut the pool down and release any shared segments; the
-        executor cannot dispatch afterwards.  An owned daemon is
-        stopped; an attached one is unpinned from and detached, but
-        keeps running for other clients."""
+        """Shut the pool or daemon fleet down and release any shared
+        segments; the executor cannot dispatch afterwards."""
         self._closed = True
         for dispatch in list(self._live_dispatches):
             dispatch.close()
         if self._daemon is not None:
-            if self._owns_daemon:
-                self._daemon.stop()
-            else:
-                self._daemon.close()   # detach rings; daemon lives on
+            self._daemon.stop()
             self._daemon = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)

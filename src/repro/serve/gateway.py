@@ -58,8 +58,8 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 
-from ..errors import (ConfigurationError, DaemonError, GatewayClosedError,
-                      GatewayError, GatewayOverloadError)
+from ..errors import (ConfigurationError, GatewayClosedError, GatewayError,
+                      GatewayOverloadError)
 from ..plan import PlanCache, compile_plan, plan_key
 from .batcher import Staging, bucket_width
 from .request import PricingRequest
@@ -86,11 +86,13 @@ class PricingGateway:
     """Dynamic micro-batching front end over the plan/daemon stack.
 
     Use as an async context manager (or ``await start()`` /
-    ``await close()``).  ``backend="auto"`` attaches to the standing
-    CLI daemon when one is running and falls back to ``serial``.
+    ``await close()``).  Without ``executor=`` the gateway builds and
+    owns a :class:`~repro.parallel.SlabExecutor` of ``backend`` (a
+    ``daemon`` one forks its own worker fleet) and closes it on
+    :meth:`close`.
     """
 
-    def __init__(self, *, backend: str = "auto",
+    def __init__(self, *, backend: str = "serial",
                  n_workers: int | None = None,
                  slab_bytes: int | None = None,
                  max_wait_s: float = 0.0,
@@ -152,23 +154,9 @@ class PricingGateway:
         self._loop = asyncio.get_running_loop()
         from ..parallel.slab import SlabExecutor
         if self._executor is None:
-            backend = self.backend
-            if backend == "auto":
-                try:
-                    self._executor = SlabExecutor(
-                        "daemon", attach=True, slab_bytes=self.slab_bytes)
-                    backend = "daemon"
-                except DaemonError:
-                    self._executor = SlabExecutor(
-                        "serial", n_workers=self.n_workers,
-                        slab_bytes=self.slab_bytes)
-                    backend = "serial"
-                self.backend = backend
-            else:
-                self._executor = SlabExecutor(
-                    backend, n_workers=self.n_workers,
-                    slab_bytes=self.slab_bytes,
-                    attach=(backend == "daemon"))
+            self._executor = SlabExecutor(
+                self.backend, n_workers=self.n_workers,
+                slab_bytes=self.slab_bytes)
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-gateway")
         self._flush_q = asyncio.PriorityQueue()
@@ -198,7 +186,7 @@ class PricingGateway:
             # Teardown even when the dispatcher died mid-drain —
             # otherwise a crashed drain leaks the pool thread and
             # every daemon pin.  Plan close (unpins over the control
-            # socket) and pool shutdown (thread join) both block, so
+            # pipes) and pool shutdown (thread join) both block, so
             # they run off the loop; stagings are plain arrays and
             # clear inline.
             self._stagings.clear()

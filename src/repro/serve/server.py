@@ -23,7 +23,8 @@ This wrapper exists for operability (poke the gateway with ``nc``),
 not peak throughput: JSON float marshalling costs far more than the
 dispatch it wraps, which is why the loadtest bench drives the gateway
 in-process instead.  SIGINT/SIGTERM drain gracefully — intake closes,
-queued batches price, sockets flush, then the daemon pins release.
+queued batches price, sockets flush, then the daemon pins release
+and an owned worker fleet stops.
 """
 
 from __future__ import annotations

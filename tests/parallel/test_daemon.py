@@ -1,27 +1,28 @@
 """Standing-daemon tests: serial-identical digests on every registered
 parallel kernel, worker-crash detection with clean shutdown, the pin
 lifecycle (one pin per compiled dispatch, none after a one-shot, worker
-mappings released on unpin), and the clear-error contract (not-running
-and ring-ABI failures raise, never hang), and a SIGKILLed owner's
-workers exit rather than park forever."""
+mappings released on unpin), the clear-error contract (a stopped daemon
+or an unpinned plan raises, never hangs), a SIGKILLed owner's workers
+exit rather than park forever, and its segments are reaped by the next
+process that starts an arena."""
 
 import glob
-import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro import registry
 from repro.config import SMOKE_SIZES
-from repro.errors import DaemonError, DaemonNotRunningError, RingABIError
-from repro.parallel import SlabDaemon, SlabExecutor
-from repro.parallel.daemon import _PARK_QUANTUM, DaemonClient
+from repro.errors import DaemonError, DaemonNotRunningError
+from repro.parallel import ShmArena, SlabDaemon, SlabExecutor
+from repro.parallel.daemon import _PARK_QUANTUM
 
 KERNELS = registry.parallel_kernels()
 
@@ -88,29 +89,6 @@ class TestClearErrors:
         d.stop()
         with pytest.raises(DaemonNotRunningError, match="not running"):
             d.ping()
-
-    def test_client_without_state_file_raises_not_running(self, tmp_path):
-        with pytest.raises(DaemonNotRunningError, match="no daemon state"):
-            DaemonClient(state_path=str(tmp_path / "absent.json"))
-
-    def test_client_dead_pid_raises_not_running(self, tmp_path):
-        state = tmp_path / "dead.json"
-        # Spawn-and-reap a child so the pid is guaranteed dead.
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        state.write_text(json.dumps({"pid": pid, "abi": 1,
-                                     "socket": "unused"}))
-        with pytest.raises(DaemonNotRunningError, match="not running"):
-            DaemonClient(state_path=str(state))
-
-    def test_client_abi_mismatch_raises(self, tmp_path):
-        state = tmp_path / "abi.json"
-        state.write_text(json.dumps({"pid": os.getpid(), "abi": 999,
-                                     "socket": "unused"}))
-        with pytest.raises(RingABIError, match="ABI v999"):
-            DaemonClient(state_path=str(state))
 
     def test_unpinned_plan_rejected(self):
         with SlabExecutor("daemon", n_workers=1) as ex:
@@ -235,4 +213,67 @@ class TestOrphanedWorkers:
             # SIGKILL ran no unlink guard: sweep what the owner left.
             for path in glob.glob(f"/dev/shm/repro{proc.pid}x*") \
                     + glob.glob(f"/dev/shm/reprod{proc.pid}x*"):
+                os.unlink(path)
+
+
+#: An owner with a live two-worker daemon and one compiled plan prints
+#: its pid and SIGKILLs its whole process group: workers and the
+#: resource tracker (which would otherwise unlink the owner's segments
+#: once every pipe to it closed) die with it, and no exit guard runs.
+GROUP_KILL = """
+import os, signal
+from repro.parallel import SlabExecutor
+from repro.plan import compile_plan
+ex = SlabExecutor("daemon", n_workers=2, slab_bytes=4096)
+plan = compile_plan("black_scholes", "parallel", executor=ex,
+                    backend="daemon")
+plan.run()
+print(os.getpid(), flush=True)
+os.killpg(0, signal.SIGKILL)
+"""
+
+#: A fresh process that starts an executor's arena.
+FRESH_OWNER = """
+from repro.parallel import SlabExecutor
+with SlabExecutor("daemon", n_workers=1) as ex:
+    ex.shm_arena()
+"""
+
+
+def _owned_by(pid: int) -> list:
+    return sorted(glob.glob(f"/dev/shm/repro{pid}x*")
+                  + glob.glob(f"/dev/shm/reprod{pid}x*"))
+
+
+class TestDeadOwnerSegments:
+    def test_next_owner_reaps_a_dead_owners_segments(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(GROUP_KILL)], env=env,
+            stdout=subprocess.PIPE, text=True, start_new_session=True)
+        with proc.stdout:
+            dead = int(proc.stdout.readline())
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        neighbour = ShmArena()
+        other = None
+        try:
+            # Precondition: the kill stranded rings and arena segments.
+            left = _owned_by(dead)
+            assert any("/reprod" in p for p in left), left
+            assert any("/reprod" not in p for p in left), left
+            live = neighbour.segment("live", 64).name
+            other = shared_memory.SharedMemory(
+                name=f"reproleak{dead}", create=True, size=64)
+            subprocess.run([sys.executable, "-c",
+                            textwrap.dedent(FRESH_OWNER)],
+                           env=env, check=True, timeout=120)
+            assert _owned_by(dead) == []
+            assert os.path.exists(f"/dev/shm/{live}")
+            assert os.path.exists(f"/dev/shm/{other.name}")
+        finally:
+            neighbour.close()
+            if other is not None:
+                other.close()
+                other.unlink()
+            for path in _owned_by(dead):
                 os.unlink(path)

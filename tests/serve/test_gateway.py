@@ -5,6 +5,7 @@ loop with ``asyncio.run``.
 """
 
 import asyncio
+import os
 import threading
 
 import numpy as np
@@ -425,6 +426,34 @@ class TestDaemonPricing:
                         for d in plan.arena._dispatches:
                             assert d._copy_in == () and d._copy_back == ()
             asyncio.run(main())
+
+    def test_daemon_backend_gateway_owns_its_fleet(self):
+        """``backend="daemon"`` with no executor forks a fleet of its
+        own, prices like serial, and takes the fleet and every segment
+        it made with it on close."""
+        mine = {f"repro{os.getpid()}x", f"reprod{os.getpid()}x"}
+
+        def census():
+            return {n for n in os.listdir("/dev/shm")
+                    if any(n.startswith(p) for p in mine)}
+
+        before = census()
+
+        async def main():
+            async with PricingGateway(backend="daemon", n_workers=2) as gw:
+                for m in (1, 7, 300, 4096):
+                    req = _req(m, vol=0.15 + m * 1e-5)
+                    res = await gw.submit(req)
+                    assert res.digest() == \
+                        serial_reference(req).digest(), m
+                assert gw.backend == "daemon"
+                return list(gw._executor._daemon._procs), census()
+
+        procs, during = asyncio.run(main())
+        assert len(procs) == 2 and during - before
+        assert not any(p.is_alive() for p in procs)
+        assert census() == before
+        assert PricingGateway().backend == "serial"
 
 
 class TestDispatchPolicy:

@@ -6,23 +6,32 @@ Runs every root in :data:`ROOTS` (CLI subcommands and the four
 perfbench workloads), the six ``examples/*.py`` and the tier-1 suite,
 each in a fresh child interpreter under a ``sys.setprofile`` +
 ``threading.setprofile`` call recorder that notes every Python function
-entered.  A module counts as reached when a root enters at least one
-function defined in it; module and class bodies, which run on import,
-do not count.  Child processes a root spawns (process-pool and daemon
-workers) are not recorded; their slab bodies also run in-process on
-the serial and thread legs.
+entered, as ``(file, co_firstlineno, co_qualname)``.  A module counts
+as reached when a root enters at least one function defined in it.
 
-Prints the markdown table EXPERIMENTS.md keeps: every module no root
-reaches, its line count, why it stays, its *pinned-test cost* (the
-tier-1 test ids that enter one of its functions — a fixture's calls
-count for every test that uses it, whatever its scope) and the
-examples that call it.  Takes no flags; exits 1 if any run fails.
-Runs take several minutes; the tier-1 pass under the recorder is most
-of it.
+Prints the two markdown tables EXPERIMENTS.md keeps:
+
+1. every module no root reaches, its line count, why it stays, its
+   *pinned-test cost* (the tier-1 test ids that enter one of its
+   functions — a fixture's calls count for every test that uses it,
+   whatever its scope) and the examples that call it;
+2. every function (``def``, outermost unentered one only) of a
+   *reached* module that no root or example enters, with its length
+   and the tier-1 ids that pin it.
+
+Two blind spots, both reported as "not entered": calls made while a
+module body runs on import (registrations, ``lazy_exports``, table
+builders such as ``_build_table``), and everything in a child process
+a root spawns (process-pool and daemon workers, the TCP server).  Slab
+bodies a worker runs also run in-process on the serial and thread legs.
+
+Takes no flags; exits 1 if any run fails.  Runs take several minutes;
+the tier-1 pass under the recorder is most of it.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -96,8 +105,8 @@ _CO_OPTIMIZED = 0x1     # set on function code, clear on module/class bodies
 
 
 class _Recorder:
-    """Adds the file of every function entered to ``sink``, except
-    while an import runs a module body: what that body calls (its
+    """Adds the code object of every function entered to ``sink``,
+    except while an import runs a module body: what that body calls (its
     generator expressions, constant tables, registrations) runs on
     import too."""
 
@@ -118,7 +127,7 @@ class _Recorder:
                     1 if event == "call" else -1)
         elif (event == "call" and self.sink is not None
               and not getattr(state, "depth", 0)):
-            self.sink.add(code.co_filename)
+            self.sink.add(code)
 
     def install(self):
         """Record in this thread and every thread started later.  A
@@ -146,7 +155,8 @@ class _Recorder:
 
 
 class _PerTest:
-    """pytest plugin: the files each test id enters, fixtures included."""
+    """pytest plugin: the functions each test id enters, fixtures
+    included."""
 
     def __init__(self, rec: _Recorder):
         self.rec = rec
@@ -203,10 +213,20 @@ def _child() -> None:
             else int(exc.code is not None)
     finally:
         rec.remove()
-        found = ({k: sorted(v) for k, v in plugin.by_test.items()}
-                 if plugin is not None else sorted(rec.sink))
+        table: dict = {}                    # code -> row in "funcs"
+
+        def index(codes):
+            return sorted(table.setdefault(c, len(table)) for c in codes
+                          if c.co_filename.startswith(str(PKG)))
+
+        if plugin is not None:
+            found = {k: index(v) for k, v in plugin.by_test.items()}
+        else:
+            found = index(rec.sink)
+        funcs = [(c.co_filename, c.co_firstlineno,
+                  getattr(c, "co_qualname", c.co_name)) for c in table]
         with open(out, "w") as fh:
-            json.dump(found, fh)
+            json.dump({"funcs": funcs, "found": found}, fh)
     sys.exit(code)
 
 
@@ -215,7 +235,9 @@ _CHILD = ("import sys; sys.path.insert(0, {!r}); "
 
 
 def _run(target: str, args, scratch: str, tag: str):
-    """Run one recorded child in ``scratch``; (exit code, JSON)."""
+    """Run one recorded child in ``scratch``: its exit code and the
+    ``(module, first line, qualname)`` functions it entered (per test
+    id for the tier-1 run)."""
     out = os.path.join(scratch, f"{tag}.json")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c", _CHILD.format(str(Path(__file__).parent)),
@@ -227,43 +249,89 @@ def _run(target: str, args, scratch: str, tag: str):
         print(f"FAIL ({proc.returncode}): {target} {' '.join(args)}\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
     if not os.path.exists(out):
-        return proc.returncode or 1, []
+        return proc.returncode or 1, ({} if target == "pytest" else set())
     with open(out) as fh:
-        return proc.returncode, json.load(fh)
+        data = json.load(fh)
+    funcs = [(Path(f).relative_to(PKG).as_posix(), line, qual)
+             for f, line, qual in data["funcs"]]
+    found = data["found"]
+    if isinstance(found, dict):
+        return proc.returncode, {k: {funcs[i] for i in v}
+                                 for k, v in found.items()}
+    return proc.returncode, {funcs[i] for i in found}
 
 
-def _modules(files) -> set:
-    """Paths relative to ``src/repro`` of the package files in ``files``."""
-    rels = set()
-    for f in files:
-        path = Path(f)
-        if path.is_relative_to(PKG):
-            rels.add(path.relative_to(PKG).as_posix())
-    return rels
+def _key(func) -> tuple:
+    """``(module, first line, name)``: one ``def`` whether it comes from
+    a code object or from the module's syntax tree."""
+    mod, line, qual = func
+    return mod, line, qual.rsplit(".", 1)[-1]
+
+
+def _modules(funcs) -> set:
+    """The modules (relative to ``src/repro``) of ``funcs``."""
+    return {mod for mod, _, _ in funcs}
+
+
+def _defs(mod: str):
+    """Every ``def`` in a module: ``(first line, qualname, lines,
+    enclosing def's first line or None)``.  The first line is the first
+    decorator's, as in ``co_firstlineno``."""
+    out = []
+
+    def walk(node, prefix, parent):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in
+                                              child.decorator_list])
+                qual = prefix + child.name
+                out.append((first, qual, child.end_lineno - first + 1,
+                            parent))
+                walk(child, qual + ".<locals>.", first)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".", parent)
+            else:
+                walk(child, prefix, parent)
+
+    walk(ast.parse((PKG / mod).read_text()), "", None)
+    return out
+
+
+def _pins(ids) -> str:
+    ids = sorted(ids)
+    shown = ", ".join(f"`{i}`" for i in ids[:3])
+    return f"{len(ids)}: {shown}{', …' if len(ids) > 3 else ''}" \
+        if ids else "0"
 
 
 def main() -> int:
     failed = 0
+    entered = set()                         # by a root or an example
     reached = set()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         for i, root in enumerate(ROOTS):
             target = root[0] if root[0].endswith(".py") else "repro"
             args = root[1:] if target != "repro" else root
-            code, files = _run(target, args, scratch, f"root{i}")
+            code, funcs = _run(target, args, scratch, f"root{i}")
             failed += code != 0
-            reached |= _modules(files)
+            entered |= funcs
+            reached |= _modules(funcs)
         examples = {}
         for ex in sorted((ROOT / "examples").glob("*.py")):
-            code, files = _run(str(ex), (), scratch, ex.stem)
+            code, funcs = _run(str(ex), (), scratch, ex.stem)
             failed += code != 0
-            examples[ex.stem] = _modules(files)
+            entered |= funcs
+            examples[ex.stem] = _modules(funcs)
         code, by_test = _run("pytest", (str(ROOT / "tests"),), scratch,
                              "tier1")
         failed += code != 0
     pinned = {}
-    for files in by_test.values():
-        for mod in _modules(files):
+    pinned_ids = {}                 # (module, line, name) -> test ids
+    for test, funcs in by_test.items():
+        for mod in _modules(funcs):
             pinned[mod] = pinned.get(mod, 0) + 1
+        for key in map(_key, funcs):
+            pinned_ids.setdefault(key, set()).add(test)
 
     def why(mod):
         if mod in REASONS:
@@ -289,8 +357,25 @@ def main() -> int:
     print("|---|---:|---|---:|---|")
     for _, mod, lines, reason, n, calls in sorted(rows):
         print(f"| `{mod}` | {lines} | {reason} | {n} | {calls} |")
+    keys_entered = set(map(_key, entered))
+    print("\n| Function (`src/repro/`) | Lines | Pinned tier-1 ids |")
+    print("|---|---:|---|")
+    n_funcs = 0
+    for mod in sorted(reached):
+        unentered = set()
+        for first, qual, length, parent in _defs(mod):
+            key = _key((mod, first, qual))
+            if key in keys_entered:
+                continue
+            unentered.add(first)
+            if parent in unentered:
+                continue                    # its enclosing def is listed
+            n_funcs += 1
+            print(f"| `{mod}:{qual}` | {length} | "
+                  f"{_pins(pinned_ids.get(key, ()))} |")
     print(f"\n{len(ROOTS)} roots, {len(examples)} examples, "
-          f"{len(by_test)} tier-1 ids; {failed} run(s) failed",
+          f"{len(by_test)} tier-1 ids; {n_funcs} unentered functions in "
+          f"{len(reached)} reached modules; {failed} run(s) failed",
           file=sys.stderr)
     return 1 if failed else 0
 
