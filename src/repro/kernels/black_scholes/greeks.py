@@ -30,7 +30,7 @@ from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
-from .parallel import rate_vol_operands
+from .parallel import ScratchRows, rate_vol_operands
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -61,16 +61,19 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     ``out`` in place.
 
     Five scratch rows cover every intermediate (``scratch`` is a
-    ``(5, len(S))`` block on the planned path; allocated here
-    otherwise); d1 and d2 are adjacent rows, so N(d1) and N(d2) are one
-    ``ndtr`` call.  Gamma and vega are call/put-identical and stored
-    twice so every output keeps the uniform ``[call | put]`` layout.
+    five-row :class:`~.parallel.ScratchRows` on the planned path, cut
+    to ``len(S)``; allocated here otherwise); d1 and d2 are adjacent
+    rows, so N(d1) and N(d2) are one ``ndtr`` call.  Gamma and vega
+    are call/put-identical and stored twice so every output keeps the
+    uniform ``[call | put]`` layout.
     ``r``/``sig`` are floats, or with ``cols`` per-option
     columns (the fused scalar expressions become column passes in the
     same IEEE grouping — bit-identical either way).
     """
     if scratch is None:
         scratch = np.empty((5, S.shape[0]), dtype=DTYPE)
+    else:
+        scratch = scratch.cut(S.shape[0])
     sqt, d1, d2, disc, pdf = scratch
     delta_c, delta_p = out["delta_c"], out["delta_p"]
     np.sqrt(T, out=sqt)                    # sqt = √T
@@ -178,12 +181,14 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
                             arena):
     """Plan-compile the fused Greeks tier for repeated same-shape calls.
 
-    Reserves the ``12n`` backing vector and one ``(5, slab_len)``
-    scratch block per slab in ``arena``; the returned runner replays
-    the compiled dispatch and hands back the *same*
+    Reserves the ``12n`` backing vector and one five-row scratch block
+    per slab in ``arena``; the returned runner replays the compiled
+    dispatch and hands back the *same*
     :class:`~repro.results.ResultSlab` object every call — zero
     hot-path array allocations (the out-of-process backends skip the
-    scratch handoff, as the price planner does).
+    scratch handoff, as the price planner does).  ``run(n)`` prices
+    the live prefix ``[0, n)`` only (see
+    :meth:`~repro.parallel.slab.CompiledDispatch.run`).
     """
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
@@ -193,7 +198,8 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
     per_slab = None
     if not executor.out_of_process:
         def per_slab(a, b, i):
-            return {"scratch": arena.reserve(f"scratch{i}", (5, b - a))}
+            return {"scratch": ScratchRows(
+                arena.reserve(f"scratch{i}", 5 * (b - a)), 5)}
     columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_lanes(
         _greeks_slab_task, n,
@@ -205,10 +211,12 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         per_slab=per_slab, tag="bsg"))
     slab = _result_slab(backing, n)
     price = slab["price"]
+    rows, width = price.reshape(2, n), n
 
-    def run() -> ResultSlab:
-        dispatch.run()
-        np.maximum(price, 0.0, out=price)  # rounding never prices below 0
+    def run(n: int | None = None) -> ResultSlab:
+        dispatch.run(n)
+        live = price if n is None or n == width else rows[:, :n]
+        np.maximum(live, 0.0, out=live)    # rounding never prices below 0
         return slab
 
     return run

@@ -23,7 +23,7 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import LayoutError
-from ...parallel.slab import SlabExecutor
+from ...parallel.slab import LIVE_CUTS, SlabExecutor
 from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
@@ -35,6 +35,40 @@ SLAB_BYTES_PER_OPTION = 8 * 8
 #: Options per sub-block of the price body (8 rows of 64 KB plus the
 #: CDF's 512 KB workspace): 400k options in ~11.5 ms vs ~12.3 unblocked.
 PRICE_BLOCK = 8192
+
+
+class ScratchRows:
+    """One slab's flat scratch block, read as ``(rows, m)`` rows for
+    the live length ``m`` a run prices, so the rows stay contiguous
+    (``ndtr`` allocates nothing) however short the run.  ``views``
+    names them (default: the rows array itself).  The full-width views
+    are built at compile time; a cut is built once per length and
+    memoised, as :mod:`repro.vmath.ndtr`'s workspace does, so a warm
+    run builds no views."""
+
+    __slots__ = ("block", "rows", "views", "width", "full", "cuts")
+
+    def __init__(self, block: np.ndarray, rows: int, views=None):
+        self.block = block
+        self.rows = rows
+        self.views = views
+        self.width = block.shape[0] // rows
+        self.full = self._carve(self.width)
+        self.cuts = {}
+
+    def _carve(self, m: int):
+        rows = self.block[:self.rows * m].reshape(self.rows, m)
+        return rows if self.views is None else self.views(rows)
+
+    def cut(self, m: int):
+        if m == self.width:
+            return self.full
+        views = self.cuts.get(m)
+        if views is None:
+            if len(self.cuts) >= LIVE_CUTS:
+                self.cuts.clear()
+            views = self.cuts[m] = self._carve(m)
+        return views
 
 
 def rate_vol_operands(batch: OptionBatch) -> tuple:
@@ -135,8 +169,11 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
     ``out=`` into arena memory, and the compiled dispatch replays with
     no staging or validation.  The process backend skips the scratch
     handoff (workers allocate in their own address space rather than
-    receive pickled copies each run).  Returns the zero-argument
-    runner; its result view is ``arena.get("result")``.
+    receive pickled copies each run).  Returns the runner; its result
+    view is ``arena.get("result")``.  ``run(n)`` prices the live
+    prefix ``[0, n)`` only (see
+    :meth:`~repro.parallel.slab.CompiledDispatch.run`): the first
+    ``n`` calls and puts.
     """
     if batch.layout not in ("aos", "soa"):
         raise LayoutError(f"unsupported layout {batch.layout!r}")
@@ -160,9 +197,12 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
         consts=params,
         per_slab=per_slab, tag="bs"))
 
-    def run() -> np.ndarray:
-        dispatch.run()
-        np.maximum(result, 0.0, out=result)  # parity cancels deep OTM
+    rows, width = result.reshape(2, n), n
+
+    def run(n: int | None = None) -> np.ndarray:
+        dispatch.run(n)
+        live = result if n is None or n == width else rows[:, :n]
+        np.maximum(live, 0.0, out=live)    # parity cancels deep OTM
         return result
 
     return run

@@ -25,7 +25,7 @@ from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
 from .greeks import _backing_views
-from .parallel import rate_vol_operands
+from .parallel import ScratchRows, rate_vol_operands
 
 #: Relative shifts: every pair of one spot and one vol factor is a
 #: scenario cell, ordered spot-major (cell k·|vols|+j = spot k, vol j).
@@ -42,6 +42,7 @@ GRID_WRITES = tuple(f"g{c:02d}" for c in range(_NS * _NV))
 #: Scratch rows per option: S_k, ln(S_k/X), σ_j√T, (r+σ_j²/2)T, √T,
 #: X·e^{−rT}, and the two 25-cell blocks d1/N(d1) and d2/N(d2)·disc.
 _SCRATCH_ROWS = 2 * _NS + 2 * _NV + 2 + 2 * _NS * _NV
+_D12 = 2 * _NS + 2 * _NV + 2           # first d1 row
 
 #: Doubles per option: S/X/T in, 25 cells out, the scratch rows.
 SCENARIO_BYTES_PER_OPTION = 8 * (3 + _NS * _NV + _SCRATCH_ROWS)
@@ -53,26 +54,33 @@ def n_scenarios() -> int:
 
 def _scratch_views(block: np.ndarray) -> tuple:
     """The named views of one ``(_SCRATCH_ROWS, m)`` block, built once
-    per slab at compile time (per run only out of process)."""
+    per slab and live length (per run only out of process)."""
     m = block.shape[1]
-    S5, ln5, b5, c5, (sqt, disc), d12 = np.split(block, np.cumsum(
-        [_NS, _NS, _NV, _NV, 2]))
-    a3, b3 = d12.reshape(2, _NS, _NV, m)
-    cells = [(S5[k], a3[k, j], b3[k, j])
-             for k in range(_NS) for j in range(_NV)]
-    return (S5, ln5, b5, c5, sqt, disc, a3, b3, d12,
-            ln5[:, None, :], c5[None], b5[None], cells)
+    cells = _NS * _NV
+    S5, ln5 = block[:_NS], block[_NS:2 * _NS]
+    b5, c5 = block[2 * _NS:2 * _NS + _NV], block[2 * _NS + _NV:_D12 - 2]
+    sqt, disc, d12 = block[_D12 - 2], block[_D12 - 1], block[_D12:]
+    nd1, dnd2 = d12[:cells], d12[cells:]
+    # Row iteration is the cheapest way to name 25 rows: the views are
+    # rebuilt for every live length a run is cut to.
+    spots = [S_k for S_k in S5 for _ in range(_NV)]
+    return (S5, ln5, b5, c5, sqt, disc, nd1.reshape(_NS, _NV, m),
+            dnd2.reshape(_NS, _NV, m), d12, ln5[:, None, :], c5[None],
+            b5[None], list(zip(spots, nd1, dnd2)))
 
 
 def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
                    scratch=None) -> None:
     """The 5×5 grid of one slab, written into the 25 vectors of
     ``grid``.  ``r``/``sig`` are floats, or with ``cols`` per-option
-    columns; ``scratch`` is :func:`_scratch_views` of an arena block
-    (allocated here otherwise)."""
+    columns; ``scratch`` is a :class:`~.parallel.ScratchRows` naming
+    its rows with :func:`_scratch_views`, cut to ``len(S)`` (allocated
+    here otherwise)."""
     if scratch is None:
         scratch = _scratch_views(
             np.empty((_SCRATCH_ROWS, S.shape[0]), dtype=DTYPE))
+    else:
+        scratch = scratch.cut(S.shape[0])
     S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, cells = scratch
     np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
     np.divide(S5, X, out=ln5)
@@ -131,6 +139,8 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
     ``arena``.  The dispatch reads the batch arrays directly, so new
     numbers packed into them need nothing re-derived, and warm runs
     allocate nothing (out of process the scratch handoff is skipped).
+    ``run(n)`` prices the live prefix ``[0, n)`` only: each cell's
+    first ``n`` options.
     """
     soa = batch.batch if batch.layout == "soa" else aos_to_soa(batch.batch)
     S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
@@ -140,8 +150,9 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
     per_slab = None
     if not executor.out_of_process:
         def per_slab(a, b, i):
-            return {"scratch": _scratch_views(arena.reserve(
-                f"scratch{i}", (_SCRATCH_ROWS, b - a)))}
+            return {"scratch": ScratchRows(
+                arena.reserve(f"scratch{i}", _SCRATCH_ROWS * (b - a)),
+                _SCRATCH_ROWS, _scratch_views)}
     columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_lanes(
         _scenario_slab_task, n,
@@ -152,10 +163,12 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
         consts=params,
         per_slab=per_slab, tag="bssc"))
     slab = ResultSlab({"grid": grid}, backing=grid)
+    rows, width = grid.reshape(n_scenarios(), n), n
 
-    def run() -> ResultSlab:
-        dispatch.run()
-        np.maximum(grid, 0.0, out=grid)    # rounding never prices below 0
+    def run(n: int | None = None) -> ResultSlab:
+        dispatch.run(n)
+        live = grid if n is None or n == width else rows[:, :n]
+        np.maximum(live, 0.0, out=live)    # rounding never prices below 0
         return slab
 
     return run

@@ -427,17 +427,23 @@ class SlabDaemon:
                 pass
 
     # -- steady state --------------------------------------------------
-    def dispatch(self, plan_id: int):
-        """Run every slab of a pinned plan; returns per-slab results in
-        slab order (``None`` for the view-writing kernels).
+    def dispatch(self, plan_id: int, n_slabs: int | None = None):
+        """Run the first ``n_slabs`` slabs of a pinned plan (default:
+        every slab); returns their results in slab order (``None`` for
+        the view-writing kernels).
 
         The hot path: descriptor pushes and ack pops only.  Pushes
         interleave with opportunistic ack drains so a plan larger than
         the ring capacity cannot deadlock on mutual backpressure.
         """
-        n_slabs = self._plans.get(plan_id)
-        if n_slabs is None:
+        pinned = self._plans.get(plan_id)
+        if pinned is None:
             raise DaemonError(f"plan {plan_id} is not pinned")
+        if n_slabs is None:
+            n_slabs = pinned
+        elif not 0 < n_slabs <= pinned:
+            raise DaemonError(
+                f"plan {plan_id} has {pinned} slabs, asked to run {n_slabs}")
         # No liveness or doorbell syscalls here: ``is_alive`` is a
         # waitpid per worker (~180 µs on sandboxed kernels) and a
         # poll(0) is ~30 µs.  A dead worker is still caught — the drain

@@ -50,8 +50,10 @@ by digest.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -97,6 +99,11 @@ MEASURED_CROSSOVER_BYTES = 1 << 21
 #: segments.  ``next()`` on a count is atomic, so concurrent one-shots
 #: from several threads still draw distinct prefixes.
 _COMPILE_SEQ = itertools.count(1)
+
+#: Live lengths a compiled dispatch (and a lane tier's scratch) keeps
+#: cut views for; past it the memo starts over, since batch totals are
+#: arbitrary and each entry holds dozens of views.
+LIVE_CUTS = 16
 
 
 def host_llc_bytes(default: int = DEFAULT_LLC_BYTES) -> int:
@@ -509,6 +516,8 @@ class CompiledDispatch:
         self._pooled_thread = pooled and executor.backend == "thread"
         self._plan_id = None
         self._retired = False
+        self._starts = tuple(a for a, _ in slabs)
+        self._live_cuts = {}
         self._specs = None
         self._staged = self._copy_in = self._copy_back = ()
         if not (pooled and executor.out_of_process):
@@ -566,25 +575,39 @@ class CompiledDispatch:
     def n_slabs(self) -> int:
         return self.plan.n_slabs
 
-    def run(self):
+    def run(self, n: int | None = None):
         """Replay the compiled dispatch; per-slab results in slab
-        order (view-writing kernels return ``None`` per slab)."""
+        order (view-writing kernels return ``None`` per slab).
+
+        ``n``, when given, is the *live length*: only items ``[0, n)``
+        need computing, so only the slabs that start below ``n`` run
+        (and return results).  In the caller and on the thread pool the
+        straddling slab's sliced views are cut to ``n``; out of process
+        it runs whole, so a body given ``n`` must be elementwise (its
+        pad is then priced harmlessly).  ``n`` equal to the dispatch
+        width is the full run.
+        """
         if self.executor._closed:
             raise ConfigurationError("executor is closed")
         if self._retired:
             raise ConfigurationError(
                 f"compiled dispatch {self.tag} is closed")
+        tasks = self._tasks
+        if n is not None:
+            n = live_length(n, self.plan.n)
+            if n != self.plan.n:
+                tasks = self._live_tasks(n)
         if self._specs is not None:
             for view, src in self._copy_in:
                 np.copyto(view, src)
             if self._plan_id is not None:
                 results = self.executor._get_daemon().dispatch(
-                    self._plan_id)
+                    self._plan_id, len(tasks))
             else:
                 pool = self.executor._get_pool()
                 futures = [pool.submit(run_slab_task, self.fn,
                                        self._specs, c, a, b, i)
-                           for c, a, b, i in self._tasks]
+                           for c, a, b, i in tasks]
                 results = [f.result() for f in futures]
             for target, view in self._copy_back:
                 np.copyto(target, view)
@@ -592,10 +615,30 @@ class CompiledDispatch:
         if self._pooled_thread:
             pool = self.executor._get_pool()
             futures = [pool.submit(self.fn, arrays, c, a, b, i)
-                       for arrays, c, a, b, i in self._tasks]
+                       for arrays, c, a, b, i in tasks]
             return [f.result() for f in futures]
         return [self.fn(arrays, c, a, b, i)
-                for arrays, c, a, b, i in self._tasks]
+                for arrays, c, a, b, i in tasks]
+
+    def _live_tasks(self, n: int) -> list:
+        """The tasks of the slabs that start below ``n``; on the
+        in-caller and thread paths the straddling slab's sliced views
+        are cut to ``[start, n)``.  Memoised per live length."""
+        tasks = self._live_cuts.get(n)
+        if tasks is not None:
+            return tasks
+        tasks = self._tasks[:bisect.bisect_left(self._starts, n)]
+        if self._specs is None and tasks[-1][3] > n:
+            arrays, c, a, _b, i = tasks[-1]
+            m = n - a
+            cut = {name: arrays[name][:m] for name in self.plan.sliced_names}
+            for name in self.plan.shared_names:
+                cut[name] = arrays[name]
+            tasks[-1] = (cut, c, a, n, i)
+        if len(self._live_cuts) >= LIVE_CUTS:
+            self._live_cuts.clear()
+        self._live_cuts[n] = tasks
+        return tasks
 
     def close(self) -> None:
         """Retire the dispatch (idempotent): unpin it from the standing
@@ -617,6 +660,19 @@ class CompiledDispatch:
             ex._live_dispatches.remove(self)
         except ValueError:
             pass
+
+
+def live_length(n, width: int) -> int:
+    """``n`` checked as the live length of a width-``width`` dispatch:
+    an integer in ``[1, width]``, else :class:`ConfigurationError`."""
+    if type(n) is not int and (isinstance(n, bool)
+                               or not isinstance(n, numbers.Integral)):
+        raise ConfigurationError(
+            f"live length must be an integer, got {n!r}")
+    if not 0 < n <= width:
+        raise ConfigurationError(
+            f"live length {n} outside [1, {width}]")
+    return int(n)
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,17 @@ the loop body then only streams data through pre-built state.
 
 A tier opts in by registering a *planner* alongside its impl
 (:func:`repro.registry.register_impl` ``planner=``).  The planner
-receives ``(payload, executor, arena)`` and returns a zero-argument
-``runner`` that prices the bound payload into arena-owned buffers,
+receives ``(payload, executor, arena)`` and returns a ``runner`` that
+prices the bound payload into arena-owned buffers,
 reading the bound payload's arrays on every run (new numbers are copied
 into them in place — no planner keeps a derived copy to refresh).  In
 process the bound payload is the caller's.  On an out-of-process
 executor it is the plan's own copy, with every streamed array in the
 executor's shared segments next to the arena's buffers, so the
 compiled dispatches read and write all of them in place and
-``run(payload)`` is the only copy a new batch pays.  A slab
+``run(payload)`` is the only copy a new batch pays.  A runner that
+takes an ``n`` parameter (the Black-Scholes lane tiers) can price a
+live prefix: ``run(n=k)`` computes items ``[0, k)`` only.  A slab
 tier has no second body: its registered ``fn`` is the one-shot of its
 planner (:func:`one_shot`: compile, run once, retire).  Serial ladder
 tiers without a planner still compile — the plan wraps their ``fn``
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -186,6 +189,9 @@ class ExecutionPlan:
         self.planned = planned
         self.key = key
         self._runner = runner
+        #: Whether ``run(n=...)`` prices a live prefix: the runner
+        #: takes ``n``.
+        self.prefix_runs = "n" in inspect.signature(runner).parameters
         self._owns_executor = owns_executor
         self.calls = 0
 
@@ -207,7 +213,8 @@ class ExecutionPlan:
         return self.impl.label
 
     # -- hot path ------------------------------------------------------
-    def run(self, payload=None, out: np.ndarray | None = None):
+    def run(self, payload=None, out: np.ndarray | None = None, *,
+            n: int | None = None):
         """Execute the compiled tier.
 
         ``payload``, when given, must match the compiled shape; its
@@ -215,10 +222,25 @@ class ExecutionPlan:
         numbers, same plan).  ``out``, when given, receives a copy of
         the result; otherwise the arena-owned result view is returned
         directly (valid until the next ``run``).
+
+        ``n``, when given, is the live length: only items ``[0, n)``
+        are priced (an integer, ``1 <= n <=`` the compiled width,
+        which is the full run).  Every output keeps its compiled shape
+        and promises nothing past ``n`` in each of its per-item rows,
+        so read each row's ``[0, n)`` prefix.  Only tiers whose runner
+        takes ``n`` support it (:attr:`prefix_runs`); any other raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if payload is not None:
             _rebind_into(self.payload, payload)
-        result = self._runner()
+        if n is None:
+            result = self._runner()
+        elif self.prefix_runs:
+            result = self._runner(n)
+        else:
+            raise ConfigurationError(
+                f"{self.label}: the {self.tier} tier has no prefix runs; "
+                f"run it without n")
         self.calls += 1
         if out is not None:
             np.copyto(out, result)

@@ -19,10 +19,12 @@ out-of-process backends ``plan.run(staging.payload)`` copies them once
 into the plan's own shared-memory copy, which the workers read in
 place.  No per-request staging and no payload rebuild.
 
-The pad tail beyond the packed total keeps its previous (positive)
-contents and is priced wastefully — bounded by 2x thanks to the
-power-of-two bucketing, and irrelevant to correctness because every
-supported tier is elementwise (see :mod:`.workloads`).
+:meth:`pack` records the packed total, and the gateway runs the plan
+with it as the live length (``plan.run(n=total)``): only the packed
+prefix is priced, never the pad.  Out of process the slab that
+straddles the total still runs whole; its pad keeps earlier (positive)
+contents and is harmless because every supported tier is elementwise
+(see :mod:`.workloads`).
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ class Staging:
 
     ``signature`` is ``(kernel, tier)``, optionally followed by the
     ``(rate, vol)`` the parameter columns start filled with.
+    ``total`` is the number of options the last :meth:`pack` wrote:
+    the live length to price.
     """
 
     __slots__ = ("adapter", "signature", "width", "payload", "batch",
-                 "packs")
+                 "packs", "total")
 
     def __init__(self, adapter: TierAdapter, signature: tuple,
                  width: int):
@@ -68,11 +72,13 @@ class Staging:
         self.payload = make_staging_payload(signature, self.width)
         self.batch = self.payload["soa"]
         self.packs = 0
+        self.total = 0
 
     def pack(self, requests) -> list:
         """Write each request's contracts into the staged arrays,
-        back-to-back from offset 0; returns the ``[a, b)`` segment per
-        request.  The caller guarantees the total fits the width."""
+        back-to-back from offset 0, and record their total; returns the
+        ``[a, b)`` segment per request.  The caller guarantees the
+        total fits the width."""
         S = self.batch.S
         X = self.batch.X
         T = self.batch.T
@@ -95,6 +101,7 @@ class Staging:
             offsets.append((cur, end))
             cur = end
         self.packs += 1
+        self.total = cur
         return offsets
 
     def scatter(self, value, offsets) -> list:

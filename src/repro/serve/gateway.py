@@ -27,10 +27,12 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
   and idle.
 * The dispatcher packs the batch into its canonical-width
   :class:`~.batcher.Staging` (whose arrays are plan-bound — see
-  :mod:`~.batcher`), then runs the compiled plan on a **single
-  dedicated dispatch thread** via ``run_in_executor``: the event loop
-  keeps accepting while the batch prices, and the one-thread pool keeps
-  the daemon backend's SPSC rings single-producer.  Ring backpressure
+  :mod:`~.batcher`), then runs the compiled plan with the packed total
+  as its live length (``plan.run(n=total)``: the bucket's pad is not
+  priced) on a **single dedicated dispatch thread** via
+  ``run_in_executor``: the event loop keeps accepting while the batch
+  prices, and the one-thread pool keeps the daemon backend's SPSC rings
+  single-producer.  Ring backpressure
   (a full submit ring blocks the push) therefore stalls only the
   dispatch thread, never the accept path; gateway-level backpressure is
   the ``max_pending`` cap, beyond which new requests are shed with
@@ -371,11 +373,12 @@ class PricingGateway:
                                 executor=self._executor)
             with self._cache_lock:
                 plan = self._cache.setdefault(key, plan)
+        # Price the packed prefix only, never the bucket's pad.
         if plan.payload is not staging.payload:
             # A cached plan that outlived its staging (LRU
             # interleaving) copies the new arrays into its own.
-            return plan.run(staging.payload)
-        return plan.run()
+            return plan.run(staging.payload, n=staging.total)
+        return plan.run(n=staging.total)
 
     # -- observability -------------------------------------------------
     def reset_stats(self) -> None:

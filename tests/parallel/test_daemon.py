@@ -142,6 +142,41 @@ class TestPinLifecycle:
             dispatch.close()
             assert ex._daemon._plans == {}
 
+    def test_live_length_skips_the_slabs_past_it(self):
+        # Four 16-item slabs; a live length inside slab 0 pushes one
+        # descriptor, and a full run afterwards still pushes all four.
+        x = np.arange(64, dtype=np.float64)
+        out = np.zeros_like(x)
+        with SlabExecutor("daemon", n_workers=2, slab_bytes=256) as ex:
+            dispatch = ex.compile_shm(
+                _scale, x.shape[0], bytes_per_item=16,
+                sliced={"x": x, "out": out}, writes=("out",),
+                consts={"k": 2.0})
+            assert dispatch.n_slabs == 4
+            pushed = []
+            for ring in ex._daemon._submit:
+                def push(call_seq, plan_id, slab, out_id,
+                         _push=ring.try_push):
+                    ok = _push(call_seq, plan_id, slab, out_id)
+                    if ok:
+                        pushed.append(slab)
+                    return ok
+                ring.try_push = push
+            assert dispatch.run(n=9) == [0]
+            assert pushed == [0]
+            assert np.array_equal(out[:16], x[:16] * 2.0)
+            assert not out[16:].any()
+            with SlabExecutor("serial", slab_bytes=256) as serial:
+                want = np.zeros_like(x)
+                serial.map_shm(_scale, x.shape[0], bytes_per_item=16,
+                               sliced={"x": x, "out": want},
+                               writes=("out",), consts={"k": 2.0})
+            assert out[:9].tobytes() == want[:9].tobytes()
+            pushed.clear()
+            assert dispatch.run() == [0, 1, 2, 3]
+            assert sorted(pushed) == [0, 1, 2, 3]
+            assert out.tobytes() == want.tobytes()
+
     def test_one_shots_pin_fresh_constants_and_leave_no_pin(self):
         x = np.arange(64, dtype=np.float64)
         out = np.zeros_like(x)

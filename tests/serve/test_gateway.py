@@ -469,3 +469,74 @@ class TestDispatchPolicy:
                     assert res.digest() == serial_reference(req).digest()
             asyncio.run(main())
             assert ex.min_parallel_bytes == 1 << 21
+
+
+class TestPrefixPricing:
+    """The gateway prices each batch's packed total, never the pad its
+    power-of-two bucket adds."""
+
+    def test_slab_tasks_see_the_packed_total(self, monkeypatch):
+        from repro.kernels.black_scholes import greeks, scenario
+        seen = []
+        for mod, name in ((greeks, "_greeks_slab_task"),
+                          (scenario, "_scenario_slab_task")):
+            def spy(arrays, consts, a, b, slab, _task=getattr(mod, name)):
+                seen.append(len(arrays["S"]))
+                return _task(arrays, consts, a, b, slab)
+            monkeypatch.setattr(mod, name, spy)
+        groups = [(37,), (100, 29), (300,), (5, 60, 211), (700, 1)]
+
+        async def main():
+            # One slab per dispatch on any host: the spy sees whole
+            # batches.
+            async with PricingGateway(slab_bytes=1 << 24) as gw:
+                batches = []
+                run_plan = gw._run_plan
+
+                def record(staging):
+                    batches.append((staging.total, staging.width))
+                    return run_plan(staging)
+
+                gw._run_plan = record
+                pairs = []
+                for i, sizes in enumerate(groups):
+                    for tier in ("greeks", "scenario"):
+                        reqs = [_req(m, lo=40.0 + i, vol=0.2 + 0.01 * m,
+                                     tier=tier) for m in sizes]
+                        res = await asyncio.gather(
+                            *(gw.submit(r) for r in reqs))
+                        pairs += zip(reqs, res)
+                return batches, pairs
+
+        batches, pairs = asyncio.run(main())
+        assert len(batches) >= 2 * len(groups)
+        assert seen == [total for total, _ in batches]
+        assert all(total < width for total, width in batches)
+        for req, res in pairs:
+            assert res.digest() == serial_reference(req).digest()
+
+    def test_daemon_prices_the_slabs_under_the_total(self, monkeypatch):
+        """Pooled on two workers, a width-64 plan is two 32-option
+        slabs: a batch of 20 runs slab 0 only, a batch of 50 both."""
+        from repro.parallel.daemon import SlabDaemon
+        counts = []
+        dispatch = SlabDaemon.dispatch
+
+        def spy(self, plan_id, n_slabs=None):
+            counts.append(n_slabs)
+            return dispatch(self, plan_id, n_slabs)
+
+        monkeypatch.setattr(SlabDaemon, "dispatch", spy)
+
+        async def main():
+            async with PricingGateway(backend="daemon", n_workers=2,
+                                      slab_bytes=1 << 24) as gw:
+                for tier in ("parallel", "greeks", "scenario"):
+                    for m in (20, 50):
+                        req = _req(m, vol=0.15 + m * 1e-3, tier=tier)
+                        res = await gw.submit(req)
+                        assert res.digest() == \
+                            serial_reference(req).digest(), (tier, m)
+
+        asyncio.run(main())
+        assert counts == [1, 2] * 3
