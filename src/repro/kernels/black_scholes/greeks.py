@@ -30,7 +30,7 @@ from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
-from .parallel import ScratchRows, rate_vol_operands
+from .parallel import lane_runner, rate_vol_operands, scratch_rows
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -61,19 +61,16 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     ``out`` in place.
 
     Five scratch rows cover every intermediate (``scratch`` is a
-    five-row :class:`~.parallel.ScratchRows` on the planned path, cut
-    to ``len(S)``; allocated here otherwise); d1 and d2 are adjacent
-    rows, so N(d1) and N(d2) are one ``ndtr`` call.  Gamma and vega
-    are call/put-identical and stored twice so every output keeps the
-    uniform ``[call | put]`` layout.
+    ``(5, len(S))`` block on the planned path; allocated here
+    otherwise); d1 and d2 are adjacent rows, so N(d1) and N(d2) are one
+    ``ndtr`` call.  Gamma and vega are call/put-identical and stored
+    twice so every output keeps the uniform ``[call | put]`` layout.
     ``r``/``sig`` are floats, or with ``cols`` per-option
     columns (the fused scalar expressions become column passes in the
     same IEEE grouping — bit-identical either way).
     """
     if scratch is None:
         scratch = np.empty((5, S.shape[0]), dtype=DTYPE)
-    else:
-        scratch = scratch.cut(S.shape[0])
     sqt, d1, d2, disc, pdf = scratch
     delta_c, delta_p = out["delta_c"], out["delta_p"]
     np.sqrt(T, out=sqt)                    # sqt = √T
@@ -181,9 +178,9 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
                             arena):
     """Plan-compile the fused Greeks tier for repeated same-shape calls.
 
-    Reserves the ``12n`` backing vector and one five-row scratch block
-    per slab in ``arena``; the returned runner replays the compiled
-    dispatch and hands back the *same*
+    Reserves the ``12n`` backing vector and one ``(5, slab_len)``
+    scratch block per slab in ``arena``; the returned runner replays
+    the compiled dispatch and hands back the *same*
     :class:`~repro.results.ResultSlab` object every call — zero
     hot-path array allocations (the out-of-process backends skip the
     scratch handoff, as the price planner does).  ``run(n)`` prices
@@ -197,9 +194,10 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
     views = _backing_views(backing, n, GREEK_WRITES)
     per_slab = None
     if not executor.out_of_process:
+        scratch = arena.reserve("scratch", 5 * n)
+
         def per_slab(a, b, i):
-            return {"scratch": ScratchRows(
-                arena.reserve(f"scratch{i}", 5 * (b - a)), 5)}
+            return {"scratch": scratch_rows(scratch, 5, a, b)}
     columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_lanes(
         _greeks_slab_task, n,
@@ -208,15 +206,6 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         writes=GREEK_WRITES,
         outputs=GREEK_SCHEMA,
         consts=params,
-        per_slab=per_slab, tag="bsg"))
+        per_slab=per_slab, prefixes=True, tag="bsg"))
     slab = _result_slab(backing, n)
-    price = slab["price"]
-    rows, width = price.reshape(2, n), n
-
-    def run(n: int | None = None) -> ResultSlab:
-        dispatch.run(n)
-        live = price if n is None or n == width else rows[:, :n]
-        np.maximum(live, 0.0, out=live)    # rounding never prices below 0
-        return slab
-
-    return run
+    return lane_runner(dispatch, slab["price"].reshape(2, n), slab)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ...config import DTYPE
 from ...errors import LayoutError
-from ...parallel.slab import LIVE_CUTS, SlabExecutor
+from ...parallel.slab import SlabExecutor
 from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
@@ -37,38 +37,29 @@ SLAB_BYTES_PER_OPTION = 8 * 8
 PRICE_BLOCK = 8192
 
 
-class ScratchRows:
-    """One slab's flat scratch block, read as ``(rows, m)`` rows for
-    the live length ``m`` a run prices, so the rows stay contiguous
-    (``ndtr`` allocates nothing) however short the run.  ``views``
-    names them (default: the rows array itself).  The full-width views
-    are built at compile time; a cut is built once per length and
-    memoised, as :mod:`repro.vmath.ndtr`'s workspace does, so a warm
-    run builds no views."""
+def scratch_rows(block: np.ndarray, rows: int, a: int, b: int) -> np.ndarray:
+    """Items ``[a, b)`` of a flat ``rows × width`` scratch block laid out
+    slab after slab, as ``(rows, b - a)`` contiguous rows (so ``ndtr``
+    allocates nothing).  A slab and every cut of it share its memory."""
+    return block[rows * a:rows * b].reshape(rows, b - a)
 
-    __slots__ = ("block", "rows", "views", "width", "full", "cuts")
 
-    def __init__(self, block: np.ndarray, rows: int, views=None):
-        self.block = block
-        self.rows = rows
-        self.views = views
-        self.width = block.shape[0] // rows
-        self.full = self._carve(self.width)
-        self.cuts = {}
+def lane_runner(dispatch, rows: np.ndarray, result):
+    """The runner of a lane tier whose outputs are the per-item ``rows``
+    (its result backing as ``(outputs, width)``): replay ``dispatch``
+    over the live prefix ``[0, n)`` (every item when ``n`` is None),
+    floor each row's prefix at 0 and return ``result``.  Its
+    ``live_width`` tells the plan that it takes ``n``."""
+    def run(n: int | None = None):
+        dispatch.run(n)
+        live = rows if n is None else rows[:, :n]
+        # Rounding (put-call parity, deep out of the money) never
+        # prices below 0.
+        np.maximum(live, 0.0, out=live)
+        return result
 
-    def _carve(self, m: int):
-        rows = self.block[:self.rows * m].reshape(self.rows, m)
-        return rows if self.views is None else self.views(rows)
-
-    def cut(self, m: int):
-        if m == self.width:
-            return self.full
-        views = self.cuts.get(m)
-        if views is None:
-            if len(self.cuts) >= LIVE_CUTS:
-                self.cuts.clear()
-            views = self.cuts[m] = self._carve(m)
-        return views
+    run.live_width = rows.shape[1]
+    return run
 
 
 def rate_vol_operands(batch: OptionBatch) -> tuple:
@@ -184,9 +175,11 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
     call, put = result[:n], result[n:]
     per_slab = None
     if not executor.out_of_process:
+        # Sized by the width, not the slab, so a prefix cut of slab i
+        # gets slab i's block back.
         def per_slab(a, b, i):
             return {"scratch": arena.reserve(f"scratch{i}",
-                                             3 * min(b - a, PRICE_BLOCK))}
+                                             3 * min(n, PRICE_BLOCK))}
     columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_lanes(
         _price_slab_task, n,
@@ -195,14 +188,5 @@ def compile_price_parallel(batch: OptionBatch, executor: SlabExecutor,
                 **columns},
         writes=("call", "put"),
         consts=params,
-        per_slab=per_slab, tag="bs"))
-
-    rows, width = result.reshape(2, n), n
-
-    def run(n: int | None = None) -> np.ndarray:
-        dispatch.run(n)
-        live = result if n is None or n == width else rows[:, :n]
-        np.maximum(live, 0.0, out=live)    # parity cancels deep OTM
-        return result
-
-    return run
+        per_slab=per_slab, prefixes=True, tag="bs"))
+    return lane_runner(dispatch, result.reshape(2, n), result)

@@ -25,7 +25,7 @@ from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
 from .greeks import _backing_views
-from .parallel import ScratchRows, rate_vol_operands
+from .parallel import lane_runner, rate_vol_operands, scratch_rows
 
 #: Relative shifts: every pair of one spot and one vol factor is a
 #: scenario cell, ordered spot-major (cell k·|vols|+j = spot k, vol j).
@@ -53,16 +53,14 @@ def n_scenarios() -> int:
 
 
 def _scratch_views(block: np.ndarray) -> tuple:
-    """The named views of one ``(_SCRATCH_ROWS, m)`` block, built once
-    per slab and live length (per run only out of process)."""
+    """The named views of one ``(_SCRATCH_ROWS, m)`` block, built
+    once per slab and prefix cut (per run only out of process)."""
     m = block.shape[1]
     cells = _NS * _NV
     S5, ln5 = block[:_NS], block[_NS:2 * _NS]
     b5, c5 = block[2 * _NS:2 * _NS + _NV], block[2 * _NS + _NV:_D12 - 2]
     sqt, disc, d12 = block[_D12 - 2], block[_D12 - 1], block[_D12:]
     nd1, dnd2 = d12[:cells], d12[cells:]
-    # Row iteration is the cheapest way to name 25 rows: the views are
-    # rebuilt for every live length a run is cut to.
     spots = [S_k for S_k in S5 for _ in range(_NV)]
     return (S5, ln5, b5, c5, sqt, disc, nd1.reshape(_NS, _NV, m),
             dnd2.reshape(_NS, _NV, m), d12, ln5[:, None, :], c5[None],
@@ -73,14 +71,11 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
                    scratch=None) -> None:
     """The 5×5 grid of one slab, written into the 25 vectors of
     ``grid``.  ``r``/``sig`` are floats, or with ``cols`` per-option
-    columns; ``scratch`` is a :class:`~.parallel.ScratchRows` naming
-    its rows with :func:`_scratch_views`, cut to ``len(S)`` (allocated
-    here otherwise)."""
+    columns; ``scratch`` is :func:`_scratch_views` of an arena block
+    (allocated here otherwise)."""
     if scratch is None:
         scratch = _scratch_views(
             np.empty((_SCRATCH_ROWS, S.shape[0]), dtype=DTYPE))
-    else:
-        scratch = scratch.cut(S.shape[0])
     S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, cells = scratch
     np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
     np.divide(S5, X, out=ln5)
@@ -149,10 +144,11 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
     views = _backing_views(grid, n, GRID_WRITES)
     per_slab = None
     if not executor.out_of_process:
+        scratch = arena.reserve("scratch", _SCRATCH_ROWS * n)
+
         def per_slab(a, b, i):
-            return {"scratch": ScratchRows(
-                arena.reserve(f"scratch{i}", _SCRATCH_ROWS * (b - a)),
-                _SCRATCH_ROWS, _scratch_views)}
+            return {"scratch": _scratch_views(
+                scratch_rows(scratch, _SCRATCH_ROWS, a, b))}
     columns, params = rate_vol_operands(batch)
     dispatch = arena.adopt(executor.compile_lanes(
         _scenario_slab_task, n,
@@ -161,14 +157,6 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
         writes=GRID_WRITES,
         outputs={"grid": GRID_WRITES},
         consts=params,
-        per_slab=per_slab, tag="bssc"))
-    slab = ResultSlab({"grid": grid}, backing=grid)
-    rows, width = grid.reshape(n_scenarios(), n), n
-
-    def run(n: int | None = None) -> ResultSlab:
-        dispatch.run(n)
-        live = grid if n is None or n == width else rows[:, :n]
-        np.maximum(live, 0.0, out=live)    # rounding never prices below 0
-        return slab
-
-    return run
+        per_slab=per_slab, prefixes=True, tag="bssc"))
+    return lane_runner(dispatch, grid.reshape(n_scenarios(), n),
+                       ResultSlab({"grid": grid}, backing=grid))

@@ -3,12 +3,21 @@
 The paper parallelises every kernel the same way: OpenMP over the
 embarrassingly-parallel outer dimension (options or paths). These
 helpers split an index range into cache-sized, worker-aware slabs and
-build the worker-count ladder of the scaling curves.
+build the worker-count ladder of the scaling curves, and round a
+live length (the prefix of a compiled dispatch a run prices) up to one
+of a fixed set of steps.
 """
 
 from __future__ import annotations
 
+import numbers
+
 from ..errors import ConfigurationError
+
+#: A live length rounds up to the end of one of this many equal steps
+#: of the dispatch width (:func:`live_end`), so a prefix dispatch has a
+#: fixed set of cuts, all built on its first prefix run and none after.
+LIVE_STEPS = 16
 
 
 def slab_ranges(n: int, slab_elems: int, n_workers: int = 1):
@@ -49,3 +58,27 @@ def doubling_counts(limit: int):
         c *= 2
     counts.append(limit)
     return counts
+
+
+def live_length(n, width: int) -> int:
+    """``n`` checked as the live length of a width-``width`` dispatch:
+    an integer in ``[1, width]``, else :class:`ConfigurationError`."""
+    if type(n) is not int and (isinstance(n, bool)
+                               or not isinstance(n, numbers.Integral)):
+        raise ConfigurationError(
+            f"live length must be an integer, got {n!r}")
+    if not 0 < n <= width:
+        raise ConfigurationError(
+            f"live length {n} outside [1, {width}]")
+    return int(n)
+
+
+def live_grain(width: int) -> int:
+    """Items per live-length step of a width-``width`` dispatch."""
+    return -(-width // LIVE_STEPS)
+
+
+def live_end(n: int, width: int) -> int:
+    """Where an in-caller run with live length ``n`` stops: ``n``
+    rounded up to the end of its step (at most ``width``)."""
+    return min(width, -(-n // live_grain(width)) * live_grain(width))

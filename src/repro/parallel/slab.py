@@ -53,14 +53,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import multiprocessing
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .partition import slab_ranges
+from .partition import live_grain, live_length, slab_ranges
 from .safety import freeze_write_plan
 from .shm import ShmArena, run_slab_task
 
@@ -99,11 +98,6 @@ MEASURED_CROSSOVER_BYTES = 1 << 21
 #: segments.  ``next()`` on a count is atomic, so concurrent one-shots
 #: from several threads still draw distinct prefixes.
 _COMPILE_SEQ = itertools.count(1)
-
-#: Live lengths a compiled dispatch (and a lane tier's scratch) keeps
-#: cut views for; past it the memo starts over, since batch totals are
-#: arbitrary and each entry holds dozens of views.
-LIVE_CUTS = 16
 
 
 def host_llc_bytes(default: int = DEFAULT_LLC_BYTES) -> int:
@@ -404,7 +398,7 @@ class SlabExecutor:
     def compile_shm(self, fn, n: int, bytes_per_item: int = 8, *,
                     sliced: dict | None = None, shared: dict | None = None,
                     writes=(), consts: dict | None = None, per_slab=None,
-                    outputs: dict | None = None,
+                    outputs: dict | None = None, prefixes: bool = False,
                     tag: str | None = None) -> "CompiledDispatch":
         """Compile one slab dispatch for zero-setup replay.
 
@@ -428,11 +422,16 @@ class SlabExecutor:
         :meth:`repro.plan.WorkspaceArena.adopt`); executor close
         retires whatever is still live.  This is the slab engine's half
         of the plan layer's zero-allocation contract.
+
+        ``prefixes=True`` lets :meth:`~CompiledDispatch.run` take a
+        live length.  ``per_slab`` is then called once more for each
+        cut ``[a, end)`` of slab ``i``, on the first prefix run, and
+        must only carve views of memory it has reserved.
         """
         return self._compile(
             fn, n, bytes_per_item, self.plan(n, bytes_per_item),
             sliced=sliced, shared=shared, writes=writes, consts=consts,
-            per_slab=per_slab, outputs=outputs, tag=tag)
+            per_slab=per_slab, outputs=outputs, prefixes=prefixes, tag=tag)
 
     def compile_lanes(self, fn, n: int, bytes_per_item: int = 8,
                       **dispatch) -> "CompiledDispatch":
@@ -451,7 +450,7 @@ class SlabExecutor:
 
     def _compile(self, fn, n, bytes_per_item, slabs, *, sliced=None,
                  shared=None, writes=(), consts=None, per_slab=None,
-                 outputs=None, tag=None) -> "CompiledDispatch":
+                 outputs=None, prefixes=False, tag=None) -> "CompiledDispatch":
         if self._closed:
             raise ConfigurationError("executor is closed")
         sliced = dict(sliced or {})
@@ -473,7 +472,7 @@ class SlabExecutor:
         # roles unique so no two compiled dispatches share segments.
         dispatch = CompiledDispatch(
             self, fn, plan, sliced=sliced, shared=shared, writes=writes,
-            consts=consts, per_slab=per_slab,
+            consts=consts, per_slab=per_slab, prefixes=prefixes,
             inline=self.inline(n, bytes_per_item),
             tag=f"{tag or 'cd'}{next(_COMPILE_SEQ)}")
         # The caller owns the handle and closes it; this registry only
@@ -502,7 +501,7 @@ class CompiledDispatch:
 
     def __init__(self, executor: SlabExecutor, fn, plan, *, sliced: dict,
                  shared: dict, writes, consts: dict, per_slab,
-                 inline: bool, tag: str):
+                 inline: bool, tag: str, prefixes: bool = False):
         self.executor = executor
         self.fn = fn
         self.plan = plan
@@ -517,7 +516,7 @@ class CompiledDispatch:
         self._plan_id = None
         self._retired = False
         self._starts = tuple(a for a, _ in slabs)
-        self._live_cuts = {}
+        self._prefixes = prefixes
         self._specs = None
         self._staged = self._copy_in = self._copy_back = ()
         if not (pooled and executor.out_of_process):
@@ -528,6 +527,9 @@ class CompiledDispatch:
                 arrays = {k: v[a:b] for k, v in sliced.items()}
                 arrays.update(shared)
                 self._tasks.append((arrays, self._consts[i], a, b, i))
+            # A dispatch never given a live length builds no cuts.
+            self._cuts = None
+            self._cut_from = (sliced, shared, consts, per_slab)
             return
         # Out-of-process backends: an array already in one of the
         # executor's segments (plan buffers, a plan's payload copy) is
@@ -579,13 +581,15 @@ class CompiledDispatch:
         """Replay the compiled dispatch; per-slab results in slab
         order (view-writing kernels return ``None`` per slab).
 
-        ``n``, when given, is the *live length*: only items ``[0, n)``
-        need computing, so only the slabs that start below ``n`` run
-        (and return results).  In the caller and on the thread pool the
-        straddling slab's sliced views are cut to ``n``; out of process
-        it runs whole, so a body given ``n`` must be elementwise (its
-        pad is then priced harmlessly).  ``n`` equal to the dispatch
-        width is the full run.
+        ``n``, when given, is the *live length* of a dispatch compiled
+        with ``prefixes=True``: only items ``[0, n)`` need computing,
+        so only the slabs that start below ``n`` run (and return
+        results).  In the caller and on the thread pool the straddling
+        slab runs up to :func:`~.partition.live_end` of ``n``, on views
+        cut for every step on the first prefix run; out of process it
+        runs whole.  Either way
+        a body run with ``n`` must be elementwise: its pad is priced
+        harmlessly.  ``n`` equal to the dispatch width is the full run.
         """
         if self.executor._closed:
             raise ConfigurationError("executor is closed")
@@ -594,9 +598,16 @@ class CompiledDispatch:
                 f"compiled dispatch {self.tag} is closed")
         tasks = self._tasks
         if n is not None:
+            if not self._prefixes:
+                raise ConfigurationError(
+                    f"compiled dispatch {self.tag} has no prefix runs")
             n = live_length(n, self.plan.n)
-            if n != self.plan.n:
-                tasks = self._live_tasks(n)
+            if self._specs is not None:
+                tasks = tasks[:bisect.bisect_left(self._starts, n)]
+            else:
+                if self._cuts is None:
+                    self._cuts = self._build_cuts()
+                tasks = self._cuts[(n - 1) // live_grain(self.plan.n)]
         if self._specs is not None:
             for view, src in self._copy_in:
                 np.copyto(view, src)
@@ -620,24 +631,27 @@ class CompiledDispatch:
         return [self.fn(arrays, c, a, b, i)
                 for arrays, c, a, b, i in tasks]
 
-    def _live_tasks(self, n: int) -> list:
-        """The tasks of the slabs that start below ``n``; on the
-        in-caller and thread paths the straddling slab's sliced views
-        are cut to ``[start, n)``.  Memoised per live length."""
-        tasks = self._live_cuts.get(n)
-        if tasks is not None:
-            return tasks
-        tasks = self._tasks[:bisect.bisect_left(self._starts, n)]
-        if self._specs is None and tasks[-1][3] > n:
-            arrays, c, a, _b, i = tasks[-1]
-            m = n - a
-            cut = {name: arrays[name][:m] for name in self.plan.sliced_names}
-            for name in self.plan.shared_names:
-                cut[name] = arrays[name]
-            tasks[-1] = (cut, c, a, n, i)
-        if len(self._live_cuts) >= LIVE_CUTS:
-            self._live_cuts.clear()
-        self._live_cuts[n] = tasks
+    def _build_cuts(self) -> list:
+        """The in-caller task list of every live-length step, built
+        whole on the first prefix run; later runs build no views."""
+        width = self.plan.n
+        grain = live_grain(width)
+        return [self._cut(min(end, width), *self._cut_from)
+                for end in range(grain, width + grain, grain)]
+
+    def _cut(self, end: int, sliced: dict, shared: dict, consts: dict,
+             per_slab) -> list:
+        """The in-caller tasks of a run up to ``end``: the slabs that
+        start below it, the straddling one cut to ``[a, end)`` with its
+        ``per_slab`` constants carved for the cut."""
+        tasks = self._tasks[:bisect.bisect_left(self._starts, end)]
+        _, c, a, b, i = tasks[-1]
+        if b > end:
+            arrays = {k: v[a:end] for k, v in sliced.items()}
+            arrays.update(shared)
+            if per_slab is not None:
+                c = {**consts, **per_slab(a, end, i)}
+            tasks[-1] = (arrays, c, a, end, i)
         return tasks
 
     def close(self) -> None:
@@ -660,19 +674,6 @@ class CompiledDispatch:
             ex._live_dispatches.remove(self)
         except ValueError:
             pass
-
-
-def live_length(n, width: int) -> int:
-    """``n`` checked as the live length of a width-``width`` dispatch:
-    an integer in ``[1, width]``, else :class:`ConfigurationError`."""
-    if type(n) is not int and (isinstance(n, bool)
-                               or not isinstance(n, numbers.Integral)):
-        raise ConfigurationError(
-            f"live length must be an integer, got {n!r}")
-    if not 0 < n <= width:
-        raise ConfigurationError(
-            f"live length {n} outside [1, {width}]")
-    return int(n)
 
 
 # ----------------------------------------------------------------------

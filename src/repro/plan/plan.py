@@ -21,8 +21,9 @@ executor it is the plan's own copy, with every streamed array in the
 executor's shared segments next to the arena's buffers, so the
 compiled dispatches read and write all of them in place and
 ``run(payload)`` is the only copy a new batch pays.  A runner that
-takes an ``n`` parameter (the Black-Scholes lane tiers) can price a
-live prefix: ``run(n=k)`` computes items ``[0, k)`` only.  A slab
+carries a ``live_width`` (the Black-Scholes lane tiers) takes a live
+length: ``run(n=k)`` computes items ``[0, k)`` and no more than a
+step past them.  A slab
 tier has no second body: its registered ``fn`` is the one-shot of its
 planner (:func:`one_shot`: compile, run once, retire).  Serial ladder
 tiers without a planner still compile — the plan wraps their ``fn``
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import inspect
 import os
 
 import numpy as np
@@ -42,6 +42,7 @@ import numpy as np
 from .. import registry
 from ..config import SMALL_SIZES
 from ..errors import ConfigurationError
+from ..parallel.partition import live_length
 from .arena import WorkspaceArena
 from .cache import default_cache, shape_key
 
@@ -189,9 +190,9 @@ class ExecutionPlan:
         self.planned = planned
         self.key = key
         self._runner = runner
-        #: Whether ``run(n=...)`` prices a live prefix: the runner
-        #: takes ``n``.
-        self.prefix_runs = "n" in inspect.signature(runner).parameters
+        #: The width a live length is checked against, when the
+        #: runner takes one (see :attr:`prefix_runs`).
+        self.live_width = getattr(runner, "live_width", None)
         self._owns_executor = owns_executor
         self.calls = 0
 
@@ -212,6 +213,11 @@ class ExecutionPlan:
     def label(self) -> str:
         return self.impl.label
 
+    @property
+    def prefix_runs(self) -> bool:
+        """Whether ``run(n=...)`` prices a live prefix."""
+        return self.live_width is not None
+
     # -- hot path ------------------------------------------------------
     def run(self, payload=None, out: np.ndarray | None = None, *,
             n: int | None = None):
@@ -225,22 +231,26 @@ class ExecutionPlan:
 
         ``n``, when given, is the live length: only items ``[0, n)``
         are priced (an integer, ``1 <= n <=`` the compiled width,
-        which is the full run).  Every output keeps its compiled shape
-        and promises nothing past ``n`` in each of its per-item rows,
-        so read each row's ``[0, n)`` prefix.  Only tiers whose runner
-        takes ``n`` support it (:attr:`prefix_runs`); any other raises
-        :class:`~repro.errors.ConfigurationError`.
+        which is the full run), up to the end of ``n``'s step (see
+        :meth:`~repro.parallel.slab.CompiledDispatch.run`).  Every
+        output keeps its compiled shape and promises nothing past ``n``
+        in each of its per-item rows, so read each row's ``[0, n)``
+        prefix.  Only tiers whose runner carries a ``live_width``
+        support it (:attr:`prefix_runs`); any other raises
+        :class:`~repro.errors.ConfigurationError`, as does a bad
+        ``n``, before ``payload`` is copied in.
         """
+        if n is not None:
+            # Checked before the rebind: a rejected call leaves the
+            # bound payload as it was.
+            if self.live_width is None:
+                raise ConfigurationError(
+                    f"{self.label}: the {self.tier} tier has no prefix "
+                    f"runs; run it without n")
+            n = live_length(n, self.live_width)
         if payload is not None:
             _rebind_into(self.payload, payload)
-        if n is None:
-            result = self._runner()
-        elif self.prefix_runs:
-            result = self._runner(n)
-        else:
-            raise ConfigurationError(
-                f"{self.label}: the {self.tier} tier has no prefix runs; "
-                f"run it without n")
+        result = self._runner() if n is None else self._runner(n)
         self.calls += 1
         if out is not None:
             np.copyto(out, result)

@@ -20,11 +20,12 @@ into the plan's own shared-memory copy, which the workers read in
 place.  No per-request staging and no payload rebuild.
 
 :meth:`pack` records the packed total, and the gateway runs the plan
-with it as the live length (``plan.run(n=total)``): only the packed
-prefix is priced, never the pad.  Out of process the slab that
-straddles the total still runs whole; its pad keeps earlier (positive)
-contents and is harmless because every supported tier is elementwise
-(see :mod:`.workloads`).
+with it as the live length (``plan.run(n=total)``): the packed prefix
+is priced, rounded up to the end of its live step (a sixteenth of the
+width), and the rest of the pad is not.  Out of process the slab that
+straddles the total still runs whole.  The pad that is priced keeps
+earlier (positive) contents and is harmless because every supported
+tier is elementwise (see :mod:`.workloads`).
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
 * The dispatcher packs the batch into its canonical-width
   :class:`~.batcher.Staging` (whose arrays are plan-bound — see
   :mod:`~.batcher`), then runs the compiled plan with the packed total
-  as its live length (``plan.run(n=total)``: the bucket's pad is not
-  priced) on a **single dedicated dispatch thread** via
+  as its live length (``plan.run(n=total)``: no pad is priced past the
+  total's live step) on a **single dedicated dispatch thread** via
   ``run_in_executor``: the event loop keeps accepting while the batch
-  prices, and the one-thread pool keeps the daemon backend's SPSC rings
-  single-producer.  Ring backpressure
+  prices, and the one-thread pool keeps the daemon backend's SPSC
+  rings single-producer.  Ring backpressure
   (a full submit ring blocks the push) therefore stalls only the
   dispatch thread, never the accept path; gateway-level backpressure is
   the ``max_pending`` cap, beyond which new requests are shed with
@@ -373,7 +373,8 @@ class PricingGateway:
                                 executor=self._executor)
             with self._cache_lock:
                 plan = self._cache.setdefault(key, plan)
-        # Price the packed prefix only, never the bucket's pad.
+        # Price the packed prefix (to the end of its live step), not
+        # the bucket's pad.
         if plan.payload is not staging.payload:
             # A cached plan that outlived its staging (LRU
             # interleaving) copies the new arrays into its own.

@@ -151,7 +151,7 @@ class TestPinLifecycle:
             dispatch = ex.compile_shm(
                 _scale, x.shape[0], bytes_per_item=16,
                 sliced={"x": x, "out": out}, writes=("out",),
-                consts={"k": 2.0})
+                consts={"k": 2.0}, prefixes=True)
             assert dispatch.n_slabs == 4
             pushed = []
             for ring in ex._daemon._submit:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.parallel import slab_ranges
+from repro.parallel.partition import LIVE_STEPS, live_end, live_grain
 
 
 class TestSlabRanges:
@@ -49,3 +50,16 @@ class TestSlabRanges:
             slab_ranges(10, 0, 1)
         with pytest.raises(ConfigurationError):
             slab_ranges(10, 4, 0)
+
+
+class TestLiveSteps:
+    @given(st.integers(1, 1 << 16), st.data())
+    def test_live_length_rounds_up_less_than_a_step(self, width, data):
+        n = data.draw(st.integers(1, width))
+        assert n <= live_end(n, width) < n + live_grain(width)
+        assert live_end(width, width) == width
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 100, 256, 4097])
+    def test_at_most_live_steps_ends(self, width):
+        ends = {live_end(n, width) for n in range(1, width + 1)}
+        assert len(ends) <= LIVE_STEPS and max(ends) == width

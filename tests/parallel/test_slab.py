@@ -109,6 +109,13 @@ class TestMapSlabs:
         with SlabExecutor("thread") as ex:
             assert ex.map_shm(_boom, 0, bytes_per_item=8) == []
 
+    def test_live_length_needs_a_prefix_dispatch(self):
+        with SlabExecutor("serial") as ex:
+            dispatch = ex.compile_shm(_noop, 8, sliced={"x": np.zeros(8)})
+            with pytest.raises(ConfigurationError, match="no prefix runs"):
+                dispatch.run(n=4)
+            dispatch.close()
+
     def test_worker_exception_propagates(self):
         with SlabExecutor("thread", n_workers=2) as ex:
             with pytest.raises(ZeroDivisionError):

@@ -4,9 +4,12 @@ For the three Black-Scholes lane tiers on every backend, each output
 row's ``[0, k)`` prefix must be bit-identical to a full run on the same
 payload (the put half, all six Greeks, all 25 scenario cells), and on
 the backends that slice the caller's arrays (serial, thread) the pad of
-a sentinel-filled result must stay untouched.  A bad live length, or
-one given to a tier without prefix runs, raises ``ConfigurationError``.
+a sentinel-filled result past ``k``'s step must stay untouched.  A bad
+live length, or one given to a tier without prefix runs, raises
+``ConfigurationError`` and leaves the plan's payload as it was.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -16,12 +19,14 @@ from repro.kernels.black_scholes.greeks import GREEKS_BYTES_PER_OPTION
 from repro.kernels.black_scholes.parallel import SLAB_BYTES_PER_OPTION
 from repro.kernels.black_scholes.scenario import SCENARIO_BYTES_PER_OPTION
 from repro.parallel import SlabExecutor
+from repro.parallel.partition import live_end
 from repro.plan import compile_plan
 from repro.pricing.options import OptionBatch
 
 W = 256
 #: Options per slab: three slabs at width ``W`` on every backend, so
-#: ``k = 37`` lands in slab 0 and ``k = W - 1`` in the last one.
+#: ``k = 37`` lands in slab 0, ``k = 97``'s step ends in slab 1 and
+#: ``k = W - 1`` lands in the last one.
 SLAB = 100
 TIERS = {"parallel": SLAB_BYTES_PER_OPTION,
          "greeks": GREEKS_BYTES_PER_OPTION,
@@ -71,7 +76,7 @@ def test_prefix_matches_full_run(tier, backend, executors):
         assert plan.prefix_runs
         assert plan.executor.n_slabs(W, TIERS[tier]) == 3
         full = _rows(plan.run()).copy()
-        for k in (1, 37, W - 1, W):
+        for k in (1, 37, 97, W - 1, W):
             rows = _rows(plan.run())
             if backend in CUT_BACKENDS:
                 rows[:] = SENTINEL
@@ -80,8 +85,9 @@ def test_prefix_matches_full_run(tier, backend, executors):
             assert out[:, :k].tobytes() == full[:, :k].tobytes(), \
                 f"{tier}[{backend}] prefix {k} differs from a full run"
             if backend in CUT_BACKENDS:
-                assert (out[:, k:] == SENTINEL).all(), \
-                    f"{tier}[{backend}] priced pad past {k}"
+                end = live_end(k, W)
+                assert (out[:, end:] == SENTINEL).all(), \
+                    f"{tier}[{backend}] priced pad past {end}"
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
@@ -108,14 +114,23 @@ def test_new_payload_with_live_length(executors):
         assert got[:, :37].tobytes() == want[:, :37].tobytes()
 
 
+def _other(payload):
+    """A payload of the same shape with other numbers."""
+    other = copy.deepcopy(payload)
+    other["soa"].S[:] *= 2.0
+    return other
+
+
 class TestBadLiveLength:
     @pytest.mark.parametrize("n", [0, -1, W + 1, 37.0, "37", True])
     def test_rejected(self, n, executors):
         ex = executors("serial", "parallel")
         with compile_plan("black_scholes", "parallel", _payload(),
                           backend="serial", executor=ex) as plan:
+            before = plan.payload["soa"].S.copy()
             with pytest.raises(ConfigurationError, match="live length"):
-                plan.run(n=n)
+                plan.run(_other(plan.payload), n=n)
+            assert plan.payload["soa"].S.tobytes() == before.tobytes()
 
     def test_numpy_integer_accepted(self, executors):
         ex = executors("serial", "parallel")
@@ -133,5 +148,7 @@ class TestBadLiveLength:
         with compile_plan("black_scholes", tier, payload,
                           backend="serial") as plan:
             assert not plan.prefix_runs
+            before = plan.payload["soa"].S.copy()
             with pytest.raises(ConfigurationError, match=tier):
-                plan.run(n=1)
+                plan.run(_other(plan.payload), n=1)
+            assert plan.payload["soa"].S.tobytes() == before.tobytes()

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import (ConfigurationError, GatewayClosedError,
                           GatewayError, GatewayOverloadError)
 from repro.parallel import SlabExecutor
+from repro.parallel.partition import live_end
 from repro.serve import PricingGateway, PricingRequest, serial_reference
 
 
@@ -472,8 +473,9 @@ class TestDispatchPolicy:
 
 
 class TestPrefixPricing:
-    """The gateway prices each batch's packed total, never the pad its
-    power-of-two bucket adds."""
+    """The gateway prices each batch's packed total, rounded up to the
+    end of its live step, never the whole pad its power-of-two bucket
+    adds."""
 
     def test_slab_tasks_see_the_packed_total(self, monkeypatch):
         from repro.kernels.black_scholes import greeks, scenario
@@ -510,8 +512,9 @@ class TestPrefixPricing:
 
         batches, pairs = asyncio.run(main())
         assert len(batches) >= 2 * len(groups)
-        assert seen == [total for total, _ in batches]
-        assert all(total < width for total, width in batches)
+        assert seen == [live_end(total, width) for total, width in batches]
+        assert all(live_end(total, width) < width
+                   for total, width in batches)
         for req, res in pairs:
             assert res.digest() == serial_reference(req).digest()
 
