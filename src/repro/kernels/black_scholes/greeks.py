@@ -30,7 +30,7 @@ from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
-from .parallel import lane_runner, rate_vol_operands, scratch_rows
+from .parallel import ZERO, lane_runner, rate_vol_operands, scratch_rows
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -118,6 +118,8 @@ def _greeks_slab(S, X, T, r, sig, cols: bool, out: dict,
     price_c -= rho_c                       # C = S·N(d1) − disc·N(d2)
     np.multiply(S, delta_p, out=price_p)
     price_p += rho_p                       # P = disc·N(−d2) − S·N(−d1)
+    np.maximum(price_c, ZERO, out=price_c)   # rounding never prices < 0
+    np.maximum(price_p, ZERO, out=price_p)
     theta_c, theta_p = out["theta_c"], out["theta_p"]
     np.divide(vega_c, T, out=theta_c)
     if cols:
@@ -207,5 +209,4 @@ def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,
         outputs=GREEK_SCHEMA,
         consts=params,
         per_slab=per_slab, prefixes=True, tag="bsg"))
-    slab = _result_slab(backing, n)
-    return lane_runner(dispatch, slab["price"].reshape(2, n), slab)
+    return lane_runner(dispatch, n, _result_slab(backing, n))

@@ -25,7 +25,7 @@ from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
 from .greeks import _backing_views
-from .parallel import lane_runner, rate_vol_operands, scratch_rows
+from .parallel import ZERO, lane_runner, rate_vol_operands, scratch_rows
 
 #: Relative shifts: every pair of one spot and one vol factor is a
 #: scenario cell, ordered spot-major (cell k·|vols|+j = spot k, vol j).
@@ -40,7 +40,8 @@ _NS, _NV = len(SPOT_SHIFTS), len(VOL_SHIFTS)
 GRID_WRITES = tuple(f"g{c:02d}" for c in range(_NS * _NV))
 
 #: Scratch rows per option: S_k, ln(S_k/X), σ_j√T, (r+σ_j²/2)T, √T,
-#: X·e^{−rT}, and the two 25-cell blocks d1/N(d1) and d2/N(d2)·disc.
+#: X·e^{−rT}, and the two 25-cell blocks d1/N(d1)/price and
+#: d2/N(d2)·disc (the grid is priced and floored there, then copied out).
 _SCRATCH_ROWS = 2 * _NS + 2 * _NV + 2 + 2 * _NS * _NV
 _D12 = 2 * _NS + 2 * _NV + 2           # first d1 row
 
@@ -61,10 +62,9 @@ def _scratch_views(block: np.ndarray) -> tuple:
     b5, c5 = block[2 * _NS:2 * _NS + _NV], block[2 * _NS + _NV:_D12 - 2]
     sqt, disc, d12 = block[_D12 - 2], block[_D12 - 1], block[_D12:]
     nd1, dnd2 = d12[:cells], d12[cells:]
-    spots = [S_k for S_k in S5 for _ in range(_NV)]
     return (S5, ln5, b5, c5, sqt, disc, nd1.reshape(_NS, _NV, m),
             dnd2.reshape(_NS, _NV, m), d12, ln5[:, None, :], c5[None],
-            b5[None], list(zip(spots, nd1, dnd2)))
+            b5[None], S5[:, None, :], list(nd1))
 
 
 def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
@@ -76,7 +76,8 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
     if scratch is None:
         scratch = _scratch_views(
             np.empty((_SCRATCH_ROWS, S.shape[0]), dtype=DTYPE))
-    S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, cells = scratch
+    S5, ln5, b5, c5, sqt, disc, a3, b3, d12, ln5b, c5b, b5b, S5b, cells = \
+        scratch
     np.multiply(S, _SPOT, out=S5)          # S5[k] = S·spot_k
     np.divide(S5, X, out=ln5)
     np.log(ln5, out=ln5)                   # ln5[k] = ln(S_k/X)
@@ -99,9 +100,11 @@ def _scenario_slab(S, X, T, r, sig, cols: bool, grid: list,
     np.subtract(a3, b5b, out=b3)           # b3[k,j] = d2
     ndtr(d12, out=d12)                     # a3 = N(d1), b3 = N(d2)
     b3 *= disc                             # b3 = X·e^{−rT}·N(d2)
-    for g, (S_k, nd1, dnd2) in zip(grid, cells):
-        np.multiply(S_k, nd1, out=g)
-        g -= dnd2                          # C = S_k·N(d1) − X·e^{−rT}·N(d2)
+    a3 *= S5b                              # a3 = S_k·N(d1)
+    a3 -= b3                               # a3 = C, all 25 cells at once
+    np.maximum(a3, ZERO, out=a3)           # rounding never prices < 0
+    for g, cell in zip(grid, cells):
+        g[:] = cell
 
 
 def _scenario_slab_task(arrays: dict, consts: dict, a: int, b: int,
@@ -158,5 +161,4 @@ def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,
         outputs={"grid": GRID_WRITES},
         consts=params,
         per_slab=per_slab, prefixes=True, tag="bssc"))
-    return lane_runner(dispatch, grid.reshape(n_scenarios(), n),
-                       ResultSlab({"grid": grid}, backing=grid))
+    return lane_runner(dispatch, n, ResultSlab({"grid": grid}, backing=grid))

@@ -591,6 +591,17 @@ class CompiledDispatch:
         a body run with ``n`` must be elementwise: its pad is priced
         harmlessly.  ``n`` equal to the dispatch width is the full run.
         """
+        if n is not None:
+            if not self._prefixes:
+                raise ConfigurationError(
+                    f"compiled dispatch {self.tag} has no prefix runs")
+            n = live_length(n, self.plan.n)
+        return self.replay(n)
+
+    def replay(self, n: int | None = None):
+        """:meth:`run` for a caller that has already checked ``n``
+        against the width (a plan's lane runner: ``ExecutionPlan.run``
+        checks it once, before any rebind)."""
         if self.executor._closed:
             raise ConfigurationError("executor is closed")
         if self._retired:
@@ -598,10 +609,6 @@ class CompiledDispatch:
                 f"compiled dispatch {self.tag} is closed")
         tasks = self._tasks
         if n is not None:
-            if not self._prefixes:
-                raise ConfigurationError(
-                    f"compiled dispatch {self.tag} has no prefix runs")
-            n = live_length(n, self.plan.n)
             if self._specs is not None:
                 tasks = tasks[:bisect.bisect_left(self._starts, n)]
             else:

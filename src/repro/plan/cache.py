@@ -99,22 +99,6 @@ class PlanCache:
             if evicted is not plan:
                 evicted.close()
 
-    def setdefault(self, key, plan):
-        """Cache ``plan`` under ``key`` unless one is already live; the
-        incumbent wins and the loser is closed.  This is the primitive
-        for concurrent compilers (gateway dispatch vs. eviction): two
-        contexts racing the same shape must not leak the runner-up's
-        pins."""
-        have = self._plans.get(key)
-        if have is not None:
-            self._plans.move_to_end(key)
-            self.hits += 1
-            if have is not plan:
-                plan.close()
-            return have
-        self.put(key, plan)
-        return plan
-
     def pop(self, key) -> bool:
         """Drop (and close) the plan cached under ``key``; ``True`` if
         one was live.  The gateway uses this when it retires a staging

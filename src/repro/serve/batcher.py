@@ -11,24 +11,33 @@ descriptor replay.
 
 A :class:`Staging` owns the payload for one ``(kernel, tier, width)``:
 its SOA arrays — S/X/T and the per-option rate/vol columns — are the
-*plan-bound* arrays, so :meth:`pack` writes request segments (each
-with its own rate/vol) straight into the memory the compiled dispatch
-reads —
-the in-process backends price the very same buffers, and on the
-out-of-process backends ``plan.run(staging.payload)`` copies them once
-into the plan's own shared-memory copy, which the workers read in
-place.  No per-request staging and no payload rebuild.
+*plan-bound* arrays, so :meth:`~Staging.pack` writes request segments
+(each with its own rate/vol) straight into the memory the compiled
+dispatch reads.  In process the plan prices the very same buffers.  Out
+of process a plan owns a shared-memory copy of its payload, and the
+gateway binds the staging to it (:meth:`~Staging.bind`) once the plan
+is compiled, so every later batch is packed into the memory the workers
+read in place: one copy per batch, never a second.
 
-:meth:`pack` records the packed total, and the gateway runs the plan
-with it as the live length (``plan.run(n=total)``): the packed prefix
-is priced, rounded up to the end of its live step (a sixteenth of the
-width), and the rest of the pad is not.  Out of process the slab that
-straddles the total still runs whole.  The pad that is priced keeps
-earlier (positive) contents and is harmless because every supported
-tier is elementwise (see :mod:`.workloads`).
+Both halves are per batch, not per request: :meth:`~Staging.pack` is
+one concatenation per S/X/T column and one repeat-by-sizes of the
+rate/vol pairs, and :meth:`~Staging.scatter` is one bulk copy of every
+output's used columns into one block, whatever the number of requests
+(the paper's Sec. IV step from a per-element outer loop to whole
+vectors, taken on the host side).
+
+:meth:`~Staging.pack` records the packed total, and the gateway runs
+the plan with it as the live length (``plan.run(n=total)``): the packed
+prefix is priced, rounded up to the end of its live step (a sixteenth
+of the width), and the rest of the pad is not.  Out of process the slab
+that straddles the total still runs whole.  The pad that is priced
+keeps earlier (positive) contents and is harmless because every
+supported tier is elementwise (see :mod:`.workloads`).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,11 +68,15 @@ class Staging:
     ``signature`` is ``(kernel, tier)``, optionally followed by the
     ``(rate, vol)`` the parameter columns start filled with.
     ``total`` is the number of options the last :meth:`pack` wrote:
-    the live length to price.
+    the live length to price.  ``batch`` is the SOA batch :meth:`pack`
+    writes: the staging's own ``payload["soa"]`` until :meth:`bind`
+    points it at a compiled plan's payload.  ``key`` is free for the
+    owner to file the staging's plan under (the gateway's plan-cache
+    key, computed once).
     """
 
     __slots__ = ("adapter", "signature", "width", "payload", "batch",
-                 "packs", "total")
+                 "packs", "total", "plan", "key", "_columns")
 
     def __init__(self, adapter: TierAdapter, signature: tuple,
                  width: int):
@@ -71,69 +84,97 @@ class Staging:
         self.signature = signature
         self.width = int(width)
         self.payload = make_staging_payload(signature, self.width)
-        self.batch = self.payload["soa"]
         self.packs = 0
         self.total = 0
+        self.key = None
+        self.bind(None)
+
+    def bind(self, plan) -> None:
+        """Pack into ``plan``'s payload from now on (``None``: into the
+        staging's own).  In process a plan prices the payload it was
+        compiled on, so this changes nothing; out of process a plan
+        owns a shared-memory copy, and packing straight into it spares
+        the batch a second copy.  The caller must re-bind before a
+        pack once ``plan`` may have been closed."""
+        self.plan = plan
+        batch = self.batch = \
+            (self.payload if plan is None else plan.payload)["soa"]
+        self._columns = (batch.S, batch.X, batch.T, batch.rate, batch.vol)
 
     def pack(self, requests) -> list:
-        """Write each request's contracts into the staged arrays,
+        """Write the requests' contracts into :attr:`batch`,
         back-to-back from offset 0, and record their total; returns the
-        ``[a, b)`` segment per request.  The caller guarantees the
-        total fits the width."""
-        S = self.batch.S
-        X = self.batch.X
-        T = self.batch.T
-        rate = self.batch.rate
-        vol = self.batch.vol
-        offsets = []
-        cur = 0
-        for req in requests:
-            m = req.n
-            end = cur + m
-            if end > self.width:
-                raise GatewayError(
-                    f"packed {end} options into width-{self.width} "
-                    f"staging; flush split is broken")
-            S[cur:end] = req.S
-            X[cur:end] = req.X
-            T[cur:end] = req.T
-            rate[cur:end] = req.rate
-            vol[cur:end] = req.vol
-            offsets.append((cur, end))
-            cur = end
+        ``[a, b)`` segment per request.  A fixed number of numpy calls
+        whatever the number of requests: one concatenation per S/X/T
+        column and one repeat-by-sizes for both rate/vol columns (a
+        lone request is five slice writes).  A total past the width
+        raises before anything is written."""
+        sizes = [req.n for req in requests]
+        ends = list(accumulate(sizes))
+        total = ends[-1] if ends else 0
+        if total > self.width:
+            raise GatewayError(
+                f"packed {total} options into width-{self.width} "
+                f"staging; flush split is broken")
+        S, X, T, rate, vol = self._columns
+        if len(sizes) == 1:
+            # A lone request (light load): five slice writes cost less
+            # than the batch calls' fixed overhead.
+            req = requests[0]
+            S[:total] = req.S
+            X[:total] = req.X
+            T[:total] = req.T
+            rate[:total] = req.rate
+            vol[:total] = req.vol
+        elif total:
+            np.concatenate([req.S for req in requests], out=S[:total])
+            np.concatenate([req.X for req in requests], out=X[:total])
+            np.concatenate([req.T for req in requests], out=T[:total])
+            # Every rate, then every vol: one repeat fills both columns.
+            params = np.array([req.rate for req in requests]
+                              + [req.vol for req in requests])
+            cols = params.repeat(sizes + sizes)
+            rate[:total] = cols[:total]
+            vol[:total] = cols[total:]
         self.packs += 1
-        self.total = cur
-        return offsets
+        self.total = total
+        return list(zip([0, *ends[:-1]], ends))
 
     def scatter(self, value, offsets) -> list:
         """Slice the fused batch's result back per request.
 
-        One bulk copy moves the *used* region of each output out of the
-        plan's arena (whose buffers the next flush overwrites) into a
-        batch-owned contiguous block; each request then gets zero-copy
-        ``(k, m)`` views of that block.  Views keep the block alive, so
-        results stay valid however long callers hold them.
+        One bulk copy moves the *used* columns of every output out of
+        the plan's arena (whose buffers the next flush overwrites) into
+        one batch-owned block; each request's result then reads
+        zero-copy ``(k, m)`` views of that block.  Views keep the block
+        alive, so results stay valid however long callers hold them.
+        The work is per batch: a request costs one small object.
         """
-        slab = as_result_slab(value, self.adapter.outputs)
-        total = offsets[-1][1] if offsets else 0
-        n_req = len(offsets)
-        blocks = []
-        for name in self.adapter.outputs:
-            vec = np.asarray(slab[name])
-            if vec.shape[0] % self.width:
+        outputs = self.adapter.outputs
+        slab = as_result_slab(value, outputs)
+        if slab.outputs != outputs:
+            raise GatewayError(
+                f"tier returned outputs {slab.outputs}, declared "
+                f"{outputs}")
+        width = self.width
+        rows = []
+        for name in outputs:
+            m = slab[name].shape[0]
+            if m % width:
                 raise GatewayError(
-                    f"output {name!r} length {vec.shape[0]} is not a "
-                    f"multiple of staging width {self.width}")
-            k = vec.shape[0] // self.width
-            blocks.append((name, k,
-                           vec.reshape(k, self.width)[:, :total].copy()))
-        results = []
-        for a, b in offsets:
-            outputs = {
-                name: (block[:, a:b] if k > 1 else block[0, a:b])
-                for name, k, block in blocks
-            }
-            results.append(GatewayResult(outputs, b - a,
-                                         batch_options=total,
-                                         batch_requests=n_req))
-        return results
+                    f"output {name!r} length {m} is not a multiple of "
+                    f"staging width {width}")
+            rows.append(m // width)
+        total = offsets[-1][1] if offsets else 0
+        # Every output, in declared order, as rows of one stacked
+        # vector (a tier's backing, or the bare array a one-output tier
+        # returns): a single copy takes the used columns of all of them.
+        stacked = value if isinstance(value, np.ndarray) \
+            else slab.stacked()
+        block = stacked.reshape(-1, width)[:, :total].copy()
+        sources = {}
+        row = 0
+        for name, k in zip(outputs, rows):
+            sources[name] = block[row:row + k] if k > 1 else block[row]
+            row += k
+        return GatewayResult._segments(sources, offsets, total)

@@ -25,10 +25,15 @@ Control flow (all on one event loop, plus exactly one dispatch thread):
   cancelled while they waited are dropped when their batch is taken,
   not priced, and a tier's queue is deleted as soon as it is empty
   and idle.
-* The dispatcher packs the batch into its canonical-width
-  :class:`~.batcher.Staging` (whose arrays are plan-bound — see
-  :mod:`~.batcher`), then runs the compiled plan with the packed total
-  as its live length (``plan.run(n=total)``: no pad is priced past the
+* The dispatcher takes a batch (reading each request's size once),
+  looks its plan up (the key is computed once per staging) and packs
+  the batch into its canonical-width :class:`~.batcher.Staging`, whose
+  arrays are the cached plan's payload: the staging's own in process,
+  the plan's shared-memory copy out of process, so a batch is copied
+  once (see :mod:`~.batcher`).  Pack and scatter are a fixed number of
+  numpy calls per batch, whatever the number of requests.  It then
+  runs the plan (compiling it on a miss) with the packed total as its
+  live length (``plan.run(n=total)``: no pad is priced past the
   total's live step) on a **single dedicated dispatch thread** via
   ``run_in_executor``: the event loop keeps accepting while the batch
   prices, and the one-thread pool keeps the daemon backend's SPSC
@@ -216,9 +221,10 @@ class PricingGateway:
             raise GatewayClosedError(
                 "gateway is draining or not started")
         adapter_for(request.kernel, request.tier)  # reject early
-        if request.n > self.max_batch:
+        m = request.n
+        if m > self.max_batch:
             raise GatewayError(
-                f"request of {request.n} options exceeds "
+                f"request of {m} options exceeds "
                 f"max_batch={self.max_batch}; split it client-side")
         if self._queued_requests >= self.max_pending:
             self._stat["shed"] += 1
@@ -232,7 +238,7 @@ class PricingGateway:
             st = self._queues[key] = _TierQueue()
         fut = self._loop.create_future()
         st.items.append((request, fut, self._loop.time()))
-        st.n_options += request.n
+        st.n_options += m
         self._queued_requests += 1
         full = (st.n_options >= self.max_batch
                 or (self.max_batch_requests is not None
@@ -273,9 +279,9 @@ class PricingGateway:
             if key is None:
                 return
             st = self._queues[key]
-            batch = self._take_batch(st)
-            if batch:
-                await self._price_batch(key, batch)
+            requests, futures, total = self._take_batch(st)
+            if requests:
+                await self._price_batch(key, requests, futures, total)
             # One batch per job: what arrived meanwhile goes back on
             # the flush queue behind older flushes of other signatures.
             # No await between this check and the bookkeeping, so a
@@ -286,35 +292,43 @@ class PricingGateway:
             else:
                 del self._queues[key]
 
-    def _take_batch(self, st: _TierQueue) -> list:
+    def _take_batch(self, st: _TierQueue) -> tuple:
         """Slice the longest prefix fitting the batch caps, dropping
-        requests whose caller was cancelled while they waited; empty
-        only when every queued request was."""
-        batch = []
+        requests whose caller was cancelled while they waited; returns
+        ``(requests, futures, total options)``, empty only when every
+        queued request was cancelled.  Each size is read once."""
+        requests, futures = [], []
         n_opts = 0
         max_reqs = self.max_batch_requests or len(st.items)
-        while st.items and len(batch) < max_reqs:
-            req, fut, _arrival = st.items[0]
+        items = st.items
+        while items and len(requests) < max_reqs:
+            req, fut, _arrival = items[0]
+            m = req.n
             cancelled = fut.cancelled()
-            if batch and not cancelled \
-                    and n_opts + req.n > self.max_batch:
+            if requests and not cancelled and n_opts + m > self.max_batch:
                 break
-            st.items.popleft()
-            st.n_options -= req.n
+            items.popleft()
+            st.n_options -= m
             self._queued_requests -= 1
             if cancelled:
                 self._stat["cancelled"] += 1
             else:
-                batch.append((req, fut))
-                n_opts += req.n
-        return batch
+                requests.append(req)
+                futures.append(fut)
+                n_opts += m
+        return requests, futures, n_opts
 
-    async def _price_batch(self, key, batch) -> None:
-        requests = [req for req, _ in batch]
-        total = sum(r.n for r in requests)
+    async def _price_batch(self, key, requests, futures, total) -> None:
         try:
             width = bucket_width(total, self.min_bucket, self.max_batch)
             staging = self._get_staging(key, width)
+            # Pack into the plan's own payload when one is cached (out
+            # of process it is not the staging's): the dispatch thread
+            # is idle between batches, so nothing evicts it before run.
+            with self._cache_lock:
+                plan = self._cache.get(staging.key)
+            if plan is not staging.plan:
+                staging.bind(plan)
             offsets = staging.pack(requests)
             t0 = time.perf_counter()
             value = await self._loop.run_in_executor(
@@ -322,21 +336,21 @@ class PricingGateway:
             service = time.perf_counter() - t0
             results = staging.scatter(value, offsets)
         except Exception as exc:                  # deliver, don't die
-            self._stat["failed"] += len(batch)
-            for _, fut in batch:
+            self._stat["failed"] += len(futures)
+            for fut in futures:
                 if not fut.done():
                     fut.set_exception(exc)
             return
+        b = len(futures)
         self._stat["batches"] += 1
-        self._stat["completed"] += len(batch)
-        b = len(batch)
+        self._stat["completed"] += b
         self._batch_requests_hist[b] = \
             self._batch_requests_hist.get(b, 0) + 1
         self._batch_options_hist[total] = \
             self._batch_options_hist.get(total, 0) + 1
         if len(self._service_s) < _SERVICE_SAMPLES:
             self._service_s.append(service)
-        for (_, fut), res in zip(batch, results):
+        for fut, res in zip(futures, results):
             if not fut.done():
                 fut.set_result(res)
 
@@ -347,38 +361,33 @@ class PricingGateway:
             self._stagings.move_to_end(slot)
             return staging
         staging = Staging(adapter_for(*key), key, width)
+        # A staging's shape never changes: key its plan once.
+        staging.key = plan_key(key[0], key[1], self.backend,
+                               self._executor.n_workers, staging.payload)
         self._stagings[slot] = staging
         while len(self._stagings) > self.max_stagings:
             _, old = self._stagings.popitem(last=False)
             # Retire the evicted shape's plan with it: close() unpins
             # its daemon dispatch and releases its shm segments.
             with self._cache_lock:
-                self._cache.pop(self._plan_key(old))
+                self._cache.pop(old.key)
         return staging
 
-    def _plan_key(self, staging: Staging) -> tuple:
-        return plan_key(staging.adapter.kernel, staging.adapter.tier,
-                        self.backend, self._executor.n_workers,
-                        staging.payload)
-
     def _run_plan(self, staging: Staging):
-        """Dispatch-thread body: warm plan lookup + fused batch run."""
-        key = self._plan_key(staging)
-        with self._cache_lock:
-            plan = self._cache.get(key)
+        """Dispatch-thread body: compile on a miss, then price the
+        packed prefix (to the end of its live step), not the bucket's
+        pad."""
+        plan = staging.plan
         if plan is None:
+            # Packed into the staging's own payload, which the compile
+            # binds (in process) or copies (out of process, into the
+            # plan's shared-memory payload the next pack targets).
             plan = compile_plan(staging.adapter.kernel,
                                 staging.adapter.tier, staging.payload,
                                 backend=self.backend,
                                 executor=self._executor)
             with self._cache_lock:
-                plan = self._cache.setdefault(key, plan)
-        # Price the packed prefix (to the end of its live step), not
-        # the bucket's pad.
-        if plan.payload is not staging.payload:
-            # A cached plan that outlived its staging (LRU
-            # interleaving) copies the new arrays into its own.
-            return plan.run(staging.payload, n=staging.total)
+                self._cache.put(staging.key, plan)
         return plan.run(n=staging.total)
 
     # -- observability -------------------------------------------------

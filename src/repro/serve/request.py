@@ -3,9 +3,11 @@
 A :class:`PricingRequest` is one user's small option slab — the unit
 the batcher coalesces.  A :class:`GatewayResult` is that user's slice
 of the fused batch's result slab: per-output views into one
-batch-owned contiguous block, so scattering ``B`` requests costs ``B``
-view constructions plus a single bulk copy of the used region (never a
-per-request array copy of the hot dispatch path).
+batch-owned block.  Scattering a batch costs one bulk copy of the used
+region into that block, whatever the number of requests; each request's
+result only records its segment, and a read of an output slices it
+(never a per-request array copy, nor a per-request view built ahead of
+a read).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class PricingRequest:
     inside a batch shared with other clients.
     """
 
-    __slots__ = ("kernel", "tier", "S", "X", "T", "rate", "vol")
+    __slots__ = ("kernel", "tier", "S", "X", "T", "rate", "vol", "n")
 
     def __init__(self, S, X, T, rate: float, vol: float,
                  kernel: str = "black_scholes", tier: str = "parallel"):
@@ -60,10 +62,8 @@ class PricingRequest:
                 and np.isfinite(self.T).all()):
             raise DomainError(_NOT_FINITE)
         validate_inputs(self.S, self.X, self.T, self.vol)
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
+        #: Contracts in the request.
+        self.n = self.S.shape[0]
 
     @property
     def signature(self) -> tuple:
@@ -101,6 +101,16 @@ class GatewayResult(Mapping):
         self.batch_options = int(batch_options)
         self.batch_requests = int(batch_requests)
 
+    @staticmethod
+    def _segments(sources: dict, offsets, batch_options: int) -> list:
+        """The results of one scattered batch: request ``i`` is the
+        segment ``offsets[i]`` of every output in ``sources`` (output
+        name -> its rows of the batch's block, shared by all of them).
+        No array is touched per request."""
+        n_req = len(offsets)
+        return [_Segment(sources, a, b, batch_options, n_req)
+                for a, b in offsets]
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self._outputs[name]
 
@@ -119,12 +129,32 @@ class GatewayResult(Mapping):
         this one, but callers holding many results may prefer compact
         owned arrays over views keeping scatter blocks alive)."""
         return GatewayResult(
-            {k: np.array(v, dtype=np.float64, order="C")
-             for k, v in self._outputs.items()},
+            {k: np.array(self[k], dtype=np.float64, order="C")
+             for k in self._outputs},
             self.n, self.batch_options, self.batch_requests)
 
     def digest(self) -> str:
         h = hashlib.md5()
         for name in self._outputs:
-            h.update(np.ascontiguousarray(self._outputs[name]).tobytes())
+            h.update(np.ascontiguousarray(self[name]).tobytes())
         return h.hexdigest()
+
+
+class _Segment(GatewayResult):
+    """One request's ``[a, b)`` of a scattered batch (built by
+    :meth:`GatewayResult._segments`): ``_outputs`` is the batch's
+    shared ``name -> rows`` map, and each read slices the segment."""
+
+    __slots__ = ("_a", "_b")
+
+    def __init__(self, sources: dict, a: int, b: int, batch_options: int,
+                 batch_requests: int):
+        self._outputs = sources
+        self._a = a
+        self._b = b
+        self.n = b - a
+        self.batch_options = batch_options
+        self.batch_requests = batch_requests
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._outputs[name][..., self._a:self._b]

@@ -104,7 +104,9 @@ async def _handle_conn(gateway: PricingGateway,
                        reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter, limit: int) -> None:
     lock = asyncio.Lock()
-    tasks = []
+    # In flight only: a finished line's task leaves the set, so a
+    # long-lived pipelining connection holds none of its answered ones.
+    tasks: set[asyncio.Task] = set()
     try:
         while True:
             try:
@@ -127,9 +129,12 @@ async def _handle_conn(gateway: PricingGateway,
                 continue
             # Task-per-request so a connection can pipeline: requests
             # coalesce into batches instead of serializing.
-            tasks.append(asyncio.ensure_future(
-                _handle_line(gateway, line, writer, lock)))
+            task = asyncio.ensure_future(
+                _handle_line(gateway, line, writer, lock))
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
     finally:
+        # Drain the lines still in flight.
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         try:

@@ -3,7 +3,12 @@
 The synchronous half of the gateway's correctness story: requests
 packed into one staging, priced as a fused batch through the plan
 layer, must scatter back bit-identical to pricing each request alone.
+Pack and scatter are per batch: the columns they write match a
+per-request loop byte for byte, and the numpy calls they make do not
+grow with the number of requests.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +92,80 @@ class TestPack:
             st.pack([_req(40), _req(40)])
 
 
+COLUMNS = ("S", "X", "T", "rate", "vol")
+
+
+def _loop_pack(staging, requests) -> list:
+    """The per-request pack the batch calls replaced: five slice writes
+    per request."""
+    batch = staging.batch
+    offsets, cur = [], 0
+    for req in requests:
+        end = cur + req.n
+        for name in ("S", "X", "T"):
+            getattr(batch, name)[cur:end] = getattr(req, name)
+        batch.rate[cur:end] = req.rate
+        batch.vol[cur:end] = req.vol
+        offsets.append((cur, end))
+        cur = end
+    return offsets
+
+
+@st.composite
+def _batches(draw):
+    """1-64 requests of sizes 1 to the width (jointly fitting it), each
+    with its own ``(rate, vol)`` from a small mixed set."""
+    width = draw(st.sampled_from((64, 256, 4096)))
+    n_req = draw(st.integers(1, 64))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    reqs, room = [], width
+    for i in range(n_req):
+        m = draw(st.integers(1, room - (n_req - 1 - i)))
+        room -= m
+        reqs.append(PricingRequest(
+            S=gen.uniform(10.0, 200.0, m), X=gen.uniform(10.0, 200.0, m),
+            T=gen.uniform(0.1, 3.0, m),
+            rate=draw(st.sampled_from((0.0, 0.01, 0.05, -0.02, 0.123))),
+            vol=draw(st.sampled_from((0.05, 0.2, 0.35, 0.9)))))
+    return width, reqs
+
+
+class TestBatchPack:
+    """The batch calls write what the per-request loop wrote."""
+
+    def _staging(self, width=64):
+        return Staging(adapter_for("black_scholes", "parallel"),
+                       ("black_scholes", "parallel", 0.05, 0.2), width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_batches())
+    def test_matches_the_per_request_loop(self, case):
+        width, reqs = case
+        got, want = self._staging(width), self._staging(width)
+        for st_ in (got, want):          # stale contents past the total
+            st_.batch.S[:] = 7.0
+        assert got.pack(reqs) == _loop_pack(want, reqs)
+        assert got.total == sum(r.n for r in reqs)
+        for name in COLUMNS:
+            assert getattr(got.batch, name).tobytes() == \
+                getattr(want.batch, name).tobytes(), name
+
+    def test_oversize_batch_writes_nothing(self):
+        st_ = self._staging(width=64)
+        before = [getattr(st_.batch, name).copy() for name in COLUMNS]
+        with pytest.raises(GatewayError, match="width-64"):
+            st_.pack([_req(40, lo=1.0, hi=2.0, rate=0.01, vol=0.5),
+                      _req(40)])
+        for name, old in zip(COLUMNS, before):
+            assert getattr(st_.batch, name).tobytes() == old.tobytes()
+        assert (st_.total, st_.packs) == (0, 0)
+
+    def test_empty_batch_packs_nothing(self):
+        st_ = self._staging()
+        assert st_.pack([]) == []
+        assert st_.total == 0
+
+
 class TestScatterDigest:
     """Fused-batch pricing scatters back bit-identical to solo runs."""
 
@@ -132,6 +211,24 @@ class TestScatterDigest:
                 assert np.array_equal(np.asarray(res1["price"]), frozen)
             finally:
                 plan.close()
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_outputs_of_a_batch_view_one_block(self, tier):
+        reqs = [_req(5, tier=tier), _req(9, tier=tier, vol=0.3),
+                _req(2, tier=tier)]
+        st_ = Staging(adapter_for("black_scholes", tier),
+                      ("black_scholes", tier), 64)
+        offsets = st_.pack(reqs)
+        with SlabExecutor("serial") as ex, \
+                compile_plan("black_scholes", tier, st_.payload,
+                             executor=ex) as plan:
+            value = plan.run()
+            results = st_.scatter(value, offsets)
+            blocks = {id(res[name].base) for res in results
+                      for name in res}
+            assert len(blocks) == 1
+            block = results[0][results[0].outputs[0]].base
+            assert not np.shares_memory(block, np.asarray(value))
 
     def test_bad_output_length_rejected(self):
         st = Staging(adapter_for("black_scholes", "parallel"),
@@ -249,3 +346,52 @@ class TestBenchmarkContract:
         assert (gw.max_stagings, gw.min_bucket, gw.max_batch) \
             == (32, 64, 4096)
         assert gw.stats["plan_cache"]["maxsize"] == 32
+
+
+def _numpy_calls(fn) -> int:
+    """The calls ``fn`` makes that ``sys.setprofile`` sees: ``c_call``
+    events (C functions and methods: ``ndarray.copy``, ``list.append``)
+    plus calls into numpy's Python layer, through which every numpy
+    function (``np.concatenate``, ``np.copyto``) dispatches.  A numpy
+    call made once per request makes the count grow with the
+    requests."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" or (
+                event == "call"
+                and frame.f_globals.get("__name__", "").startswith("numpy")):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestBatchCallCensus:
+    """Structural, no clock: one pack plus one scatter make as many
+    calls for 32 requests as for 2."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_calls_do_not_grow_with_requests(self, tier):
+        counts = {}
+        with SlabExecutor("serial") as ex:
+            for n_req in (2, 32):
+                reqs = [_req(4, tier=tier, rate=0.01 * (i + 1))
+                        for i in range(n_req)]
+                st_ = Staging(adapter_for("black_scholes", tier),
+                              ("black_scholes", tier), 256)
+                with compile_plan("black_scholes", tier, st_.payload,
+                                  executor=ex) as plan:
+                    value = plan.run()
+
+                    def batch():
+                        st_.scatter(value, st_.pack(reqs))
+
+                    batch()
+                    counts[n_req] = _numpy_calls(batch)
+        assert counts[2] == counts[32], counts

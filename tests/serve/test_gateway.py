@@ -406,8 +406,8 @@ class TestDaemonChurn:
 class TestDaemonPricing:
     def test_daemon_gateway_is_bit_identical_to_serial(self):
         """On the daemon a plan streams through its own shared-memory
-        copy of the staging, so every batch takes the ``run(payload)``
-        branch: one copy in, none out, the same bits as serial."""
+        copy of the staging, which later batches are packed into: one
+        copy in, none out, the same bits as serial."""
         with SlabExecutor("daemon", n_workers=2, slab_bytes=1 << 12) as ex:
             async def main():
                 async with PricingGateway(executor=ex) as gw:
@@ -455,6 +455,66 @@ class TestDaemonPricing:
         assert not any(p.is_alive() for p in procs)
         assert census() == before
         assert PricingGateway().backend == "serial"
+
+
+class TestPackIntoThePlan:
+    """Out of process a plan owns a shared-memory copy of its payload;
+    once the plan is compiled the gateway packs straight into that
+    copy, so a warm batch is copied once, by the pack."""
+
+    def test_warm_daemon_batches_rebind_nothing(self, monkeypatch):
+        from repro.plan import plan as plan_module
+        rebinds = []
+        rebind = plan_module._rebind_into
+
+        def spy(bound, new, path="payload"):
+            rebinds.append(path)
+            return rebind(bound, new, path)
+
+        monkeypatch.setattr(plan_module, "_rebind_into", spy)
+        with SlabExecutor("daemon", n_workers=2, slab_bytes=1 << 12) as ex:
+            async def main():
+                async with PricingGateway(executor=ex) as gw:
+                    for i, tier in enumerate(("parallel", "greeks",
+                                              "scenario")):
+                        for j, m in enumerate((8, 30, 300)):
+                            req = _req(m, lo=40.0 + i, vol=0.2 + 0.01 * j,
+                                       tier=tier)
+                            res = await gw.submit(req)
+                            assert res.digest() == \
+                                serial_reference(req).digest(), (tier, m)
+                            # The next batch at this width is warm.
+                            res = await gw.submit(_req(m, tier=tier))
+                            assert res.digest() == serial_reference(
+                                _req(m, tier=tier)).digest(), (tier, m)
+                    assert gw._stagings
+                    for staging in gw._stagings.values():
+                        assert staging.plan.payload is not staging.payload
+                        assert staging.batch is \
+                            staging.plan.payload["soa"]
+            asyncio.run(main())
+        assert rebinds == []
+
+    def test_plan_evicted_under_a_live_staging_still_prices(self):
+        """A one-plan cache and two tiers at one width: each greeks
+        batch evicts (and closes) the plan the parallel staging was
+        bound to, and the next parallel batch must price its own
+        numbers, not pack into the closed plan."""
+        with SlabExecutor("daemon", n_workers=2, slab_bytes=1 << 12) as ex:
+            async def main():
+                async with PricingGateway(executor=ex,
+                                          plan_cache_size=1) as gw:
+                    for i in range(3):
+                        for j, tier in enumerate(("parallel", "parallel",
+                                                  "greeks")):
+                            req = _req(20 + i, lo=30.0 + 10 * i + j,
+                                       vol=0.15 + 0.05 * j, tier=tier)
+                            res = await gw.submit(req)
+                            assert res.digest() == \
+                                serial_reference(req).digest(), (i, tier)
+                    assert gw.stats["plan_cache"]["evictions"] >= 5
+                    assert len(ex._daemon._plans) <= 1
+            asyncio.run(main())
 
 
 class TestDispatchPolicy:

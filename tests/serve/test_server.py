@@ -1,6 +1,7 @@
 """JSON-lines TCP front end: round-trip, pipelining, error replies."""
 
 import asyncio
+import gc
 import json
 
 import numpy as np
@@ -79,6 +80,34 @@ class TestServer:
                 assert reply["ok"]
                 ids.add(reply["id"])
             assert ids == {0, 1, 2, 3}
+        asyncio.run(_with_server(body))
+
+    def test_answered_lines_leave_no_tasks_behind(self):
+        """A long-lived pipelining connection holds only its in-flight
+        line tasks, not one per request it has answered (a gc census
+        on the still-open connection)."""
+        def finished_line_tasks():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, asyncio.Task) and obj.done()
+                       and getattr(obj.get_coro(), "__qualname__", "")
+                       == "_handle_line")
+
+        async def body(reader, writer):
+            counts = []
+            for step in range(3):
+                for i in range(200):
+                    writer.write((json.dumps({
+                        "id": i, "S": [100.0], "X": [95.0], "T": [1.0],
+                        "rate": 0.05, "vol": 0.2}) + "\n").encode())
+                await writer.drain()
+                for _ in range(200):
+                    reply = json.loads(await asyncio.wait_for(
+                        reader.readline(), timeout=10.0))
+                    assert reply["ok"]
+                await asyncio.sleep(0.05)   # the last replies' tasks end
+                counts.append(finished_line_tasks())
+            assert max(counts) <= 8, counts
         asyncio.run(_with_server(body))
 
     def test_stats_op(self):
