@@ -26,12 +26,13 @@ Layout of a dispatch
 --------------------
 * :class:`ShmArena` (parent side) owns named segments keyed by *role*:
   a compiled dispatch's staged arrays and a workspace arena's chunks.
-  A role lives until :meth:`ShmArena.release` (dispatch retire, plan
-  close) and whatever is left is released when the owning executor
-  closes.  Release unlinks the segment's *name*; the parent's views are
-  built over a mapping of their own that they keep alive, so a result
-  read after its plan and executor closed is still valid, and the
-  memory goes when the last view does.
+  A role is sized once, when it is first staged, and lives until
+  :meth:`ShmArena.release` (dispatch retire, plan close); whatever is
+  left is released when the owning executor closes.  Release unlinks
+  the segment's *name*; the parent's views are built over a mapping of
+  their own that they keep alive, so a result read after its plan and
+  executor closed is still valid, and the memory goes when the last
+  view does.
 * :class:`ArraySpec` describes one array to a worker: segment name,
   byte offset, shape, dtype, and whether workers slice it per slab
   (``sliced``) or read it whole (shared inputs like a common random
@@ -58,11 +59,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .ring import guard_unlink, reap_dead_owners, unguard
-
-#: Generation separator inside segment names; bumping the generation
-#: (on growth) changes the name, which is what invalidates worker-side
-#: attach caches.
-_GEN_SEP = "g"
 
 _ARENA_SEQ = 0
 
@@ -158,11 +154,12 @@ class ShmArena:
     """Parent-side pool of named shared-memory segments.
 
     Segments are keyed by *role* (a compiled dispatch's tag plus the
-    kernel's array name, or a workspace arena's chunk); a role's segment
-    persists until :meth:`release`, growing geometrically if re-staged
-    larger — so the runs of a compiled dispatch allocate nothing.  The
-    arena owns every segment it creates: :meth:`close` unlinks them
-    all.
+    kernel's array name, or a workspace arena's chunk).  A role is sized
+    once, by its first :meth:`segment` call, and persists until
+    :meth:`release`: re-staging it at no more than that size reuses the
+    segment — so the runs of a compiled dispatch allocate nothing — and
+    re-staging it larger is an error.  The arena owns every segment it
+    creates: :meth:`close` unlinks them all.
     """
 
     def __init__(self):
@@ -172,7 +169,6 @@ class ShmArena:
         self._tag = f"repro{os.getpid()}x{_ARENA_SEQ}"
         self._segments: dict = {}     # role -> _Segment
         self._by_name: dict = {}      # segment name -> _Segment
-        self._gens: dict = {}         # role -> generation counter
         self._closed = False
         # Crash hygiene: unlink every owned segment at interpreter exit
         # (atexit-backed, and signal-backed wherever
@@ -180,29 +176,23 @@ class ShmArena:
         # strand /dev/shm segments.
         guard_unlink(self)
 
-    def _name(self, role: str, gen: int) -> str:
-        return f"{self._tag}_{role}{_GEN_SEP}{gen}"
-
     def segment(self, role: str, nbytes: int) -> _Segment:
-        """The segment backing ``role``, grown to at least ``nbytes``."""
+        """The segment backing ``role``, created at ``nbytes`` on the
+        role's first call.  Raises :class:`ConfigurationError` if the
+        existing segment is smaller than ``nbytes``; it is left as is."""
         if self._closed:
             raise ConfigurationError("arena is closed")
         if nbytes < 1:
             raise ConfigurationError("nbytes must be >= 1")
         seg = self._segments.get(role)
-        if seg is not None and seg.size >= nbytes:
-            return seg
-        if seg is not None:
-            self._by_name.pop(seg.name, None)
-            seg.unlink()
-        gen = self._gens.get(role, 0) + 1
-        self._gens[role] = gen
-        # Geometric growth so repeated small increases do not re-create
-        # (and re-attach) segments every call.
-        size = max(nbytes, 2 * seg.size if seg is not None else nbytes)
-        seg = _Segment(self._name(role, gen), size)
-        self._segments[role] = seg
-        self._by_name[seg.name] = seg
+        if seg is None:
+            seg = _Segment(f"{self._tag}_{role}", nbytes)
+            self._segments[role] = seg
+            self._by_name[seg.name] = seg
+        elif seg.size < nbytes:
+            raise ConfigurationError(
+                f"shared-memory role {role!r} holds {seg.size} bytes and "
+                f"cannot be re-staged at {nbytes}: a role is sized once")
         return seg
 
     def stage(self, role: str, array: np.ndarray,
@@ -248,7 +238,6 @@ class ShmArena:
         if seg is None:
             return
         self._by_name.pop(seg.name, None)
-        self._gens.pop(role, None)
         seg.unlink()
 
     def close(self) -> None:
@@ -272,9 +261,7 @@ class ShmArena:
 # ----------------------------------------------------------------------
 
 #: Per-process attach cache: segment name -> SharedMemory, least
-#: recently used first.  Keyed by the full (generation-bearing) name, so
-#: a grown segment is re-attached exactly once and its predecessor is
-#: evicted.
+#: recently used first.
 _ATTACHED: dict = {}
 
 #: Most mappings a pool worker keeps between tasks.  Every compiled
@@ -287,11 +274,6 @@ _ATTACH_LIMIT = 64
 def _attach(name: str) -> shared_memory.SharedMemory:
     shm = _ATTACHED.pop(name, None)
     if shm is None:
-        # Evict stale generations of the same role so long-lived
-        # workers do not accumulate dead mappings.
-        prefix = name.rsplit(_GEN_SEP, 1)[0] + _GEN_SEP
-        for stale in [n for n in _ATTACHED if n.startswith(prefix)]:
-            _ATTACHED.pop(stale).close()
         shm = _untracked_attach(name)
     _ATTACHED[name] = shm             # (re-)insert: most recently used
     return shm

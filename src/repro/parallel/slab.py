@@ -94,9 +94,9 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 MEASURED_CROSSOVER_BYTES = 1 << 21
 
 #: Sequence for per-compiled-dispatch shared-memory role prefixes, so
-#: two compiled dispatches never share (and never re-grow) each other's
-#: segments.  ``next()`` on a count is atomic, so concurrent one-shots
-#: from several threads still draw distinct prefixes.
+#: two compiled dispatches never share each other's segments.
+#: ``next()`` on a count is atomic, so concurrent one-shots from several
+#: threads still draw distinct prefixes.
 _COMPILE_SEQ = itertools.count(1)
 
 
@@ -534,10 +534,9 @@ class CompiledDispatch:
         # Out-of-process backends: an array already in one of the
         # executor's segments (plan buffers, a plan's payload copy) is
         # referenced where it lives.  Any other array is staged once,
-        # into a role unique to this compiled dispatch (so no other
-        # dispatch re-grows — and thereby invalidates — its segment),
-        # with a parent view for per-run input refresh or write
-        # copy-back.
+        # into a role unique to this compiled dispatch (a role is sized
+        # once, so no other dispatch may stage into it), with a parent
+        # view for per-run input refresh or write copy-back.
         arena = executor._get_arena()
         specs, staged, copy_in, copy_back = {}, [], [], []
         try:

@@ -6,8 +6,9 @@ one gateway round over the same tiers and reads ``gw.stats``; afterwards
 ``repro.bench``, ``repro.analysis`` or ``repro.validation`` module, no
 kernel ``model``/``traced`` module — and of ``repro.simd`` only
 ``layout``, which ``OptionBatch`` is built on.  A second fresh
-interpreter checks that the lazy ``repro`` namespace still lists and
-resolves every public name, and a daemon worker that starts clean
+interpreter checks that the lazy ``repro`` namespace still lists every
+public name and that every lazy package resolves every name it
+exports, and a daemon worker that starts clean
 (``spawn``) and pins a Black-Scholes plan imports that body's module
 chain and nothing of the modeled half or of the other kernels.
 """
@@ -49,14 +50,21 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 NAMESPACE = r"""
-import json
+import importlib, json, pkgutil
 import repro
 listed = set(dir(repro))
 missing = [n for n in repro.__all__ if n not in listed]
-for name in repro.__all__:
-    getattr(repro, name)
 from repro import price_black_scholes, OptionBatch  # noqa: F401
-print(json.dumps(missing))
+packages = [repro] + [importlib.import_module(m.name) for m in
+                      pkgutil.walk_packages(repro.__path__, "repro.")
+                      if m.ispkg]
+lazy = [p for p in packages if getattr(getattr(p, "__getattr__", None),
+                                       "__module__", None) == "repro._lazy"]
+for package in lazy:
+    for name in package.__all__:
+        getattr(package, name)
+print(json.dumps({"missing": missing,
+                  "packages": sorted(p.__name__ for p in lazy)}))
 """
 
 #: Run as a file so a ``spawn`` worker can unpickle ``loaded``; the
@@ -128,4 +136,10 @@ def test_clean_daemon_worker_imports_only_the_pinned_body(tmp_path):
 
 
 def test_every_public_name_is_listed_and_resolves():
-    assert _fresh("-c", NAMESPACE) == []
+    """``dir(repro)`` lists ``repro.__all__``, and every name in the
+    ``__all__`` of every package built on ``lazy_exports`` resolves, so
+    a table entry left behind by a deletion fails here."""
+    found = _fresh("-c", NAMESPACE)
+    assert found["missing"] == []
+    assert {"repro", "repro.kernels.crank_nicolson", "repro.parallel",
+            "repro.serve"} <= set(found["packages"])

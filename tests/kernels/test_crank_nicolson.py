@@ -258,6 +258,23 @@ class TestPricing:
         intrinsic = np.maximum(american_put.strike - s_grid(r.grid), 0.0)
         assert np.all(r.values >= intrinsic - 1e-6)
 
+    def test_exercise_region_exists_at_inception(self, american_put):
+        """At t=0 the American put meets intrinsic on a contact set whose
+        top, the early-exercise boundary S*, lies below the strike; the
+        European put of the same contract never touches intrinsic."""
+        def contact(opt):
+            r = solve(opt, n_points=192, n_steps=120)
+            s = s_grid(r.grid)
+            intrinsic = np.maximum(opt.strike - s, 0.0)
+            return s[np.isclose(r.values, intrinsic, atol=1e-6)
+                     & (intrinsic > 0)]
+
+        exercised = contact(american_put)
+        assert exercised.size > 0
+        assert 40.0 < exercised.max() < 95.0
+        european = Option(100, 100, 1.0, 0.05, 0.3, OptionKind.PUT)
+        assert contact(european).size == 0
+
     @pytest.mark.parametrize("solver", ["wavefront",
                                         "wavefront_transformed",
                                         "red_black"])

@@ -62,21 +62,19 @@ class TestShmArena:
         try:
             big = arena.stage("x", np.zeros(64)).segment
             small = arena.stage("x", np.zeros(8)).segment
-            assert small == big             # same generation, no realloc
+            assert small == big             # same segment, no realloc
         finally:
             arena.close()
 
-    def test_growth_bumps_generation(self):
+    def test_larger_restage_raises_and_keeps_segment(self):
         arena = ShmArena()
         try:
-            first = arena.stage("x", np.zeros(8)).segment
-            second = arena.stage("x", np.zeros(1024)).segment
-            assert first != second
-            assert first.rsplit("g", 1)[0] == second.rsplit("g", 1)[0]
-            # Geometric growth: room beyond the exact request.
-            third = arena.stage("x", np.zeros(1025)).segment
-            fourth = arena.stage("x", np.zeros(1500)).segment
-            assert third == fourth
+            spec = arena.stage("x", np.arange(8.0))
+            with pytest.raises(ConfigurationError, match="sized once"):
+                arena.stage("x", np.zeros(1024))
+            assert arena.stage("x", np.arange(8.0),
+                               copy=False).segment == spec.segment
+            assert np.array_equal(arena.view(spec), np.arange(8.0))
         finally:
             arena.close()
 
