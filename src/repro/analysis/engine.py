@@ -33,9 +33,6 @@ class LintContext:
         return (self.assume_hot
                 or sf.path.resolve() in self.hot_files)
 
-    def hot_labels(self, sf) -> tuple:
-        return self.hot_files.get(sf.path.resolve(), ())
-
 
 @dataclass
 class LintResult:
@@ -45,10 +42,6 @@ class LintResult:
     suppressed: list = field(default_factory=list)
     files: int = 0
     hot_files: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 class Linter:

@@ -75,9 +75,6 @@ class SourceFile:
         return cls(path, Path(path).read_text(encoding="utf-8"), root=root)
 
     # -- AST context ---------------------------------------------------
-    def parent(self, node):
-        return self._parents.get(node)
-
     def ancestors(self, node):
         cur = self._parents.get(node)
         while cur is not None:

@@ -17,8 +17,6 @@ from .roofline import (KernelResource, RooflineBound, attainable_gflops,
                        brownian_resource, ridge_intensity, roofline)
 from .spec import (KNC, PLATFORMS, SNB_EP, ArchSpec, CacheSpec,
                    platform_by_name)
-from .topology import (HwThread, Placement, enumerate_threads, place,
-                       placement_summary)
 
 __all__ = [
     "ArchSpec", "CacheSpec", "SNB_EP", "KNC", "PLATFORMS",
@@ -28,8 +26,6 @@ __all__ = [
     "KernelResource", "RooflineBound", "roofline", "ridge_intensity",
     "attainable_gflops", "black_scholes_resource", "binomial_resource",
     "brownian_resource",
-    "HwThread", "Placement", "enumerate_threads", "place",
-    "placement_summary",
     "calibrate_host", "measure_flops", "measure_stream_bandwidth",
     "host_facts", "machine_fingerprint",
 ]

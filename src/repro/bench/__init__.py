@@ -12,8 +12,8 @@ from .harness import (TimedRun, measure_pool_crossover, time_run,
 from .ninja import GAP_KERNELS, ninja_gaps, ninja_table
 from .scaling_measured import measure_scaling, scaling_result
 from .serving import measure_serving, serving_result
-from .stats import (best_inner_us, int_histogram, latency_summary,
-                    percentile, sorted_latencies, summarize_times)
+from .stats import (best_inner_us, latency_summary, percentile,
+                    summarize_times)
 from .sweep import (MeasuredNinjaGap, measure_ninja_sweep, measured_gaps,
                     sweep_detail_result, sweep_gap_result)
 from .profile import (ProfileLine, format_profile, hotspot, profile_trace)
@@ -30,8 +30,7 @@ __all__ = [
     "measure_scaling", "scaling_result",
     "measure_dse", "dse_result",
     "measure_serving", "serving_result",
-    "percentile", "sorted_latencies", "summarize_times",
-    "latency_summary", "best_inner_us", "int_histogram",
+    "percentile", "summarize_times", "latency_summary", "best_inner_us",
     "profile_trace", "hotspot", "format_profile", "ProfileLine",
     "render", "to_json", "to_csv", "from_json", "FORMATS",
 ]

@@ -2,9 +2,8 @@
 
 Every bench in this package reduces raw wall-clock samples the same few
 ways — nearest-rank percentiles for latency distributions, best/median/
-spread for repeated timings, min-of-rounds inner loops for sub-µs probes,
-and integer histograms for discrete distributions (batch sizes, worker
-counts).  Before this module each bench carried its own copy; now
+spread for repeated timings and min-of-rounds inner loops for sub-µs
+probes.  Before this module each bench carried its own copy; now
 the scaling probes, the harness ``time_run``, the serving loadtest and
 the gateway's own stats all reduce through one audited implementation.
 
@@ -22,27 +21,6 @@ import time
 
 from ..errors import ExperimentError
 from ..serve.stats import latency_summary, percentile  # noqa: F401
-
-
-def sorted_latencies(fn, samples: int, warmup: int = 2) -> list:
-    """``samples`` wall-clock timings of ``fn()``, ascending.
-
-    ``warmup`` untimed calls run first so one-off costs (allocator
-    growth, pool spin-up, plan compilation) land in no reported figure.
-    """
-    if samples < 1:
-        raise ExperimentError("samples must be >= 1")
-    if warmup < 0:
-        raise ExperimentError("warmup must be >= 0")
-    for _ in range(warmup):
-        fn()
-    out = []
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        fn()
-        out.append(time.perf_counter() - t0)
-    out.sort()
-    return out
 
 
 def summarize_times(times) -> tuple:
@@ -80,13 +58,3 @@ def best_inner_us(call, inner: int, repeats: int,
             call()
         best = min(best, time.perf_counter() - t0)
     return best / inner * 1e6
-
-
-def int_histogram(values) -> dict:
-    """Ascending ``{str(value): count}`` histogram of discrete samples
-    (batch sizes, slab counts) — string keys so the dict round-trips
-    through JSON unchanged."""
-    counts: dict = {}
-    for v in values:
-        counts[int(v)] = counts.get(int(v), 0) + 1
-    return {str(k): counts[k] for k in sorted(counts)}

@@ -8,8 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".model": ("TIERS", "build", "compute_bound", "reference_trace",
                "simd_across_trace", "tiled_trace", "working_set_bytes"),
     ".parallel": ("price_tiled_parallel",),
-    ".params": ("TreeParams", "crr_params", "intrinsic_row", "leaf_values",
-                "spot_at_node"),
+    ".params": ("TreeParams", "crr_params", "intrinsic_row", "leaf_values"),
     ".reference": ("price_reference", "price_reference_batch"),
     ".simd_across": ("price_simd_across",),
     ".tiled": ("default_tile_size", "price_tiled", "tiled_reduce"),

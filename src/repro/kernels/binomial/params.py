@@ -69,15 +69,6 @@ def leaf_values(opt: Option, params: TreeParams) -> np.ndarray:
     return np.ascontiguousarray(leaves, dtype=DTYPE)
 
 
-def spot_at_node(opt: Option, params: TreeParams, step: int,
-                 j: int) -> float:
-    """Underlying price at node ``j`` of time step ``step`` (for the
-    American early-exercise comparison)."""
-    if not 0 <= j <= step <= params.n_steps:
-        raise DomainError(f"node ({step}, {j}) outside tree")
-    return float(opt.spot * params.u ** j * params.d ** (step - j))
-
-
 def intrinsic_row(opt: Option, params: TreeParams, step: int) -> np.ndarray:
     """Early-exercise payoffs for every node of one time step."""
     j = np.arange(step + 1, dtype=DTYPE)

@@ -5,6 +5,6 @@ from ..._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".functional": ("ScalarMT19937", "rng_tier_rates"),
     ".greeks": ("pathwise_parallel",),
-    ".model": ("TIERS", "build", "modeled_rate"),
+    ".model": ("TIERS", "build"),
     ".parallel": ("uniform53_parallel",),
 })

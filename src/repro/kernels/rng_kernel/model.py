@@ -7,8 +7,8 @@ Monte-Carlo computed-RNG mode uses (:mod:`repro.rng.counting`).
 
 from __future__ import annotations
 
-from ...arch.cost import CostModel, ExecutionContext
-from ...arch.spec import PLATFORMS, ArchSpec
+from ...arch.cost import ExecutionContext
+from ...arch.spec import PLATFORMS
 from ...errors import ConfigurationError
 from ...rng.counting import normal_trace, uniform_trace
 from ..base import KernelModel, OptLevel, Tier
@@ -35,15 +35,3 @@ def build(n: int = _BATCH, method: str = "box_muller") -> KernelModel:
                normal_trace(n, arch.simd_width_dp, method), ctx)
         km.add(TIERS[1], arch, uniform_trace(n, arch.simd_width_dp), ctx)
     return km
-
-
-def modeled_rate(arch: ArchSpec, kind: str = "uniform",
-                 method: str = "box_muller") -> float:
-    """Numbers/second for one platform and generation kind."""
-    if kind == "uniform":
-        trace = uniform_trace(_BATCH, arch.simd_width_dp)
-    elif kind == "normal":
-        trace = normal_trace(_BATCH, arch.simd_width_dp, method)
-    else:
-        raise ConfigurationError(f"kind must be uniform|normal, got {kind!r}")
-    return CostModel(arch).throughput(trace, ExecutionContext(unrolled=True))

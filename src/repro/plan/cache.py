@@ -109,14 +109,6 @@ class PlanCache:
         plan.close()
         return True
 
-    def get_or_compile(self, key, compile_fn):
-        """Cached plan for ``key``, compiling (and caching) on a miss."""
-        plan = self.get(key)
-        if plan is None:
-            plan = compile_fn()
-            self.put(key, plan)
-        return plan
-
     def clear(self) -> None:
         """Drop (and close) every cached plan."""
         while self._plans:

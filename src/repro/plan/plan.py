@@ -191,7 +191,7 @@ class ExecutionPlan:
         self.key = key
         self._runner = runner
         #: The width a live length is checked against, when the
-        #: runner takes one (see :attr:`prefix_runs`).
+        #: runner takes one (``None``: ``run(n=...)`` is refused).
         self.live_width = getattr(runner, "live_width", None)
         self._owns_executor = owns_executor
         self.calls = 0
@@ -213,11 +213,6 @@ class ExecutionPlan:
     def label(self) -> str:
         return self.impl.label
 
-    @property
-    def prefix_runs(self) -> bool:
-        """Whether ``run(n=...)`` prices a live prefix."""
-        return self.live_width is not None
-
     # -- hot path ------------------------------------------------------
     def run(self, payload=None, out: np.ndarray | None = None, *,
             n: int | None = None):
@@ -235,10 +230,9 @@ class ExecutionPlan:
         :meth:`~repro.parallel.slab.CompiledDispatch.run`).  Every
         output keeps its compiled shape and promises nothing past ``n``
         in each of its per-item rows, so read each row's ``[0, n)``
-        prefix.  Only tiers whose runner carries a ``live_width``
-        support it (:attr:`prefix_runs`); any other raises
-        :class:`~repro.errors.ConfigurationError`, as does a bad
-        ``n``, before ``payload`` is copied in.
+        prefix.  Only tiers with a :attr:`live_width` support it; any
+        other raises :class:`~repro.errors.ConfigurationError`, as does
+        a bad ``n``, before ``payload`` is copied in.
         """
         if n is not None:
             # Checked before the rebind: a rejected call leaves the

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bench.stats import (best_inner_us, int_histogram,
-                               latency_summary, percentile,
-                               sorted_latencies, summarize_times)
+from repro.bench.stats import (best_inner_us, latency_summary, percentile,
+                               summarize_times)
 from repro.errors import ExperimentError
 
 
@@ -49,25 +48,9 @@ class TestSummaries:
     def test_latency_summary_empty(self):
         assert latency_summary([]) == {"n": 0}
 
-    def test_sorted_latencies_sorted_ascending(self):
-        vals = iter([0.5, 0.1, 0.3, 0.2, 0.4, 0.6, 0.05])
-        lat = sorted_latencies(lambda: next(vals), samples=5, warmup=2)
-        assert lat == sorted(lat)
-        assert len(lat) == 5
-
     def test_best_inner_us_is_min_of_rounds(self):
         calls = []
         out = best_inner_us(lambda: calls.append(1), inner=4, repeats=3)
         assert out >= 0
         # 1 warmup call + 3 timed rounds of 4 calls
         assert len(calls) == 13
-
-
-class TestIntHistogram:
-    def test_string_keyed_and_sorted(self):
-        h = int_histogram([3, 1, 3, 2, 3])
-        assert h == {"1": 1, "2": 1, "3": 3}
-        assert list(h) == ["1", "2", "3"]
-
-    def test_empty(self):
-        assert int_histogram([]) == {}

@@ -52,18 +52,6 @@ class TestLRU:
         assert len(cache) == 0
         assert all(p.closed for p in plans)
 
-    def test_get_or_compile_compiles_once(self):
-        cache = PlanCache(maxsize=2)
-        calls = []
-
-        def make():
-            calls.append(1)
-            return FakePlan()
-
-        p1 = cache.get_or_compile("k", make)
-        p2 = cache.get_or_compile("k", make)
-        assert p1 is p2 and len(calls) == 1
-
     def test_maxsize_validated(self):
         with pytest.raises(ConfigurationError):
             PlanCache(maxsize=0)

@@ -73,7 +73,7 @@ def test_prefix_matches_full_run(tier, backend, executors):
     ex = executors(backend, tier)
     with compile_plan("black_scholes", tier, _payload(),
                       backend=backend, executor=ex) as plan:
-        assert plan.prefix_runs
+        assert plan.live_width == W
         assert plan.executor.n_slabs(W, TIERS[tier]) == 3
         full = _rows(plan.run()).copy()
         for k in (1, 37, 97, W - 1, W):
@@ -147,7 +147,7 @@ class TestBadLiveLength:
         payload = registry.workload("black_scholes").build(SMOKE_SIZES)
         with compile_plan("black_scholes", tier, payload,
                           backend="serial") as plan:
-            assert not plan.prefix_runs
+            assert plan.live_width is None
             before = plan.payload["soa"].S.copy()
             with pytest.raises(ConfigurationError, match=tier):
                 plan.run(_other(plan.payload), n=1)

@@ -8,6 +8,7 @@ per-request loop byte for byte, and the numpy calls they make do not
 grow with the number of requests.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -348,28 +349,64 @@ class TestBenchmarkContract:
         assert gw.stats["plan_cache"]["maxsize"] == 32
 
 
+#: The modules a pack or scatter runs in: an event counts only when
+#: every frame between it and the measured call runs in one of these.
+_MEASURED = ("repro.serve", "repro.results", "numpy")
+
+
 def _numpy_calls(fn) -> int:
     """The calls ``fn`` makes that ``sys.setprofile`` sees: ``c_call``
     events (C functions and methods: ``ndarray.copy``, ``list.append``)
     plus calls into numpy's Python layer, through which every numpy
     function (``np.concatenate``, ``np.copyto``) dispatches.  A numpy
     call made once per request makes the count grow with the
-    requests."""
+    requests.
+
+    Only ``fn``'s own call tree counts.  Garbage is collected before
+    the window and the collector is off inside it, and a frame outside
+    :data:`_MEASURED` (a finalizer of an earlier test's garbage, which
+    may call numpy) cuts its events off from ``fn``."""
     count = 0
+    code = fn.__code__
+
+    def measured(frame) -> bool:
+        while frame is not None:
+            if frame.f_code is code:
+                return True
+            if not frame.f_globals.get("__name__", "").startswith(_MEASURED):
+                return False
+            frame = frame.f_back
+        return False
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "c_call" or (
+        if (event == "c_call" or (
                 event == "call"
-                and frame.f_globals.get("__name__", "").startswith("numpy")):
+                and frame.f_globals.get("__name__", "").startswith("numpy"))
+                ) and measured(frame):
             count += 1
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return count
+
+
+class _Litter:
+    """Cyclic garbage whose finalizer calls numpy."""
+
+    def __init__(self):
+        self.cycle = self
+
+    def __del__(self):
+        np.concatenate([np.zeros(4), np.ones(4)])
 
 
 class TestBatchCallCensus:
@@ -395,3 +432,30 @@ class TestBatchCallCensus:
                     batch()
                     counts[n_req] = _numpy_calls(batch)
         assert counts[2] == counts[32], counts
+
+    def test_earlier_garbage_is_not_counted(self):
+        """Cyclic garbage left before one measurement, with a collection
+        forced inside the window, adds no calls to it."""
+        reqs = [_req(4, rate=0.01 * (i + 1)) for i in range(2)]
+        st_ = Staging(adapter_for("black_scholes", "parallel"),
+                      ("black_scholes", "parallel"), 256)
+        with compile_plan("black_scholes", "parallel", st_.payload,
+                          backend="serial") as plan:
+            value = plan.run()
+
+            def batch():
+                gc.collect()
+                st_.scatter(value, st_.pack(reqs))
+
+            batch()
+            enabled = gc.isenabled()
+            gc.disable()            # the litter lives until it is measured
+            try:
+                clean = _numpy_calls(batch)
+                for _ in range(8):
+                    _Litter()
+                littered = _numpy_calls(batch)
+            finally:
+                if enabled:
+                    gc.enable()
+        assert littered == clean, (clean, littered)
