@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     p.add_argument("--max-wait-ms", type=float, default=0.0,
                    help="linger before a quiet tier's first flush "
                         "(default 0: dispatch is work-conserving and "
-                        "batches form while the dispatch thread is busy; "
+                        "batches form while a batch is being priced; "
                         "set >0 to trade latency for fewer dispatches)")
     p.add_argument("--max-batch", type=int, default=4096,
                    help="max coalesced options per dispatch")

@@ -12,7 +12,8 @@ R009) starts from.  A context is a string tag:
 ``thread:<root>``
     A dedicated thread whose root target is ``<root>`` — seeded from
     ``threading.Thread(target=...)``, ``pool.submit(...)`` on
-    executor-ish receivers, and ``loop.run_in_executor(...)``.
+    executor-ish receivers, ``loop.run_in_executor(...)`` and
+    ``asyncio.to_thread(...)``.
 ``worker:<root>``
     A daemon/process worker body — seeded from
     ``Process(target=...)`` (the standing daemon's worker loop) and
@@ -181,6 +182,8 @@ class ContextMap:
                 target, kind = node.args[0], "thread"
             elif name == "run_in_executor" and len(node.args) >= 2:
                 target, kind = node.args[1], "thread"
+            elif name == "to_thread" and node.args:
+                target, kind = node.args[0], "thread"
             elif name in _LOOP_CB_FIRST and node.args:
                 target, kind = node.args[0], "loop"
             elif name in _LOOP_CB_SECOND and len(node.args) >= 2:

@@ -46,6 +46,21 @@ def _in_concurrency_scope(sf, ctx) -> bool:
     return "serve" in parts or "parallel" in parts
 
 
+def _receiver_names(func) -> list:
+    """Every identifier of a method call's receiver chain, lowered:
+    ``["plan", "staging"]`` for ``staging.plan.run``, where
+    :func:`receiver_base` keeps only one of them."""
+    names = []
+    cur = func.value if isinstance(func, ast.Attribute) else None
+    while isinstance(cur, (ast.Attribute, ast.Subscript)):
+        if isinstance(cur, ast.Attribute):
+            names.append(cur.attr.lower())
+        cur = cur.value
+    if isinstance(cur, ast.Name):
+        names.append(cur.id.lower())
+    return names
+
+
 def _blocking_reason(sf, node) -> str | None:
     """Why this Call would block the event loop, or None."""
     name = call_name(node.func)
@@ -69,7 +84,8 @@ def _blocking_reason(sf, node) -> str | None:
                 "connect", "makefile") and ("sock" in lbase
                                             or lbase == "conn"):
         return "blocking socket I/O"
-    if name == "run" and "plan" in lbase:
+    if name == "run" and any("plan" in n
+                             for n in _receiver_names(node.func)):
         return "plan.run() executes a whole batch synchronously"
     if (name in ("push", "pop")
             and any(s in lbase for s in _RINGISH)):
@@ -105,9 +121,14 @@ class BlockingInAsyncContext(Rule):
         "dispatch inside an async def (or a sync callback the loop "
         "runs) freezes intake, deadline timers, and every other "
         "in-flight request for its full duration. The gateway keeps "
-        "its latency budget honest by pushing all blocking work — "
-        "dispatch, pool teardown, daemon unpins — onto the dispatch "
-        "thread via run_in_executor; this rule keeps it that way. "
+        "its latency budget honest by pushing blocking work — plan "
+        "compiles, pool teardown, daemon unpins — off the loop via "
+        "asyncio.to_thread or run_in_executor; this rule keeps it "
+        "that way. One exception is sanctioned and suppressed at its "
+        "site: the gateway runs a warm plan on the loop "
+        "(PricingGateway._run_plan), because a thread hop cost as "
+        "much as the run and the longest warm run at max_batch is a "
+        "few milliseconds. "
         "Event-loop context is computed by the classifier: async defs "
         "plus sync functions reached from loop callbacks or direct "
         "calls."
@@ -278,7 +299,8 @@ class CrossThreadSharedState(Rule):
     name = "cross-thread mutation needs a lock, queue, or ring"
     rationale = (
         "The serving stack runs three context kinds at once — the "
-        "event loop, the dispatch thread, daemon workers — and any "
+        "event loop, helper threads (compiles, teardown), daemon "
+        "workers — and any "
         "attribute mutated from two of them without a mediating lock, "
         "queue, or ring is a data race waiting for an unlucky "
         "interleave (LRU caches corrupt, counters drop, dicts resize "

@@ -118,10 +118,6 @@ class ArchSpec:
         return self.sockets * self.cores_per_socket
 
     @property
-    def total_threads(self) -> int:
-        return self.total_cores * self.smt
-
-    @property
     def flops_per_cycle_per_core_dp(self) -> float:
         """Peak DP flops per cycle per core.
 

@@ -25,7 +25,7 @@ p50/p99/p999 latency timed from each request's *due* time,
 distribution and sheds.  ``budget_ok`` asks whether tail latency
 respected the configured budget at that rate: p99 must stay within
 ``max_wait`` plus an explicit allowance for the unavoidable parts —
-head-of-line blocking on the single dispatch thread (one batch-service
+head-of-line blocking behind the one batch in flight (one batch-service
 p99 per live tier: every signature of a tier shares one queue, and a
 loadtest drives one tier), the request's own batch service, and timer/
 scheduling slack — with the allowance reported in the row.  Like
@@ -108,10 +108,10 @@ def measure_serving(*, backend: str = "serial",
     """Run both phases; returns the ``BENCH_serving.json`` payload."""
     if n_clients < 1 or capacity_requests < 1 or latency_requests < 1:
         raise ExperimentError("client/request counts must be >= 1")
-    # The accept path (event loop) and the dispatch thread share the
-    # GIL; the default 5 ms switch interval lets either hold it long
-    # enough to blow a millisecond latency budget.  1 ms caps that
-    # stall — measured: roughly halves p99 at these arrival rates.
+    # Warm batches price on the event loop, but a compile runs on a
+    # helper thread and shares the GIL with it; the default 5 ms switch
+    # interval lets either hold it long enough to blow a millisecond
+    # latency budget.  1 ms caps that stall.
     old_switch = sys.getswitchinterval()
     sys.setswitchinterval(0.001)
     try:
@@ -199,8 +199,8 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
                 [r["latency_s"] for r in load["records"] if r["ok"]],
                 scale=1e3, suffix="_ms")
             service_p99 = stats["service"].get("p99_ms", 0.0)
-            # Head-of-line: on the single dispatch thread a flush can
-            # queue behind one in-flight batch per live tier — the one
+            # Head-of-line: dispatch is serial, so a flush can queue
+            # behind one in-flight batch per live tier — the one
             # this run drives, whatever its signatures — plus its own
             # service, plus timer/scheduler slack.
             allowance_ms = 2 * service_p99 + SCHED_SLACK_MS

@@ -15,8 +15,8 @@ This package closes the gap inference-server style:
   (kernel, tier, contracts, shared rate/vol).
 * :class:`~.gateway.PricingGateway` — an asyncio front end that queues
   requests by ``(kernel, tier)`` (rate and vol are per-option columns,
-  so any signatures mix), coalesces whatever arrives while the
-  dispatch thread is busy into one canonical-width batch (up to
+  so any signatures mix), coalesces whatever arrives while a batch
+  is being priced into one canonical-width batch (up to
   ``max_batch``; ``max_wait`` is an opt-in linger), prices
   the fused batch through a cached :class:`~repro.plan.ExecutionPlan`
   on any backend (daemon rings included), and scatters per-request

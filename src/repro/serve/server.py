@@ -209,9 +209,10 @@ def run_server(host: str = "127.0.0.1", port: int = 7101,
                **gateway_kw) -> int:
     """Blocking entry point for ``python -m repro gateway``."""
     import sys
-    # Accept path and dispatch thread share the GIL; the default 5 ms
-    # switch interval would let a pricing batch stall intake (and vice
-    # versa) for several times a millisecond latency budget.
+    # Warm batches price on the loop, but a compile runs on a helper
+    # thread and shares the GIL with it; the default 5 ms switch
+    # interval would let a compile stall intake (and vice versa) for
+    # several times a millisecond latency budget.
     sys.setswitchinterval(0.001)
     try:
         return asyncio.run(_amain(host, port, **gateway_kw))

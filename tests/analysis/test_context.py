@@ -61,6 +61,15 @@ class TestSeeds:
         assert "thread:work" in cm.tags(d["work"])
         assert EVENT_LOOP not in cm.tags(d["work"])
 
+    def test_to_thread_first_arg(self):
+        cm, d = build(
+            "import asyncio\n"
+            "def work():\n    pass\n"
+            "async def submit():\n"
+            "    await asyncio.to_thread(work)\n")
+        assert "thread:work" in cm.tags(d["work"])
+        assert EVENT_LOOP not in cm.tags(d["work"])
+
     def test_submit_needs_poolish_receiver(self):
         cm, d = build(
             "def f():\n    pass\n"

@@ -434,6 +434,14 @@ class TestR006Scope:
                 "    pool.shutdown(wait=False)\n")
         assert run_rule("R006", text) == []
 
+    def test_attribute_chained_plan_run_fires(self):
+        # The plan sits mid-chain: the root name alone is "staging".
+        text = ("async def price(staging):\n"
+                "    return staging.plan.run(n=staging.total)\n")
+        findings = run_rule("R006", text)
+        assert len(findings) == 1
+        assert "plan.run()" in findings[0].message
+
     def test_ring_push_in_async_fires(self):
         text = ("async def flush(submit_ring, seq, plan, slab):\n"
                 "    submit_ring.push(seq, plan, slab, 0)\n")

@@ -37,7 +37,6 @@ class TestCalibratedSpec:
 
     def test_single_core(self, host):
         assert host.total_cores == 1
-        assert host.total_threads == 1
 
 
 class TestFingerprint:

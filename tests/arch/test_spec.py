@@ -13,13 +13,11 @@ class TestTable1Presets:
         assert SNB_EP.cores_per_socket == 8
         assert SNB_EP.smt == 2
         assert SNB_EP.total_cores == 16
-        assert SNB_EP.total_threads == 32
 
     def test_knc_topology(self):
         assert KNC.sockets == 1
         assert KNC.cores_per_socket == 60
         assert KNC.smt == 4
-        assert KNC.total_threads == 240
 
     def test_clocks(self):
         assert SNB_EP.clock_ghz == 2.7

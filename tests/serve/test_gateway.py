@@ -26,9 +26,10 @@ def _req(m=8, lo=50.0, hi=150.0, tier="parallel", rate=0.05, vol=0.2):
 
 
 async def _submit_behind_held_batch(gw, first, later):
-    """Submit ``first``, park the dispatch thread inside its batch
-    (an ``Event`` in a wrapped ``_run_plan``), then submit ``later``;
-    returns ``(release, tasks)`` with every later request queued."""
+    """Submit ``first``, park its batch (a miss, so it compiles off the
+    loop) on an ``Event`` in a wrapped ``_run_plan``, then submit
+    ``later``; returns ``(release, tasks)`` with every later request
+    queued."""
     entered, release = threading.Event(), threading.Event()
     run_plan = gw._run_plan
 
@@ -172,8 +173,8 @@ class TestCoalescing:
 
 
 class TestWorkConservingDispatch:
-    """The default gateway never lingers: an idle dispatch thread
-    starts a request at once, and batches form behind a busy one."""
+    """The default gateway never lingers: an idle dispatcher starts a
+    request at once, and batches form behind the batch in flight."""
 
     def test_default_gateway_arms_no_timer(self):
         async def main():
@@ -224,6 +225,118 @@ class TestWorkConservingDispatch:
                                        timeout=60.0)
                 assert order == ["B", "A'"]
                 assert gw.stats["batches"] == 3
+        asyncio.run(main())
+
+
+def _spy_threads(gw, monkeypatch):
+    """Record the thread of every ``compile_plan`` and of every
+    ``_run_plan`` call, the latter with whether its plan was warm."""
+    from repro.serve import gateway as gateway_module
+    compiles, runs = [], []
+    compile_plan = gateway_module.compile_plan
+
+    def spy_compile(*args, **kwargs):
+        compiles.append(threading.get_ident())
+        return compile_plan(*args, **kwargs)
+
+    monkeypatch.setattr(gateway_module, "compile_plan", spy_compile)
+    run_plan = gw._run_plan
+
+    def spy_run(staging):
+        runs.append((threading.get_ident(), staging.plan is not None))
+        return run_plan(staging)
+
+    gw._run_plan = spy_run
+    return compiles, runs
+
+
+class TestLoopPricing:
+    """A warm plan runs on the event loop's thread; a compile (and the
+    first run with it) goes off the loop, and the dispatcher yields to
+    the loop between two batches of a backlog."""
+
+    @pytest.mark.parametrize("backend", ["serial", "daemon"])
+    def test_warm_runs_on_the_loop_and_compiles_off_it(self, backend,
+                                                       monkeypatch):
+        tiers = ("parallel", "greeks", "scenario")
+
+        async def main():
+            async with PricingGateway(backend=backend, n_workers=2) as gw:
+                compiles, runs = _spy_threads(gw, monkeypatch)
+                pairs = []
+                for _round in range(2):
+                    reqs = [_req(40, vol=0.2 + 0.01 * i, tier=tier)
+                            for i, tier in enumerate(tiers)]
+                    res = await asyncio.gather(*(gw.submit(r)
+                                                 for r in reqs))
+                    pairs += zip(reqs, res)
+                return threading.get_ident(), compiles, runs, pairs
+
+        loop_thread, compiles, runs, pairs = asyncio.run(main())
+        assert len(compiles) == len(tiers)
+        assert loop_thread not in compiles
+        warm = [ident for ident, hit in runs if hit]
+        cold = [ident for ident, hit in runs if not hit]
+        assert len(cold) == len(tiers) and loop_thread not in cold
+        assert len(warm) >= len(tiers)
+        assert set(warm) == {loop_thread}
+        for req, res in pairs:
+            assert res.digest() == serial_reference(req).digest()
+
+    def test_intake_runs_during_a_slow_compile(self, monkeypatch):
+        from repro.serve import gateway as gateway_module
+        entered, release = threading.Event(), threading.Event()
+        compile_plan = gateway_module.compile_plan
+
+        def slow_compile(*args, **kwargs):
+            entered.set()
+            assert release.wait(60.0)
+            return compile_plan(*args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "compile_plan", slow_compile)
+
+        async def main():
+            async with PricingGateway(backend="serial",
+                                      max_pending=4) as gw:
+                reqs = [_req(4 + i, vol=0.2 + 0.01 * i) for i in range(5)]
+                tasks = [asyncio.ensure_future(gw.submit(reqs[0]))]
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 60.0)
+                for req in reqs[1:]:
+                    tasks.append(asyncio.ensure_future(gw.submit(req)))
+                    await asyncio.sleep(0)       # let the submit enqueue
+                assert gw.stats["queued_requests"] == 4
+                with pytest.raises(GatewayOverloadError):
+                    await gw.submit(_req(4))
+                assert gw.stats["shed"] == 1
+                release.set()
+                results = await asyncio.wait_for(asyncio.gather(*tasks),
+                                                 timeout=60.0)
+                assert [r.batch_requests for r in results] == [1] + [4] * 4
+                for req, res in zip(reqs, results):
+                    assert res.digest() == serial_reference(req).digest()
+        asyncio.run(main())
+
+    def test_loop_callbacks_run_between_backlogged_batches(self):
+        async def main():
+            async with PricingGateway(backend="serial") as gw:
+                for tier in ("parallel", "greeks"):     # warm both
+                    await gw.submit(_req(4, tier=tier))
+                loop = asyncio.get_running_loop()
+                order = []
+                run_plan = gw._run_plan
+
+                def record(staging):
+                    if not order:
+                        loop.call_soon(order.append, "callback")
+                    order.append(staging.adapter.tier)
+                    return run_plan(staging)
+
+                gw._run_plan = record
+                # Both flush jobs are queued before the first prices.
+                await asyncio.gather(gw.submit(_req(4)),
+                                     gw.submit(_req(4, tier="greeks")))
+                assert order == ["parallel", "callback", "greeks"]
         asyncio.run(main())
 
 
