@@ -86,9 +86,8 @@ def _cmd_gateway(args) -> int:
 
     return run_server(
         host=args.host, port=args.port, backend=args.backend,
-        n_workers=args.workers, max_wait_s=args.max_wait_ms / 1e3,
-        max_batch=args.max_batch, max_pending=args.max_pending,
-        min_bucket=args.min_bucket)
+        n_workers=args.workers, max_batch=args.max_batch,
+        max_pending=args.max_pending, min_bucket=args.min_bucket)
 
 
 def _cmd_price(args) -> int:
@@ -168,11 +167,6 @@ def main(argv=None) -> int:
                    help="serial,thread,process,daemon (daemon forks "
                         "a worker fleet the gateway owns)")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--max-wait-ms", type=float, default=0.0,
-                   help="linger before a quiet tier's first flush "
-                        "(default 0: dispatch is work-conserving and "
-                        "batches form while a batch is being priced; "
-                        "set >0 to trade latency for fewer dispatches)")
     p.add_argument("--max-batch", type=int, default=4096,
                    help="max coalesced options per dispatch")
     p.add_argument("--max-pending", type=int, default=1024,

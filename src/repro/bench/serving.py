@@ -17,20 +17,19 @@ is drain-through (completions over the span from first send to last
 completion), and ``speedup`` is the ratio the >= 5x mark
 (``gate_5x``, reported, never an exit code) reads.
 
-**Latency** — the budget trade.  A grid of (arrival rate, ``max_wait``
-budget) combos — budget 0 is the default, no linger — each a fresh
-gateway under Poisson load; per combo the row records sustained req/s,
-p50/p99/p999 latency timed from each request's *due* time,
-``late_p99_ms`` (how late the generator sent), the batch-size
-distribution and sheds.  ``budget_ok`` asks whether tail latency
-respected the configured budget at that rate: p99 must stay within
-``max_wait`` plus an explicit allowance for the unavoidable parts —
-head-of-line blocking behind the one batch in flight (one batch-service
-p99 per live tier: every signature of a tier shares one queue, and a
-loadtest drives one tier), the request's own batch service, and timer/
-scheduling slack — with the allowance reported in the row.  Like
-``gate_5x`` it is a reported figure: perfbench's ``serve_*`` workloads
-own capacity and latency verdicts.
+**Latency** — one row per arrival rate, each a fresh default gateway
+under Poisson load; the row records sustained req/s (the arrival
+schedule sets it below saturation), p50/p99/p999 latency timed from
+each request's *due* time, ``late_p99_ms`` (how late the generator
+sent), the batch-size distribution and sheds.  Like ``gate_5x`` these
+are reported figures: perfbench's ``serve_*`` workloads own capacity
+and latency verdicts.
+
+Before either phase times anything, each gateway compiles every
+canonical width its traffic can reach (:func:`_reachable_widths`), so
+a timed window prices warm plans only; each row records ``compiles``,
+the plan-cache misses inside its window, and a non-zero count fails
+the run.
 
 **Digests** — every scattered result (both phases, both capacity
 modes) is md5-compared against :func:`~repro.serve.workloads
@@ -44,33 +43,51 @@ from __future__ import annotations
 import asyncio
 import sys
 
+import numpy as np
+
 from ..errors import ExperimentError
+from ..serve.batcher import bucket_width
 from ..serve.gateway import PricingGateway
 from ..serve.loadgen import poisson_arrivals, run_open_loop, synth_requests
+from ..serve.request import PricingRequest
 from ..serve.workloads import reference_result
 from .stats import latency_summary, percentile
-
-#: Latency-phase scheduling slack added to the budget-compliance
-#: allowance (ms): asyncio timer granularity + event-loop wakeup.
-SCHED_SLACK_MS = 2.0
 
 
 def _run(coro):
     return asyncio.run(coro)
 
 
+def _reachable_widths(gw: PricingGateway, requests) -> list:
+    """Every canonical width a batch of ``requests`` can take in
+    ``gw``: a batch is a queue prefix of at most ``max_batch`` options
+    and ``max_batch_requests`` requests, so its total runs from the
+    smallest request to the largest such sum."""
+    sizes = sorted(r.n for r in requests)
+    top = sum(sizes[-(gw.max_batch_requests or len(sizes)):])
+    lo = bucket_width(sizes[0], gw.min_bucket, gw.max_batch)
+    hi = bucket_width(min(top, gw.max_batch), gw.min_bucket, gw.max_batch)
+    return [1 << k for k in range(lo.bit_length() - 1, hi.bit_length())]
+
+
 async def _drive(gateway_kw: dict, requests, arrivals,
                  keep_results: bool):
     async with PricingGateway(**gateway_kw) as gw:
-        # Warm the hot-signature plan (and the CDF's per-thread
-        # workspace) outside the timed region: the very first kernel run
-        # in a process costs far more than a steady-state one, and
-        # whichever mode ran first would otherwise eat it.
-        await gw.submit(requests[0])
+        # Compile every reachable width (and warm the CDF's per-thread
+        # workspace) outside the timed region, one request of exactly
+        # that width each: a compile costs far more than a warm run,
+        # and whichever mode met it in its window would eat it.
+        r = requests[0]
+        for width in _reachable_widths(gw, requests):
+            await gw.submit(PricingRequest(
+                np.resize(r.S, width), np.resize(r.X, width),
+                np.resize(r.T, width), r.rate, r.vol, r.kernel, r.tier))
+        warm_misses = gw.stats["plan_cache"]["misses"]
         gw.reset_stats()
         load = await run_open_loop(gw, requests, arrivals,
                                    keep_results=keep_results)
         stats = gw.stats
+    stats["compiles"] = stats["plan_cache"]["misses"] - warm_misses
     return load, stats
 
 
@@ -99,7 +116,6 @@ def measure_serving(*, backend: str = "serial",
                     capacity_requests: int = 768,
                     latency_requests: int = 400,
                     rates=(100.0, 200.0, 400.0),
-                    budgets_ms=(0.0, 1.0, 2.0, 5.0),
                     opts_range=(8, 64),
                     n_signatures: int = 4,
                     max_batch: int = 4096,
@@ -110,23 +126,22 @@ def measure_serving(*, backend: str = "serial",
         raise ExperimentError("client/request counts must be >= 1")
     # Warm batches price on the event loop, but a compile runs on a
     # helper thread and shares the GIL with it; the default 5 ms switch
-    # interval lets either hold it long enough to blow a millisecond
-    # latency budget.  1 ms caps that stall.
+    # interval lets either hold it for several times the millisecond
+    # latencies measured here.  1 ms caps that stall.
     old_switch = sys.getswitchinterval()
     sys.setswitchinterval(0.001)
     try:
         return _measure(backend, n_workers, kernel, tier, n_clients,
                         capacity_requests, latency_requests, rates,
-                        budgets_ms, opts_range, n_signatures, max_batch,
-                        seed, verify_digests)
+                        opts_range, n_signatures, max_batch, seed,
+                        verify_digests)
     finally:
         sys.setswitchinterval(old_switch)
 
 
 def _measure(backend, n_workers, kernel, tier, n_clients,
-             capacity_requests, latency_requests, rates, budgets_ms,
-             opts_range, n_signatures, max_batch, seed,
-             verify_digests) -> dict:
+             capacity_requests, latency_requests, rates, opts_range,
+             n_signatures, max_batch, seed, verify_digests) -> dict:
     from ..parallel.slab import SlabExecutor
 
     mismatches: list = []
@@ -167,6 +182,7 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
             "batch_requests_hist": stats["batch_requests_hist"],
             "batch_options_hist": stats["batch_options_hist"],
             "batches": stats["batches"],
+            "compiles": stats["compiles"],
             "service_ms": stats["service"],
             "plan_cache": stats["plan_cache"],
         }
@@ -178,52 +194,37 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
 
     # ---- latency phase ---------------------------------------------
     latency_rows = []
-    combo = 0
-    for rate in rates:
-        for budget_ms in budgets_ms:
-            combo += 1
-            reqs = synth_requests(
-                latency_requests, kernel=kernel, tier=tier,
-                opts_range=opts_range, n_signatures=n_signatures,
-                seed=seed + 1000 * combo)
-            arrivals = poisson_arrivals(
-                latency_requests, float(rate), n_clients=n_clients,
-                seed=seed + 1000 * combo)
-            kw = {**base_kw, "max_wait_s": float(budget_ms) / 1e3}
-            load, stats = _run(_drive(kw, reqs, arrivals,
-                                      keep_results=verify_digests))
-            if verify_digests:
-                digests_checked += _verify(load["records"], ref_ex,
-                                           mismatches)
-            lat = latency_summary(
+    for i, rate in enumerate(rates, 1):
+        reqs = synth_requests(
+            latency_requests, kernel=kernel, tier=tier,
+            opts_range=opts_range, n_signatures=n_signatures,
+            seed=seed + 1000 * i)
+        arrivals = poisson_arrivals(
+            latency_requests, float(rate), n_clients=n_clients,
+            seed=seed + 1000 * i)
+        load, stats = _run(_drive(base_kw, reqs, arrivals,
+                                  keep_results=verify_digests))
+        if verify_digests:
+            digests_checked += _verify(load["records"], ref_ex,
+                                       mismatches)
+        latency_rows.append({
+            "rate_rps": float(rate),
+            "n": load["n"],
+            "n_ok": load["n_ok"],
+            "n_shed": load["n_shed"],
+            "n_error": load["n_error"],
+            "sustained_rps": round(load["sustained_rps"], 2),
+            "latency_ms": latency_summary(
                 [r["latency_s"] for r in load["records"] if r["ok"]],
-                scale=1e3, suffix="_ms")
-            service_p99 = stats["service"].get("p99_ms", 0.0)
-            # Head-of-line: dispatch is serial, so a flush can queue
-            # behind one in-flight batch per live tier — the one
-            # this run drives, whatever its signatures — plus its own
-            # service, plus timer/scheduler slack.
-            allowance_ms = 2 * service_p99 + SCHED_SLACK_MS
-            row = {
-                "rate_rps": float(rate),
-                "budget_ms": float(budget_ms),
-                "n": load["n"],
-                "n_ok": load["n_ok"],
-                "n_shed": load["n_shed"],
-                "n_error": load["n_error"],
-                "sustained_rps": round(load["sustained_rps"], 2),
-                "latency_ms": lat,
-                "late_p99_ms": round(1e3 * percentile(
-                    [r["late_s"] for r in load["records"]], 0.99), 3),
-                "service_p99_ms": round(service_p99, 3),
-                "allowance_ms": round(allowance_ms, 3),
-                "budget_ok": bool(
-                    lat.get("p99_ms", 0.0)
-                    <= float(budget_ms) + allowance_ms),
-                "batches": stats["batches"],
-                "batch_requests_hist": stats["batch_requests_hist"],
-            }
-            latency_rows.append(row)
+                scale=1e3, suffix="_ms"),
+            "late_p99_ms": round(1e3 * percentile(
+                [r["late_s"] for r in load["records"]], 0.99), 3),
+            "service_p99_ms": round(
+                stats["service"].get("p99_ms", 0.0), 3),
+            "batches": stats["batches"],
+            "compiles": stats["compiles"],
+            "batch_requests_hist": stats["batch_requests_hist"],
+        })
     if ref_ex is not None:
         ref_ex.close()
 
@@ -252,20 +253,18 @@ def serving_result(data: dict):
     for r in data["latency"]:
         lat = r["latency_ms"]
         rows.append((
-            r["rate_rps"], r["budget_ms"], r["n_ok"], r["n_shed"],
-            r["sustained_rps"],
+            r["rate_rps"], r["n_ok"], r["n_shed"], r["sustained_rps"],
             round(lat.get("p50_ms", 0.0), 2),
             round(lat.get("p99_ms", 0.0), 2),
             round(lat.get("p999_ms", 0.0), 2),
-            "ok" if r["budget_ok"] else "OVER",
         ))
     cap = data["capacity"]
     return ExperimentResult(
         exp_id="serving",
         title="Serving loadtest: open-loop Poisson arrivals vs "
               "dynamic micro-batching",
-        headers=("rate req/s", "budget ms", "ok", "shed", "req/s",
-                 "p50 ms", "p99 ms", "p999 ms", "budget"),
+        headers=("rate req/s", "ok", "shed", "req/s",
+                 "p50 ms", "p99 ms", "p999 ms"),
         rows=rows,
         notes=[
             f"{data['kernel']}/{data['tier']} backend={data['backend']} "
@@ -279,9 +278,8 @@ def serving_result(data: dict):
             f"digests: {data['digests_checked']} scattered results "
             f"vs solo serial reference, "
             f"{len(data['digest_mismatches'])} mismatches",
-            "budget = p99 <= max_wait + allowance (one batch-service "
-            "p99 per live tier + own service + scheduler slack); "
             "latency is due time -> scattered result under open-loop "
-            "arrivals",
+            "arrivals; every reachable width compiles before the "
+            "timed windows",
         ],
     )

@@ -87,10 +87,6 @@ FLAGS = {
     "rates": ("--rates", dict(
         type=_csv(float), default=None,
         help="comma-separated arrival rates (req/s)")),
-    "budgets-ms": ("--budgets-ms", dict(
-        type=_csv(float), default=None,
-        help="comma-separated max_wait budgets (ms; 0 = no linger, "
-             "the gateway default)")),
 }
 
 
@@ -212,16 +208,22 @@ def _loadtest_extra(a) -> dict:
         kernel=kernel, tier=tier or "parallel",
         capacity_requests=a.capacity_requests or (192 if a.smoke else 768),
         latency_requests=96 if a.smoke else 400,
-        rates=a.rates or ((200.0,) if a.smoke else (100.0, 200.0, 400.0)),
-        budgets_ms=a.budgets_ms or ((2.0,) if a.smoke
-                                    else (0.0, 1.0, 2.0, 5.0)))
+        rates=a.rates or ((200.0,) if a.smoke else (100.0, 200.0, 400.0)))
 
 
 def _loadtest_failures(data, smoke) -> list:
-    """Digests only: ``capacity.gate_5x`` and each row's ``budget_ok``
-    stay in the record and the rendered table as reported figures."""
-    return [f"digest mismatch: {m}"
-            for m in data["digest_mismatches"][:5]]
+    """Digests and compiles, never a clock: ``capacity.gate_5x`` stays
+    in the record and the rendered table as a reported figure."""
+    cap = data["capacity"]
+    compiled = [f"capacity/{mode}" for mode in ("batched", "per_request")
+                if cap[mode]["compiles"]]
+    compiled += [f"latency/{r['rate_rps']:g} req/s"
+                 for r in data["latency"] if r["compiles"]]
+    failures = [f"digest mismatch: {m}"
+                for m in data["digest_mismatches"][:5]]
+    if compiled:
+        failures.append(f"plan compiled inside a timed window: {compiled}")
+    return failures
 
 
 def _dse_extra(a) -> dict:
@@ -259,7 +261,7 @@ MEASURED = {b.name: b for b in (
         views=("serving_result",),
         artifact="BENCH_serving.json",
         flags=("smoke", "backend", "tier", "clients", "requests", "rates",
-               "budgets-ms", "workers", "seed"),
+               "workers", "seed"),
         extra=_loadtest_extra, failures=_loadtest_failures),
     MeasuredBench(
         name="dse",

@@ -12,7 +12,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".reference": ("price_reference", "price_reference_batch"),
     ".simd_across": ("price_simd_across",),
     ".tiled": ("default_tile_size", "price_tiled", "tiled_reduce"),
-    ".trinomial": ("TrinomialParams", "price_trinomial",
-                   "price_trinomial_batch", "trinomial_params"),
     ".traced": ("traced_inner_loop", "traced_simd_across", "traced_tiled"),
 })

@@ -6,8 +6,6 @@ from ..._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".asian": ("price_asian_call", "price_geometric_asian_mc"),
     ".bump": ("BUMP_REL", "greeks_stream_parallel"),
-    ".greeks": ("digital_delta_exact", "digital_delta_lr",
-                "likelihood_ratio_delta", "pathwise_delta", "pathwise_vega"),
     ".lsmc": ("price_american_lsmc", "simulate_gbm_paths"),
     ".model": ("PATH_LENGTH", "TIERS", "build", "computed_trace",
                "stream_trace"),

@@ -17,7 +17,7 @@ This package closes the gap inference-server style:
   requests by ``(kernel, tier)`` (rate and vol are per-option columns,
   so any signatures mix), coalesces whatever arrives while a batch
   is being priced into one canonical-width batch (up to
-  ``max_batch``; ``max_wait`` is an opt-in linger), prices
+  ``max_batch``; nothing is held back waiting for more), prices
   the fused batch through a cached :class:`~repro.plan.ExecutionPlan`
   on any backend (daemon rings included), and scatters per-request
   :class:`~.request.GatewayResult` views back to each awaiting caller.

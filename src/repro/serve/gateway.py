@@ -10,20 +10,17 @@ Control flow (all on one event loop; only a compile leaves it):
   dispatcher starts it on the next loop iteration, and batches form
   from whatever arrives while an earlier batch is being priced — the
   queueing between ``submit`` and the dispatcher task does the
-  coalescing.  ``max_wait_s`` is an opt-in *linger*:
-  non-zero, the first request of a quiet tier instead arms a timer and
-  the job is queued when it fires (or when the queue reaches ``max_batch``
-  options / ``max_batch_requests`` requests, whichever is first) —
-  fewer, wider dispatches for up to ``max_wait_s`` more latency.  The
-  default ``0.0`` never touches the timer heap.
+  coalescing.  Nothing lingers and no timer is armed: a batch is as
+  wide as the work that queued behind the last one, up to
+  ``max_batch`` options (and ``max_batch_requests`` requests).
 * Flush jobs land on one priority queue keyed by the **oldest pending
-  request's arrival** (plus the linger) and drained by a single
+  request's arrival** and drained by a single
   dispatcher task, which prices *one* batch per job and re-queues the
   tier if requests remain: under backlog the oldest request is
   served first, and a tier that keeps receiving traffic cannot
   starve an older flush of another.  After every job the dispatcher
   yields to the loop once (``asyncio.Queue.get`` does not suspend
-  while jobs are queued), so submits, timers and socket reads run
+  while jobs are queued), so submits and socket reads run
   between two batches of a backlog.  Requests whose caller was
   cancelled while they waited are dropped when their batch is taken,
   not priced, and a tier's queue is deleted as soon as it is empty
@@ -57,9 +54,10 @@ Control flow (all on one event loop; only a compile leaves it):
   inline-vs-pool choice is the executor's ``min_parallel_bytes`` as it
   was built; the gateway never changes it.
 * :meth:`PricingGateway.close` drains gracefully: intake stops
-  (:class:`~repro.errors.GatewayClosedError`), every queued request is
-  flushed regardless of deadline, the dispatcher finishes its backlog,
-  and only then do plans, stagings and the executor shut down.
+  (:class:`~repro.errors.GatewayClosedError`), every tier holding
+  requests already has its flush job queued, the dispatcher finishes
+  its backlog, and only then do plans, stagings and the executor shut
+  down.
 """
 
 from __future__ import annotations
@@ -84,13 +82,11 @@ _SERVICE_SAMPLES = 20_000
 class _TierQueue:
     """Pending requests of one ``(kernel, tier)``, of any signature."""
 
-    __slots__ = ("items", "n_options", "timer", "enqueued")
+    __slots__ = ("items", "n_options")
 
     def __init__(self):
         self.items = deque()     # (request, future, arrival)
         self.n_options = 0
-        self.timer = None        # armed linger TimerHandle
-        self.enqueued = False    # a flush job is queued or in flight
 
 
 class PricingGateway:
@@ -106,7 +102,6 @@ class PricingGateway:
     def __init__(self, *, backend: str = "serial",
                  n_workers: int | None = None,
                  slab_bytes: int | None = None,
-                 max_wait_s: float = 0.0,
                  max_batch: int = 4096,
                  max_batch_requests: int | None = None,
                  min_bucket: int = 64,
@@ -114,8 +109,6 @@ class PricingGateway:
                  plan_cache_size: int = 32,
                  max_stagings: int = 32,
                  executor=None):
-        if max_wait_s < 0:
-            raise ConfigurationError("max_wait_s must be >= 0")
         if max_batch < 1 or min_bucket < 1 or min_bucket > max_batch:
             raise ConfigurationError(
                 "need 1 <= min_bucket <= max_batch")
@@ -126,7 +119,6 @@ class PricingGateway:
         self.backend = backend
         self.n_workers = n_workers
         self.slab_bytes = slab_bytes
-        self.max_wait_s = float(max_wait_s)
         self.max_batch = int(max_batch)
         self.max_batch_requests = max_batch_requests
         self.min_bucket = int(min_bucket)
@@ -180,13 +172,9 @@ class PricingGateway:
             self._closed = True
             return
         self._closed = True
-        # Every live queue either holds requests or has a job in flight
-        # (which re-queues itself while requests remain).
-        for key, st in self._queues.items():
-            if st.items:
-                self._enqueue_flush(key, st)
-        # The stop sentinel sorts after every real job, re-queued ones
-        # included.
+        # Every live queue has a job queued or in flight (which
+        # re-queues itself while requests remain).  The stop sentinel
+        # sorts after every real job, re-queued ones included.
         self._seq += 1
         self._flush_q.put_nowait((float("inf"), self._seq, None))
         try:
@@ -234,43 +222,24 @@ class PricingGateway:
         self._stat["requests"] += 1
         key = (request.kernel, request.tier)
         st = self._queues.get(key)
-        if st is None:
+        quiet = st is None
+        if quiet:
             st = self._queues[key] = _TierQueue()
         fut = self._loop.create_future()
         st.items.append((request, fut, self._loop.time()))
         st.n_options += m
         self._queued_requests += 1
-        full = (st.n_options >= self.max_batch
-                or (self.max_batch_requests is not None
-                    and len(st.items) >= self.max_batch_requests))
-        if full or not self.max_wait_s:
-            self._enqueue_flush(key, st)
-        elif st.timer is None and not st.enqueued:
-            st.timer = self._loop.call_later(
-                self.max_wait_s, self._deadline_fired, key)
-        return await fut
-
-    def _deadline_fired(self, key) -> None:
-        st = self._queues.get(key)
-        if st is None:
-            return
-        st.timer = None
-        self._enqueue_flush(key, st)
-
-    def _enqueue_flush(self, key, st: _TierQueue) -> None:
-        if st.timer is not None:
-            st.timer.cancel()
-            st.timer = None
-        if not st.enqueued:
-            st.enqueued = True
+        # A live queue has its job queued or in flight; only the first
+        # request of a quiet tier queues one.
+        if quiet:
             self._put_job(key, st)
+        return await fut
 
     def _put_job(self, key, st: _TierQueue) -> None:
         """Queue one flush of ``key``, ordered by when its oldest
-        pending request arrived (plus the linger it was promised)."""
+        pending request arrived."""
         self._seq += 1
-        self._flush_q.put_nowait(
-            (st.items[0][2] + self.max_wait_s, self._seq, key))
+        self._flush_q.put_nowait((st.items[0][2], self._seq, key))
 
     # -- dispatch ------------------------------------------------------
     async def _dispatch_loop(self) -> None:
@@ -293,7 +262,7 @@ class PricingGateway:
                 del self._queues[key]
             # A warm batch never suspends, and get() returns at once
             # while jobs are queued: yield, or a backlog would price
-            # batch after batch with no submit, timer or read between.
+            # batch after batch with no submit or read between.
             await asyncio.sleep(0)
 
     def _take_batch(self, st: _TierQueue) -> tuple:

@@ -197,7 +197,6 @@ async def _amain(host: str, port: int, **gateway_kw) -> int:
         def ready(addr):
             print(f"repro gateway listening on {addr[0]}:{addr[1]} "
                   f"(backend={gateway.backend}, "
-                  f"max_wait={gateway.max_wait_s * 1e3:.1f}ms, "
                   f"max_batch={gateway.max_batch}); "
                   f"JSON lines, Ctrl-C drains", flush=True)
         await serve_gateway(gateway, host, port, ready=ready)

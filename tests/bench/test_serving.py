@@ -11,7 +11,7 @@ def data():
     # Tiny but real: both phases execute, every result digest-checked.
     return measure_serving(backend="serial", n_clients=4,
                            capacity_requests=24, latency_requests=12,
-                           rates=(400.0,), budgets_ms=(0.0, 2.0),
+                           rates=(400.0, 800.0),
                            opts_range=(4, 12), n_signatures=2)
 
 
@@ -24,13 +24,19 @@ class TestMeasureServing:
         for mode in ("batched", "per_request"):
             assert cap[mode]["n_ok"] == 24
             assert cap[mode]["sustained_rps"] > 0
-        # Budget 0 is the shipped default: no linger.
-        assert [r["budget_ms"] for r in data["latency"]] == [0.0, 2.0]
+        # One row per arrival rate.
+        assert [r["rate_rps"] for r in data["latency"]] == [400.0, 800.0]
         for row in data["latency"]:
-            assert row["rate_rps"] == 400.0
             assert row["n_ok"] + row["n_shed"] + row["n_error"] == 12
-            assert "allowance_ms" in row and "budget_ok" in row
             assert row["late_p99_ms"] >= 0.0
+
+    def test_no_window_compiles(self, data):
+        # Every reachable width compiled before the clock started.
+        cap = data["capacity"]
+        for mode in ("batched", "per_request"):
+            assert cap[mode]["compiles"] == 0
+            assert cap[mode]["plan_cache"]["misses"] >= 1
+        assert [r["compiles"] for r in data["latency"]] == [0, 0]
 
     def test_every_result_digest_checked(self, data):
         # 24 per capacity mode + 12 per latency row = 72, minus sheds.
@@ -47,7 +53,7 @@ class TestMeasureServing:
         assert "Serving loadtest" in text
         assert "capacity" in text
         rendered = render(serving_result(data), "json")
-        assert "budget" in rendered
+        assert "p99 ms" in rendered
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ExperimentError):

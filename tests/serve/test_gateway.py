@@ -1,4 +1,4 @@
-"""PricingGateway: coalescing, flush triggers, shedding, drain.
+"""PricingGateway: coalescing, batch caps, shedding, drain.
 
 No pytest-asyncio in the container; each test drives its own event
 loop with ``asyncio.run``.
@@ -52,8 +52,6 @@ async def _submit_behind_held_batch(gw, first, later):
 class TestValidation:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            PricingGateway(max_wait_s=-1.0)
-        with pytest.raises(ConfigurationError):
             PricingGateway(min_bucket=128, max_batch=64)
         with pytest.raises(ConfigurationError):
             PricingGateway(max_batch_requests=0)
@@ -86,10 +84,12 @@ class TestValidation:
 
 
 class TestCoalescing:
+    """Every submit of one ``gather`` queues before the dispatcher
+    wakes, so the requests coalesce up to the batch caps."""
+
     def test_concurrent_same_signature_requests_fuse(self):
         async def main():
-            async with PricingGateway(backend="serial",
-                                      max_wait_s=0.01) as gw:
+            async with PricingGateway(backend="serial") as gw:
                 reqs = [_req(4 + i) for i in range(6)]
                 results = await asyncio.gather(
                     *(gw.submit(r) for r in reqs))
@@ -106,8 +106,7 @@ class TestCoalescing:
         # batch whatever their signatures, and each still prices
         # exactly as it does alone with float parameters.
         async def main():
-            async with PricingGateway(backend="serial",
-                                      max_wait_s=0.01) as gw:
+            async with PricingGateway(backend="serial") as gw:
                 reqs = [_req(4, vol=0.2), _req(4, vol=0.4),
                         _req(6, rate=0.01, vol=0.3)]
                 results = await asyncio.gather(
@@ -121,8 +120,7 @@ class TestCoalescing:
 
     def test_mixed_tiers_route_to_their_own_batches(self):
         async def main():
-            async with PricingGateway(backend="serial",
-                                      max_wait_s=0.005) as gw:
+            async with PricingGateway(backend="serial") as gw:
                 reqs = [_req(6, tier=t)
                         for t in ("parallel", "greeks", "scenario")]
                 results = await asyncio.gather(
@@ -136,34 +134,36 @@ class TestCoalescing:
         assert results[2].outputs == ("grid",)
         assert np.asarray(results[2]["grid"]).shape == (25, 6)
 
-    def test_size_flush_does_not_wait_for_deadline(self):
+    def test_size_cap_splits_the_queue(self):
         async def main():
-            # max_wait is far beyond the test budget: only the
-            # options-cap flush can complete these requests quickly.
-            async with PricingGateway(backend="serial", max_wait_s=5.0,
-                                      max_batch=64,
+            # Three 32-option requests under a 64-option cap: the first
+            # two fill one batch, the third rides the next.
+            async with PricingGateway(backend="serial", max_batch=64,
                                       min_bucket=64) as gw:
-                reqs = [_req(32), _req(32)]
-                results = await asyncio.wait_for(
-                    asyncio.gather(*(gw.submit(r) for r in reqs)),
-                    timeout=2.0)
-                assert results[0].batch_options == 64
-        asyncio.run(main())
+                reqs = [_req(32, vol=0.2 + 0.1 * i) for i in range(3)]
+                results = await asyncio.gather(
+                    *(gw.submit(r) for r in reqs))
+                assert [r.batch_options for r in results] == [64, 64, 32]
+                assert gw.stats["batches"] == 2
+                return reqs, results
+        reqs, results = asyncio.run(main())
+        for req, res in zip(reqs, results):
+            assert res.digest() == serial_reference(req).digest()
 
     def test_request_cap_flush(self):
         async def main():
-            async with PricingGateway(backend="serial", max_wait_s=5.0,
+            async with PricingGateway(backend="serial",
                                       max_batch_requests=3) as gw:
-                results = await asyncio.wait_for(
-                    asyncio.gather(*(gw.submit(_req(4))
-                                     for _ in range(3))),
-                    timeout=2.0)
-                assert {r.batch_requests for r in results} == {3}
+                results = await asyncio.gather(
+                    *(gw.submit(_req(4)) for _ in range(5)))
+                assert [r.batch_requests for r in results] \
+                    == [3, 3, 3, 2, 2]
+                assert gw.stats["batches"] == 2
         asyncio.run(main())
 
     def test_per_request_mode_prices_each_alone(self):
         async def main():
-            async with PricingGateway(backend="serial", max_wait_s=0.0,
+            async with PricingGateway(backend="serial",
                                       max_batch_requests=1) as gw:
                 results = await asyncio.gather(
                     *(gw.submit(_req(4)) for _ in range(5)))
@@ -173,27 +173,34 @@ class TestCoalescing:
 
 
 class TestWorkConservingDispatch:
-    """The default gateway never lingers: an idle dispatcher starts a
-    request at once, and batches form behind the batch in flight."""
+    """The gateway never lingers: an idle dispatcher starts a request
+    at once, and batches form behind the batch in flight."""
 
-    def test_default_gateway_arms_no_timer(self):
+    @pytest.mark.parametrize("max_batch_requests", [None, 1])
+    def test_default_gateway_arms_no_timer(self, max_batch_requests):
+        reqs = [_req(5, vol=0.2 + 0.1 * i) for i in range(3)]
+
         async def main():
-            async with PricingGateway(backend="serial") as gw:
-                assert gw.max_wait_s == 0.0
+            async with PricingGateway(
+                    backend="serial",
+                    max_batch_requests=max_batch_requests) as gw:
                 loop = asyncio.get_running_loop()
 
                 def no_timers(*args, **kwargs):
-                    raise AssertionError("default gateway armed a timer")
+                    raise AssertionError("the gateway armed a timer")
 
-                loop.call_later = no_timers      # shadows the method
+                loop.call_later = loop.call_at = no_timers  # shadow
                 try:
                     # No wait_for here: its timeout is itself a timer.
-                    return await gw.submit(_req(5))
+                    return await asyncio.gather(
+                        *(gw.submit(r) for r in reqs))
                 finally:
-                    del loop.call_later
-        res = asyncio.run(main())
-        assert res.batch_requests == 1
-        assert res.digest() == serial_reference(_req(5)).digest()
+                    del loop.call_later, loop.call_at
+        results = asyncio.run(main())
+        assert {r.batch_requests for r in results} \
+            == {max_batch_requests or len(reqs)}
+        for req, res in zip(reqs, results):
+            assert res.digest() == serial_reference(req).digest()
 
     def test_requests_arriving_behind_a_busy_thread_ride_one_batch(self):
         async def main():
@@ -341,16 +348,25 @@ class TestLoopPricing:
 
 
 class TestQueueHygiene:
-    @pytest.mark.parametrize("max_wait_s", [0.0, 0.001])
-    def test_signature_churn_leaves_no_queues_behind(self, max_wait_s):
+    # gap_s spaces the arrivals: 0.0 queues every request before the
+    # dispatcher wakes; 0.001 makes queues open and empty across many
+    # takes while batches are in flight.
+    @pytest.mark.parametrize("gap_s", [0.0, 0.001])
+    def test_signature_churn_leaves_no_queues_behind(self, gap_s):
         async def main():
             async with PricingGateway(backend="serial",
-                                      max_wait_s=max_wait_s,
                                       plan_cache_size=4,
                                       max_stagings=4) as gw:
                 reqs = [_req(4, vol=0.10 + 0.001 * i)
                         for i in range(200)]
-                await asyncio.gather(*(gw.submit(r) for r in reqs))
+
+                async def arrive(i, req):
+                    if gap_s:
+                        await asyncio.sleep(gap_s * i)
+                    return await gw.submit(req)
+
+                await asyncio.gather(
+                    *(arrive(i, r) for i, r in enumerate(reqs)))
                 assert len(gw._queues) == 0
                 assert gw.stats["queued_requests"] == 0
         asyncio.run(main())
@@ -416,16 +432,18 @@ class TestQueueHygiene:
 class TestBackpressure:
     def test_overload_sheds_with_gateway_overload_error(self):
         async def main():
-            async with PricingGateway(backend="serial", max_wait_s=0.05,
+            async with PricingGateway(backend="serial",
                                       max_pending=4) as gw:
+                # All twelve submits run before the dispatcher takes
+                # a batch: the first four queue, the rest are shed.
                 outcomes = await asyncio.gather(
                     *(gw.submit(_req(4)) for _ in range(12)),
                     return_exceptions=True)
                 shed = [o for o in outcomes
                         if isinstance(o, GatewayOverloadError)]
                 ok = [o for o in outcomes if not isinstance(o, Exception)]
-                assert shed, "max_pending=4 never shed at 12 in flight"
-                assert ok, "every request shed; gateway made no progress"
+                assert len(ok) == 4 and len(shed) == 8
+                assert {r.batch_requests for r in ok} == {4}
                 assert gw.stats["shed"] == len(shed)
         asyncio.run(main())
 
@@ -433,21 +451,26 @@ class TestBackpressure:
 class TestDrain:
     def test_close_completes_queued_work(self):
         async def main():
-            gw = PricingGateway(backend="serial", max_wait_s=10.0)
+            gw = PricingGateway(backend="serial")
             await gw.start()
-            # Deadline is far away; close() must flush regardless.
-            pending = [asyncio.ensure_future(gw.submit(_req(4)))
-                       for _ in range(4)]
-            await asyncio.sleep(0)       # let submits enqueue
-            await asyncio.wait_for(gw.close(), timeout=5.0)
-            results = await asyncio.gather(*pending)
+            # Four requests queue behind a held batch; close() begins
+            # while they wait and must still price every one.
+            release, tasks = await _submit_behind_held_batch(
+                gw, _req(4), [_req(4) for _ in range(4)])
+            closing = asyncio.ensure_future(gw.close())
+            await asyncio.sleep(0)       # let close() stop intake
+            with pytest.raises(GatewayClosedError):
+                await gw.submit(_req(4))
+            release.set()
+            await asyncio.wait_for(closing, timeout=60.0)
+            results = await asyncio.gather(*tasks)
             assert all(r.n == 4 for r in results)
+            assert [r.batch_requests for r in results] == [1, 4, 4, 4, 4]
         asyncio.run(main())
 
     def test_stats_shape(self):
         async def main():
-            async with PricingGateway(backend="serial",
-                                      max_wait_s=0.005) as gw:
+            async with PricingGateway(backend="serial") as gw:
                 await gw.submit(_req(4))
                 s = gw.stats
                 assert s["requests"] == s["completed"] == 1
@@ -489,7 +512,7 @@ class TestDaemonChurn:
             async def main():
                 # Stagings outlive the plan cache on purpose: the
                 # 3-slot PlanCache is what must evict (and unpin).
-                async with PricingGateway(executor=ex, max_wait_s=0.0,
+                async with PricingGateway(executor=ex,
                                           plan_cache_size=3,
                                           max_stagings=16) as gw:
                     # Plans are keyed by width, not signature: six

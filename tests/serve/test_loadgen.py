@@ -61,8 +61,7 @@ class TestRunOpenLoop:
         arrivals = poisson_arrivals(12, 0.0)
 
         async def main():
-            async with PricingGateway(backend="serial",
-                                      max_wait_s=0.002) as gw:
+            async with PricingGateway(backend="serial") as gw:
                 return await run_open_loop(gw, reqs, arrivals,
                                            keep_results=True)
         load = asyncio.run(main())

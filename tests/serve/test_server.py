@@ -26,7 +26,7 @@ async def _with_server(body):
         addr["port"] = a[1]
         ready.set()
 
-    async with PricingGateway(backend="serial", max_wait_s=0.002) as gw:
+    async with PricingGateway(backend="serial") as gw:
         server = asyncio.ensure_future(serve_gateway(
             gw, "127.0.0.1", 0, ready=on_ready, stop_event=stop))
         await asyncio.wait_for(ready.wait(), timeout=5.0)

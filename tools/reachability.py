@@ -66,7 +66,7 @@ ROOTS = (
       for b in _BACKENDS),
     ("dse", "--smoke", "--out", ""),
     ("loadtest", "--smoke", "--clients", "4", "--requests", "24",
-     "--rates", "400", "--budgets-ms", "2", "--out", ""),
+     "--rates", "400", "--out", ""),
     ("lint",),
     *((str(ROOT / "perfbench" / "run.py"), "--workload", w, "--seed", "1",
        "--seconds", "3", "--trace", "1")
