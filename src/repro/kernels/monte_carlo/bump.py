@@ -115,8 +115,9 @@ def compile_greeks_stream(S, X, T, rate: float, vol: float,
                           h: float = BUMP_REL):
     """Plan-compile the bump-Greeks tier for repeated same-shape calls:
     the ``5n`` backing vector, the sorted stream and per-slab payoff
-    scratch live in ``arena``, and warm runs sort the stream once and
-    replay the compiled dispatch with zero hot-path allocations."""
+    scratch live in ``arena``, and warm runs re-sort the stream only
+    when it changed (:func:`~.parallel._sorted_stream`) and replay the
+    compiled dispatch with zero hot-path allocations."""
     S = np.asarray(S, dtype=DTYPE)
     X = np.asarray(X, dtype=DTYPE)
     T = np.asarray(T, dtype=DTYPE)

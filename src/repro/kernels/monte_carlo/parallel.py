@@ -4,8 +4,9 @@ option batch slabbed across :class:`~repro.parallel.slab.SlabExecutor`.
 :func:`compile_price_stream` declares the tier's one dispatch and
 :func:`price_stream_parallel` is its one-shot.  Every option re-reads
 one shared normal stream, so the paths that put an option in the money
-are exactly the draws above a per-option threshold ``z*``: each run
-sorts a copy of the stream once (:func:`_sorted_stream`), and
+are exactly the draws above a per-option threshold ``z*``: a plan
+keeps a sorted copy of the stream, re-sorted only on a run that finds
+the stream changed (:func:`_sorted_stream`), and
 :func:`_price_option_tail` evaluates only the tail above ``z*``, through
 one reusable scratch block per slab.  Prices and standard errors are
 within the workload ``tolerance`` of the reference; bit-identical across
@@ -69,21 +70,48 @@ def _price_option_tail(s: float, x: float, t: float, rate: float,
     return max(0.0, df * mean), df * math.sqrt(var / n)
 
 
+def _unchanged(now: np.ndarray, was: np.ndarray, same: np.ndarray) -> bool:
+    """True when the ``uint64`` views ``now`` and ``was`` hold the same
+    bits, compared one ``same``-sized block at a time (no allocation;
+    stops at the first block that differs)."""
+    for lo in range(0, now.size, same.size):
+        eq = same[:min(same.size, now.size - lo)]
+        np.equal(now[lo:lo + eq.size], was[lo:lo + eq.size], out=eq)
+        if not eq.all():
+            return False
+    return True
+
+
 def _sorted_stream(randoms, arena) -> tuple:
     """The sorted copy of the shared stream both STREAM tiers price from:
-    ``(zs, refresh)``, where ``zs`` is an arena buffer and ``refresh()``
-    copies ``randoms`` into it and sorts it in place, once per run before
-    the dispatch.  The caller's array is never reordered, a rebound or
-    edited stream is priced as it stands, and out of process the
-    dispatch's copy-in carries the sorted draws."""
+    ``(zs, refresh)``, where ``zs`` is an arena buffer and ``refresh()``,
+    called before each run's dispatch, keeps it sorted from ``randoms``.
+
+    ``refresh()`` compares ``randoms`` bit for bit (``uint64`` views, so
+    a ``-0.0`` or a NaN payload counts) with the copy it last sorted
+    from, and copies and sorts only when they differ: an unchanged
+    stream costs one compare instead of a copy and a sort, while an
+    in-place edit or a ``plan.run(payload)`` rebind is priced as it
+    stands.  The caller's array is never reordered, and out of process
+    the dispatch's copy-in carries the sorted draws.  Cost: one more
+    copy of the stream (8 B a draw) and a bool block for the compare.
+    """
     randoms = np.asarray(randoms, dtype=DTYPE)
     if randoms.ndim != 1 or randoms.size == 0:
         raise ConfigurationError("randoms must be a non-empty 1-D stream")
     zs = arena.reserve("zs", randoms.size)
+    seen = arena.reserve("zs_seen", randoms.size)
+    same = arena.reserve("zs_same", min(BLOCK, randoms.size), np.bool_)
+    now, was = randoms.view(np.uint64), seen.view(np.uint64)
+    stale = True
 
     def refresh() -> None:
-        np.copyto(zs, randoms)
-        zs.sort()
+        nonlocal stale
+        if stale or not _unchanged(now, was, same):
+            np.copyto(seen, randoms)
+            np.copyto(zs, seen)
+            zs.sort()
+            stale = False
 
     return zs, refresh
 
@@ -126,8 +154,9 @@ def compile_price_stream(S, X, T, rate: float, vol: float,
     """Plan-compile STREAM mode for repeated same-shape calls.
 
     The ``[price | stderr]`` result vector, the sorted stream and one
-    scratch block per in-caller slab live in ``arena``; each run sorts
-    the stream once and prices every option's in-the-money tail with
+    scratch block per in-caller slab live in ``arena``; each run
+    re-sorts the stream only if it changed (:func:`_sorted_stream`) and
+    prices every option's in-the-money tail with
     :func:`_price_option_tail`.
     """
     S = np.asarray(S, dtype=DTYPE)

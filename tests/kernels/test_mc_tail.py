@@ -1,14 +1,16 @@
 """Monte-Carlo STREAM slab tiers price only the in-the-money tail.
 
-The ``parallel`` and ``greeks`` tiers sort a copy of the shared stream
-once per run and evaluate each option over the draws above its
-threshold ``z*``.  That changes the summation order, so they agree
+The ``parallel`` and ``greeks`` tiers keep a sorted copy of the shared
+stream, re-sorted only on a run that finds the stream changed, and
+evaluate each option over the draws above its threshold ``z*``.  That changes the summation order, so they agree
 with the paper's vectorized chain (``price_stream``) within the
 workload tolerance, not bit for bit.  Inputs are checked first: a NaN
 would otherwise pass every positivity test and price silently.
 """
 
 import dataclasses
+import gc
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.kernels.monte_carlo import (greeks_stream_parallel, price_stream,
 from repro.kernels.monte_carlo.parallel import BLOCK
 from repro.parallel import SlabExecutor
 from repro.plan import compile_plan
+from repro.results import as_result_slab
 
 TOL = registry.workload("monte_carlo").tolerance
 
@@ -132,3 +135,98 @@ def test_callers_stream_is_never_reordered(serial_ex):
         got = np.asarray(plan.run())
         assert np.max(np.abs(got - _vectorized(payload))) <= TOL
         assert not np.allclose(got, first)
+
+
+def _sorts(fn) -> int:
+    """The ``ndarray.sort`` calls ``fn`` makes in this thread, counted
+    from ``sys.setprofile``'s ``c_call`` events (the collector is off,
+    so no finalizer's calls count)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and getattr(arg, "__name__", "") == "sort":
+            count += 1
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return count
+
+
+@pytest.fixture(scope="module", params=["serial", "thread", "process",
+                                        "daemon"])
+def any_ex(request):
+    with SlabExecutor(request.param, n_workers=2,
+                      slab_bytes=256 * 1024) as ex:
+        yield ex
+
+
+@pytest.mark.parametrize("tier", ["parallel", "greeks"])
+class TestSortOnlyOnChange:
+    """A warm run re-sorts the stream only when it changed, and its
+    price is then a fresh compile's on the changed stream."""
+
+    @staticmethod
+    def _payload(seed: int) -> dict:
+        payload = registry.workload("monte_carlo").build(SMALL_SIZES,
+                                                         seed=seed)
+        payload["randoms"][5] = 0.0         # for the -0.0 flip
+        return payload
+
+    @staticmethod
+    def _digest(plan) -> str:
+        return as_result_slab(plan.run(), plan.impl.outputs).digest()
+
+    def _fresh(self, tier, payload, ex) -> str:
+        payload = {**payload, "randoms": payload["randoms"].copy()}
+        with compile_plan("monte_carlo", tier, payload,
+                          backend=ex.backend, executor=ex) as plan:
+            return self._digest(plan)
+
+    def _census(self, plan) -> tuple:
+        got = []
+        sorts = _sorts(lambda: got.append(self._digest(plan)))
+        return sorts, got[0]
+
+    def test_unchanged_stream_is_not_sorted_again(self, tier, any_ex):
+        with compile_plan("monte_carlo", tier, self._payload(4),
+                          backend=any_ex.backend, executor=any_ex) as plan:
+            assert self._census(plan)[0] == 1
+            first = self._digest(plan)
+            assert self._census(plan) == (0, first)
+
+    @pytest.mark.parametrize("edit", ["scale", "negative_zero"])
+    def test_in_place_edit_sorts_once(self, tier, edit, any_ex):
+        with compile_plan("monte_carlo", tier, self._payload(4),
+                          backend=any_ex.backend, executor=any_ex) as plan:
+            before = self._digest(plan)
+            z = plan.payload["randoms"]
+            if edit == "scale":
+                z[17] *= 0.5
+            else:
+                z[5] = -0.0
+            sorts, got = self._census(plan)
+            assert sorts == 1
+            assert got == self._fresh(tier, plan.payload, any_ex)
+            if edit == "scale":
+                assert got != before
+            assert self._census(plan) == (0, got)
+
+    def test_rebind_sorts_once(self, tier, any_ex):
+        new = self._payload(9)
+        with compile_plan("monte_carlo", tier, self._payload(4),
+                          backend=any_ex.backend, executor=any_ex) as plan:
+            self._digest(plan)
+            got = []
+            sorts = _sorts(lambda: got.append(as_result_slab(
+                plan.run(new), plan.impl.outputs).digest()))
+            assert sorts == 1
+            assert got[0] == self._fresh(tier, new, any_ex)

@@ -71,7 +71,7 @@ class TestRebind:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_new_numbers_same_plan(self, backend):
         # Same shape, different seed: rebind streams the new arrays in
-        # (the sorted stream is derived from them on every run).
+        # (the run that finds the stream changed re-sorts it).
         p1 = build("monte_carlo", seed=2012)
         p2 = build("monte_carlo", seed=7)
         with SlabExecutor("serial", n_workers=2,
