@@ -17,13 +17,22 @@ range returns exactly 0 or 1.  Evaluation, per block of at most ``B``
 elements on a per-thread workspace: clamp x to ±L, t = x·J/(2L); the
 nearest node is read off ``t + 1.5·2^52``, whose low mantissa bits are
 rint(t) (no float-to-int cast, so no cast buffer and no warning on
-NaN); u = t - rint(t) exactly; one gather of the coefficient rows and
-four Horner steps.  Every step is elementwise, so blocking never
-changes a bit.  Max absolute error 4.4e-16 against ``mpmath.ncdf``.
+NaN); u = t - rint(t) exactly; two gathers and four Horner steps.  The
+gathers read two read-only arrays derived from ``TABLE``: ``C0`` (its
+row c_0) and ``TAYLOR``, the ``(J + 1, K)`` row-major block of
+c_1..c_K, whose 32-byte rows numpy's ``take`` copies as one item.  So
+an element touches one cache line for its four Taylor coefficients
+where a column gather of the ``(K + 1, J + 1)`` table touches five (the
+paper's AOS-gather argument, Sec. IV).  Horner then runs in the same
+order on the same operands, so the result does not depend on the
+layout.  Every step is elementwise, so blocking never changes a bit.
+Max absolute error 4.4e-16 against ``mpmath.ncdf``.
 
 Sweep at 400k elements, 2-vCPU Xeon, 2 MiB private L2 per core (sysfs
 ``index2``; lscpu's 4 MiB is the sum over two instances): J = 4096, K = 4
-is a 164 KB table at ~9 ns/element, against ~18 for the erf route.
+is a 164 KB table at ~9 ns/element, against ~18 for the erf route
+(the row gather: 190k elements, 13.2-13.3 ns/element with the column
+gather, 10.6-12.0 with the row gather, 2-vCPU Xeon, contended).
 J = 32768, K = 3 saves a Horner step but its 1 MB table's gathers
 evict the serving thread's working set (``serve_steady`` ops/s -5 %).
 B = 8192 keeps the 512 KB workspace in the private L2.
@@ -69,17 +78,25 @@ def _build_table() -> np.ndarray:
 
 TABLE = _build_table()
 TABLE.setflags(write=False)
+#: The gathered layout: ``C0[j] = TABLE[0, j]``, ``TAYLOR[j, k - 1] =
+#: TABLE[k, j]`` for k = 1..K.
+C0 = TABLE[0].copy()
+TAYLOR = np.ascontiguousarray(TABLE[1:].T)
+C0.setflags(write=False)
+TAYLOR.setflags(write=False)
 
 
 class _Workspace(threading.local):
-    """One thread's rows (t, r and its bit view, column, gather) and
-    their views cut to each block length seen, so a warm call builds
-    no views: the serving widths and full blocks recur."""
+    """One thread's rows (t, r and its bit view, column, the gathered
+    c_0 and ``(B, K)`` Taylor block) and their views cut to each block
+    length seen, so a warm call builds no views: the serving widths and
+    full blocks recur."""
 
     def __init__(self):
         r = np.empty(B)
         self.rows = (np.empty(B), r, r.view(np.intp),
-                     np.empty(B, dtype=np.intp), np.empty((K + 1) * B))
+                     np.empty(B, dtype=np.intp), np.empty(B),
+                     np.empty((B, K)))
         self.cuts = {}
 
     def cut(self, m: int) -> tuple:
@@ -87,10 +104,10 @@ class _Workspace(threading.local):
         if views is None:
             if len(self.cuts) >= 64:       # arbitrary tail lengths
                 self.cuts.clear()
-            t, r, bits, i, g = self.rows
-            g = g[:(K + 1) * m].reshape(K + 1, m)
-            views = self.cuts[m] = (t[:m], r[:m], bits[:m], i[:m], g,
-                                    tuple(g))
+            t, r, bits, i, c0, g = self.rows
+            c0, g = c0[:m], g[:m]
+            views = self.cuts[m] = (t[:m], r[:m], bits[:m], i[:m], c0, g,
+                                    (c0, *g.T))
         return views
 
 
@@ -115,7 +132,7 @@ def ndtr(x, out: np.ndarray | None = None) -> np.ndarray:
     n = xs.shape[0]
     for s in range(0, n, B):
         m = min(B, n - s)
-        t, r, bits, i, g, rows = _WS.cut(m)
+        t, r, bits, i, c0, g, rows = _WS.cut(m)
         y = ys[s:s + m]
         np.minimum(xs[s:s + m], _HI, out=t)
         np.maximum(t, _LO, out=t)
@@ -124,7 +141,8 @@ def ndtr(x, out: np.ndarray | None = None) -> np.ndarray:
         np.subtract(bits, _BIAS, out=i)       # column = rint(t) + J/2
         r -= _ROUND
         t -= r                                # u in [-1/2, 1/2], exact
-        TABLE.take(i, axis=1, out=g, mode="clip")
+        C0.take(i, out=c0, mode="clip")
+        TAYLOR.take(i, axis=0, out=g, mode="clip")
         np.multiply(rows[K], t, out=y)
         for k in range(K - 1, 0, -1):
             y += rows[k]

@@ -1,6 +1,7 @@
 """The table-driven normal CDF: accuracy against scipy and mpmath (both
 test-only oracles), edge values, blocking, aliasing, allocation and
-thread safety, and a pinned table."""
+thread safety, a pinned table, and the row gather bit for bit against
+the column layout it replaced."""
 
 import hashlib
 import sys
@@ -13,7 +14,7 @@ import pytest
 from scipy import special
 
 from repro.plan import audit_allocations
-from repro.vmath.ndtr import B, J, L, TABLE, ndtr
+from repro.vmath.ndtr import B, C0, J, K, L, TABLE, TAYLOR, ndtr
 
 ATOL = 1e-15
 
@@ -142,3 +143,46 @@ class TestResources:
         assert not TABLE.flags.writeable
         assert (hashlib.md5(TABLE.tobytes()).hexdigest()
                 == "342a25ad06c9a5df5b2b3421d70cc91c")
+
+
+def _column_reference(x: np.ndarray) -> np.ndarray:
+    """The table CDF evaluated straight from the ``(K + 1, J + 1)``
+    ``TABLE``, one column gather and no blocking: the same Horner
+    steps on the same operands as :func:`ndtr` (finite ``x`` only)."""
+    t = np.clip(x, -L, L) * (J / (2.0 * L))
+    r = np.rint(t)
+    u = t - r
+    g = TABLE[:, r.astype(np.intp) + J // 2]
+    y = g[K] * u
+    for k in range(K - 1, 0, -1):
+        y += g[k]
+        y *= u
+    return y + g[0]
+
+
+class TestRowGather:
+    """``ndtr`` gathers c_1..c_K as one ``TAYLOR`` row per element and
+    c_0 from ``C0``; its outputs are the column layout's bit for bit."""
+
+    def test_derived_arrays_are_the_table(self):
+        assert C0.shape == (J + 1,) and TAYLOR.shape == (J + 1, K)
+        assert TAYLOR.flags.c_contiguous and TAYLOR.strides[0] == 8 * K
+        assert not C0.flags.writeable and not TAYLOR.flags.writeable
+        assert np.array_equal(C0, TABLE[0])
+        assert np.array_equal(TAYLOR.T, TABLE[1:])
+
+    def test_every_block_length_equals_the_column_reference(self, rng_np):
+        """Each length 1..B is a distinct cut of the workspace; the
+        inputs hit every node and both sides of the clamp."""
+        x = rng_np.uniform(-9.5, 9.5, B)
+        x[:J + 1] = np.linspace(-L, L, J + 1)
+        rng_np.shuffle(x)
+        want = _column_reference(x)
+        out = np.empty(B)
+        for m in range(1, B + 1):
+            assert np.array_equal(ndtr(x[:m], out=out[:m]), want[:m]), m
+
+    @pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
+    def test_blocked_calls_equal_the_column_reference(self, n, rng_np):
+        x = rng_np.uniform(-9, 9, n)
+        assert np.array_equal(ndtr(x), _column_reference(x))
