@@ -27,6 +27,8 @@ lane's outputs are bit-for-bit the scalar reference's.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -252,23 +254,47 @@ def raw_into(mt: np.ndarray, mti: int, out: np.ndarray,
     return mti
 
 
+#: Which half of a draw pair's ``uint64`` view holds the first draw:
+#: the low half on a little-endian host, the high half on a big-endian
+#: one.
+A_IS_LOW = sys.byteorder == "little"
+
+
+def fold53(w: np.ndarray, tmp: np.ndarray, a_is_low: bool = A_IS_LOW) -> None:
+    """Fold each draw pair ``(a, b)``, viewed as one ``uint64`` in
+    ``w``, into ``((a >> 5) << 26) | (b >> 6)`` in place — exactly
+    ``(a >> 5)·2^26 + (b >> 6) < 2^53``, so it converts to float64
+    exactly.  ``a_is_low`` says which half holds ``a``; ``tmp`` is
+    ``uint64`` scratch shaped like ``w``."""
+    if a_is_low:                                        # w = b·2^32 + a
+        np.right_shift(w, np.uint64(38), out=tmp)        # b >> 6
+        np.bitwise_and(w, np.uint64(0xFFFFFFE0), out=w)  # (a >> 5) << 5
+        np.left_shift(w, np.uint64(21), out=w)
+    else:                                               # w = a·2^32 + b
+        np.bitwise_and(w, np.uint64(0xFFFFFFFF), out=tmp)     # b
+        np.right_shift(tmp, np.uint64(6), out=tmp)       # b >> 6
+        np.right_shift(w, np.uint64(37), out=w)          # a >> 5
+        np.left_shift(w, np.uint64(26), out=w)
+    np.bitwise_or(w, tmp, out=w)
+
+
 def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
                    ws: np.ndarray) -> int:
     """``genrand_res53`` of every lane into ``out`` (float64, ``n``
     doubles along the last axis), one 624-word block at a time: the
-    two-draw fold ``(a·2^26 + b) / 2^53``, every step exact in float64,
-    so doubles are bit-identical to :meth:`MT19937.uniform53`."""
+    tempered block ``ws[2]`` is read as 312 ``uint64`` draw pairs,
+    :func:`fold53` forms ``a·2^26 + b`` (``a``, ``b`` shifted right by
+    5 and 6) in integers, and one multiply by 2^-53 converts it.  Every
+    step is exact, so doubles are bit-identical to
+    :meth:`MT19937.uniform53`."""
     n = out.shape[-1]
+    pairs, tmp = ws[2].view(np.uint64), ws[1].view(np.uint64)
     for c in range(0, n, _HALF):
         k = min(_HALF, n - c)
-        r = ws[2][..., :2 * k]
-        mti = raw_into(mt, mti, r, ws)
-        ev, od, o = r[..., 0::2], r[..., 1::2], out[..., c:c + k]
-        np.right_shift(ev, np.uint32(5), out=ev)
-        np.right_shift(od, np.uint32(6), out=od)
-        np.multiply(ev, 67108864.0, out=o)
-        np.add(o, od, out=o)
-        np.multiply(o, 1.0 / 9007199254740992.0, out=o)
+        mti = raw_into(mt, mti, ws[2][..., :2 * k], ws)
+        w = pairs[..., :k]
+        fold53(w, tmp[..., :k])
+        np.multiply(w, 1.0 / 9007199254740992.0, out=out[..., c:c + k])
     return mti
 
 

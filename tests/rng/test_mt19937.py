@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.kernels.rng_kernel import ScalarMT19937
 from repro.rng import MT19937
-from repro.rng.mt19937 import (LANES, advance_window, block_workspace,
-                               lane_passes, snapshot_lanes, twist_inplace,
+from repro.rng.mt19937 import (A_IS_LOW, LANES, advance_window,
+                               block_workspace, fold53, lane_passes,
+                               snapshot_lanes, twist_inplace,
                                uniform53_into, uniform53_lanes)
 from repro.validation import (MT19937_ARRAY_SEED_FIRST,
                               MT19937_SEED_5489_FIRST)
@@ -151,6 +152,57 @@ class TestLaneGenerator:
         ws = block_workspace(4)
         with pytest.raises(ConfigurationError):
             twist_inplace(np.zeros((4, 1248), np.uint32)[:, ::2], ws)
+
+
+class TestPairFold:
+    """``uniform53_into`` folds each draw pair as one ``uint64``; its
+    doubles are the scalar reference's bit for bit."""
+
+    @pytest.mark.parametrize("start", [0, 1, 7, 623])
+    @pytest.mark.parametrize("n", [1, 2, 311, 312, 313, 3 * 312 + 155])
+    def test_equals_scalar_reference_with_tail(self, start, n):
+        # ``start`` raw draws first: the block starts mid-state, and
+        # ``n`` leaves a sub-block tail (or none).
+        g, ref = MT19937(21), ScalarMT19937(21)
+        g.raw(start)
+        ref.raw(start)
+        mt, mti = g.state()
+        out = np.empty(n)
+        uniform53_into(mt, mti, out, block_workspace())
+        assert np.array_equal(out, ref.uniform53(n))
+
+    def test_lanes_equal_scalar_reference(self):
+        # Four lanes, each 2 blocks and a 100-double tail deep.
+        k = 2 * 312 + 100
+        w, mti = MT19937(8).state()
+        walk_ws, ws = block_workspace(), block_workspace(4)
+        advance_window(w, mti, walk_ws)
+        lanes = np.empty((4, 624), np.uint32)
+        for i in range(4):
+            lanes[i] = w
+            advance_window(w, 2 * k, walk_ws)
+        out = np.empty((4, k))
+        uniform53_into(lanes, 0, out, ws)
+        assert np.array_equal(out.ravel(), ScalarMT19937(8).uniform53(4 * k))
+
+    @pytest.mark.parametrize("a_is_low", [True, False])
+    def test_fold_reads_either_half_order(self, a_is_low):
+        """The fold on the big-endian word order is checked on any host
+        by building that order's 64-bit values arithmetically."""
+        draws = np.random.default_rng(2).integers(0, 2 ** 32, (2, 999),
+                                                  dtype=np.uint64)
+        draws[:, :4] = [[0, 2 ** 32 - 1, 31, 2 ** 32 - 32],
+                        [2 ** 32 - 1, 0, 63, 64]]
+        a, b = draws
+        hi, lo = (b, a) if a_is_low else (a, b)
+        w = (hi << np.uint64(32)) | lo
+        fold53(w, np.empty_like(w), a_is_low)
+        want = (a >> np.uint64(5)) * np.uint64(2 ** 26) + (b >> np.uint64(6))
+        assert np.array_equal(w, want) and int(w.max()) < 2 ** 53
+
+    def test_host_order_is_decided(self):
+        pair = np.array([1, 2], np.uint32).view(np.uint64)[0]
+        assert int(pair) == (1 + (2 << 32) if A_IS_LOW else (1 << 32) + 2)
 
 
 class TestDistribution:
