@@ -19,12 +19,14 @@ gateway binds the staging to it (:meth:`~Staging.bind`) once the plan
 is compiled, so every later batch is packed into the memory the workers
 read in place: one copy per batch, never a second.
 
-Both halves are per batch, not per request: :meth:`~Staging.pack` is
-one concatenation per S/X/T column and one repeat-by-sizes of the
-rate/vol pairs, and :meth:`~Staging.scatter` is one bulk copy of every
-output's used columns into one block, whatever the number of requests
-(the paper's Sec. IV step from a per-element outer loop to whole
-vectors, taken on the host side).
+Both halves are per batch, not per request: from
+:data:`PACK_LOOP_BELOW` requests up :meth:`~Staging.pack` is one
+concatenation per S/X/T column and one repeat-by-sizes of the rate/vol
+pairs (fewer requests are cheaper as five slice writes each), and
+:meth:`~Staging.scatter` is one bulk copy of every output's used
+columns into one block, whatever the number of requests (the paper's
+Sec. IV step from a per-element outer loop to whole vectors, taken on
+the host side).
 
 :meth:`~Staging.pack` records the packed total, and the gateway runs
 the plan with it as the live length (``plan.run(n=total)``): the packed
@@ -45,6 +47,12 @@ from ..errors import GatewayError
 from ..results import as_result_slab
 from .request import GatewayResult
 from .workloads import TierAdapter, make_staging_payload
+
+
+#: Below this many requests :meth:`Staging.pack` writes each request's
+#: five slices instead of making the batch calls (the measured
+#: break-even is in :meth:`Staging.pack`).
+PACK_LOOP_BELOW = 7
 
 
 def bucket_width(total: int, min_bucket: int = 64,
@@ -104,11 +112,13 @@ class Staging:
     def pack(self, requests) -> list:
         """Write the requests' contracts into :attr:`batch`,
         back-to-back from offset 0, and record their total; returns the
-        ``[a, b)`` segment per request.  A fixed number of numpy calls
-        whatever the number of requests: one concatenation per S/X/T
-        column and one repeat-by-sizes for both rate/vol columns (a
-        lone request is five slice writes).  A total past the width
-        raises before anything is written."""
+        ``[a, b)`` segment per request.  From :data:`PACK_LOOP_BELOW`
+        requests up, a fixed number of numpy calls whatever the number
+        of requests: one concatenation per S/X/T column and one
+        repeat-by-sizes for both rate/vol columns.  Fewer requests are
+        five slice writes each, which cost less than those calls' fixed
+        overhead.  A total past the width raises before anything is
+        written."""
         sizes = [req.n for req in requests]
         ends = list(accumulate(sizes))
         total = ends[-1] if ends else 0
@@ -117,15 +127,19 @@ class Staging:
                 f"packed {total} options into width-{self.width} "
                 f"staging; flush split is broken")
         S, X, T, rate, vol = self._columns
-        if len(sizes) == 1:
-            # A lone request (light load): five slice writes cost less
-            # than the batch calls' fixed overhead.
-            req = requests[0]
-            S[:total] = req.S
-            X[:total] = req.X
-            T[:total] = req.T
-            rate[:total] = req.rate
-            vol[:total] = req.vol
+        starts = [0, *ends[:-1]]
+        if len(sizes) < PACK_LOOP_BELOW:
+            # Break-even: in-process A/B of the two branches, 8-64
+            # options a request, median of 41 interleaved rounds of 200
+            # packs (2-vCPU Xeon), loop against batch calls, µs: 1 req
+            # 5.4/11.5, 2 7.7/12.6, 4 7.8/9.4, 5 9.1/10.0, 6 11.0/11.0,
+            # 7 12.2/11.7, 8 14.3/12.8, 12 19.9/15.6.
+            for req, a, b in zip(requests, starts, ends):
+                S[a:b] = req.S
+                X[a:b] = req.X
+                T[a:b] = req.T
+                rate[a:b] = req.rate
+                vol[a:b] = req.vol
         elif total:
             np.concatenate([req.S for req in requests], out=S[:total])
             np.concatenate([req.X for req in requests], out=X[:total])
@@ -138,7 +152,7 @@ class Staging:
             vol[:total] = cols[total:]
         self.packs += 1
         self.total = total
-        return list(zip([0, *ends[:-1]], ends))
+        return list(zip(starts, ends))
 
     def scatter(self, value, offsets) -> list:
         """Slice the fused batch's result back per request.

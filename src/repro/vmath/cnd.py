@@ -20,9 +20,13 @@ _INV_SQRT_2PI = 0.3989422804014327
 
 def vcnd(x, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal CDF, tail-accurate (via erfc). ``out`` receives
-    the result in place (aliasing ``x`` is allowed)."""
+    the result in place (aliasing ``x`` is allowed) and carries the
+    ``-x/√2`` argument, so ``vcnd`` adds no temporary to erfc's."""
     x = np.asarray(x, dtype=DTYPE)
-    res = verfc(-x * _INV_SQRT2, out=out)
+    if out is None:
+        out = np.empty(x.shape)
+    np.multiply(x, -_INV_SQRT2, out=out)
+    res = verfc(out, out=out)
     res *= 0.5
     return res
 

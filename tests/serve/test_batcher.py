@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import GatewayError
 from repro.parallel import SlabExecutor
 from repro.plan import compile_plan
-from repro.serve import PricingRequest, Staging, bucket_width
+from repro.serve import PricingRequest, Staging, batcher, bucket_width
 from repro.serve.workloads import (adapter_for, batchable_tiers,
                                    reference_result)
 
@@ -150,6 +150,24 @@ class TestBatchPack:
         for name in COLUMNS:
             assert getattr(got.batch, name).tobytes() == \
                 getattr(want.batch, name).tobytes(), name
+
+    @pytest.mark.parametrize("n_req", range(1, 11))
+    def test_both_branches_write_identical_columns(self, n_req,
+                                                   monkeypatch):
+        """The per-request slice writes (below ``PACK_LOOP_BELOW``) and
+        the batch calls pack the same bytes, forced either way."""
+        gen = np.random.default_rng(n_req)
+        reqs = [_req(int(gen.integers(1, 7)), lo=10.0 + i, rate=0.01 * i,
+                     vol=0.1 + 0.02 * i) for i in range(n_req)]
+        packed = {}
+        for branch, below in (("loop", n_req + 1), ("batch", 0)):
+            monkeypatch.setattr(batcher, "PACK_LOOP_BELOW", below)
+            st_ = self._staging()
+            st_.batch.S[:] = 7.0          # stale contents past the total
+            offsets = st_.pack(reqs)
+            packed[branch] = (offsets, st_.total, [
+                getattr(st_.batch, name).tobytes() for name in COLUMNS])
+        assert packed["loop"] == packed["batch"]
 
     def test_oversize_batch_writes_nothing(self):
         st_ = self._staging(width=64)
@@ -411,13 +429,17 @@ class _Litter:
 
 class TestBatchCallCensus:
     """Structural, no clock: one pack plus one scatter make as many
-    calls for 32 requests as for 2."""
+    calls for 32 requests as for ``PACK_LOOP_BELOW``, and as many for
+    ``PACK_LOOP_BELOW - 1`` as for 1 (the per-request slice writes make
+    no call)."""
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_calls_do_not_grow_with_requests(self, tier):
         counts = {}
+        loop_max, batch_min = batcher.PACK_LOOP_BELOW - 1, \
+            batcher.PACK_LOOP_BELOW
         with SlabExecutor("serial") as ex:
-            for n_req in (2, 32):
+            for n_req in (1, loop_max, batch_min, 32):
                 reqs = [_req(4, tier=tier, rate=0.01 * (i + 1))
                         for i in range(n_req)]
                 st_ = Staging(adapter_for("black_scholes", tier),
@@ -431,7 +453,8 @@ class TestBatchCallCensus:
 
                     batch()
                     counts[n_req] = _numpy_calls(batch)
-        assert counts[2] == counts[32], counts
+        assert counts[1] == counts[loop_max], counts
+        assert counts[batch_min] == counts[32], counts
 
     def test_earlier_garbage_is_not_counted(self):
         """Cyclic garbage left before one measurement, with a collection

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from repro.plan import audit_allocations
 from repro.vmath import vcnd, verf, verfc, vpdf
 
 
@@ -82,6 +83,25 @@ class TestCnd:
     def test_monotone(self):
         x = np.linspace(-8, 8, 100_001)
         assert np.all(np.diff(vcnd(x)) >= 0)
+
+
+class TestCndOut:
+    def test_out_and_aliasing_match(self, rng_np):
+        x = rng_np.uniform(-9, 9, 5000)
+        want = vcnd(x)
+        out = np.empty_like(x)
+        assert vcnd(x, out=out) is out and np.array_equal(out, want)
+        assert vcnd(x, out=x) is x and np.array_equal(x, want)
+
+    def test_argument_goes_through_out(self, rng_np):
+        """``vcnd``'s ``-x/√2`` lives in ``out``: with ``out`` given it
+        holds no new array and peaks no higher than erfc alone."""
+        x = rng_np.uniform(-6, 6, 1 << 15)
+        out = np.empty_like(x)
+        cnd = audit_allocations(lambda: vcnd(x, out=out))
+        erfc = audit_allocations(lambda: verfc(x, out=out))
+        assert cnd.numpy_blocks == 0 and cnd.numpy_bytes == 0
+        assert cnd.peak_bytes <= erfc.peak_bytes + 4096, (cnd, erfc)
 
 
 class TestPdf:

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from repro.errors import DomainError
+from repro.plan import audit_allocations
+from repro.plan.audit import PEAK_NOISE_BUDGET
 from repro.vmath import vcnd, vinvcnd
+from repro.vmath.invcnd import B
 
 
 class TestAccuracy:
@@ -51,3 +54,39 @@ class TestDomain:
 
     def test_nan_propagates(self):
         assert np.isnan(vinvcnd(np.array([np.nan]))[0])
+
+
+class TestBlockedOut:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_blocked_equals_elementwise(self, n, rng_np):
+        p = rng_np.uniform(0, 1, n)
+        p[:min(n, 4)] = [0.0, 1.0, np.nan, 0.5][:min(n, 4)]
+        whole = vinvcnd(p)
+        assert whole.shape == (n,)
+        pieces = [vinvcnd(p[i:i + 997]) for i in range(0, n, 997)]
+        assert np.array_equal(whole, np.concatenate(pieces or [whole]),
+                              equal_nan=True)
+
+    def test_out_aliasing_and_strided_out(self, rng_np):
+        p = rng_np.uniform(0, 1, 2 * B + 3)
+        want = vinvcnd(p)
+        out = np.empty(2 * p.size)[::2]
+        assert vinvcnd(p, out=out) is out and np.array_equal(out, want)
+        assert vinvcnd(p, out=p) is p and np.array_equal(p, want)
+
+    def test_shape_kept(self, rng_np):
+        p = rng_np.uniform(0, 1, (3, 5))
+        assert np.array_equal(vinvcnd(p), vinvcnd(p.ravel()).reshape(3, 5))
+
+    def test_outside_rejected_next_to_nan(self):
+        with pytest.raises(DomainError):
+            vinvcnd(np.array([np.nan, -0.1]))
+
+    def test_warm_call_allocates_nothing(self, rng_np):
+        """With ``out`` given a call holds no new array, and its
+        transient peak is the block's, not ``p``'s (16 blocks here)."""
+        p = rng_np.uniform(0, 1, 16 * B + 7)
+        out = np.empty_like(p)
+        audit = audit_allocations(lambda: vinvcnd(p, out=out))
+        assert audit.numpy_blocks == 0 and audit.numpy_bytes == 0
+        assert audit.peak_bytes <= PEAK_NOISE_BUDGET, audit
