@@ -1,5 +1,8 @@
 """Inverse normal CDF tests."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,3 +93,23 @@ class TestBlockedOut:
         audit = audit_allocations(lambda: vinvcnd(p, out=out))
         assert audit.numpy_blocks == 0 and audit.numpy_bytes == 0
         assert audit.peak_bytes <= PEAK_NOISE_BUDGET, audit
+
+    def test_threads_get_identical_bytes(self, rng_np):
+        """The block workspace is per thread: four threads evaluating at
+        once, switching every microsecond, produce the serial result."""
+        p = rng_np.uniform(0, 1, 2 * B + 7)
+        want = vinvcnd(p).tobytes()
+
+        def work(_):
+            out = np.empty_like(p)
+            return [vinvcnd(p, out=out).tobytes() for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work, k) for k in range(4)]
+                got = [b for f in futures for b in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 20 and all(b == want for b in got)
