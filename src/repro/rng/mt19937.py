@@ -271,7 +271,7 @@ def fold53(w: np.ndarray, tmp: np.ndarray, a_is_low: bool = A_IS_LOW) -> None:
         np.bitwise_and(w, np.uint64(0xFFFFFFE0), out=w)  # (a >> 5) << 5
         np.left_shift(w, np.uint64(21), out=w)
     else:                                               # w = a·2^32 + b
-        np.bitwise_and(w, np.uint64(0xFFFFFFFF), out=tmp)     # b
+        np.bitwise_and(w, np.uint64(0xFFFFFFFF), out=tmp)  # b
         np.right_shift(tmp, np.uint64(6), out=tmp)       # b >> 6
         np.right_shift(w, np.uint64(37), out=w)          # a >> 5
         np.left_shift(w, np.uint64(26), out=w)
@@ -288,7 +288,7 @@ def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
     step is exact, so doubles are bit-identical to
     :meth:`MT19937.uniform53`."""
     n = out.shape[-1]
-    pairs, tmp = ws[2].view(np.uint64), ws[1].view(np.uint64)
+    tmp, pairs = ws[1:3].view(np.uint64)
     for c in range(0, n, _HALF):
         k = min(_HALF, n - c)
         mti = raw_into(mt, mti, ws[2][..., :2 * k], ws)
