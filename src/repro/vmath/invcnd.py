@@ -31,7 +31,7 @@ _HALLEY_ITERS = 3
 #: Block length: each block's own rows (five float64, one bool) are a
 #: per-thread workspace, and the erfc/exp inside ``vcnd``/``vpdf``
 #: allocate block-sized temporaries, so a call's transient peak is a
-#: constant (~170 KB at 2048), however long ``p`` is.
+#: constant (~150 KB at 2048), however long ``p`` is.
 B = 2048
 
 

@@ -21,18 +21,19 @@ NaN); u = t - rint(t) exactly; two gathers and four Horner steps.  The
 gathers read two read-only arrays derived from ``TABLE``: ``C0`` (its
 row c_0) and ``TAYLOR``, the ``(J + 1, K)`` row-major block of
 c_1..c_K, whose 32-byte rows numpy's ``take`` copies as one item.  So
-an element touches one cache line for its four Taylor coefficients
-where a column gather of the ``(K + 1, J + 1)`` table touches five (the
-paper's AOS-gather argument, Sec. IV).  Horner then runs in the same
+an element touches two cache lines (its ``TAYLOR`` row and its ``C0``
+entry) where a column gather of the ``(K + 1, J + 1)`` table touches
+five (the paper's AOS-gather argument, Sec. IV).  Horner then runs in the same
 order on the same operands, so the result does not depend on the
 layout.  Every step is elementwise, so blocking never changes a bit.
 Max absolute error 4.4e-16 against ``mpmath.ncdf``.
 
 Sweep at 400k elements, 2-vCPU Xeon, 2 MiB private L2 per core (sysfs
 ``index2``; lscpu's 4 MiB is the sum over two instances): J = 4096, K = 4
-is a 164 KB table at ~9 ns/element, against ~18 for the erf route
-(the row gather: 190k elements, 13.2-13.3 ns/element with the column
-gather, 10.6-12.0 with the row gather, 2-vCPU Xeon, contended).
+is a 164 KB table at ~9 ns/element, against ~18 for the erf route.
+On 800k normals the row gather takes 6.3-6.7 ms against 7.1-7.8 for
+the column gather (same host, contended; EXPERIMENTS.md, "batch_kernels:
+sort on change, row gather, 64-bit fold").
 J = 32768, K = 3 saves a Horner step but its 1 MB table's gathers
 evict the serving thread's working set (``serve_steady`` ops/s -5 %).
 B = 8192 keeps the 512 KB workspace in the private L2.
