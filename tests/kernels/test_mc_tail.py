@@ -2,9 +2,10 @@
 
 The ``parallel`` and ``greeks`` tiers keep a sorted copy of the shared
 stream, re-sorted only on a run that finds the stream changed, and
-evaluate each option over the draws above its threshold ``z*``.  That changes the summation order, so they agree
-with the paper's vectorized chain (``price_stream``) within the
-workload tolerance, not bit for bit.  Inputs are checked first: a NaN
+evaluate each option over the draws above its threshold ``z*``.  That
+changes the summation order, so they agree with the paper's vectorized
+chain (``price_stream``) within the workload tolerance, not bit for
+bit.  Inputs are checked first: a NaN
 would otherwise pass every positivity test and price silently.
 """
 
@@ -182,8 +183,8 @@ class TestSortOnlyOnChange:
         return payload
 
     @staticmethod
-    def _digest(plan) -> str:
-        return as_result_slab(plan.run(), plan.impl.outputs).digest()
+    def _digest(plan, payload=None) -> str:
+        return as_result_slab(plan.run(payload), plan.impl.outputs).digest()
 
     def _fresh(self, tier, payload, ex) -> str:
         payload = {**payload, "randoms": payload["randoms"].copy()}
@@ -191,9 +192,10 @@ class TestSortOnlyOnChange:
                           backend=ex.backend, executor=ex) as plan:
             return self._digest(plan)
 
-    def _census(self, plan) -> tuple:
+    def _census(self, plan, payload=None) -> tuple:
+        """(sort calls, result digest) of one run."""
         got = []
-        sorts = _sorts(lambda: got.append(self._digest(plan)))
+        sorts = _sorts(lambda: got.append(self._digest(plan, payload)))
         return sorts, got[0]
 
     def test_unchanged_stream_is_not_sorted_again(self, tier, any_ex):
@@ -225,8 +227,6 @@ class TestSortOnlyOnChange:
         with compile_plan("monte_carlo", tier, self._payload(4),
                           backend=any_ex.backend, executor=any_ex) as plan:
             self._digest(plan)
-            got = []
-            sorts = _sorts(lambda: got.append(as_result_slab(
-                plan.run(new), plan.impl.outputs).digest()))
+            sorts, got = self._census(plan, new)
             assert sorts == 1
-            assert got[0] == self._fresh(tier, new, any_ex)
+            assert got == self._fresh(tier, new, any_ex)
