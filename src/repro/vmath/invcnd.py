@@ -31,8 +31,11 @@ _HALLEY_ITERS = 3
 #: Block length: each block's own rows (five float64, one bool) are a
 #: per-thread workspace, and the erfc/exp inside ``vcnd``/``vpdf``
 #: allocate block-sized temporaries, so a call's transient peak is a
-#: constant (~150 KB at 2048), however long ``p`` is.
-B = 2048
+#: constant (~590 KB at 8192), however long ``p`` is.  Each block pays
+#: ~1000 ufunc calls, so shorter blocks cost time: at 65 536 inputs
+#: (in-process, 2-vCPU host, three interleaved rounds, ns/element)
+#: 2048 1197-1307, 8192 998-1346, 16384 952-997, unblocked 1092-1406.
+B = 8192
 
 
 class _Workspace(threading.local):
