@@ -18,12 +18,12 @@ completion), and ``speedup`` is the ratio the >= 5x mark
 (``gate_5x``, reported, never an exit code) reads.
 
 **Latency** — one row per arrival rate, each a fresh default gateway
-under Poisson load; the row records sustained req/s (the arrival
-schedule sets it below saturation), p50/p99/p999 latency timed from
+under Poisson load; the row records p50/p99/p999 latency timed from
 each request's *due* time, ``late_p99_ms`` (how late the generator
-sent), the batch-size distribution and sheds.  Like ``gate_5x`` these
-are reported figures: perfbench's ``serve_*`` workloads own capacity
-and latency verdicts.
+sent), the batch-size distribution and sheds.  It records no req/s:
+below saturation that is the arrival schedule's own rate.  Like
+``gate_5x`` these are reported figures: perfbench's ``serve_*``
+workloads own capacity and latency verdicts.
 
 Before either phase times anything, each gateway compiles every
 canonical width its traffic can reach (:func:`_reachable_widths`), so
@@ -213,7 +213,6 @@ def _measure(backend, n_workers, kernel, tier, n_clients,
             "n_ok": load["n_ok"],
             "n_shed": load["n_shed"],
             "n_error": load["n_error"],
-            "sustained_rps": round(load["sustained_rps"], 2),
             "latency_ms": latency_summary(
                 [r["latency_s"] for r in load["records"] if r["ok"]],
                 scale=1e3, suffix="_ms"),
@@ -253,7 +252,7 @@ def serving_result(data: dict):
     for r in data["latency"]:
         lat = r["latency_ms"]
         rows.append((
-            r["rate_rps"], r["n_ok"], r["n_shed"], r["sustained_rps"],
+            r["rate_rps"], r["n_ok"], r["n_shed"],
             round(lat.get("p50_ms", 0.0), 2),
             round(lat.get("p99_ms", 0.0), 2),
             round(lat.get("p999_ms", 0.0), 2),
@@ -263,8 +262,8 @@ def serving_result(data: dict):
         exp_id="serving",
         title="Serving loadtest: open-loop Poisson arrivals vs "
               "dynamic micro-batching",
-        headers=("rate req/s", "ok", "shed", "req/s",
-                 "p50 ms", "p99 ms", "p999 ms"),
+        headers=("rate req/s", "ok", "shed", "p50 ms", "p99 ms",
+                 "p999 ms"),
         rows=rows,
         notes=[
             f"{data['kernel']}/{data['tier']} backend={data['backend']} "

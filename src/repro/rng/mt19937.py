@@ -119,11 +119,18 @@ class MT19937:
 
     def uniform53(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 53-bit resolution
-        (``genrand_res53``: two 32-bit draws per double)."""
-        r = self.raw(2 * n).astype(np.uint64)
-        a = r[0::2] >> np.uint64(5)
-        b = r[1::2] >> np.uint64(6)
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        (``genrand_res53``: two 32-bit draws per double).  The ``2n``
+        draws land in one ``uint64`` buffer, :func:`fold53` folds each
+        pair in place, and the result is that buffer scaled to float64
+        in place."""
+        if n < 0:
+            raise ConfigurationError("n must be non-negative")
+        w = np.empty(n, dtype=np.uint64)
+        self._mti = raw_into(self._mt, self._mti, w.view(np.uint32),
+                             self._ws)
+        fold53(w, np.empty_like(w))
+        return np.multiply(w, 1.0 / 9007199254740992.0,
+                           out=w.view(np.float64))
 
     def uniform32(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 32-bit resolution (one draw per
@@ -285,8 +292,10 @@ def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
     tempered block ``ws[2]`` is read as 312 ``uint64`` draw pairs,
     :func:`fold53` forms ``a·2^26 + b`` (``a``, ``b`` shifted right by
     5 and 6) in integers, and one multiply by 2^-53 converts it.  Every
-    step is exact, so doubles are bit-identical to
-    :meth:`MT19937.uniform53`."""
+    step is exact, so doubles are bit-identical to the scalar
+    ``genrand_res53`` reference
+    (:class:`~repro.kernels.rng_kernel.ScalarMT19937`); the fold is the
+    one :meth:`MT19937.uniform53` runs on its whole buffer."""
     n = out.shape[-1]
     tmp, pairs = ws[1:3].view(np.uint64)
     for c in range(0, n, _HALF):

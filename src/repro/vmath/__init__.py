@@ -12,5 +12,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".invcnd": ("vinvcnd",),
     ".log": ("vlog",),
     ".poly": ("estrin", "estrin_depth", "horner", "horner_depth"),
-    ".trig": ("box_muller_scratch", "vcos", "vsin", "vsincos"),
 })

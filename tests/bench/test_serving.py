@@ -29,6 +29,8 @@ class TestMeasureServing:
         for row in data["latency"]:
             assert row["n_ok"] + row["n_shed"] + row["n_error"] == 12
             assert row["late_p99_ms"] >= 0.0
+            # Below saturation req/s is the schedule's rate: not reported.
+            assert "sustained_rps" not in row
 
     def test_no_window_compiles(self, data):
         # Every reachable width compiled before the clock started.

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.kernels.rng_kernel import ScalarMT19937
+from repro.plan.audit import audit_allocations
 from repro.rng import MT19937
 from repro.rng.mt19937 import (A_IS_LOW, LANES, advance_window,
                                block_workspace, fold53, lane_passes,
@@ -203,6 +204,16 @@ class TestPairFold:
     def test_host_order_is_decided(self):
         pair = np.array([1, 2], np.uint32).view(np.uint64)[0]
         assert int(pair) == (1 + (2 << 32) if A_IS_LOW else (1 << 32) + 2)
+
+
+class TestOneFold:
+    def test_uniform53_peak_is_its_buffer_and_fold_scratch(self):
+        # One uint64 buffer of draw pairs, folded by ``fold53`` and
+        # scaled in place: the peak is that buffer plus the fold's
+        # scratch.
+        n = 327_680
+        audit = audit_allocations(lambda: MT19937(5).uniform53(n))
+        assert audit.peak_bytes <= 3 * 8 * n + 64 * 1024
 
 
 class TestDistribution:
