@@ -78,7 +78,7 @@ def sobol_vs_mc() -> None:
     exact = float(bs_call(S0, K, T, r, sig))
 
     def price(paths):
-        st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * paths[:, -1])
+        st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * paths[-1])
         return float(np.exp(-r * T) * np.maximum(st - K, 0.0).mean())
 
     print(f"   exact: {exact:.5f}")

@@ -51,6 +51,11 @@ class BridgeSchedule:
         when every ``w_l``/``w_r`` is exactly ``0.5`` and ``sig`` is
         constant within each level, else ``None``.
         ``dataclasses.replace`` re-derives it.
+    draw_sig:
+        Derived like ``uniform_sig``: the scale of every draw in a
+        path's consumption order, ``last_sig`` first, then level
+        ``d``'s ``sig`` at offsets ``2^d .. 2^{d+1}`` — so one
+        multiply scales a whole block of path-major draws.
     """
 
     depth: int
@@ -61,6 +66,7 @@ class BridgeSchedule:
     last_sig: float
     uniform_sig: tuple | None = field(init=False, repr=False,
                                       compare=False)
+    draw_sig: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         uniform = all((wl == 0.5).all() and (wr == 0.5).all()
@@ -68,6 +74,8 @@ class BridgeSchedule:
                       for wl, wr, sg in zip(self.w_l, self.w_r, self.sig))
         object.__setattr__(self, "uniform_sig", tuple(
             float(sg[0]) for sg in self.sig) if uniform else None)
+        object.__setattr__(self, "draw_sig", np.concatenate(
+            [[self.last_sig], *self.sig]).astype(DTYPE))
 
     @property
     def n_steps(self) -> int:

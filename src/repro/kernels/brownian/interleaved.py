@@ -8,8 +8,8 @@ Sec. IV-C2's two advanced optimizations:
   done. The random stream never touches DRAM.
 * **Cache-to-cache** — when the caller consumes each bridge immediately
   (e.g. a path-dependent pricer), hand blocks to a consumer callback
-  while they are cache-hot instead of writing the full ``(paths, points)``
-  result array.
+  while they are cache-hot instead of writing the full
+  ``(points, paths)`` result array.
 
 Both produce bit-identical values to the reference construction for the
 same logical stream, because blocks partition paths and each path's draws
@@ -45,12 +45,13 @@ def build_interleaved(schedule: BridgeSchedule, normal_source,
     """Build ``n_paths`` bridges, generating normals block by block.
 
     ``normal_source(n)`` must return ``n`` fresh standard normals (e.g.
-    :meth:`repro.rng.NormalGenerator.normals`).
+    :meth:`repro.rng.NormalGenerator.normals`).  Returns step-major
+    ``(n_points, n_paths)``; each block fills its own columns.
     """
     if n_paths < 1 or block_paths < 1:
         raise ConfigurationError("n_paths and block_paths must be >= 1")
     per_path = schedule.randoms_per_path()
-    out = np.empty((n_paths, schedule.n_points), dtype=DTYPE)
+    out = np.empty((schedule.n_points, n_paths), dtype=DTYPE)
     done = 0
     while done < n_paths:
         take = min(block_paths, n_paths - done)
@@ -60,7 +61,7 @@ def build_interleaved(schedule: BridgeSchedule, normal_source,
                 f"normal_source returned shape {z.shape}, wanted "
                 f"({take * per_path},)"
             )
-        build_vectorized(schedule, z, out=out[done:done + take])
+        build_vectorized(schedule, z, out=out[:, done:done + take])
         done += take
     return out
 
@@ -72,8 +73,9 @@ def build_interleaved(schedule: BridgeSchedule, normal_source,
 def build_cache_to_cache(schedule: BridgeSchedule, normal_source,
                          n_paths: int, block_paths: int, consumer) -> None:
     """Interleaved construction that hands each hot block to ``consumer``
-    (a callable taking the ``(block, n_points)`` array) instead of
-    accumulating a result — no full-size output ever exists."""
+    (a callable taking the step-major ``(n_points, block)`` array)
+    instead of accumulating a result — no full-size output ever
+    exists."""
     if n_paths < 1 or block_paths < 1:
         raise ConfigurationError("n_paths and block_paths must be >= 1")
     per_path = schedule.randoms_per_path()

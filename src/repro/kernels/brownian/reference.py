@@ -18,8 +18,9 @@ from .bridge import BridgeSchedule
 def build_reference(schedule: BridgeSchedule, randoms: np.ndarray) -> np.ndarray:
     """Construct bridges for ``sim_n`` paths from a flat random stream.
 
-    ``randoms`` must hold ``sim_n * 2^depth`` normals; returns an array
-    of shape ``(sim_n, n_points)`` (point 0 is always 0).
+    ``randoms`` must hold ``sim_n * 2^depth`` normals; returns the
+    step-major ``(n_points, sim_n)`` array, a column per path (point 0
+    is always 0).
     """
     randoms = np.asarray(randoms, dtype=DTYPE)
     per_path = schedule.randoms_per_path()
@@ -30,7 +31,7 @@ def build_reference(schedule: BridgeSchedule, randoms: np.ndarray) -> np.ndarray
         )
     sim_n = randoms.size // per_path
     n_pts = schedule.n_points
-    out = np.empty((sim_n, n_pts), dtype=DTYPE)
+    out = np.empty((n_pts, sim_n), dtype=DTYPE)
     src = np.empty(n_pts, dtype=DTYPE)
     dst = np.empty(n_pts, dtype=DTYPE)
     i = 0
@@ -49,5 +50,5 @@ def build_reference(schedule: BridgeSchedule, randoms: np.ndarray) -> np.ndarray
                 dst[2 * c + 2] = src[c + 1]
             src, dst = dst, src
             width *= 2
-        out[s, :] = src[:n_pts]
+        out[:, s] = src[:n_pts]
     return out

@@ -75,12 +75,13 @@ def _scenario_payoff(logs, m, st, alive, pay, spot_factor: float,
 
 def _drift_scale(W, times, vol: float, logs, drift, m, st) -> None:
     """``logs = (r − σ²/2)t + σW`` with running min and exp-terminal,
-    in place (``drift`` is the reusable ``(n_points,)`` row)."""
+    in place, on step-major paths (a row per grid point; ``drift`` is
+    the reusable ``(n_points, 1)`` column)."""
     np.multiply(times, RATE - 0.5 * vol * vol, out=drift)
     np.multiply(W, vol, out=logs)
     logs += drift
-    np.amin(logs, axis=1, out=m)
-    np.exp(logs[:, -1], out=st)
+    np.amin(logs, axis=0, out=m)
+    np.exp(logs[-1], out=st)
 
 
 def _risk_workspace(schedule: BridgeSchedule, lanes: int,
@@ -88,12 +89,13 @@ def _risk_workspace(schedule: BridgeSchedule, lanes: int,
     """One slab's buffers, each from ``reserve(name, shape[, dtype])``
     (:meth:`~repro.plan.WorkspaceArena.reserve`'s signature): the
     bridge block workspace, the slab's bridged and drifted paths and
-    every per-path scenario vector."""
+    every per-path scenario vector.  Paths are step-major
+    ``(n_points, lanes)``, as :func:`bridge_blocks` builds them."""
     n_pts = schedule.n_points
     return {"bridge": bridge_workspace(schedule, lanes, reserve),
-            "W": reserve("W", (lanes, n_pts)),
-            "logs": reserve("logs", (lanes, n_pts)),
-            "drift": reserve("drift", n_pts),
+            "W": reserve("W", (n_pts, lanes)),
+            "logs": reserve("logs", (n_pts, lanes)),
+            "drift": reserve("drift", (n_pts, 1)),
             "m": reserve("m", lanes), "st": reserve("st", lanes),
             "pay": reserve("pay", lanes),
             "alive": reserve("alive", lanes, bool)}
@@ -142,8 +144,9 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
 
 
 def _times(schedule: BridgeSchedule) -> np.ndarray:
+    """Grid times as a column, to broadcast across step-major paths."""
     return np.linspace(0.0, schedule.horizon, schedule.n_points,
-                       dtype=DTYPE)
+                       dtype=DTYPE)[:, None]
 
 
 def barrier_risk_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
@@ -178,11 +181,10 @@ def compile_barrier_risk(schedule: BridgeSchedule, randoms: np.ndarray,
               "df": float(np.exp(-RATE * schedule.horizon))}
     per_slab = None
     if not executor.out_of_process:
-        wss = [_risk_workspace(schedule, b - a, arena.scoped(i))
-               for i, (a, b) in enumerate(
-                   executor.plan(n_paths, _bytes_per_path(schedule)))]
-        per_slab = lambda a, b, i: {"ws": wss[i]}  # noqa: E731
-    dispatch = arena.adopt(executor.compile_shm(
+        def per_slab(a, b, i):
+            return {"ws": _risk_workspace(schedule, b - a,
+                                          arena.scoped(i))}
+    dispatch = arena.adopt(executor.compile_lanes(
         _risk_slab, n_paths, bytes_per_item=_bytes_per_path(schedule),
         sliced={"r": r_src, "price": views["price"],
                 "delta": views["delta"], "vega": views["vega"]},

@@ -4,7 +4,8 @@ The Fig. 6 ladder: scalar reference, SIMD-across-paths vectorized tier,
 interleaved (block-at-a-time RNG consumption), and the slab-parallel
 tier over paths.  The shared workload pre-generates one normal stream;
 the interleaved tier consumes it through an array-backed source in the
-same path-major order, so all four tiers are bit-comparable.
+same path-major order, so all four tiers are bit-comparable.  Every
+tier returns the step-major ``(n_points, n_paths)`` paths, raveled.
 """
 
 from __future__ import annotations

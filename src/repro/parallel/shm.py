@@ -34,7 +34,7 @@ Layout of a dispatch
   executor closed is still valid, and the memory goes when the last
   view does.
 * :class:`ArraySpec` describes one array to a worker: segment name,
-  byte offset, shape, dtype, and whether workers slice it per slab
+  byte offset, shape, strides, dtype, and whether workers slice it per slab
   (``sliced``) or read it whole (shared inputs like a common random
   stream).
 * :func:`run_slab_task` (worker side) attaches segments through a
@@ -91,30 +91,37 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 
 class ArraySpec:
     """Picklable description of one array in a segment (worker view
-    recipe): the array starts ``offset`` bytes into ``segment``."""
+    recipe): the array starts ``offset`` bytes into ``segment`` and
+    steps by ``strides`` (``None``: C order).  A sliced spec is cut
+    along axis 0, so a Fortran-ordered view — the transpose of a
+    C-ordered buffer — hands each slab a range of the buffer's
+    columns."""
 
-    __slots__ = ("segment", "shape", "dtype", "sliced", "offset")
+    __slots__ = ("segment", "shape", "dtype", "sliced", "offset",
+                 "strides")
 
     def __init__(self, segment: str, shape: tuple, dtype: str,
-                 sliced: bool, offset: int = 0):
+                 sliced: bool, offset: int = 0,
+                 strides: tuple | None = None):
         self.segment = segment
         self.shape = shape
         self.dtype = dtype
         self.sliced = sliced
         self.offset = offset
+        self.strides = strides
 
     def view(self, buf) -> np.ndarray:
         """The array over ``buf``, a mapping of :attr:`segment`."""
         return np.ndarray(self.shape, dtype=self.dtype, buffer=buf,
-                          offset=self.offset)
+                          offset=self.offset, strides=self.strides)
 
     def __getstate__(self):
         return (self.segment, self.shape, self.dtype, self.sliced,
-                self.offset)
+                self.offset, self.strides)
 
     def __setstate__(self, state):
         (self.segment, self.shape, self.dtype, self.sliced,
-         self.offset) = state
+         self.offset, self.strides) = state
 
 
 class _Segment:
@@ -208,18 +215,22 @@ class ShmArena:
                          sliced=False)
 
     def locate(self, array: np.ndarray) -> ArraySpec | None:
-        """The spec of ``array`` *in place* when it is C-contiguous and
-        lies in one of this arena's live segments (a workspace-arena
-        buffer or a view of one), else ``None``: such an array is never
-        staged, workers map it where it is."""
-        if array.nbytes == 0 or not array.flags.c_contiguous:
+        """The spec of ``array`` *in place* when it is C- or
+        F-contiguous and lies in one of this arena's live segments (a
+        workspace-arena buffer, a view of one or its transpose), else
+        ``None``: such an array is never staged, workers map it where
+        it is.  Either order starts at the array's data pointer and
+        spans ``nbytes``."""
+        if array.nbytes == 0 or not (array.flags.c_contiguous
+                                     or array.flags.f_contiguous):
             return None
         addr = array.__array_interface__["data"][0]
         for seg in self._segments.values():
             offset = addr - seg.addr
             if 0 <= offset and offset + array.nbytes <= seg.size:
                 return ArraySpec(seg.name, array.shape, array.dtype.str,
-                                 sliced=False, offset=offset)
+                                 sliced=False, offset=offset,
+                                 strides=array.strides)
         return None
 
     def view(self, spec: ArraySpec) -> np.ndarray:

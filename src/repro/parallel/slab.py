@@ -437,8 +437,9 @@ class SlabExecutor:
                       **dispatch) -> "CompiledDispatch":
         """:meth:`compile_shm` for a body that vectorises *across* its
         slab's items and whose results cannot depend on the partition
-        (independent lanes, no per-slab RNG stream): the lattice
-        kernels, where calls per run scale with the number of slabs.
+        (independent lanes, no per-slab RNG stream): the lattice and
+        bridge kernels, where calls per run scale with the number of
+        slabs.
         Slabs that run back to back in the caller gain nothing from
         :meth:`plan`'s worker-aware split and pay for it in calls, so
         there only the cache budget splits them; a pooled dispatch

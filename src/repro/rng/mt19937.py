@@ -114,23 +114,19 @@ class MT19937:
         if n < 0:
             raise ConfigurationError("n must be non-negative")
         out = np.empty(n, dtype=np.uint32)
-        self._mti = raw_into(self._mt, self._mti, out, self._ws)
+        self.raw_into(out)
         return out
+
+    def raw_into(self, out: np.ndarray) -> None:
+        """The next ``out.size`` tempered outputs into the 1-D
+        ``uint32`` array ``out``."""
+        self._mti = raw_into(self._mt, self._mti, out, self._ws)
 
     def uniform53(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 53-bit resolution
-        (``genrand_res53``: two 32-bit draws per double).  The ``2n``
-        draws land in one ``uint64`` buffer, :func:`fold53` folds each
-        pair in place, and the result is that buffer scaled to float64
-        in place."""
-        if n < 0:
-            raise ConfigurationError("n must be non-negative")
-        w = np.empty(n, dtype=np.uint64)
-        self._mti = raw_into(self._mt, self._mti, w.view(np.uint32),
-                             self._ws)
-        fold53(w, np.empty_like(w))
-        return np.multiply(w, 1.0 / 9007199254740992.0,
-                           out=w.view(np.float64))
+        (``genrand_res53``: two 32-bit draws per double), through the
+        module's one :func:`uniform53`."""
+        return uniform53(self, n)
 
     def uniform32(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 32-bit resolution (one draw per
@@ -285,6 +281,23 @@ def fold53(w: np.ndarray, tmp: np.ndarray, a_is_low: bool = A_IS_LOW) -> None:
     np.bitwise_or(w, tmp, out=w)
 
 
+def uniform53(gen, n: int) -> np.ndarray:
+    """``genrand_res53`` of any basic generator with a
+    ``raw_into(out_uint32)`` method (:class:`MT19937`,
+    :class:`~repro.rng.mt2203.MT2203`): ``n`` doubles in [0, 1) from
+    ``2n`` draws.  The draws land in one ``uint64`` buffer,
+    :func:`fold53` folds each pair in place, and the result is that
+    buffer scaled to float64 in place — exact at every step, so
+    bit-identical to the scalar reference."""
+    if n < 0:
+        raise ConfigurationError("n must be non-negative")
+    w = np.empty(n, dtype=np.uint64)
+    gen.raw_into(w.view(np.uint32))
+    fold53(w, np.empty_like(w))
+    return np.multiply(w, 1.0 / 9007199254740992.0,
+                       out=w.view(np.float64))
+
+
 def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
                    ws: np.ndarray) -> int:
     """``genrand_res53`` of every lane into ``out`` (float64, ``n``
@@ -295,7 +308,7 @@ def uniform53_into(mt: np.ndarray, mti: int, out: np.ndarray,
     step is exact, so doubles are bit-identical to the scalar
     ``genrand_res53`` reference
     (:class:`~repro.kernels.rng_kernel.ScalarMT19937`); the fold is the
-    one :meth:`MT19937.uniform53` runs on its whole buffer."""
+    one :func:`uniform53` runs on a whole buffer."""
     n = out.shape[-1]
     tmp, pairs = ws[1:3].view(np.uint64)
     for c in range(0, n, _HALF):

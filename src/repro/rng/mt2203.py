@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from .mt19937 import uniform53
 
 _N = 69
 _M = 34
@@ -121,6 +122,13 @@ class MT2203:
         if n < 0:
             raise ConfigurationError("n must be non-negative")
         out = np.empty(n, dtype=np.uint32)
+        self.raw_into(out)
+        return out
+
+    def raw_into(self, out: np.ndarray) -> None:
+        """The next ``out.size`` tempered outputs into the 1-D
+        ``uint32`` array ``out``, one 69-word state block at a time."""
+        n = out.shape[0]
         filled = 0
         while filled < n:
             if self._mti >= _N:
@@ -132,14 +140,11 @@ class MT2203:
             )
             self._mti += take
             filled += take
-        return out
 
     def uniform53(self, n: int) -> np.ndarray:
-        """``n`` doubles in [0, 1) with 53-bit resolution."""
-        r = self.raw(2 * n).astype(np.uint64)
-        a = r[0::2] >> np.uint64(5)
-        b = r[1::2] >> np.uint64(6)
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        """``n`` doubles in [0, 1) with 53-bit resolution, through the
+        one ``genrand_res53`` fold (:func:`~.mt19937.uniform53`)."""
+        return uniform53(self, n)
 
     def uniform32(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 32-bit resolution."""

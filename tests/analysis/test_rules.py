@@ -266,9 +266,10 @@ class TestSlabSiteCoverage:
             for site in slab_sites(ast.parse(path.read_text())))
         # 14 slab tiers declare 12 dispatches, one each whatever the
         # address space (the lattice greeks tiers reuse their price
-        # tier's); the lattice and the four Black-Scholes slab tiers are
-        # lanes; no kernel dispatches a one-shot by hand.
-        assert methods == {"compile_shm": 6, "compile_lanes": 6}
+        # tier's); the lattice, the four Black-Scholes and the two
+        # bridge slab tiers are lanes; no kernel dispatches a one-shot
+        # by hand.
+        assert methods == {"compile_shm": 4, "compile_lanes": 8}
 
     @pytest.mark.parametrize("method", ["compile_shm", "compile_lanes"])
     def test_undeclared_write_at_a_compile_site(self, method):

@@ -52,9 +52,9 @@ class TestStreamsToBridgeToPricing:
         z = NormalGenerator(repro.rng.MT19937(5)).normals(
             n_paths * sch.randoms_per_path())
         w = build_vectorized(sch, z)              # Wiener paths
-        t = np.linspace(0, T, sch.n_points)
+        t = np.linspace(0, T, sch.n_points)[:, None]   # step-major
         gbm = S0 * np.exp((r - 0.5 * sig ** 2) * t + sig * w)
-        avg = gbm[:, 1:].mean(axis=1)
+        avg = gbm[1:].mean(axis=0)
         asian = np.exp(-r * T) * np.maximum(avg - K, 0.0).mean()
         vanilla = float(bs_call(S0, K, T, r, sig))
         assert 0 < asian < vanilla  # averaging reduces optionality
@@ -65,7 +65,7 @@ class TestStreamsToBridgeToPricing:
         sch = make_schedule(5, horizon=T)
         z = NormalGenerator(repro.rng.MT19937(6)).normals(50_000 * 32)
         w = build_vectorized(sch, z)
-        st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * w[:, -1])
+        st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * w[-1])
         assert st.mean() == pytest.approx(S0 * np.exp(r * T), rel=0.01)
         assert np.log(st).std() == pytest.approx(sig, rel=0.02)
 

@@ -2,6 +2,7 @@
 interleaving, Fig. 6 shape."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,12 +14,13 @@ from repro.config import SMALL_SIZES
 from repro.errors import ConfigurationError
 from repro.kernels.brownian import (BridgeSchedule, bridge_covariance,
                                     build, build_cache_to_cache,
-                                    build_interleaved, build_reference,
-                                    build_vectorized, default_block_paths,
-                                    make_schedule)
+                                    build_interleaved, build_parallel,
+                                    build_reference, build_vectorized,
+                                    default_block_paths, make_schedule)
 from repro.kernels.brownian.vectorized import (block_paths, bridge_blocks,
                                                bridge_workspace,
                                                randoms_to_path_major)
+from repro.parallel import SlabExecutor
 from repro.plan import WorkspaceArena
 from repro.rng import MT19937, NormalGenerator
 
@@ -154,7 +156,8 @@ class TestTierEquality:
 
         seen = []
         build_cache_to_cache(schedule, source, 256, 100, seen.append)
-        assert np.array_equal(np.vstack(seen), ref)
+        assert all(b.shape[0] == schedule.n_points for b in seen)
+        assert np.array_equal(np.hstack(seen), ref)
 
     @given(st.integers(1, 5), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
@@ -173,7 +176,7 @@ class TestTierEquality:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_out_dtype_validated(self, schedule, dtype):
-        out = np.zeros((2, schedule.n_points), dtype=dtype)
+        out = np.zeros((schedule.n_points, 2), dtype=dtype)
         with pytest.raises(ConfigurationError):
             build_vectorized(schedule, np.ones(2 * 64), out=out)
 
@@ -214,18 +217,84 @@ class TestBridgeCore:
     def test_reused_workspace_leaks_nothing(self, schedule):
         width = block_paths(schedule)
         ws = bridge_workspace(schedule, width, WorkspaceArena().reserve)
-        # State and two scratch blocks; the draws are read in place.
-        assert sorted(ws) == ["state", "t1", "t2"]
+        # Scaled draws and one scratch block on the uniform grid.
+        assert sorted(ws) == ["t1", "z"]
         first = NormalGenerator(MT19937(1)).normals((width + 5) * 64)
         second = NormalGenerator(MT19937(2)).normals(9 * 64)
-        out = np.empty((width + 5, 65))
+        out = np.full((65, width + 5), np.nan)
         bridge_blocks(schedule, randoms_to_path_major(schedule, first),
                       out, ws)
-        # A narrower second build over the stale state of the first.
+        # A narrower second build over the stale workspace of the first.
         bridge_blocks(schedule, randoms_to_path_major(schedule, second),
-                      out[:9], ws)
-        assert np.array_equal(out[:9], build_vectorized(schedule, second))
-        assert not ws["state"][0].any()
+                      out[:, :9], ws)
+        assert np.array_equal(out[:, :9], build_vectorized(schedule, second))
+        assert not out[0].any()
+
+
+def _source(randoms):
+    """A normal source serving consecutive slices of ``randoms``."""
+    cursor = [0]
+
+    def draw(n):
+        cursor[0] += n
+        return randoms[cursor[0] - n:cursor[0]]
+    return draw
+
+
+def _every_tier(sch, z):
+    """Every tier's paths on the stream ``z``, by tier name."""
+    n_paths = z.size // sch.randoms_per_path()
+    blocks = []
+    build_cache_to_cache(sch, _source(z), n_paths, 100, blocks.append)
+    with SlabExecutor("thread", n_workers=2, slab_bytes=64 * 1024) as ex:
+        parallel = build_parallel(sch, z, ex)
+    return {"reference": build_reference(sch, z),
+            "vectorized": build_vectorized(sch, z),
+            "interleaved": build_interleaved(sch, _source(z), n_paths, 48),
+            "cache_to_cache": np.hstack(blocks),
+            "parallel": parallel}
+
+
+class TestStepMajor:
+    """Every tier returns step-major ``(n_points, n_paths)`` paths: a
+    row per grid point, a column per path."""
+
+    #: (depth, horizon, n_paths) -> md5 of the path-major
+    #: ``(n_paths, n_points)`` paths on ``MT19937(depth * 1000 +
+    #: n_paths)`` normals, as the tiers built them before they went
+    #: step-major: depths 1-8, dyadic and inexact horizons, ragged
+    #: blocks on both sides of a block edge.
+    PATH_MAJOR_MD5 = {
+        (1, 1.0, 5): "94618675c643ad7bf3f414d678f317a6",
+        (3, 1.3, 1017): "84eb1f56f66983d74824640a5bd8944b",
+        (6, 1.0, 3473): "2db575d44ac7935208270095158b3648",
+        (6, 1.3, 6951): "15362a8f8c7718c99e03ec36a629f1c9",
+        (8, 2.0, 300): "19497f28d45a6ade84e126c14b038efd",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PATH_MAJOR_MD5),
+                             ids=lambda c: "d{}-T{}-n{}".format(*c))
+    def test_transpose_is_the_path_major_build(self, case):
+        depth, horizon, n_paths = case
+        sch = make_schedule(depth, horizon)
+        z = NormalGenerator(MT19937(depth * 1000 + n_paths)).normals(
+            n_paths * sch.randoms_per_path())
+        for tier, paths in _every_tier(sch, z).items():
+            assert paths.shape == (sch.n_points, n_paths), tier
+            path_major = np.ascontiguousarray(paths.T).tobytes()
+            assert (hashlib.md5(path_major).hexdigest()
+                    == self.PATH_MAJOR_MD5[case]), tier
+
+    def test_registered_tiers_ravel_step_major(self):
+        payload = registry.workload("brownian").build(SMALL_SIZES, seed=4)
+        sch, z = payload["schedule"], payload["randoms"]
+        want = build_reference(sch, z)
+        assert want.shape == (sch.n_points, payload["n_paths"])
+        with SlabExecutor("serial") as ex:
+            for impl in registry.impls("brownian", backend="serial"):
+                if impl.checked:
+                    got = impl.fn(payload, ex)
+                    assert np.array_equal(got, want.ravel()), impl.label
 
 
 class TestWienerStatistics:
@@ -237,31 +306,31 @@ class TestWienerStatistics:
 
     def test_starts_at_zero(self, paths):
         _, p = paths
-        assert np.all(p[:, 0] == 0.0)
+        assert np.all(p[0] == 0.0)
 
     def test_marginal_variance_is_t(self, paths):
         sch, p = paths
         t = np.linspace(0, 1, sch.n_points)
         for idx in (8, 16, 32, 64):
-            assert p[:, idx].var() == pytest.approx(t[idx], rel=0.05)
+            assert p[idx].var() == pytest.approx(t[idx], rel=0.05)
 
     def test_covariance_is_min_s_t(self, paths):
         sch, p = paths
         idx = [16, 32, 48, 64]
-        emp = np.cov(p[:, idx].T)
+        emp = np.cov(p[idx])
         t = np.linspace(0, 1, sch.n_points)
         theo = np.minimum.outer(t[idx], t[idx])
         assert np.max(np.abs(emp - theo)) < 0.02
 
     def test_increments_independent(self, paths):
         _, p = paths
-        inc1 = p[:, 16] - p[:, 0]
-        inc2 = p[:, 32] - p[:, 16]
+        inc1 = p[16] - p[0]
+        inc2 = p[32] - p[16]
         assert abs(np.corrcoef(inc1, inc2)[0, 1]) < 0.02
 
     def test_increments_gaussian_mean_zero(self, paths):
         _, p = paths
-        inc = p[:, 32] - p[:, 16]
+        inc = p[32] - p[16]
         assert abs(inc.mean()) < 0.01
         kurt = ((inc - inc.mean()) ** 4).mean() / inc.var() ** 2
         assert abs(kurt - 3.0) < 0.15

@@ -3,14 +3,20 @@
 Reference-tier agreement for every registered tier lives in
 ``test_registry_agreement.py``."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.kernels.binomial import (price_simd_across, price_tiled,
                                     price_tiled_parallel)
 from repro.kernels.black_scholes import price_parallel
-from repro.kernels.brownian import (build_parallel, build_vectorized,
+from repro.kernels.brownian import (barrier_risk_parallel, build_parallel,
+                                    build_reference, build_vectorized,
                                     make_schedule)
+from repro.kernels.brownian import risk
+from repro.kernels.brownian.vectorized import block_paths
 from repro.kernels.monte_carlo import price_stream, price_stream_parallel
 from repro import registry
 from repro.config import SMALL_SIZES, SMOKE_SIZES
@@ -19,6 +25,7 @@ from repro.parallel import SlabExecutor
 from repro.plan import audit_allocations, compile_plan
 from repro.plan.audit import PEAK_NOISE_BUDGET
 from repro.pricing import Option, random_batch
+from repro.pricing.bump import BUMP_REL
 from repro.pricing.options import ExerciseStyle
 from repro.results import as_result_slab
 from repro.rng import MT19937, NormalGenerator
@@ -137,13 +144,80 @@ class TestBrownian:
 
     @pytest.mark.parametrize("tier", ["parallel", "greeks"])
     def test_warm_run_allocates_nothing(self, tier):
-        # SMALL: every slab loops its block workspace over several
-        # blocks, the last one ragged.
+        # SMALL: two slabs, each one block wide.
         payload = registry.workload("brownian").build(SMALL_SIZES,
                                                       seed=2012)
         with compile_plan("brownian", tier, payload,
                           backend="serial") as plan:
             assert audit_allocations(plan.run).numpy_bytes == 0
+
+    @pytest.mark.parametrize("tier", ["parallel", "greeks"])
+    def test_warm_block_loop_allocates_nothing(self, tier):
+        # One slab that loops its block workspace over three blocks,
+        # the last one ragged.
+        payload = registry.workload("brownian").build(SMOKE_SIZES, seed=3)
+        n_paths = 2 * block_paths(payload["schedule"]) + 40
+        payload = registry.workload("brownian").build(
+            dataclasses.replace(SMOKE_SIZES, brownian_paths=n_paths),
+            seed=3)
+        with SlabExecutor("serial", n_workers=1, slab_bytes=1 << 40) as ex, \
+                compile_plan("brownian", tier, payload, backend="serial",
+                             executor=ex) as plan:
+            assert plan.arena._dispatches[0].n_slabs == 1
+            assert audit_allocations(plan.run).numpy_bytes == 0
+
+
+def _path_major_risk(schedule, randoms, h):
+    """The risk tier's per-path price/delta/vega recomputed on
+    path-major paths (a row per path), operation for operation."""
+    W = np.ascontiguousarray(build_reference(schedule, randoms).T)
+    times = np.linspace(0.0, schedule.horizon, schedule.n_points)
+    df = float(np.exp(-risk.RATE * schedule.horizon))
+
+    def logs_of(vol):
+        logs = W * vol
+        logs += times * (risk.RATE - 0.5 * vol * vol)
+        return np.amin(logs, axis=1), np.exp(logs[:, -1])
+
+    def payoff(m, st, spot_factor):
+        s0 = risk.SPOT * spot_factor
+        pay = st * s0
+        pay -= risk.STRIKE
+        np.maximum(pay, 0.0, out=pay)
+        pay *= m > math.log(risk.BARRIER_REL * risk.SPOT / s0)
+        pay *= df
+        return pay
+
+    base = logs_of(risk.VOL)
+    up, down = logs_of(risk.VOL * (1.0 + h)), logs_of(risk.VOL * (1.0 - h))
+    delta = payoff(*base, 1.0 + h)
+    delta -= payoff(*base, 1.0 - h)
+    delta /= 2.0 * h * risk.SPOT
+    vega = payoff(*up, 1.0)
+    vega -= payoff(*down, 1.0)
+    vega /= 2.0 * h * risk.VOL
+    return {"price": payoff(*base, 1.0), "delta": delta, "vega": vega}
+
+
+class TestBrownianRisk:
+    """The risk tier reads step-major paths; its outputs are those of
+    the same arithmetic on path-major paths, bit for bit."""
+
+    @pytest.mark.parametrize("depth, horizon, n_paths", [
+        (6, 1.0, 1000), (3, 1.0, 257), (6, 1.3, 700), (8, 2.0, 129)],
+        ids=["d6", "d3", "d6-nonuniform", "d8"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_equals_path_major_recomputation(self, depth, horizon,
+                                             n_paths, backend):
+        sch = make_schedule(depth, horizon)
+        z = NormalGenerator(MT19937(depth + n_paths)).normals(
+            n_paths * sch.randoms_per_path())
+        want = _path_major_risk(sch, z, BUMP_REL)
+        with SlabExecutor(backend, n_workers=2, slab_bytes=64 * 1024) as ex:
+            got = barrier_risk_parallel(sch, z, ex)
+        for name in risk.RISK_OUTPUTS:
+            assert np.array_equal(got[name], want[name]), name
+        assert np.count_nonzero(want["price"]) > 0
 
 
 class TestBinomial:

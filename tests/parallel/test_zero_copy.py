@@ -19,9 +19,9 @@ import pytest
 
 from repro import registry
 from repro.config import SMOKE_SIZES
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WriteRaceError
 from repro.parallel import SlabExecutor
-from repro.plan import compile_plan
+from repro.plan import WorkspaceArena, compile_plan
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 OUT_OF_PROCESS = ("process", "daemon")
@@ -35,6 +35,15 @@ SLAB_BYTES = 4096
 
 def _scale(arrays, consts, a, b, slab):
     arrays["out"][:] = arrays["x"] * consts["k"]
+
+
+def _fill_columns(arrays, consts, a, b, slab):
+    """Writes its slab's columns of a step-major buffer, dispatched as
+    the buffer's transpose: ``out[i, j] = i + k·x[j]``."""
+    cols = arrays["out"].T
+    np.multiply(arrays["x"], consts["k"], out=cols[0])
+    for i in range(1, cols.shape[0]):
+        np.add(cols[0], i, out=cols[i])
 
 
 def _run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -77,6 +86,66 @@ class TestPlansAreZeroCopy:
                          backend=ex.backend, executor=ex)
         assert ex._arena._segments == {}
         assert ex._live_dispatches == []
+
+
+class TestStepMajorArraysAreLocated:
+    """A C-ordered arena buffer dispatched as its transpose — each slab
+    a range of columns — is F-contiguous; out of process it is located
+    in its segment, not staged."""
+
+    ROWS, COLS = 5, 96
+
+    def _run(self, backend):
+        x = np.linspace(-1.0, 1.0, self.COLS)
+        with SlabExecutor(backend, n_workers=2, slab_bytes=256) as ex:
+            arena = WorkspaceArena("cols", executor=ex)
+            out = arena.reserve("out", (self.ROWS, self.COLS), fill=np.nan)
+            xs = arena.reserve_like("x", x)
+            np.copyto(xs, x)
+            dispatch = arena.adopt(ex.compile_shm(
+                _fill_columns, self.COLS, bytes_per_item=64,
+                sliced={"x": xs, "out": out.T}, writes=("out",),
+                consts={"k": 3.0}, tag="cols"))
+            try:
+                assert dispatch.n_slabs > 1
+                dispatch.run()
+                copies = (dispatch._copy_in, dispatch._copy_back)
+                located = dispatch._specs is not None
+                got = np.array(out)
+            finally:
+                arena.close()
+        return got, copies, located
+
+    def test_daemon_locates_in_place_and_matches_serial(self):
+        baseline = {n for n in os.listdir("/dev/shm")
+                    if n.startswith("repro")}
+        want, _, _ = self._run("serial")
+        assert np.array_equal(
+            want, np.arange(self.ROWS)[:, None]
+            + 3.0 * np.linspace(-1.0, 1.0, self.COLS))
+        got, copies, located = self._run("daemon")
+        assert located
+        assert copies == ((), ())
+        assert np.array_equal(got, want)
+        assert {n for n in os.listdir("/dev/shm")
+                if n.startswith("repro")} == baseline
+
+    @pytest.mark.parametrize("backend", ["serial", "daemon"])
+    def test_overlapping_column_ranges_race(self, backend, monkeypatch):
+        with SlabExecutor(backend, n_workers=2) as ex:
+            arena = WorkspaceArena("cols", executor=ex)
+            try:
+                out = arena.reserve("out", (self.ROWS, self.COLS))
+                monkeypatch.setattr(ex, "plan", lambda n, bpi=8: [
+                    (0, 60), (40, self.COLS)])
+                with pytest.raises(WriteRaceError, match="overlap"):
+                    ex.compile_shm(_fill_columns, self.COLS,
+                                   sliced={"x": np.zeros(self.COLS),
+                                           "out": out.T},
+                                   writes=("out",), consts={"k": 1.0})
+                assert ex._live_dispatches == []
+            finally:
+                arena.close()
 
 
 class TestCallerOwnedArraysAreStaged:

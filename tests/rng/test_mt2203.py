@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.plan.audit import audit_allocations
 from repro.rng import MAX_STREAMS, MT2203, family, stream_parameters
 
 
@@ -107,3 +108,40 @@ class TestFamily:
             family(0)
         with pytest.raises(ConfigurationError):
             family(MAX_STREAMS + 1)
+
+
+def _res53_of_raw(gen, n):
+    """``genrand_res53`` written out on ``2n`` raw draws: the
+    stride-2 float fold ``(a·2^26 + b)·2^-53`` of the C reference."""
+    r = gen.raw(2 * n).astype(np.uint64)
+    a, b = r[0::2] >> np.uint64(5), r[1::2] >> np.uint64(6)
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+
+class TestOneFold:
+    """``MT2203.uniform53`` runs the shared ``fold53`` on its raw words."""
+
+    @pytest.mark.parametrize("member", [0, 1, 7])
+    @pytest.mark.parametrize("seed", [1, 5489, 2012])
+    def test_bit_identical_to_the_float_fold(self, member, seed):
+        gen, twin = MT2203(member, seed), MT2203(member, seed)
+        for split in ([0], [1], [311, 1, 313], [312], [1000, 7, 1877],
+                      [327_680]):
+            for k in split:
+                assert np.array_equal(gen.uniform53(k),
+                                      _res53_of_raw(twin, k))
+                assert np.array_equal(gen.raw(3), twin.raw(3))
+        assert np.array_equal(gen._mt, twin._mt)
+        assert gen._mti == twin._mti
+
+    def test_uniform53_peak_is_its_buffer_and_fold_scratch(self):
+        n = 327_680
+        audit = audit_allocations(lambda: MT2203(1, 5).uniform53(n))
+        assert audit.peak_bytes <= 3 * 8 * n + 64 * 1024
+
+    def test_raw_into_fills_the_raw_stream(self):
+        gen, twin = MT2203(7, 3), MT2203(7, 3)
+        out = np.empty(1000, dtype=np.uint32)
+        gen.raw_into(out[:400])
+        gen.raw_into(out[400:])
+        assert np.array_equal(out, twin.raw(1000))

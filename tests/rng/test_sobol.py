@@ -167,7 +167,7 @@ class TestBridgeIntegration:
         n = 4096
 
         def price(paths):
-            st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * paths[:, -1])
+            st = S0 * np.exp((r - 0.5 * sig ** 2) * T + sig * paths[-1])
             return float(np.exp(-r * T)
                          * np.maximum(st - K, 0.0).mean())
 
