@@ -8,10 +8,13 @@ registered implementations, **not** by filename convention:
 
 * every :class:`~repro.registry.KernelImpl` whose level is ``ADVANCED``
   or ``PARALLEL`` seeds the hot set with the module its ``fn`` is
-  defined in (usually the kernel's ``tiers.py`` adapter module);
-* each global function the adapter's code object references (one call
-  hop — ``price_parallel``, ``solve_batch``, …) adds *its* defining
-  module, which is how the actual kernel modules
+  defined in (the kernel's ``tiers.py`` adapter module for a serial
+  tier; ``plan/plan.py`` for a slab tier, whose ``fn`` is its planner's
+  one-shot) and with its planner's module;
+* each global function the adapter's or planner's code object
+  references (one call hop — ``price_advanced``,
+  ``compile_price_parallel``, …) adds *its* defining module, which is
+  how the actual kernel modules
   (``black_scholes/parallel.py``, ``crank_nicolson/solver.py``, …)
   join the set.
 

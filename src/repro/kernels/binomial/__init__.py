@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".basic": ("price_basic", "price_basic_batch"),
     ".model": ("TIERS", "build", "compute_bound", "reference_trace",
                "simd_across_trace", "tiled_trace", "working_set_bytes"),
-    ".parallel": ("price_tiled_parallel",),
     ".params": ("TreeParams", "crr_params", "intrinsic_row", "leaf_values"),
     ".reference": ("price_reference", "price_reference_batch"),
     ".simd_across": ("price_simd_across",),

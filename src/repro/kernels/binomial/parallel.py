@@ -24,7 +24,6 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import DomainError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.options import ExerciseStyle
 from .params import crr_params, leaf_values
 
@@ -119,15 +118,3 @@ def compile_price_tiled(options, n_steps: int, executor: SlabExecutor,
         return out
 
     return run
-
-
-def price_tiled_parallel(options, n_steps: int,
-                         executor: SlabExecutor | None = None) -> np.ndarray:
-    """European pricing over option slabs: the one-shot of
-    :func:`compile_price_tiled`.
-
-    Returns one root price per option, bit-identical to the serial
-    :func:`~.tiled.price_tiled` for any backend/worker count.
-    """
-    return one_shot(compile_price_tiled, options, n_steps,
-                    executor=executor)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...plan import one_shot
 from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import Option
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ..levels import OptLevel
 from .basic import price_basic_batch
-from .parallel import compile_price_tiled, price_tiled_parallel
+from .parallel import compile_price_tiled
 from .reference import price_reference_batch
 from .simd_across import price_simd_across
 from .tiled import price_tiled
@@ -58,8 +57,6 @@ def _plan_parallel(payload, executor, arena):
 
 
 register_impl("binomial", "parallel", OptLevel.PARALLEL,
-              lambda p, ex: price_tiled_parallel(p["options"], p["steps"],
-                                                 ex),
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
 
@@ -73,9 +70,6 @@ def _plan_greeks(payload, executor, arena):
 # group.  The base scenario's lane is the parallel tier's sweep, so the
 # "price" output stays checked against the reference ladder.
 register_impl("binomial", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: one_shot(compile_bumped, compile_price_tiled,
-                                     p["options"], (p["steps"],),
-                                     executor=ex),
               backends=("serial", "thread", "process", "daemon"),
               outputs=BUMP_OUTPUTS,
               planner=_plan_greeks)

@@ -8,10 +8,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".intermediate": ("price_intermediate",),
     ".model": ("BYTES_PER_OPTION", "TIERS", "advanced_trace",
                "bandwidth_bound", "build", "reference_trace", "soa_trace"),
-    ".greeks": ("GREEKS_BYTES_PER_OPTION", "greeks_parallel"),
-    ".implied": ("implied_parallel", "implied_vol", "surface_vols"),
-    ".parallel": ("SLAB_BYTES_PER_OPTION", "price_parallel"),
+    ".greeks": ("GREEKS_BYTES_PER_OPTION",),
+    ".implied": ("implied_vol", "surface_vols"),
+    ".parallel": ("SLAB_BYTES_PER_OPTION",),
     ".reference": ("price_reference",),
-    ".scenario": ("SPOT_SHIFTS", "VOL_SHIFTS", "scenario_parallel"),
+    ".scenario": ("SPOT_SHIFTS", "VOL_SHIFTS"),
     ".traced": ("traced_price_aos", "traced_price_soa"),
 })

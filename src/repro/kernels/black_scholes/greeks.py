@@ -25,7 +25,6 @@ import numpy as np
 
 from ...config import DTYPE
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import GREEK_OUTPUTS, ResultSlab
 from ...simd.layout import aos_to_soa
@@ -161,19 +160,6 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
         {name: backing[2 * i * n:2 * (i + 1) * n]
          for i, name in enumerate(GREEK_OUTPUTS)},
         backing=backing)
-
-
-def greeks_parallel(batch: OptionBatch,
-                    executor: SlabExecutor | None = None) -> ResultSlab:
-    """Price the batch and fill every Greek over zero-copy slabs: the
-    one-shot of :func:`compile_greeks_parallel`.
-
-    Returns a :class:`~repro.results.ResultSlab` with the six
-    :data:`~repro.results.GREEK_OUTPUTS`, each a ``2n`` ``[call | put]``
-    vector.  Bit-identical across backends (every output element is a
-    function of its own option alone, so the slab split cannot move it).
-    """
-    return one_shot(compile_greeks_parallel, batch, executor=executor)
 
 
 def compile_greeks_parallel(batch: OptionBatch, executor: SlabExecutor,

@@ -29,7 +29,6 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import ConvergenceError, DomainError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.options import validate_inputs
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
@@ -203,17 +202,6 @@ def surface_vols(batch: OptionBatch) -> np.ndarray:
     n = len(batch)
     span = np.linspace(0.6, 1.4, n, dtype=DTYPE)
     return batch.vol * span
-
-
-def implied_parallel(batch: OptionBatch,
-                     executor: SlabExecutor | None = None) -> ResultSlab:
-    """Recover the batch's vol surface from its prices over slabs: the
-    one-shot of :func:`compile_implied_parallel`.
-
-    Returns a single-output :class:`~repro.results.ResultSlab`
-    (``implied_vol``, length ``n``).  Bit-identical across backends.
-    """
-    return one_shot(compile_implied_parallel, batch, executor=executor)
 
 
 def compile_implied_parallel(batch: OptionBatch, executor: SlabExecutor,

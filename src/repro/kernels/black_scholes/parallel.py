@@ -24,7 +24,6 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import LayoutError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...simd.layout import aos_to_soa
 from ...vmath.ndtr import ndtr
@@ -130,22 +129,6 @@ def _price_slab(S, X, T, r, sig, cols: bool, call, put,
         # Rounding (parity, deep out of the money) never prices below 0.
         np.maximum(cb, ZERO, out=cb)
         np.maximum(pb, ZERO, out=pb)
-
-
-def price_parallel(batch: OptionBatch,
-                   executor: SlabExecutor | None = None) -> None:
-    """Price the batch in place over zero-copy slabs: the one-shot of
-    :func:`compile_price_parallel`.
-
-    Accepts AOS (converted, as the intermediate tier does) or SOA
-    batches.  ``executor=None`` uses the process-wide persistent
-    threaded executor; pass ``SlabExecutor("serial")`` for the
-    single-core baseline — the two produce bit-identical prices.
-    """
-    result = one_shot(compile_price_parallel, batch, executor=executor)
-    n = len(batch)
-    batch.batch.set("call", result[:n])
-    batch.batch.set("put", result[n:])
 
 
 def _price_slab_task(arrays: dict, consts: dict, a: int, b: int,

@@ -19,7 +19,6 @@ import numpy as np
 
 from ...config import DTYPE
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.options import OptionBatch
 from ...results import ResultSlab
 from ...simd.layout import aos_to_soa
@@ -115,18 +114,6 @@ def _scenario_slab_task(arrays: dict, consts: dict, a: int, b: int,
                    params["r"], params["sig"], cols,
                    [arrays[name] for name in GRID_WRITES],
                    consts.get("scratch"))
-
-
-def scenario_parallel(batch: OptionBatch,
-                      executor: SlabExecutor | None = None) -> ResultSlab:
-    """Price the full spot×vol grid over slabs: the one-shot of
-    :func:`compile_scenario_parallel`.
-
-    Returns a single-output :class:`~repro.results.ResultSlab`
-    (``grid``, length ``n_scenarios()·n``, scenario-major).
-    Bit-identical across backends.
-    """
-    return one_shot(compile_scenario_parallel, batch, executor=executor)
 
 
 def compile_scenario_parallel(batch: OptionBatch, executor: SlabExecutor,

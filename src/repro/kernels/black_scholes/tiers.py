@@ -18,14 +18,12 @@ from ...results import GREEK_OUTPUTS
 from ..levels import OptLevel
 from .advanced import price_advanced
 from .basic import price_basic
-from .greeks import (GREEKS_BYTES_PER_OPTION, compile_greeks_parallel,
-                     greeks_parallel)
-from .implied import compile_implied_parallel, implied_parallel
+from .greeks import compile_greeks_parallel
+from .implied import compile_implied_parallel
 from .intermediate import price_intermediate
-from .parallel import (SLAB_BYTES_PER_OPTION, compile_price_parallel,
-                       price_parallel)
+from .parallel import SLAB_BYTES_PER_OPTION, compile_price_parallel
 from .reference import price_reference
-from .scenario import compile_scenario_parallel, scenario_parallel
+from .scenario import compile_scenario_parallel
 
 
 def make_payload(S, X, T, rate: float, vol: float) -> dict:
@@ -71,35 +69,18 @@ def _run_advanced(payload, executor):
     return _extract(payload["soa"])
 
 
-def _run_parallel(payload, executor):
-    price_parallel(payload["soa"], executor)
-    return _extract(payload["soa"])
-
-
 def _plan_parallel(payload, executor, arena):
     """Planner: prices land in the arena's ``[calls | puts]`` vector,
-    so warm runs also skip ``_run_parallel``'s ``np.concatenate``."""
+    the ladder's ``_extract`` order, with no ``np.concatenate``."""
     return compile_price_parallel(payload["soa"], executor, arena)
-
-
-def _run_greeks(payload, executor):
-    return greeks_parallel(payload["soa"], executor)
 
 
 def _plan_greeks(payload, executor, arena):
     return compile_greeks_parallel(payload["soa"], executor, arena)
 
 
-def _run_implied(payload, executor):
-    return implied_parallel(payload["soa"], executor)
-
-
 def _plan_implied(payload, executor, arena):
     return compile_implied_parallel(payload["soa"], executor, arena)
-
-
-def _run_scenario(payload, executor):
-    return scenario_parallel(payload["soa"], executor)
 
 
 def _plan_scenario(payload, executor, arena):
@@ -124,7 +105,6 @@ register_impl("black_scholes", "intermediate", OptLevel.INTERMEDIATE,
 register_impl("black_scholes", "advanced", OptLevel.ADVANCED,
               _run_advanced)
 register_impl("black_scholes", "parallel", OptLevel.PARALLEL,
-              _run_parallel,
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
 # Risk tiers: the fused analytic Greeks slab (price + full Greeks,
@@ -135,18 +115,15 @@ register_impl("black_scholes", "parallel", OptLevel.PARALLEL,
 # reference-ladder counterpart and are digest-audited across backends
 # instead.
 register_impl("black_scholes", "greeks", OptLevel.PARALLEL,
-              _run_greeks,
               backends=("serial", "thread", "process", "daemon"),
               outputs=GREEK_OUTPUTS,
               planner=_plan_greeks)
 register_impl("black_scholes", "implied", OptLevel.PARALLEL,
-              _run_implied,
               backends=("serial", "thread", "process", "daemon"),
               checked=False,
               outputs=("implied_vol",),
               planner=_plan_implied)
 register_impl("black_scholes", "scenario", OptLevel.PARALLEL,
-              _run_scenario,
               backends=("serial", "thread", "process", "daemon"),
               checked=False,
               outputs=("grid",),

@@ -10,8 +10,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                      "default_block_paths"),
     ".model": ("TIERS", "basic_trace", "build", "cache_to_cache_trace",
                "interleaved_trace", "intermediate_trace"),
-    ".parallel": ("build_parallel",),
     ".reference": ("build_reference",),
-    ".risk": ("barrier_risk_parallel",),
     ".vectorized": ("build_vectorized", "randoms_to_path_major"),
 })

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...parallel.slab import SlabExecutor
-from ...plan import WorkspaceArena, one_shot
+from ...plan import WorkspaceArena
 from .bridge import BridgeSchedule
 from .vectorized import (bridge_blocks, bridge_workspace,
                          randoms_to_path_major)
@@ -83,16 +83,3 @@ def compile_build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
         return flat
 
     return run
-
-
-def build_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
-                   executor: SlabExecutor | None = None) -> np.ndarray:
-    """Build all bridges from a pre-generated stream, slab-parallel:
-    the one-shot of :func:`compile_build_parallel`.
-
-    Bit-identical to :func:`~.vectorized.build_vectorized` on the same
-    stream; returns ``(n_points, n_paths)``.
-    """
-    flat = one_shot(compile_build_parallel, schedule, randoms,
-                    executor=executor)
-    return flat.reshape(schedule.n_points, -1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ...config import DTYPE
 from ...parallel.slab import SlabExecutor
-from ...plan import WorkspaceArena, one_shot
+from ...plan import WorkspaceArena
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
 from .bridge import BridgeSchedule
@@ -147,21 +147,6 @@ def _times(schedule: BridgeSchedule) -> np.ndarray:
     """Grid times as a column, to broadcast across step-major paths."""
     return np.linspace(0.0, schedule.horizon, schedule.n_points,
                        dtype=DTYPE)[:, None]
-
-
-def barrier_risk_parallel(schedule: BridgeSchedule, randoms: np.ndarray,
-                          executor: SlabExecutor | None = None,
-                          h: float = BUMP_REL) -> ResultSlab:
-    """Per-path barrier price/delta/vega contributions over path slabs:
-    the one-shot of :func:`compile_barrier_risk`.
-
-    Returns a :class:`~repro.results.ResultSlab` with ``price``,
-    ``delta`` and ``vega``, each one value per path; the option-level
-    estimate is the mean of each vector.  Bit-identical across
-    backends.
-    """
-    return one_shot(compile_barrier_risk, schedule, randoms,
-                    executor=executor, h=h)
 
 
 def compile_barrier_risk(schedule: BridgeSchedule, randoms: np.ndarray,

@@ -17,10 +17,9 @@ from ...rng import MT19937, NormalGenerator
 from ..levels import OptLevel
 from .bridge import make_schedule
 from .interleaved import build_interleaved, default_block_paths
-from .parallel import build_parallel, compile_build_parallel
+from .parallel import compile_build_parallel
 from .reference import build_reference
-from .risk import (RISK_OUTPUTS, barrier_risk_parallel,
-                   compile_barrier_risk)
+from .risk import RISK_OUTPUTS, compile_barrier_risk
 from .vectorized import build_vectorized
 
 
@@ -80,8 +79,6 @@ def _plan_parallel(payload, executor, arena):
 
 
 register_impl("brownian", "parallel", OptLevel.PARALLEL,
-              lambda p, ex: build_parallel(p["schedule"], p["randoms"],
-                                           ex).ravel(),
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
 
@@ -96,8 +93,6 @@ def _plan_greeks(payload, executor, arena):
 # same paths (CRN by construction).  Per-path contributions have no
 # reference-ladder counterpart; digests are audited across backends.
 register_impl("brownian", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: barrier_risk_parallel(p["schedule"],
-                                                  p["randoms"], ex),
               backends=("serial", "thread", "process", "daemon"),
               checked=False,
               outputs=RISK_OUTPUTS,

@@ -10,7 +10,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
               "gsor_solve_vectorized_rb"),
     ".model": ("SWEEPS_PER_STEP", "TIERS", "build", "reference_trace",
                "transformed_trace", "wavefront_trace"),
-    ".parallel": ("solve_batch_parallel",),
     ".solver": ("SOLVERS", "CNResult", "solve", "solve_batch"),
     ".wavefront": ("merge_parity", "split_parity", "wavefront_solve",
                    "wavefront_solve_transformed"),

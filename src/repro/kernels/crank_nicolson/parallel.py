@@ -20,7 +20,6 @@ import numpy as np
 
 from ...errors import DomainError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from .gsor import check_solver_args
 from .planned import march_slab, plan_slab
 from .solver import solve
@@ -89,18 +88,3 @@ def compile_solve_batch(options, n_points: int, n_steps: int,
         return out
 
     return run
-
-
-def solve_batch_parallel(options, n_points: int = 256, n_steps: int = 1000,
-                         solver: str = "red_black",
-                         executor: SlabExecutor | None = None,
-                         **kwargs) -> np.ndarray:
-    """Price several contracts over option slabs: the one-shot of
-    :func:`compile_solve_batch`.
-
-    Defaults to the red-black solver — the fastest host tier for the
-    implicit half step — while accepting any :data:`~.solver.SOLVERS`
-    name.  Returns one price per option in input order.
-    """
-    return one_shot(compile_solve_batch, options, n_points, n_steps,
-                    executor=executor, solver=solver, **kwargs)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...plan import one_shot
 from ...pricing.bump import BUMP_OUTPUTS, compile_bumped
 from ...pricing.options import ExerciseStyle, Option, OptionKind
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ..levels import OptLevel
-from .parallel import compile_solve_batch, solve_batch_parallel
+from .parallel import compile_solve_batch
 from .solver import solve_batch
 
 
@@ -65,8 +64,6 @@ def _plan_parallel(payload, executor, arena):
 
 
 register_impl("crank_nicolson", "parallel", OptLevel.PARALLEL,
-              lambda p, ex: solve_batch_parallel(
-                  p["options"], p["n_points"], p["n_steps"], executor=ex),
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
 
@@ -82,9 +79,6 @@ def _plan_greeks(payload, executor, arena):
 # red-black iterates, so the "price" output stays checked against the
 # reference solver at the workload tolerance.
 register_impl("crank_nicolson", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: one_shot(
-                  compile_bumped, compile_solve_batch, p["options"],
-                  (p["n_points"], p["n_steps"]), executor=ex),
               backends=("serial", "thread", "process", "daemon"),
               outputs=BUMP_OUTPUTS,
               planner=_plan_greeks)

@@ -22,7 +22,6 @@ import numpy as np
 
 from ...config import DTYPE
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...pricing.bump import BUMP_REL, check_bump
 from ...results import ResultSlab
 from .parallel import BLOCK, _price_option_tail, _sorted_stream
@@ -90,23 +89,6 @@ def _result_slab(backing: np.ndarray, nopt: int) -> ResultSlab:
 def _views(backing: np.ndarray, nopt: int) -> dict:
     return {name: backing[i * nopt:(i + 1) * nopt]
             for i, name in enumerate(BUMP_WRITES)}
-
-
-def greeks_stream_parallel(S, X, T, rate: float, vol: float,
-                           randoms: np.ndarray,
-                           executor: SlabExecutor | None = None,
-                           block: int = BLOCK,
-                           h: float = BUMP_REL) -> ResultSlab:
-    """STREAM-mode bump Greeks over option slabs: the one-shot of
-    :func:`compile_greeks_stream`.
-
-    Returns a :class:`~repro.results.ResultSlab` with outputs
-    ``price`` (the ``[price | stderr]`` pair), ``delta``, ``gamma``
-    and ``vega``.  Bit-identical across backends: the slab plan, the
-    replayed stream and the difference arithmetic are all deterministic.
-    """
-    return one_shot(compile_greeks_stream, S, X, T, rate, vol, randoms,
-                    executor=executor, block=block, h=h)
 
 
 def compile_greeks_stream(S, X, T, rate: float, vol: float,

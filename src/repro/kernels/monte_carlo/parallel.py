@@ -1,8 +1,8 @@
 """Monte-Carlo *parallel* tier: Table II row 1 (STREAM mode) with the
 option batch slabbed across :class:`~repro.parallel.slab.SlabExecutor`.
 
-:func:`compile_price_stream` declares the tier's one dispatch and
-:func:`price_stream_parallel` is its one-shot.  Every option re-reads
+:func:`compile_price_stream` declares the tier's one dispatch (the
+registered ``fn`` is its one-shot).  Every option re-reads
 one shared normal stream, so the paths that put an option in the money
 are exactly the draws above a per-option threshold ``z*``: a plan
 keeps a sorted copy of the stream, re-sorted only on a run that finds
@@ -23,8 +23,7 @@ import numpy as np
 from ...config import DTYPE
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
-from .reference import MCResult, _check
+from .reference import _check
 
 #: Tail block (draws): 512 KB of scratch, inside a core's 2 MiB private
 #: L2 (sysfs ``index2``; lscpu's 4 MiB sums the host's two instances).
@@ -130,22 +129,6 @@ def _stream_slab(arrays: dict, consts: dict, a: int, b: int,
     for o in range(S.shape[0]):
         price[o], stderr[o] = _price_option_tail(
             S[o], X[o], T[o], rate, vol, zs, block, scratch)
-
-
-def price_stream_parallel(S, X, T, rate: float, vol: float,
-                          randoms: np.ndarray,
-                          executor: SlabExecutor | None = None,
-                          block: int = BLOCK) -> MCResult:
-    """STREAM mode over option slabs, the one-shot of
-    :func:`compile_price_stream`: results land in preallocated output
-    views.  Within the workload tolerance of
-    :func:`~.vectorized.price_stream`; bit-identical for any
-    backend/worker count."""
-    result = one_shot(compile_price_stream, S, X, T, rate, vol, randoms,
-                      executor=executor, block=block)
-    nopt = result.shape[0] // 2
-    return MCResult(price=result[:nopt], stderr=result[nopt:],
-                    n_paths=np.size(randoms))
 
 
 def compile_price_stream(S, X, T, rate: float, vol: float,

@@ -16,9 +16,8 @@ import numpy as np
 from ...registry import WorkloadSpec, register_impl, register_workload
 from ...rng import MT19937, NormalGenerator
 from ..levels import OptLevel
-from .bump import (BUMP_OUTPUTS, compile_greeks_stream,
-                   greeks_stream_parallel)
-from .parallel import compile_price_stream, price_stream_parallel
+from .bump import BUMP_OUTPUTS, compile_greeks_stream
+from .parallel import compile_price_stream
 from .reference import price_reference
 from .vectorized import price_stream
 
@@ -71,17 +70,8 @@ def _plan_parallel(payload, executor, arena):
 
 
 register_impl("monte_carlo", "parallel", OptLevel.PARALLEL,
-              lambda p, ex: _extract(price_stream_parallel(
-                  p["S"], p["X"], p["T"], p["rate"], p["vol"],
-                  p["randoms"], ex)),
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
-
-
-def _run_greeks(payload, executor):
-    return greeks_stream_parallel(
-        payload["S"], payload["X"], payload["T"], payload["rate"],
-        payload["vol"], payload["randoms"], executor)
 
 
 def _plan_greeks(payload, executor, arena):
@@ -95,7 +85,6 @@ def _plan_greeks(payload, executor, arena):
 # parallel tier — so it stays checked against the reference ladder on
 # the shared ``price`` output.
 register_impl("monte_carlo", "greeks", OptLevel.PARALLEL,
-              _run_greeks,
               backends=("serial", "thread", "process", "daemon"),
               outputs=BUMP_OUTPUTS,
               planner=_plan_greeks)

@@ -3,8 +3,6 @@
 from ..._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".functional": ("ScalarMT19937", "rng_tier_rates"),
-    ".greeks": ("pathwise_parallel",),
+    ".functional": ("ScalarMT19937",),
     ".model": ("TIERS", "build"),
-    ".parallel": ("uniform53_parallel",),
 })

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ConfigurationError
-from ...rng.mt19937 import MT19937
 
 _N, _M = 624, 397
 _MATRIX_A = 0x9908B0DF
@@ -82,23 +81,3 @@ class ScalarMT19937:
             out[i] = (a * 67108864.0 + b) / 9007199254740992.0
         return out
 
-
-def rng_tier_rates(n: int = 1 << 15, seed: int = 5489) -> dict:
-    """Host numbers/second for both tiers (the functional Table II-style
-    comparison) plus the measured vectorization speedup."""
-    import time
-    scalar = ScalarMT19937(seed)
-    vector = MT19937(seed)
-    t0 = time.perf_counter()
-    a = scalar.uniform53(n)
-    t_scalar = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    b = vector.uniform53(n)
-    t_vector = time.perf_counter() - t0
-    if not np.array_equal(a, b):
-        raise ConfigurationError("tier outputs diverged — RNG bug")
-    return {
-        "scalar_per_s": n / t_scalar,
-        "vector_per_s": n / t_vector,
-        "speedup": t_scalar / t_vector,
-    }

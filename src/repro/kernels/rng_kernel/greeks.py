@@ -25,7 +25,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
-from ...plan import WorkspaceArena, one_shot
+from ...plan import WorkspaceArena
 from ...results import ResultSlab
 from .parallel import lane_tabulate, plan_snapshots
 
@@ -109,19 +109,6 @@ def _result_slab(backing: np.ndarray, n: int) -> ResultSlab:
         {"price": backing[:n], "delta": backing[n:2 * n],
          "vega": backing[2 * n:]},
         backing=backing)
-
-
-def pathwise_parallel(n: int, seed: int = 5489,
-                      executor: SlabExecutor | None = None) -> ResultSlab:
-    """``n`` per-path price/delta/vega contributions, slab-parallel:
-    the one-shot of :func:`compile_pathwise_parallel`.
-
-    Returns a :class:`~repro.results.ResultSlab` with ``price``,
-    ``delta`` and ``vega``; the option-level estimate is the mean of
-    each vector.  Bit-identical to a single sequential stream for any
-    backend, slab plan or worker count.
-    """
-    return one_shot(compile_pathwise_parallel, n, seed, executor=executor)
 
 
 def compile_pathwise_parallel(n: int, seed: int,

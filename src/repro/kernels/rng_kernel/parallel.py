@@ -28,7 +28,6 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...parallel.slab import SlabExecutor
-from ...plan import one_shot
 from ...rng.mt19937 import (LANES, MT19937, advance_window,
                             block_workspace, snapshot_lanes, uniform53_lanes)
 
@@ -98,13 +97,3 @@ def compile_uniform53_parallel(n: int, seed: int,
         return out
 
     return run
-
-
-def uniform53_parallel(n: int, seed: int = 5489,
-                       executor: SlabExecutor | None = None) -> np.ndarray:
-    """``n`` uniform [0, 1) doubles, slab-parallel — the one-shot of
-    :func:`compile_uniform53_parallel` — bit-identical to
-    ``MT19937(seed).uniform53(n)`` (and hence to the scalar reference)
-    for any backend, slab plan or worker count."""
-    return one_shot(compile_uniform53_parallel, n, seed,
-                    executor=executor)

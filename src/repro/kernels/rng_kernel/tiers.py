@@ -15,9 +15,8 @@ from ...registry import WorkloadSpec, register_impl, register_workload
 from ...rng.mt19937 import MT19937
 from ..levels import OptLevel
 from .functional import ScalarMT19937
-from .greeks import (PATHWISE_OUTPUTS, compile_pathwise_parallel,
-                     pathwise_parallel)
-from .parallel import compile_uniform53_parallel, uniform53_parallel
+from .greeks import PATHWISE_OUTPUTS, compile_pathwise_parallel
+from .parallel import compile_uniform53_parallel
 
 
 def build_workload(sizes, seed: int = 5489) -> dict:
@@ -49,7 +48,6 @@ def _plan_parallel(payload, executor, arena):
 
 
 register_impl("rng", "parallel", OptLevel.PARALLEL,
-              lambda p, ex: uniform53_parallel(p["n"], p["seed"], ex),
               backends=("serial", "thread", "process", "daemon"),
               planner=_plan_parallel)
 
@@ -64,7 +62,6 @@ def _plan_greeks(payload, executor, arena):
 # sensitivities.  Per-path contributions have no uniform-stream
 # counterpart; digests are audited across backends instead.
 register_impl("rng", "greeks", OptLevel.PARALLEL,
-              lambda p, ex: pathwise_parallel(p["n"], p["seed"], ex),
               backends=("serial", "thread", "process", "daemon"),
               checked=False,
               outputs=PATHWISE_OUTPUTS,

@@ -15,5 +15,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".shm": ("ArraySpec", "ShmArena", "run_slab_task"),
     ".slab": ("BACKENDS", "DEFAULT_LLC_BYTES", "MEASURED_CROSSOVER_BYTES",
               "OUT_OF_PROCESS_BACKENDS", "CompiledDispatch", "SlabExecutor",
-              "default_crossover_bytes", "default_executor", "host_llc_bytes"),
+              "default_crossover_bytes", "host_llc_bytes"),
 })

@@ -89,8 +89,8 @@ DEFAULT_LLC_BYTES = 8 * 1024 * 1024
 #: brownian at 0.6 MiB: 1.4x, binomial at 32 options / ~0.8 MiB: the
 #: 0.95x that motivated the fallback), while at and above 2 MiB pooled
 #: was within noise of inline (rng at 2 MiB: 1.004x, binomial at
-#: 3.2 MiB: 1.003x).  :func:`default_executor` carries it; an explicit
-#: executor gets whatever its caller passes.
+#: 3.2 MiB: 1.003x).  An executor carries it only when its caller passes
+#: it as ``min_parallel_bytes`` (perfbench's ``batch_wide`` does).
 MEASURED_CROSSOVER_BYTES = 1 << 21
 
 #: Sequence for per-compiled-dispatch shared-memory role prefixes, so
@@ -171,9 +171,8 @@ class SlabExecutor:
         only inline-vs-pool input.  Default ``0`` keeps the fallback
         off (explicit executors always exercise their pool, which the
         pool-persistence tests rely on; the benches' and the gateway's
-        executors keep it too).  :func:`default_executor` and perfbench's
-        ``batch_wide`` pass the measured
-        :data:`MEASURED_CROSSOVER_BYTES`.
+        executors keep it too).  Perfbench's ``batch_wide`` passes the
+        measured :data:`MEASURED_CROSSOVER_BYTES`.
 
     The pool (or daemon fleet) is created lazily on the first pooled
     dispatch and **reused across calls** until :meth:`close` (or
@@ -683,26 +682,8 @@ class CompiledDispatch:
             pass
 
 
-# ----------------------------------------------------------------------
-# Process-wide default executor
-# ----------------------------------------------------------------------
-
-_DEFAULT: SlabExecutor | None = None
-
-
 def default_crossover_bytes() -> int:
-    """The inline/pool crossover the default executor carries: the
-    measured :data:`MEASURED_CROSSOVER_BYTES`."""
+    """The measured inline/pool crossover,
+    :data:`MEASURED_CROSSOVER_BYTES`, for a caller that wants it as an
+    executor's ``min_parallel_bytes``."""
     return MEASURED_CROSSOVER_BYTES
-
-
-def default_executor() -> SlabExecutor:
-    """The process-wide threaded executor the parallel-tier kernels use
-    when none is passed: one persistent pool for the whole process.
-    Carries the measured crossover so incidental tiny dispatches do
-    not pay pool overhead."""
-    global _DEFAULT
-    if _DEFAULT is None or _DEFAULT._closed:
-        _DEFAULT = SlabExecutor(
-            "thread", min_parallel_bytes=default_crossover_bytes())
-    return _DEFAULT

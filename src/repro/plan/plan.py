@@ -24,8 +24,9 @@ compiled dispatches read and write all of them in place and
 carries a ``live_width`` (the Black-Scholes lane tiers) takes a live
 length: ``run(n=k)`` computes items ``[0, k)`` and no more than a
 step past them.  A slab
-tier has no second body: its registered ``fn`` is the one-shot of its
-planner (:func:`one_shot`: compile, run once, retire).  Serial ladder
+tier registers only its planner, and the registry derives its ``fn``
+as the planner's one-shot (:func:`planned_fn`: compile, run once,
+retire), so it has no second body.  Serial ladder
 tiers without a planner still compile — the plan wraps their ``fn``
 and reports ``planned=False`` — so every registered impl has a uniform
 ``plan()`` path.
@@ -322,30 +323,36 @@ def compile_plan(kernel: str, tier: str, payload=None, *,
                          planned=planned, owns_executor=owns, key=key)
 
 
-def one_shot(compile_fn, *args, executor=None, **kwargs):
-    """Compile, run once, retire — what a slab tier's plain function
-    (``price_parallel``, ``implied_parallel``, …) is, and what the
-    lattice Greeks tiers register directly
-    (``one_shot(compile_bumped, compile_price_tiled, …)``).
+def one_shot(compile_fn, *args, executor, **kwargs):
+    """Compile, run once, retire: the body of every slab tier's
+    registered ``fn`` (:func:`planned_fn`).
 
     ``compile_fn(*args, executor, arena, **kwargs)`` is the tier's
-    ``compile_*`` function, the one place its dispatch is declared.  It
-    compiles against a fresh private arena on ``executor`` (default:
-    the process-wide threaded one), the runner is called once, and the
-    dispatches the compile created are retired whether or not the run
-    raised — nothing stays staged, pinned or linked in ``/dev/shm``.
-    The result lives in the arena's buffers, which stay valid after the
-    arena is closed (out of process they are views of unlinked shared
-    segments, freed with the last view).
+    ``compile_*`` function or planner, the one place its dispatch is
+    declared.  It compiles against a fresh private arena on
+    ``executor``, the runner is called once, and the dispatches the
+    compile created are retired whether or not the run raised — nothing
+    stays staged, pinned or linked in ``/dev/shm``.  The result lives
+    in the arena's buffers, which stay valid after the arena is closed
+    (out of process they are views of unlinked shared segments, freed
+    with the last view).
     """
-    if executor is None:
-        from ..parallel.slab import default_executor
-        executor = default_executor()
     arena = WorkspaceArena(tag="one-shot", executor=executor)
     try:
         return compile_fn(*args, executor, arena, **kwargs)()
     finally:
         arena.close()
+
+
+def planned_fn(planner):
+    """``fn(payload, executor)`` of a tier registered by its
+    ``planner(payload, executor, arena)``: the planner's
+    :func:`one_shot`.  :func:`repro.registry.register_impl` derives
+    every slab tier's ``fn`` this way, so the tier has no second
+    body."""
+    def fn(payload, executor):
+        return one_shot(planner, payload, executor=executor)
+    return fn
 
 
 def plan_key(kernel: str, tier: str, backend: str, n_workers: int,

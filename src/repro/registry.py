@@ -7,8 +7,9 @@ tier module (``repro/kernels/<kernel>/tiers.py``) registers, when it is
 imported:
 
 * one :class:`KernelImpl` per ``(tier, backend)`` pair — a uniform
-  callable ``fn(payload, executor) -> np.ndarray`` wrapping that tier's
-  native entry point; and
+  callable ``fn(payload, executor) -> np.ndarray``: a serial ladder
+  tier's plain body, or, for a slab tier, which registers only its
+  planner, that planner's one-shot; and
 * one :class:`WorkloadSpec` — how to build the kernel's shared workload
   from a :class:`~repro.config.WorkloadSizes`, how many items it prices,
   what unit its rates are quoted in, and how tightly every non-reference
@@ -71,8 +72,9 @@ class KernelImpl:
     tier needs in the :class:`~repro.plan.WorkspaceArena`, freezes the
     slab dispatch (handing it to the arena), pre-seeds RNG stream
     state, and returns a zero-argument ``runner`` that prices the
-    bound payload with zero hot-path array allocations.  Every tier registered on a pooled
-    backend has one, and its ``fn`` is the planner's one-shot
+    bound payload with zero hot-path array allocations.  Every tier
+    registered on a pooled backend registers only its planner, and
+    its ``fn`` is derived as the planner's one-shot
     (:func:`repro.plan.one_shot`: compile, run once, retire) — a slab
     tier's dispatch is declared in exactly one place.
     """
@@ -196,17 +198,28 @@ def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
     return spec
 
 
-def register_impl(kernel: str, tier: str, level, fn: Callable,
+def register_impl(kernel: str, tier: str, level, fn: Callable | None = None,
                   backends=("serial",), checked: bool = True,
                   tolerance: float | None = None,
                   outputs=("price",),
                   planner: Callable | None = None):
-    """Register ``fn`` (and optionally its plan compiler ``planner``)
-    as kernel/tier on each backend; returns the created
-    :class:`KernelImpl` entries.  ``outputs`` declares the named
-    outputs ``fn`` fills — ``("price",)`` for classic single-vector
-    tiers, a longer tuple for Greeks/risk tiers returning a
-    :class:`~repro.results.ResultSlab`."""
+    """Register kernel/tier on each backend; returns the created
+    :class:`KernelImpl` entries.
+
+    A tier gives exactly one of ``fn`` (a serial ladder tier's plain
+    body) and ``planner`` (a slab tier's plan compiler, whose ``fn`` is
+    derived as its one-shot, :func:`repro.plan.plan.planned_fn`);
+    both or neither raises :class:`~repro.errors.ConfigurationError`.
+    ``outputs`` declares the named outputs the tier fills —
+    ``("price",)`` for classic single-vector tiers, a longer tuple for
+    Greeks/risk tiers returning a :class:`~repro.results.ResultSlab`."""
+    if (fn is None) == (planner is None):
+        raise ConfigurationError(
+            f"{kernel}/{tier}: register a fn or a planner, not "
+            f"{'both' if fn is not None else 'neither'}")
+    if planner is not None:
+        from .plan.plan import planned_fn
+        fn = planned_fn(planner)
     outputs = tuple(outputs)
     if not outputs:
         raise ConfigurationError(

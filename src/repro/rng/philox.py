@@ -117,9 +117,6 @@ class Philox:
         b = r[1::2] >> np.uint64(6)
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
-    def uniform32(self, n: int) -> np.ndarray:
-        return self.raw(n) * (1.0 / 4294967296.0)
-
     def skip(self, n_draws: int) -> None:
         """Advance the stream by ``n_draws`` raw outputs in O(1)."""
         if n_draws < 0:

@@ -1,9 +1,9 @@
 """A persisted per-machine policy table, kept for perfbench's probes.
 
 Nothing in the runtime reads this module: the inline-vs-pool crossover
-is ``SlabExecutor.min_parallel_bytes``, set at construction
-(``default_executor()`` carries the measured
-``MEASURED_CROSSOVER_BYTES``), and the gateway's batch widths are
+is ``SlabExecutor.min_parallel_bytes``, set at construction (no
+executor is implicit; a caller that wants the measured
+``MEASURED_CROSSOVER_BYTES`` passes it), and the gateway's batch widths are
 ``bucket_width``'s powers of two.  What stays is the table and its file
 format, because perfbench's ``tune.policy_lookup_us`` and
 ``tune.policy_load_ms`` time :meth:`PolicyTable.lookup` and

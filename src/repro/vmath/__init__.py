@@ -11,5 +11,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".exp": ("vexp",),
     ".invcnd": ("vinvcnd",),
     ".log": ("vlog",),
-    ".poly": ("estrin", "estrin_depth", "horner", "horner_depth"),
+    ".poly": ("horner",),
 })

@@ -1,11 +1,9 @@
-"""Polynomial evaluation kernels.
+"""Polynomial evaluation by Horner's rule.
 
-Horner's rule is the serial-dependency-chain scheme (one fma per
-coefficient, each dependent on the last — cheap on OOO cores, stall-prone
-on in-order cores); Estrin's scheme trades a few extra multiplies for a
-tree of independent fmas, the form vector math libraries use on in-order
-machines. Both are provided, produce identical values to within rounding,
-and are exercised by the vmath implementations.
+One multiply-add per coefficient, each dependent on the last: the
+serial dependency chain that out-of-order cores hide and in-order cores
+stall on. The range-reduced ``vexp`` and ``vlog`` evaluate their
+polynomials through it.
 """
 
 from __future__ import annotations
@@ -31,53 +29,3 @@ def horner(x: np.ndarray, coeffs) -> np.ndarray:
         acc = acc * x + c[k]
     return acc
 
-
-def estrin(x: np.ndarray, coeffs) -> np.ndarray:
-    """Evaluate the same polynomial by Estrin's scheme.
-
-    Pairs coefficients into first-degree polynomials in ``x``, then
-    combines pairs with successive squarings — the dependency depth is
-    O(log n) instead of O(n).
-    """
-    c = np.asarray(coeffs, dtype=DTYPE)
-    if c.ndim != 1 or c.size == 0:
-        raise ConfigurationError("coeffs must be a non-empty 1-D sequence")
-    x = np.asarray(x, dtype=DTYPE)
-    # Level 0: pair into (c[2k] + c[2k+1] * x).
-    level = [
-        (np.full_like(x, c[k]) + (c[k + 1] * x if k + 1 < c.size else 0.0))
-        for k in range(0, c.size, 2)
-    ]
-    power = x * x
-    while len(level) > 1:
-        nxt = []
-        for k in range(0, len(level), 2):
-            if k + 1 < len(level):
-                nxt.append(level[k] + level[k + 1] * power)
-            else:
-                nxt.append(level[k])
-        power = power * power
-        level = nxt
-    return level[0]
-
-
-def horner_depth(n_coeffs: int) -> int:
-    """Serial fma chain length of Horner for ``n_coeffs`` coefficients."""
-    if n_coeffs < 1:
-        raise ConfigurationError("need at least one coefficient")
-    return n_coeffs - 1
-
-
-def estrin_depth(n_coeffs: int) -> int:
-    """Dependency depth of Estrin for ``n_coeffs`` coefficients
-    (ceil(log2) combine levels plus the initial pairing fma)."""
-    if n_coeffs < 1:
-        raise ConfigurationError("need at least one coefficient")
-    if n_coeffs == 1:
-        return 0
-    pairs = -(-n_coeffs // 2)
-    depth = 1
-    while pairs > 1:
-        pairs = -(-pairs // 2)
-        depth += 1
-    return depth

@@ -14,14 +14,15 @@ from repro.config import SMALL_SIZES
 from repro.errors import ConfigurationError
 from repro.kernels.brownian import (BridgeSchedule, bridge_covariance,
                                     build, build_cache_to_cache,
-                                    build_interleaved, build_parallel,
-                                    build_reference, build_vectorized,
-                                    default_block_paths, make_schedule)
+                                    build_interleaved, build_reference,
+                                    build_vectorized, default_block_paths,
+                                    make_schedule)
+from repro.kernels.brownian.parallel import compile_build_parallel
 from repro.kernels.brownian.vectorized import (block_paths, bridge_blocks,
                                                bridge_workspace,
                                                randoms_to_path_major)
 from repro.parallel import SlabExecutor
-from repro.plan import WorkspaceArena
+from repro.plan import WorkspaceArena, one_shot
 from repro.rng import MT19937, NormalGenerator
 
 
@@ -247,7 +248,8 @@ def _every_tier(sch, z):
     blocks = []
     build_cache_to_cache(sch, _source(z), n_paths, 100, blocks.append)
     with SlabExecutor("thread", n_workers=2, slab_bytes=64 * 1024) as ex:
-        parallel = build_parallel(sch, z, ex)
+        parallel = one_shot(compile_build_parallel, sch, z,
+                            executor=ex).reshape(sch.n_points, n_paths)
     return {"reference": build_reference(sch, z),
             "vectorized": build_vectorized(sch, z),
             "interleaved": build_interleaved(sch, _source(z), n_paths, 48),

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.kernels.crank_nicolson import (SOLVERS, solve, solve_batch,
-                                          solve_batch_parallel)
+from repro.kernels.crank_nicolson import SOLVERS, solve, solve_batch
 from repro.kernels.crank_nicolson.gsor import RB_CHECK_EVERY
 from repro.kernels.crank_nicolson.parallel import compile_solve_batch
 from repro.kernels.crank_nicolson.planned import march_slab, plan_slab
 from repro.parallel import SlabExecutor
-from repro.plan import WorkspaceArena, audit_allocations
+from repro.plan import WorkspaceArena, audit_allocations, one_shot
 from repro.pricing import Option
 from repro.pricing.options import ExerciseStyle, OptionKind
 
@@ -108,8 +107,8 @@ class TestSlabPartition:
         got = {}
         for backend in ("serial", "thread", "daemon"):
             with SlabExecutor(backend, n_workers=2) as ex:
-                got[backend] = solve_batch_parallel(
-                    MIXED, N_POINTS, N_STEPS, executor=ex)
+                got[backend] = one_shot(compile_solve_batch, MIXED,
+                                        N_POINTS, N_STEPS, executor=ex)
         reference = solve_batch(MIXED, N_POINTS, N_STEPS, "red_black")
         for backend, prices in got.items():
             assert np.array_equal(prices, reference), backend
@@ -159,8 +158,8 @@ class TestConvergenceError:
             solve(slow, N_POINTS, N_STEPS, "red_black", max_sweeps=5)
         with SlabExecutor("serial") as ex:
             with pytest.raises(ConvergenceError) as batched:
-                solve_batch_parallel(MIXED[:3], N_POINTS, N_STEPS,
-                                     executor=ex, max_sweeps=5)
+                one_shot(compile_solve_batch, MIXED[:3], N_POINTS,
+                         N_STEPS, executor=ex, max_sweeps=5)
         err = batched.value
         assert "PUT K=100" in str(err)
         assert err.iterations == alone.value.iterations == 5
@@ -201,8 +200,8 @@ class TestArguments:
     def test_parallel_tier_rejects_omega_zero(self):
         with SlabExecutor("serial") as ex:
             with pytest.raises(ConfigurationError):
-                solve_batch_parallel(MIXED[:1], 64, 50, executor=ex,
-                                     omega=0.0)
+                one_shot(compile_solve_batch, MIXED[:1], 64, 50,
+                         executor=ex, omega=0.0)
 
 
 class TestAllocation:

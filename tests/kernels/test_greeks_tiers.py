@@ -14,11 +14,15 @@ from numpy.testing import assert_allclose
 
 from repro import registry
 from repro.config import SMOKE_SIZES
-from repro.kernels.black_scholes import greeks_parallel, implied_parallel
-from repro.kernels.black_scholes.implied import call_price_sig, surface_vols
-from repro.kernels.monte_carlo import BUMP_REL, greeks_stream_parallel
+from repro.kernels.black_scholes.greeks import compile_greeks_parallel
+from repro.kernels.black_scholes.implied import (call_price_sig,
+                                                 compile_implied_parallel,
+                                                 surface_vols)
+from repro.kernels.monte_carlo import BUMP_REL
+from repro.kernels.monte_carlo.bump import compile_greeks_stream
 from repro.kernels.monte_carlo.vectorized import price_stream
 from repro.parallel import SlabExecutor
+from repro.plan import one_shot
 from repro.pricing import bs_call, bs_put, random_batch
 from repro.results import as_result_slab
 from repro.rng import MT19937, NormalGenerator
@@ -44,7 +48,7 @@ class TestAnalyticGreeksVsFiniteDifferences:
         soa = batch.batch if batch.layout == "soa" else None
         S, X, T = soa.get("S"), soa.get("X"), soa.get("T")
         with SlabExecutor("serial", slab_bytes=16 * 1024) as ex:
-            out = greeks_parallel(batch, ex)
+            out = one_shot(compile_greeks_parallel, batch, executor=ex)
         return S, X, T, batch.rate, batch.vol, out
 
     @staticmethod
@@ -127,8 +131,8 @@ class TestCommonRandomNumbers:
         for k in range(24):
             z = NormalGenerator(MT19937(1000 + k)).normals(n_paths)
             z2 = NormalGenerator(MT19937(5000 + k)).normals(n_paths)
-            out = greeks_stream_parallel(S, X, T, r, sig, z, serial_ex,
-                                         h=h)
+            out = one_shot(compile_greeks_stream, S, X, T, r, sig, z,
+                           executor=serial_ex, h=h)
             crn.append(out["delta"][0])
             up = price_stream([100.0 * (1 + h)], X, T, r, sig, z)
             dn = price_stream([100.0 * (1 - h)], X, T, r, sig, z2)
@@ -148,7 +152,8 @@ class TestImpliedVolRoundTrip:
         sig_true = surface_vols(batch)
         target = np.empty_like(S)
         call_price_sig(S, X, T, batch.rate, sig_true, target)
-        iv = implied_parallel(batch, serial_ex)["implied_vol"]
+        iv = one_shot(compile_implied_parallel, batch,
+                      executor=serial_ex)["implied_vol"]
         reprice = np.empty_like(S)
         call_price_sig(S, X, T, batch.rate, iv, reprice)
         assert np.max(np.abs(reprice - target)) < 1e-10

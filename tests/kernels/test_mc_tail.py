@@ -20,11 +20,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import registry
 from repro.config import SMALL_SIZES
 from repro.errors import DomainError
-from repro.kernels.monte_carlo import (greeks_stream_parallel, price_stream,
-                                       price_stream_parallel)
-from repro.kernels.monte_carlo.parallel import BLOCK
+from repro.kernels.monte_carlo import price_stream
+from repro.kernels.monte_carlo.bump import compile_greeks_stream
+from repro.kernels.monte_carlo.parallel import BLOCK, compile_price_stream
 from repro.parallel import SlabExecutor
-from repro.plan import compile_plan
+from repro.plan import compile_plan, one_shot
 from repro.results import as_result_slab
 
 TOL = registry.workload("monte_carlo").tolerance
@@ -36,9 +36,17 @@ def serial_ex():
         yield ex
 
 
+def _tail(executor, *args) -> np.ndarray:
+    """The ``parallel`` tier's ``[price | stderr]`` one-shot."""
+    return one_shot(compile_price_stream, *args, executor=executor)
+
+
 def _gaps(got, want) -> tuple:
-    return (float(np.max(np.abs(got.price - want.price))),
-            float(np.max(np.abs(got.stderr - want.stderr))))
+    """Largest price and stderr gaps of a ``[price | stderr]`` vector
+    from an :class:`~repro.kernels.monte_carlo.reference.MCResult`."""
+    n = want.price.size
+    return (float(np.max(np.abs(got[:n] - want.price))),
+            float(np.max(np.abs(got[n:] - want.stderr))))
 
 
 def _vectorized(payload) -> np.ndarray:
@@ -46,10 +54,11 @@ def _vectorized(payload) -> np.ndarray:
 
 
 @pytest.mark.parametrize("field", ["S", "X", "T", "rate", "vol"])
-@pytest.mark.parametrize("fn", [price_stream, price_stream_parallel,
-                                greeks_stream_parallel],
-                         ids=lambda fn: fn.__name__)
-def test_nan_input_raises(fn, field):
+@pytest.mark.parametrize("compile_fn", [
+    pytest.param(None, id="price_stream"),
+    pytest.param(compile_price_stream, id="price_stream_parallel"),
+    pytest.param(compile_greeks_stream, id="greeks_stream_parallel")])
+def test_nan_input_raises(compile_fn, field, serial_ex):
     args = {"S": np.array([100.0, 95.0]), "X": np.array([100.0, 105.0]),
             "T": np.array([1.0, 0.5]), "rate": 0.02, "vol": 0.3}
     if field in ("rate", "vol"):
@@ -57,8 +66,12 @@ def test_nan_input_raises(fn, field):
     else:
         args[field][1] = np.nan
     z = np.random.default_rng(3).standard_normal(512)
+    case = (args["S"], args["X"], args["T"], args["rate"], args["vol"], z)
     with pytest.raises(DomainError, match="finite"):
-        fn(args["S"], args["X"], args["T"], args["rate"], args["vol"], z)
+        if compile_fn is None:
+            price_stream(*case)
+        else:
+            one_shot(compile_fn, *case, executor=serial_ex)
 
 
 @st.composite
@@ -80,8 +93,7 @@ def stream_cases(draw):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_tail_body_matches_vectorized(serial_ex, case):
-    dp, ds = _gaps(price_stream_parallel(*case, serial_ex),
-                   price_stream(*case))
+    dp, ds = _gaps(_tail(serial_ex, *case), price_stream(*case))
     assert dp <= 1e-10 and ds <= 1e-10, (dp, ds)
 
 
@@ -90,14 +102,13 @@ class TestTailEdges:
 
     def test_no_draw_in_the_money_prices_exactly_zero(self, serial_ex):
         args = ([10.0], [1000.0], [0.5], 0.02, 0.3, self.Z)
-        for got in (price_stream_parallel(*args, serial_ex),
-                    price_stream(*args)):
-            assert got.price[0] == 0.0 and got.stderr[0] == 0.0
+        assert _tail(serial_ex, *args).tolist() == [0.0, 0.0]
+        got = price_stream(*args)
+        assert got.price[0] == 0.0 and got.stderr[0] == 0.0
 
     def test_every_draw_in_the_money(self, serial_ex):
         args = ([1000.0], [10.0], [0.5], 0.02, 0.3, self.Z)
-        dp, ds = _gaps(price_stream_parallel(*args, serial_ex),
-                       price_stream(*args))
+        dp, ds = _gaps(_tail(serial_ex, *args), price_stream(*args))
         assert dp <= TOL and ds <= TOL
 
     def test_threshold_equal_to_a_draw(self, serial_ex):
@@ -105,8 +116,7 @@ class TestTailEdges:
         z = self.Z.copy()
         z[17] = (np.log(x / s) - t * (r - 0.5 * v * v)) / (np.sqrt(t) * v)
         args = ([s], [x], [t], r, v, z)
-        dp, ds = _gaps(price_stream_parallel(*args, serial_ex),
-                       price_stream(*args))
+        dp, ds = _gaps(_tail(serial_ex, *args), price_stream(*args))
         assert dp <= TOL and ds <= TOL
 
 
@@ -124,8 +134,8 @@ def test_callers_stream_is_never_reordered(serial_ex):
     payload = registry.workload("monte_carlo").build(SMALL_SIZES, seed=4)
     z = payload["randoms"]
     before = z.tobytes()
-    price_stream_parallel(payload["S"], payload["X"], payload["T"],
-                          payload["rate"], payload["vol"], z, serial_ex)
+    _tail(serial_ex, payload["S"], payload["X"], payload["T"],
+          payload["rate"], payload["vol"], z)
     assert z.tobytes() == before
     with compile_plan("monte_carlo", "parallel", payload,
                       backend="serial") as plan:

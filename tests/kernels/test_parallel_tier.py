@@ -9,20 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from repro.kernels.binomial import (price_simd_across, price_tiled,
-                                    price_tiled_parallel)
-from repro.kernels.black_scholes import price_parallel
-from repro.kernels.brownian import (barrier_risk_parallel, build_parallel,
-                                    build_reference, build_vectorized,
+from repro.kernels.binomial import price_simd_across, price_tiled
+from repro.kernels.binomial.parallel import compile_price_tiled
+from repro.kernels.black_scholes.parallel import compile_price_parallel
+from repro.kernels.brownian import (build_reference, build_vectorized,
                                     make_schedule)
 from repro.kernels.brownian import risk
+from repro.kernels.brownian.parallel import compile_build_parallel
 from repro.kernels.brownian.vectorized import block_paths
-from repro.kernels.monte_carlo import price_stream, price_stream_parallel
+from repro.kernels.monte_carlo import price_stream
+from repro.kernels.monte_carlo.parallel import compile_price_stream
 from repro import registry
 from repro.config import SMALL_SIZES, SMOKE_SIZES
 from repro.errors import DomainError
 from repro.parallel import SlabExecutor
-from repro.plan import audit_allocations, compile_plan
+from repro.plan import audit_allocations, compile_plan, one_shot
 from repro.plan.audit import PEAK_NOISE_BUDGET
 from repro.pricing import Option, random_batch
 from repro.pricing.bump import BUMP_REL
@@ -45,18 +46,16 @@ def thread_ex():
 
 class TestBlackScholes:
     def test_backend_bit_identical(self, serial_ex, thread_ex):
-        a = random_batch(1000, seed=3, layout="soa")
-        b = random_batch(1000, seed=3, layout="soa")
-        price_parallel(a, serial_ex)
-        price_parallel(b, thread_ex)
-        assert np.array_equal(a.call, b.call)
-        assert np.array_equal(a.put, b.put)
+        batch = random_batch(1000, seed=3, layout="soa")
+        a = one_shot(compile_price_parallel, batch, executor=serial_ex)
+        b = one_shot(compile_price_parallel, batch, executor=thread_ex)
+        assert np.array_equal(a, b)      # [calls | puts]
 
     def test_aos_layout_accepted(self, serial_ex):
         batch = random_batch(64, seed=5, layout="aos")
-        price_parallel(batch, serial_ex)
-        assert batch.call.shape == (64,)
-        assert np.all(batch.call >= 0)
+        prices = one_shot(compile_price_parallel, batch, executor=serial_ex)
+        assert prices.shape == (128,)
+        assert np.all(prices >= 0)
 
 
 class TestMonteCarloStream:
@@ -73,15 +72,18 @@ class TestMonteCarloStream:
         # so it rounds differently from the paper's chain.
         S, X, T, z = self._inputs()
         vec = price_stream(S, X, T, 0.02, 0.3, z)
-        par = price_stream_parallel(S, X, T, 0.02, 0.3, z, thread_ex)
-        assert np.max(np.abs(par.price - vec.price)) <= 1e-10
-        assert np.max(np.abs(par.stderr - vec.stderr)) <= 1e-10
+        par = one_shot(compile_price_stream, S, X, T, 0.02, 0.3, z,
+                       executor=thread_ex)           # [price | stderr]
+        assert np.max(np.abs(par[:S.size] - vec.price)) <= 1e-10
+        assert np.max(np.abs(par[S.size:] - vec.stderr)) <= 1e-10
 
     def test_backend_bit_identical(self, serial_ex, thread_ex):
         S, X, T, z = self._inputs()
-        a = price_stream_parallel(S, X, T, 0.02, 0.3, z, serial_ex)
-        b = price_stream_parallel(S, X, T, 0.02, 0.3, z, thread_ex)
-        assert np.array_equal(a.price, b.price)
+        a = one_shot(compile_price_stream, S, X, T, 0.02, 0.3, z,
+                     executor=serial_ex)
+        b = one_shot(compile_price_stream, S, X, T, 0.02, 0.3, z,
+                     executor=thread_ex)
+        assert np.array_equal(a, b)
 
     def test_plans_agree_on_four_backends(self):
         """``parallel`` and ``greeks`` plans: one digest each on every
@@ -116,8 +118,9 @@ class TestBrownian:
     def test_bit_identical_to_vectorized_tier(self, thread_ex):
         sched = make_schedule(6)
         z = NormalGenerator(MT19937(22)).normals(500 * 64)
-        assert np.array_equal(build_parallel(sched, z, thread_ex),
-                              build_vectorized(sched, z))
+        flat = one_shot(compile_build_parallel, sched, z,
+                        executor=thread_ex)
+        assert np.array_equal(flat, build_vectorized(sched, z).ravel())
 
     @pytest.mark.parametrize("sizes", [SMOKE_SIZES, SMALL_SIZES],
                              ids=["smoke", "small"])
@@ -214,7 +217,7 @@ class TestBrownianRisk:
             n_paths * sch.randoms_per_path())
         want = _path_major_risk(sch, z, BUMP_REL)
         with SlabExecutor(backend, n_workers=2, slab_bytes=64 * 1024) as ex:
-            got = barrier_risk_parallel(sch, z, ex)
+            got = one_shot(risk.compile_barrier_risk, sch, z, executor=ex)
         for name in risk.RISK_OUTPUTS:
             assert np.array_equal(got[name], want[name]), name
         assert np.count_nonzero(want["price"]) > 0
@@ -229,13 +232,14 @@ class TestBinomial:
 
     def test_bit_identical_to_tiled_tier(self, thread_ex):
         opts = self._options()
-        assert np.array_equal(price_tiled_parallel(opts, 128, thread_ex),
-                              price_tiled(opts, 128))
+        assert np.array_equal(
+            one_shot(compile_price_tiled, opts, 128, executor=thread_ex),
+            price_tiled(opts, 128))
 
     def test_backend_bit_identical(self, serial_ex, thread_ex):
         opts = self._options()
-        a = price_tiled_parallel(opts, 96, serial_ex)
-        b = price_tiled_parallel(opts, 96, thread_ex)
+        a = one_shot(compile_price_tiled, opts, 96, executor=serial_ex)
+        b = one_shot(compile_price_tiled, opts, 96, executor=thread_ex)
         assert np.array_equal(a, b)
 
     # Below, at and above the register tile (8 stages at the default
@@ -249,12 +253,13 @@ class TestBinomial:
         tiled = price_tiled(opts, steps)
         assert np.array_equal(tiled, price_simd_across(opts, steps))
         for ex in (serial_ex, thread_ex):
-            assert np.array_equal(price_tiled_parallel(opts, steps, ex),
-                                  tiled)
+            assert np.array_equal(
+                one_shot(compile_price_tiled, opts, steps, executor=ex),
+                tiled)
 
     def test_american_rejected_with_the_true_reason(self, serial_ex):
         opts = self._options(2) + [Option(
             spot=100.0, strike=100.0, expiry=1.0, rate=0.02, vol=0.3,
             style=ExerciseStyle.AMERICAN)]
         with pytest.raises(DomainError, match="intrinsic max"):
-            price_tiled_parallel(opts, 16, serial_ex)
+            one_shot(compile_price_tiled, opts, 16, executor=serial_ex)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.errors import ConfigurationError
-from repro.kernels.rng_kernel import (ScalarMT19937, pathwise_parallel,
-                                      rng_tier_rates, uniform53_parallel)
+from repro.kernels.rng_kernel import ScalarMT19937
 from repro.kernels.rng_kernel.greeks import PATHWISE_OUTPUTS, _pathwise
 from repro.parallel import SlabExecutor
 from repro.plan import audit_allocations, compile_plan
@@ -37,13 +37,6 @@ class TestScalarReference:
             ScalarMT19937(1).raw(-1)
 
 
-class TestTierComparison:
-    def test_vectorized_tier_wins_and_streams_match(self):
-        rates = rng_tier_rates(n=2_000)
-        assert rates["speedup"] > 1.0
-        assert rates["scalar_per_s"] > 0
-
-
 class TestParallelTiers:
     """The lane-batched slab tiers reproduce the one sequential stream
     on every backend, at a size no slab, lane or block boundary
@@ -59,8 +52,9 @@ class TestParallelTiers:
         with SlabExecutor(backend, n_workers=2,
                           slab_bytes=self.SLAB_BYTES) as ex:
             assert ex.n_slabs(self.N, 8) > 2
-            assert np.array_equal(
-                uniform53_parallel(self.N, self.SEED, ex), want)
+            fn = registry.impl("rng", "parallel", backend).fn
+            assert np.array_equal(fn({"n": self.N, "seed": self.SEED}, ex),
+                                  want)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_greeks_equals_sequential_stream(self, backend):
@@ -71,7 +65,8 @@ class TestParallelTiers:
                   np.empty(n, dtype=bool), *want.values())
         with SlabExecutor(backend, n_workers=2,
                           slab_bytes=self.SLAB_BYTES) as ex:
-            got = pathwise_parallel(n, self.SEED, ex)
+            got = registry.impl("rng", "greeks", backend).fn(
+                {"n": n, "seed": self.SEED}, ex)
         for name in PATHWISE_OUTPUTS:
             assert np.array_equal(got[name], want[name]), name
 

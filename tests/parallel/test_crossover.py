@@ -14,7 +14,7 @@ from repro import registry
 from repro.config import SMOKE_SIZES
 from repro.errors import ConfigurationError
 from repro.parallel import (MEASURED_CROSSOVER_BYTES, SlabExecutor,
-                            default_crossover_bytes, default_executor)
+                            default_crossover_bytes)
 
 
 class TestThreshold:
@@ -32,10 +32,6 @@ class TestThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             SlabExecutor("thread", min_parallel_bytes=-1)
-
-    def test_default_executor_carries_measured_threshold(self):
-        ex = default_executor()
-        assert ex.min_parallel_bytes == MEASURED_CROSSOVER_BYTES
 
     def test_measured_threshold_is_a_couple_of_mib(self):
         # Guard the recorded constant against accidental unit slips.

@@ -14,9 +14,10 @@ import pytest
 from repro import registry
 from repro.config import SMOKE_SIZES
 from repro.errors import DaemonError
-from repro.kernels.black_scholes import price_parallel
-from repro.kernels.monte_carlo import price_stream_parallel
-from repro.parallel import SlabExecutor, default_executor, shm
+from repro.kernels.black_scholes.parallel import compile_price_parallel
+from repro.kernels.monte_carlo.parallel import compile_price_stream
+from repro.parallel import SlabExecutor, shm
+from repro.plan import one_shot
 from repro.pricing.portfolio import random_batch
 
 BACKENDS = ("serial", "thread", "process", "daemon")
@@ -167,7 +168,7 @@ class TestWorkersForgetRetiredDispatches:
 
 class TestReentrant:
     def test_concurrent_one_shots_on_the_default_executor(self):
-        """8 threads x 20 one-shots share ``default_executor()``: every
+        """8 threads x 20 one-shots share one threaded executor: every
         result is the serial answer and every dispatch is retired by
         the call that compiled it (a compile that found "its"
         dispatches by diffing the executor's live list would retire a
@@ -177,37 +178,39 @@ class TestReentrant:
         S, X, T = (rng.uniform(80.0, 120.0, 8), rng.uniform(80.0, 120.0, 8),
                    rng.uniform(0.25, 2.0, 8))
         randoms = rng.standard_normal(2048)
+        mc = (S, X, T, 0.02, 0.3, randoms)
         with SlabExecutor("serial") as serial_ex:
-            price_parallel(batch, serial_ex)
-            want_mc = price_stream_parallel(S, X, T, 0.02, 0.3, randoms,
-                                            serial_ex).price
-        want_bs = np.concatenate([batch.call, batch.put])
-
-        ex = default_executor()
+            want_bs = one_shot(compile_price_parallel, batch,
+                               executor=serial_ex)
+            want_mc = one_shot(compile_price_stream, *mc,
+                               executor=serial_ex)
         errors = []
 
-        def work():
+        def work(ex):
             try:
                 for _ in range(20):
                     mine = random_batch(2048, seed=7)
-                    price_parallel(mine)
                     assert np.array_equal(
-                        np.concatenate([mine.call, mine.put]), want_bs)
-                    got = price_stream_parallel(S, X, T, 0.02, 0.3, randoms)
-                    assert np.array_equal(got.price, want_mc)
+                        one_shot(compile_price_parallel, mine, executor=ex),
+                        want_bs)
+                    assert np.array_equal(
+                        one_shot(compile_price_stream, *mc, executor=ex),
+                        want_mc)
             except BaseException as exc:  # noqa: BLE001 — reported below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert ex._live_dispatches == []
+        with SlabExecutor("thread", n_workers=2) as ex:
+            threads = [threading.Thread(target=work, args=(ex,))
+                       for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert ex._live_dispatches == []

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import (DEFAULT_LLC_BYTES, SlabExecutor,
-                            default_executor, host_llc_bytes)
+from repro.parallel import DEFAULT_LLC_BYTES, SlabExecutor, host_llc_bytes
 
 
 class TestConstruction:
@@ -148,11 +147,3 @@ class TestPoolLifecycle:
         with SlabExecutor("thread") as ex:
             ex.map_shm(_noop, 4, 8)
         assert ex._pool is None
-
-    def test_default_executor_singleton(self):
-        a = default_executor()
-        assert default_executor() is a
-        a.close()
-        b = default_executor()
-        assert b is not a
-        b.map_shm(_noop, 4, 8)

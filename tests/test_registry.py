@@ -71,6 +71,15 @@ class TestOneBodyPerSlabTier:
                    if i.backend != "serial" and i.planner is None]
         assert missing == []
 
+    def test_every_planned_fn_is_its_planners_one_shot(self):
+        from repro.plan.plan import planned_fn
+        code = planned_fn(None).__code__
+        other = [i.label for i in registry.impls()
+                 if i.planner is not None
+                 and (i.fn.__code__ is not code
+                      or i.fn.__closure__[0].cell_contents is not i.planner)]
+        assert other == []
+
     def test_kernels_call_map_shm_only_in_the_helpers(self):
         """No kernel function calls ``map_shm``: a slab dispatch under
         ``repro.kernels`` is compiled, never one-shot by hand."""
@@ -161,6 +170,18 @@ class TestRegistrationValidation:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             registry.register_impl("rng", "gpu_tier", OptLevel.ADVANCED,
                                    lambda p, ex: None, backends=("cuda",))
+
+    def test_fn_xor_planner(self):
+        """A tier registers a fn or a planner, whose one-shot is its
+        fn; both or neither is refused and registers nothing."""
+        before = registry.impls("rng")
+        with pytest.raises(ConfigurationError, match="not both"):
+            registry.register_impl("rng", "probe", OptLevel.PARALLEL,
+                                   lambda p, ex: None,
+                                   planner=lambda p, ex, arena: None)
+        with pytest.raises(ConfigurationError, match="not neither"):
+            registry.register_impl("rng", "probe", OptLevel.PARALLEL)
+        assert registry.impls("rng") == before
 
 
 class TestDerivedConsumers:

@@ -1,16 +1,10 @@
-"""Polynomial evaluation scheme tests."""
+"""Horner polynomial evaluation tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.vmath import estrin, estrin_depth, horner, horner_depth
-
-coeff_lists = st.lists(
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-    min_size=1, max_size=16,
-)
+from repro.vmath import horner
 
 
 class TestHorner:
@@ -29,47 +23,3 @@ class TestHorner:
         with pytest.raises(ConfigurationError):
             horner(np.array([1.0]), [])
 
-
-class TestEstrin:
-    @given(coeff_lists, st.floats(min_value=-3, max_value=3))
-    @settings(max_examples=300)
-    def test_matches_horner(self, coeffs, x):
-        xv = np.array([x])
-        h = horner(xv, coeffs)[0]
-        e = estrin(xv, coeffs)[0]
-        assert e == pytest.approx(h, rel=1e-12, abs=1e-12)
-
-    def test_matches_numpy_polyval(self, rng_np):
-        coeffs = rng_np.uniform(-1, 1, 13)
-        x = rng_np.uniform(-2, 2, 1000)
-        ref = np.polynomial.polynomial.polyval(x, coeffs)
-        assert np.allclose(estrin(x, coeffs), ref, rtol=1e-12, atol=1e-12)
-
-    def test_empty_coeffs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estrin(np.array([1.0]), [])
-
-
-class TestDepths:
-    def test_horner_depth_is_linear(self):
-        assert horner_depth(14) == 13
-
-    def test_estrin_depth_is_logarithmic(self):
-        assert estrin_depth(1) == 0
-        assert estrin_depth(2) == 1
-        assert estrin_depth(14) <= 4
-        assert estrin_depth(16) == 4
-
-    def test_estrin_never_deeper(self):
-        for n in range(1, 64):
-            assert estrin_depth(n) <= horner_depth(n)
-
-    def test_estrin_strictly_shallower_from_four(self):
-        for n in range(4, 64):
-            assert estrin_depth(n) < horner_depth(n)
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            horner_depth(0)
-        with pytest.raises(ConfigurationError):
-            estrin_depth(0)
